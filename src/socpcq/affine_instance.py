@@ -9,7 +9,7 @@ interior points it is locally inactive.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -23,14 +23,22 @@ from .soc_core import (
     distance_to_cone,
     reflected,
 )
+from .subspace_cone import SubspaceConeClass, classify_image_vs_cone
 
 
 @dataclass(frozen=True)
 class AffineSOCInstance:
-    """The constraint data: A is m-by-n, b in R^m, feasibility is Ax+b in Q_m."""
+    """The constraint data: A is m-by-n, b in R^m, feasibility is Ax+b in Q_m.
+
+    The data is treated as immutable: ``geometry`` memoizes the spectral
+    geometry of Im(A) on the instance.
+    """
 
     A: np.ndarray
     b: np.ndarray
+    _geometry: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -58,6 +66,13 @@ class AffineSOCInstance:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    def geometry(self, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
+        """Im(A) against the cone, with its SVD; computed once per ``tol``."""
+        tol = float(tol)
+        if tol not in self._geometry:
+            self._geometry[tol] = classify_image_vs_cone(self.A, tol)
+        return self._geometry[tol]
 
     def point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -118,15 +133,18 @@ def grad_phi(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> np.nda
     return instance.A[0] - (y[1:] / norm_r) @ instance.A[1:]
 
 
-def grad_phi_many(instance: AffineSOCInstance, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def grad_phi_many(
+    instance: AffineSOCInstance, X: np.ndarray, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise grad phi for an (N, n) array.
 
     Returns (G, ok) where rows of G are gradients and ok flags rows where
-    gr(x) != 0; rows with ok == False are zero-filled.
+    gr(x) is safely nonzero, by the test of ``grad_phi``; rows with
+    ok == False are zero-filled.
     """
     Y = instance.evaluate_many(X)
     norms = np.linalg.norm(Y[:, 1:], axis=1)
-    ok = norms > DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(Y, axis=1))
+    ok = norms > tol * np.maximum(1.0, np.linalg.norm(Y, axis=1))
     G = np.zeros((Y.shape[0], instance.n))
     if np.any(ok):
         unit = Y[ok, 1:] / norms[ok, None]
@@ -183,12 +201,15 @@ class HSetDescription:
 def h_set_description(
     instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL
 ) -> HSetDescription:
-    analysis = analyze_point(instance, x, tol)
+    return _h_set(analyze_point(instance, x, tol))
+
+
+def _h_set(analysis: PointAnalysis) -> HSetDescription:
     if analysis.location is ConeLocation.INTERIOR:
         return HSetDescription(HSetKind.ZERO_ONLY)
     if analysis.location is ConeLocation.ZERO:
         return HSetDescription(HSetKind.CONE_IMAGE)
-    gen = instance.A.T @ reflected(analysis.y)
+    gen = analysis.instance.A.T @ reflected(analysis.y)
     return HSetDescription(HSetKind.RAY_IMAGE, generator=gen)
 
 
@@ -237,11 +258,19 @@ def vanishing_reduction_test(
             "vanishing reduction is only defined on the positive boundary",
             0.0,
         )
-    y = analysis.y
-    norm_y_sq = float(y @ y)
-    residual = instance.A - np.outer(y, (y @ instance.A) / norm_y_sq)
-    a_norm = float(np.linalg.norm(instance.A))
-    if float(np.linalg.norm(residual)) > tol * max(1.0, a_norm):
-        return None
+    return _vanishing(analysis, tol)[0]
+
+
+def _vanishing(
+    analysis: PointAnalysis, tol: float
+) -> tuple[Optional[VanishingCertificate], float]:
+    """The certificate (None if it does not exist) and the residual norm of
+    A against the columns parallel to g(x), at a boundary point."""
+    instance, y = analysis.instance, analysis.y
+    residual = instance.A - np.outer(y, (y @ instance.A) / float(y @ y))
+    residual_norm = float(np.linalg.norm(residual))
+    if residual_norm > tol * max(1.0, float(np.linalg.norm(instance.A))):
+        return None, residual_norm
     u = y[1:] / np.linalg.norm(y[1:])
-    return VanishingCertificate(u=u, w=instance.A[0].copy(), c=float(instance.b[0]))
+    cert = VanishingCertificate(u=u, w=instance.A[0].copy(), c=float(instance.b[0]))
+    return cert, residual_norm

@@ -28,7 +28,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .affine_instance import AffineSOCInstance
+from .affine_instance import AffineSOCInstance, phi
 from .cq_checker import CQReport, full_report
 from .errors import (
     InfeasiblePointError,
@@ -42,8 +42,13 @@ from .oracles import (
     fcr_dim_scan,
     mscq_kappa_scan,
 )
-from .projection import PROJECTION_MAX_ITER, PROJECTION_TOL, project_to_feasible_set
-from .soc_core import DEFAULT_TOL, distance_to_cone
+from .projection import (
+    PROJECTION_MAX_ITER,
+    PROJECTION_TOL,
+    FeasibleSetProjector,
+    project_to_feasible_set,
+)
+from .soc_core import DEFAULT_TOL, ConeLocation, classify_cone_point, distance_to_cone
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -274,7 +279,7 @@ def cmd_scan(args) -> int:
     x = _named_point(doc, args.point)
     radii = _parse_radii(args.radii)
     scans = fcr_dim_scan(
-        doc.instance, x, radius=args.dim_radius, samples=args.samples, seed=args.seed
+        doc.instance, x, args.dim_radius, args.samples, args.seed, tol=doc.tol
     )
     kappa = mscq_kappa_scan(
         doc.instance,
@@ -282,6 +287,7 @@ def cmd_scan(args) -> int:
         radii=radii,
         samples_per_radius=args.samples,
         seed=args.seed,
+        tol=doc.tol,
     )
     print("radius,kappa_hat,samples,discarded")
     for i, r in enumerate(kappa.radii):
@@ -348,19 +354,22 @@ def cmd_harness(args) -> int:
 def cmd_project(args) -> int:
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
-    reference = None
-    for candidate in doc.points.values():
-        y = doc.instance.evaluate(candidate)
-        if distance_to_cone(y) == 0.0:
-            reference = candidate
-            break
-    z, dist = project_to_feasible_set(
-        doc.instance,
-        x,
-        tol=doc.projection_tol,
-        max_iter=PROJECTION_MAX_ITER,
-        reference=reference,
-    )
+    instance = doc.instance
+    # The projector's own feasibility test picks the reference, so a boundary
+    # point that rounding leaves just outside the cone still qualifies.
+    references = [
+        p
+        for p in doc.points.values()
+        if classify_cone_point(instance.evaluate(p), doc.tol)
+        is not ConeLocation.OUTSIDE
+    ]
+    if not references or phi(instance, x) >= 0.0:
+        z, dist = project_to_feasible_set(
+            instance, x, doc.projection_tol, PROJECTION_MAX_ITER
+        )
+    else:
+        projector = FeasibleSetProjector(instance, references[0], doc.tol)
+        z, dist = projector.project(x, doc.projection_tol, PROJECTION_MAX_ITER)
     dist_g = distance_to_cone(doc.instance.evaluate(x))
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")

@@ -18,10 +18,18 @@ The failure configurations are pinpointed as well: an FCR failure is
 always a degenerate boundary point without the rank-one factorization, and
 an H-closedness failure is always the ``Cor 4.2`` geometry (the image
 touches the cone in a single boundary ray without equaling its span).
+
+CRCQ is not decided separately: since CRCQ <=> FCR and H-closed, its
+verdict is the decisive one of those two (H-closedness at the vertex, FCR
+elsewhere) relabeled to its Thm 4.4 clause, evidence included.  Every
+vertex decision reads the image geometry (rank, singular values, bases,
+spectral class) that ``AffineSOCInstance.geometry(tol)`` caches on the
+instance, so a report costs one point analysis and at most one SVD of A.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -31,18 +39,12 @@ from .affine_instance import (
     AffineSOCInstance,
     HSetDescription,
     PointAnalysis,
+    _h_set,
+    _vanishing,
     analyze_point,
-    h_set_description,
-    vanishing_reduction_test,
 )
-from .soc_core import DEFAULT_TOL, ConeLocation
-from .subspace_cone import (
-    SubspaceConeClass,
-    SubspaceKind,
-    classify_image_vs_cone,
-    image_equals_line,
-    numeric_rank,
-)
+from .soc_core import DEFAULT_TOL, ConeLocation, cone_margin
+from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
 
 __all__ = [
     "Verdict",
@@ -90,23 +92,24 @@ class CQReport:
 
 
 class _Context:
-    """Shared per-point state so the six checks analyze only once."""
+    """Shared per-point state so the six checks analyze only once.
+
+    The image geometry is read from the instance, which computes it once
+    per tolerance.
+    """
 
     def __init__(self, instance: AffineSOCInstance, x, tol: float):
         self.instance = instance
         self.tol = float(tol)
         self.analysis = analyze_point(instance, x, tol)
-        self._subspace: Optional[SubspaceConeClass] = None
 
     @property
     def location(self) -> ConeLocation:
         return self.analysis.location
 
     @property
-    def subspace(self) -> SubspaceConeClass:
-        if self._subspace is None:
-            self._subspace = classify_image_vs_cone(self.instance.A, self.tol)
-        return self._subspace
+    def geometry(self) -> SubspaceConeClass:
+        return self.instance.geometry(self.tol)
 
     def grad_data(self) -> tuple[np.ndarray, float, float]:
         g = self.analysis.reduction.grad_phi
@@ -115,26 +118,26 @@ class _Context:
         return g, norm, floor
 
 
-def _margin(analysis: PointAnalysis) -> float:
-    y = analysis.y
-    return float(y[0] - np.linalg.norm(y[1:]))
-
-
 # ---------------------------------------------------------------------------
 # individual qualifications
 # ---------------------------------------------------------------------------
 
 
-def _nondegeneracy(ctx: _Context) -> Verdict:
+def _off_vertex(ctx: _Context) -> Verdict:
+    """Nondegeneracy and RCQ away from the vertex, where the two coincide."""
     if ctx.location is ConeLocation.INTERIOR:
-        return Verdict(True, "interior", {"margin": _margin(ctx.analysis)})
-    if ctx.location is ConeLocation.POSITIVE_BOUNDARY:
-        g, norm, floor = ctx.grad_data()
-        ev = {"grad_phi": g, "grad_norm": norm}
-        if norm > floor:
-            return Verdict(True, "boundary gradient nonzero", ev)
-        return Verdict(False, None, ev)
-    rank = numeric_rank(ctx.instance.A, ctx.tol)
+        return Verdict(True, "interior", {"margin": cone_margin(ctx.analysis.y)})
+    g, norm, floor = ctx.grad_data()
+    ev = {"grad_phi": g, "grad_norm": norm}
+    if norm > floor:
+        return Verdict(True, "boundary gradient nonzero", ev)
+    return Verdict(False, None, ev)
+
+
+def _nondegeneracy(ctx: _Context) -> Verdict:
+    if ctx.location is not ConeLocation.ZERO:
+        return _off_vertex(ctx)
+    rank = ctx.geometry.rank
     ev = {"rank": rank, "m": ctx.instance.m}
     if rank == ctx.instance.m:
         return Verdict(True, "surjective at vertex", ev)
@@ -142,15 +145,9 @@ def _nondegeneracy(ctx: _Context) -> Verdict:
 
 
 def _rcq(ctx: _Context) -> Verdict:
-    if ctx.location is ConeLocation.INTERIOR:
-        return Verdict(True, "interior", {"margin": _margin(ctx.analysis)})
-    if ctx.location is ConeLocation.POSITIVE_BOUNDARY:
-        g, norm, floor = ctx.grad_data()
-        ev = {"grad_phi": g, "grad_norm": norm}
-        if norm > floor:
-            return Verdict(True, "boundary gradient nonzero", ev)
-        return Verdict(False, None, ev)
-    cls = ctx.subspace
+    if ctx.location is not ConeLocation.ZERO:
+        return _off_vertex(ctx)
+    cls = ctx.geometry
     ev: dict[str, Any] = {
         "image_class": cls.kind.value,
         "eigenvalues": cls.eigenvalues,
@@ -167,11 +164,11 @@ def _fcr(ctx: _Context) -> Verdict:
     if ctx.location is ConeLocation.ZERO:
         return Verdict(True, "Thm3.2(i)", {"y_norm": float(np.linalg.norm(ctx.analysis.y))})
     if ctx.location is ConeLocation.INTERIOR:
-        return Verdict(True, "Thm3.2(ii)", {"margin": _margin(ctx.analysis)})
+        return Verdict(True, "Thm3.2(ii)", {"margin": cone_margin(ctx.analysis.y)})
     g, norm, floor = ctx.grad_data()
     if norm > floor:
         return Verdict(True, "Thm3.2(iii)", {"grad_phi": g, "grad_norm": norm})
-    cert = vanishing_reduction_test(ctx.instance, ctx.analysis.x, ctx.tol)
+    cert, residual = _vanishing(ctx.analysis, ctx.tol)
     if cert is not None:
         ev = {
             "grad_norm": norm,
@@ -180,128 +177,69 @@ def _fcr(ctx: _Context) -> Verdict:
             "certificate_c": cert.c,
         }
         return Verdict(True, "Thm3.2(iv)", ev)
-    y = ctx.analysis.y
-    residual = ctx.instance.A - np.outer(y, (y @ ctx.instance.A) / float(y @ y))
-    return Verdict(
-        False,
-        None,
-        {"grad_norm": norm, "vanishing_residual": float(np.linalg.norm(residual))},
-    )
+    return Verdict(False, None, {"grad_norm": norm, "vanishing_residual": residual})
 
 
 def _h_closed(ctx: _Context) -> Verdict:
     if ctx.location in (ConeLocation.INTERIOR, ConeLocation.POSITIVE_BOUNDARY):
         return Verdict(True, "Thm4.1(i)", {"y": ctx.analysis.y})
-    cls = ctx.subspace
+    cls = ctx.geometry
     if cls.kind is SubspaceKind.MEETS_INTERIOR:
-        return Verdict(True, "Thm4.1(ii)", {"witness": cls.witness})
+        return Verdict(
+            True, "Thm4.1(ii)", {"witness": cls.witness, "eigenvalues": cls.eigenvalues}
+        )
     if cls.kind is SubspaceKind.ZERO_ONLY:
         return Verdict(
-            True, "Thm4.1(iii)", {"rank": numeric_rank(ctx.instance.A, ctx.tol)}
+            True, "Thm4.1(iii)", {"rank": cls.rank, "eigenvalues": cls.eigenvalues}
         )
-    rank = numeric_rank(ctx.instance.A, ctx.tol)
-    ev: dict[str, Any] = {"ray": cls.ray, "rank": rank}
-    if image_equals_line(ctx.instance.A, cls.ray, ctx.tol):
+    ev: dict[str, Any] = {"ray": cls.ray, "rank": cls.rank}
+    # The ray lies in Im(A), so Im(A) is its span exactly when the rank is 1.
+    if cls.rank == 1:
         return Verdict(True, "Thm4.1(iv)", ev)
     ev["reason"] = "Cor 4.2"
     return Verdict(False, None, ev)
 
 
-def _crcq(ctx: _Context) -> Verdict:
-    loc = ctx.location
-    if loc is ConeLocation.INTERIOR:
-        return Verdict(True, "Thm4.4(i)", {"margin": _margin(ctx.analysis)})
-    if loc is ConeLocation.POSITIVE_BOUNDARY:
-        g, norm, floor = ctx.grad_data()
-        if norm > floor:
-            return Verdict(True, "Thm4.4(ii)", {"grad_phi": g, "grad_norm": norm})
-        cert = vanishing_reduction_test(ctx.instance, ctx.analysis.x, ctx.tol)
-        if cert is not None:
-            ev = {
-                "grad_norm": norm,
-                "certificate_u": cert.u,
-                "certificate_w": cert.w,
-                "certificate_c": cert.c,
-            }
-            return Verdict(True, "Thm4.4(iii)", ev)
-        y = ctx.analysis.y
-        residual = ctx.instance.A - np.outer(y, (y @ ctx.instance.A) / float(y @ y))
-        return Verdict(
-            False,
-            None,
-            {
-                "grad_norm": norm,
-                "vanishing_residual": float(np.linalg.norm(residual)),
-            },
-        )
-    cls = ctx.subspace
-    if cls.kind is SubspaceKind.MEETS_INTERIOR:
-        return Verdict(
-            True,
-            "Thm4.4(iv)",
-            {"witness": cls.witness, "eigenvalues": cls.eigenvalues},
-        )
-    if cls.kind is SubspaceKind.ZERO_ONLY:
-        return Verdict(
-            True,
-            "Thm4.4(v)",
-            {
-                "rank": numeric_rank(ctx.instance.A, ctx.tol),
-                "eigenvalues": cls.eigenvalues,
-            },
-        )
-    rank = numeric_rank(ctx.instance.A, ctx.tol)
-    ev = {"ray": cls.ray, "rank": rank}
-    if image_equals_line(ctx.instance.A, cls.ray, ctx.tol):
-        return Verdict(True, "Thm4.4(vi)", ev)
-    ev["reason"] = "Cor 4.2"
-    return Verdict(False, None, ev)
+#: CRCQ <=> FCR and H-closed (Thm 4.4).  At the vertex FCR always holds and
+#: H-closedness decides; elsewhere H is closed and FCR decides.  Each CRCQ
+#: clause is the decisive clause under its Thm 4.4 name.
+_CRCQ_LABELS = {
+    "Thm3.2(ii)": "Thm4.4(i)",
+    "Thm3.2(iii)": "Thm4.4(ii)",
+    "Thm3.2(iv)": "Thm4.4(iii)",
+    "Thm4.1(ii)": "Thm4.4(iv)",
+    "Thm4.1(iii)": "Thm4.4(v)",
+    "Thm4.1(iv)": "Thm4.4(vi)",
+}
 
 
-def minimal_cone_distance_on_image(
-    A: np.ndarray, tol: float = DEFAULT_TOL, seed: int = 0
-) -> float:
-    """min over unit w in Im(A) of dist(w, Q_m), estimated numerically.
+def _crcq(ctx: _Context, fcr: Verdict, h_closed: Verdict) -> Verdict:
+    decisive = h_closed if ctx.location is ConeLocation.ZERO else fcr
+    if not decisive.holds:
+        return Verdict(False, None, dict(decisive.evidence))
+    return Verdict(True, _CRCQ_LABELS[decisive.condition], dict(decisive.evidence))
+
+
+def minimal_cone_distance_on_image(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """min over unit w in Im(A) of dist(w, Q_m), in closed form.
+
+    A unit w = (w0, wr) has ||wr|| = sqrt(1 - w0^2), so its cone distance
+    is max(0, sqrt(1/2) (sqrt(1 - w0^2) - w0)), which decreases in w0; over
+    the unit sphere of Im(A) the largest w0 is t = ||B^T e0|| for an
+    orthonormal basis B of Im(A).  Hence the minimum is
+    max(0, sqrt(1/2) (sqrt(1 - t^2) - t)), and inf for a zero image.
 
     Positive exactly when Im(A) touches the cone only at the origin; used
     as the eta in the flat-case error-bound modulus M/eta.
     """
-    from .soc_core import distances_to_cone
-    from .subspace_cone import image_basis
+    return _eta(image_basis(A, tol))
 
-    B = image_basis(A, tol)
-    k = B.shape[1]
-    if k == 0:
+
+def _eta(B: np.ndarray) -> float:
+    if B.shape[1] == 0:
         return float("inf")
-
-    def value(Z: np.ndarray) -> np.ndarray:
-        return distances_to_cone(Z @ B.T)
-
-    if k == 1:
-        return float(min(value(np.array([[1.0], [-1.0]]))))
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((4096, k))
-    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    vals = value(Z)
-    order = np.argsort(vals)[:8]
-    best = float(vals[order[0]])
-    for i in order:
-        z = Z[i]
-        step = 0.5
-        fz = float(value(z[None, :])[0])
-        for _ in range(200):
-            cand = z[None, :] + step * rng.standard_normal((16, k))
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            cv = value(cand)
-            j = int(np.argmin(cv))
-            if cv[j] < fz:
-                z, fz = cand[j], float(cv[j])
-            else:
-                step *= 0.6
-                if step < 1e-12:
-                    break
-        best = min(best, fz)
-    return best
+    t = min(1.0, float(np.linalg.norm(B[0])))
+    return max(0.0, math.sqrt(0.5) * (math.sqrt(1.0 - t * t) - t))
 
 
 def _mscq(ctx: _Context, crcq: Verdict) -> Verdict:
@@ -309,18 +247,16 @@ def _mscq(ctx: _Context, crcq: Verdict) -> Verdict:
     ev["equivalent_route"] = crcq.condition
     if not crcq.holds:
         return Verdict(False, None, ev)
-    A = ctx.instance.A
     if crcq.condition == "Thm4.4(vi)":
         # Rank-one image along a boundary ray: the error-bound modulus is
         # 1/(norm(a) * norm(v)) for any factorization A = v a^T, and that
         # product is the top singular value of A.
-        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
-        ev["kappa"] = 1.0 / sigma
+        ev["kappa"] = 1.0 / float(ctx.geometry.singular_values[0])
     elif crcq.condition == "Thm4.4(v)":
-        svals = np.linalg.svd(A, compute_uv=False)
+        svals = ctx.geometry.singular_values
         positive = svals[svals > ctx.tol * max(1.0, float(svals[0]))]
         bound_m = 1.0 / float(positive[-1]) if positive.size else float("inf")
-        eta = minimal_cone_distance_on_image(A, ctx.tol)
+        eta = _eta(ctx.geometry.basis)
         ev["bound_M"] = bound_m
         ev["eta"] = eta
         ev["kappa_bound"] = bound_m / eta if eta > 0 else float("inf")
@@ -349,29 +285,30 @@ def check_h_closed(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> 
 
 
 def check_crcq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _crcq(_Context(instance, x, tol))
+    ctx = _Context(instance, x, tol)
+    return _crcq(ctx, _fcr(ctx), _h_closed(ctx))
 
 
 def check_mscq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
     ctx = _Context(instance, x, tol)
-    return _mscq(ctx, _crcq(ctx))
+    return _mscq(ctx, _crcq(ctx, _fcr(ctx), _h_closed(ctx)))
 
 
 def full_report(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> CQReport:
     """All six verdicts at a feasible point, with consistency enforced."""
     ctx = _Context(instance, x, tol)
-    crcq = _crcq(ctx)
-    hs = h_set_description(instance, ctx.analysis.x, tol)
+    fcr = _fcr(ctx)
     h_closed = _h_closed(ctx)
+    crcq = _crcq(ctx, fcr, h_closed)
     report = CQReport(
         point_analysis=ctx.analysis,
         nondegeneracy=_nondegeneracy(ctx),
         rcq=_rcq(ctx),
-        fcr=_fcr(ctx),
+        fcr=fcr,
         h_closed=h_closed,
         crcq=crcq,
         mscq=_mscq(ctx, crcq),
-        h_set=replace(hs, closed=h_closed.holds),
+        h_set=replace(_h_set(ctx.analysis), closed=h_closed.holds),
         derived_claims=(),
     )
     if report.mscq.holds:

@@ -44,14 +44,7 @@ from .projection import (
     project_to_feasible_set,
 )
 from .soc_core import DEFAULT_TOL, ConeLocation, distances_to_cone, margins
-from .subspace_cone import (
-    SubspaceConeClass,
-    SubspaceKind,
-    classify_image_vs_cone,
-    image_basis,
-    image_equals_line,
-    numeric_rank,
-)
+from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis, numeric_rank
 
 __all__ = [
     "KappaScan",
@@ -178,6 +171,7 @@ def mscq_kappa_scan(
     seed: int = 0,
     probes_per_radius: Optional[int] = None,
     reference=None,
+    tol: float = DEFAULT_TOL,
 ) -> KappaScan:
     """Empirical error-bound moduli in shrinking balls around ``xbar``.
 
@@ -187,8 +181,9 @@ def mscq_kappa_scan(
     records the largest distance ratio.  ``kappa_hat`` prefers the probe
     ratios (see :class:`KappaScan`); identical seeds share the random
     draws across radii so consecutive ratios compare like with like.
+    ``tol`` is the tolerance of the point analysis and of the projector.
     """
-    center = analyze_point(instance, xbar, DEFAULT_TOL).x
+    center = analyze_point(instance, xbar, tol).x
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(
         radii[i] <= radii[i + 1] for i in range(len(radii) - 1)
@@ -208,7 +203,7 @@ def mscq_kappa_scan(
     probe_offsets /= np.linalg.norm(probe_offsets, axis=1, keepdims=True)
 
     projector = FeasibleSetProjector(
-        instance, center if reference is None else reference
+        instance, center if reference is None else reference, tol
     )
 
     kappa: list[float] = []
@@ -374,7 +369,7 @@ def fcr_dim_scan(
     if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
         dirs, radial = _uniform_ball_directions(rng, samples, n)
         X = np.vstack([center[None, :], center + dirs * (radius * radial)[:, None]])
-        G, ok = grad_phi_many(instance, X)
+        G, ok = grad_phi_many(instance, X, tol)
         discarded = int(np.count_nonzero(~ok))
         norms = np.linalg.norm(G[ok], axis=1)
         floor = tol * max(1.0, float(np.linalg.norm(instance.A)))
@@ -388,8 +383,9 @@ def fcr_dim_scan(
     # Vertex: the map is the same at every x, so sampling x is a pure
     # consistency exercise; the face matters instead.
     A = instance.A
+    rank = instance.geometry(tol).rank
     out = [
-        DimScan("ZeroFace", frozenset({numeric_rank(A, tol)}), samples, int(seed)),
+        DimScan("ZeroFace", frozenset({rank}), samples, int(seed)),
         DimScan("FullCone", frozenset({0}), samples, int(seed)),
     ]
     for i, w in enumerate(_random_boundary_rays(rng, instance.m, rays)):
@@ -608,21 +604,18 @@ def _self_check(instance, xbar, target, tol) -> bool:
         return True
     if loc is not ConeLocation.ZERO:
         return False
-    cls = classify_image_vs_cone(instance.A, tol)
+    cls = instance.geometry(tol)
     if cls.marginal:
         return False
     if target == "Thm4.4(iv)":
         return cls.kind is SubspaceKind.MEETS_INTERIOR
     if target == "Thm4.4(v)":
-        return cls.kind is SubspaceKind.ZERO_ONLY and numeric_rank(instance.A, tol) >= 1
+        return cls.kind is SubspaceKind.ZERO_ONLY and cls.rank >= 1
+    # A ray image equals the ray's span exactly when it has rank one.
     if target == "Thm4.4(vi)":
-        return cls.kind is SubspaceKind.RAY and image_equals_line(
-            instance.A, cls.ray, tol
-        )
+        return cls.kind is SubspaceKind.RAY and cls.rank == 1
     if target == "Cor4.2":
-        return cls.kind is SubspaceKind.RAY and not image_equals_line(
-            instance.A, cls.ray, tol
-        )
+        return cls.kind is SubspaceKind.RAY and cls.rank != 1
     return False
 
 

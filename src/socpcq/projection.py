@@ -37,12 +37,11 @@ from .soc_core import (
     margins,
     projections_to_cone,
 )
+from .subspace_cone import SubspaceKind
 
 #: Defaults for the certified projection contract.
 PROJECTION_TOL = 1e-10
 PROJECTION_MAX_ITER = 100_000
-
-_GRAD_FLOOR = 1e-9
 
 
 class _Geometry(enum.Enum):
@@ -100,8 +99,9 @@ class FeasibleSetProjector:
                 y_ref[0] - np.linalg.norm(y_ref[1:])
             )
         elif loc is ConeLocation.POSITIVE_BOUNDARY:
+            # Same nonvanishing-gradient test as the verdicts (Thm3.2(iii)).
             g = grad_phi(instance, ref, tol)
-            if float(np.linalg.norm(g)) > _GRAD_FLOOR * max(
+            if float(np.linalg.norm(g)) > self.tol * max(
                 1.0, float(np.linalg.norm(A))
             ):
                 self.geometry = _Geometry.SLATER
@@ -114,9 +114,7 @@ class FeasibleSetProjector:
                     ref, y_ref / np.linalg.norm(y_ref), float(np.linalg.norm(y_ref))
                 )
         else:  # vertex
-            from .subspace_cone import SubspaceKind, classify_image_vs_cone
-
-            cls = classify_image_vs_cone(A, tol)
+            cls = instance.geometry(self.tol)
             if cls.kind is SubspaceKind.MEETS_INTERIOR:
                 self.geometry = _Geometry.SLATER
                 self._set_interior_from_witness(ref, cls.witness)
@@ -125,7 +123,7 @@ class FeasibleSetProjector:
                 self._ray_data = self._build_ray_flat(ref, cls.ray, 0.0)
             else:
                 self.geometry = _Geometry.FLAT
-                rows = self._flat_rows(A)
+                rows = cls.row_basis
                 self._flat_projector = rows.T @ rows
 
     # -- construction helpers -------------------------------------------
@@ -158,52 +156,33 @@ class FeasibleSetProjector:
         self._interior_point = z
         self._interior_margin = m
 
-    def _singular_cut(self) -> float:
-        """Absolute singular-value threshold matching the rank tolerance.
-
-        The verdict side calls rank(A) with a cutoff relative to the top
-        singular value of A; constraint rows of derived flat matrices
-        below that same absolute scale are rounding artifacts (e.g. an
-        outer-product matrix is only rank one up to per-entry rounding)
-        and must not enter the projector as genuine constraints.
-        """
-        if not hasattr(self, "_sigma_top"):
-            self._sigma_top = float(np.linalg.norm(self.instance.A, 2))
-        return self.tol * self._sigma_top
-
-    def _flat_rows(self, flat_matrix: np.ndarray) -> np.ndarray:
-        """Orthonormal rows spanning the numerically significant row space."""
-        if flat_matrix.size == 0:
-            return np.zeros((0, self.instance.n))
-        _, sigma, vt = np.linalg.svd(flat_matrix, full_matrices=False)
-        keep = sigma > self._singular_cut()
-        return vt[keep]
-
-    def _build_ray_flatdata(self, flat_matrix, c, gamma, ref) -> _RayFlatData:
-        rows = self._flat_rows(flat_matrix)
-        projector = rows.T @ rows
-        if float(np.linalg.norm(c)) > self._singular_cut():
-            stacked = np.vstack([rows, c[None, :]])
-            rhs = np.concatenate([rows @ ref, [gamma]])
-            return _RayFlatData(
-                projector_flat=projector,
-                c=c,
-                gamma=gamma,
-                stacked=stacked,
-                stacked_pinv=np.linalg.pinv(stacked),
-                stacked_rhs=rhs,
-            )
-        return _RayFlatData(projector, c, gamma, None, None, None)
-
     def _build_ray_flat(
         self, ref: np.ndarray, d_unit: np.ndarray, y_norm: float
     ) -> _RayFlatData:
-        """Omega = {z : A(z - ref) in span(d), <d, A(z-ref)> >= -y_norm}."""
+        """Omega = {z : A(z - ref) in span(d), <d, A(z-ref)> >= -y_norm}.
+
+        The flat is the numerically significant row space of
+        M = A - d d^T A.  The verdict side calls rank(A) with a cutoff
+        relative to the top singular value of A; singular values of M
+        below that same absolute scale are rounding artifacts (an
+        outer-product matrix is only rank one up to per-entry rounding)
+        and must not enter the projector as genuine constraints.
+        """
         A = self.instance.A
         M = A - np.outer(d_unit, d_unit @ A)
         c = A.T @ d_unit
         gamma = float(c @ ref) - y_norm
-        return self._build_ray_flatdata(M, c, gamma, ref)
+        cut = self.tol * float(self.instance.geometry(self.tol).singular_values[0])
+        _, sigma, vt = np.linalg.svd(M, full_matrices=False)
+        rows = vt[sigma > cut]
+        projector = rows.T @ rows
+        if float(np.linalg.norm(c)) > cut:
+            stacked = np.vstack([rows, c[None, :]])
+            rhs = np.concatenate([rows @ ref, [gamma]])
+            return _RayFlatData(
+                projector, c, gamma, stacked, np.linalg.pinv(stacked), rhs
+            )
+        return _RayFlatData(projector, c, gamma, None, None, None)
 
     # -- projection ------------------------------------------------------
 

@@ -6,6 +6,13 @@ the restricted symmetric matrix M = B^T J B decides everything.  A positive
 top eigenvalue gives an interior point of Q_m inside V; if M is negative
 semidefinite its kernel maps to the (at most one) boundary ray of Q_m inside
 V; a negative definite M means V meets the cone only at the origin.
+
+``classify_image_vs_cone`` runs one thin SVD of A and returns, next to the
+class, the rank, singular values, image basis and row basis it read off
+that SVD.  ``AffineSOCInstance.geometry(tol)`` memoizes this record on the
+instance, so the verdicts, the projector and the oracles share one SVD per
+(instance, tol); ``numeric_rank`` and ``image_basis`` remain for arbitrary
+matrices.
 """
 
 from __future__ import annotations
@@ -39,6 +46,10 @@ class SubspaceConeClass:
     the subspace when ``kind`` is MEETS_INTERIOR.  ``marginal`` flags
     tolerance-ambiguous spectra (top eigenvalue inside the tolerance band
     with no admissible kernel direction, or a multiple near-kernel).
+
+    ``rank``, ``singular_values``, ``basis`` (the m-by-rank image basis U_k)
+    and ``row_basis`` (the rank-by-n row basis V_k^T) come from the thin SVD
+    of A that the classification is based on.
     """
 
     kind: SubspaceKind
@@ -46,6 +57,10 @@ class SubspaceConeClass:
     witness: Optional[np.ndarray] = None
     marginal: bool = False
     eigenvalues: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    rank: int = 0
+    singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    row_basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
 
 def _validated_matrix(A) -> np.ndarray:
@@ -59,34 +74,37 @@ def _validated_matrix(A) -> np.ndarray:
     return A
 
 
+def _rank_of(sigma: np.ndarray, tol: float) -> int:
+    """Singular values above tol * sigma_max (zero matrix -> 0)."""
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        return 0
+    return int(np.sum(sigma > tol * sigma[0]))
+
+
 def numeric_rank(A, tol: float = DEFAULT_TOL) -> int:
     """Rank by singular-value threshold tol * sigma_max (zero matrix -> 0)."""
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return 0
-    sigma = np.linalg.svd(A, compute_uv=False)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return 0
-    return int(np.sum(sigma > tol * sigma[0]))
+    return _rank_of(np.linalg.svd(A, compute_uv=False), tol)
 
 
 def image_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of ``A`` as an (m, k) array."""
     A = _validated_matrix(A)
     u, sigma, _ = np.linalg.svd(A, full_matrices=False)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return np.zeros((A.shape[0], 0))
-    k = int(np.sum(sigma > tol * sigma[0]))
-    return u[:, :k]
+    return u[:, : _rank_of(sigma, tol)]
 
 
 def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
     """Classify Im(A) against Q_m: meets the interior, a single ray, or {0}."""
     A = _validated_matrix(A)
-    B = image_basis(A, tol)
-    k = B.shape[1]
+    u, sigma, vt = np.linalg.svd(A, full_matrices=False)
+    k = _rank_of(sigma, tol)
+    B = u[:, :k]
+    svd_parts = {"rank": k, "singular_values": sigma, "basis": B, "row_basis": vt[:k]}
     if k == 0:
-        return SubspaceConeClass(SubspaceKind.ZERO_ONLY)
+        return SubspaceConeClass(SubspaceKind.ZERO_ONLY, **svd_parts)
     # Restricted hyperbolic form; eigenvalues lie in [-1, 1] because B is
     # orthonormal and J is an isometry.
     JB = B.copy()
@@ -100,7 +118,7 @@ def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
         if w[0] < 0.0:
             w = -w
         return SubspaceConeClass(
-            SubspaceKind.MEETS_INTERIOR, witness=w, eigenvalues=eigvals
+            SubspaceKind.MEETS_INTERIOR, witness=w, eigenvalues=eigvals, **svd_parts
         )
 
     # M is negative semidefinite within tolerance.  Kernel directions with a
@@ -115,7 +133,7 @@ def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
     if not admissible:
         marginal = bool(null_idx)  # near-null spectrum but no usable direction
         return SubspaceConeClass(
-            SubspaceKind.ZERO_ONLY, marginal=marginal, eigenvalues=eigvals
+            SubspaceKind.ZERO_ONLY, marginal=marginal, eigenvalues=eigvals, **svd_parts
         )
     admissible.sort(key=lambda item: item[0])
     _, w = admissible[0]
@@ -127,6 +145,7 @@ def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
         ray=v,
         marginal=len(admissible) > 1,
         eigenvalues=eigvals,
+        **svd_parts,
     )
 
 

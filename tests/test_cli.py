@@ -8,6 +8,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from socpcq import margins, random_instance
 from socpcq.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -245,6 +246,26 @@ def test_scan_seed_env_matches_flag(capsys, monkeypatch):
     assert "SOCPCQ_SEED" in err
 
 
+def test_scan_uses_document_tol(capsys, tmp_path):
+    # xbar sits 7e-9 outside the cone: on the boundary at the document's
+    # tol of 1e-6, outside at the default tol
+    doc = {
+        "m": 3,
+        "n": 3,
+        "A": np.eye(3).tolist(),
+        "b": [0.0, 0.0, 0.0],
+        "points": {"xbar": [1.0, 1.0 + 1e-8, 0.0]},
+        "tolerances": {"tol": 1e-6},
+    }
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run_cli(capsys, "analyze", str(path), "xbar")
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, "scan", str(path), "xbar", "--samples", "50")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "fcr_consistent=true"
+
+
 def test_scan_rejects_bad_radii(capsys):
     code, _, _ = run_cli(
         capsys, "scan", fixture("vertex_halfplane"), "origin", "--radii", "a,b"
@@ -311,6 +332,31 @@ def test_project_golden_output(capsys):
         "dist(x, Omega) = 3.16227766017",
         "dist(g(x), Q_m) = 2.94317475869",
     ]
+
+
+def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):
+    # g(xbar) lies a rounding error outside the cone; the projector's own
+    # tolerance still accepts xbar as the reference
+    inst, xbar = random_instance(5, 3, "degenerate-boundary", seed=0)
+    x = xbar + np.array([0.0, 0.0, 4.0])
+    assert margins((inst.A @ x + inst.b)[None, :])[0] < 0.0
+    doc = {
+        "m": 5,
+        "n": 3,
+        "A": inst.A.tolist(),
+        "b": inst.b.tolist(),
+        "points": {"xbar": xbar.tolist(), "outside": x.tolist()},
+    }
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "project", str(path), "outside")
+    assert code == EXIT_OK
+    lines = dict(line.split(" = ", 1) for line in out.splitlines())
+    z = np.array(json.loads(lines["z"]))
+    dist = float(lines["dist(x, Omega)"])
+    y = inst.A @ z + inst.b
+    assert margins(y[None, :])[0] >= -1e-10 * max(1.0, float(np.linalg.norm(y)))
+    assert dist <= float(np.linalg.norm(x - xbar)) * (1.0 + 1e-12)
 
 
 def test_project_feasible_point_is_fixed(capsys):

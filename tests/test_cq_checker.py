@@ -13,6 +13,7 @@ import pytest
 from socpcq import (
     AffineSOCInstance,
     ConeLocation,
+    FeasibleSetProjector,
     Verdict,
     check_crcq,
     check_fcr,
@@ -25,6 +26,7 @@ from socpcq import (
     verify_report_invariants,
 )
 from socpcq.cq_checker import minimal_cone_distance_on_image
+from socpcq.oracles import TARGET_CASES
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -171,6 +173,45 @@ def test_minimal_cone_distance_on_image_exact_cases():
     A1 = np.array([[1.0], [0.0], [0.0]])
     assert minimal_cone_distance_on_image(A1) == pytest.approx(0.0, abs=1e-12)
     assert minimal_cone_distance_on_image(np.zeros((3, 1))) == float("inf")
+    # oblique image: the largest first coordinate of a unit image vector is
+    # t = 0.5 / sqrt(1.25), reached at (0.5, 1, 0) / sqrt(1.25)
+    A2 = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert minimal_cone_distance_on_image(A2) == pytest.approx(
+        np.sqrt(0.5) * 0.5 / np.sqrt(1.25), abs=1e-12
+    )
+
+
+def test_report_and_projector_share_one_svd(monkeypatch):
+    import socpcq.affine_instance as affine_instance
+    import socpcq.cq_checker as cq_checker
+
+    analyze_calls = []
+    svd_args = []
+    analyze, svd = affine_instance.analyze_point, np.linalg.svd
+
+    def counting_analyze(*args, **kwargs):
+        analyze_calls.append(args)
+        return analyze(*args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_args.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(affine_instance, "analyze_point", counting_analyze)
+    monkeypatch.setattr(cq_checker, "analyze_point", counting_analyze)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for target in TARGET_CASES:
+        generated, xbar = random_instance(5, 3, target, seed=21)
+        # a fresh instance, so nothing is cached from the generator's checks
+        inst = AffineSOCInstance(generated.A, generated.b)
+        analyze_calls.clear()
+        svd_args.clear()
+        full_report(inst, xbar)
+        assert len(analyze_calls) == 1, target
+        assert len(svd_args) <= 1, target
+        FeasibleSetProjector(inst, xbar)
+        svds_of_a = [a for a in svd_args if np.array_equal(a, inst.A)]
+        assert len(svds_of_a) <= 1, target
 
 
 def test_implication_lattice_on_stratified_instances():
