@@ -43,7 +43,6 @@ from .oracles import (
     mscq_kappa_scan,
 )
 from .projection import (
-    PROJECTION_MAX_ITER,
     PROJECTION_TOL,
     FeasibleSetProjector,
     project_to_feasible_set,
@@ -365,11 +364,11 @@ def cmd_project(args) -> int:
     ]
     if not references or phi(instance, x) >= 0.0:
         z, dist = project_to_feasible_set(
-            instance, x, doc.projection_tol, PROJECTION_MAX_ITER
+            instance, x, doc.projection_tol, geometry_tol=doc.tol
         )
     else:
         projector = FeasibleSetProjector(instance, references[0], doc.tol)
-        z, dist = projector.project(x, doc.projection_tol, PROJECTION_MAX_ITER)
+        z, dist = projector.project(x, doc.projection_tol)
     dist_g = distance_to_cone(doc.instance.evaluate(x))
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")

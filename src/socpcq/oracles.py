@@ -37,12 +37,7 @@ from .affine_instance import (
 )
 from .cq_checker import check_crcq, check_fcr, full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
-from .projection import (
-    PROJECTION_MAX_ITER,
-    PROJECTION_TOL,
-    FeasibleSetProjector,
-    project_to_feasible_set,
-)
+from .projection import FeasibleSetProjector, project_to_feasible_set
 from .soc_core import DEFAULT_TOL, ConeLocation, distances_to_cone, margins
 from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis, numeric_rank
 

@@ -359,6 +359,33 @@ def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):
     assert dist <= float(np.linalg.norm(x - xbar)) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("with_origin", [False, True])
+def test_project_uses_document_tol_without_feasible_point(
+    capsys, tmp_path, with_origin
+):
+    # At tol 1e-6 the 1e-8 column is rank-deficient noise, so Omega is the
+    # line x1 = 0; the answer must not depend on whether the document
+    # happens to carry a feasible point.
+    points = {"outside": [1.0, 1.0]}
+    if with_origin:
+        points["origin"] = [0.0, 0.0]
+    doc = {
+        "m": 3,
+        "n": 2,
+        "A": [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-8]],
+        "b": [0.0, 0.0, 0.0],
+        "points": points,
+        "tolerances": {"tol": 1e-6},
+    }
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "project", str(path), "outside")
+    assert code == EXIT_OK
+    lines = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert np.allclose(json.loads(lines["z"]), [0.0, 1.0], atol=1e-12)
+    assert float(lines["dist(x, Omega)"]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_project_feasible_point_is_fixed(capsys):
     code, out, _ = run_cli(capsys, "project", fixture("vertex_halfplane"), "inside")
     assert code == EXIT_OK

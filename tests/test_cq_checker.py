@@ -27,6 +27,7 @@ from socpcq import (
 )
 from socpcq.cq_checker import minimal_cone_distance_on_image
 from socpcq.oracles import TARGET_CASES
+from socpcq.soc_core import cone_margin
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -187,7 +188,7 @@ def test_report_and_projector_share_one_svd(monkeypatch):
 
     analyze_calls = []
     svd_args = []
-    analyze, svd = affine_instance.analyze_point, np.linalg.svd
+    analyze, svd, pinv = affine_instance.analyze_point, np.linalg.svd, np.linalg.pinv
 
     def counting_analyze(*args, **kwargs):
         analyze_calls.append(args)
@@ -197,9 +198,15 @@ def test_report_and_projector_share_one_svd(monkeypatch):
         svd_args.append(np.array(a))
         return svd(a, *args, **kwargs)
 
+    def counting_pinv(a, *args, **kwargs):
+        svd_args.append(np.array(a))
+        return pinv(a, *args, **kwargs)
+
     monkeypatch.setattr(affine_instance, "analyze_point", counting_analyze)
     monkeypatch.setattr(cq_checker, "analyze_point", counting_analyze)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    rng = np.random.default_rng(5)
     for target in TARGET_CASES:
         generated, xbar = random_instance(5, 3, target, seed=21)
         # a fresh instance, so nothing is cached from the generator's checks
@@ -209,7 +216,13 @@ def test_report_and_projector_share_one_svd(monkeypatch):
         full_report(inst, xbar)
         assert len(analyze_calls) == 1, target
         assert len(svd_args) <= 1, target
-        FeasibleSetProjector(inst, xbar)
+        projector = FeasibleSetProjector(inst, xbar)
+        # the projection of one infeasible row must not factor A again
+        while True:
+            x = xbar + 3.0 * rng.standard_normal(inst.n)
+            if cone_margin(inst.evaluate(x)) < 0.0:
+                break
+        projector.project_batch(x[None, :])
         svds_of_a = [a for a in svd_args if np.array_equal(a, inst.A)]
         assert len(svds_of_a) <= 1, target
 

@@ -110,6 +110,19 @@ def _scan(probe_ratios, kappa=None, radii=None, feas=None):
     )
 
 
+@pytest.mark.parametrize("m, n, seed", [(4, 3, 3), (5, 4, 0), (6, 5, 2)])
+def test_boosted_vertex_slater_scan_is_bounded(m, n, seed):
+    # A Lorentz boost maps Q onto itself, so the feasible set and the
+    # bounded error modulus of Thm4.4(iv) survive it.
+    inst, xbar = random_instance(m, n, "Thm4.4(iv)", seed)
+    L = np.eye(m)
+    L[0, 0] = L[1, 1] = np.cosh(3.0)
+    L[0, 1] = L[1, 0] = np.sinh(3.0)
+    boosted = AffineSOCInstance(L @ inst.A, L @ inst.b)
+    scan = mscq_kappa_scan(boosted, xbar, samples_per_radius=48, seed=0)
+    assert classify_kappa_growth(scan) == "bounded"
+
+
 def test_growth_classification_matches_probes_pairwise():
     grow = _scan([(1.0, 2.0), (30.0, 60.0), (900.0, 1800.0)])
     assert classify_kappa_growth(grow) == "growing"

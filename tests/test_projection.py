@@ -210,6 +210,32 @@ def test_project_batch_is_deterministic():
     assert np.array_equal(D1, D2)
 
 
+def test_boosted_wedge_keeps_its_distances():
+    # A Lorentz boost L leaves {x : L A x in Q} = {x : x1 >= |x2|} unchanged,
+    # but tilts null(A^T) towards e0, where the pseudo-inverse multiplier
+    # leaves the cone; the vertex rows need the margin-maximizing one.
+    def wedge(r):
+        L = np.eye(3)
+        L[0, 0] = L[2, 2] = np.cosh(r)
+        L[0, 2] = L[2, 0] = np.sinh(r)
+        A = L @ np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        return AffineSOCInstance(A, np.zeros(3))
+
+    X = np.random.default_rng(31).standard_normal((40, 2)) * 3.0
+    _, D0 = FeasibleSetProjector(wedge(0.0), np.zeros(2)).project_batch(X)
+    for r in (0.0, 1.0, 2.0, 3.0, 4.0):
+        proj = FeasibleSetProjector(wedge(r), np.zeros(2))
+        assert proj.geometry.value == "slater"
+        Z, D = proj.project_batch(X)
+        scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
+        assert np.all(np.abs(D - D0) <= 1e-9 * scale)
+        assert np.all(Z[:, 0] >= np.abs(Z[:, 1]) - 1e-9)
+
+    z, d = FeasibleSetProjector(wedge(2.0), np.zeros(2)).project(np.array([-1.0, 0.5]))
+    assert np.allclose(z, 0.0, atol=1e-12)
+    assert d == pytest.approx(np.sqrt(1.25), abs=1e-12)
+
+
 # -- wrapper, reference handling, errors -------------------------------------
 
 
