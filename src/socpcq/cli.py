@@ -28,7 +28,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .affine_instance import AffineSOCInstance, phi
+from .affine_instance import AffineSOCInstance
 from .cq_checker import CQReport, full_report
 from .errors import (
     InfeasiblePointError,
@@ -44,7 +44,6 @@ from .oracles import (
 )
 from .projection import (
     PROJECTION_TOL,
-    FeasibleSetProjector,
     project_to_feasible_set,
 )
 from .soc_core import DEFAULT_TOL, ConeLocation, classify_cone_point, distance_to_cone
@@ -362,13 +361,13 @@ def cmd_project(args) -> int:
         if classify_cone_point(instance.evaluate(p), doc.tol)
         is not ConeLocation.OUTSIDE
     ]
-    if not references or phi(instance, x) >= 0.0:
-        z, dist = project_to_feasible_set(
-            instance, x, doc.projection_tol, geometry_tol=doc.tol
-        )
-    else:
-        projector = FeasibleSetProjector(instance, references[0], doc.tol)
-        z, dist = projector.project(x, doc.projection_tol)
+    z, dist = project_to_feasible_set(
+        instance,
+        x,
+        doc.projection_tol,
+        reference=references[0] if references else None,
+        geometry_tol=doc.tol,
+    )
     dist_g = distance_to_cone(doc.instance.evaluate(x))
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")

@@ -253,10 +253,13 @@ def _mscq(ctx: _Context, crcq: Verdict) -> Verdict:
         # product is the top singular value of A.
         ev["kappa"] = 1.0 / float(ctx.geometry.singular_values[0])
     elif crcq.condition == "Thm4.4(v)":
-        svals = ctx.geometry.singular_values
-        positive = svals[svals > ctx.tol * max(1.0, float(svals[0]))]
-        bound_m = 1.0 / float(positive[-1]) if positive.size else float("inf")
-        eta = _eta(ctx.geometry.basis)
+        # The smallest singular value the rank keeps, so the bound scales
+        # exactly with (A, b).
+        geo = ctx.geometry
+        bound_m = float("inf")
+        if geo.rank:
+            bound_m = 1.0 / float(geo.singular_values[geo.rank - 1])
+        eta = _eta(geo.basis)
         ev["bound_M"] = bound_m
         ev["eta"] = eta
         ev["kappa_bound"] = bound_m / eta if eta > 0 else float("inf")

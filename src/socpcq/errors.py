@@ -28,7 +28,8 @@ class SingularReductionError(SocpcqError):
 
 
 class NumericalFailureError(SocpcqError):
-    """An iterative scheme exhausted its budget without a certificate."""
+    """A routine ended without a certificate, or certified that no answer
+    exists (an empty feasible set); ``residual`` is the deciding number."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)

@@ -35,9 +35,9 @@ from .affine_instance import (
     analyze_point,
     grad_phi_many,
 )
-from .cq_checker import check_crcq, check_fcr, full_report, verify_report_invariants
+from .cq_checker import check_crcq, full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
-from .projection import FeasibleSetProjector, project_to_feasible_set
+from .projection import FeasibleSetProjector
 from .soc_core import DEFAULT_TOL, ConeLocation, distances_to_cone, margins
 from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis, numeric_rank
 
@@ -46,7 +46,6 @@ __all__ = [
     "DimScan",
     "TrialRecord",
     "HarnessReport",
-    "project_to_feasible_set",
     "mscq_kappa_scan",
     "classify_kappa_growth",
     "fcr_dim_scan",
@@ -165,7 +164,6 @@ def mscq_kappa_scan(
     samples_per_radius: int = 200,
     seed: int = 0,
     probes_per_radius: Optional[int] = None,
-    reference=None,
     tol: float = DEFAULT_TOL,
 ) -> KappaScan:
     """Empirical error-bound moduli in shrinking balls around ``xbar``.
@@ -197,9 +195,7 @@ def mscq_kappa_scan(
     probe_offsets = rng.standard_normal((probes_per_radius, n))
     probe_offsets /= np.linalg.norm(probe_offsets, axis=1, keepdims=True)
 
-    projector = FeasibleSetProjector(
-        instance, center if reference is None else reference, tol
-    )
+    projector = FeasibleSetProjector(instance, center, tol)
 
     kappa: list[float] = []
     uniform_kappa: list[float] = []
@@ -574,44 +570,37 @@ def _build_candidate(rng, m, n, target):
     raise GenerationError(f"unknown target case {target!r}")
 
 
+#: The two failure strata, and where their CRCQ failure sits.
+_FAILING_AT = {
+    "Cor4.2": ConeLocation.ZERO,
+    "degenerate-boundary": ConeLocation.POSITIVE_BOUNDARY,
+}
+
+
 def _self_check(instance, xbar, target, tol) -> bool:
-    analysis = analyze_point(instance, xbar, tol)
-    loc = analysis.location
-    if target == "Thm4.4(i)":
-        return loc is ConeLocation.INTERIOR
-    if target in ("Thm4.4(ii)", "Thm4.4(iii)", "degenerate-boundary"):
-        if loc is not ConeLocation.POSITIVE_BOUNDARY:
-            return False
-        verdict = check_crcq(instance, xbar, tol)
-        want = {
-            "Thm4.4(ii)": "Thm4.4(ii)",
-            "Thm4.4(iii)": "Thm4.4(iii)",
-            "degenerate-boundary": None,
-        }[target]
-        if verdict.condition != want:
-            return False
-        if target == "Thm4.4(ii)":
-            # keep a healthy gradient margin so neighborhood scans stay clean
-            g = analysis.reduction.grad_phi
-            return float(np.linalg.norm(g)) > 0.05 * max(
-                1.0, float(np.linalg.norm(instance.A))
-            )
-        return True
-    if loc is not ConeLocation.ZERO:
+    """Does the draw realize ``target``?
+
+    The CRCQ label decides the stratum; only what the label leaves open is
+    checked here: the location of a failing stratum, a spectrum clear of
+    the tolerance band at the vertex, rank >= 1 for (v) and the gradient
+    margin of (ii).
+    """
+    crcq = check_crcq(instance, xbar, tol)
+    if crcq.condition != (None if target in _FAILING_AT else target):
         return False
-    cls = instance.geometry(tol)
-    if cls.marginal:
-        return False
-    if target == "Thm4.4(iv)":
-        return cls.kind is SubspaceKind.MEETS_INTERIOR
-    if target == "Thm4.4(v)":
-        return cls.kind is SubspaceKind.ZERO_ONLY and cls.rank >= 1
-    # A ray image equals the ray's span exactly when it has rank one.
-    if target == "Thm4.4(vi)":
-        return cls.kind is SubspaceKind.RAY and cls.rank == 1
-    if target == "Cor4.2":
-        return cls.kind is SubspaceKind.RAY and cls.rank != 1
-    return False
+    if target == "Thm4.4(ii)":
+        # keep a healthy gradient margin so neighborhood scans stay clean
+        return crcq.evidence["grad_norm"] > 0.05 * max(
+            1.0, float(np.linalg.norm(instance.A))
+        )
+    if target in _FAILING_AT:
+        loc = analyze_point(instance, xbar, tol).location
+        if loc is not _FAILING_AT[target]:
+            return False
+    if target in ("Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"):
+        cls = instance.geometry(tol)
+        return not cls.marginal and (target != "Thm4.4(v)" or cls.rank >= 1)
+    return True
 
 
 def random_instance(

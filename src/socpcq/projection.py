@@ -19,6 +19,40 @@ are precisely the instances on which the Slater certificate has no attained
 dual and cannot close to tight tolerances, so they are handled exactly
 instead.
 
+Largest cone margin on an affine slice.  Both the vertex multiplier below
+and the search for feasible and interior points maximize the margin
+y0 - ||y_r|| over a slice c + Im(P), P an orthogonal projector.  With N an
+orthonormal basis of Im(P), a = N_0, B = N_r, d = c_r and B^T s = a (s in
+Im B), max = c0 - min_w (||d + Bw|| - a^T w) and
+min_w ||d + Bw|| - a^T w = s^T d + ||d_perp|| sqrt(1 - ||s||^2), since
+||y|| - s^T y over y in d + Im B is least at
+y = d_perp + ||d_perp|| s / sqrt(1 - ||s||^2) (d_perp: d minus its
+projection onto Im B).  Everything is read off P: alpha = P_00 = ||a||^2,
+s = P_r0 / (1 - alpha), ||s||^2 = alpha / (1 - alpha),
+proj(Im B) = P_rr + P_r0 P_r0^T / (1 - alpha), and the factor
+kappa = 1 / sqrt(1 - ||s||^2) = sqrt((1 - alpha) / (1 - 2 alpha)).  The
+margin is bounded exactly when alpha < 1/2, i.e. when Im(P) does not meet
+the cone interior.  On the image slice b + Im(A), P = U_k U_k^T, the
+spectral class of Im(A) gives three cases:
+
+* Im(A) meets the cone interior: the margin is unbounded along the
+  recession ray d / margin(A d), d = A^+ w for the interior witness w;
+* Im(A) meets the cone only at 0 (alpha < 1/2): the maximizer above,
+  attained;
+* Im(A) touches the cone along one ray r = (1, e) / sqrt(2): Im(A) lies in
+  the supporting hyperplane y0 = e^T y_r, so the margin is at most the
+  linear form L = y0 - e^T y_r, which is constant on the slice.  The
+  supremum L is in general not attained; c + tau (1, e) with
+  tau = L + ||c_perp||^2 / L - e^T c_r (c_perp: c_r minus its e component)
+  has margin at least L / 2 when L > 0.
+
+A feasible reference, when none is given, is the least-squares vertex
+-A^+ b or else the slice point of the matching case; when neither is
+feasible, the supremum is negative, or zero and not attained, and the set
+is empty.  The Slater projector needs an interior point only when there is
+no recession ray: an interior reference is its own, otherwise the slice
+point of its image supplies one.
+
 Slater geometry.  Write g(z) = Az + b, J = diag(1, -1, ..., -1),
 M = A^T J A, c = A^T J b and beta = b^T J b.  The projection z of an
 infeasible x lands either on the vertex preimage {g = 0} or on a smooth
@@ -43,17 +77,10 @@ rows the first left uncertified:
 1. Vertex, when b is in Im(A) (otherwise no row projects onto the
    vertex).  The least-squares pullback z_v of the vertex, paired with the
    exact vertex multiplier: mu in Q with A^T mu = -(x - z_v) that
-   maximizes the cone margin mu0 - ||mu_r|| over mu_p + null(A^T), where
-   mu_p is the pseudo-inverse solution.  With N an orthonormal basis of
-   null(A^T), a = N_0, B = N_r, d = mu_p,r and B^T s = a (s in Im B),
-   min_w ||d + Bw|| - a^T w = s^T d + ||d_perp|| sqrt(1 - ||s||^2), since
-   ||y|| - s^T y over y in d + Im B is least at
-   y = d_perp + ||d_perp|| s / sqrt(1 - ||s||^2) (d_perp: d minus its
-   projection onto Im B).  Everything is read off P = I - U_k U_k^T:
-   alpha = P_00 = ||a||^2, s = P_r0 / (1 - alpha), ||s||^2 =
-   alpha / (1 - alpha), proj(Im B) = P_rr + P_r0 P_r0^T / (1 - alpha).
-   The margin is bounded exactly when alpha < 1/2, i.e. when Im(A) meets
-   the cone interior, which b in Im(A) and the Slater point imply.
+   maximizes the cone margin over mu_p + null(A^T), mu_p the
+   pseudo-inverse solution, i.e. the slice maximizer above with
+   P = I - U_k U_k^T.  Then alpha < 1/2, since b in Im(A) and the Slater
+   point put an interior point into Im(A).
 2. Secular root.  psi(t) on one fixed logarithmic grid that covers both
    branches (t / (1/lam_+) from 1e-14 towards the pole, and the distance
    to the pole from 0.5 down to 1e-16 on both sides and up to 1e17 beyond
@@ -80,7 +107,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -90,10 +117,11 @@ from .soc_core import (
     DEFAULT_TOL,
     ConeLocation,
     classify_cone_point,
+    cone_margin,
     margins,
     projections_to_cone,
 )
-from .subspace_cone import SubspaceKind
+from .subspace_cone import SubspaceConeClass, SubspaceKind
 
 #: Default for the certified projection contract.
 PROJECTION_TOL = 1e-10
@@ -138,9 +166,9 @@ class _RayFlatData:
 class _SlaterData:
     pinv_t: np.ndarray       # pinv(A^T) = U_k diag(1/sigma) V_k^T, m x n
     ray: Optional[np.ndarray]  # d / margin(A d), A d interior (None: no such d)
-    # vertex multiplier (s, projector onto Im B, 1 / sqrt(1 - ||s||^2));
-    # None when b is not in Im(A) and no row projects onto the vertex
-    mult: Optional[tuple[np.ndarray, np.ndarray, float]]
+    # I - U_k U_k^T, the slice of the vertex multiplier; None when b is not
+    # in Im(A) and no row projects onto the vertex
+    null_proj: Optional[np.ndarray]
     lam: np.ndarray          # eigenvalues of M, ascending; all but the last <= 0
     Q: np.ndarray            # eigenvectors of M
     AQ0: np.ndarray          # first row of A Q: g0 along z(t)
@@ -187,21 +215,17 @@ class FeasibleSetProjector:
         self._flat_projector: Optional[np.ndarray] = None
         self._slater: Optional[_SlaterData] = None
 
-        A = instance.A
         if loc is ConeLocation.INTERIOR:
             self.geometry = _Geometry.SLATER
             self._interior_point = ref
-            self._interior_margin = float(
-                y_ref[0] - np.linalg.norm(y_ref[1:])
-            )
+            self._interior_margin = cone_margin(y_ref)
         elif loc is ConeLocation.POSITIVE_BOUNDARY:
             # Same nonvanishing-gradient test as the verdicts (Thm3.2(iii)).
             g = grad_phi(instance, ref, tol)
             if float(np.linalg.norm(g)) > self.tol * max(
-                1.0, float(np.linalg.norm(A))
+                1.0, float(np.linalg.norm(instance.A))
             ):
                 self.geometry = _Geometry.SLATER
-                self._set_interior_from_ascent(ref, g)
             else:
                 # The whole image slice sits in the supporting hyperplane at
                 # y_ref, so feasibility collapses to the ray of y_ref.
@@ -221,39 +245,20 @@ class FeasibleSetProjector:
                 rows = cls.row_basis
                 self._flat_projector = rows.T @ rows
         if self.geometry is _Geometry.SLATER:
-            self._slater = self._build_slater()
-            if self._interior_point is None:
-                self._set_interior_from_ray(ref)
+            maps = _image_maps(instance, self.tol)
+            self._slater = self._build_slater(maps)
+            if self._interior_point is None and self._slater.ray is None:
+                # Without a recession ray, pull-ins blend towards the best
+                # point of the image slice through the reference.
+                z = ref + _slice_step(instance, maps, y_ref)[0]
+                margin = phi(instance, z)
+                if not margin > 0.0:
+                    raise NumericalFailureError(
+                        "the image slice has no interior point", margin
+                    )
+                self._interior_point, self._interior_margin = z, margin
 
     # -- construction helpers -------------------------------------------
-
-    def _set_interior_from_ascent(self, ref: np.ndarray, g: np.ndarray):
-        """Walk up the concave margin from a boundary reference."""
-        d = g / np.linalg.norm(g)
-        best_t, best_margin = 0.0, 0.0
-        for t in np.geomspace(1.0, 1e-12, 41):
-            m = phi(self.instance, ref + t * d)
-            if m > best_margin:
-                best_t, best_margin = t, m
-        if best_margin <= 0.0:
-            raise NumericalFailureError(
-                "failed to find an interior point along the ascent direction",
-                best_margin,
-            )
-        self._interior_point = ref + best_t * d
-        self._interior_margin = best_margin
-
-    def _set_interior_from_ray(self, ref: np.ndarray):
-        """Step from the vertex reference along the interior ray A^+ w."""
-        ray = self._slater.ray
-        z = ref + (ray if ray is not None else 0.0)
-        m = phi(self.instance, z)
-        if m <= 0.0:
-            raise NumericalFailureError(
-                "interior witness did not pull back to an interior point", m
-            )
-        self._interior_point = z
-        self._interior_margin = m
 
     def _build_ray_flat(
         self, ref: np.ndarray, d_unit: np.ndarray, y_norm: float
@@ -283,36 +288,15 @@ class FeasibleSetProjector:
             )
         return _RayFlatData(projector, c, gamma, None, None, None)
 
-    def _build_slater(self) -> _SlaterData:
+    def _build_slater(self, maps: _ImageMaps) -> _SlaterData:
         """Vertex and secular-equation data; see the module docstring."""
-        A = self.instance.A
-        m = A.shape[0]
-        geo = self.instance.geometry(self.tol)
-        U = geo.basis
-        pinv_t = (U / geo.singular_values[: geo.rank]) @ geo.row_basis
-
+        A, b = self.instance.A, self.instance.b
         # A row can project onto the vertex preimage only when b is in Im(A).
-        # The Slater point then lies in Im(A) too, so alpha < 1/2 below.
-        ray = None
-        if geo.kind is SubspaceKind.MEETS_INTERIOR:
-            d = geo.witness @ pinv_t        # A^+ w, with w in Im(A) interior
-            margin = float(margins((A @ d)[None, :])[0])
-            if margin > 0.0:
-                ray = d / margin
-        b = self.instance.b
-        P = np.eye(m) - U @ U.T             # projector onto null(A^T)
-        alpha = float(P[0, 0])
-        vertex = alpha < 0.5 and float(np.linalg.norm(P @ b)) <= self.tol * max(
-            1.0, float(np.linalg.norm(b))
-        )
-        mult = None
-        if vertex:
-            p = P[1:, 0]
-            mult = (
-                p / (1.0 - alpha),
-                P[1:, 1:] + np.outer(p, p) / (1.0 - alpha),
-                float(np.sqrt((1.0 - alpha) / (1.0 - 2.0 * alpha))),
-            )
+        # The Slater point then lies in Im(A) too, so P_00 < 1/2.
+        P = maps.null_proj
+        vertex = float(P[0, 0]) < 0.5 and float(
+            np.linalg.norm(P @ b)
+        ) <= self.tol * max(1.0, float(np.linalg.norm(b)))
 
         JA = A.copy()
         JA[1:] *= -1.0
@@ -335,9 +319,9 @@ class FeasibleSetProjector:
         E = 1.0 - grid_t[:, None] * lam
         E[:, -1] = grid_u
         return _SlaterData(
-            pinv_t=pinv_t,
-            ray=ray,
-            mult=mult,
+            pinv_t=maps.pinv_t,
+            ray=maps.ray,
+            null_proj=P if vertex else None,
             lam=lam,
             Q=Q,
             AQ0=A[0] @ Q,
@@ -402,7 +386,7 @@ class FeasibleSetProjector:
         Xs, GXs = X[todo], GX[todo]
         gap_tol = tol * np.maximum(1.0, np.linalg.norm(Xs, axis=1))
 
-        if self._slater.mult is not None:
+        if self._slater.null_proj is not None:
             best_Z, ub, lb = self._vertex_candidate(Xs, GXs)
         else:
             best_Z, ub, lb = Xs.copy(), np.full(len(Xs), np.inf), np.zeros(len(Xs))
@@ -489,13 +473,8 @@ class FeasibleSetProjector:
         D = GXs @ sd.pinv_t                  # x - z_v = A^+ g(x)
         Gv = (Xs - D) @ A.T + b
         Zv = self._pull_inside(Xs - D, margins(Gv))
-        s, proj, kappa = sd.mult
-        Mu = -(D @ sd.pinv_t.T)              # A^T mu = -(x - z_v)
-        dr = Mu[:, 1:]
-        perp = dr - dr @ proj
-        lift = kappa * np.linalg.norm(perp, axis=1)
-        Mu[:, 0] += lift * float(s @ s) - dr @ s
-        Mu[:, 1:] = perp + lift[:, None] * s
+        # A^T mu = -(x - z_v) on the slice -pinv(A^T)(x - z_v) + null(A^T)
+        Mu = _max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
         lb = self._dual_bound(projections_to_cone(Mu), Xs, Xs - D, Gv)
         return Zv, np.linalg.norm(Xs - Zv, axis=1), lb
 
@@ -610,45 +589,102 @@ class FeasibleSetProjector:
         return Xs + (t * Wr / E) @ sd.Q[:, :-1].T + s[:, None] * sd.Q[:, -1]
 
 
+def _max_margin(P: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Per row c of C, the point of c + Im(P) of largest cone margin.
+
+    P is an orthogonal projector with P_00 < 1/2; the closed form is in the
+    module docstring.
+    """
+    alpha = float(P[0, 0])
+    p = P[1:, 0]
+    s = p / (1.0 - alpha)
+    proj = P[1:, 1:] + np.outer(p, p) / (1.0 - alpha)
+    kappa = float(np.sqrt((1.0 - alpha) / (1.0 - 2.0 * alpha)))
+    cr = C[:, 1:]
+    perp = cr - cr @ proj
+    lift = kappa * np.linalg.norm(perp, axis=1)
+    Y = np.empty_like(C)
+    Y[:, 0] = C[:, 0] + (lift * float(s @ s) - cr @ s)
+    Y[:, 1:] = perp + lift[:, None] * s
+    return Y
+
+
+class _ImageMaps(NamedTuple):
+    geo: SubspaceConeClass
+    pinv_t: np.ndarray           # pinv(A^T) = U_k diag(1/sigma) V_k^T, m x n
+    null_proj: np.ndarray        # I - U_k U_k^T, the projector onto null(A^T)
+    ray: Optional[np.ndarray]    # d / margin(A d), A d interior (None: no such d)
+
+
+def _image_maps(instance: AffineSOCInstance, tol: float) -> _ImageMaps:
+    """pinv(A^T), the projector onto null(A^T) and the recession ray.
+
+    Shared by the projector and the reference search, and read off the
+    memoized ``instance.geometry(tol)``; the ray's d is A^+ w for the
+    interior witness w, when Im(A) meets the cone interior.
+    """
+    geo = instance.geometry(tol)
+    U = geo.basis
+    pinv_t = (U / geo.singular_values[: geo.rank]) @ geo.row_basis
+    ray = None
+    if geo.kind is SubspaceKind.MEETS_INTERIOR:
+        d = geo.witness @ pinv_t
+        margin = float(margins((instance.A @ d)[None, :])[0])
+        if margin > 0.0:
+            ray = d / margin
+    return _ImageMaps(geo, pinv_t, np.eye(instance.m) - U @ U.T, ray)
+
+
+def _slice_step(instance: AffineSOCInstance, maps: _ImageMaps, y: np.ndarray):
+    """(x-step, supremum) towards a large cone margin on y + Im(A).
+
+    The three cases of the module docstring: along the recession ray until
+    the margin is at least ||y|| (supremum inf), to the exact maximizer,
+    or to a point of margin at least L / 2 (supremum L).  The step is zero
+    when there is none to take: no ray, or L <= 0.
+    """
+    geo, pinv_t, P, ray = maps
+    if geo.kind is SubspaceKind.MEETS_INTERIOR:
+        if ray is None:
+            return np.zeros(instance.n), np.inf
+        return (np.linalg.norm(y) - cone_margin(y)) * ray, np.inf
+    if geo.kind is SubspaceKind.ZERO_ONLY:
+        best = _max_margin(np.eye(instance.m) - P, y[None, :])[0]
+        return (best - y) @ pinv_t, cone_margin(best)
+    e = geo.ray[1:] / geo.ray[0]              # (1, e) spans the ray
+    along = float(e @ y[1:])
+    sup = float(y[0]) - along
+    if not sup > 0.0:
+        return np.zeros(instance.n), sup
+    perp = y[1:] - along * e
+    tau = sup + float(perp @ perp) / sup - along
+    return (tau / geo.ray[0]) * (geo.ray @ pinv_t), sup
+
+
 def _search_feasible_reference(
     instance: AffineSOCInstance, tol: float
-) -> Optional[np.ndarray]:
-    """Best-effort feasible point: exact vertex solve, then margin ascent.
+) -> np.ndarray:
+    """A feasible point: the least-squares vertex -A^+ b, else the slice point.
 
-    The vertex solve -A^+ b uses the pseudo-inverse at ``tol`` from the
-    instance geometry, which the projector then reuses.
+    Each candidate passes the projector's own test, g(z) not OUTSIDE at
+    ``tol``.  When neither does, the supremum of the cone margin over
+    b + Im(A) is negative, or zero and not attained: the set is empty, and
+    the ``NumericalFailureError`` carries the supremum as its residual.
     """
-    A, b = instance.A, instance.b
-    geo = instance.geometry(tol)
-    z_v = -((b @ geo.basis) / geo.singular_values[: geo.rank]) @ geo.row_basis
-    y_v = A @ z_v + b
-    if float(y_v[0] - np.linalg.norm(y_v[1:])) >= 0.0:
-        return z_v
-    if float(np.linalg.norm(y_v)) <= 1e-12 * max(1.0, float(np.linalg.norm(b))):
-        return z_v
-    # Random multistart hill climb on the concave margin.
-    rng = np.random.default_rng(0)
-    best_z, best_m = z_v, phi(instance, z_v)
-    for sigma in (0.5, 2.0, 8.0):
-        cand = rng.normal(scale=sigma, size=(64, instance.n))
-        vals = margins(cand @ A.T + b)
-        i = int(np.argmax(vals))
-        if vals[i] > best_m:
-            best_m, best_z = float(vals[i]), cand[i]
-    step = 1.0
-    for _ in range(400):
-        cand = best_z + step * rng.normal(size=(16, instance.n))
-        vals = margins(cand @ A.T + b)
-        i = int(np.argmax(vals))
-        if vals[i] > best_m:
-            best_m, best_z = float(vals[i]), cand[i]
-        else:
-            step *= 0.7
-            if step < 1e-14:
-                break
-    if best_m >= 0.0:
-        return best_z
-    return None
+    maps = _image_maps(instance, tol)
+    z = -(instance.b @ maps.pinv_t)
+    y = instance.evaluate(z)
+    if classify_cone_point(y, tol) is not ConeLocation.OUTSIDE:
+        return z
+    step, sup = _slice_step(instance, maps, y)
+    z = z + step
+    if classify_cone_point(instance.evaluate(z), tol) is not ConeLocation.OUTSIDE:
+        return z
+    raise NumericalFailureError(
+        f"the feasible set is empty: the cone margin on b + Im(A) has "
+        f"supremum {sup:.6g}",
+        sup,
+    )
 
 
 def project_to_feasible_set(
@@ -661,11 +697,13 @@ def project_to_feasible_set(
     """Project ``x`` onto the feasible set; returns (point, distance).
 
     A feasible ``reference`` pins down the global shape of the feasible
-    set.  Without one, the routine finds a reference itself when it can
-    (exact vertex solve or margin ascent) and otherwise raises
-    ``NumericalFailureError``.  ``tol`` is the certified gap of the
-    projection; ``geometry_tol`` is the tolerance of the shape decision
-    (the ``tol`` of :class:`FeasibleSetProjector`).
+    set.  Without one, the routine finds a reference in closed form (the
+    least-squares vertex or the best point of the image slice, see the
+    module docstring), or raises ``NumericalFailureError`` with the
+    supremum of the cone margin as the certificate that the set is empty.
+    ``tol`` is the certified gap of the projection; ``geometry_tol`` is the
+    tolerance of the shape decision (the ``tol`` of
+    :class:`FeasibleSetProjector`).
     """
     x = instance.point(x)
     y = instance.evaluate(x)
@@ -673,10 +711,5 @@ def project_to_feasible_set(
         return x.copy(), 0.0
     if reference is None:
         reference = _search_feasible_reference(instance, geometry_tol)
-        if reference is None:
-            raise NumericalFailureError(
-                "could not locate a feasible reference point; supply one",
-                float("nan"),
-            )
     projector = FeasibleSetProjector(instance, reference, geometry_tol)
     return projector.project(x, tol=tol)

@@ -11,6 +11,7 @@ import pytest
 from socpcq import margins, random_instance
 from socpcq.cli import (
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     instance_document_from_dict,
@@ -384,6 +385,24 @@ def test_project_uses_document_tol_without_feasible_point(
     lines = dict(line.split(" = ", 1) for line in out.splitlines())
     assert np.allclose(json.loads(lines["z"]), [0.0, 1.0], atol=1e-12)
     assert float(lines["dist(x, Omega)"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_project_reports_empty_feasible_set(capsys, tmp_path):
+    # g(x) = (-1, x, 0) never reaches the cone: the margin -1 - |x| has
+    # supremum -1, so no reference exists
+    doc = {
+        "m": 3,
+        "n": 1,
+        "A": [[0.0], [1.0], [0.0]],
+        "b": [-1.0, 0.0, 0.0],
+        "points": {"x": [0.5]},
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "project", str(path), "x")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "feasible set is empty" in err and "supremum -1" in err
 
 
 def test_project_feasible_point_is_fixed(capsys):

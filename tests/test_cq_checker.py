@@ -162,6 +162,17 @@ def test_zero_only_vertex_bound_evidence():
     assert mscq.evidence["kappa_bound"] == pytest.approx(np.sqrt(2.0), rel=1e-8)
 
 
+def test_zero_only_bound_scales_with_the_instance():
+    # bound_M = 1 / (smallest singular value the rank keeps): scaling (A, b)
+    # by s divides it by s, down to scales far below the tolerance.
+    inst, xbar = random_instance(5, 4, "Thm4.4(v)", seed=0)
+    base = check_mscq(inst, xbar).evidence["bound_M"]
+    for s in (1.0, 1e-3, 1e-8, 1e-10):
+        ev = check_mscq(AffineSOCInstance(s * inst.A, s * inst.b), xbar).evidence
+        assert s * ev["bound_M"] == pytest.approx(base, rel=1e-9)
+        assert np.isfinite(ev["kappa_bound"])
+
+
 def test_minimal_cone_distance_on_image_exact_cases():
     # Im = span{e2, e3} in R^3: every unit w has dist = 1/sqrt(2)
     A = np.zeros((3, 2))

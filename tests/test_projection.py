@@ -19,6 +19,7 @@ from socpcq import (
     margins,
     project_to_cone,
     project_to_feasible_set,
+    random_instance,
 )
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -252,8 +253,9 @@ def test_wrapper_finds_vertex_reference():
     assert d == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
 
-def test_wrapper_finds_interior_reference_by_ascent():
-    # A z = -b has no solution; the margin climb must locate the interior.
+def test_wrapper_finds_slice_reference():
+    # A z = -b has no solution; the step along the recession ray of Im(A)
+    # must locate the interior.
     inst = AffineSOCInstance(
         np.array([[1.0], [0.0], [0.0]]), np.array([0.0, 0.5, 0.0])
     )
@@ -261,13 +263,39 @@ def test_wrapper_finds_interior_reference_by_ascent():
     assert z[0] == pytest.approx(0.5, abs=1e-9)
     assert d == pytest.approx(2.5, abs=1e-9)
 
+    # Im(A) is the boundary ray (1, 1, 0, 0): the margin on the slice stays
+    # below its supremum 1, and Omega is the half-line x >= 0.
+    ray = AffineSOCInstance(
+        np.array([[1.0], [1.0], [0.0], [0.0]]), np.array([1.0, 0.0, 1.0, 0.0])
+    )
+    z, d = project_to_feasible_set(ray, np.array([-2.0]))
+    assert z[0] == pytest.approx(0.0, abs=1e-9)
+    assert d == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_wrapper_matches_xbar_projector_on_degenerate_boundary(seed):
+    # The image slice lies in the supporting hyperplane at g(xbar), so Omega
+    # has no interior; the reference the wrapper finds must give the same
+    # projection as the generator's own xbar.
+    m, n = 3 + seed % 4, 2 + (seed // 4) % 5
+    inst, xbar = random_instance(m, n, "degenerate-boundary", seed)
+    X = xbar + np.random.default_rng(seed).standard_normal((5, n))
+    x = X[np.flatnonzero(margins(X @ inst.A.T + inst.b) < 0.0)[0]]
+    z, d = project_to_feasible_set(inst, x)
+    _, d_xbar = FeasibleSetProjector(inst, xbar).project(x)
+    assert d == pytest.approx(d_xbar, rel=1e-8)
+    assert d == pytest.approx(float(np.linalg.norm(x - z)), rel=1e-12)
+
 
 def test_wrapper_raises_when_set_is_empty():
     empty = AffineSOCInstance(
         np.array([[0.0], [1.0], [0.0]]), np.array([-1.0, 0.0, 0.0])
     )
-    with pytest.raises(NumericalFailureError):
+    with pytest.raises(NumericalFailureError) as info:
         project_to_feasible_set(empty, np.array([0.0]))
+    # The margin on the slice (-1, t, 0) is -1 - |t|: its supremum is -1.
+    assert info.value.residual == -1.0
 
 
 def test_infeasible_reference_is_rejected():
