@@ -119,6 +119,12 @@ def phi(instance: AffineSOCInstance, x) -> float:
     return float(y[0] - np.linalg.norm(y[1:]))
 
 
+def _grad_floor(instance: AffineSOCInstance, tol: float) -> float:
+    """tol * max(1, ||A||_F): the norm below which a gradient of phi, or a
+    residual of A, counts as zero."""
+    return tol * max(1.0, float(np.linalg.norm(instance.A)))
+
+
 def grad_phi(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Gradient of phi at x: A0 - (gr(x)/||gr(x)||)^T Ar.
 
@@ -269,7 +275,7 @@ def _vanishing(
     instance, y = analysis.instance, analysis.y
     residual = instance.A - np.outer(y, (y @ instance.A) / float(y @ y))
     residual_norm = float(np.linalg.norm(residual))
-    if residual_norm > tol * max(1.0, float(np.linalg.norm(instance.A))):
+    if residual_norm > _grad_floor(instance, tol):
         return None, residual_norm
     u = y[1:] / np.linalg.norm(y[1:])
     cert = VanishingCertificate(u=u, w=instance.A[0].copy(), c=float(instance.b[0]))

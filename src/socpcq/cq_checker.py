@@ -39,6 +39,7 @@ from .affine_instance import (
     AffineSOCInstance,
     HSetDescription,
     PointAnalysis,
+    _grad_floor,
     _h_set,
     _vanishing,
     analyze_point,
@@ -114,8 +115,7 @@ class _Context:
     def grad_data(self) -> tuple[np.ndarray, float, float]:
         g = self.analysis.reduction.grad_phi
         norm = float(np.linalg.norm(g))
-        floor = self.tol * max(1.0, float(np.linalg.norm(self.instance.A)))
-        return g, norm, floor
+        return g, norm, _grad_floor(self.instance, self.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import numpy as np
 
 from .affine_instance import (
     AffineSOCInstance,
+    _grad_floor,
     analyze_point,
     grad_phi_many,
 )
@@ -363,7 +364,7 @@ def fcr_dim_scan(
         G, ok = grad_phi_many(instance, X, tol)
         discarded = int(np.count_nonzero(~ok))
         norms = np.linalg.norm(G[ok], axis=1)
-        floor = tol * max(1.0, float(np.linalg.norm(instance.A)))
+        floor = _grad_floor(instance, tol)
         dims = frozenset(int(v) for v in (norms > floor).astype(int))
         count = int(np.count_nonzero(ok))
         return [

@@ -1,23 +1,30 @@
 """Euclidean projection onto the feasible set of an affine cone constraint.
 
 The feasible set Omega = {z : Az + b in Q_m} has exactly three global
-shapes, indexed by the minimal cone face that the affine image slice
-generates:
+shapes, and which one is the RCQ verdict at a feasible reference point,
+decided by the checker's own code on the same point analysis and the same
+cached SVD A = U_k Sigma V_k^T:
 
-* the slice meets the cone interior (Slater geometry) -- the projection is
-  solved exactly through a scalar secular equation, and every row is
-  accepted only under an a-posteriori primal-dual gap certificate;
-* the slice generates a single boundary ray -- Omega is an affine flat
-  intersected with a half-space, projected in closed form;
-* the slice generates the zero face -- Omega is an affine flat, projected
-  by least squares.
+* RCQ holds: the slice meets the cone interior (Slater geometry).  The
+  projection is solved exactly through a scalar secular equation, and
+  every row is accepted only under an a-posteriori primal-dual gap
+  certificate;
+* RCQ fails: g(Omega) lies on a single ray of the cone, spanned by the
+  unit d = g(ref) / ||g(ref)|| at a boundary reference, by the ray of
+  Im(A) at the vertex, and by none when Im(A) meets the cone only at 0.
+  When d is in Im(A), Omega = ref + null(A) + {s q : s >= -||g(ref)||}
+  with q = A^+ d = V_k Sigma^-1 U_k^T d, a flat plus a half-line
+  ("ray_flat"); otherwise A(z - ref) must vanish and
+  Omega = ref + null(A) ("flat").  Both are projected in closed form.
+  With a = Sigma^-1 U_k^T d and a_hat = a / ||a||, the complement of
+  null(A) + span(q) has the projector V_k (I - a_hat a_hat^T) V_k^T,
+  which is exactly zero at rank one, so feasible points keep distance 0;
+  the half-line bounds the coordinate along q / ||q|| = V_k a_hat from
+  below by -||g(ref)|| ||a||.
 
-The shape is read off a feasible reference point: an interior image, a
-boundary image with nonvanishing reduced gradient, or a vertex image
-combined with the spectral subspace classification.  The degenerate shapes
-are precisely the instances on which the Slater certificate has no attained
-dual and cannot close to tight tolerances, so they are handled exactly
-instead.
+The degenerate shapes are precisely the instances on which the Slater
+certificate has no attained dual and cannot close to tight tolerances, so
+they are handled exactly instead.
 
 Largest cone margin on an affine slice.  Both the vertex multiplier below
 and the search for feasible and interior points maximize the margin
@@ -111,8 +118,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine_instance import AffineSOCInstance, grad_phi, phi
-from .errors import DimensionError, InfeasiblePointError, NumericalFailureError
+from .affine_instance import AffineSOCInstance, phi
+from .cq_checker import _Context, _rcq
+from .errors import DimensionError, NumericalFailureError
 from .soc_core import (
     DEFAULT_TOL,
     ConeLocation,
@@ -153,16 +161,6 @@ class _Geometry(enum.Enum):
 
 
 @dataclass
-class _RayFlatData:
-    projector_flat: np.ndarray   # n x n projector onto rowspace of M
-    c: np.ndarray                # half-space normal in x-space
-    gamma: float                 # half-space offset: <c, z> >= gamma
-    stacked: Optional[np.ndarray]       # [M; c^T], used when the half-space binds
-    stacked_pinv: Optional[np.ndarray]
-    stacked_rhs: Optional[np.ndarray]   # [M ref; gamma]
-
-
-@dataclass
 class _SlaterData:
     pinv_t: np.ndarray       # pinv(A^T) = U_k diag(1/sigma) V_k^T, m x n
     ray: Optional[np.ndarray]  # d / margin(A d), A d interior (None: no such d)
@@ -184,12 +182,16 @@ class FeasibleSetProjector:
     """Projects points onto Omega = {x : Ax + b in Q_m}.
 
     Built once per (instance, feasible reference) pair; ``project_batch``
-    then handles arbitrarily many points.  All returned points are feasible
-    and all distances carry a certificate: exact linear algebra on the
-    degenerate shapes; on the Slater shape, an exact solve (vertex
-    least squares with its exact multiplier, or a root of the secular
-    equation, see the module docstring) accepted under a primal-dual gap
-    bound.
+    then handles arbitrarily many points.  The shape of Omega is the RCQ
+    verdict at the reference; an infeasible reference is rejected by the
+    point analysis, whose error carries the distance of its image to the
+    cone.
+    All returned points are feasible and all distances carry a
+    certificate: where RCQ fails, Omega is a flat, or a flat plus a
+    half-line, read off the instance's cached SVD and projected in closed
+    form; on the Slater shape, an exact solve (vertex least squares with
+    its exact multiplier, or a root of the secular equation, see the
+    module docstring) accepted under a primal-dual gap bound.
     """
 
     def __init__(
@@ -200,93 +202,61 @@ class FeasibleSetProjector:
     ):
         self.instance = instance
         self.tol = float(tol)
-        ref = instance.point(reference)
-        y_ref = instance.evaluate(ref)
-        loc = classify_cone_point(y_ref, tol)
-        if loc is ConeLocation.OUTSIDE:
-            raise InfeasiblePointError(
-                "projection reference point is infeasible",
-                float(np.linalg.norm(y_ref)),
-            )
+        ctx = _Context(instance, reference, self.tol)
+        ref, y_ref = ctx.analysis.x, ctx.analysis.y
         self.reference = ref
         self._interior_point: Optional[np.ndarray] = None
         self._interior_margin = 0.0
-        self._ray_data: Optional[_RayFlatData] = None
         self._flat_projector: Optional[np.ndarray] = None
+        self._half_line: Optional[tuple[np.ndarray, float]] = None
         self._slater: Optional[_SlaterData] = None
 
-        if loc is ConeLocation.INTERIOR:
-            self.geometry = _Geometry.SLATER
-            self._interior_point = ref
-            self._interior_margin = cone_margin(y_ref)
-        elif loc is ConeLocation.POSITIVE_BOUNDARY:
-            # Same nonvanishing-gradient test as the verdicts (Thm3.2(iii)).
-            g = grad_phi(instance, ref, tol)
-            if float(np.linalg.norm(g)) > self.tol * max(
-                1.0, float(np.linalg.norm(instance.A))
-            ):
-                self.geometry = _Geometry.SLATER
-            else:
-                # The whole image slice sits in the supporting hyperplane at
-                # y_ref, so feasibility collapses to the ray of y_ref.
+        rcq = _rcq(ctx)
+        if not rcq.holds:
+            geo = ctx.geometry
+            rows, U = geo.row_basis, geo.basis
+            d = None
+            if ctx.location is ConeLocation.POSITIVE_BOUNDARY:
+                y_norm = float(np.linalg.norm(y_ref))
+                d = y_ref / y_norm
+            elif geo.kind is SubspaceKind.RAY:
+                d, y_norm = geo.ray, 0.0
+            if d is not None and float(np.linalg.norm(d - U @ (U.T @ d))) <= self.tol:
+                # Omega = ref + null(A) + {s q : s >= -y_norm}, q = A^+ d.
                 self.geometry = _Geometry.RAY_FLAT
-                self._ray_data = self._build_ray_flat(
-                    ref, y_ref / np.linalg.norm(y_ref), float(np.linalg.norm(y_ref))
-                )
-        else:  # vertex
-            cls = instance.geometry(self.tol)
-            if cls.kind is SubspaceKind.MEETS_INTERIOR:
-                self.geometry = _Geometry.SLATER
-            elif cls.kind is SubspaceKind.RAY:
-                self.geometry = _Geometry.RAY_FLAT
-                self._ray_data = self._build_ray_flat(ref, cls.ray, 0.0)
+                a = (d @ U) / geo.singular_values[: geo.rank]
+                norm_a = float(np.linalg.norm(a))
+                a_hat = a / norm_a
+                # Not V_k V_k^T - q_hat q_hat^T: this form is exactly zero
+                # at rank one, so feasible rows keep distance exactly 0.
+                P = np.eye(geo.rank) - np.outer(a_hat, a_hat)
+                self._flat_projector = rows.T @ P @ rows
+                self._half_line = (a_hat @ rows, -y_norm * norm_a)
             else:
+                # The half-line leaves Im(A), or there is none: Omega is
+                # ref + null(A).
                 self.geometry = _Geometry.FLAT
-                rows = cls.row_basis
                 self._flat_projector = rows.T @ rows
-        if self.geometry is _Geometry.SLATER:
-            maps = _image_maps(instance, self.tol)
-            self._slater = self._build_slater(maps)
-            if self._interior_point is None and self._slater.ray is None:
-                # Without a recession ray, pull-ins blend towards the best
-                # point of the image slice through the reference.
-                z = ref + _slice_step(instance, maps, y_ref)[0]
-                margin = phi(instance, z)
-                if not margin > 0.0:
-                    raise NumericalFailureError(
-                        "the image slice has no interior point", margin
-                    )
-                self._interior_point, self._interior_margin = z, margin
+            return
+
+        self.geometry = _Geometry.SLATER
+        if ctx.location is ConeLocation.INTERIOR:
+            self._interior_point = ref
+            self._interior_margin = rcq.evidence["margin"]
+        maps = _image_maps(instance, self.tol)
+        self._slater = self._build_slater(maps)
+        if self._interior_point is None and self._slater.ray is None:
+            # Without a recession ray, pull-ins blend towards the best
+            # point of the image slice through the reference.
+            z = ref + _slice_step(instance, maps, y_ref)[0]
+            margin = phi(instance, z)
+            if not margin > 0.0:
+                raise NumericalFailureError(
+                    "the image slice has no interior point", margin
+                )
+            self._interior_point, self._interior_margin = z, margin
 
     # -- construction helpers -------------------------------------------
-
-    def _build_ray_flat(
-        self, ref: np.ndarray, d_unit: np.ndarray, y_norm: float
-    ) -> _RayFlatData:
-        """Omega = {z : A(z - ref) in span(d), <d, A(z-ref)> >= -y_norm}.
-
-        The flat is the numerically significant row space of
-        M = A - d d^T A.  The verdict side calls rank(A) with a cutoff
-        relative to the top singular value of A; singular values of M
-        below that same absolute scale are rounding artifacts (an
-        outer-product matrix is only rank one up to per-entry rounding)
-        and must not enter the projector as genuine constraints.
-        """
-        A = self.instance.A
-        M = A - np.outer(d_unit, d_unit @ A)
-        c = A.T @ d_unit
-        gamma = float(c @ ref) - y_norm
-        cut = self.tol * float(self.instance.geometry(self.tol).singular_values[0])
-        _, sigma, vt = np.linalg.svd(M, full_matrices=False)
-        rows = vt[sigma > cut]
-        projector = rows.T @ rows
-        if float(np.linalg.norm(c)) > cut:
-            stacked = np.vstack([rows, c[None, :]])
-            rhs = np.concatenate([rows @ ref, [gamma]])
-            return _RayFlatData(
-                projector, c, gamma, stacked, np.linalg.pinv(stacked), rhs
-            )
-        return _RayFlatData(projector, c, gamma, None, None, None)
 
     def _build_slater(self, maps: _ImageMaps) -> _SlaterData:
         """Vertex and secular-equation data; see the module docstring."""
@@ -344,34 +314,19 @@ class FeasibleSetProjector:
             raise DimensionError(
                 f"points have dimension {X.shape[1]}, expected {self.instance.n}"
             )
-        if self.geometry is _Geometry.FLAT:
-            delta = (X - self.reference) @ self._flat_projector.T
-            return X - delta, np.linalg.norm(delta, axis=1)
-        if self.geometry is _Geometry.RAY_FLAT:
-            return self._project_ray_flat(X)
-        return self._project_slater(X, tol)
+        if self.geometry is _Geometry.SLATER:
+            return self._project_slater(X, tol)
+        R = X - self.reference
+        delta = R @ self._flat_projector.T
+        if self._half_line is not None:
+            # Rows below the half-line's end move up to it along q / ||q||.
+            q, lo = self._half_line
+            delta += np.minimum(R @ q - lo, 0.0)[:, None] * q
+        return X - delta, np.linalg.norm(delta, axis=1)
 
     def project(self, x, tol: float = PROJECTION_TOL) -> tuple[np.ndarray, float]:
         Z, d = self.project_batch(np.asarray(x, dtype=float)[None, :], tol)
         return Z[0], float(d[0])
-
-    def _project_ray_flat(self, X: np.ndarray):
-        data = self._ray_data
-        ref = self.reference
-        delta = (X - ref) @ data.projector_flat.T
-        P1 = X - delta
-        if data.stacked is None:
-            return P1, np.linalg.norm(X - P1, axis=1)
-        violated = P1 @ data.c < data.gamma
-        Z = P1
-        if np.any(violated):
-            # The half-space binds: project onto the flat with the
-            # half-space boundary appended as an equality.
-            Z = P1.copy()
-            Xv = X[violated]
-            res = Xv @ data.stacked.T - data.stacked_rhs
-            Z[violated] = Xv - res @ data.stacked_pinv.T
-        return Z, np.linalg.norm(X - Z, axis=1)
 
     # -- Slater geometry: exact solve with duality certificate -----------
 

@@ -16,6 +16,7 @@ from socpcq import (
     FeasibleSetProjector,
     InfeasiblePointError,
     NumericalFailureError,
+    distance_to_cone,
     margins,
     project_to_cone,
     project_to_feasible_set,
@@ -121,6 +122,26 @@ def test_flat_shape_single_point_and_subspace():
     z, d = proj.project(np.array([3.0, -4.0]))
     assert np.allclose(z, [0.0, -4.0], atol=1e-12)
     assert d == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "stratum", ["Cor4.2", "degenerate-boundary", "Thm4.4(iii)", "Thm4.4(vi)"]
+)
+def test_degenerate_distances_are_scale_invariant(stratum, seed):
+    # Scaling (A, b) by s > 0 leaves Omega unchanged, so the closed-form
+    # distances of the flat-plus-half-line shapes must not move.
+    m, n = 3 + seed % 4, 2 + (seed // 4) % 5
+    inst, xbar = random_instance(m, n, stratum, seed)
+    X = xbar + np.random.default_rng(seed).standard_normal((20, n))
+    proj = FeasibleSetProjector(inst, xbar)
+    assert proj.geometry.value != "slater"
+    _, D = proj.project_batch(X)
+    for s in (1e-3, 1e-6):
+        scaled = FeasibleSetProjector(AffineSOCInstance(s * inst.A, s * inst.b), xbar)
+        assert scaled.geometry is proj.geometry
+        _, Ds = scaled.project_batch(X)
+        assert np.all(np.abs(Ds - D) <= 1e-12 * np.maximum(1.0, D))
 
 
 # -- Slater shape: certified splitting ---------------------------------------
@@ -299,8 +320,11 @@ def test_wrapper_raises_when_set_is_empty():
 
 
 def test_infeasible_reference_is_rejected():
-    with pytest.raises(InfeasiblePointError):
-        FeasibleSetProjector(IDENTITY, np.array([-1.0, 2.0, 3.0]))
+    g = np.array([-1.0, 2.0, 3.0])
+    with pytest.raises(InfeasiblePointError) as info:
+        FeasibleSetProjector(IDENTITY, g)
+    # The error carries the distance of g(reference) to the cone.
+    assert info.value.distance == pytest.approx(distance_to_cone(g))
 
 
 def test_dimension_mismatch_is_rejected():
