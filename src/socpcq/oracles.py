@@ -16,6 +16,11 @@ Key design points:
   probes are what make the bounded/growing separation reproducible.  All
   radii share common random draws, which makes the ratio between
   consecutive kappa estimates deterministic and tight.
+* One scan builds one projector, whose construction is also the scan's
+  point analysis, and makes at most two certified projector calls for all
+  radii together: the probe bases of every radius, then every kept
+  uniform point and probe.  Every row still carries the primal-dual gap
+  certificate; a failure reports the worst gap across all radii.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * ``random_instance`` builds one representative per characterization
@@ -40,7 +45,7 @@ from .cq_checker import check_crcq, full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
 from .projection import FeasibleSetProjector
 from .soc_core import DEFAULT_TOL, ConeLocation, distances_to_cone, margins
-from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis, numeric_rank
+from .subspace_cone import SubspaceConeClass, SubspaceKind, _rank_of, image_basis
 
 __all__ = [
     "KappaScan",
@@ -174,10 +179,18 @@ def mscq_kappa_scan(
     and draws whose cone distance is below ``RATIO_DISTANCE_FLOOR``, and
     records the largest distance ratio.  ``kappa_hat`` prefers the probe
     ratios (see :class:`KappaScan`); identical seeds share the random
-    draws across radii so consecutive ratios compare like with like.
-    ``tol`` is the tolerance of the point analysis and of the projector.
+    draws across radii so consecutive ratios compare like with like, and
+    a scan over a prefix of ``radii`` reproduces that prefix of every
+    per-radius field.
+
+    All radii go through the projector together, in at most two certified
+    batches: the probe bases of every radius, then every kept uniform
+    point and probe.  A ``NumericalFailureError`` therefore reports the
+    worst gap across all radii.  ``tol`` is the tolerance of the
+    projector, whose construction is also the scan's one point analysis.
     """
-    center = analyze_point(instance, xbar, tol).x
+    projector = FeasibleSetProjector(instance, xbar, tol)
+    center = projector.reference
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(
         radii[i] <= radii[i + 1] for i in range(len(radii) - 1)
@@ -189,82 +202,75 @@ def mscq_kappa_scan(
     if probes_per_radius is None:
         probes_per_radius = max(16, samples_per_radius // 8)
     n = instance.n
+    S, P, k = samples_per_radius, probes_per_radius, len(radii)
 
     rng = np.random.default_rng(seed)
-    dirs, radial = _uniform_ball_directions(rng, samples_per_radius, n)
-    base_dirs, base_radial = _uniform_ball_directions(rng, probes_per_radius, n)
-    probe_offsets = rng.standard_normal((probes_per_radius, n))
+    dirs, radial = _uniform_ball_directions(rng, S, n)
+    base_dirs, base_radial = _uniform_ball_directions(rng, P, n)
+    probe_offsets = rng.standard_normal((P, n))
     probe_offsets /= np.linalg.norm(probe_offsets, axis=1, keepdims=True)
 
-    projector = FeasibleSetProjector(instance, center, tol)
-
-    kappa: list[float] = []
-    uniform_kappa: list[float] = []
-    probe_rows: list[tuple[float, ...]] = []
-    disc_feas: list[int] = []
-    disc_floor: list[int] = []
-    probe_valid: list[int] = []
+    # Probe offsets h_k = r_k / (8 * 30^k), from the running divisor.
+    h = np.empty(k)
     divisor = _PROBE_DIVISOR0
-    for r in radii:
-        X = center + dirs * (r * radial)[:, None]
-        h = r / divisor
+    for i, r in enumerate(radii):
+        h[i] = r / divisor
         divisor *= _PROBE_DIVISOR_GROWTH
-        bases = center + base_dirs * (0.9 * r * base_radial)[:, None]
-        anchors, base_dist = projector.project_batch(bases)
-        # Step off each anchor along the exact outward normal when the base
-        # point was infeasible (that direction carries the worst ratios);
-        # feasible bases fall back to a fixed random unit offset.
-        outward = np.where(
-            base_dist[:, None] > 0.0,
-            (bases - anchors) / np.maximum(base_dist, 1e-300)[:, None],
-            probe_offsets,
-        )
-        probes = anchors + h * outward
-        pts = np.vstack([X, probes])
+    r_col = np.asarray(radii)[:, None]
 
-        dist_g = distances_to_cone(instance.evaluate_many(pts))
-        infeasible = dist_g > 0.0
-        above = dist_g > RATIO_DISTANCE_FLOOR
-        keep = infeasible & above
-        n_feas = int(np.count_nonzero(~infeasible))
-        n_floor = int(np.count_nonzero(infeasible & ~above))
+    # Anchor batch: the probe bases of every radius, radius-major.
+    bases = (center + base_dirs * (0.9 * r_col * base_radial)[:, :, None]).reshape(
+        k * P, n
+    )
+    anchors, base_dist = projector.project_batch(bases)
+    # Step off each anchor along the exact outward normal when the base
+    # point was infeasible (that direction carries the worst ratios);
+    # feasible bases fall back to a fixed random unit offset.
+    outward = np.where(
+        base_dist[:, None] > 0.0,
+        (bases - anchors) / np.maximum(base_dist, 1e-300)[:, None],
+        np.tile(probe_offsets, (k, 1)),
+    )
+    pts = np.empty((k, S + P, n))
+    pts[:, :S] = center + dirs * (r_col * radial)[:, :, None]
+    pts[:, S:] = (anchors + np.repeat(h, P)[:, None] * outward).reshape(k, P, n)
 
-        best = 0.0
-        best_uniform = 0.0
-        probe_ok = 0
-        per_probe = np.zeros(probes_per_radius)
-        if np.any(keep):
-            _, dist_omega = projector.project_batch(pts[keep])
-            ratios = dist_omega / dist_g[keep]
-            from_probe = keep[samples_per_radius:]
-            probe_ok = int(np.count_nonzero(from_probe))
-            n_uni = int(np.count_nonzero(keep[:samples_per_radius]))
-            if n_uni:
-                best_uniform = float(np.max(ratios[:n_uni]))
-            per_probe[from_probe] = ratios[n_uni:]
-            # The ratio field is exactly scale-invariant on these conic
-            # geometries, so the uniform max is a radius-independent
-            # constant; only the planted probes see the radius.  Use them
-            # whenever any survived, else fall back to the uniform max.
-            best = float(np.max(ratios[n_uni:])) if probe_ok else best_uniform
-        kappa.append(best)
-        uniform_kappa.append(best_uniform)
-        probe_rows.append(tuple(per_probe))
-        disc_feas.append(n_feas)
-        disc_floor.append(n_floor)
-        probe_valid.append(probe_ok)
+    # Ratio batch: every kept point of every radius.
+    dist_g = distances_to_cone(instance.evaluate_many(pts.reshape(-1, n))).reshape(
+        k, S + P
+    )
+    infeasible = dist_g > 0.0
+    above = dist_g > RATIO_DISTANCE_FLOOR
+    keep = infeasible & above
+    n_feas = np.count_nonzero(~infeasible, axis=1)
+    n_floor = np.count_nonzero(infeasible & ~above, axis=1)
+    ratios = np.zeros((k, S + P))
+    if np.any(keep):
+        _, dist_omega = projector.project_batch(pts[keep])
+        ratios[keep] = dist_omega / dist_g[keep]
+
+    # Ratios are nonnegative, so a row max over the zero-filled discards is
+    # the max over the kept entries, or 0.0 when none was kept.
+    uniform_kappa = ratios[:, :S].max(axis=1, initial=0.0)
+    probe_kappa = ratios[:, S:].max(axis=1, initial=0.0)
+    probe_valid = np.count_nonzero(keep[:, S:], axis=1)
+    # The ratio field is exactly scale-invariant on these conic geometries,
+    # so the uniform max is a radius-independent constant; only the planted
+    # probes see the radius.  Use them whenever any survived, else fall
+    # back to the uniform max.
+    kappa = np.where(probe_valid > 0, probe_kappa, uniform_kappa)
 
     return KappaScan(
         radii=radii,
-        kappa_hat=tuple(kappa),
-        sample_count=samples_per_radius,
+        kappa_hat=tuple(kappa.tolist()),
+        sample_count=S,
         seed=int(seed),
-        probe_count=probes_per_radius,
-        discarded_feasible=tuple(disc_feas),
-        discarded_floor=tuple(disc_floor),
-        probe_valid=tuple(probe_valid),
-        uniform_kappa_hat=tuple(uniform_kappa),
-        probe_ratios=tuple(probe_rows),
+        probe_count=P,
+        discarded_feasible=tuple(n_feas.tolist()),
+        discarded_floor=tuple(n_floor.tolist()),
+        probe_valid=tuple(probe_valid.tolist()),
+        uniform_kappa_hat=tuple(uniform_kappa.tolist()),
+        probe_ratios=tuple(map(tuple, ratios[:, S:].tolist())),
     )
 
 
@@ -380,15 +386,17 @@ def fcr_dim_scan(
         DimScan("ZeroFace", frozenset({rank}), samples, int(seed)),
         DimScan("FullCone", frozenset({0}), samples, int(seed)),
     ]
-    for i, w in enumerate(_random_boundary_rays(rng, instance.m, rays)):
-        restricted = A - np.outer(w, w @ A)
-        out.append(
+    # One batched SVD over the restrictions to the sampled ray faces.
+    restricted = [
+        A - np.outer(w, w @ A) for w in _random_boundary_rays(rng, instance.m, rays)
+    ]
+    if restricted:
+        sigmas = np.linalg.svd(np.stack(restricted), compute_uv=False)
+        out.extend(
             DimScan(
-                f"SampledRay({i})",
-                frozenset({numeric_rank(restricted, tol)}),
-                samples,
-                int(seed),
+                f"SampledRay({i})", frozenset({_rank_of(s, tol)}), samples, int(seed)
             )
+            for i, s in enumerate(sigmas)
         )
     return out
 

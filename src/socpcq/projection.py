@@ -91,13 +91,15 @@ rows the first left uncertified:
 2. Secular root.  psi(t) on one fixed logarithmic grid that covers both
    branches (t / (1/lam_+) from 1e-14 towards the pole, and the distance
    to the pole from 0.5 down to 1e-16 on both sides and up to 1e17 beyond
-   it), evaluated for all rows as two matrix products.  The first sign
+   it), evaluated as two matrix products per fixed-size block of rows, so
+   the grid's working set does not grow with the batch.  The first sign
    change whose positive end has g0 > 0 is refined by bracketed Newton
-   from the secant point.  Newton evaluates psi directly from
-   g(z(t)) = A z(t) + b, whose rounding scales with ||g(z)|| rather than
-   ||g(x)||, so its last steps are the polish of the root; a row freezes
-   once psi is at rounding level (taking the Newton step from that value),
-   its bracket has collapsed, or its step fell below sqrt(eps).  Near the pole the distance u = 1 - t lam_+ is
+   from the secant point, run once on all bracketed rows.  Newton
+   evaluates psi directly from g(z(t)) = A z(t) + b, whose rounding scales
+   with ||g(z)|| rather than ||g(x)||, so its last steps are the polish of
+   the root; a row freezes once psi is at rounding level (taking the
+   Newton step from that value), its bracket has collapsed, or its step
+   fell below sqrt(eps).  Near the pole the distance u = 1 - t lam_+ is
    carried alongside t, so both stay accurate.  A row without such a
    bracket is the hard case of trust-region solvers (w_+ = 0): t = 1/lam_+
    and the lam_+ coordinate solves the quadratic psi = 0 with g0 > 0.
@@ -148,6 +150,9 @@ _POLE_GRID_T = np.concatenate([[0.0], _S, 1.0 - _U_NEAR, 1.0 + _U_FAR])
 _POLE_GRID_U = np.concatenate([[1.0], 1.0 - _S, _U_NEAR, -_U_FAR])
 _POLE_GRID_GAP = _S.size + _U_NEAR.size       # the step across the pole
 _FREE_GRID_T = np.concatenate([[0.0], np.geomspace(1e-14, 1e17, 125)])
+#: Rows per block of the secular grid: each block holds a few
+#: (rows x grid) arrays, so the working set stays bounded for any batch.
+_GRID_BLOCK = 128
 #: A grid bracket spans a factor 10^(1/4), or [0, 1e-14] at the first
 #: step, so bisection alone collapses it to rounding level in under 80
 #: steps; Newton rows freeze after a handful.
@@ -444,23 +449,32 @@ class FeasibleSetProjector:
         # Bracket: the first grid step where psi changes sign and g0 > 0 at
         # its positive end (a continuous path within psi > 0 keeps the sign
         # of g0, so the root it brackets lies on +Q).
-        psi = psi0[:, None] + (W * W) @ sd.grid_h.T
-        g0 = GXs[:, :1] + (W * sd.AQ0) @ sd.grid_v.T
-        pos = psi > 0.0
-        good = (pos[:, :-1] != pos[:, 1:]) & (
-            np.where(pos[:, 1:], g0[:, 1:], g0[:, :-1]) > 0.0
-        )
-        if sd.grid_gap >= 0:
-            good[:, sd.grid_gap] = False
-        has = good.any(axis=1)
+        count = len(Xs)
+        has = np.zeros(count, dtype=bool)
+        j = np.zeros(count, dtype=np.intp)
+        pl, pr = np.zeros(count), np.zeros(count)
+        for lo in range(0, count, _GRID_BLOCK):
+            blk = slice(lo, lo + _GRID_BLOCK)
+            Wb = W[blk]
+            psi = psi0[blk, None] + (Wb * Wb) @ sd.grid_h.T
+            g0 = GXs[blk, :1] + (Wb * sd.AQ0) @ sd.grid_v.T
+            pos = psi > 0.0
+            good = (pos[:, :-1] != pos[:, 1:]) & (
+                np.where(pos[:, 1:], g0[:, 1:], g0[:, :-1]) > 0.0
+            )
+            if sd.grid_gap >= 0:
+                good[:, sd.grid_gap] = False
+            has[blk] = good.any(axis=1)
+            jb = good.argmax(axis=1)
+            at = np.arange(len(jb))
+            j[blk], pl[blk], pr[blk] = jb, psi[at, jb], psi[at, jb + 1]
         Z = Xs.copy()
 
         rows = np.flatnonzero(has)
         if rows.size:
-            j = good[rows].argmax(axis=1)
+            j, pl, pr = j[rows], pl[rows], pr[rows]
             tl, tr = sd.grid_t[j], sd.grid_t[j + 1]
             ul, ur = sd.grid_u[j], sd.grid_u[j + 1]
-            pl, pr = psi[rows, j], psi[rows, j + 1]
             flip = pl > 0.0                   # psi > 0 at the left end
             w = pl / (pl - pr)                # secant start; u is affine in t
             Z[rows] = self._bracketed_newton(

@@ -26,8 +26,11 @@ from socpcq import (
     mscq_kappa_scan,
     random_instance,
 )
-from socpcq.oracles import TARGET_CASES
+from socpcq import cq_checker, oracles
+from socpcq.oracles import TARGET_CASES, _random_boundary_rays
+from socpcq.projection import FeasibleSetProjector
 from socpcq.soc_core import ConeLocation, cone_margin
+from socpcq.subspace_cone import numeric_rank
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -86,6 +89,60 @@ def test_interior_center_scans_all_feasible():
     assert scan.discarded_feasible == (total, total, total)
     assert scan.kappa_hat == (0.0, 0.0, 0.0)
     assert classify_kappa_growth(scan) == "bounded"
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_kappa_scan_prefix_reproduces_per_radius_fields(stratum, seed):
+    # The draws are shared across radii and every radius goes through the
+    # same two batches, so dropping the finest radius must leave the
+    # fields of the others exactly as they were.
+    m, n = 3 + seed % 3, 2 + seed % 4
+    inst, xbar = random_instance(m, n, stratum, seed)
+    radii = (1e-1, 1e-2, 1e-3)
+    full = mscq_kappa_scan(inst, xbar, radii=radii, samples_per_radius=48, seed=seed)
+    head = mscq_kappa_scan(
+        inst, xbar, radii=radii[:2], samples_per_radius=48, seed=seed
+    )
+    assert head.radii == radii[:2]
+    for field in (
+        "kappa_hat",
+        "uniform_kappa_hat",
+        "probe_ratios",
+        "discarded_feasible",
+        "discarded_floor",
+        "probe_valid",
+    ):
+        assert getattr(head, field) == getattr(full, field)[:2], field
+
+
+def test_kappa_scan_makes_two_projector_calls_and_one_analysis(monkeypatch):
+    calls = {"build": 0, "batch": 0, "analyze": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        FeasibleSetProjector,
+        "__init__",
+        counting("build", FeasibleSetProjector.__init__),
+    )
+    monkeypatch.setattr(
+        FeasibleSetProjector,
+        "project_batch",
+        counting("batch", FeasibleSetProjector.project_batch),
+    )
+    for module in (cq_checker, oracles):
+        monkeypatch.setattr(
+            module, "analyze_point", counting("analyze", module.analyze_point)
+        )
+    scan = mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=300, seed=0)
+    assert all(scan.evaluated(k) > 0 for k in range(len(scan.radii)))
+    assert calls == {"build": 1, "batch": 2, "analyze": 1}
 
 
 def _scan(probe_ratios, kappa=None, radii=None, feas=None):
@@ -197,6 +254,29 @@ def test_dim_scan_vertex_faces():
     assert by_label["FullCone"].observed_dims == frozenset({0})
     assert sum(1 for lbl in by_label if lbl.startswith("SampledRay")) == 4
     assert dim_scan_consistent(scans)
+
+
+def test_dim_scan_vertex_without_rays():
+    scans = fcr_dim_scan(HALFPLANE, np.zeros(3), seed=0, rays=0)
+    assert [(s.face_label, s.observed_dims) for s in scans] == [
+        ("ZeroFace", frozenset({2})),
+        ("FullCone", frozenset({0})),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("stratum", ["Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"])
+def test_dim_scan_ray_ranks_match_per_ray_rank(stratum, seed):
+    # The batched SVD must give each sampled ray face the rank that a
+    # separate numeric_rank call on the same restriction gives.
+    m, n = 3 + seed % 4, 2 + seed % 5
+    inst, xbar = random_instance(m, n, stratum, seed)
+    scans = fcr_dim_scan(inst, xbar, seed=seed, rays=8)
+    rays = _random_boundary_rays(np.random.default_rng(seed), m, 8)
+    A = inst.A
+    expected = [frozenset({numeric_rank(A - np.outer(w, w @ A))}) for w in rays]
+    observed = [s.observed_dims for s in scans if s.face_label.startswith("SampledRay")]
+    assert observed == expected
 
 
 def test_dim_scan_consistency_predicate():

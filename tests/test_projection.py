@@ -232,6 +232,26 @@ def test_project_batch_is_deterministic():
     assert np.array_equal(D1, D2)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("stratum", ["Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)"])
+def test_slater_batch_is_row_independent_across_grid_blocks(stratum, seed):
+    # The secular grid runs in row blocks; one 300-row batch must agree
+    # with the same rows split 137/163, which moves the block boundaries.
+    m, n = 3 + seed % 4, 2 + seed % 5
+    inst, xbar = random_instance(m, n, stratum, seed)
+    rng = np.random.default_rng(seed)
+    scale = np.repeat([1.0, 10.0, 100.0], 100)[:, None]
+    X = xbar + scale * rng.standard_normal((300, n))
+    proj = FeasibleSetProjector(inst, xbar)
+    assert proj.geometry.value == "slater"
+    Z, D = proj.project_batch(X)
+    Z1, D1 = proj.project_batch(X[:137])
+    Z2, D2 = proj.project_batch(X[137:])
+    bound = 1e-12 * np.maximum(1.0, D)
+    assert np.all(np.abs(np.concatenate([D1, D2]) - D) <= bound)
+    assert np.all(np.linalg.norm(np.vstack([Z1, Z2]) - Z, axis=1) <= bound)
+
+
 def test_boosted_wedge_keeps_its_distances():
     # A Lorentz boost L leaves {x : L A x in Q} = {x : x1 >= |x2|} unchanged,
     # but tilts null(A^T) towards e0, where the pseudo-inverse multiplier
