@@ -12,12 +12,17 @@ Instance documents are single JSON files::
 
 Exit codes: 0 success, 1 infeasible analysis point (the report carries the
 cone distance), 2 parse/usage error, 3 numerical failure.
+
+``main(argv)`` may be called repeatedly in one process (tests, notebooks,
+the benchmark): the argument parser is built once, on the first call, and
+reused; ``build_parser()`` still returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import os
 import re
@@ -157,10 +162,12 @@ def _display_label(label: Optional[str]) -> str:
 
 
 def _jsonable(value: Any) -> Any:
+    # numpy values become Python ones first, so a non-finite entry renders
+    # as the string "inf"/"nan" like a Python float and the JSON stays strict.
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, dict):
@@ -355,18 +362,17 @@ def cmd_project(args) -> int:
     instance = doc.instance
     # The projector's own feasibility test picks the reference, so a boundary
     # point that rounding leaves just outside the cone still qualifies.
-    references = [
-        p
-        for p in doc.points.values()
-        if classify_cone_point(instance.evaluate(p), doc.tol)
-        is not ConeLocation.OUTSIDE
-    ]
+    reference = next(
+        (
+            p
+            for p in doc.points.values()
+            if classify_cone_point(instance.evaluate(p), doc.tol)
+            is not ConeLocation.OUTSIDE
+        ),
+        None,
+    )
     z, dist = project_to_feasible_set(
-        instance,
-        x,
-        doc.projection_tol,
-        reference=references[0] if references else None,
-        geometry_tol=doc.tol,
+        instance, x, doc.projection_tol, reference=reference, geometry_tol=doc.tol
     )
     dist_g = distance_to_cone(doc.instance.evaluate(x))
     print(f"z = {z.tolist()}")
@@ -438,10 +444,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    Reuse is safe: ``parse_args`` fills a fresh ``Namespace`` per call, no
+    argument has a mutable default, argparse looks up ``sys.stdout``,
+    ``sys.stderr`` and the terminal width only when it prints, and
+    ``SOCPCQ_SEED`` is read in ``main`` after parsing.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code) if exc.code else EXIT_OK

@@ -262,7 +262,12 @@ def _mscq(ctx: _Context, crcq: Verdict) -> Verdict:
         eta = _eta(geo.basis)
         ev["bound_M"] = bound_m
         ev["eta"] = eta
-        ev["kappa_bound"] = bound_m / eta if eta > 0 else float("inf")
+        if geo.rank == 0:
+            # A = 0: Omega is the whole space, so dist(x, Omega) = 0 and the
+            # modulus is 0 (M/eta would be inf/inf).
+            ev["kappa_bound"] = 0.0
+        else:
+            ev["kappa_bound"] = bound_m / eta if eta > 0 else float("inf")
     return Verdict(True, "Thm5.1", ev)
 
 

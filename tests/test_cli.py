@@ -1,19 +1,25 @@
 """End-to-end CLI behavior: golden outputs, exit codes, document validation."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import textwrap
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from socpcq import margins, random_instance
+from socpcq import cli, margins, random_instance
 from socpcq.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
+    _jsonable,
+    build_parser,
     instance_document_from_dict,
     main,
     parse_instance,
@@ -139,6 +145,72 @@ def test_analyze_out_writes_report_file(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == payload
 
 
+# A = 0 with b in the cone: Omega is all of R^2.
+ZERO_MATRIX_DOCUMENT = {
+    "m": 3,
+    "n": 2,
+    "A": [[0, 0], [0, 0], [0, 0]],
+    "b": [0, 0, 0],
+    "points": {"xbar": [0.5, -1]},
+}
+
+
+def zero_matrix_path(tmp_path) -> str:
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_MATRIX_DOCUMENT))
+    return str(path)
+
+
+def strict_json(text: str):
+    """json.loads that rejects the non-standard Infinity/NaN constants."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_analyze_zero_matrix_kappa_bound_is_zero(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "analyze", zero_matrix_path(tmp_path), "xbar")
+    assert code == EXIT_OK
+    payload, _ = split_report(out)
+    mscq = payload["verdicts"]["mscq"]
+    assert mscq["condition"] == "Thm5.1"
+    assert mscq["evidence"]["kappa_bound"] == 0.0
+    assert mscq["evidence"]["bound_M"] == "inf"
+    assert mscq["evidence"]["eta"] == "inf"
+
+
+@pytest.mark.parametrize("name,point", [*sorted(GOLDEN_SUMMARIES), ("zero", "xbar")])
+def test_analyze_report_is_strict_json(capsys, tmp_path, name, point):
+    path = zero_matrix_path(tmp_path) if name == "zero" else fixture(name)
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "analyze", path, point, "--out", str(out_path))
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("location: "))
+    assert strict_json("\n".join(lines[:start])) == strict_json(out_path.read_text())
+
+
+def test_jsonable_renders_non_finite_numpy_values_like_floats():
+    value = {
+        "scalar": np.float64(np.inf),
+        "vector": np.array([1.0, -np.inf, np.nan]),
+        "matrix": np.array([[np.inf]]),
+        "nested": [np.float32(np.nan), (np.int64(3),)],
+        "python": float("-inf"),
+    }
+    rendered = _jsonable(value)
+    assert rendered == {
+        "scalar": "inf",
+        "vector": [1.0, "-inf", "nan"],
+        "matrix": [["inf"]],
+        "nested": ["nan", [3]],
+        "python": "-inf",
+    }
+    assert strict_json(json.dumps(rendered)) == rendered
+
+
 BAD_DOCUMENTS = [
     "this is not json {{{",
     '{"m": 1, "n": 1, "A": [[1]], "b": [0], "points": {}}',
@@ -190,6 +262,128 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("socpcq ")
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+            ["--version"],
+            ["analyze", fixture("vertex_halfplane"), "origin"],
+            ["project", fixture("vertex_halfplane"), "outside"],
+            ["analyze"],
+            ["analyze", fixture("vertex_boundary_line"), "origin"],
+        ):
+            main(argv)
+        capsys.readouterr()
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    code = textwrap.dedent(
+        """
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        import socpcq.cli
+        print(len(built), socpcq.cli._parser.cache_info().currsize)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_shared_parser_holds_no_call_state():
+    parser = cli._parser()
+    first = parser.parse_args(["scan", "doc.json", "p", "--seed", "5"])
+    second = parser.parse_args(["scan", "doc.json", "p"])
+    assert first is not second
+    assert (first.seed, second.seed) == (5, None)
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    immutable = (type(None), str, int, float, bool)
+    for p in (parser, *subparsers.choices.values()):
+        for action in p._actions:
+            assert isinstance(action.default, immutable), action.dest
+        for value in p._defaults.values():
+            assert callable(value) or isinstance(value, immutable)
+
+
+def test_consecutive_scans_do_not_leak_arguments(capsys):
+    args = ("scan", fixture("vertex_tangent_plane"), "origin")
+    code, custom, _ = run_cli(
+        capsys, *args, "--radii", "1e-1,1e-2", "--seed", "5", "--samples", "40"
+    )
+    assert code == EXIT_OK
+    _, plain, _ = run_cli(capsys, *args)
+    _, seed_zero, _ = run_cli(capsys, *args, "--seed", "0")
+
+    def radii(text):
+        rows = text.splitlines()[1:]
+        return [r.split(",")[0] for r in rows if not r.startswith(("dimscan", "fcr_"))]
+
+    assert radii(custom) == ["0.1", "0.01"]
+    assert radii(plain) == ["0.1", "0.01", "0.001"]
+    assert plain == seed_zero
+
+
+def test_analyze_out_does_not_carry_over(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    args = ("analyze", fixture("vertex_halfplane"), "origin")
+    assert run_cli(capsys, *args, "--out", str(out_path))[0] == EXIT_OK
+    out_path.write_text("untouched\n")
+    assert run_cli(capsys, *args)[0] == EXIT_OK
+    assert out_path.read_text() == "untouched\n"
+
+
+@pytest.mark.parametrize("columns", ["200", "50"])
+@pytest.mark.parametrize("command", [(), ("analyze",), ("scan",), ("harness",), ("project",)])
+def test_help_matches_a_fresh_parser(capsys, monkeypatch, command, columns):
+    # Build the shared parser first, so the width below is read at print time.
+    main(["--version"])
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", columns)
+    code, shared, _ = run_cli(capsys, *command, "--help")
+    assert code == EXIT_OK
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "--help"])
+    assert shared == capsys.readouterr().out
+
+
+def test_help_width_is_read_when_printing(capsys, monkeypatch):
+    outputs = []
+    for columns in ("200", "50"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outputs.append(run_cli(capsys, "--help")[1])
+    assert outputs[0] != outputs[1]
+    assert max(len(line) for line in outputs[1].splitlines()) <= 50
+
+
+def test_usage_errors_reach_the_current_stderr():
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["analyze"]) == EXIT_PARSE
+        assert "the following arguments are required" in err.getvalue()
 
 
 # -- scan ---------------------------------------------------------------------

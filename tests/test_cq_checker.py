@@ -162,6 +162,20 @@ def test_zero_only_vertex_bound_evidence():
     assert mscq.evidence["kappa_bound"] == pytest.approx(np.sqrt(2.0), rel=1e-8)
 
 
+def test_zero_matrix_kappa_bound_is_zero():
+    # A = 0, b = 0: Omega is all of R^n, so dist(x, Omega) = 0 and the
+    # modulus is exactly 0, while M and eta both stay inf (no kept singular
+    # value, empty image).
+    inst = AffineSOCInstance(np.zeros((3, 2)), np.zeros(3))
+    report = full_report(inst, np.array([0.5, -1.0]))
+    assert report.crcq.holds and report.crcq.condition == "Thm4.4(v)"
+    ev = report.mscq.evidence
+    assert report.mscq.holds and report.mscq.condition == "Thm5.1"
+    assert ev["bound_M"] == float("inf")
+    assert ev["eta"] == float("inf")
+    assert ev["kappa_bound"] == 0.0
+
+
 def test_zero_only_bound_scales_with_the_instance():
     # bound_M = 1 / (smallest singular value the rank keeps): scaling (A, b)
     # by s divides it by s, down to scales far below the tolerance.
