@@ -13,9 +13,12 @@ Instance documents are single JSON files::
 Exit codes: 0 success, 1 infeasible analysis point (the report carries the
 cone distance), 2 parse/usage error, 3 numerical failure.
 
-``main(argv)`` may be called repeatedly in one process (tests, notebooks,
-the benchmark): the argument parser is built once, on the first call, and
-reused; ``build_parser()`` still returns a fresh one.
+``main(argv)`` may be called repeatedly in one process: the argument parser
+is built once, on the first call, and reused, and each call dispatches to
+the module's current ``cmd_*`` function; ``build_parser()`` still returns a
+fresh parser. Only in-process loops (the test suite, the benchmark's
+``cli-oneshot`` workload) gain from this; a ``socpcq`` process makes one
+call and builds one parser, as before.
 """
 
 from __future__ import annotations
@@ -416,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance JSON document")
     p.add_argument("point", help="name of the point to analyze")
     p.add_argument("--out", help="also write the JSON report to this path")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="kappa-ratio and face-dimension scans")
     p.add_argument("instance")
@@ -425,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200, help="samples per radius")
     p.add_argument("--dim-radius", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("harness", help="analytic-vs-sampled equivalence harness")
     p.add_argument("--trials", type=int, default=100)
@@ -435,12 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the per-trial CSV to this path")
     p.add_argument("--instance", help="run all trials on this fixed instance")
     p.add_argument("--point", help="named point for --instance")
-    p.set_defaults(func=cmd_harness)
 
     p = sub.add_parser("project", help="project a named point onto the feasible set")
     p.add_argument("instance")
     p.add_argument("point")
-    p.set_defaults(func=cmd_project)
     return parser
 
 
@@ -465,7 +464,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed(42 if args.command == "harness" else 0)
-        return args.func(args)
+        # Looked up per call, not bound into the shared parser, so a cmd_*
+        # rebound after the first call (a tracer, a monkeypatch) is the one run.
+        command = {
+            "analyze": cmd_analyze,
+            "scan": cmd_scan,
+            "harness": cmd_harness,
+            "project": cmd_project,
+        }[args.command]
+        return command(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: golden outputs, exit codes, document validation."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -313,19 +312,36 @@ def test_import_builds_no_parser():
 
 def test_shared_parser_holds_no_call_state():
     parser = cli._parser()
-    first = parser.parse_args(["scan", "doc.json", "p", "--seed", "5"])
+    first = parser.parse_args(
+        ["scan", "doc.json", "p", "--seed", "5", "--radii", "1e-1,1e-2"]
+    )
     second = parser.parse_args(["scan", "doc.json", "p"])
     assert first is not second
     assert (first.seed, second.seed) == (5, None)
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    immutable = (type(None), str, int, float, bool)
-    for p in (parser, *subparsers.choices.values()):
-        for action in p._actions:
-            assert isinstance(action.default, immutable), action.dest
-        for value in p._defaults.values():
-            assert callable(value) or isinstance(value, immutable)
+    assert second.radii == "1e-1,1e-2,1e-3"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cmd_analyze", ["analyze", fixture("vertex_halfplane"), "origin"]),
+        ("cmd_project", ["project", fixture("vertex_halfplane"), "outside"]),
+    ],
+)
+def test_main_runs_a_command_rebound_after_the_first_call(
+    capsys, monkeypatch, name, argv
+):
+    assert main(argv) == EXIT_OK
+    calls = []
+
+    def patched(args):
+        calls.append(args.point)
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, name, patched)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert calls == [argv[-1]]
 
 
 def test_consecutive_scans_do_not_leak_arguments(capsys):
