@@ -20,6 +20,7 @@ from .soc_core import (
     ConeLocation,
     as_cone_vector,
     classify_cone_point,
+    cone_margin,
     distance_to_cone,
     reflected,
 )
@@ -106,11 +107,30 @@ class ReductionInfo:
 
 @dataclass(frozen=True)
 class PointAnalysis:
+    """Everything a feasible point is judged by, computed once.
+
+    Holds g(x) = y, its location in the cone, the scalar reduction there and
+    the tolerance of the analysis.  The six qualification checks, the
+    projector's shape decision and the face-dimension scan all read this one
+    record: ``geometry`` is the image geometry of A that the instance
+    memoizes at ``tol``, and ``grad_floor`` = tol * max(1, ||A||_F) is the
+    norm below which a gradient of phi, or a residual of A, counts as zero.
+    """
+
     instance: AffineSOCInstance
     x: np.ndarray
     y: np.ndarray
     location: ConeLocation
     reduction: ReductionInfo
+    tol: float = DEFAULT_TOL
+
+    @property
+    def geometry(self) -> SubspaceConeClass:
+        return self.instance.geometry(self.tol)
+
+    @property
+    def grad_floor(self) -> float:
+        return self.tol * max(1.0, float(np.linalg.norm(self.instance.A)))
 
 
 def phi(instance: AffineSOCInstance, x) -> float:
@@ -119,18 +139,16 @@ def phi(instance: AffineSOCInstance, x) -> float:
     return float(y[0] - np.linalg.norm(y[1:]))
 
 
-def _grad_floor(instance: AffineSOCInstance, tol: float) -> float:
-    """tol * max(1, ||A||_F): the norm below which a gradient of phi, or a
-    residual of A, counts as zero."""
-    return tol * max(1.0, float(np.linalg.norm(instance.A)))
-
-
 def grad_phi(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Gradient of phi at x: A0 - (gr(x)/||gr(x)||)^T Ar.
 
     Defined only where gr(x) is safely nonzero.
     """
-    y = instance.evaluate(x)
+    return _grad_at(instance, instance.evaluate(x), tol)
+
+
+def _grad_at(instance: AffineSOCInstance, y: np.ndarray, tol: float) -> np.ndarray:
+    """``grad_phi`` from y = g(x), which the caller already holds."""
     norm_r = float(np.linalg.norm(y[1:]))
     if norm_r <= tol * max(1.0, float(np.linalg.norm(y))):
         raise SingularReductionError(
@@ -162,6 +180,7 @@ def analyze_point(
     instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL
 ) -> PointAnalysis:
     """Classify g(x) and cache the reduction data; rejects infeasible points."""
+    tol = float(tol)
     x = instance.point(x)
     y = instance.evaluate(x)
     loc = classify_cone_point(y, tol)
@@ -177,10 +196,10 @@ def analyze_point(
     else:
         reduction = ReductionInfo(
             ReductionKind.BOUNDARY_CASE,
-            phi_value=phi(instance, x),
-            grad_phi=grad_phi(instance, x, tol),
+            phi_value=cone_margin(y),
+            grad_phi=_grad_at(instance, y, tol),
         )
-    return PointAnalysis(instance, x, y, loc, reduction)
+    return PointAnalysis(instance, x, y, loc, reduction, tol)
 
 
 class HSetKind(enum.Enum):
@@ -227,6 +246,8 @@ def linearization_cone_membership(
     d = np.asarray(d, dtype=float)
     if d.shape != (instance.n,):
         raise DimensionError(f"direction has shape {d.shape}, expected ({instance.n},)")
+    if not np.all(np.isfinite(d)):
+        raise DimensionError("direction has non-finite entries")
     if analysis.location is ConeLocation.INTERIOR:
         return True
     if analysis.location is ConeLocation.ZERO:
@@ -264,18 +285,18 @@ def vanishing_reduction_test(
             "vanishing reduction is only defined on the positive boundary",
             0.0,
         )
-    return _vanishing(analysis, tol)[0]
+    return _vanishing(analysis)[0]
 
 
 def _vanishing(
-    analysis: PointAnalysis, tol: float
+    analysis: PointAnalysis,
 ) -> tuple[Optional[VanishingCertificate], float]:
     """The certificate (None if it does not exist) and the residual norm of
     A against the columns parallel to g(x), at a boundary point."""
     instance, y = analysis.instance, analysis.y
     residual = instance.A - np.outer(y, (y @ instance.A) / float(y @ y))
     residual_norm = float(np.linalg.norm(residual))
-    if residual_norm > _grad_floor(instance, tol):
+    if residual_norm > analysis.grad_floor:
         return None, residual_norm
     u = y[1:] / np.linalg.norm(y[1:])
     cert = VanishingCertificate(u=u, w=instance.A[0].copy(), c=float(instance.b[0]))

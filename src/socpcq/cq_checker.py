@@ -21,10 +21,14 @@ touches the cone in a single boundary ray without equaling its span).
 
 CRCQ is not decided separately: since CRCQ <=> FCR and H-closed, its
 verdict is the decisive one of those two (H-closedness at the vertex, FCR
-elsewhere) relabeled to its Thm 4.4 clause, evidence included.  Every
-vertex decision reads the image geometry (rank, singular values, bases,
-spectral class) that ``AffineSOCInstance.geometry(tol)`` caches on the
-instance, so a report costs one point analysis and at most one SVD of A.
+elsewhere) relabeled to its Thm 4.4 clause, evidence included.
+
+Every clause reads one :class:`PointAnalysis`: the location and reduction
+of g(x), the gradient floor, and, for the vertex decisions, the image
+geometry (rank, singular values, bases, spectral class) that
+``AffineSOCInstance.geometry(tol)`` caches on the instance.  A report thus
+costs one point analysis and at most one SVD of A, and the projector
+decides its shape with ``_rcq`` on its own reference's analysis.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ from .affine_instance import (
     AffineSOCInstance,
     HSetDescription,
     PointAnalysis,
-    _grad_floor,
     _h_set,
     _vanishing,
     analyze_point,
 )
 from .soc_core import DEFAULT_TOL, ConeLocation, cone_margin
-from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
+from .subspace_cone import SubspaceKind, image_basis
 
 __all__ = [
     "Verdict",
@@ -92,62 +95,37 @@ class CQReport:
     derived_claims: tuple[str, ...] = ()
 
 
-class _Context:
-    """Shared per-point state so the six checks analyze only once.
-
-    The image geometry is read from the instance, which computes it once
-    per tolerance.
-    """
-
-    def __init__(self, instance: AffineSOCInstance, x, tol: float):
-        self.instance = instance
-        self.tol = float(tol)
-        self.analysis = analyze_point(instance, x, tol)
-
-    @property
-    def location(self) -> ConeLocation:
-        return self.analysis.location
-
-    @property
-    def geometry(self) -> SubspaceConeClass:
-        return self.instance.geometry(self.tol)
-
-    def grad_data(self) -> tuple[np.ndarray, float, float]:
-        g = self.analysis.reduction.grad_phi
-        norm = float(np.linalg.norm(g))
-        return g, norm, _grad_floor(self.instance, self.tol)
-
-
 # ---------------------------------------------------------------------------
 # individual qualifications
 # ---------------------------------------------------------------------------
 
 
-def _off_vertex(ctx: _Context) -> Verdict:
+def _off_vertex(pa: PointAnalysis) -> Verdict:
     """Nondegeneracy and RCQ away from the vertex, where the two coincide."""
-    if ctx.location is ConeLocation.INTERIOR:
-        return Verdict(True, "interior", {"margin": cone_margin(ctx.analysis.y)})
-    g, norm, floor = ctx.grad_data()
+    if pa.location is ConeLocation.INTERIOR:
+        return Verdict(True, "interior", {"margin": cone_margin(pa.y)})
+    g = pa.reduction.grad_phi
+    norm = float(np.linalg.norm(g))
     ev = {"grad_phi": g, "grad_norm": norm}
-    if norm > floor:
+    if norm > pa.grad_floor:
         return Verdict(True, "boundary gradient nonzero", ev)
     return Verdict(False, None, ev)
 
 
-def _nondegeneracy(ctx: _Context) -> Verdict:
-    if ctx.location is not ConeLocation.ZERO:
-        return _off_vertex(ctx)
-    rank = ctx.geometry.rank
-    ev = {"rank": rank, "m": ctx.instance.m}
-    if rank == ctx.instance.m:
+def _nondegeneracy(pa: PointAnalysis) -> Verdict:
+    if pa.location is not ConeLocation.ZERO:
+        return _off_vertex(pa)
+    rank = pa.geometry.rank
+    ev = {"rank": rank, "m": pa.instance.m}
+    if rank == pa.instance.m:
         return Verdict(True, "surjective at vertex", ev)
     return Verdict(False, None, ev)
 
 
-def _rcq(ctx: _Context) -> Verdict:
-    if ctx.location is not ConeLocation.ZERO:
-        return _off_vertex(ctx)
-    cls = ctx.geometry
+def _rcq(pa: PointAnalysis) -> Verdict:
+    if pa.location is not ConeLocation.ZERO:
+        return _off_vertex(pa)
+    cls = pa.geometry
     ev: dict[str, Any] = {
         "image_class": cls.kind.value,
         "eigenvalues": cls.eigenvalues,
@@ -160,15 +138,16 @@ def _rcq(ctx: _Context) -> Verdict:
     return Verdict(False, None, ev)
 
 
-def _fcr(ctx: _Context) -> Verdict:
-    if ctx.location is ConeLocation.ZERO:
-        return Verdict(True, "Thm3.2(i)", {"y_norm": float(np.linalg.norm(ctx.analysis.y))})
-    if ctx.location is ConeLocation.INTERIOR:
-        return Verdict(True, "Thm3.2(ii)", {"margin": cone_margin(ctx.analysis.y)})
-    g, norm, floor = ctx.grad_data()
-    if norm > floor:
+def _fcr(pa: PointAnalysis) -> Verdict:
+    if pa.location is ConeLocation.ZERO:
+        return Verdict(True, "Thm3.2(i)", {"y_norm": float(np.linalg.norm(pa.y))})
+    if pa.location is ConeLocation.INTERIOR:
+        return Verdict(True, "Thm3.2(ii)", {"margin": cone_margin(pa.y)})
+    g = pa.reduction.grad_phi
+    norm = float(np.linalg.norm(g))
+    if norm > pa.grad_floor:
         return Verdict(True, "Thm3.2(iii)", {"grad_phi": g, "grad_norm": norm})
-    cert, residual = _vanishing(ctx.analysis, ctx.tol)
+    cert, residual = _vanishing(pa)
     if cert is not None:
         ev = {
             "grad_norm": norm,
@@ -180,10 +159,10 @@ def _fcr(ctx: _Context) -> Verdict:
     return Verdict(False, None, {"grad_norm": norm, "vanishing_residual": residual})
 
 
-def _h_closed(ctx: _Context) -> Verdict:
-    if ctx.location in (ConeLocation.INTERIOR, ConeLocation.POSITIVE_BOUNDARY):
-        return Verdict(True, "Thm4.1(i)", {"y": ctx.analysis.y})
-    cls = ctx.geometry
+def _h_closed(pa: PointAnalysis) -> Verdict:
+    if pa.location in (ConeLocation.INTERIOR, ConeLocation.POSITIVE_BOUNDARY):
+        return Verdict(True, "Thm4.1(i)", {"y": pa.y})
+    cls = pa.geometry
     if cls.kind is SubspaceKind.MEETS_INTERIOR:
         return Verdict(
             True, "Thm4.1(ii)", {"witness": cls.witness, "eigenvalues": cls.eigenvalues}
@@ -213,8 +192,8 @@ _CRCQ_LABELS = {
 }
 
 
-def _crcq(ctx: _Context, fcr: Verdict, h_closed: Verdict) -> Verdict:
-    decisive = h_closed if ctx.location is ConeLocation.ZERO else fcr
+def _crcq(pa: PointAnalysis, fcr: Verdict, h_closed: Verdict) -> Verdict:
+    decisive = h_closed if pa.location is ConeLocation.ZERO else fcr
     if not decisive.holds:
         return Verdict(False, None, dict(decisive.evidence))
     return Verdict(True, _CRCQ_LABELS[decisive.condition], dict(decisive.evidence))
@@ -242,7 +221,7 @@ def _eta(B: np.ndarray) -> float:
     return max(0.0, math.sqrt(0.5) * (math.sqrt(1.0 - t * t) - t))
 
 
-def _mscq(ctx: _Context, crcq: Verdict) -> Verdict:
+def _mscq(pa: PointAnalysis, crcq: Verdict) -> Verdict:
     ev = dict(crcq.evidence)
     ev["equivalent_route"] = crcq.condition
     if not crcq.holds:
@@ -251,11 +230,11 @@ def _mscq(ctx: _Context, crcq: Verdict) -> Verdict:
         # Rank-one image along a boundary ray: the error-bound modulus is
         # 1/(norm(a) * norm(v)) for any factorization A = v a^T, and that
         # product is the top singular value of A.
-        ev["kappa"] = 1.0 / float(ctx.geometry.singular_values[0])
+        ev["kappa"] = 1.0 / float(pa.geometry.singular_values[0])
     elif crcq.condition == "Thm4.4(v)":
         # The smallest singular value the rank keeps, so the bound scales
         # exactly with (A, b).
-        geo = ctx.geometry
+        geo = pa.geometry
         bound_m = float("inf")
         if geo.rank:
             bound_m = 1.0 / float(geo.singular_values[geo.rank - 1])
@@ -277,56 +256,53 @@ def _mscq(ctx: _Context, crcq: Verdict) -> Verdict:
 
 
 def check_nondegeneracy(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _nondegeneracy(_Context(instance, x, tol))
+    return _nondegeneracy(analyze_point(instance, x, tol))
 
 
 def check_rcq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _rcq(_Context(instance, x, tol))
+    return _rcq(analyze_point(instance, x, tol))
 
 
 def check_fcr(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _fcr(_Context(instance, x, tol))
+    return _fcr(analyze_point(instance, x, tol))
 
 
 def check_h_closed(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _h_closed(_Context(instance, x, tol))
+    return _h_closed(analyze_point(instance, x, tol))
 
 
 def check_crcq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    ctx = _Context(instance, x, tol)
-    return _crcq(ctx, _fcr(ctx), _h_closed(ctx))
+    pa = analyze_point(instance, x, tol)
+    return _crcq(pa, _fcr(pa), _h_closed(pa))
 
 
 def check_mscq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    ctx = _Context(instance, x, tol)
-    return _mscq(ctx, _crcq(ctx, _fcr(ctx), _h_closed(ctx)))
+    pa = analyze_point(instance, x, tol)
+    return _mscq(pa, _crcq(pa, _fcr(pa), _h_closed(pa)))
+
+
+#: What MSCQ yields about the tangent and normal cones at the point.
+_DERIVED_CLAIMS = ("T_Omega(xbar) = L_Omega(xbar)", "N_Omega(xbar) = H(xbar)")
 
 
 def full_report(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> CQReport:
     """All six verdicts at a feasible point, with consistency enforced."""
-    ctx = _Context(instance, x, tol)
-    fcr = _fcr(ctx)
-    h_closed = _h_closed(ctx)
-    crcq = _crcq(ctx, fcr, h_closed)
+    pa = analyze_point(instance, x, tol)
+    fcr = _fcr(pa)
+    h_closed = _h_closed(pa)
+    crcq = _crcq(pa, fcr, h_closed)
+    mscq = _mscq(pa, crcq)
     report = CQReport(
-        point_analysis=ctx.analysis,
-        nondegeneracy=_nondegeneracy(ctx),
-        rcq=_rcq(ctx),
+        point_analysis=pa,
+        nondegeneracy=_nondegeneracy(pa),
+        rcq=_rcq(pa),
         fcr=fcr,
         h_closed=h_closed,
         crcq=crcq,
-        mscq=_mscq(ctx, crcq),
-        h_set=replace(_h_set(ctx.analysis), closed=h_closed.holds),
-        derived_claims=(),
+        mscq=mscq,
+        h_set=replace(_h_set(pa), closed=h_closed.holds),
+        derived_claims=_DERIVED_CLAIMS if mscq.holds else (),
     )
-    if report.mscq.holds:
-        report = replace(
-            report,
-            derived_claims=(
-                "T_Omega(xbar) = L_Omega(xbar)",
-                "N_Omega(xbar) = H(xbar)",
-            ),
-        )
     violations = verify_report_invariants(report)
     if violations:
         raise AssertionError(

@@ -35,12 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .affine_instance import (
-    AffineSOCInstance,
-    _grad_floor,
-    analyze_point,
-    grad_phi_many,
-)
+from .affine_instance import AffineSOCInstance, analyze_point, grad_phi_many
 from .cq_checker import check_crcq, full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
 from .projection import FeasibleSetProjector
@@ -370,8 +365,7 @@ def fcr_dim_scan(
         G, ok = grad_phi_many(instance, X, tol)
         discarded = int(np.count_nonzero(~ok))
         norms = np.linalg.norm(G[ok], axis=1)
-        floor = _grad_floor(instance, tol)
-        dims = frozenset(int(v) for v in (norms > floor).astype(int))
+        dims = frozenset(int(v) for v in (norms > analysis.grad_floor).astype(int))
         count = int(np.count_nonzero(ok))
         return [
             DimScan("ZeroFace", dims, count, int(seed), discarded),
@@ -381,7 +375,7 @@ def fcr_dim_scan(
     # Vertex: the map is the same at every x, so sampling x is a pure
     # consistency exercise; the face matters instead.
     A = instance.A
-    rank = instance.geometry(tol).rank
+    rank = analysis.geometry.rank
     out = [
         DimScan("ZeroFace", frozenset({rank}), samples, int(seed)),
         DimScan("FullCone", frozenset({0}), samples, int(seed)),

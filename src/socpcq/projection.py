@@ -2,8 +2,8 @@
 
 The feasible set Omega = {z : Az + b in Q_m} has exactly three global
 shapes, and which one is the RCQ verdict at a feasible reference point,
-decided by the checker's own code on the same point analysis and the same
-cached SVD A = U_k Sigma V_k^T:
+decided by the checker's ``_rcq`` on the reference's ``PointAnalysis``,
+whose geometry is the instance's cached SVD A = U_k Sigma V_k^T:
 
 * RCQ holds: the slice meets the cone interior (Slater geometry).  The
   projection is solved exactly through a scalar secular equation, and
@@ -120,8 +120,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine_instance import AffineSOCInstance, phi
-from .cq_checker import _Context, _rcq
+from .affine_instance import AffineSOCInstance, analyze_point, phi
+from .cq_checker import _rcq
 from .errors import DimensionError, NumericalFailureError
 from .soc_core import (
     DEFAULT_TOL,
@@ -207,8 +207,8 @@ class FeasibleSetProjector:
     ):
         self.instance = instance
         self.tol = float(tol)
-        ctx = _Context(instance, reference, self.tol)
-        ref, y_ref = ctx.analysis.x, ctx.analysis.y
+        analysis = analyze_point(instance, reference, self.tol)
+        ref, y_ref = analysis.x, analysis.y
         self.reference = ref
         self._interior_point: Optional[np.ndarray] = None
         self._interior_margin = 0.0
@@ -216,12 +216,12 @@ class FeasibleSetProjector:
         self._half_line: Optional[tuple[np.ndarray, float]] = None
         self._slater: Optional[_SlaterData] = None
 
-        rcq = _rcq(ctx)
+        rcq = _rcq(analysis)
         if not rcq.holds:
-            geo = ctx.geometry
+            geo = analysis.geometry
             rows, U = geo.row_basis, geo.basis
             d = None
-            if ctx.location is ConeLocation.POSITIVE_BOUNDARY:
+            if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
                 y_norm = float(np.linalg.norm(y_ref))
                 d = y_ref / y_norm
             elif geo.kind is SubspaceKind.RAY:
@@ -245,7 +245,7 @@ class FeasibleSetProjector:
             return
 
         self.geometry = _Geometry.SLATER
-        if ctx.location is ConeLocation.INTERIOR:
+        if analysis.location is ConeLocation.INTERIOR:
             self._interior_point = ref
             self._interior_margin = rcq.evidence["margin"]
         maps = _image_maps(instance, self.tol)
@@ -313,12 +313,17 @@ class FeasibleSetProjector:
     def project_batch(
         self, X: np.ndarray, tol: float = PROJECTION_TOL
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Project the rows of X; returns (Z, distances)."""
+        """Project the rows of X; returns (Z, distances).
+
+        X must be (N, n) and finite; anything else raises ``DimensionError``.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.instance.n:
+        if X.ndim != 2 or X.shape[1] != self.instance.n:
             raise DimensionError(
-                f"points have dimension {X.shape[1]}, expected {self.instance.n}"
+                f"points have shape {X.shape}, expected (N, {self.instance.n})"
             )
+        if not np.all(np.isfinite(X)):
+            raise DimensionError("points have non-finite entries")
         if self.geometry is _Geometry.SLATER:
             return self._project_slater(X, tol)
         R = X - self.reference

@@ -137,6 +137,37 @@ def test_linearization_cone_membership():
     )
 
 
+@pytest.mark.parametrize(
+    "x, location",
+    [
+        ([2.0, 0.0, 0.0], ConeLocation.INTERIOR),
+        ([1.0, 1.0, 0.0], ConeLocation.POSITIVE_BOUNDARY),
+        ([0.0, 0.0, 0.0], ConeLocation.ZERO),
+    ],
+)
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_linearization_cone_membership_rejects_non_finite_direction(x, location, bad):
+    identity = AffineSOCInstance(np.eye(3), np.zeros(3))
+    assert analyze_point(identity, x).location is location
+    with pytest.raises(DimensionError):
+        linearization_cone_membership(identity, x, [bad, 0.0, 0.0])
+
+
+def test_boundary_analysis_evaluates_g_once(monkeypatch):
+    calls = []
+    evaluate = AffineSOCInstance.evaluate
+
+    def counting_evaluate(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(AffineSOCInstance, "evaluate", counting_evaluate)
+    analysis = analyze_point(HALFPLANE, [1.0, 0.0, 0.0])
+    assert analysis.location is ConeLocation.POSITIVE_BOUNDARY
+    assert analysis.reduction.grad_phi is not None
+    assert len(calls) == 1
+
+
 def test_vanishing_certificate_positive_case():
     # g(x) = (w.x + c)(1, u): every column of A parallel to (1, u)
     u = np.array([0.6, 0.8])

@@ -210,6 +210,7 @@ def test_minimal_cone_distance_on_image_exact_cases():
 def test_report_and_projector_share_one_svd(monkeypatch):
     import socpcq.affine_instance as affine_instance
     import socpcq.cq_checker as cq_checker
+    import socpcq.projection as projection
 
     analyze_calls = []
     svd_args = []
@@ -229,6 +230,7 @@ def test_report_and_projector_share_one_svd(monkeypatch):
 
     monkeypatch.setattr(affine_instance, "analyze_point", counting_analyze)
     monkeypatch.setattr(cq_checker, "analyze_point", counting_analyze)
+    monkeypatch.setattr(projection, "analyze_point", counting_analyze)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     rng = np.random.default_rng(5)
@@ -241,7 +243,9 @@ def test_report_and_projector_share_one_svd(monkeypatch):
         full_report(inst, xbar)
         assert len(analyze_calls) == 1, target
         assert len(svd_args) <= 1, target
+        analyze_calls.clear()
         projector = FeasibleSetProjector(inst, xbar)
+        assert len(analyze_calls) == 1, target
         # the projection of one infeasible row must not factor A again
         while True:
             x = xbar + 3.0 * rng.standard_normal(inst.n)

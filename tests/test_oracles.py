@@ -26,7 +26,7 @@ from socpcq import (
     mscq_kappa_scan,
     random_instance,
 )
-from socpcq import cq_checker, oracles
+from socpcq import cq_checker, oracles, projection
 from socpcq.oracles import TARGET_CASES, _random_boundary_rays
 from socpcq.projection import FeasibleSetProjector
 from socpcq.soc_core import ConeLocation, cone_margin
@@ -136,7 +136,7 @@ def test_kappa_scan_makes_two_projector_calls_and_one_analysis(monkeypatch):
         "project_batch",
         counting("batch", FeasibleSetProjector.project_batch),
     )
-    for module in (cq_checker, oracles):
+    for module in (cq_checker, oracles, projection):
         monkeypatch.setattr(
             module, "analyze_point", counting("analyze", module.analyze_point)
         )

@@ -351,3 +351,32 @@ def test_dimension_mismatch_is_rejected():
     proj = FeasibleSetProjector(IDENTITY, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionError):
         proj.project_batch(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "instance, reference, shape",
+    [
+        (IDENTITY, np.array([1.0, 0.0, 0.0]), "slater"),
+        (HALFPLANE, np.zeros(3), "ray_flat"),
+        (
+            AffineSOCInstance(
+                np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(3)
+            ),
+            np.zeros(2),
+            "flat",
+        ),
+    ],
+)
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_malformed_rows_are_rejected(instance, reference, shape, bad):
+    proj = FeasibleSetProjector(instance, reference)
+    assert proj.geometry.value == shape
+    X = np.zeros((2, instance.n))
+    X[1, 0] = bad
+    with pytest.raises(DimensionError):
+        proj.project_batch(X)
+    with pytest.raises(DimensionError):
+        proj.project(X[1])
+    # a stack of batches is not a batch
+    with pytest.raises(DimensionError):
+        proj.project_batch(np.ones((2, 2, instance.n)))
