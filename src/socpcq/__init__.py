@@ -15,8 +15,6 @@ from .affine_instance import (
     HSetDescription,
     HSetKind,
     PointAnalysis,
-    ReductionInfo,
-    ReductionKind,
     VanishingCertificate,
     analyze_point,
     grad_phi,
@@ -92,8 +90,6 @@ __all__ = [
     "HSetDescription",
     "HSetKind",
     "PointAnalysis",
-    "ReductionInfo",
-    "ReductionKind",
     "VanishingCertificate",
     "analyze_point",
     "grad_phi",

@@ -87,30 +87,30 @@ class AffineSOCInstance:
         """g(x) = Ax + b."""
         return self.A @ self.point(x) + self.b
 
+    def _point_rows(self, X) -> np.ndarray:
+        """``X`` as an (N, n) float array; other shapes or non-finite
+        entries raise ``DimensionError``."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise DimensionError(
+                f"points have shape {X.shape}, expected (N, {self.n})"
+            )
+        if not np.all(np.isfinite(X)):
+            raise DimensionError("points have non-finite entries")
+        return X
+
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """g at the rows of an (N, n) array, returned as (N, m)."""
-        return np.asarray(X, dtype=float) @ self.A.T + self.b
-
-
-class ReductionKind(enum.Enum):
-    INTERIOR_CASE = "interior_case"   # constraint locally inactive
-    BOUNDARY_CASE = "boundary_case"   # scalar reduction phi >= 0, cone R+
-    ZERO_CASE = "zero_case"           # identity reduction, cone Q_m
-
-
-@dataclass(frozen=True)
-class ReductionInfo:
-    kind: ReductionKind
-    phi_value: Optional[float] = None
-    grad_phi: Optional[np.ndarray] = None
+        return self._point_rows(X) @ self.A.T + self.b
 
 
 @dataclass(frozen=True)
 class PointAnalysis:
     """Everything a feasible point is judged by, computed once.
 
-    Holds g(x) = y, its location in the cone, the scalar reduction there and
-    the tolerance of the analysis.  The six qualification checks, the
+    Holds g(x) = y, its location in the cone, the gradient of the scalar
+    reduction phi on the positive boundary (None elsewhere) and the
+    tolerance of the analysis.  The six qualification checks, the
     projector's shape decision and the face-dimension scan all read this one
     record: ``geometry`` is the image geometry of A that the instance
     memoizes at ``tol``, and ``grad_floor`` = tol * max(1, ||A||_F) is the
@@ -121,7 +121,7 @@ class PointAnalysis:
     x: np.ndarray
     y: np.ndarray
     location: ConeLocation
-    reduction: ReductionInfo
+    grad_phi: Optional[np.ndarray]
     tol: float = DEFAULT_TOL
 
     @property
@@ -135,8 +135,7 @@ class PointAnalysis:
 
 def phi(instance: AffineSOCInstance, x) -> float:
     """The concave margin g0(x) - ||gr(x)||; feasibility is phi(x) >= 0."""
-    y = instance.evaluate(x)
-    return float(y[0] - np.linalg.norm(y[1:]))
+    return cone_margin(instance.evaluate(x))
 
 
 def grad_phi(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -147,14 +146,29 @@ def grad_phi(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> np.nda
     return _grad_at(instance, instance.evaluate(x), tol)
 
 
+def _grad_rows(
+    instance: AffineSOCInstance, Y: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """grad phi from the rows of Y = g(X); ok flags the rows where gr is
+    safely nonzero, ||gr|| > tol * max(1, ||g||), the others are zero."""
+    norms = np.linalg.norm(Y[:, 1:], axis=1)
+    ok = norms > tol * np.maximum(1.0, np.linalg.norm(Y, axis=1))
+    G = np.zeros((Y.shape[0], instance.n))
+    if np.any(ok):
+        unit = Y[ok, 1:] / norms[ok, None]
+        G[ok] = instance.A[0] - unit @ instance.A[1:]
+    return G, ok
+
+
 def _grad_at(instance: AffineSOCInstance, y: np.ndarray, tol: float) -> np.ndarray:
     """``grad_phi`` from y = g(x), which the caller already holds."""
-    norm_r = float(np.linalg.norm(y[1:]))
-    if norm_r <= tol * max(1.0, float(np.linalg.norm(y))):
+    G, ok = _grad_rows(instance, y[None, :], tol)
+    if not ok[0]:
         raise SingularReductionError(
-            f"gr(x) has norm {norm_r:.3e}; the scalar reduction is singular here"
+            f"gr(x) has norm {float(np.linalg.norm(y[1:])):.3e}; "
+            "the scalar reduction is singular here"
         )
-    return instance.A[0] - (y[1:] / norm_r) @ instance.A[1:]
+    return G[0]
 
 
 def grad_phi_many(
@@ -166,14 +180,7 @@ def grad_phi_many(
     gr(x) is safely nonzero, by the test of ``grad_phi``; rows with
     ok == False are zero-filled.
     """
-    Y = instance.evaluate_many(X)
-    norms = np.linalg.norm(Y[:, 1:], axis=1)
-    ok = norms > tol * np.maximum(1.0, np.linalg.norm(Y, axis=1))
-    G = np.zeros((Y.shape[0], instance.n))
-    if np.any(ok):
-        unit = Y[ok, 1:] / norms[ok, None]
-        G[ok] = instance.A[0] - unit @ instance.A[1:]
-    return G, ok
+    return _grad_rows(instance, instance.evaluate_many(X), tol)
 
 
 def analyze_point(
@@ -189,17 +196,10 @@ def analyze_point(
             f"g(x) lies outside the cone (distance {distance_to_cone(y):.3e})",
             distance_to_cone(y),
         )
-    if loc is ConeLocation.INTERIOR:
-        reduction = ReductionInfo(ReductionKind.INTERIOR_CASE)
-    elif loc is ConeLocation.ZERO:
-        reduction = ReductionInfo(ReductionKind.ZERO_CASE)
-    else:
-        reduction = ReductionInfo(
-            ReductionKind.BOUNDARY_CASE,
-            phi_value=cone_margin(y),
-            grad_phi=_grad_at(instance, y, tol),
-        )
-    return PointAnalysis(instance, x, y, loc, reduction, tol)
+    grad = None
+    if loc is ConeLocation.POSITIVE_BOUNDARY:
+        grad = _grad_at(instance, y, tol)
+    return PointAnalysis(instance, x, y, loc, grad, tol)
 
 
 class HSetKind(enum.Enum):
@@ -253,7 +253,7 @@ def linearization_cone_membership(
     if analysis.location is ConeLocation.ZERO:
         image = as_cone_vector(instance.A @ d)
         return classify_cone_point(image, tol) is not ConeLocation.OUTSIDE
-    g = analysis.reduction.grad_phi
+    g = analysis.grad_phi
     scale = max(1.0, float(np.linalg.norm(g)) * float(np.linalg.norm(d)))
     return float(g @ d) >= -tol * scale
 

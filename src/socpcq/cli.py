@@ -40,7 +40,6 @@ from .affine_instance import AffineSOCInstance
 from .cq_checker import CQReport, full_report
 from .errors import (
     InfeasiblePointError,
-    NumericalFailureError,
     ParseError,
     SocpcqError,
 )
@@ -60,6 +59,10 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
+
+#: Exit code of each error type that ``main`` reports; any other package
+#: error exits with ``EXIT_NUMERICAL``.
+_EXIT_CODES = {ParseError: EXIT_PARSE, InfeasiblePointError: EXIT_INFEASIBLE}
 
 _DEFAULT_RADII = (1e-1, 1e-2, 1e-3)
 
@@ -298,10 +301,9 @@ def cmd_scan(args) -> int:
         tol=doc.tol,
     )
     print("radius,kappa_hat,samples,discarded")
+    total = kappa.sample_count + kappa.probe_count
     for i, r in enumerate(kappa.radii):
-        total = kappa.sample_count + kappa.probe_count
-        discarded = kappa.discarded_feasible[i] + kappa.discarded_floor[i]
-        print(f"{r:g},{kappa.kappa_hat[i]:.12g},{total},{discarded}")
+        print(f"{r:g},{kappa.kappa_hat[i]:.12g},{total},{total - kappa.evaluated(i)}")
     for scan in scans:
         dims = sorted(scan.observed_dims)
         print(
@@ -473,18 +475,9 @@ def main(argv=None) -> int:
             "project": cmd_project,
         }[args.command]
         return command(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasiblePointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NumericalFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except SocpcqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _EXIT_CODES.get(type(exc), EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

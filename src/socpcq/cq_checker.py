@@ -23,10 +23,10 @@ CRCQ is not decided separately: since CRCQ <=> FCR and H-closed, its
 verdict is the decisive one of those two (H-closedness at the vertex, FCR
 elsewhere) relabeled to its Thm 4.4 clause, evidence included.
 
-Every clause reads one :class:`PointAnalysis`: the location and reduction
-of g(x), the gradient floor, and, for the vertex decisions, the image
-geometry (rank, singular values, bases, spectral class) that
-``AffineSOCInstance.geometry(tol)`` caches on the instance.  A report thus
+Every clause reads one :class:`PointAnalysis`: the location of g(x), the
+gradient of phi on the boundary, the gradient floor, and, for the vertex
+decisions, the image geometry (rank, singular values, bases, spectral
+class) that ``AffineSOCInstance.geometry(tol)`` caches on the instance.  A report thus
 costs one point analysis and at most one SVD of A, and the projector
 decides its shape with ``_rcq`` on its own reference's analysis.
 """
@@ -104,7 +104,7 @@ def _off_vertex(pa: PointAnalysis) -> Verdict:
     """Nondegeneracy and RCQ away from the vertex, where the two coincide."""
     if pa.location is ConeLocation.INTERIOR:
         return Verdict(True, "interior", {"margin": cone_margin(pa.y)})
-    g = pa.reduction.grad_phi
+    g = pa.grad_phi
     norm = float(np.linalg.norm(g))
     ev = {"grad_phi": g, "grad_norm": norm}
     if norm > pa.grad_floor:
@@ -143,7 +143,7 @@ def _fcr(pa: PointAnalysis) -> Verdict:
         return Verdict(True, "Thm3.2(i)", {"y_norm": float(np.linalg.norm(pa.y))})
     if pa.location is ConeLocation.INTERIOR:
         return Verdict(True, "Thm3.2(ii)", {"margin": cone_margin(pa.y)})
-    g = pa.reduction.grad_phi
+    g = pa.grad_phi
     norm = float(np.linalg.norm(g))
     if norm > pa.grad_floor:
         return Verdict(True, "Thm3.2(iii)", {"grad_phi": g, "grad_norm": norm})

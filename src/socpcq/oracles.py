@@ -65,6 +65,15 @@ RATIO_DISTANCE_FLOOR = 1e-12
 _PROBE_DIVISOR0 = 8.0
 _PROBE_DIVISOR_GROWTH = 30.0
 
+#: Planted probes per radius: one per 8 uniform samples, at least 16.
+_MIN_PROBES = 16
+_SAMPLES_PER_PROBE = 8
+
+#: Growth of the probe ratio between consecutive radii at or below which
+#: the modulus reads ``bounded``, and at or above which it reads ``growing``.
+_BOUNDED_MAX_GROWTH = 2.0
+_GROWING_MIN_GROWTH = 10.0
+
 
 # ---------------------------------------------------------------------------
 # records
@@ -164,7 +173,6 @@ def mscq_kappa_scan(
     radii=(1e-1, 1e-2, 1e-3),
     samples_per_radius: int = 200,
     seed: int = 0,
-    probes_per_radius: Optional[int] = None,
     tol: float = DEFAULT_TOL,
 ) -> KappaScan:
     """Empirical error-bound moduli in shrinking balls around ``xbar``.
@@ -194,10 +202,9 @@ def mscq_kappa_scan(
     samples_per_radius = int(samples_per_radius)
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be positive")
-    if probes_per_radius is None:
-        probes_per_radius = max(16, samples_per_radius // 8)
     n = instance.n
-    S, P, k = samples_per_radius, probes_per_radius, len(radii)
+    S, k = samples_per_radius, len(radii)
+    P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
 
     rng = np.random.default_rng(seed)
     dirs, radial = _uniform_ball_directions(rng, S, n)
@@ -269,9 +276,7 @@ def mscq_kappa_scan(
     )
 
 
-def classify_kappa_growth(
-    scan: KappaScan, bounded_max: float = 2.0, growing_min: float = 10.0
-) -> str:
+def classify_kappa_growth(scan: KappaScan) -> str:
     """``bounded`` / ``growing`` / ``inconclusive`` from consecutive ratios.
 
     The primary signal compares each planted probe against itself one
@@ -295,9 +300,9 @@ def classify_kappa_growth(
             if not np.any(both):
                 continue
             growth = float(np.max(P[i + 1][both] / P[i][both]))
-            if growth >= growing_min:
+            if growth >= _GROWING_MIN_GROWTH:
                 return "growing"
-            if growth <= bounded_max:
+            if growth <= _BOUNDED_MAX_GROWTH:
                 return "bounded"
             return "inconclusive"
     pairs = [
@@ -311,9 +316,9 @@ def classify_kappa_growth(
         return "inconclusive"
     i = pairs[-1]
     ratio = scan.kappa_hat[i + 1] / scan.kappa_hat[i]
-    if ratio >= growing_min:
+    if ratio >= _GROWING_MIN_GROWTH:
         return "growing"
-    if ratio <= bounded_max:
+    if ratio <= _BOUNDED_MAX_GROWTH:
         return "bounded"
     return "inconclusive"
 
@@ -405,10 +410,13 @@ def dim_scan_consistent(scans: list[DimScan]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: Random-step polishing rounds per candidate of the brute-force classifier.
+_REFINEMENT_STEPS = 200
+
+
 def brute_force_subspace_class(
     A: np.ndarray,
     samples: int = 4096,
-    refinement_steps: int = 200,
     seed: int = 0,
 ) -> SubspaceConeClass:
     """Classify Im(A) against the cone by maximizing the margin numerically.
@@ -440,7 +448,7 @@ def brute_force_subspace_class(
     for idx in order:
         z, fz = Z[idx], float(margin_of(Z[idx][None, :])[0])
         step = 0.5
-        for _ in range(refinement_steps):
+        for _ in range(_REFINEMENT_STEPS):
             cand = z[None, :] + step * rng.standard_normal((24, k))
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             cv = margin_of(cand)
@@ -606,13 +614,16 @@ def _self_check(instance, xbar, target, tol) -> bool:
     return True
 
 
+#: Candidate draws before ``random_instance`` gives up on a stratum.
+_MAX_RETRIES = 32
+
+
 def random_instance(
     m: int,
     n: int,
     target_case: str,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_retries: int = 32,
 ) -> tuple[AffineSOCInstance, np.ndarray]:
     """A random (instance, feasible point) pair realizing the given stratum.
 
@@ -630,13 +641,13 @@ def random_instance(
     if n < _MIN_N.get(target_case, 1):
         raise GenerationError(f"{target_case} requires n >= {_MIN_N[target_case]}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         instance, xbar = _build_candidate(rng, m, n, target_case)
         if _self_check(instance, xbar, target_case, tol):
             return instance, xbar
     raise GenerationError(
         f"failed to realize target case {target_case} with m={m}, n={n} "
-        f"after {max_retries} attempts"
+        f"after {_MAX_RETRIES} attempts"
     )
 
 

@@ -122,7 +122,7 @@ import numpy as np
 
 from .affine_instance import AffineSOCInstance, analyze_point, phi
 from .cq_checker import _rcq
-from .errors import DimensionError, NumericalFailureError
+from .errors import NumericalFailureError
 from .soc_core import (
     DEFAULT_TOL,
     ConeLocation,
@@ -317,13 +317,7 @@ class FeasibleSetProjector:
 
         X must be (N, n) and finite; anything else raises ``DimensionError``.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.ndim != 2 or X.shape[1] != self.instance.n:
-            raise DimensionError(
-                f"points have shape {X.shape}, expected (N, {self.instance.n})"
-            )
-        if not np.all(np.isfinite(X)):
-            raise DimensionError("points have non-finite entries")
+        X = self.instance._point_rows(X)
         if self.geometry is _Geometry.SLATER:
             return self._project_slater(X, tol)
         R = X - self.reference
@@ -603,7 +597,7 @@ def _image_maps(instance: AffineSOCInstance, tol: float) -> _ImageMaps:
     ray = None
     if geo.kind is SubspaceKind.MEETS_INTERIOR:
         d = geo.witness @ pinv_t
-        margin = float(margins((instance.A @ d)[None, :])[0])
+        margin = cone_margin(instance.A @ d)
         if margin > 0.0:
             ray = d / margin
     return _ImageMaps(geo, pinv_t, np.eye(instance.m) - U @ U.T, ray)
@@ -680,8 +674,7 @@ def project_to_feasible_set(
     :class:`FeasibleSetProjector`).
     """
     x = instance.point(x)
-    y = instance.evaluate(x)
-    if float(y[0] - np.linalg.norm(y[1:])) >= 0.0:
+    if phi(instance, x) >= 0.0:
         return x.copy(), 0.0
     if reference is None:
         reference = _search_feasible_reference(instance, geometry_tol)

@@ -71,8 +71,7 @@ def reflected(y: np.ndarray) -> np.ndarray:
 
 def cone_margin(y) -> float:
     """y0 - ||yr||; nonnegative exactly on the cone."""
-    y = as_cone_vector(y)
-    return float(y[0] - np.linalg.norm(y[1:]))
+    return float(_margin_rows(as_cone_vector(y)[None, :])[0])
 
 
 def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
@@ -90,7 +89,7 @@ def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
     scale = max(1.0, norm_y)
     if norm_y <= tol * scale:
         return ConeLocation.ZERO
-    margin = float(y[0] - np.linalg.norm(y[1:]))
+    margin = float(_margin_rows(y[None, :])[0])
     if abs(margin) <= tol * scale and y[0] > tol:
         return ConeLocation.POSITIVE_BOUNDARY
     if margin > 0.0:
@@ -104,28 +103,12 @@ def distance_to_cone(y) -> float:
     Zero on the cone, ||y|| on the polar cone -Q_m, and
     sqrt(1/2) * (||yr|| - y0) in the ambient region between them.
     """
-    y = as_cone_vector(y)
-    norm_r = float(np.linalg.norm(y[1:]))
-    if y[0] >= norm_r:
-        return 0.0
-    if -y[0] >= norm_r:
-        return float(np.linalg.norm(y))
-    return _SQRT_HALF * (norm_r - y[0])
+    return float(_distance_rows(as_cone_vector(y)[None, :])[0])
 
 
 def project_to_cone(y) -> np.ndarray:
     """Euclidean projection of ``y`` onto Q_m (exact, closed form)."""
-    y = as_cone_vector(y)
-    norm_r = float(np.linalg.norm(y[1:]))
-    if y[0] >= norm_r:
-        return y.copy()
-    if -y[0] >= norm_r:
-        return np.zeros_like(y)
-    coef = 0.5 * (y[0] + norm_r)
-    out = np.empty_like(y)
-    out[0] = coef
-    out[1:] = (coef / norm_r) * y[1:]
-    return out
+    return _projection_rows(as_cone_vector(y)[None, :])[0]
 
 
 def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
@@ -173,8 +156,36 @@ def normal_cone_descriptor(y, tol: float = DEFAULT_TOL) -> NormalConeDescriptor:
 
 
 # ----------------------------------------------------------------------
-# Batched variants.  The sampling oracles push thousands of points through
-# these per call, so they accept (N, m) arrays and stay allocation-light.
+# Row kernels.  Each formula is written once, for an (N, m) array; the
+# scalar functions above run it on one row.  The sampling oracles push
+# thousands of points through the batched names per call.
+
+def _margin_rows(Y: np.ndarray) -> np.ndarray:
+    return Y[:, 0] - np.linalg.norm(Y[:, 1:], axis=1)
+
+
+def _distance_rows(Y: np.ndarray) -> np.ndarray:
+    norm_r = np.linalg.norm(Y[:, 1:], axis=1)
+    out = _SQRT_HALF * (norm_r - Y[:, 0])
+    out[Y[:, 0] >= norm_r] = 0.0
+    polar = -Y[:, 0] >= norm_r
+    if np.any(polar):
+        out[polar] = np.linalg.norm(Y[polar], axis=1)
+    return out
+
+
+def _projection_rows(Y: np.ndarray) -> np.ndarray:
+    out = Y.copy()
+    norm_r = np.linalg.norm(Y[:, 1:], axis=1)
+    polar = -Y[:, 0] >= norm_r
+    out[polar] = 0.0
+    mid = ~polar & (Y[:, 0] < norm_r)
+    if np.any(mid):
+        coef = 0.5 * (Y[mid, 0] + norm_r[mid])
+        out[mid, 0] = coef
+        out[mid, 1:] = (coef / norm_r[mid])[:, None] * Y[mid, 1:]
+    return out
+
 
 def _as_cone_rows(Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
@@ -187,32 +198,14 @@ def _as_cone_rows(Y) -> np.ndarray:
 
 def margins(Y: np.ndarray) -> np.ndarray:
     """Row-wise cone margins y0 - ||yr|| for an (N, m) array."""
-    Y = _as_cone_rows(Y)
-    return Y[:, 0] - np.linalg.norm(Y[:, 1:], axis=1)
+    return _margin_rows(_as_cone_rows(Y))
 
 
 def distances_to_cone(Y: np.ndarray) -> np.ndarray:
     """Row-wise distances to Q_m for an (N, m) array."""
-    Y = _as_cone_rows(Y)
-    norm_r = np.linalg.norm(Y[:, 1:], axis=1)
-    out = _SQRT_HALF * (norm_r - Y[:, 0])
-    out[Y[:, 0] >= norm_r] = 0.0
-    polar = -Y[:, 0] >= norm_r
-    if np.any(polar):
-        out[polar] = np.linalg.norm(Y[polar], axis=1)
-    return out
+    return _distance_rows(_as_cone_rows(Y))
 
 
 def projections_to_cone(Y: np.ndarray) -> np.ndarray:
     """Row-wise projections onto Q_m for an (N, m) array."""
-    Y = _as_cone_rows(Y)
-    out = Y.copy()
-    norm_r = np.linalg.norm(Y[:, 1:], axis=1)
-    polar = -Y[:, 0] >= norm_r
-    out[polar] = 0.0
-    mid = ~polar & (Y[:, 0] < norm_r)
-    if np.any(mid):
-        coef = 0.5 * (Y[mid, 0] + norm_r[mid])
-        out[mid, 0] = coef
-        out[mid, 1:] = (coef / norm_r[mid])[:, None] * Y[mid, 1:]
-    return out
+    return _projection_rows(_as_cone_rows(Y))

@@ -6,9 +6,10 @@ import pytest
 from socpcq import (
     AffineSOCInstance,
     ConeLocation,
+    FeasibleSetProjector,
     HSetKind,
-    ReductionKind,
     analyze_point,
+    cone_margin,
     grad_phi,
     h_set_description,
     linearization_cone_membership,
@@ -93,17 +94,45 @@ def test_grad_phi_many_flags_singular_rows():
 def test_analyze_point_locations():
     a = analyze_point(HALFPLANE, [2.0, 7.0, 0.0])
     assert a.location is ConeLocation.POSITIVE_BOUNDARY
-    assert a.reduction.kind is ReductionKind.BOUNDARY_CASE
-    assert a.reduction.phi_value == pytest.approx(0.0, abs=1e-12)
+    assert a.grad_phi is not None
+    assert cone_margin(a.y) == pytest.approx(0.0, abs=1e-12)
 
     a = analyze_point(HALFPLANE, [0.0, -3.0, 0.0])
     assert a.location is ConeLocation.ZERO
-    assert a.reduction.kind is ReductionKind.ZERO_CASE
+    assert a.grad_phi is None
 
     interior = AffineSOCInstance(np.eye(2), np.array([2.0, 0.0]))
     a = analyze_point(interior, [0.0, 0.5])
     assert a.location is ConeLocation.INTERIOR
-    assert a.reduction.kind is ReductionKind.INTERIOR_CASE
+    assert a.grad_phi is None
+
+
+_IDENTITY = AffineSOCInstance(np.eye(3), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "batch_call",
+    [
+        _IDENTITY.evaluate_many,
+        lambda X: grad_phi_many(_IDENTITY, X),
+        FeasibleSetProjector(_IDENTITY, np.array([1.0, 0.0, 0.0])).project_batch,
+    ],
+    ids=["evaluate_many", "grad_phi_many", "project_batch"],
+)
+@pytest.mark.parametrize(
+    "X",
+    [
+        [[np.nan, 0.0, 0.0], [1.0, 1.0, 0.0]],
+        [[np.inf, 0.0, 0.0], [1.0, 1.0, 0.0]],
+        [[-np.inf, 0.0, 0.0], [1.0, 1.0, 0.0]],
+        np.ones((2, 2)),
+        np.ones((2, 2, 3)),
+    ],
+    ids=["nan-row", "inf-row", "-inf-row", "wrong-width", "3-d-stack"],
+)
+def test_batched_calls_reject_malformed_rows(batch_call, X):
+    with pytest.raises(DimensionError):
+        batch_call(X)
 
 
 def test_analyze_point_rejects_infeasible():
@@ -164,7 +193,7 @@ def test_boundary_analysis_evaluates_g_once(monkeypatch):
     monkeypatch.setattr(AffineSOCInstance, "evaluate", counting_evaluate)
     analysis = analyze_point(HALFPLANE, [1.0, 0.0, 0.0])
     assert analysis.location is ConeLocation.POSITIVE_BOUNDARY
-    assert analysis.reduction.grad_phi is not None
+    assert analysis.grad_phi is not None
     assert len(calls) == 1
 
 

@@ -118,14 +118,19 @@ def test_projection_variational_inequality(m):
 
 
 def test_batched_matches_scalar():
-    Y = RNG.standard_normal((64, 5))
-    P = projections_to_cone(Y)
-    D = distances_to_cone(Y)
-    M = margins(Y)
-    for i in range(Y.shape[0]):
-        np.testing.assert_allclose(P[i], project_to_cone(Y[i]))
-        assert D[i] == pytest.approx(distance_to_cone(Y[i]), abs=1e-14)
-        assert M[i] == pytest.approx(cone_margin(Y[i]), abs=1e-14)
+    # The scalar functions run the batched formula on one row, so they agree
+    # to the last bit, on polar rows and the vertex too.
+    for m in (2, 5):
+        Y = RNG.standard_normal((64, m))
+        Y[:8, 0] = -np.linalg.norm(Y[:8, 1:], axis=1) - np.abs(Y[:8, 0])
+        Y[8:12] = 0.0
+        P = projections_to_cone(Y)
+        D = distances_to_cone(Y)
+        M = margins(Y)
+        for i in range(Y.shape[0]):
+            assert np.array_equal(P[i], project_to_cone(Y[i]))
+            assert D[i] == distance_to_cone(Y[i])
+            assert M[i] == cone_margin(Y[i])
 
 
 # ---------------------------------------------------------------------------
