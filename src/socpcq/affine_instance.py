@@ -31,19 +31,23 @@ from .subspace_cone import SubspaceConeClass, classify_image_vs_cone
 class AffineSOCInstance:
     """The constraint data: A is m-by-n, b in R^m, feasibility is Ax+b in Q_m.
 
-    The data is treated as immutable: ``geometry`` memoizes the spectral
-    geometry of Im(A) on the instance.
+    ``tol`` is the one tolerance of every decision on the instance and its
+    points: the cone location of g(x), ranks and the spectral class of
+    Im(A), and the gradient floor.  The data is treated as immutable:
+    ``geometry`` memoizes the spectral geometry of Im(A) on the instance.
     """
 
     A: np.ndarray
     b: np.ndarray
-    _geometry: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    tol: float = DEFAULT_TOL
+    _geometry: Optional[SubspaceConeClass] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
+        tol = float(self.tol)
         if A.ndim != 2:
             raise DimensionError(f"A must be a matrix, got shape {A.shape}")
         m, n = A.shape
@@ -57,8 +61,11 @@ class AffineSOCInstance:
             raise DimensionError(f"b has shape {b.shape}, expected ({m},)")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise DimensionError("instance data has non-finite entries")
+        if not (np.isfinite(tol) and tol > 0.0):
+            raise DimensionError(f"tol must be positive and finite, got {tol!r}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "tol", tol)
 
     @property
     def m(self) -> int:
@@ -68,12 +75,13 @@ class AffineSOCInstance:
     def n(self) -> int:
         return self.A.shape[1]
 
-    def geometry(self, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
-        """Im(A) against the cone, with its SVD; computed once per ``tol``."""
-        tol = float(tol)
-        if tol not in self._geometry:
-            self._geometry[tol] = classify_image_vs_cone(self.A, tol)
-        return self._geometry[tol]
+    def geometry(self) -> SubspaceConeClass:
+        """Im(A) against the cone at ``tol``, with its SVD; computed once."""
+        if self._geometry is None:
+            object.__setattr__(
+                self, "_geometry", classify_image_vs_cone(self.A, self.tol)
+            )
+        return self._geometry
 
     def point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -108,13 +116,13 @@ class AffineSOCInstance:
 class PointAnalysis:
     """Everything a feasible point is judged by, computed once.
 
-    Holds g(x) = y, its location in the cone, the gradient of the scalar
-    reduction phi on the positive boundary (None elsewhere) and the
-    tolerance of the analysis.  The six qualification checks, the
-    projector's shape decision and the face-dimension scan all read this one
-    record: ``geometry`` is the image geometry of A that the instance
-    memoizes at ``tol``, and ``grad_floor`` = tol * max(1, ||A||_F) is the
-    norm below which a gradient of phi, or a residual of A, counts as zero.
+    Holds g(x) = y, its location in the cone and the gradient of the scalar
+    reduction phi on the positive boundary (None elsewhere), all decided at
+    the instance's ``tol``.  The six qualification checks, the projector's
+    shape decision and the face-dimension scan all read this one record:
+    ``geometry`` is the image geometry of A that ``instance.geometry()``
+    memoizes, and ``grad_floor`` = tol * max(1, ||A||_F) is the norm below
+    which a gradient of phi, or a residual of A, counts as zero.
     """
 
     instance: AffineSOCInstance
@@ -122,15 +130,14 @@ class PointAnalysis:
     y: np.ndarray
     location: ConeLocation
     grad_phi: Optional[np.ndarray]
-    tol: float = DEFAULT_TOL
 
     @property
     def geometry(self) -> SubspaceConeClass:
-        return self.instance.geometry(self.tol)
+        return self.instance.geometry()
 
     @property
     def grad_floor(self) -> float:
-        return self.tol * max(1.0, float(np.linalg.norm(self.instance.A)))
+        return self.instance.tol * max(1.0, float(np.linalg.norm(self.instance.A)))
 
 
 def phi(instance: AffineSOCInstance, x) -> float:
@@ -138,21 +145,21 @@ def phi(instance: AffineSOCInstance, x) -> float:
     return cone_margin(instance.evaluate(x))
 
 
-def grad_phi(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> np.ndarray:
+def grad_phi(instance: AffineSOCInstance, x) -> np.ndarray:
     """Gradient of phi at x: A0 - (gr(x)/||gr(x)||)^T Ar.
 
     Defined only where gr(x) is safely nonzero.
     """
-    return _grad_at(instance, instance.evaluate(x), tol)
+    return _grad_at(instance, instance.evaluate(x))
 
 
 def _grad_rows(
-    instance: AffineSOCInstance, Y: np.ndarray, tol: float
+    instance: AffineSOCInstance, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """grad phi from the rows of Y = g(X); ok flags the rows where gr is
     safely nonzero, ||gr|| > tol * max(1, ||g||), the others are zero."""
     norms = np.linalg.norm(Y[:, 1:], axis=1)
-    ok = norms > tol * np.maximum(1.0, np.linalg.norm(Y, axis=1))
+    ok = norms > instance.tol * np.maximum(1.0, np.linalg.norm(Y, axis=1))
     G = np.zeros((Y.shape[0], instance.n))
     if np.any(ok):
         unit = Y[ok, 1:] / norms[ok, None]
@@ -160,9 +167,9 @@ def _grad_rows(
     return G, ok
 
 
-def _grad_at(instance: AffineSOCInstance, y: np.ndarray, tol: float) -> np.ndarray:
+def _grad_at(instance: AffineSOCInstance, y: np.ndarray) -> np.ndarray:
     """``grad_phi`` from y = g(x), which the caller already holds."""
-    G, ok = _grad_rows(instance, y[None, :], tol)
+    G, ok = _grad_rows(instance, y[None, :])
     if not ok[0]:
         raise SingularReductionError(
             f"gr(x) has norm {float(np.linalg.norm(y[1:])):.3e}; "
@@ -172,7 +179,7 @@ def _grad_at(instance: AffineSOCInstance, y: np.ndarray, tol: float) -> np.ndarr
 
 
 def grad_phi_many(
-    instance: AffineSOCInstance, X: np.ndarray, tol: float = DEFAULT_TOL
+    instance: AffineSOCInstance, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise grad phi for an (N, n) array.
 
@@ -180,17 +187,14 @@ def grad_phi_many(
     gr(x) is safely nonzero, by the test of ``grad_phi``; rows with
     ok == False are zero-filled.
     """
-    return _grad_rows(instance, instance.evaluate_many(X), tol)
+    return _grad_rows(instance, instance.evaluate_many(X))
 
 
-def analyze_point(
-    instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL
-) -> PointAnalysis:
+def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
     """Classify g(x) and cache the reduction data; rejects infeasible points."""
-    tol = float(tol)
     x = instance.point(x)
     y = instance.evaluate(x)
-    loc = classify_cone_point(y, tol)
+    loc = classify_cone_point(y, instance.tol)
     if loc is ConeLocation.OUTSIDE:
         raise InfeasiblePointError(
             f"g(x) lies outside the cone (distance {distance_to_cone(y):.3e})",
@@ -198,8 +202,8 @@ def analyze_point(
         )
     grad = None
     if loc is ConeLocation.POSITIVE_BOUNDARY:
-        grad = _grad_at(instance, y, tol)
-    return PointAnalysis(instance, x, y, loc, grad, tol)
+        grad = _grad_at(instance, y)
+    return PointAnalysis(instance, x, y, loc, grad)
 
 
 class HSetKind(enum.Enum):
@@ -223,10 +227,8 @@ class HSetDescription:
     closed: Optional[bool] = None
 
 
-def h_set_description(
-    instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL
-) -> HSetDescription:
-    return _h_set(analyze_point(instance, x, tol))
+def h_set_description(instance: AffineSOCInstance, x) -> HSetDescription:
+    return _h_set(analyze_point(instance, x))
 
 
 def _h_set(analysis: PointAnalysis) -> HSetDescription:
@@ -238,11 +240,9 @@ def _h_set(analysis: PointAnalysis) -> HSetDescription:
     return HSetDescription(HSetKind.RAY_IMAGE, generator=gen)
 
 
-def linearization_cone_membership(
-    instance: AffineSOCInstance, x, d, tol: float = DEFAULT_TOL
-) -> bool:
+def linearization_cone_membership(instance: AffineSOCInstance, x, d) -> bool:
     """Is ``d`` in the linearized feasible cone at the feasible point ``x``?"""
-    analysis = analyze_point(instance, x, tol)
+    analysis = analyze_point(instance, x)
     d = np.asarray(d, dtype=float)
     if d.shape != (instance.n,):
         raise DimensionError(f"direction has shape {d.shape}, expected ({instance.n},)")
@@ -252,10 +252,10 @@ def linearization_cone_membership(
         return True
     if analysis.location is ConeLocation.ZERO:
         image = as_cone_vector(instance.A @ d)
-        return classify_cone_point(image, tol) is not ConeLocation.OUTSIDE
+        return classify_cone_point(image, instance.tol) is not ConeLocation.OUTSIDE
     g = analysis.grad_phi
     scale = max(1.0, float(np.linalg.norm(g)) * float(np.linalg.norm(d)))
-    return float(g @ d) >= -tol * scale
+    return float(g @ d) >= -instance.tol * scale
 
 
 @dataclass(frozen=True)
@@ -272,14 +272,14 @@ class VanishingCertificate:
 
 
 def vanishing_reduction_test(
-    instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL
+    instance: AffineSOCInstance, x
 ) -> Optional[VanishingCertificate]:
     """Certificate that phi vanishes on a neighborhood of the boundary point x.
 
     For affine g this happens exactly when every column of A is parallel to
     g(x); the factorization is then read off the first row of (A, b).
     """
-    analysis = analyze_point(instance, x, tol)
+    analysis = analyze_point(instance, x)
     if analysis.location is not ConeLocation.POSITIVE_BOUNDARY:
         raise InfeasiblePointError(
             "vanishing reduction is only defined on the positive boundary",

@@ -69,15 +69,11 @@ _DEFAULT_RADII = (1e-1, 1e-2, 1e-3)
 
 @dataclass
 class InstanceDocument:
-    m: int
-    n: int
+    """A parsed document; its ``tol`` is the instance's own."""
+
     instance: AffineSOCInstance
     points: dict[str, np.ndarray]
     tolerances: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def tol(self) -> float:
-        return float(self.tolerances.get("tol", DEFAULT_TOL))
 
     @property
     def projection_tol(self) -> float:
@@ -87,6 +83,11 @@ class InstanceDocument:
 def _require(condition: bool, message: str):
     if not condition:
         raise ParseError(message)
+
+
+def _is_number(value, kinds) -> bool:
+    """``isinstance(value, kinds)``, but a JSON ``true``/``false`` is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def parse_instance(path: str) -> InstanceDocument:
@@ -106,7 +107,7 @@ def instance_document_from_dict(raw: Any) -> InstanceDocument:
     for key in ("m", "n", "A", "b", "points"):
         _require(key in raw, f"missing field {key!r}")
     m, n = raw["m"], raw["n"]
-    _require(isinstance(m, int) and isinstance(n, int), "fields m, n must be integers")
+    _require(_is_number(m, int) and _is_number(n, int), "fields m, n must be integers")
     _require(m >= 2, f"m must be at least 2, got {m}")
     _require(n >= 1, f"n must be at least 1, got {n}")
     A = np.asarray(raw["A"], dtype=float)
@@ -127,17 +128,18 @@ def instance_document_from_dict(raw: Any) -> InstanceDocument:
     tolerances = {}
     for key, value in raw.get("tolerances", {}).items():
         _require(
-            isinstance(value, (int, float)) and np.isfinite(value) and value > 0,
+            _is_number(value, (int, float)) and np.isfinite(value) and value > 0,
             f"tolerance {key!r} must be a positive finite number",
         )
         tolerances[key] = float(value)
-    return InstanceDocument(m, n, AffineSOCInstance(A, b), points, tolerances)
+    instance = AffineSOCInstance(A, b, tolerances.get("tol", DEFAULT_TOL))
+    return InstanceDocument(instance, points, tolerances)
 
 
 def serialize_instance(doc: InstanceDocument) -> dict:
     out: dict[str, Any] = {
-        "m": doc.m,
-        "n": doc.n,
+        "m": doc.instance.m,
+        "n": doc.instance.n,
         "A": doc.instance.A.tolist(),
         "b": doc.instance.b.tolist(),
         "points": {name: v.tolist() for name, v in doc.points.items()},
@@ -200,7 +202,7 @@ def report_to_dict(doc: InstanceDocument, name: str, report: CQReport) -> dict:
         "version": __version__,
         "instance": serialize_instance(doc),
         "point": {"name": name, "x": analysis.x.tolist()},
-        "tolerances": {"tol": doc.tol, "projection_tol": doc.projection_tol},
+        "tolerances": {"tol": doc.instance.tol, "projection_tol": doc.projection_tol},
         "feasible": True,
         "location": analysis.location.value,
         "g_of_x": analysis.y.tolist(),
@@ -259,7 +261,7 @@ def cmd_analyze(args) -> int:
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     try:
-        report = full_report(doc.instance, x, doc.tol)
+        report = full_report(doc.instance, x)
     except InfeasiblePointError as exc:
         payload = {
             "schema": "socpcq.report/1",
@@ -289,16 +291,13 @@ def cmd_scan(args) -> int:
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     radii = _parse_radii(args.radii)
-    scans = fcr_dim_scan(
-        doc.instance, x, args.dim_radius, args.samples, args.seed, tol=doc.tol
-    )
+    if args.samples < 1:
+        raise ParseError("--samples must be at least 1")
+    if not (np.isfinite(args.dim_radius) and args.dim_radius > 0):
+        raise ParseError("--dim-radius must be a positive finite number")
+    scans = fcr_dim_scan(doc.instance, x, args.dim_radius, args.samples, args.seed)
     kappa = mscq_kappa_scan(
-        doc.instance,
-        x,
-        radii=radii,
-        samples_per_radius=args.samples,
-        seed=args.seed,
-        tol=doc.tol,
+        doc.instance, x, radii=radii, samples_per_radius=args.samples, seed=args.seed
     )
     print("radius,kappa_hat,samples,discarded")
     total = kappa.sample_count + kappa.probe_count
@@ -371,13 +370,13 @@ def cmd_project(args) -> int:
         (
             p
             for p in doc.points.values()
-            if classify_cone_point(instance.evaluate(p), doc.tol)
+            if classify_cone_point(instance.evaluate(p), instance.tol)
             is not ConeLocation.OUTSIDE
         ),
         None,
     )
     z, dist = project_to_feasible_set(
-        instance, x, doc.projection_tol, reference=reference, geometry_tol=doc.tol
+        instance, x, doc.projection_tol, reference=reference
     )
     dist_g = distance_to_cone(doc.instance.evaluate(x))
     print(f"z = {z.tolist()}")
@@ -393,6 +392,12 @@ def _parse_radii(text: str) -> tuple[float, ...]:
         raise ParseError(f"invalid --radii value {text!r}") from exc
     if not radii:
         raise ParseError("--radii must contain at least one radius")
+    if not all(np.isfinite(r) and r > 0 for r in radii) or any(
+        a <= b for a, b in zip(radii, radii[1:])
+    ):
+        raise ParseError(
+            f"--radii must be positive, finite and strictly decreasing, got {text!r}"
+        )
     return radii
 
 

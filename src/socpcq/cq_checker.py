@@ -26,9 +26,10 @@ elsewhere) relabeled to its Thm 4.4 clause, evidence included.
 Every clause reads one :class:`PointAnalysis`: the location of g(x), the
 gradient of phi on the boundary, the gradient floor, and, for the vertex
 decisions, the image geometry (rank, singular values, bases, spectral
-class) that ``AffineSOCInstance.geometry(tol)`` caches on the instance.  A report thus
-costs one point analysis and at most one SVD of A, and the projector
-decides its shape with ``_rcq`` on its own reference's analysis.
+class) that ``AffineSOCInstance.geometry()`` caches on the instance, all
+decided at the instance's ``tol``.  A report thus costs one point analysis
+and at most one SVD of A, and the projector decides its shape with
+``_rcq`` on its own reference's analysis.
 """
 
 from __future__ import annotations
@@ -255,29 +256,29 @@ def _mscq(pa: PointAnalysis, crcq: Verdict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def check_nondegeneracy(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _nondegeneracy(analyze_point(instance, x, tol))
+def check_nondegeneracy(instance: AffineSOCInstance, x) -> Verdict:
+    return _nondegeneracy(analyze_point(instance, x))
 
 
-def check_rcq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _rcq(analyze_point(instance, x, tol))
+def check_rcq(instance: AffineSOCInstance, x) -> Verdict:
+    return _rcq(analyze_point(instance, x))
 
 
-def check_fcr(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _fcr(analyze_point(instance, x, tol))
+def check_fcr(instance: AffineSOCInstance, x) -> Verdict:
+    return _fcr(analyze_point(instance, x))
 
 
-def check_h_closed(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    return _h_closed(analyze_point(instance, x, tol))
+def check_h_closed(instance: AffineSOCInstance, x) -> Verdict:
+    return _h_closed(analyze_point(instance, x))
 
 
-def check_crcq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    pa = analyze_point(instance, x, tol)
+def check_crcq(instance: AffineSOCInstance, x) -> Verdict:
+    pa = analyze_point(instance, x)
     return _crcq(pa, _fcr(pa), _h_closed(pa))
 
 
-def check_mscq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verdict:
-    pa = analyze_point(instance, x, tol)
+def check_mscq(instance: AffineSOCInstance, x) -> Verdict:
+    pa = analyze_point(instance, x)
     return _mscq(pa, _crcq(pa, _fcr(pa), _h_closed(pa)))
 
 
@@ -285,9 +286,9 @@ def check_mscq(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> Verd
 _DERIVED_CLAIMS = ("T_Omega(xbar) = L_Omega(xbar)", "N_Omega(xbar) = H(xbar)")
 
 
-def full_report(instance: AffineSOCInstance, x, tol: float = DEFAULT_TOL) -> CQReport:
+def full_report(instance: AffineSOCInstance, x) -> CQReport:
     """All six verdicts at a feasible point, with consistency enforced."""
-    pa = analyze_point(instance, x, tol)
+    pa = analyze_point(instance, x)
     fcr = _fcr(pa)
     h_closed = _h_closed(pa)
     crcq = _crcq(pa, fcr, h_closed)

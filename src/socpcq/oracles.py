@@ -39,7 +39,7 @@ from .affine_instance import AffineSOCInstance, analyze_point, grad_phi_many
 from .cq_checker import check_crcq, full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
 from .projection import FeasibleSetProjector
-from .soc_core import DEFAULT_TOL, ConeLocation, distances_to_cone, margins
+from .soc_core import ConeLocation, distances_to_cone, margins
 from .subspace_cone import SubspaceConeClass, SubspaceKind, _rank_of, image_basis
 
 __all__ = [
@@ -173,7 +173,6 @@ def mscq_kappa_scan(
     radii=(1e-1, 1e-2, 1e-3),
     samples_per_radius: int = 200,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> KappaScan:
     """Empirical error-bound moduli in shrinking balls around ``xbar``.
 
@@ -189,10 +188,10 @@ def mscq_kappa_scan(
     All radii go through the projector together, in at most two certified
     batches: the probe bases of every radius, then every kept uniform
     point and probe.  A ``NumericalFailureError`` therefore reports the
-    worst gap across all radii.  ``tol`` is the tolerance of the
-    projector, whose construction is also the scan's one point analysis.
+    worst gap across all radii.  The projector's construction is also the
+    scan's one point analysis.
     """
-    projector = FeasibleSetProjector(instance, xbar, tol)
+    projector = FeasibleSetProjector(instance, xbar)
     center = projector.reference
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(
@@ -344,7 +343,6 @@ def fcr_dim_scan(
     samples: int = 512,
     seed: int = 0,
     rays: int = 8,
-    tol: float = DEFAULT_TOL,
 ) -> list[DimScan]:
     """Observed dims of the face-orthogonal images over a sampled ball.
 
@@ -354,7 +352,7 @@ def fcr_dim_scan(
     always included), or the vertex cone's zero face, full face, and a few
     sampled boundary-ray faces.
     """
-    analysis = analyze_point(instance, xbar, tol)
+    analysis = analyze_point(instance, xbar)
     rng = np.random.default_rng(seed)
     center = analysis.x
     n = instance.n
@@ -367,7 +365,7 @@ def fcr_dim_scan(
     if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
         dirs, radial = _uniform_ball_directions(rng, samples, n)
         X = np.vstack([center[None, :], center + dirs * (radius * radial)[:, None]])
-        G, ok = grad_phi_many(instance, X, tol)
+        G, ok = grad_phi_many(instance, X)
         discarded = int(np.count_nonzero(~ok))
         norms = np.linalg.norm(G[ok], axis=1)
         dims = frozenset(int(v) for v in (norms > analysis.grad_floor).astype(int))
@@ -392,10 +390,8 @@ def fcr_dim_scan(
     if restricted:
         sigmas = np.linalg.svd(np.stack(restricted), compute_uv=False)
         out.extend(
-            DimScan(
-                f"SampledRay({i})", frozenset({_rank_of(s, tol)}), samples, int(seed)
-            )
-            for i, s in enumerate(sigmas)
+            DimScan(f"SampledRay({i})", frozenset({k}), samples, int(seed))
+            for i, k in enumerate(_rank_of(s, instance.tol) for s in sigmas)
         )
     return out
 
@@ -588,7 +584,7 @@ _FAILING_AT = {
 }
 
 
-def _self_check(instance, xbar, target, tol) -> bool:
+def _self_check(instance, xbar, target) -> bool:
     """Does the draw realize ``target``?
 
     The CRCQ label decides the stratum; only what the label leaves open is
@@ -596,7 +592,7 @@ def _self_check(instance, xbar, target, tol) -> bool:
     the tolerance band at the vertex, rank >= 1 for (v) and the gradient
     margin of (ii).
     """
-    crcq = check_crcq(instance, xbar, tol)
+    crcq = check_crcq(instance, xbar)
     if crcq.condition != (None if target in _FAILING_AT else target):
         return False
     if target == "Thm4.4(ii)":
@@ -605,11 +601,11 @@ def _self_check(instance, xbar, target, tol) -> bool:
             1.0, float(np.linalg.norm(instance.A))
         )
     if target in _FAILING_AT:
-        loc = analyze_point(instance, xbar, tol).location
+        loc = analyze_point(instance, xbar).location
         if loc is not _FAILING_AT[target]:
             return False
     if target in ("Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"):
-        cls = instance.geometry(tol)
+        cls = instance.geometry()
         return not cls.marginal and (target != "Thm4.4(v)" or cls.rank >= 1)
     return True
 
@@ -623,7 +619,6 @@ def random_instance(
     n: int,
     target_case: str,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[AffineSOCInstance, np.ndarray]:
     """A random (instance, feasible point) pair realizing the given stratum.
 
@@ -643,7 +638,7 @@ def random_instance(
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         instance, xbar = _build_candidate(rng, m, n, target_case)
-        if _self_check(instance, xbar, target_case, tol):
+        if _self_check(instance, xbar, target_case):
             return instance, xbar
     raise GenerationError(
         f"failed to realize target case {target_case} with m={m}, n={n} "
@@ -680,8 +675,9 @@ def equivalence_harness(
     form, classifies the empirical kappa growth, and records whether the
     two agree (bounded <=> CRCQ holds).  An inconclusive scan is retried
     once with four times the sampling before being reported.  Passing
-    ``fixed_instance``/``fixed_point`` pins every trial to one instance
-    (fresh scan seeds per trial) instead of drawing random ones.
+    ``fixed_instance``/``fixed_point`` pins every trial to one instance,
+    decided at that instance's ``tol`` (fresh scan seeds per trial), instead
+    of drawing random ones.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -124,7 +124,6 @@ from .affine_instance import AffineSOCInstance, analyze_point, phi
 from .cq_checker import _rcq
 from .errors import NumericalFailureError
 from .soc_core import (
-    DEFAULT_TOL,
     ConeLocation,
     classify_cone_point,
     cone_margin,
@@ -199,15 +198,9 @@ class FeasibleSetProjector:
     module docstring) accepted under a primal-dual gap bound.
     """
 
-    def __init__(
-        self,
-        instance: AffineSOCInstance,
-        reference,
-        tol: float = DEFAULT_TOL,
-    ):
+    def __init__(self, instance: AffineSOCInstance, reference):
         self.instance = instance
-        self.tol = float(tol)
-        analysis = analyze_point(instance, reference, self.tol)
+        analysis = analyze_point(instance, reference)
         ref, y_ref = analysis.x, analysis.y
         self.reference = ref
         self._interior_point: Optional[np.ndarray] = None
@@ -226,7 +219,7 @@ class FeasibleSetProjector:
                 d = y_ref / y_norm
             elif geo.kind is SubspaceKind.RAY:
                 d, y_norm = geo.ray, 0.0
-            if d is not None and float(np.linalg.norm(d - U @ (U.T @ d))) <= self.tol:
+            if d is not None and float(np.linalg.norm(d - U @ (U.T @ d))) <= instance.tol:
                 # Omega = ref + null(A) + {s q : s >= -y_norm}, q = A^+ d.
                 self.geometry = _Geometry.RAY_FLAT
                 a = (d @ U) / geo.singular_values[: geo.rank]
@@ -248,7 +241,7 @@ class FeasibleSetProjector:
         if analysis.location is ConeLocation.INTERIOR:
             self._interior_point = ref
             self._interior_margin = rcq.evidence["margin"]
-        maps = _image_maps(instance, self.tol)
+        maps = _image_maps(instance)
         self._slater = self._build_slater(maps)
         if self._interior_point is None and self._slater.ray is None:
             # Without a recession ray, pull-ins blend towards the best
@@ -271,7 +264,7 @@ class FeasibleSetProjector:
         P = maps.null_proj
         vertex = float(P[0, 0]) < 0.5 and float(
             np.linalg.norm(P @ b)
-        ) <= self.tol * max(1.0, float(np.linalg.norm(b)))
+        ) <= self.instance.tol * max(1.0, float(np.linalg.norm(b)))
 
         JA = A.copy()
         JA[1:] *= -1.0
@@ -282,7 +275,7 @@ class FeasibleSetProjector:
         spread = float(np.max(np.abs(lam)))
         lam_top = float(lam[-1])
         lam = np.minimum(lam, 0.0)
-        if lam_top > self.tol * spread:
+        if lam_top > self.instance.tol * spread:
             lam[-1] = lam_top
             pole = 1.0 / lam_top
             grid_t, grid_u, grid_gap = pole * _POLE_GRID_T, _POLE_GRID_U, _POLE_GRID_GAP
@@ -584,14 +577,14 @@ class _ImageMaps(NamedTuple):
     ray: Optional[np.ndarray]    # d / margin(A d), A d interior (None: no such d)
 
 
-def _image_maps(instance: AffineSOCInstance, tol: float) -> _ImageMaps:
+def _image_maps(instance: AffineSOCInstance) -> _ImageMaps:
     """pinv(A^T), the projector onto null(A^T) and the recession ray.
 
     Shared by the projector and the reference search, and read off the
-    memoized ``instance.geometry(tol)``; the ray's d is A^+ w for the
+    memoized ``instance.geometry()``; the ray's d is A^+ w for the
     interior witness w, when Im(A) meets the cone interior.
     """
-    geo = instance.geometry(tol)
+    geo = instance.geometry()
     U = geo.basis
     pinv_t = (U / geo.singular_values[: geo.rank]) @ geo.row_basis
     ray = None
@@ -629,24 +622,23 @@ def _slice_step(instance: AffineSOCInstance, maps: _ImageMaps, y: np.ndarray):
     return (tau / geo.ray[0]) * (geo.ray @ pinv_t), sup
 
 
-def _search_feasible_reference(
-    instance: AffineSOCInstance, tol: float
-) -> np.ndarray:
+def _search_feasible_reference(instance: AffineSOCInstance) -> np.ndarray:
     """A feasible point: the least-squares vertex -A^+ b, else the slice point.
 
-    Each candidate passes the projector's own test, g(z) not OUTSIDE at
-    ``tol``.  When neither does, the supremum of the cone margin over
-    b + Im(A) is negative, or zero and not attained: the set is empty, and
-    the ``NumericalFailureError`` carries the supremum as its residual.
+    Each candidate passes the projector's own test, g(z) not OUTSIDE at the
+    instance's ``tol``.  When neither does, the supremum of the cone margin
+    over b + Im(A) is negative, or zero and not attained: the set is empty,
+    and the ``NumericalFailureError`` carries the supremum as its residual.
     """
-    maps = _image_maps(instance, tol)
+    maps = _image_maps(instance)
     z = -(instance.b @ maps.pinv_t)
     y = instance.evaluate(z)
-    if classify_cone_point(y, tol) is not ConeLocation.OUTSIDE:
+    if classify_cone_point(y, instance.tol) is not ConeLocation.OUTSIDE:
         return z
     step, sup = _slice_step(instance, maps, y)
     z = z + step
-    if classify_cone_point(instance.evaluate(z), tol) is not ConeLocation.OUTSIDE:
+    y = instance.evaluate(z)
+    if classify_cone_point(y, instance.tol) is not ConeLocation.OUTSIDE:
         return z
     raise NumericalFailureError(
         f"the feasible set is empty: the cone margin on b + Im(A) has "
@@ -660,7 +652,6 @@ def project_to_feasible_set(
     x,
     tol: float = PROJECTION_TOL,
     reference=None,
-    geometry_tol: float = DEFAULT_TOL,
 ) -> tuple[np.ndarray, float]:
     """Project ``x`` onto the feasible set; returns (point, distance).
 
@@ -669,14 +660,13 @@ def project_to_feasible_set(
     least-squares vertex or the best point of the image slice, see the
     module docstring), or raises ``NumericalFailureError`` with the
     supremum of the cone margin as the certificate that the set is empty.
-    ``tol`` is the certified gap of the projection; ``geometry_tol`` is the
-    tolerance of the shape decision (the ``tol`` of
-    :class:`FeasibleSetProjector`).
+    ``tol`` is the certified gap of the projection; the shape decision
+    uses the instance's own ``tol``.
     """
     x = instance.point(x)
     if phi(instance, x) >= 0.0:
         return x.copy(), 0.0
     if reference is None:
-        reference = _search_feasible_reference(instance, geometry_tol)
-    projector = FeasibleSetProjector(instance, reference, geometry_tol)
+        reference = _search_feasible_reference(instance)
+    projector = FeasibleSetProjector(instance, reference)
     return projector.project(x, tol=tol)

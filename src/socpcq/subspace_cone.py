@@ -9,10 +9,10 @@ V; a negative definite M means V meets the cone only at the origin.
 
 ``classify_image_vs_cone`` runs one thin SVD of A and returns, next to the
 class, the rank, singular values, image basis and row basis it read off
-that SVD.  ``AffineSOCInstance.geometry(tol)`` memoizes this record on the
-instance, so the verdicts, the projector and the oracles share one SVD per
-(instance, tol); ``numeric_rank`` and ``image_basis`` remain for arbitrary
-matrices.
+that SVD.  ``AffineSOCInstance.geometry()`` memoizes this record on the
+instance at the instance's ``tol``, so the verdicts, the projector and the
+oracles share one SVD per instance; ``numeric_rank`` and ``image_basis``
+remain for arbitrary matrices.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ def criterion(num: int, name: str, budget: float = None):
 def test_criterion_1_degenerate_boundary_fixture():
     with criterion(1, "degenerate-boundary verdicts and dim scan", 1.0):
         doc = parse_instance(fixture("boundary_degenerate"))
-        report = full_report(doc.instance, doc.points["xbar"], doc.tol)
+        report = full_report(doc.instance, doc.points["xbar"])
         assert not report.fcr.holds
         assert not report.crcq.holds
         assert not report.mscq.holds
@@ -77,11 +77,11 @@ def test_criterion_2_vertex_halfplane_fcr_sequence():
     with criterion(2, "half-plane FCR/CRCQ/MSCQ sequence", 1.0):
         half = parse_instance(fixture("vertex_halfplane"))
         boundary = parse_instance(fixture("boundary_degenerate"))
-        at_origin = full_report(half.instance, half.points["origin"], half.tol)
+        at_origin = full_report(half.instance, half.points["origin"])
         assert at_origin.fcr.holds
         assert at_origin.fcr.condition == "Thm3.2(i)"
         for k in range(1, 6):
-            v = check_fcr(boundary.instance, boundary.points[f"k{k}"], boundary.tol)
+            v = check_fcr(boundary.instance, boundary.points[f"k{k}"])
             assert not v.holds, f"FCR unexpectedly holds at (1/{k}, 0, 0)"
         assert not at_origin.crcq.holds
         assert not at_origin.mscq.holds
@@ -95,7 +95,7 @@ def test_criterion_2_vertex_halfplane_fcr_sequence():
 def test_criterion_3_tangent_plane_growth():
     with criterion(3, "tangent-plane H not closed, kappa grows >= 10x", 10.0):
         doc = parse_instance(fixture("vertex_tangent_plane"))
-        report = full_report(doc.instance, doc.points["origin"], doc.tol)
+        report = full_report(doc.instance, doc.points["origin"])
         assert not report.h_closed.holds
         assert report.h_closed.evidence["reason"] == "Cor 4.2"
         scan = mscq_kappa_scan(
@@ -114,7 +114,7 @@ def test_criterion_3_tangent_plane_growth():
 def test_criterion_4_half_line_exact_modulus():
     with criterion(4, "half-line CRCQ via Thm4.4(vi), kappa == sqrt(2)/2", 10.0):
         doc = parse_instance(fixture("vertex_boundary_line"))
-        report = full_report(doc.instance, doc.points["origin"], doc.tol)
+        report = full_report(doc.instance, doc.points["origin"])
         assert report.crcq.holds
         assert report.crcq.condition == "Thm4.4(vi)"
         assert report.mscq.holds

@@ -1,15 +1,23 @@
 """Affine instances, the scalar boundary reduction, and its certificates."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import socpcq
 from socpcq import (
     AffineSOCInstance,
     ConeLocation,
     FeasibleSetProjector,
     HSetKind,
+    affine_instance,
     analyze_point,
     cone_margin,
+    full_report,
     grad_phi,
     h_set_description,
     linearization_cone_membership,
@@ -22,6 +30,7 @@ from socpcq.errors import (
     InfeasiblePointError,
     SingularReductionError,
 )
+from socpcq.projection import PROJECTION_TOL
 
 # The shared 3x3 instance used throughout: g(x) = (x1, x1, x3), whose
 # feasible set is the halfplane {x1 >= 0, x3 = 0}.
@@ -49,6 +58,68 @@ def test_instance_validation():
     inst = AffineSOCInstance(np.eye(3), np.array([1.0, 0.0, 0.0]))
     assert inst.m == 3 and inst.n == 3
     np.testing.assert_allclose(inst.evaluate([1.0, 2.0, 3.0]), [2.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+def test_instance_rejects_bad_tol(tol):
+    with pytest.raises(DimensionError):
+        AffineSOCInstance(np.eye(3), np.zeros(3), tol=tol)
+
+
+def test_geometry_computed_once_per_instance(monkeypatch):
+    calls = []
+    classify = affine_instance.classify_image_vs_cone
+
+    def counting_classify(A, tol):
+        calls.append(tol)
+        return classify(A, tol)
+
+    monkeypatch.setattr(affine_instance, "classify_image_vs_cone", counting_classify)
+    # The 1e-8 column is a direction at the default tol 1e-9, rank noise at 1e-6.
+    A = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]])
+    inst = AffineSOCInstance(A, np.zeros(3))
+    first = inst.geometry()
+    assert inst.geometry() is first
+    full_report(inst, np.zeros(2))
+    FeasibleSetProjector(inst, np.zeros(2))
+    assert calls == [1e-9]
+    loose = dataclasses.replace(inst, tol=1e-6)
+    assert loose.tol == 1e-6 and loose.geometry() is not first
+    assert (first.rank, loose.geometry().rank) == (2, 1)
+    assert inst.geometry() is first
+    assert calls == [1e-9, 1e-6]
+
+
+def _signature(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except (TypeError, ValueError):
+        return {}
+
+
+def test_no_instance_call_takes_a_geometry_tolerance():
+    # The instance carries the one geometry tolerance.  A tol next to an
+    # instance may only be the certified projection gap.
+    modules = [
+        importlib.import_module(f"socpcq.{info.name}")
+        for info in pkgutil.iter_modules(socpcq.__path__)
+    ]
+    candidates = [getattr(socpcq, name) for name in socpcq.__all__]
+    candidates += [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if callable(obj) and getattr(obj, "__module__", None) == module.__name__
+    ]
+    candidates.append(FeasibleSetProjector.__init__)
+    takers = [obj for obj in candidates if "instance" in _signature(obj)]
+    assert FeasibleSetProjector in takers and full_report in takers
+    for obj in takers:
+        params = _signature(obj)
+        assert "geometry_tol" not in params, obj
+        assert "tol" not in params or params["tol"].default == PROJECTION_TOL, obj
+    # The generator draws default-tol instances and takes no tol either.
+    assert "tol" not in _signature(socpcq.random_instance)
 
 
 def test_evaluate_many_matches_evaluate():

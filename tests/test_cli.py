@@ -222,6 +222,13 @@ BAD_DOCUMENTS = [
     '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0]}',
     '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {},'
     ' "tolerances": {"tol": -1e-9}}',
+    # JSON booleans are no numbers: without the check each of these parses
+    # (n = 1, tol = 1.0) and p is analyzed
+    '{"m": 3, "n": true, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+    ' "tolerances": {"tol": true}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+    ' "tolerances": {"projection_tol": true}}',
 ]
 
 
@@ -457,19 +464,21 @@ def test_scan_seed_env_matches_flag(capsys, monkeypatch):
     assert "SOCPCQ_SEED" in err
 
 
+#: xbar sits 7e-9 outside the cone: on the boundary at the document's tol
+#: of 1e-6, outside at the default tol.
+LOOSE_DOCUMENT = {
+    "m": 3,
+    "n": 3,
+    "A": np.eye(3).tolist(),
+    "b": [0.0, 0.0, 0.0],
+    "points": {"xbar": [1.0, 1.0 + 1e-8, 0.0]},
+    "tolerances": {"tol": 1e-6},
+}
+
+
 def test_scan_uses_document_tol(capsys, tmp_path):
-    # xbar sits 7e-9 outside the cone: on the boundary at the document's
-    # tol of 1e-6, outside at the default tol
-    doc = {
-        "m": 3,
-        "n": 3,
-        "A": np.eye(3).tolist(),
-        "b": [0.0, 0.0, 0.0],
-        "points": {"xbar": [1.0, 1.0 + 1e-8, 0.0]},
-        "tolerances": {"tol": 1e-6},
-    }
     path = tmp_path / "loose.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(LOOSE_DOCUMENT))
     code, _, _ = run_cli(capsys, "analyze", str(path), "xbar")
     assert code == EXIT_OK
     code, out, _ = run_cli(capsys, "scan", str(path), "xbar", "--samples", "50")
@@ -477,11 +486,41 @@ def test_scan_uses_document_tol(capsys, tmp_path):
     assert out.splitlines()[-1] == "fcr_consistent=true"
 
 
-def test_scan_rejects_bad_radii(capsys):
-    code, _, _ = run_cli(
-        capsys, "scan", fixture("vertex_halfplane"), "origin", "--radii", "a,b"
+def test_harness_uses_document_tol(capsys, tmp_path):
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(LOOSE_DOCUMENT))
+    code, out, err = run_cli(
+        capsys, "harness", "--trials", "1", "--instance", str(path), "--point", "xbar"
     )
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert lines[1].startswith("0,fixed,3,3,true,Thm4.4(ii),bounded,true,")
+    assert lines[-1] == "trials=1 disagreements=0 inconclusive=0 failures=0"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--radii", "a,b"],
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--radii", "1e-2,1e-1"],
+        ["--radii", "0.1,0.1"],
+        ["--radii", "0.1,nan"],
+        ["--radii", "inf,0.1"],
+        ["--radii", "0.1,0"],
+        ["--radii", "0.1,-0.01"],
+        ["--dim-radius", "0"],
+        ["--dim-radius", "-0.1"],
+        ["--dim-radius", "nan"],
+        ["--dim-radius", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_scan_rejects_bad_radii(capsys, extra):
+    code, _, err = run_cli(capsys, "scan", fixture("vertex_halfplane"), "origin", *extra)
     assert code == EXIT_PARSE
+    assert err.startswith("error: ")
 
 
 # -- harness ------------------------------------------------------------------
