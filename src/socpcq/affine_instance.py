@@ -191,7 +191,15 @@ def grad_phi_many(
 
 
 def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
-    """Classify g(x) and cache the reduction data; rejects infeasible points."""
+    """Classify g(x) and cache the reduction data; rejects infeasible points.
+
+    ``x`` may already be a ``PointAnalysis``: one of this instance is
+    returned as it is, one of another instance is redone at its point.
+    """
+    if isinstance(x, PointAnalysis):
+        if x.instance is instance:
+            return x
+        x = x.x
     x = instance.point(x)
     y = instance.evaluate(x)
     loc = classify_cone_point(y, instance.tol)

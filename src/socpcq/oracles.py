@@ -17,10 +17,18 @@ Key design points:
   radii share common random draws, which makes the ratio between
   consecutive kappa estimates deterministic and tight.
 * One scan builds one projector, whose construction is also the scan's
-  point analysis, and makes at most two certified projector calls for all
-  radii together: the probe bases of every radius, then every kept
-  uniform point and probe.  Every row still carries the primal-dual gap
-  certificate; a failure reports the worst gap across all radii.
+  point analysis (none when it is handed the point's ``PointAnalysis``),
+  and makes one certified projector call for all radii together: the
+  infeasible probe bases, every kept uniform point and the probes of
+  feasible bases.  A probe p = z + h (x - z) / ub of an infeasible base x
+  with anchor z lies on the ray from z in Omega through x, so convexity
+  and 1-Lipschitz continuity of dist(., Omega) give
+  dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||] from the
+  base's record (ub, lb); p inherits ||p - z|| when that interval is
+  within the projector's gap tol * max(1, ||p||).  Wider intervals, and
+  bases at distance 0, take one fallback call, so every ratio still
+  rests on a certified distance; a failure reports the worst gap across
+  all radii.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * ``random_instance`` builds one representative per characterization
@@ -38,9 +46,9 @@ import numpy as np
 from .affine_instance import AffineSOCInstance, analyze_point, grad_phi_many
 from .cq_checker import check_crcq, full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
-from .projection import FeasibleSetProjector
+from .projection import PROJECTION_TOL, BatchProjection, FeasibleSetProjector
 from .soc_core import ConeLocation, distances_to_cone, margins
-from .subspace_cone import SubspaceConeClass, SubspaceKind, _rank_of, image_basis
+from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
 
 __all__ = [
     "KappaScan",
@@ -167,6 +175,37 @@ def _uniform_ball_directions(rng: np.random.Generator, count: int, n: int):
     return d, u
 
 
+def _anchored_probes(record: BatchProjection, X, h, offsets):
+    """Probes a distance ``h`` off the projections of the rows ``X``.
+
+    ``record`` is the certified projection of ``X``.  A row with ub > 0
+    steps from its anchor z along the exact outward normal,
+    p = z + h (x - z) / ub, which carries the worst ratios; the others
+    step along their fixed random unit ``offsets``.  The normal probe lies
+    on the ray from z in Omega through x, so convexity and 1-Lipschitz
+    continuity of dist(., Omega) along that ray put
+
+        dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||],
+
+    and the probe inherits the upper end as its distance when the interval
+    is no wider than the projector's own gap, ``PROJECTION_TOL`` *
+    max(1, ||p||).
+    Returns (probes, distances, inherited), the distances being valid on
+    the inherited rows only.
+    """
+    Z, ub, lb = record
+    normal = ub > 0.0
+    step = np.divide(
+        X - Z, ub[:, None], out=np.array(offsets, dtype=float), where=normal[:, None]
+    )
+    probes = Z + h[:, None] * step
+    dist = np.linalg.norm(probes - Z, axis=1)
+    # The interval's width times ub, free of a division by a tiny ub.
+    width_ub = (dist - h) * ub + (ub - lb) * np.maximum(ub, h)
+    limit = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(probes, axis=1))
+    return probes, dist, normal & (width_ub <= limit * ub)
+
+
 def mscq_kappa_scan(
     instance: AffineSOCInstance,
     xbar,
@@ -176,31 +215,35 @@ def mscq_kappa_scan(
 ) -> KappaScan:
     """Empirical error-bound moduli in shrinking balls around ``xbar``.
 
-    For each radius the scan draws uniform ball samples plus probe points
-    planted a tiny offset off the feasible set, discards feasible draws
-    and draws whose cone distance is below ``RATIO_DISTANCE_FLOOR``, and
-    records the largest distance ratio.  ``kappa_hat`` prefers the probe
-    ratios (see :class:`KappaScan`); identical seeds share the random
-    draws across radii so consecutive ratios compare like with like, and
-    a scan over a prefix of ``radii`` reproduces that prefix of every
-    per-radius field.
+    ``xbar`` is a feasible point or its ``PointAnalysis``.  For each radius
+    the scan draws uniform ball samples plus probe points planted a tiny
+    offset off the feasible set, discards feasible draws and draws whose
+    cone distance is below ``RATIO_DISTANCE_FLOOR``, and records the
+    largest distance ratio.  ``kappa_hat`` prefers the probe ratios (see
+    :class:`KappaScan`); identical seeds share the random draws across
+    radii so consecutive ratios compare like with like, and a scan over a
+    prefix of ``radii`` reproduces that prefix of every per-radius field.
 
-    All radii go through the projector together, in at most two certified
-    batches: the probe bases of every radius, then every kept uniform
-    point and probe.  A ``NumericalFailureError`` therefore reports the
-    worst gap across all radii.  The projector's construction is also the
-    scan's one point analysis.
+    All radii go through one certified projector call: the infeasible
+    probe bases, every kept uniform point and the probes of feasible bases
+    (a feasible base is its own anchor).  A probe of an infeasible base
+    inherits its distance from its base's record by the interval of
+    ``_anchored_probes``; the probes whose interval is wider than the
+    projector's gap, and those of bases at distance 0, take one fallback
+    call.  A ``NumericalFailureError`` reports the worst gap across all
+    radii.  The projector's construction is also the scan's one point
+    analysis, and none when ``xbar`` is an analysis of ``instance``.
     """
-    projector = FeasibleSetProjector(instance, xbar)
-    center = projector.reference
     radii = tuple(float(r) for r in radii)
-    if any(r <= 0 for r in radii) or any(
-        radii[i] <= radii[i + 1] for i in range(len(radii) - 1)
+    if not all(math.isfinite(r) and r > 0.0 for r in radii) or any(
+        a <= b for a, b in zip(radii, radii[1:])
     ):
-        raise ValueError("radii must be positive and strictly decreasing")
+        raise ValueError("radii must be positive, finite and strictly decreasing")
     samples_per_radius = int(samples_per_radius)
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be positive")
+    projector = FeasibleSetProjector(instance, xbar)
+    center = projector.reference
     n = instance.n
     S, k = samples_per_radius, len(radii)
     P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
@@ -219,36 +262,51 @@ def mscq_kappa_scan(
         divisor *= _PROBE_DIVISOR_GROWTH
     r_col = np.asarray(radii)[:, None]
 
-    # Anchor batch: the probe bases of every radius, radius-major.
+    # Radius-major draws: S uniform points and P probe bases per radius.
+    uniform = (center + dirs * (r_col * radial)[:, :, None]).reshape(k * S, n)
     bases = (center + base_dirs * (0.9 * r_col * base_radial)[:, :, None]).reshape(
         k * P, n
     )
-    anchors, base_dist = projector.project_batch(bases)
-    # Step off each anchor along the exact outward normal when the base
-    # point was infeasible (that direction carries the worst ratios);
-    # feasible bases fall back to a fixed random unit offset.
-    outward = np.where(
-        base_dist[:, None] > 0.0,
-        (bases - anchors) / np.maximum(base_dist, 1e-300)[:, None],
-        np.tile(probe_offsets, (k, 1)),
-    )
-    pts = np.empty((k, S + P, n))
-    pts[:, :S] = center + dirs * (r_col * radial)[:, :, None]
-    pts[:, S:] = (anchors + np.repeat(h, P)[:, None] * outward).reshape(k, P, n)
+    h_rows = np.repeat(h, P)
+    offsets = np.tile(probe_offsets, (k, 1))
+    G = instance.evaluate_many(np.vstack([bases, uniform]))
+    own = margins(G[: k * P]) >= 0.0
+    dist_g_uniform = distances_to_cone(G[k * P :])
+    kept = dist_g_uniform > RATIO_DISTANCE_FLOOR
+    probes = np.empty_like(bases)
+    probes[own] = bases[own] + h_rows[own, None] * offsets[own]
 
-    # Ratio batch: every kept point of every radius.
-    dist_g = distances_to_cone(instance.evaluate_many(pts.reshape(-1, n))).reshape(
-        k, S + P
+    # The certified call: infeasible bases, kept uniform points and the
+    # probes of feasible bases.
+    far = np.flatnonzero(~own)
+    record = projector.project_batch(
+        np.vstack([bases[far], uniform[kept], probes[own]])
     )
-    infeasible = dist_g > 0.0
-    above = dist_g > RATIO_DISTANCE_FLOOR
-    keep = infeasible & above
-    n_feas = np.count_nonzero(~infeasible, axis=1)
-    n_floor = np.count_nonzero(infeasible & ~above, axis=1)
+    _, ub_uniform, ub_own = np.split(
+        record.ub, [far.size, far.size + np.count_nonzero(kept)]
+    )
+    dist_uniform = np.zeros(k * S)
+    dist_uniform[kept] = ub_uniform
+    dist_probe = np.zeros(k * P)
+    dist_probe[own] = ub_own
+    anchors = BatchProjection(*(part[: far.size] for part in record))
+    probes[far], dist, inherited = _anchored_probes(
+        anchors, bases[far], h_rows[far], offsets[far]
+    )
+    dist_probe[far[inherited]] = dist[inherited]
+    dist_g_probe = distances_to_cone(instance.evaluate_many(probes))
+    pending = far[~inherited]
+    fallback = pending[dist_g_probe[pending] > RATIO_DISTANCE_FLOOR]
+    if fallback.size:
+        dist_probe[fallback] = projector.project_batch(probes[fallback]).ub
+
+    dist_g = np.hstack([dist_g_uniform.reshape(k, S), dist_g_probe.reshape(k, P)])
+    dist_omega = np.hstack([dist_uniform.reshape(k, S), dist_probe.reshape(k, P)])
+    keep = dist_g > RATIO_DISTANCE_FLOOR
+    n_feas = np.count_nonzero(dist_g <= 0.0, axis=1)
+    n_floor = np.count_nonzero((dist_g > 0.0) & ~keep, axis=1)
     ratios = np.zeros((k, S + P))
-    if np.any(keep):
-        _, dist_omega = projector.project_batch(pts[keep])
-        ratios[keep] = dist_omega / dist_g[keep]
+    ratios[keep] = dist_omega[keep] / dist_g[keep]
 
     # Ratios are nonnegative, so a row max over the zero-filled discards is
     # the max over the kept entries, or 0.0 when none was kept.
@@ -346,7 +404,8 @@ def fcr_dim_scan(
 ) -> list[DimScan]:
     """Observed dims of the face-orthogonal images over a sampled ball.
 
-    The faces scanned depend on where g(xbar) sits: the trivial face only
+    ``xbar`` is a feasible point or its ``PointAnalysis``.  The faces
+    scanned depend on where g(xbar) sits: the trivial face only
     (interior), the two faces of a half-line (positive boundary, where the
     dimension is the rank of the reduced gradient and the center point is
     always included), or the vertex cone's zero face, full face, and a few
@@ -378,20 +437,25 @@ def fcr_dim_scan(
     # Vertex: the map is the same at every x, so sampling x is a pure
     # consistency exercise; the face matters instead.
     A = instance.A
-    rank = analysis.geometry.rank
+    geo = analysis.geometry
     out = [
-        DimScan("ZeroFace", frozenset({rank}), samples, int(seed)),
+        DimScan("ZeroFace", frozenset({geo.rank}), samples, int(seed)),
         DimScan("FullCone", frozenset({0}), samples, int(seed)),
     ]
-    # One batched SVD over the restrictions to the sampled ray faces.
-    restricted = [
-        A - np.outer(w, w @ A) for w in _random_boundary_rays(rng, instance.m, rays)
-    ]
-    if restricted:
-        sigmas = np.linalg.svd(np.stack(restricted), compute_uv=False)
+    if rays > 0:
+        # The restrictions A - w w^T A to the sampled ray faces, in one
+        # broadcast and one batched SVD.  Ranks are taken on the scale of
+        # A itself, like rank(A): a face restriction that vanishes (the
+        # sampled ray is the image ray) has rank 0, not a noise rank.
+        W = _random_boundary_rays(rng, instance.m, rays)
+        restricted = A - W[:, :, None] * (W @ A)[:, None, :]
+        sigmas = np.linalg.svd(restricted, compute_uv=False)
+        ranks = np.count_nonzero(
+            sigmas > instance.tol * geo.singular_values[0], axis=1
+        )
         out.extend(
-            DimScan(f"SampledRay({i})", frozenset({k}), samples, int(seed))
-            for i, k in enumerate(_rank_of(s, instance.tol) for s in sigmas)
+            DimScan(f"SampledRay({i})", frozenset({int(r)}), samples, int(seed))
+            for i, r in enumerate(ranks)
         )
     return out
 
@@ -651,10 +715,10 @@ def random_instance(
 # ---------------------------------------------------------------------------
 
 
-def _safe_scan_radius(instance, analysis) -> float:
+def _safe_scan_radius(analysis) -> float:
     if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
         yr = float(np.linalg.norm(analysis.y[1:]))
-        a_op = float(np.linalg.norm(instance.A, 2))
+        a_op = float(analysis.geometry.singular_values[0])
         return min(0.1, 0.1 * yr / max(1.0, a_op))
     return 0.1
 
@@ -709,10 +773,12 @@ def equivalence_harness(
             report = full_report(instance, xbar)
             crcq = report.crcq
             violations = verify_report_invariants(report)
+            # The report's analysis is the trial's one analysis of xbar.
+            analysis = report.point_analysis
 
             scan = mscq_kappa_scan(
                 instance,
-                xbar,
+                analysis,
                 radii=radii,
                 samples_per_radius=samples_per_radius,
                 seed=trial_seed,
@@ -723,7 +789,7 @@ def equivalence_harness(
                 retried = True
                 scan = mscq_kappa_scan(
                     instance,
-                    xbar,
+                    analysis,
                     radii=radii,
                     samples_per_radius=4 * samples_per_radius,
                     seed=trial_seed + 1,
@@ -733,11 +799,10 @@ def equivalence_harness(
             expected = "bounded" if crcq.holds else "growing"
             agree = label == expected
 
-            analysis = report.point_analysis
             dim_scans = fcr_dim_scan(
                 instance,
-                xbar,
-                radius=_safe_scan_radius(instance, analysis),
+                analysis,
+                radius=_safe_scan_radius(analysis),
                 samples=64,
                 seed=trial_seed,
             )

@@ -110,6 +110,13 @@ when Im(A) meets the cone interior, else blended towards a known interior
 point), and lb is the dual bound <-mu, g(x)> / ||A^T mu|| of a cone
 multiplier mu.  A row is accepted once ub - lb <= tol * max(1, ||x||);
 otherwise ``NumericalFailureError`` is raised.
+
+``project_batch`` returns a ``BatchProjection``: per row the feasible
+point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
+and the closed-form geometries are exact, with lb = ub; on the Slater
+geometry lb is the dual bound above, capped at ub.  Callers that bound
+the distances of further points from these records (the kappa scan's
+probes) need no second projection.
 """
 
 from __future__ import annotations
@@ -158,6 +165,19 @@ _GRID_BLOCK = 128
 _NEWTON_STEPS = 120
 
 
+class BatchProjection(NamedTuple):
+    """Per-row result of ``FeasibleSetProjector.project_batch``.
+
+    ``points`` are feasible, ``ub`` is the distance of each row to its
+    point and ``lb`` a certified lower bound on its distance to Omega:
+    lb <= dist(x, Omega) <= ub and ub - lb <= tol * max(1, ||x||).
+    """
+
+    points: np.ndarray
+    ub: np.ndarray
+    lb: np.ndarray
+
+
 class _Geometry(enum.Enum):
     SLATER = "slater"
     RAY_FLAT = "ray_flat"
@@ -185,8 +205,9 @@ class _SlaterData:
 class FeasibleSetProjector:
     """Projects points onto Omega = {x : Ax + b in Q_m}.
 
-    Built once per (instance, feasible reference) pair; ``project_batch``
-    then handles arbitrarily many points.  The shape of Omega is the RCQ
+    Built once per (instance, feasible reference) pair, the reference
+    given as a point or as its ``PointAnalysis``; ``project_batch`` then
+    handles arbitrarily many points.  The shape of Omega is the RCQ
     verdict at the reference; an infeasible reference is rejected by the
     point analysis, whose error carries the distance of its image to the
     cone.
@@ -305,8 +326,8 @@ class FeasibleSetProjector:
 
     def project_batch(
         self, X: np.ndarray, tol: float = PROJECTION_TOL
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Project the rows of X; returns (Z, distances).
+    ) -> BatchProjection:
+        """Project the rows of X; returns their ``BatchProjection`` record.
 
         X must be (N, n) and finite; anything else raises ``DimensionError``.
         """
@@ -319,10 +340,11 @@ class FeasibleSetProjector:
             # Rows below the half-line's end move up to it along q / ||q||.
             q, lo = self._half_line
             delta += np.minimum(R @ q - lo, 0.0)[:, None] * q
-        return X - delta, np.linalg.norm(delta, axis=1)
+        dist = np.linalg.norm(delta, axis=1)
+        return BatchProjection(X - delta, dist, dist)
 
     def project(self, x, tol: float = PROJECTION_TOL) -> tuple[np.ndarray, float]:
-        Z, d = self.project_batch(np.asarray(x, dtype=float)[None, :], tol)
+        Z, d, _ = self.project_batch(np.asarray(x, dtype=float)[None, :], tol)
         return Z[0], float(d[0])
 
     # -- Slater geometry: exact solve with duality certificate -----------
@@ -330,11 +352,12 @@ class FeasibleSetProjector:
     def _project_slater(self, X: np.ndarray, tol: float):
         A, b = self.instance.A, self.instance.b
         Z_out = X.copy()
-        D_out = np.zeros(X.shape[0])
+        ub_out = np.zeros(X.shape[0])
+        lb_out = np.zeros(X.shape[0])
         GX = X @ A.T + b
         todo = np.flatnonzero(margins(GX) < 0.0)
         if todo.size == 0:
-            return Z_out, D_out
+            return BatchProjection(Z_out, ub_out, lb_out)
         Xs, GXs = X[todo], GX[todo]
         gap_tol = tol * np.maximum(1.0, np.linalg.norm(Xs, axis=1))
 
@@ -357,8 +380,9 @@ class FeasibleSetProjector:
                 f"projection gap {worst:.3e} not certified", worst
             )
         Z_out[todo] = best_Z
-        D_out[todo] = ub
-        return Z_out, D_out
+        ub_out[todo] = ub
+        lb_out[todo] = np.fmin(lb, ub)
+        return BatchProjection(Z_out, ub_out, lb_out)
 
     def _pull_inside(self, Z: np.ndarray, mz: np.ndarray) -> np.ndarray:
         """Move rows with negative margin ``mz`` into Omega.
@@ -660,11 +684,14 @@ def project_to_feasible_set(
     least-squares vertex or the best point of the image slice, see the
     module docstring), or raises ``NumericalFailureError`` with the
     supremum of the cone margin as the certificate that the set is empty.
-    ``tol`` is the certified gap of the projection; the shape decision
-    uses the instance's own ``tol``.
+    ``tol`` is the certified gap of the projection; the shape decision,
+    and the feasibility of ``x`` itself, use the instance's own ``tol``: a
+    point whose image is not OUTSIDE the cone at that tolerance is its own
+    projection.
     """
     x = instance.point(x)
-    if phi(instance, x) >= 0.0:
+    y = instance.evaluate(x)
+    if classify_cone_point(y, instance.tol) is not ConeLocation.OUTSIDE:
         return x.copy(), 0.0
     if reference is None:
         reference = _search_feasible_reference(instance)

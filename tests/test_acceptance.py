@@ -230,7 +230,7 @@ def test_criterion_8_projection_matches_half_space_form():
             ref = (1.0 - beta) * a / float(a @ a)
             proj = FeasibleSetProjector(inst, ref)
             X = rng.standard_normal((40, n)) * 3.0
-            Z, _ = proj.project_batch(X)
+            Z, _, _ = proj.project_batch(X)
             t_of_x = X @ a + beta
             expected = X - (np.minimum(t_of_x, 0.0) / float(a @ a))[:, None] * a
             worst = max(worst, float(np.max(np.linalg.norm(Z - expected, axis=1))))

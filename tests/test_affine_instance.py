@@ -178,6 +178,17 @@ def test_analyze_point_locations():
     assert a.grad_phi is None
 
 
+def test_analyze_point_returns_a_given_analysis_of_its_instance():
+    a = analyze_point(HALFPLANE, [2.0, 7.0, 0.0])
+    assert analyze_point(HALFPLANE, a) is a
+    # An analysis of another instance is redone at its point.
+    other = AffineSOCInstance(HALFPLANE.A, HALFPLANE.b, tol=1e-6)
+    b = analyze_point(other, a)
+    assert b.instance is other
+    assert np.array_equal(b.x, a.x)
+    assert b.location is a.location
+
+
 _IDENTITY = AffineSOCInstance(np.eye(3), np.zeros(3))
 
 

@@ -210,17 +210,19 @@ def test_jsonable_renders_non_finite_numpy_values_like_floats():
     assert strict_json(json.dumps(rendered)) == rendered
 
 
+# Each document carries the point p at the declared length n wherever it
+# can, so it is rejected by the check it aims at and not by the lookup of p.
 BAD_DOCUMENTS = [
     "this is not json {{{",
-    '{"m": 1, "n": 1, "A": [[1]], "b": [0], "points": {}}',
-    '{"m": 3.0, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {}}',
-    '{"m": 3, "n": 2, "A": [[1],[0],[0]], "b": [0,0,0], "points": {}}',
-    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0], "points": {}}',
-    '{"m": 3, "n": 1, "A": [[NaN],[0],[0]], "b": [0,0,0], "points": {}}',
+    '{"m": 1, "n": 1, "A": [[1]], "b": [0], "points": {"p": [0]}}',
+    '{"m": 3.0, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]}}',
+    '{"m": 3, "n": 2, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1,0]}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0], "points": {"p": [1]}}',
+    '{"m": 3, "n": 1, "A": [[NaN],[0],[0]], "b": [0,0,0], "points": {"p": [1]}}',
     '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1,2]}}',
     '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": []}',
     '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0]}',
-    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {},'
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
     ' "tolerances": {"tol": -1e-9}}',
     # JSON booleans are no numbers: without the check each of these parses
     # (n = 1, tol = 1.0) and p is analyzed

@@ -73,6 +73,6 @@ def test_verdicts_and_distances_are_invariant(stratum, transform, seed):
         v, w = getattr(before, name), getattr(after, name)
         assert (w.holds, w.condition) == (v.holds, v.condition), name
 
-    _, D = FeasibleSetProjector(inst, xbar).project_batch(X)
-    _, Dt = FeasibleSetProjector(t_inst, t_xbar).project_batch(t_X)
+    _, D, _ = FeasibleSetProjector(inst, xbar).project_batch(X)
+    _, Dt, _ = FeasibleSetProjector(t_inst, t_xbar).project_batch(t_X)
     assert np.all(np.abs(Dt - D) <= 1e-9 * np.maximum(1.0, D))

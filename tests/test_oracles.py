@@ -26,11 +26,10 @@ from socpcq import (
     mscq_kappa_scan,
     random_instance,
 )
-from socpcq import cq_checker, oracles, projection
+from socpcq import PointAnalysis, analyze_point, cq_checker, oracles, projection
 from socpcq.oracles import TARGET_CASES, _random_boundary_rays
-from socpcq.projection import FeasibleSetProjector
-from socpcq.soc_core import ConeLocation, cone_margin
-from socpcq.subspace_cone import numeric_rank
+from socpcq.projection import PROJECTION_TOL, FeasibleSetProjector
+from socpcq.soc_core import ConeLocation, cone_margin, margins
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -61,6 +60,61 @@ def test_kappa_scan_validation():
         mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=0)
     with pytest.raises(InfeasiblePointError):
         mscq_kappa_scan(TANGENT, np.array([1.0, 1.0]))  # infeasible center
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts projector builds and batches, and the ``analyze_point`` calls
+    that analyze (those not handed an analysis of their own instance)."""
+    counts = {"build": 0, "batch": 0, "analyze": 0}
+
+    def counting(key, fn, counts_call=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[key] += counts_call(*args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def analyzes(instance, x):
+        return not (isinstance(x, PointAnalysis) and x.instance is instance)
+
+    monkeypatch.setattr(
+        FeasibleSetProjector,
+        "__init__",
+        counting("build", FeasibleSetProjector.__init__),
+    )
+    monkeypatch.setattr(
+        FeasibleSetProjector,
+        "project_batch",
+        counting("batch", FeasibleSetProjector.project_batch),
+    )
+    for module in (cq_checker, oracles, projection):
+        monkeypatch.setattr(
+            module,
+            "analyze_point",
+            counting("analyze", module.analyze_point, analyzes),
+        )
+    return counts
+
+
+@pytest.mark.parametrize(
+    "radii, samples",
+    [
+        ((1e-2, 1e-1), 48),
+        ((1e-1, 0.0), 48),
+        ((1e-1, float("nan")), 48),
+        ((float("inf"), 1e-1), 48),
+        ((1e-1, 1e-2), 0),
+    ],
+)
+def test_kappa_scan_validates_arguments_before_building_a_projector(
+    calls, radii, samples
+):
+    with pytest.raises(ValueError):
+        mscq_kappa_scan(
+            TANGENT, np.zeros(2), radii=radii, samples_per_radius=samples
+        )
+    assert calls["build"] == 0
 
 
 def test_tangent_plane_scan_grows():
@@ -116,33 +170,67 @@ def test_kappa_scan_prefix_reproduces_per_radius_fields(stratum, seed):
         assert getattr(head, field) == getattr(full, field)[:2], field
 
 
-def test_kappa_scan_makes_two_projector_calls_and_one_analysis(monkeypatch):
-    calls = {"build": 0, "batch": 0, "analyze": 0}
-
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        FeasibleSetProjector,
-        "__init__",
-        counting("build", FeasibleSetProjector.__init__),
-    )
-    monkeypatch.setattr(
-        FeasibleSetProjector,
-        "project_batch",
-        counting("batch", FeasibleSetProjector.project_batch),
-    )
-    for module in (cq_checker, oracles, projection):
-        monkeypatch.setattr(
-            module, "analyze_point", counting("analyze", module.analyze_point)
-        )
+def test_kappa_scan_makes_one_projector_call_and_one_analysis(calls):
     scan = mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=300, seed=0)
     assert all(scan.evaluated(k) > 0 for k in range(len(scan.radii)))
-    assert calls == {"build": 1, "batch": 2, "analyze": 1}
+    assert calls == {"build": 1, "batch": 1, "analyze": 1}
+
+
+@pytest.mark.parametrize("stratum", ["Thm4.4(ii)", "Thm4.4(iv)"])
+def test_slater_scan_makes_one_certified_call(calls, stratum):
+    # Every probe of an infeasible base inherits its distance, so a Slater
+    # scan without fallback rows makes a single projector call, and none
+    # of its own analyses when handed the point's analysis.
+    inst, xbar = random_instance(4, 3, stratum, 1)
+    analysis = analyze_point(inst, xbar)
+    assert FeasibleSetProjector(inst, analysis).geometry.value == "slater"
+    calls.update(build=0, batch=0, analyze=0)
+    scan = mscq_kappa_scan(inst, analysis, samples_per_radius=48, seed=1)
+    assert all(v > 0 for v in scan.probe_valid)
+    assert calls == {"build": 1, "batch": 1, "analyze": 0}
+    assert scan == mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=1)
+
+
+def _boosted(inst, rapidity):
+    L = np.eye(inst.m)
+    L[0, 0] = L[1, 1] = np.cosh(rapidity)
+    L[0, 1] = L[1, 0] = np.sinh(rapidity)
+    return AffineSOCInstance(L @ inst.A, L @ inst.b)
+
+
+@pytest.mark.parametrize(
+    "stratum, rapidity",
+    [("Thm4.4(i)", 0.0), ("Thm4.4(ii)", 0.0), ("Thm4.4(iv)", 0.0), ("Thm4.4(iv)", 3.0)],
+)
+def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
+    # A probe inherits ||p - z|| from its base's record; a fresh certified
+    # projection of the same probe must agree within the certificate's
+    # tolerance tol * max(1, ||p||).
+    inherited_rows = 0
+    for seed in range(6):
+        m, n = 3 + seed % 4, 2 + seed % 5
+        inst, xbar = random_instance(m, n, stratum, seed)
+        inst = _boosted(inst, rapidity)
+        projector = FeasibleSetProjector(inst, xbar)
+        assert projector.geometry.value == "slater"
+        rng = np.random.default_rng(seed)
+        radii = np.repeat([3.0, 1e-1, 1e-2, 1e-3], 64)
+        h = radii / np.repeat([8.0, 8.0, 240.0, 7200.0], 64)
+        dirs = rng.standard_normal((radii.size, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        X = xbar + (0.9 * radii * rng.random(radii.size))[:, None] * dirs
+        far = margins(inst.evaluate_many(X)) < 0.0
+        X, h = X[far], h[far]
+        offsets = rng.standard_normal(X.shape)
+        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+        record = projector.project_batch(X)
+        probes, dist, inherited = oracles._anchored_probes(record, X, h, offsets)
+        fresh = projector.project_batch(probes)
+        slack = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(probes, axis=1))
+        assert np.all(fresh.lb[inherited] - slack[inherited] <= dist[inherited])
+        assert np.all(dist[inherited] <= fresh.ub[inherited] + slack[inherited])
+        inherited_rows += int(np.count_nonzero(inherited))
+    assert inherited_rows >= 32
 
 
 def _scan(probe_ratios, kappa=None, radii=None, feas=None):
@@ -172,11 +260,7 @@ def test_boosted_vertex_slater_scan_is_bounded(m, n, seed):
     # A Lorentz boost maps Q onto itself, so the feasible set and the
     # bounded error modulus of Thm4.4(iv) survive it.
     inst, xbar = random_instance(m, n, "Thm4.4(iv)", seed)
-    L = np.eye(m)
-    L[0, 0] = L[1, 1] = np.cosh(3.0)
-    L[0, 1] = L[1, 0] = np.sinh(3.0)
-    boosted = AffineSOCInstance(L @ inst.A, L @ inst.b)
-    scan = mscq_kappa_scan(boosted, xbar, samples_per_radius=48, seed=0)
+    scan = mscq_kappa_scan(_boosted(inst, 3.0), xbar, samples_per_radius=48, seed=0)
     assert classify_kappa_growth(scan) == "bounded"
 
 
@@ -264,19 +348,40 @@ def test_dim_scan_vertex_without_rays():
     ]
 
 
+def _face_rank(A, w, tol):
+    """Rank of the restriction A - w w^T A on the scale of A itself."""
+    sigma = np.linalg.svd(A - np.outer(w, w @ A), compute_uv=False)
+    return int(np.count_nonzero(sigma > tol * np.linalg.norm(A, 2)))
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("stratum", ["Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"])
 def test_dim_scan_ray_ranks_match_per_ray_rank(stratum, seed):
     # The batched SVD must give each sampled ray face the rank that a
-    # separate numeric_rank call on the same restriction gives.
+    # separate SVD of the same restriction gives, on the scale of A.
     m, n = 3 + seed % 4, 2 + seed % 5
     inst, xbar = random_instance(m, n, stratum, seed)
     scans = fcr_dim_scan(inst, xbar, seed=seed, rays=8)
     rays = _random_boundary_rays(np.random.default_rng(seed), m, 8)
-    A = inst.A
-    expected = [frozenset({numeric_rank(A - np.outer(w, w @ A))}) for w in rays]
+    expected = [frozenset({_face_rank(inst.A, w, inst.tol)}) for w in rays]
     observed = [s.observed_dims for s in scans if s.face_label.startswith("SampledRay")]
     assert observed == expected
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_dim_scan_vanishing_ray_face_has_rank_zero(seed):
+    # With n = m - 1 the generator's boundary ray and the scan's first
+    # sampled ray come from the same default_rng(seed) draws, so sampled
+    # ray 1 is the image ray of this rank-one A, and the restriction of A
+    # to that face vanishes up to rounding.
+    m, n = 3 + seed % 4, 2 + seed % 5
+    inst, xbar = random_instance(m, n, "Thm4.4(vi)", seed)
+    w = _random_boundary_rays(np.random.default_rng(seed), m, 8)[1]
+    restricted = inst.A - np.outer(w, w @ inst.A)
+    assert np.linalg.norm(restricted) < 1e-12 * np.linalg.norm(inst.A)
+    scans = fcr_dim_scan(inst, xbar, seed=seed, rays=8)
+    assert scans[3].face_label == "SampledRay(1)"
+    assert scans[3].observed_dims == frozenset({0})
 
 
 def test_dim_scan_consistency_predicate():
@@ -380,6 +485,17 @@ def test_harness_fixed_instance_mode():
         assert not row.crcq_holds
         assert row.scan_class == "growing"
         assert row.agree
+
+
+def test_harness_analyzes_each_trial_point_once(calls):
+    # The report's analysis is handed to the scans, so a trial's only
+    # analysis is the report's own.
+    report = equivalence_harness(
+        3, seed=11, fixed_instance=TANGENT, fixed_point=np.zeros(2)
+    )
+    assert report.clean
+    assert calls["analyze"] == 3
+    assert calls["build"] == 3 + sum(row.retried for row in report.rows)
 
 
 def test_harness_rejects_zero_trials():

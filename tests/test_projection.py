@@ -22,6 +22,7 @@ from socpcq import (
     project_to_feasible_set,
     random_instance,
 )
+from socpcq.oracles import TARGET_CASES
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -76,7 +77,7 @@ def test_halfplane_same_answer_from_boundary_reference():
 
 def test_line_image_halfline():
     proj = FeasibleSetProjector(LINE, np.zeros(1))
-    Z, D = proj.project_batch(np.array([[-1.0], [2.0], [-3.5]]))
+    Z, D, _ = proj.project_batch(np.array([[-1.0], [2.0], [-3.5]]))
     assert np.allclose(Z[:, 0], [0.0, 2.0, 0.0], atol=1e-15)
     assert np.allclose(D, [1.0, 0.0, 3.5], atol=1e-15)
 
@@ -98,7 +99,7 @@ def test_rank_one_images_match_halfspace_formula():
         ref = (1.0 - beta) * a  # <a, ref> + beta = 1 > 0
         proj = FeasibleSetProjector(inst, ref)
         X = rng.standard_normal((20, n)) * 3.0
-        Z, D = proj.project_batch(X)
+        Z, D, _ = proj.project_batch(X)
         t = X @ a + beta
         expected = X - np.minimum(t, 0.0)[:, None] * a[None, :]
         assert np.max(np.linalg.norm(Z - expected, axis=1)) < 1e-7
@@ -136,11 +137,11 @@ def test_degenerate_distances_are_scale_invariant(stratum, seed):
     X = xbar + np.random.default_rng(seed).standard_normal((20, n))
     proj = FeasibleSetProjector(inst, xbar)
     assert proj.geometry.value != "slater"
-    _, D = proj.project_batch(X)
+    _, D, _ = proj.project_batch(X)
     for s in (1e-3, 1e-6):
         scaled = FeasibleSetProjector(AffineSOCInstance(s * inst.A, s * inst.b), xbar)
         assert scaled.geometry is proj.geometry
-        _, Ds = scaled.project_batch(X)
+        _, Ds, _ = scaled.project_batch(X)
         assert np.all(np.abs(Ds - D) <= 1e-12 * np.maximum(1.0, D))
 
 
@@ -155,7 +156,7 @@ def test_identity_instance_matches_cone_projector():
 
     rng = np.random.default_rng(3)
     X = rng.standard_normal((60, 3)) * 4.0
-    Z, D = proj.project_batch(X)
+    Z, D, _ = proj.project_batch(X)
     exact = np.array([project_to_cone(x) for x in X])
     # The certificate bounds the distance gap by delta; the point itself can
     # then deviate by at most sqrt(2 d delta) (feasible z, obtuse angle).
@@ -171,7 +172,7 @@ def test_shifted_cone_matches_translated_projection():
     proj = FeasibleSetProjector(inst, np.array([5.0, 0.0, -2.0]))
     rng = np.random.default_rng(4)
     X = rng.standard_normal((40, 3)) * 5.0
-    Z, D = proj.project_batch(X)
+    Z, D, _ = proj.project_batch(X)
     exact = np.array([project_to_cone(x + b) - b for x in X])
     delta = 1e-10 * np.maximum(1.0, np.linalg.norm(X, axis=1))
     point_bound = np.sqrt(2.0 * (D + delta) * delta) + 1e-9
@@ -191,12 +192,12 @@ def test_slater_instances_satisfy_variational_inequality():
         assert proj.geometry.value == "slater"
 
         X = rng.standard_normal((40, n)) * 4.0
-        Z, D = proj.project_batch(X)
+        Z, D, _ = proj.project_batch(X)
         assert feasible(inst, Z)
         assert np.allclose(D, np.linalg.norm(X - Z, axis=1), atol=1e-12)
 
         # Independently checked feasible pool, including the projections.
-        W, _ = proj.project_batch(rng.standard_normal((120, n)) * 6.0)
+        W, _, _ = proj.project_batch(rng.standard_normal((120, n)) * 6.0)
         pool = np.vstack([W, Z, x0[None, :]])
         assert feasible(inst, pool)
         assert vi_gap(X, Z, pool) <= 1e-6
@@ -213,8 +214,8 @@ def test_projection_is_idempotent_on_slater_shape():
     u = rng.standard_normal(3)
     inst = AffineSOCInstance(A, np.concatenate([[np.linalg.norm(u) + 0.5], u]))
     proj = FeasibleSetProjector(inst, x0)
-    Z, _ = proj.project_batch(rng.standard_normal((25, 3)) * 3.0)
-    Z2, D2 = proj.project_batch(Z)
+    Z, _, _ = proj.project_batch(rng.standard_normal((25, 3)) * 3.0)
+    Z2, D2, _ = proj.project_batch(Z)
     assert np.max(np.linalg.norm(Z2 - Z, axis=1)) < 1e-8
     assert np.max(D2) < 1e-8
 
@@ -226,8 +227,8 @@ def test_project_batch_is_deterministic():
     inst = AffineSOCInstance(A, np.concatenate([[np.linalg.norm(u) + 1.0], u]))
     proj = FeasibleSetProjector(inst, np.zeros(3))
     X = rng.standard_normal((30, 3)) * 4.0
-    Z1, D1 = proj.project_batch(X)
-    Z2, D2 = proj.project_batch(X)
+    Z1, D1, _ = proj.project_batch(X)
+    Z2, D2, _ = proj.project_batch(X)
     assert np.array_equal(Z1, Z2)
     assert np.array_equal(D1, D2)
 
@@ -244,9 +245,9 @@ def test_slater_batch_is_row_independent_across_grid_blocks(stratum, seed):
     X = xbar + scale * rng.standard_normal((300, n))
     proj = FeasibleSetProjector(inst, xbar)
     assert proj.geometry.value == "slater"
-    Z, D = proj.project_batch(X)
-    Z1, D1 = proj.project_batch(X[:137])
-    Z2, D2 = proj.project_batch(X[137:])
+    Z, D, _ = proj.project_batch(X)
+    Z1, D1, _ = proj.project_batch(X[:137])
+    Z2, D2, _ = proj.project_batch(X[137:])
     bound = 1e-12 * np.maximum(1.0, D)
     assert np.all(np.abs(np.concatenate([D1, D2]) - D) <= bound)
     assert np.all(np.linalg.norm(np.vstack([Z1, Z2]) - Z, axis=1) <= bound)
@@ -264,11 +265,11 @@ def test_boosted_wedge_keeps_its_distances():
         return AffineSOCInstance(A, np.zeros(3))
 
     X = np.random.default_rng(31).standard_normal((40, 2)) * 3.0
-    _, D0 = FeasibleSetProjector(wedge(0.0), np.zeros(2)).project_batch(X)
+    _, D0, _ = FeasibleSetProjector(wedge(0.0), np.zeros(2)).project_batch(X)
     for r in (0.0, 1.0, 2.0, 3.0, 4.0):
         proj = FeasibleSetProjector(wedge(r), np.zeros(2))
         assert proj.geometry.value == "slater"
-        Z, D = proj.project_batch(X)
+        Z, D, _ = proj.project_batch(X)
         scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
         assert np.all(np.abs(D - D0) <= 1e-9 * scale)
         assert np.all(Z[:, 0] >= np.abs(Z[:, 1]) - 1e-9)
@@ -276,6 +277,28 @@ def test_boosted_wedge_keeps_its_distances():
     z, d = FeasibleSetProjector(wedge(2.0), np.zeros(2)).project(np.array([-1.0, 0.5]))
     assert np.allclose(z, 0.0, atol=1e-12)
     assert d == pytest.approx(np.sqrt(1.25), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_batch_record_bounds_every_row(stratum, seed):
+    # lb <= ub on every row, within the certified gap; the closed-form
+    # geometries are exact, and feasible rows have lb = ub = 0.
+    m, n = 3 + seed, 2 + seed
+    inst, xbar = random_instance(m, n, stratum, seed)
+    proj = FeasibleSetProjector(inst, xbar)
+    rng = np.random.default_rng(seed)
+    scale = np.repeat([3.0, 1e-1, 1e-3, 1e-6], 50)[:, None]
+    X = xbar + rng.standard_normal((200, n)) * scale
+    _, ub, lb = proj.project_batch(X)
+    assert np.all(lb <= ub)
+    assert np.all(ub - lb <= 1e-10 * np.maximum(1.0, np.linalg.norm(X, axis=1)))
+    if proj.geometry.value != "slater":
+        assert np.array_equal(lb, ub)
+    else:
+        inside = margins(X @ inst.A.T + inst.b) >= 0.0
+        assert np.all(ub[inside] == 0.0) and np.all(lb[inside] == 0.0)
+        assert np.all(lb[~inside] > 0.0)
 
 
 # -- wrapper, reference handling, errors -------------------------------------
@@ -286,6 +309,19 @@ def test_wrapper_short_circuits_on_feasible_input():
     z, d = project_to_feasible_set(IDENTITY, x)
     assert np.array_equal(z, x)
     assert d == 0.0
+
+
+def test_wrapper_takes_rounding_level_points_as_feasible(monkeypatch):
+    # g(x) = (1 - 1e-15, 1, 0) is outside the cone only by rounding: inside
+    # the instance's tol band it is its own projection, with no projector.
+    x = np.array([1.0 - 1e-15, 1.0, 0.0])
+    assert margins(IDENTITY.evaluate(x)[None, :])[0] < 0.0
+    builds = []
+    monkeypatch.setattr(FeasibleSetProjector, "__init__", builds.append)
+    z, d = project_to_feasible_set(IDENTITY, x)
+    assert np.array_equal(z, x)
+    assert d == 0.0
+    assert builds == []
 
 
 def test_wrapper_finds_vertex_reference():
