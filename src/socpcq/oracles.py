@@ -32,7 +32,9 @@ Key design points:
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * ``random_instance`` builds one representative per characterization
-  stratum and self-checks the realized geometry before returning it.
+  stratum and self-checks the realized geometry, from the draw's
+  ``full_report``, before returning it; the harness decides each random
+  trial from that same report, so a trial analyzes its point once.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .affine_instance import AffineSOCInstance, analyze_point, grad_phi_many
-from .cq_checker import check_crcq, full_report, verify_report_invariants
+from .cq_checker import full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
 from .projection import PROJECTION_TOL, BatchProjection, FeasibleSetProjector
 from .soc_core import ConeLocation, distances_to_cone, margins
@@ -503,24 +505,26 @@ def brute_force_subspace_class(
         Z = np.vstack([Z, np.eye(k), -np.eye(k)])
     vals = margin_of(Z)
     order = np.argsort(vals)[::-1][: min(6, len(vals))]
-    best_z = Z[order[0]]
-    best_v = float(vals[order[0]])
-    for idx in order:
-        z, fz = Z[idx], float(margin_of(Z[idx][None, :])[0])
-        step = 0.5
-        for _ in range(_REFINEMENT_STEPS):
-            cand = z[None, :] + step * rng.standard_normal((24, k))
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            cv = margin_of(cand)
-            j = int(np.argmax(cv))
-            if cv[j] > fz:
-                z, fz = cand[j], float(cv[j])
-            else:
-                step *= 0.6
-                if step < 1e-13:
-                    break
-        if fz > best_v:
-            best_z, best_v = z, fz
+    # The starts are polished in lock-step: one margin call per step for
+    # the candidates of every start still shrinking its step.
+    z, fz = Z[order], vals[order]
+    step = np.full(order.size, 0.5)
+    for _ in range(_REFINEMENT_STEPS):
+        live = np.flatnonzero(step >= 1e-13)
+        if live.size == 0:
+            break
+        cand = z[live, None, :] + step[live, None, None] * rng.standard_normal(
+            (live.size, 24, k)
+        )
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        cv = margin_of(cand.reshape(-1, k)).reshape(live.size, 24)
+        j = cv.argmax(axis=1)
+        at = np.arange(live.size)
+        up = cv[at, j] > fz[live]
+        z[live[up]], fz[live[up]] = cand[at[up], j[up]], cv[at[up], j[up]]
+        step[live[~up]] *= 0.6
+    best = int(np.argmax(fz))
+    best_z, best_v = z[best], float(fz[best])
 
     y = B @ best_z
     if best_v > 1e-6:
@@ -648,25 +652,25 @@ _FAILING_AT = {
 }
 
 
-def _self_check(instance, xbar, target) -> bool:
-    """Does the draw realize ``target``?
+def _self_check(report, target) -> bool:
+    """Does the draw whose ``full_report`` is ``report`` realize ``target``?
 
     The CRCQ label decides the stratum; only what the label leaves open is
     checked here: the location of a failing stratum, a spectrum clear of
     the tolerance band at the vertex, rank >= 1 for (v) and the gradient
     margin of (ii).
     """
-    crcq = check_crcq(instance, xbar)
+    crcq = report.crcq
     if crcq.condition != (None if target in _FAILING_AT else target):
         return False
+    instance = report.point_analysis.instance
     if target == "Thm4.4(ii)":
         # keep a healthy gradient margin so neighborhood scans stay clean
         return crcq.evidence["grad_norm"] > 0.05 * max(
             1.0, float(np.linalg.norm(instance.A))
         )
     if target in _FAILING_AT:
-        loc = analyze_point(instance, xbar).location
-        if loc is not _FAILING_AT[target]:
+        if report.point_analysis.location is not _FAILING_AT[target]:
             return False
     if target in ("Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"):
         cls = instance.geometry()
@@ -691,6 +695,13 @@ def random_instance(
     one-ray image; boundary point with vanishing gradient but no rank-one
     factorization).
     """
+    instance, xbar, _ = _draw(m, n, target_case, seed)
+    return instance, xbar
+
+
+def _draw(m: int, n: int, target_case: str, seed: int):
+    """``random_instance`` with the ``full_report`` its self-check decided
+    from: (instance, xbar, report)."""
     if target_case not in TARGET_CASES:
         raise GenerationError(
             f"unknown target case {target_case!r}; expected one of {TARGET_CASES}"
@@ -702,8 +713,9 @@ def random_instance(
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         instance, xbar = _build_candidate(rng, m, n, target_case)
-        if _self_check(instance, xbar, target_case):
-            return instance, xbar
+        report = full_report(instance, xbar)
+        if _self_check(report, target_case):
+            return instance, xbar, report
     raise GenerationError(
         f"failed to realize target case {target_case} with m={m}, n={n} "
         f"after {_MAX_RETRIES} attempts"
@@ -767,13 +779,14 @@ def equivalence_harness(
             n = int(rng.integers(n_lo, max(n_lo, n_max) + 1))
         try:
             if fixed_instance is not None:
-                instance, xbar = fixed_instance, fixed_point
+                instance = fixed_instance
+                report = full_report(instance, fixed_point)
             else:
-                instance, xbar = random_instance(m, n, target, trial_seed)
-            report = full_report(instance, xbar)
+                instance, _, report = _draw(m, n, target, trial_seed)
             crcq = report.crcq
             violations = verify_report_invariants(report)
-            # The report's analysis is the trial's one analysis of xbar.
+            # The report's analysis, the generator's own on a random draw, is
+            # the trial's one analysis of xbar.
             analysis = report.point_analysis
 
             scan = mscq_kappa_scan(

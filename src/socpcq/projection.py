@@ -88,13 +88,22 @@ rows the first left uncertified:
    pseudo-inverse solution, i.e. the slice maximizer above with
    P = I - U_k U_k^T.  Then alpha < 1/2, since b in Im(A) and the Slater
    point put an interior point into Im(A).
-2. Secular root.  psi(t) on one fixed logarithmic grid that covers both
-   branches (t / (1/lam_+) from 1e-14 towards the pole, and the distance
-   to the pole from 0.5 down to 1e-16 on both sides and up to 1e17 beyond
-   it), evaluated as two matrix products per fixed-size block of rows, so
-   the grid's working set does not grow with the batch.  The first sign
-   change whose positive end has g0 > 0 is refined by bracketed Newton
-   from the secant point, run once on all bracketed rows.  Newton
+2. Secular root.  One fixed logarithmic grid covers both branches
+   (t / (1/lam_+) from 1e-14 towards the pole, and the distance to the
+   pole from 0.5 down to 1e-16 on both sides and up to 1e17 beyond it).
+   The bracket is the first grid step where psi changes sign with g0 > 0
+   at its positive end, found in two phases.  Phase 1 evaluates psi alone
+   on the monotone-branch columns, for the rows with psi(0) <= 0: psi
+   increases there, so such a row changes sign at most once, just before
+   its first positive column p, and g0 at p alone decides that step.
+   Phase 2 runs only on the rows phase 1 left without a bracket (psi(0)
+   > 0, no positive column before the pole, or g0 <= 0 at p): it
+   evaluates psi and g0 on the columns past the pole and takes the first
+   good sign change there.  Without a pole the whole grid is the monotone
+   branch and phase 2 has nothing to scan.  Both phases evaluate the grid
+   as matrix products per fixed-size block of rows, so the working set
+   does not grow with the batch.  Each bracket is refined by bracketed
+   Newton from the secant point, run once on all bracketed rows.  Newton
    evaluates psi directly from g(z(t)) = A z(t) + b, whose rounding scales
    with ||g(z)|| rather than ||g(x)||, so its last steps are the polish of
    the root; a row freezes once psi is at rounding level (taking the
@@ -156,8 +165,10 @@ _POLE_GRID_T = np.concatenate([[0.0], _S, 1.0 - _U_NEAR, 1.0 + _U_FAR])
 _POLE_GRID_U = np.concatenate([[1.0], 1.0 - _S, _U_NEAR, -_U_FAR])
 _POLE_GRID_GAP = _S.size + _U_NEAR.size       # the step across the pole
 _FREE_GRID_T = np.concatenate([[0.0], np.geomspace(1e-14, 1e17, 125)])
-#: Rows per block of the secular grid: each block holds a few
-#: (rows x grid) arrays, so the working set stays bounded for any batch.
+#: Rows per block of either bracketing phase on the secular grid: each
+#: block holds a few (rows x columns) arrays, psi on the monotone branch in
+#: phase 1, psi and g0 past the pole in phase 2, so the working set stays
+#: bounded for any batch.
 _GRID_BLOCK = 128
 #: A grid bracket spans a factor 10^(1/4), or [0, 1e-14] at the first
 #: step, so bisection alone collapses it to rounding level in under 80
@@ -461,29 +472,7 @@ class FeasibleSetProjector:
         JG[:, 1:] *= -1.0
         W = (JG @ self.instance.A) @ sd.Q    # w = Q^T A^T J g(x)
         psi0 = GXs[:, 0] ** 2 - np.einsum("ij,ij->i", GXs[:, 1:], GXs[:, 1:])
-
-        # Bracket: the first grid step where psi changes sign and g0 > 0 at
-        # its positive end (a continuous path within psi > 0 keeps the sign
-        # of g0, so the root it brackets lies on +Q).
-        count = len(Xs)
-        has = np.zeros(count, dtype=bool)
-        j = np.zeros(count, dtype=np.intp)
-        pl, pr = np.zeros(count), np.zeros(count)
-        for lo in range(0, count, _GRID_BLOCK):
-            blk = slice(lo, lo + _GRID_BLOCK)
-            Wb = W[blk]
-            psi = psi0[blk, None] + (Wb * Wb) @ sd.grid_h.T
-            g0 = GXs[blk, :1] + (Wb * sd.AQ0) @ sd.grid_v.T
-            pos = psi > 0.0
-            good = (pos[:, :-1] != pos[:, 1:]) & (
-                np.where(pos[:, 1:], g0[:, 1:], g0[:, :-1]) > 0.0
-            )
-            if sd.grid_gap >= 0:
-                good[:, sd.grid_gap] = False
-            has[blk] = good.any(axis=1)
-            jb = good.argmax(axis=1)
-            at = np.arange(len(jb))
-            j[blk], pl[blk], pr[blk] = jb, psi[at, jb], psi[at, jb + 1]
+        has, j, pl, pr = self._secular_bracket(GXs, W, psi0)
         Z = Xs.copy()
 
         rows = np.flatnonzero(has)
@@ -508,6 +497,52 @@ class FeasibleSetProjector:
         if hard.size:
             Z[hard] = self._hard_case(Xs[hard], W[hard], psi0[hard])
         return self._certify(Xs, GXs, Z)
+
+    def _secular_bracket(self, GXs, W, psi0):
+        """(has, j, pl, pr): the first grid step j -> j + 1 where psi changes
+        sign and g0 > 0 at its positive end, and psi at both of its ends.
+
+        A continuous path within psi > 0 keeps the sign of g0, so the root
+        such a step brackets lies on +Q.  Phase 1 reads the monotone branch:
+        psi increases there, so a row with psi(0) <= 0 has at most one sign
+        change on it, just before its first positive column p, and only g0
+        at p decides it.  Phase 2 scans the columns past the pole, on the
+        rows phase 1 left without a bracket.  Both run in row blocks.
+        """
+        sd = self._slater
+        count = len(W)
+        has = np.zeros(count, dtype=bool)
+        j = np.zeros(count, dtype=np.intp)
+        pl, pr = np.zeros(count), np.zeros(count)
+        mono = sd.grid_gap + 1 if sd.grid_gap >= 0 else sd.grid_t.size
+        rows = np.flatnonzero(psi0 <= 0.0)
+        for lo in range(0, rows.size, _GRID_BLOCK):
+            r = rows[lo : lo + _GRID_BLOCK]
+            Wb = W[r]
+            psi = psi0[r, None] + (Wb * Wb) @ sd.grid_h[:mono].T
+            p = (psi > 0.0).argmax(axis=1)   # 0: no positive column
+            g0 = GXs[r, 0] + np.einsum("ij,ij->i", Wb * sd.AQ0, sd.grid_v[p])
+            at = np.flatnonzero((p > 0) & (g0 > 0.0))
+            r, p = r[at], p[at]
+            has[r], j[r], pl[r], pr[r] = True, p - 1, psi[at, p - 1], psi[at, p]
+        if sd.grid_gap < 0:
+            return has, j, pl, pr
+        past = slice(mono, None)
+        rows = np.flatnonzero(~has)
+        for lo in range(0, rows.size, _GRID_BLOCK):
+            r = rows[lo : lo + _GRID_BLOCK]
+            Wb = W[r]
+            psi = psi0[r, None] + (Wb * Wb) @ sd.grid_h[past].T
+            g0 = GXs[r, :1] + (Wb * sd.AQ0) @ sd.grid_v[past].T
+            pos = psi > 0.0
+            good = (pos[:, :-1] != pos[:, 1:]) & (
+                np.where(pos[:, 1:], g0[:, 1:], g0[:, :-1]) > 0.0
+            )
+            at = np.flatnonzero(good.any(axis=1))
+            r, jb = r[at], good[at].argmax(axis=1)
+            has[r], j[r] = True, mono + jb
+            pl[r], pr[r] = psi[at, jb], psi[at, jb + 1]
+        return has, j, pl, pr
 
     def _bracketed_newton(self, Xs, W, tn, un, tp, up, t, u):
         """Newton on psi(t) inside [tn, tp] (psi(tn) < 0 < psi(tp)), with

@@ -498,6 +498,24 @@ def test_harness_analyzes_each_trial_point_once(calls):
     assert calls["build"] == 3 + sum(row.retried for row in report.rows)
 
 
+def test_harness_analyzes_each_random_trial_point_once(calls, monkeypatch):
+    # A random trial's report is the one its generator's self-check decided
+    # from, so each drawn candidate is analyzed once and nothing else is.
+    candidates = []
+    build = oracles._build_candidate
+
+    def counting(*args):
+        candidates.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(oracles, "_build_candidate", counting)
+    report = equivalence_harness(8, seed=11)
+    assert report.clean
+    assert candidates == list(TARGET_CASES)
+    assert calls["analyze"] == 8
+    assert calls["build"] == 8 + sum(row.retried for row in report.rows)
+
+
 def test_harness_rejects_zero_trials():
     with pytest.raises(ValueError):
         equivalence_harness(0)

@@ -22,6 +22,7 @@ from socpcq import (
     project_to_feasible_set,
     random_instance,
 )
+from socpcq import projection
 from socpcq.oracles import TARGET_CASES
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -251,6 +252,117 @@ def test_slater_batch_is_row_independent_across_grid_blocks(stratum, seed):
     bound = 1e-12 * np.maximum(1.0, D)
     assert np.all(np.abs(np.concatenate([D1, D2]) - D) <= bound)
     assert np.all(np.linalg.norm(np.vstack([Z1, Z2]) - Z, axis=1) <= bound)
+
+
+def _full_grid_bracket(proj, GX, W, psi0):
+    """The reference rule on the whole grid: the first step that changes the
+    sign of psi with g0 > 0 at its positive end, never across the pole."""
+    sd = proj._slater
+    psi = psi0[:, None] + (W * W) @ sd.grid_h.T
+    g0 = GX[:, :1] + (W * sd.AQ0) @ sd.grid_v.T
+    pos = psi > 0.0
+    good = (pos[:, :-1] != pos[:, 1:]) & (
+        np.where(pos[:, 1:], g0[:, 1:], g0[:, :-1]) > 0.0
+    )
+    if sd.grid_gap >= 0:
+        good[:, sd.grid_gap] = False
+    j = good.argmax(axis=1)
+    at = np.arange(j.size)
+    return good.any(axis=1), j, psi[at, j], psi[at, j + 1]
+
+
+def _checked_brackets(monkeypatch, proj, X):
+    """Projects X, checking the bracket of every row that reaches the
+    secular stage against the full-grid rule; returns those rows' (has, j,
+    psi(0))."""
+    calls = []
+    bracket = FeasibleSetProjector._secular_bracket
+
+    def checked(self, GX, W, psi0):
+        out = bracket(self, GX, W, psi0)
+        calls.append((out, _full_grid_bracket(self, GX, W, psi0), psi0))
+        return out
+
+    monkeypatch.setattr(FeasibleSetProjector, "_secular_bracket", checked)
+    proj.project_batch(X)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    (has, j, pl, pr), (ref_has, ref_j, ref_pl, ref_pr), psi0 = calls[0]
+    assert np.array_equal(has, ref_has)
+    assert np.array_equal(j, ref_j)
+    np.testing.assert_allclose(pl[has], ref_pl[has], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(pr[has], ref_pr[has], rtol=1e-15, atol=0.0)
+    return has, j, psi0
+
+
+def _boost(inst, rapidity):
+    L = np.eye(inst.m)
+    L[0, 0] = L[1, 1] = np.cosh(rapidity)
+    L[0, 1] = L[1, 0] = np.sinh(rapidity)
+    return AffineSOCInstance(L @ inst.A, L @ inst.b)
+
+
+@pytest.mark.parametrize("rapidity", [0.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("stratum", ["Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)"])
+def test_secular_bracket_matches_full_grid_scan(monkeypatch, stratum, rapidity):
+    # The two-phase bracket (the monotone branch, then past the pole) picks
+    # the same grid step as the scan of the whole grid, at row scales 1e-3
+    # to 100.
+    for seed in range(3):
+        m, n = 3 + seed % 4, 2 + seed % 5
+        inst, xbar = random_instance(m, n, stratum, seed)
+        proj = FeasibleSetProjector(_boost(inst, rapidity), xbar)
+        assert proj.geometry.value == "slater"
+        rng = np.random.default_rng(seed)
+        scale = np.repeat(np.logspace(-3, 2, 6), 100)[:, None]
+        X = xbar + scale * rng.standard_normal((600, n))
+        has, _, _ = _checked_brackets(monkeypatch, proj, X)
+        assert np.any(has)
+
+
+def test_secular_bracket_matches_full_grid_scan_past_the_pole(monkeypatch):
+    # Rows whose root lies past the pole: psi(0) > 0 (g(x) in -Q), and
+    # psi(0) <= 0 with the monotone root on -Q (g0 <= 0 there).  Both
+    # instances have their pole at t = 1; on the hyperbola, g = (x1, x2, 1),
+    # b is not in Im(A), so every infeasible row reaches the secular stage,
+    # here more than two row blocks of them.
+    hyperbola = AffineSOCInstance(
+        np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 0.0, 1.0])
+    )
+    proj = FeasibleSetProjector(hyperbola, np.array([2.0, 0.0]))
+    X = np.random.default_rng(5).standard_normal((800, 2)) * 4.0
+    has, j, psi0 = _checked_brackets(monkeypatch, proj, X)
+    assert has.size > 2 * projection._GRID_BLOCK
+    gap = proj._slater.grid_gap
+    assert np.any(has & (j > gap) & (psi0 > 0.0))
+    assert np.any(has & (j > gap) & (psi0 <= 0.0))
+    assert np.any(has & (j < gap))
+
+    # The identity instance, led by the hard-case row (0, 3, 4): it reaches
+    # the secular stage first and has no bracket.
+    proj = FeasibleSetProjector(IDENTITY, np.array([1.0, 0.0, 0.0]))
+    X = np.vstack(
+        [[0.0, 3.0, 4.0], np.random.default_rng(5).standard_normal((400, 3)) * 4.0]
+    )
+    has, j, psi0 = _checked_brackets(monkeypatch, proj, X)
+    gap = proj._slater.grid_gap
+    assert not has[0]
+    assert np.any(has & (j > gap) & (psi0 <= 0.0))
+
+
+def test_secular_bracket_matches_full_grid_scan_without_a_pole(monkeypatch):
+    # M = A^T J A is negative definite here, so the grid has no pole and the
+    # whole grid is the monotone branch, on which every row outside the
+    # feasible ellipse has its bracket.
+    inst = AffineSOCInstance(
+        np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0, 0.0])
+    )
+    proj = FeasibleSetProjector(inst, np.zeros(2))
+    assert proj.geometry.value == "slater"
+    assert proj._slater.grid_gap < 0
+    X = np.random.default_rng(8).standard_normal((300, 2)) * 5.0
+    has, _, _ = _checked_brackets(monkeypatch, proj, X)
+    assert has.size > 100 and np.all(has)
 
 
 def test_boosted_wedge_keeps_its_distances():
