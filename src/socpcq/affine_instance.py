@@ -18,6 +18,8 @@ from .errors import DimensionError, InfeasiblePointError, SingularReductionError
 from .soc_core import (
     DEFAULT_TOL,
     ConeLocation,
+    _norm,
+    _row_norms,
     as_cone_vector,
     classify_cone_point,
     cone_margin,
@@ -34,13 +36,17 @@ class AffineSOCInstance:
     ``tol`` is the one tolerance of every decision on the instance and its
     points: the cone location of g(x), ranks and the spectral class of
     Im(A), and the gradient floor.  The data is treated as immutable:
-    ``geometry`` memoizes the spectral geometry of Im(A) on the instance.
+    ``geometry`` memoizes the spectral geometry of Im(A) on the instance,
+    and ``norm_A`` its Frobenius norm.
     """
 
     A: np.ndarray
     b: np.ndarray
     tol: float = DEFAULT_TOL
     _geometry: Optional[SubspaceConeClass] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _norm_A: Optional[float] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -59,7 +65,7 @@ class AffineSOCInstance:
             raise DimensionError("A needs at least one column")
         if b.shape != (m,):
             raise DimensionError(f"b has shape {b.shape}, expected ({m},)")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise DimensionError("instance data has non-finite entries")
         if not (np.isfinite(tol) and tol > 0.0):
             raise DimensionError(f"tol must be positive and finite, got {tol!r}")
@@ -83,11 +89,17 @@ class AffineSOCInstance:
             )
         return self._geometry
 
+    def norm_A(self) -> float:
+        """||A||_F; computed once."""
+        if self._norm_A is None:
+            object.__setattr__(self, "_norm_A", _norm(self.A))
+        return self._norm_A
+
     def point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionError(f"point has shape {x.shape}, expected ({self.n},)")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DimensionError("point has non-finite entries")
         return x
 
@@ -103,7 +115,7 @@ class AffineSOCInstance:
             raise DimensionError(
                 f"points have shape {X.shape}, expected (N, {self.n})"
             )
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise DimensionError("points have non-finite entries")
         return X
 
@@ -137,7 +149,7 @@ class PointAnalysis:
 
     @property
     def grad_floor(self) -> float:
-        return self.instance.tol * max(1.0, float(np.linalg.norm(self.instance.A)))
+        return self.instance.tol * max(1.0, self.instance.norm_A())
 
 
 def phi(instance: AffineSOCInstance, x) -> float:
@@ -158,10 +170,10 @@ def _grad_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """grad phi from the rows of Y = g(X); ok flags the rows where gr is
     safely nonzero, ||gr|| > tol * max(1, ||g||), the others are zero."""
-    norms = np.linalg.norm(Y[:, 1:], axis=1)
-    ok = norms > instance.tol * np.maximum(1.0, np.linalg.norm(Y, axis=1))
+    norms = _row_norms(Y[:, 1:])
+    ok = norms > instance.tol * np.maximum(1.0, _row_norms(Y))
     G = np.zeros((Y.shape[0], instance.n))
-    if np.any(ok):
+    if ok.any():
         unit = Y[ok, 1:] / norms[ok, None]
         G[ok] = instance.A[0] - unit @ instance.A[1:]
     return G, ok
@@ -172,7 +184,7 @@ def _grad_at(instance: AffineSOCInstance, y: np.ndarray) -> np.ndarray:
     G, ok = _grad_rows(instance, y[None, :])
     if not ok[0]:
         raise SingularReductionError(
-            f"gr(x) has norm {float(np.linalg.norm(y[1:])):.3e}; "
+            f"gr(x) has norm {_norm(y[1:]):.3e}; "
             "the scalar reduction is singular here"
         )
     return G[0]
@@ -254,7 +266,7 @@ def linearization_cone_membership(instance: AffineSOCInstance, x, d) -> bool:
     d = np.asarray(d, dtype=float)
     if d.shape != (instance.n,):
         raise DimensionError(f"direction has shape {d.shape}, expected ({instance.n},)")
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise DimensionError("direction has non-finite entries")
     if analysis.location is ConeLocation.INTERIOR:
         return True
@@ -262,7 +274,7 @@ def linearization_cone_membership(instance: AffineSOCInstance, x, d) -> bool:
         image = as_cone_vector(instance.A @ d)
         return classify_cone_point(image, instance.tol) is not ConeLocation.OUTSIDE
     g = analysis.grad_phi
-    scale = max(1.0, float(np.linalg.norm(g)) * float(np.linalg.norm(d)))
+    scale = max(1.0, _norm(g) * _norm(d))
     return float(g @ d) >= -instance.tol * scale
 
 
@@ -303,9 +315,9 @@ def _vanishing(
     A against the columns parallel to g(x), at a boundary point."""
     instance, y = analysis.instance, analysis.y
     residual = instance.A - np.outer(y, (y @ instance.A) / float(y @ y))
-    residual_norm = float(np.linalg.norm(residual))
+    residual_norm = _norm(residual)
     if residual_norm > analysis.grad_floor:
         return None, residual_norm
-    u = y[1:] / np.linalg.norm(y[1:])
+    u = y[1:] / _norm(y[1:])
     cert = VanishingCertificate(u=u, w=instance.A[0].copy(), c=float(instance.b[0]))
     return cert, residual_norm

@@ -90,6 +90,15 @@ def _is_number(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array; anything that is not numeric, or is
+    ragged, raises ``ParseError``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be numeric: {exc}") from exc
+
+
 def parse_instance(path: str) -> InstanceDocument:
     """Load and validate an instance document; raises ParseError on defects."""
     try:
@@ -110,25 +119,31 @@ def instance_document_from_dict(raw: Any) -> InstanceDocument:
     _require(_is_number(m, int) and _is_number(n, int), "fields m, n must be integers")
     _require(m >= 2, f"m must be at least 2, got {m}")
     _require(n >= 1, f"n must be at least 1, got {n}")
-    A = np.asarray(raw["A"], dtype=float)
+    A = _floats(raw["A"], "field A")
     _require(A.shape == (m, n), f"field A must be {m}x{n} row-major, got shape {A.shape}")
-    b = np.asarray(raw["b"], dtype=float)
+    b = _floats(raw["b"], "field b")
     _require(b.shape == (m,), f"field b must have length {m}, got shape {b.shape}")
-    _require(bool(np.all(np.isfinite(A))), "field A contains non-finite entries")
-    _require(bool(np.all(np.isfinite(b))), "field b contains non-finite entries")
+    _require(bool(np.isfinite(A).all()), "field A contains non-finite entries")
+    _require(bool(np.isfinite(b).all()), "field b contains non-finite entries")
     _require(isinstance(raw["points"], dict), "field points must map names to vectors")
     points: dict[str, np.ndarray] = {}
     for name, vec in raw["points"].items():
-        v = np.asarray(vec, dtype=float)
+        v = _floats(vec, f"point {name!r}")
         _require(
             v.shape == (n,), f"point {name!r} must have length {n}, got shape {v.shape}"
         )
-        _require(bool(np.all(np.isfinite(v))), f"point {name!r} has non-finite entries")
+        _require(bool(np.isfinite(v).all()), f"point {name!r} has non-finite entries")
         points[name] = v
+    raw_tolerances = raw.get("tolerances", {})
+    _require(
+        isinstance(raw_tolerances, dict), "field tolerances must map names to numbers"
+    )
     tolerances = {}
-    for key, value in raw.get("tolerances", {}).items():
+    for key, value in raw_tolerances.items():
+        # An int beyond the float range compares above the largest float,
+        # and NaN compares false, so this also rejects both.
         _require(
-            _is_number(value, (int, float)) and np.isfinite(value) and value > 0,
+            _is_number(value, (int, float)) and 0 < value <= sys.float_info.max,
             f"tolerance {key!r} must be a positive finite number",
         )
         tolerances[key] = float(value)
@@ -279,8 +294,7 @@ def cmd_analyze(args) -> int:
     payload = report_to_dict(doc, args.point, report)
     text = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text)
     print(text)
     for line in _summary_lines(report):
         print(line)
@@ -348,8 +362,7 @@ def cmd_harness(args) -> int:
         )
     text = "\n".join(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text)
     print(text)
     print(
         f"trials={report.trials} disagreements={len(report.disagreements)} "
@@ -383,6 +396,16 @@ def cmd_project(args) -> int:
     print(f"dist(x, Omega) = {dist:.12g}")
     print(f"dist(g(x), Q_m) = {dist_g:.12g}")
     return EXIT_OK
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` and a newline to the ``--out`` file; a path that
+    cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _parse_radii(text: str) -> tuple[float, ...]:

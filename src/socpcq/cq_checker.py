@@ -48,7 +48,7 @@ from .affine_instance import (
     _vanishing,
     analyze_point,
 )
-from .soc_core import DEFAULT_TOL, ConeLocation, cone_margin
+from .soc_core import DEFAULT_TOL, ConeLocation, _norm, cone_margin
 from .subspace_cone import SubspaceKind, image_basis
 
 __all__ = [
@@ -106,7 +106,7 @@ def _off_vertex(pa: PointAnalysis) -> Verdict:
     if pa.location is ConeLocation.INTERIOR:
         return Verdict(True, "interior", {"margin": cone_margin(pa.y)})
     g = pa.grad_phi
-    norm = float(np.linalg.norm(g))
+    norm = _norm(g)
     ev = {"grad_phi": g, "grad_norm": norm}
     if norm > pa.grad_floor:
         return Verdict(True, "boundary gradient nonzero", ev)
@@ -141,11 +141,11 @@ def _rcq(pa: PointAnalysis) -> Verdict:
 
 def _fcr(pa: PointAnalysis) -> Verdict:
     if pa.location is ConeLocation.ZERO:
-        return Verdict(True, "Thm3.2(i)", {"y_norm": float(np.linalg.norm(pa.y))})
+        return Verdict(True, "Thm3.2(i)", {"y_norm": _norm(pa.y)})
     if pa.location is ConeLocation.INTERIOR:
         return Verdict(True, "Thm3.2(ii)", {"margin": cone_margin(pa.y)})
     g = pa.grad_phi
-    norm = float(np.linalg.norm(g))
+    norm = _norm(g)
     if norm > pa.grad_floor:
         return Verdict(True, "Thm3.2(iii)", {"grad_phi": g, "grad_norm": norm})
     cert, residual = _vanishing(pa)
@@ -218,7 +218,7 @@ def minimal_cone_distance_on_image(A: np.ndarray, tol: float = DEFAULT_TOL) -> f
 def _eta(B: np.ndarray) -> float:
     if B.shape[1] == 0:
         return float("inf")
-    t = min(1.0, float(np.linalg.norm(B[0])))
+    t = min(1.0, _norm(B[0]))
     return max(0.0, math.sqrt(0.5) * (math.sqrt(1.0 - t * t) - t))
 
 

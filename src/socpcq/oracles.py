@@ -49,7 +49,7 @@ from .affine_instance import AffineSOCInstance, analyze_point, grad_phi_many
 from .cq_checker import full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
 from .projection import PROJECTION_TOL, BatchProjection, FeasibleSetProjector
-from .soc_core import ConeLocation, distances_to_cone, margins
+from .soc_core import ConeLocation, _norm, _row_norms, distances_to_cone, margins
 from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
 
 __all__ = [
@@ -172,7 +172,7 @@ class HarnessReport:
 
 def _uniform_ball_directions(rng: np.random.Generator, count: int, n: int):
     d = rng.standard_normal((count, n))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d /= _row_norms(d, keepdims=True)
     u = rng.random(count) ** (1.0 / n)
     return d, u
 
@@ -201,10 +201,10 @@ def _anchored_probes(record: BatchProjection, X, h, offsets):
         X - Z, ub[:, None], out=np.array(offsets, dtype=float), where=normal[:, None]
     )
     probes = Z + h[:, None] * step
-    dist = np.linalg.norm(probes - Z, axis=1)
+    dist = _row_norms(probes - Z)
     # The interval's width times ub, free of a division by a tiny ub.
     width_ub = (dist - h) * ub + (ub - lb) * np.maximum(ub, h)
-    limit = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(probes, axis=1))
+    limit = PROJECTION_TOL * np.maximum(1.0, _row_norms(probes))
     return probes, dist, normal & (width_ub <= limit * ub)
 
 
@@ -251,10 +251,15 @@ def mscq_kappa_scan(
     P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
 
     rng = np.random.default_rng(seed)
-    dirs, radial = _uniform_ball_directions(rng, S, n)
-    base_dirs, base_radial = _uniform_ball_directions(rng, P, n)
-    probe_offsets = rng.standard_normal((P, n))
-    probe_offsets /= np.linalg.norm(probe_offsets, axis=1, keepdims=True)
+    # The draws, in this order: S uniform directions and radii, P probe-base
+    # directions and radii, P probe offsets.  The three direction blocks
+    # are normalized together.
+    dirs, radial = rng.standard_normal((S, n)), rng.random(S)
+    base_dirs, base_radial = rng.standard_normal((P, n)), rng.random(P)
+    dirs = np.vstack([dirs, base_dirs, rng.standard_normal((P, n))])
+    dirs /= _row_norms(dirs, keepdims=True)
+    radial = np.concatenate([radial, base_radial]) ** (1.0 / n)
+    offsets = np.tile(dirs[S + P :], (k, 1))
 
     # Probe offsets h_k = r_k / (8 * 30^k), from the running divisor.
     h = np.empty(k)
@@ -262,19 +267,20 @@ def mscq_kappa_scan(
     for i, r in enumerate(radii):
         h[i] = r / divisor
         divisor *= _PROBE_DIVISOR_GROWTH
+    h_rows = np.repeat(h, P)
     r_col = np.asarray(radii)[:, None]
 
-    # Radius-major draws: S uniform points and P probe bases per radius.
-    uniform = (center + dirs * (r_col * radial)[:, :, None]).reshape(k * S, n)
-    bases = (center + base_dirs * (0.9 * r_col * base_radial)[:, :, None]).reshape(
-        k * P, n
-    )
-    h_rows = np.repeat(h, P)
-    offsets = np.tile(probe_offsets, (k, 1))
-    G = instance.evaluate_many(np.vstack([bases, uniform]))
-    own = margins(G[: k * P]) >= 0.0
-    dist_g_uniform = distances_to_cone(G[k * P :])
-    kept = dist_g_uniform > RATIO_DISTANCE_FLOOR
+    # Radius-major draws in one broadcast: per radius, S uniform points in
+    # the ball, then P probe bases in 0.9 of it.  One distance pass covers
+    # both; a base at distance 0 is feasible and its own anchor.
+    spread = np.hstack([r_col * radial[:S], 0.9 * r_col * radial[S:]])
+    draws = center + dirs[: S + P] * spread[:, :, None]
+    dist_g = distances_to_cone(instance.evaluate_many(draws.reshape(-1, n)))
+    dist_g = dist_g.reshape(k, S + P)
+    uniform = draws[:, :S]
+    kept = dist_g[:, :S] > RATIO_DISTANCE_FLOOR
+    bases = draws[:, S:].reshape(k * P, n)
+    own = dist_g[:, S:].ravel() <= 0.0
     probes = np.empty_like(bases)
     probes[own] = bases[own] + h_rows[own, None] * offsets[own]
 
@@ -284,13 +290,11 @@ def mscq_kappa_scan(
     record = projector.project_batch(
         np.vstack([bases[far], uniform[kept], probes[own]])
     )
-    _, ub_uniform, ub_own = np.split(
-        record.ub, [far.size, far.size + np.count_nonzero(kept)]
-    )
-    dist_uniform = np.zeros(k * S)
-    dist_uniform[kept] = ub_uniform
+    split = far.size + int(kept.sum())
+    dist_omega = np.zeros((k, S + P))
+    dist_omega[:, :S][kept] = record.ub[far.size : split]
     dist_probe = np.zeros(k * P)
-    dist_probe[own] = ub_own
+    dist_probe[own] = record.ub[split:]
     anchors = BatchProjection(*(part[: far.size] for part in record))
     probes[far], dist, inherited = _anchored_probes(
         anchors, bases[far], h_rows[far], offsets[far]
@@ -302,11 +306,11 @@ def mscq_kappa_scan(
     if fallback.size:
         dist_probe[fallback] = projector.project_batch(probes[fallback]).ub
 
-    dist_g = np.hstack([dist_g_uniform.reshape(k, S), dist_g_probe.reshape(k, P)])
-    dist_omega = np.hstack([dist_uniform.reshape(k, S), dist_probe.reshape(k, P)])
+    dist_g[:, S:] = dist_g_probe.reshape(k, P)
+    dist_omega[:, S:] = dist_probe.reshape(k, P)
     keep = dist_g > RATIO_DISTANCE_FLOOR
-    n_feas = np.count_nonzero(dist_g <= 0.0, axis=1)
-    n_floor = np.count_nonzero((dist_g > 0.0) & ~keep, axis=1)
+    n_feas = (dist_g <= 0.0).sum(axis=1)
+    n_floor = ((dist_g > 0.0) & ~keep).sum(axis=1)
     ratios = np.zeros((k, S + P))
     ratios[keep] = dist_omega[keep] / dist_g[keep]
 
@@ -314,7 +318,7 @@ def mscq_kappa_scan(
     # the max over the kept entries, or 0.0 when none was kept.
     uniform_kappa = ratios[:, :S].max(axis=1, initial=0.0)
     probe_kappa = ratios[:, S:].max(axis=1, initial=0.0)
-    probe_valid = np.count_nonzero(keep[:, S:], axis=1)
+    probe_valid = keep[:, S:].sum(axis=1)
     # The ratio field is exactly scale-invariant on these conic geometries,
     # so the uniform max is a radius-independent constant; only the planted
     # probes see the radius.  Use them whenever any survived, else fall
@@ -356,9 +360,9 @@ def classify_kappa_growth(scan: KappaScan) -> str:
         P = np.asarray(scan.probe_ratios, dtype=float)
         for i in range(k - 2, -1, -1):
             both = (P[i] > 0.0) & (P[i + 1] > 0.0)
-            if not np.any(both):
+            if not both.any():
                 continue
-            growth = float(np.max(P[i + 1][both] / P[i][both]))
+            growth = float((P[i + 1][both] / P[i][both]).max())
             if growth >= _GROWING_MIN_GROWTH:
                 return "growing"
             if growth <= _BOUNDED_MAX_GROWTH:
@@ -389,7 +393,7 @@ def classify_kappa_growth(scan: KappaScan) -> str:
 
 def _random_boundary_rays(rng: np.random.Generator, m: int, count: int):
     w = rng.standard_normal((count, m - 1))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w /= _row_norms(w, keepdims=True)
     rays = np.empty((count, m))
     rays[:, 0] = math.sqrt(0.5)
     rays[:, 1:] = math.sqrt(0.5) * w
@@ -414,23 +418,23 @@ def fcr_dim_scan(
     sampled boundary-ray faces.
     """
     analysis = analyze_point(instance, xbar)
-    rng = np.random.default_rng(seed)
-    center = analysis.x
-    n = instance.n
-
     if analysis.location is ConeLocation.INTERIOR:
         return [
             DimScan("ZeroFace", frozenset({0}), 1, int(seed)),
         ]
 
+    rng = np.random.default_rng(seed)
+    center = analysis.x
+    n = instance.n
+
     if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
         dirs, radial = _uniform_ball_directions(rng, samples, n)
         X = np.vstack([center[None, :], center + dirs * (radius * radial)[:, None]])
         G, ok = grad_phi_many(instance, X)
-        discarded = int(np.count_nonzero(~ok))
-        norms = np.linalg.norm(G[ok], axis=1)
+        discarded = int((~ok).sum())
+        norms = _row_norms(G[ok])
         dims = frozenset(int(v) for v in (norms > analysis.grad_floor).astype(int))
-        count = int(np.count_nonzero(ok))
+        count = int(ok.sum())
         return [
             DimScan("ZeroFace", dims, count, int(seed), discarded),
             DimScan("FullCone", frozenset({0}), count, int(seed), discarded),
@@ -452,9 +456,7 @@ def fcr_dim_scan(
         W = _random_boundary_rays(rng, instance.m, rays)
         restricted = A - W[:, :, None] * (W @ A)[:, None, :]
         sigmas = np.linalg.svd(restricted, compute_uv=False)
-        ranks = np.count_nonzero(
-            sigmas > instance.tol * geo.singular_values[0], axis=1
-        )
+        ranks = (sigmas > instance.tol * geo.singular_values[0]).sum(axis=1)
         out.extend(
             DimScan(f"SampledRay({i})", frozenset({int(r)}), samples, int(seed))
             for i, r in enumerate(ranks)
@@ -501,7 +503,7 @@ def brute_force_subspace_class(
         Z = np.array([[1.0], [-1.0]])
     else:
         Z = rng.standard_normal((samples, k))
-        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        Z /= _row_norms(Z, keepdims=True)
         Z = np.vstack([Z, np.eye(k), -np.eye(k)])
     vals = margin_of(Z)
     order = np.argsort(vals)[::-1][: min(6, len(vals))]
@@ -516,7 +518,7 @@ def brute_force_subspace_class(
         cand = z[live, None, :] + step[live, None, None] * rng.standard_normal(
             (live.size, 24, k)
         )
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        cand /= _row_norms(cand, keepdims=True)
         cv = margin_of(cand.reshape(-1, k)).reshape(live.size, 24)
         j = cv.argmax(axis=1)
         at = np.arange(live.size)
@@ -533,7 +535,7 @@ def brute_force_subspace_class(
         return SubspaceConeClass(SubspaceKind.ZERO_ONLY)
     if y[0] < 0:
         y = -y
-    return SubspaceConeClass(SubspaceKind.RAY, ray=y / np.linalg.norm(y))
+    return SubspaceConeClass(SubspaceKind.RAY, ray=y / _norm(y))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +559,7 @@ _MIN_N = {"Cor4.2": 2}
 
 def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def _boundary_unit(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -571,20 +573,20 @@ def _build_candidate(rng, m, n, target):
     xbar = rng.standard_normal(n)
     if target == "Thm4.4(i)":
         A = rng.standard_normal((m, n))
-        A /= max(1.0, np.linalg.norm(A))
+        A /= max(1.0, _norm(A))
         y = np.zeros(m)
         y[0] = 1.0 + rng.random()
         y[1:] = 0.4 * rng.random() * _unit(rng, m - 1)
         return AffineSOCInstance(A, y - A @ xbar), xbar
     if target == "Thm4.4(ii)":
         A = rng.standard_normal((m, n))
-        A /= max(1.0, np.linalg.norm(A))
+        A /= max(1.0, _norm(A))
         y = (0.5 + rng.random()) * _boundary_unit(rng, m) * math.sqrt(2.0)
         return AffineSOCInstance(A, y - A @ xbar), xbar
     if target == "Thm4.4(iii)":
         u = _unit(rng, m - 1)
         w = rng.standard_normal(n)
-        w /= max(0.25, np.linalg.norm(w)) / (0.5 + rng.random())
+        w /= max(0.25, _norm(w)) / (0.5 + rng.random())
         head = np.concatenate([[1.0], u])
         A = np.outer(head, w)
         c = (0.5 + rng.random()) - float(w @ xbar)
@@ -595,18 +597,18 @@ def _build_candidate(rng, m, n, target):
         interior[0] = 1.0
         interior[1:] = 0.3 * _unit(rng, m - 1)
         cols[:, 0] = interior
-        cols /= max(1.0, np.linalg.norm(cols))
+        cols /= max(1.0, _norm(cols))
         return AffineSOCInstance(cols, -cols @ xbar), xbar
     if target == "Thm4.4(v)":
         k = min(n, m - 1)
         block = rng.standard_normal((m - 1, k))
         svals = np.linalg.svd(block, compute_uv=False)
         tilt = rng.standard_normal(k)
-        tilt *= 0.2 * svals[-1] / max(np.linalg.norm(tilt), 1e-12)
+        tilt *= 0.2 * svals[-1] / max(_norm(tilt), 1e-12)
         S = np.vstack([tilt[None, :], block])
         C = rng.standard_normal((k, n))
         A = S @ C
-        A /= max(1.0, np.linalg.norm(A))
+        A /= max(1.0, _norm(A))
         return AffineSOCInstance(A, -A @ xbar), xbar
     if target == "Thm4.4(vi)":
         v = _boundary_unit(rng, m)
@@ -626,21 +628,21 @@ def _build_candidate(rng, m, n, target):
         S = np.column_stack([v] + [basis[:, i] for i in range(j)])
         C = rng.standard_normal((j + 1, n))
         A = S @ C
-        A /= max(1.0, np.linalg.norm(A))
+        A /= max(1.0, _norm(A))
         return AffineSOCInstance(A, -A @ xbar), xbar
     if target == "degenerate-boundary":
         y = (0.5 + rng.random()) * _boundary_unit(rng, m) * math.sqrt(2.0)
         ytil = y.copy()
         ytil[0] = -ytil[0]
-        yhat = y / np.linalg.norm(y)
+        yhat = y / _norm(y)
         P = np.eye(m) - np.outer(yhat, yhat) - np.outer(ytil, ytil) / float(ytil @ ytil)
         basis = np.linalg.svd(P)[0][:, : m - 2]
         c = rng.standard_normal(n)
         A = np.outer(yhat, c)
         D = rng.standard_normal((m - 2, n))
-        D /= max(0.5, np.linalg.norm(D)) / (0.5 + rng.random())
+        D /= max(0.5, _norm(D)) / (0.5 + rng.random())
         A = A + basis @ D
-        A /= max(1.0, np.linalg.norm(A))
+        A /= max(1.0, _norm(A))
         return AffineSOCInstance(A, y - A @ xbar), xbar
     raise GenerationError(f"unknown target case {target!r}")
 
@@ -666,9 +668,7 @@ def _self_check(report, target) -> bool:
     instance = report.point_analysis.instance
     if target == "Thm4.4(ii)":
         # keep a healthy gradient margin so neighborhood scans stay clean
-        return crcq.evidence["grad_norm"] > 0.05 * max(
-            1.0, float(np.linalg.norm(instance.A))
-        )
+        return crcq.evidence["grad_norm"] > 0.05 * max(1.0, instance.norm_A())
     if target in _FAILING_AT:
         if report.point_analysis.location is not _FAILING_AT[target]:
             return False
@@ -729,7 +729,7 @@ def _draw(m: int, n: int, target_case: str, seed: int):
 
 def _safe_scan_radius(analysis) -> float:
     if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
-        yr = float(np.linalg.norm(analysis.y[1:]))
+        yr = _norm(analysis.y[1:])
         a_op = float(analysis.geometry.singular_values[0])
         return min(0.1, 0.1 * yr / max(1.0, a_op))
     return 0.1

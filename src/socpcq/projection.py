@@ -141,6 +141,8 @@ from .cq_checker import _rcq
 from .errors import NumericalFailureError
 from .soc_core import (
     ConeLocation,
+    _norm,
+    _row_norms,
     classify_cone_point,
     cone_margin,
     margins,
@@ -247,15 +249,15 @@ class FeasibleSetProjector:
             rows, U = geo.row_basis, geo.basis
             d = None
             if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
-                y_norm = float(np.linalg.norm(y_ref))
+                y_norm = _norm(y_ref)
                 d = y_ref / y_norm
             elif geo.kind is SubspaceKind.RAY:
                 d, y_norm = geo.ray, 0.0
-            if d is not None and float(np.linalg.norm(d - U @ (U.T @ d))) <= instance.tol:
+            if d is not None and _norm(d - U @ (U.T @ d)) <= instance.tol:
                 # Omega = ref + null(A) + {s q : s >= -y_norm}, q = A^+ d.
                 self.geometry = _Geometry.RAY_FLAT
                 a = (d @ U) / geo.singular_values[: geo.rank]
-                norm_a = float(np.linalg.norm(a))
+                norm_a = _norm(a)
                 a_hat = a / norm_a
                 # Not V_k V_k^T - q_hat q_hat^T: this form is exactly zero
                 # at rank one, so feasible rows keep distance exactly 0.
@@ -294,9 +296,9 @@ class FeasibleSetProjector:
         # A row can project onto the vertex preimage only when b is in Im(A).
         # The Slater point then lies in Im(A) too, so P_00 < 1/2.
         P = maps.null_proj
-        vertex = float(P[0, 0]) < 0.5 and float(
-            np.linalg.norm(P @ b)
-        ) <= self.instance.tol * max(1.0, float(np.linalg.norm(b)))
+        vertex = float(P[0, 0]) < 0.5 and _norm(P @ b) <= self.instance.tol * max(
+            1.0, _norm(b)
+        )
 
         JA = A.copy()
         JA[1:] *= -1.0
@@ -304,7 +306,7 @@ class FeasibleSetProjector:
         # Inertia: only the top eigenvalue may be positive.  Positive values
         # further down, and a top value inside the tolerance band, are
         # rounding artifacts of zero eigenvalues.
-        spread = float(np.max(np.abs(lam)))
+        spread = float(np.abs(lam).max())
         lam_top = float(lam[-1])
         lam = np.minimum(lam, 0.0)
         if lam_top > self.instance.tol * spread:
@@ -351,7 +353,7 @@ class FeasibleSetProjector:
             # Rows below the half-line's end move up to it along q / ||q||.
             q, lo = self._half_line
             delta += np.minimum(R @ q - lo, 0.0)[:, None] * q
-        dist = np.linalg.norm(delta, axis=1)
+        dist = _row_norms(delta)
         return BatchProjection(X - delta, dist, dist)
 
     def project(self, x, tol: float = PROJECTION_TOL) -> tuple[np.ndarray, float]:
@@ -370,7 +372,7 @@ class FeasibleSetProjector:
         if todo.size == 0:
             return BatchProjection(Z_out, ub_out, lb_out)
         Xs, GXs = X[todo], GX[todo]
-        gap_tol = tol * np.maximum(1.0, np.linalg.norm(Xs, axis=1))
+        gap_tol = tol * np.maximum(1.0, _row_norms(Xs))
 
         if self._slater.null_proj is not None:
             best_Z, ub, lb = self._vertex_candidate(Xs, GXs)
@@ -385,8 +387,8 @@ class FeasibleSetProjector:
             lb[rows] = np.fmax(lb[rows], lb_s)
 
         gap = ub - lb
-        if not np.all(gap <= gap_tol):
-            worst = float(np.max(gap))
+        if not (gap <= gap_tol).all():
+            worst = float(gap.max())
             raise NumericalFailureError(
                 f"projection gap {worst:.3e} not certified", worst
             )
@@ -405,7 +407,7 @@ class FeasibleSetProjector:
         interior point with weight -mz / (interior margin - mz) does.
         """
         neg = mz < 0.0
-        if np.any(neg):
+        if neg.any():
             Z = Z.copy()
             ray = self._slater.ray
             if ray is not None:
@@ -426,7 +428,7 @@ class FeasibleSetProjector:
         """
         AtMu = Mu @ self.instance.A
         num = -np.einsum("ij,ij->i", Mu, GZ) - np.einsum("ij,ij->i", AtMu, Xs - Z)
-        den = np.linalg.norm(AtMu, axis=1)
+        den = _row_norms(AtMu)
         lb = np.zeros(num.shape[0])
         good = den > 1e-300
         lb[good] = np.fmax(0.0, num[good] / den[good])
@@ -440,9 +442,9 @@ class FeasibleSetProjector:
         """
         A, b = self.instance.A, self.instance.b
         G = Z @ A.T + b
-        nr = np.linalg.norm(G[:, 1:], axis=1)
+        nr = _row_norms(G[:, 1:])
         Zf = self._pull_inside(Z, G[:, 0] - nr)
-        ub = np.linalg.norm(Xs - Zf, axis=1)
+        ub = _row_norms(Xs - Zf)
         Mu = np.empty_like(G)
         Mu[:, 0] = 1.0
         Mu[:, 1:] = -G[:, 1:] / np.maximum(nr, 1e-300)[:, None]
@@ -463,7 +465,7 @@ class FeasibleSetProjector:
         # A^T mu = -(x - z_v) on the slice -pinv(A^T)(x - z_v) + null(A^T)
         Mu = _max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
         lb = self._dual_bound(projections_to_cone(Mu), Xs, Xs - D, Gv)
-        return Zv, np.linalg.norm(Xs - Zv, axis=1), lb
+        return Zv, _row_norms(Xs - Zv), lb
 
     def _secular_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
         """Root of the secular equation per row (module docstring, stage 2)."""
@@ -555,11 +557,11 @@ class FeasibleSetProjector:
         A, b = self.instance.A, self.instance.b
         sd = self._slater
         lam_top = sd.lam[-1]
-        norm_A, norm_b = float(np.linalg.norm(A)), float(np.linalg.norm(b))
+        norm_A, norm_b = self.instance.norm_A(), _norm(b)
         W2 = W * W
         active = np.ones(t.size, dtype=bool)
         for _ in range(_NEWTON_STEPS):
-            if not np.any(active):
+            if not active.any():
                 break
             E = 1.0 - t[:, None] * sd.lam
             E[:, -1] = u
@@ -622,7 +624,7 @@ def _max_margin(P: np.ndarray, C: np.ndarray) -> np.ndarray:
     kappa = float(np.sqrt((1.0 - alpha) / (1.0 - 2.0 * alpha)))
     cr = C[:, 1:]
     perp = cr - cr @ proj
-    lift = kappa * np.linalg.norm(perp, axis=1)
+    lift = kappa * _row_norms(perp)
     Y = np.empty_like(C)
     Y[:, 0] = C[:, 0] + (lift * float(s @ s) - cr @ s)
     Y[:, 1:] = perp + lift[:, None] * s
@@ -667,7 +669,7 @@ def _slice_step(instance: AffineSOCInstance, maps: _ImageMaps, y: np.ndarray):
     if geo.kind is SubspaceKind.MEETS_INTERIOR:
         if ray is None:
             return np.zeros(instance.n), np.inf
-        return (np.linalg.norm(y) - cone_margin(y)) * ray, np.inf
+        return (_norm(y) - cone_margin(y)) * ray, np.inf
     if geo.kind is SubspaceKind.ZERO_ONLY:
         best = _max_margin(np.eye(instance.m) - P, y[None, :])[0]
         return (best - y) @ pinv_t, cone_margin(best)

@@ -4,11 +4,18 @@ The cone in R^m (m >= 2) is the set of points y = (y0, yr) with
 y0 >= ||yr||.  Everything else in the package reduces to the four-way
 classification implemented here (interior / positive boundary / zero /
 outside) together with the exact distance and projection formulas.
+
+``_norm`` and ``_row_norms`` are the package's one Euclidean norm kernel:
+every vector, Frobenius and row norm goes through them.  They run the
+operations ``np.linalg.norm`` runs on float64 input, so their values are
+bitwise those of ``np.linalg.norm``, without its Python dispatch, which
+costs more than the arithmetic on the package's small matrices.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +64,7 @@ def as_cone_vector(y) -> np.ndarray:
             f"cone points need dimension >= 2, got {arr.shape[0]} "
             "(the m = 1 half-line is out of scope)"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError("cone point has non-finite entries")
     return arr
 
@@ -85,7 +92,7 @@ def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
     y = as_cone_vector(y)
     if tol <= 0:
         raise DimensionError("tolerance must be positive")
-    norm_y = float(np.linalg.norm(y))
+    norm_y = _norm(y)
     scale = max(1.0, norm_y)
     if norm_y <= tol * scale:
         return ConeLocation.ZERO
@@ -122,7 +129,7 @@ def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
     d = np.asarray(d, dtype=float)
     if d.shape != y.shape:
         raise DimensionError(f"direction shape {d.shape} != point shape {y.shape}")
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise DimensionError("direction has non-finite entries")
     loc = classify_cone_point(y, tol)
     if loc is ConeLocation.OUTSIDE:
@@ -135,7 +142,7 @@ def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
     if loc is ConeLocation.ZERO:
         return classify_cone_point(d, tol) is not ConeLocation.OUTSIDE
     ytil = reflected(y)
-    scale = max(1.0, float(np.linalg.norm(ytil)) * float(np.linalg.norm(d)))
+    scale = max(1.0, _norm(ytil) * _norm(d))
     return float(ytil @ d) <= tol * scale
 
 
@@ -156,31 +163,50 @@ def normal_cone_descriptor(y, tol: float = DEFAULT_TOL) -> NormalConeDescriptor:
 
 
 # ----------------------------------------------------------------------
+# The norm kernel.  For float64 input, np.linalg.norm takes the 2-norm of
+# a vector, or the Frobenius norm of a matrix, as sqrt(x.dot(x)) on
+# x.ravel(order="K"), and the 2-norm along an axis as
+# sqrt(add.reduce(x * x, axis)).  Keeping the ravel keeps the sum in its
+# order: a dot product on a strided view may sum in another.  (math.sqrt
+# and np.sqrt are both the correctly rounded IEEE square root.)
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 of a float vector, or ||x||_F of a float matrix."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _row_norms(Y: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """The 2-norms of a float array along its last axis."""
+    return np.sqrt(np.add.reduce(Y * Y, axis=-1, keepdims=keepdims))
+
+
+# ----------------------------------------------------------------------
 # Row kernels.  Each formula is written once, for an (N, m) array; the
 # scalar functions above run it on one row.  The sampling oracles push
 # thousands of points through the batched names per call.
 
 def _margin_rows(Y: np.ndarray) -> np.ndarray:
-    return Y[:, 0] - np.linalg.norm(Y[:, 1:], axis=1)
+    return Y[:, 0] - _row_norms(Y[:, 1:])
 
 
 def _distance_rows(Y: np.ndarray) -> np.ndarray:
-    norm_r = np.linalg.norm(Y[:, 1:], axis=1)
+    norm_r = _row_norms(Y[:, 1:])
     out = _SQRT_HALF * (norm_r - Y[:, 0])
     out[Y[:, 0] >= norm_r] = 0.0
     polar = -Y[:, 0] >= norm_r
-    if np.any(polar):
-        out[polar] = np.linalg.norm(Y[polar], axis=1)
+    if polar.any():
+        out[polar] = _row_norms(Y[polar])
     return out
 
 
 def _projection_rows(Y: np.ndarray) -> np.ndarray:
     out = Y.copy()
-    norm_r = np.linalg.norm(Y[:, 1:], axis=1)
+    norm_r = _row_norms(Y[:, 1:])
     polar = -Y[:, 0] >= norm_r
     out[polar] = 0.0
     mid = ~polar & (Y[:, 0] < norm_r)
-    if np.any(mid):
+    if mid.any():
         coef = 0.5 * (Y[mid, 0] + norm_r[mid])
         out[mid, 0] = coef
         out[mid, 1:] = (coef / norm_r[mid])[:, None] * Y[mid, 1:]

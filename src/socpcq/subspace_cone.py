@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .soc_core import DEFAULT_TOL
+from .soc_core import DEFAULT_TOL, _norm
 
 #: Unit boundary rays have |v0| = sqrt(1/2); anything well below that in the
 #: first coordinate cannot be an admissible kernel direction.
@@ -69,7 +69,7 @@ def _validated_matrix(A) -> np.ndarray:
         raise DimensionError(f"expected a matrix, got shape {A.shape}")
     if A.shape[0] < 2:
         raise DimensionError("matrix must map into R^m with m >= 2")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise DimensionError("matrix has non-finite entries")
     return A
 
@@ -78,7 +78,7 @@ def _rank_of(sigma: np.ndarray, tol: float) -> int:
     """Singular values above tol * sigma_max (zero matrix -> 0)."""
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    return int(np.sum(sigma > tol * sigma[0]))
+    return int((sigma > tol * sigma[0]).sum())
 
 
 def numeric_rank(A, tol: float = DEFAULT_TOL) -> int:
@@ -139,7 +139,7 @@ def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
     _, w = admissible[0]
     if w[0] < 0.0:
         w = -w
-    v = w / np.linalg.norm(w)
+    v = w / _norm(w)
     return SubspaceConeClass(
         SubspaceKind.RAY,
         ray=v,
@@ -157,11 +157,11 @@ def image_equals_line(A, v, tol: float = DEFAULT_TOL) -> bool:
         raise DimensionError(
             f"direction has shape {v.shape}, expected ({A.shape[0]},)"
         )
-    norm_v = float(np.linalg.norm(v))
-    if norm_v <= 0.0 or not np.all(np.isfinite(v)):
+    norm_v = _norm(v)
+    if norm_v <= 0.0 or not np.isfinite(v).all():
         raise DimensionError("direction must be nonzero and finite")
     if numeric_rank(A, tol) != 1:
         return False
     b1 = image_basis(A, tol)[:, 0]
     residual = v - (b1 @ v) * b1
-    return float(np.linalg.norm(residual)) <= tol * norm_v
+    return _norm(residual) <= tol * norm_v

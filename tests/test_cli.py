@@ -231,6 +231,19 @@ BAD_DOCUMENTS = [
     ' "tolerances": {"tol": true}}',
     '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
     ' "tolerances": {"projection_tol": true}}',
+    # Not numeric, or ragged: numpy raises on the conversion itself.
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+    ' "tolerances": [1]}',
+    '{"m": 3, "n": 1, "A": "foo", "b": [0,0,0], "points": {"p": [1]}}',
+    '{"m": 3, "n": 2, "A": [[1,0],[0],[0,1]], "b": [0,0,0], "points": {"p": [1,0]}}',
+    '{"m": 3, "n": 2, "A": [[1,0],[0,0],[0,1]], "b": [0,0,0], "points": {"p": "xy"}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": {"x": 0}, "points": {"p": [1]}}',
+    # An integer beyond the float range is no finite tolerance.
+    pytest.param(
+        '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+        ' "tolerances": {"tol": 1' + 400 * "0" + "}}",
+        id="tol-1e400",
+    ),
 ]
 
 
@@ -241,6 +254,21 @@ def test_malformed_documents_exit_2(capsys, tmp_path, text):
     code, _, err = run_cli(capsys, "analyze", str(path), "p")
     assert code == EXIT_PARSE
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", fixture("vertex_halfplane"), "origin"),
+        ("harness", "--trials", "1", "--seed", "0"),
+    ],
+)
+def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
+    out_path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_PARSE
+    assert err.startswith("error: cannot write ")
+    assert out == ""
 
 
 def test_missing_file_exits_2(capsys):

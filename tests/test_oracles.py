@@ -7,6 +7,9 @@ scan records, stratum fidelity of the generator, and clean end-to-end
 harness runs.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -231,6 +234,43 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
         assert np.all(dist[inherited] <= fresh.ub[inherited] + slack[inherited])
         inherited_rows += int(np.count_nonzero(inherited))
     assert inherited_rows >= 32
+
+
+#: Scan records pinned on a seeded draw of every stratum, and of two Slater
+#: strata boosted at rapidity 1.  After a deliberate change to the scan,
+#: regenerate them with ``PYTHONPATH=src python tests/test_oracles.py``.
+PINNED_SCANS = Path(__file__).parent / "data" / "kappa_scan_pins.json"
+PIN_CASES = [(target, 0.0) for target in TARGET_CASES] + [
+    ("Thm4.4(ii)", 1.0),
+    ("Thm4.4(iv)", 1.0),
+]
+_PINNED_FIELDS = (
+    "kappa_hat", "discarded_feasible", "discarded_floor", "probe_valid", "probe_ratios"
+)
+
+
+def _pin_key(target, rapidity):
+    return f"{target}@{rapidity:g}"
+
+
+def _pinned_scan(target, rapidity):
+    index = PIN_CASES.index((target, rapidity))
+    inst, xbar = random_instance(4, 3, target, seed=index)
+    if rapidity:
+        inst = _boosted(inst, rapidity)
+    return mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=100 + index)
+
+
+@pytest.mark.parametrize("target, rapidity", PIN_CASES)
+def test_kappa_scan_matches_pinned_record(target, rapidity):
+    pinned = json.loads(PINNED_SCANS.read_text())[_pin_key(target, rapidity)]
+    scan = _pinned_scan(target, rapidity)
+    for name in ("discarded_feasible", "discarded_floor", "probe_valid"):
+        assert list(getattr(scan, name)) == pinned[name], name
+    for name in ("kappa_hat", "probe_ratios"):
+        np.testing.assert_allclose(
+            getattr(scan, name), pinned[name], rtol=1e-12, atol=0.0, err_msg=name
+        )
 
 
 def _scan(probe_ratios, kappa=None, radii=None, feas=None):
@@ -519,3 +559,12 @@ def test_harness_analyzes_each_random_trial_point_once(calls, monkeypatch):
 def test_harness_rejects_zero_trials():
     with pytest.raises(ValueError):
         equivalence_harness(0)
+
+
+if __name__ == "__main__":
+    PINNED_SCANS.parent.mkdir(exist_ok=True)
+    records = {}
+    for case in PIN_CASES:
+        scan = _pinned_scan(*case)
+        records[_pin_key(*case)] = {name: getattr(scan, name) for name in _PINNED_FIELDS}
+    PINNED_SCANS.write_text(json.dumps(records, indent=1) + "\n")

@@ -7,6 +7,8 @@ characterizes the Euclidean projection onto a convex set without reusing
 any of the library's own formulas.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,9 @@ from socpcq import (
     projections_to_cone,
     tangent_membership,
 )
+import socpcq
 from socpcq.errors import DimensionError
+from socpcq.soc_core import _norm, _row_norms
 
 RNG = np.random.default_rng(1234)
 
@@ -208,3 +212,50 @@ def test_distance_is_1_lipschitz_to_members(values):
     w = sample_cone_points(y.size, 16, np.random.default_rng(abs(hash(tuple(values))) % 2**32))
     d = distance_to_cone(y)
     assert d <= float(np.linalg.norm(y - w, axis=1).min()) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the norm kernel
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_norm_kernel_is_bitwise_np_linalg_norm(scale):
+    # The kernel runs the operations np.linalg.norm runs on float64 input;
+    # at 1e-200 and 1e200 the squares underflow and overflow alike.
+    rng = np.random.default_rng(7)
+    Y = scale * rng.standard_normal((40, 6))
+    Y[3] = 0.0
+    Y[5, 1:] = 0.0
+    cube = scale * rng.standard_normal((5, 24, 4))
+    with np.errstate(over="ignore"):
+        vectors = [Y[0], Y[3], Y[7, 1:], Y[:, 1], Y[::3, 2], cube[1, :, 3]]
+        for v in vectors:
+            assert _same_bits(_norm(v), np.linalg.norm(v))
+        for M in (Y, Y[:, 1:], Y[::2], Y.T, Y[:, 1:].T, np.zeros((3, 2))):
+            assert _same_bits(_norm(M), np.linalg.norm(M))
+        for R in (Y, Y[:, 1:], Y[Y[:, 0] > 0], Y[5:6], Y[:0]):
+            assert _same_bits(_row_norms(R), np.linalg.norm(R, axis=1))
+            assert _same_bits(
+                _row_norms(R, keepdims=True), np.linalg.norm(R, axis=1, keepdims=True)
+            )
+        assert _same_bits(
+            _row_norms(cube, keepdims=True), np.linalg.norm(cube, axis=2, keepdims=True)
+        )
+        assert type(_norm(Y[0])) is float
+
+
+def test_np_linalg_norm_only_in_soc_core():
+    # Every other module takes its norms from the soc_core kernel.
+    package = Path(socpcq.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "soc_core.py" and "linalg.norm" in path.read_text()
+    ]
+    assert offenders == []
