@@ -27,10 +27,12 @@ import argparse
 import enum
 import functools
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Optional
 
 import numpy as np
@@ -92,9 +94,19 @@ def _is_number(value, kinds) -> bool:
 
 def _floats(value, what: str) -> np.ndarray:
     """``value`` as a float array; anything that is not numeric, or is
-    ragged, raises ``ParseError``."""
+    ragged, raises ``ParseError``.
+
+    A JSON string is no number, though numpy's float conversion would
+    parse ``"1e3"``; integers beyond int64 arrive as an object array and
+    are converted like any other."""
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value)
+        kind = array.dtype.kind
+        if kind == "f":
+            return array
+        if kind in "US" or (kind == "O" and any(isinstance(v, str) for v in array.flat)):
+            raise TypeError("a JSON string is not a number")
+        return array.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} must be numeric: {exc}") from exc
 
@@ -177,6 +189,7 @@ def _named_point(doc: InstanceDocument, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _display_label(label: Optional[str]) -> str:
     """Compact condition labels to display form: Thm4.4(vi) -> Thm 4.4 (vi)."""
     if label is None:
@@ -184,10 +197,22 @@ def _display_label(label: Optional[str]) -> str:
     return re.sub(r"^(Thm|Cor)(\d+\.\d+)(\(|$)", r"\1 \2 \3", label).rstrip()
 
 
+_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+
+
 def _jsonable(value: Any) -> Any:
     # numpy values become Python ones first, so a non-finite entry renders
     # as the string "inf"/"nan" like a Python float and the JSON stays strict.
+    t = type(value)
+    if t in _PLAIN_TYPES:
+        return value
+    if t is float:
+        return value if math.isfinite(value) else repr(value)
     if isinstance(value, np.ndarray):
+        # An int, bool or finite float array's list needs no walk.
+        kind = value.dtype.kind
+        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
@@ -197,9 +222,68 @@ def _jsonable(value: Any) -> Any:
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
     return value
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` spells it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _render(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for what ``_jsonable``
+    emits: dicts with str keys, lists, tuples, str, int, float, bool, None.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, which yields one
+    fragment per item; this builds each container with one join. ``newline``
+    is the line break and indentation of the line that holds ``value``.
+    """
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is float:
+        return _float_text(value)
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_str(k) + ": " + _render(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        if type(value[0]) is float:
+            # A list of finite floats takes one join; "inf" and "nan" are
+            # the only float reprs with an "n", and json spells them otherwise.
+            try:
+                text = separator.join(map(float.__repr__, value))
+            except TypeError:
+                pass
+            else:
+                if "n" not in text:
+                    return "[" + inner + text + newline + "]"
+        items = [_render(v, inner) for v in value]
+        return "[" + inner + separator.join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if t is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _verdict_dict(v) -> dict:
@@ -285,19 +369,17 @@ def cmd_analyze(args) -> int:
             "feasible": False,
             "distance_to_cone": exc.distance,
         }
-        print(json.dumps(payload, indent=2))
+        print(_render(payload))
         print(
             f"point {args.point!r} is infeasible: dist(g(x), Q_m) = {exc.distance:.6e}",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
     payload = report_to_dict(doc, args.point, report)
-    text = json.dumps(payload, indent=2)
+    text = _render(payload)
     if args.out:
         _write_out(args.out, text)
-    print(text)
-    for line in _summary_lines(report):
-        print(line)
+    print("\n".join([text, *_summary_lines(report)]))
     return EXIT_OK
 
 

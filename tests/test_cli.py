@@ -10,20 +10,26 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from socpcq import cli, margins, random_instance
+from socpcq import cli, full_report, margins, random_instance
 from socpcq.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     _jsonable,
+    _render,
     build_parser,
     instance_document_from_dict,
     main,
     parse_instance,
+    report_to_dict,
     serialize_instance,
 )
+from socpcq.errors import InfeasiblePointError
+from socpcq.oracles import TARGET_CASES
 
 
 def fixture(name: str) -> str:
@@ -210,6 +216,126 @@ def test_jsonable_renders_non_finite_numpy_values_like_floats():
     assert strict_json(json.dumps(rendered)) == rendered
 
 
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[1.0, -0.0], [5e-324, 1.7976931348623157e308]]),
+        np.array([1.5], dtype=np.float32),
+        np.array([-(2**63), 2**63 - 1]),
+        np.array([2**64 - 1], dtype=np.uint64),
+        np.array([True, False]),
+        np.array(2.5),
+        np.empty((0, 3)),
+    ],
+)
+def test_jsonable_arrays_match_their_python_lists(array):
+    expected = array.tolist()
+    rendered = _jsonable(array)
+    assert rendered == expected
+    assert json.dumps(rendered) == json.dumps(expected)  # types too: 1.0 vs 1
+
+
+# -- report rendering ------------------------------------------------------------
+
+_SPECIAL_FLOATS = [
+    -0.0,
+    5e-324,
+    1.7976931348623157e308,
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+]
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70).flatmap(lambda i: st.sampled_from([i, -i])),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600 ab\n\t'),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+        # The renderer joins a list that starts with a float in one pass.
+        st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS)),
+        st.tuples(st.floats(), st.lists(children)).map(lambda t: [t[0], *t[1]]),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_json_values)
+def test_render_matches_json_dumps_indent_2(value):
+    assert _render(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": np.float64(1.0)}, [1.0, np.float32(2)], {"s"}])
+def test_render_rejects_what_jsonable_never_emits(value):
+    with pytest.raises(TypeError):
+        _render(value)
+
+
+def _analyze_cases():
+    """Every fixture point, and xbar plus a far point of one draw per stratum."""
+    for stem in sorted({name for name, _ in GOLDEN_SUMMARIES}):
+        path = fixture(stem)
+        with open(path, encoding="utf-8") as fh:
+            points = json.load(fh)["points"]
+        for point in points:
+            yield pytest.param(path, point, id=f"{stem}-{point}")
+    for case in TARGET_CASES:
+        yield pytest.param(case, "xbar", id=f"{case}-xbar")
+        yield pytest.param(case, "far", id=f"{case}-far")
+
+
+@pytest.mark.parametrize("source,point", _analyze_cases())
+def test_analyze_prints_json_dumps_bytes(capsys, tmp_path, source, point):
+    if source in TARGET_CASES:
+        instance, xbar = random_instance(5, 4, source, seed=3)
+        far = xbar + np.array([40.0, -30.0, 20.0, 10.0])
+        path = tmp_path / "draw.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "m": 5,
+                    "n": 4,
+                    "A": instance.A.tolist(),
+                    "b": instance.b.tolist(),
+                    "points": {"xbar": xbar.tolist(), "far": far.tolist()},
+                }
+            )
+        )
+        source = str(path)
+    doc = parse_instance(source)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "analyze", source, point, "--out", str(out_path))
+    try:
+        report = full_report(doc.instance, doc.points[point])
+    except InfeasiblePointError as exc:
+        payload = {
+            "schema": "socpcq.report/1",
+            "version": cli.__version__,
+            "point": {"name": point, "x": doc.points[point].tolist()},
+            "feasible": False,
+            "distance_to_cone": exc.distance,
+        }
+        assert code == EXIT_INFEASIBLE
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert "is infeasible" in err
+        assert not out_path.exists()
+        return
+    text = json.dumps(report_to_dict(doc, point, report), indent=2)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "\n".join([text, *cli._summary_lines(report)]) + "\n"
+    assert out_path.read_text() == text + "\n"
+
+
 # Each document carries the point p at the declared length n wherever it
 # can, so it is rejected by the check it aims at and not by the lookup of p.
 BAD_DOCUMENTS = [
@@ -244,6 +370,14 @@ BAD_DOCUMENTS = [
         ' "tolerances": {"tol": 1' + 400 * "0" + "}}",
         id="tol-1e400",
     ),
+    # A JSON string is no number, even where numpy's float conversion would
+    # parse it: without the check, p is analyzed (exit 1 or 0).
+    '{"m": 3, "n": 1, "A": [["1"],[0],["1e3"]], "b": [0,0,0], "points": {"p": ["1"]}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": ["0",0,0], "points": {"p": [1]}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": ["1"]}}',
+    # An integer beyond int64 makes numpy build an object array.
+    '{"m": 3, "n": 1, "A": [[100000000000000000000],["1"],[0]], "b": [0,0,0],'
+    ' "points": {"p": [1]}}',
 ]
 
 
