@@ -15,13 +15,10 @@ from .affine_instance import (
     HSetDescription,
     HSetKind,
     PointAnalysis,
-    VanishingCertificate,
     analyze_point,
     grad_phi,
-    h_set_description,
     linearization_cone_membership,
     phi,
-    vanishing_reduction_test,
 )
 from .cq_checker import (
     CQReport,
@@ -64,14 +61,11 @@ from .projection import (
 from .soc_core import (
     DEFAULT_TOL,
     ConeLocation,
-    NormalConeDescriptor,
-    NormalConeKind,
     classify_cone_point,
     cone_margin,
     distance_to_cone,
     distances_to_cone,
     margins,
-    normal_cone_descriptor,
     project_to_cone,
     projections_to_cone,
     tangent_membership,
@@ -81,8 +75,6 @@ from .subspace_cone import (
     SubspaceKind,
     classify_image_vs_cone,
     image_basis,
-    image_equals_line,
-    numeric_rank,
 )
 
 __all__ = [
@@ -91,13 +83,10 @@ __all__ = [
     "HSetDescription",
     "HSetKind",
     "PointAnalysis",
-    "VanishingCertificate",
     "analyze_point",
     "grad_phi",
-    "h_set_description",
     "linearization_cone_membership",
     "phi",
-    "vanishing_reduction_test",
     "CQReport",
     "Verdict",
     "check_crcq",
@@ -130,14 +119,11 @@ __all__ = [
     "project_to_feasible_set",
     "DEFAULT_TOL",
     "ConeLocation",
-    "NormalConeDescriptor",
-    "NormalConeKind",
     "classify_cone_point",
     "cone_margin",
     "distance_to_cone",
     "distances_to_cone",
     "margins",
-    "normal_cone_descriptor",
     "project_to_cone",
     "projections_to_cone",
     "tangent_membership",
@@ -145,6 +131,4 @@ __all__ = [
     "SubspaceKind",
     "classify_image_vs_cone",
     "image_basis",
-    "image_equals_line",
-    "numeric_rank",
 ]

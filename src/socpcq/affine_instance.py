@@ -20,11 +20,11 @@ from .soc_core import (
     ConeLocation,
     _norm,
     _row_norms,
-    as_cone_vector,
     classify_cone_point,
     cone_margin,
     distance_to_cone,
     reflected,
+    tangent_membership,
 )
 from .subspace_cone import SubspaceConeClass, classify_image_vs_cone
 
@@ -247,10 +247,6 @@ class HSetDescription:
     closed: Optional[bool] = None
 
 
-def h_set_description(instance: AffineSOCInstance, x) -> HSetDescription:
-    return _h_set(analyze_point(instance, x))
-
-
 def _h_set(analysis: PointAnalysis) -> HSetDescription:
     if analysis.location is ConeLocation.INTERIOR:
         return HSetDescription(HSetKind.ZERO_ONLY)
@@ -261,63 +257,29 @@ def _h_set(analysis: PointAnalysis) -> HSetDescription:
 
 
 def linearization_cone_membership(instance: AffineSOCInstance, x, d) -> bool:
-    """Is ``d`` in the linearized feasible cone at the feasible point ``x``?"""
+    """Is ``d`` in the linearized feasible cone at the feasible point ``x``?
+
+    That cone is the preimage under A of the tangent cone of Q_m at g(x).
+    """
     analysis = analyze_point(instance, x)
     d = np.asarray(d, dtype=float)
     if d.shape != (instance.n,):
         raise DimensionError(f"direction has shape {d.shape}, expected ({instance.n},)")
     if not np.isfinite(d).all():
         raise DimensionError("direction has non-finite entries")
-    if analysis.location is ConeLocation.INTERIOR:
-        return True
-    if analysis.location is ConeLocation.ZERO:
-        image = as_cone_vector(instance.A @ d)
-        return classify_cone_point(image, instance.tol) is not ConeLocation.OUTSIDE
-    g = analysis.grad_phi
-    scale = max(1.0, _norm(g) * _norm(d))
-    return float(g @ d) >= -instance.tol * scale
-
-
-@dataclass(frozen=True)
-class VanishingCertificate:
-    """Witness that g(x) = (w^T x + c)(1, u) with ||u|| = 1.
-
-    When this factorization exists and w^T xbar + c > 0 the scalar
-    reduction phi vanishes identically near xbar.
-    """
-
-    u: np.ndarray
-    w: np.ndarray
-    c: float
-
-
-def vanishing_reduction_test(
-    instance: AffineSOCInstance, x
-) -> Optional[VanishingCertificate]:
-    """Certificate that phi vanishes on a neighborhood of the boundary point x.
-
-    For affine g this happens exactly when every column of A is parallel to
-    g(x); the factorization is then read off the first row of (A, b).
-    """
-    analysis = analyze_point(instance, x)
-    if analysis.location is not ConeLocation.POSITIVE_BOUNDARY:
-        raise InfeasiblePointError(
-            "vanishing reduction is only defined on the positive boundary",
-            0.0,
-        )
-    return _vanishing(analysis)[0]
+    return tangent_membership(analysis.y, instance.A @ d, instance.tol)
 
 
 def _vanishing(
     analysis: PointAnalysis,
-) -> tuple[Optional[VanishingCertificate], float]:
-    """The certificate (None if it does not exist) and the residual norm of
-    A against the columns parallel to g(x), at a boundary point."""
+) -> tuple[Optional[tuple[np.ndarray, np.ndarray, float]], float]:
+    """At a boundary point: (u, w, c) with g = (w^T x + c)(1, u), ||u|| = 1,
+    which makes phi vanish near the point (None if A has a column not
+    parallel to g(x)), and the residual norm of A against such columns."""
     instance, y = analysis.instance, analysis.y
     residual = instance.A - np.outer(y, (y @ instance.A) / float(y @ y))
     residual_norm = _norm(residual)
     if residual_norm > analysis.grad_floor:
         return None, residual_norm
     u = y[1:] / _norm(y[1:])
-    cert = VanishingCertificate(u=u, w=instance.A[0].copy(), c=float(instance.b[0]))
-    return cert, residual_norm
+    return (u, instance.A[0].copy(), float(instance.b[0])), residual_norm

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import enum
 import functools
+import itertools
 import json
 import math
 import os
@@ -66,9 +67,6 @@ EXIT_NUMERICAL = 3
 #: error exits with ``EXIT_NUMERICAL``.
 _EXIT_CODES = {ParseError: EXIT_PARSE, InfeasiblePointError: EXIT_INFEASIBLE}
 
-_DEFAULT_RADII = (1e-1, 1e-2, 1e-3)
-
-
 @dataclass
 class InstanceDocument:
     """A parsed document; its ``tol`` is the instance's own."""
@@ -92,20 +90,31 @@ def _is_number(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _item_types(value) -> set:
+    """Entry types of a vector or matrix of lists; deeper lists fail a shape check."""
+    if type(value) is not list:
+        return {type(value)}
+    types = set(map(type, value))
+    if types == {list}:
+        types = set(map(type, itertools.chain.from_iterable(value)))
+    return types
+
+
 def _floats(value, what: str) -> np.ndarray:
     """``value`` as a float array; anything that is not numeric, or is
     ragged, raises ``ParseError``.
 
-    A JSON string is no number, though numpy's float conversion would
-    parse ``"1e3"``; integers beyond int64 arrive as an object array and
-    are converted like any other."""
+    A JSON string or ``true``/``false`` is no number, though numpy would
+    parse ``"1e3"`` and read ``true`` as 1, also inside a float or an int
+    array; integers beyond int64 arrive as an object array and are
+    converted like any other."""
     try:
+        types = _item_types(value)
+        if str in types or bool in types:
+            raise TypeError("a JSON string or true/false is not a number")
         array = np.asarray(value)
-        kind = array.dtype.kind
-        if kind == "f":
+        if array.dtype.kind == "f":
             return array
-        if kind in "US" or (kind == "O" and any(isinstance(v, str) for v in array.flat)):
-            raise TypeError("a JSON string is not a number")
         return array.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} must be numeric: {exc}") from exc
@@ -152,6 +161,7 @@ def instance_document_from_dict(raw: Any) -> InstanceDocument:
     )
     tolerances = {}
     for key, value in raw_tolerances.items():
+        _require(key in ("tol", "projection_tol"), f"unknown tolerance {key!r}")
         # An int beyond the float range compares above the largest float,
         # and NaN compares false, so this also rejects both.
         _require(

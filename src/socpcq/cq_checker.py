@@ -48,8 +48,8 @@ from .affine_instance import (
     _vanishing,
     analyze_point,
 )
-from .soc_core import DEFAULT_TOL, ConeLocation, _norm, cone_margin
-from .subspace_cone import SubspaceKind, image_basis
+from .soc_core import ConeLocation, _norm, cone_margin
+from .subspace_cone import SubspaceKind
 
 __all__ = [
     "Verdict",
@@ -62,7 +62,6 @@ __all__ = [
     "check_mscq",
     "full_report",
     "verify_report_invariants",
-    "minimal_cone_distance_on_image",
 ]
 
 
@@ -150,11 +149,12 @@ def _fcr(pa: PointAnalysis) -> Verdict:
         return Verdict(True, "Thm3.2(iii)", {"grad_phi": g, "grad_norm": norm})
     cert, residual = _vanishing(pa)
     if cert is not None:
+        u, w, c = cert
         ev = {
             "grad_norm": norm,
-            "certificate_u": cert.u,
-            "certificate_w": cert.w,
-            "certificate_c": cert.c,
+            "certificate_u": u,
+            "certificate_w": w,
+            "certificate_c": c,
         }
         return Verdict(True, "Thm3.2(iv)", ev)
     return Verdict(False, None, {"grad_norm": norm, "vanishing_residual": residual})
@@ -200,22 +200,19 @@ def _crcq(pa: PointAnalysis, fcr: Verdict, h_closed: Verdict) -> Verdict:
     return Verdict(True, _CRCQ_LABELS[decisive.condition], dict(decisive.evidence))
 
 
-def minimal_cone_distance_on_image(A: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """min over unit w in Im(A) of dist(w, Q_m), in closed form.
+def _eta(B: np.ndarray) -> float:
+    """min over unit w in Im(A) of dist(w, Q_m), in closed form, from an
+    orthonormal basis B of Im(A).
 
     A unit w = (w0, wr) has ||wr|| = sqrt(1 - w0^2), so its cone distance
     is max(0, sqrt(1/2) (sqrt(1 - w0^2) - w0)), which decreases in w0; over
-    the unit sphere of Im(A) the largest w0 is t = ||B^T e0|| for an
-    orthonormal basis B of Im(A).  Hence the minimum is
-    max(0, sqrt(1/2) (sqrt(1 - t^2) - t)), and inf for a zero image.
+    the unit sphere of Im(A) the largest w0 is t = ||B^T e0||.  Hence the
+    minimum is max(0, sqrt(1/2) (sqrt(1 - t^2) - t)), and inf for a zero
+    image.
 
     Positive exactly when Im(A) touches the cone only at the origin; used
     as the eta in the flat-case error-bound modulus M/eta.
     """
-    return _eta(image_basis(A, tol))
-
-
-def _eta(B: np.ndarray) -> float:
     if B.shape[1] == 0:
         return float("inf")
     t = min(1.0, _norm(B[0]))

@@ -400,13 +400,16 @@ def _random_boundary_rays(rng: np.random.Generator, m: int, count: int):
     return rays
 
 
+#: Boundary-ray faces the dimension scan samples at the vertex.
+_SAMPLED_RAYS = 8
+
+
 def fcr_dim_scan(
     instance: AffineSOCInstance,
     xbar,
     radius: float = 0.1,
     samples: int = 512,
     seed: int = 0,
-    rays: int = 8,
 ) -> list[DimScan]:
     """Observed dims of the face-orthogonal images over a sampled ball.
 
@@ -414,8 +417,8 @@ def fcr_dim_scan(
     scanned depend on where g(xbar) sits: the trivial face only
     (interior), the two faces of a half-line (positive boundary, where the
     dimension is the rank of the reduced gradient and the center point is
-    always included), or the vertex cone's zero face, full face, and a few
-    sampled boundary-ray faces.
+    always included), or the vertex cone's zero face, full face, and
+    ``_SAMPLED_RAYS`` sampled boundary-ray faces.
     """
     analysis = analyze_point(instance, xbar)
     if analysis.location is ConeLocation.INTERIOR:
@@ -444,24 +447,22 @@ def fcr_dim_scan(
     # consistency exercise; the face matters instead.
     A = instance.A
     geo = analysis.geometry
-    out = [
+    # The restrictions A - w w^T A to the sampled ray faces, in one
+    # broadcast and one batched SVD.  Ranks are taken on the scale of A
+    # itself, like rank(A): a face restriction that vanishes (the sampled
+    # ray is the image ray) has rank 0, not a noise rank.
+    W = _random_boundary_rays(rng, instance.m, _SAMPLED_RAYS)
+    restricted = A - W[:, :, None] * (W @ A)[:, None, :]
+    sigmas = np.linalg.svd(restricted, compute_uv=False)
+    ranks = (sigmas > instance.tol * geo.singular_values[0]).sum(axis=1)
+    return [
         DimScan("ZeroFace", frozenset({geo.rank}), samples, int(seed)),
         DimScan("FullCone", frozenset({0}), samples, int(seed)),
-    ]
-    if rays > 0:
-        # The restrictions A - w w^T A to the sampled ray faces, in one
-        # broadcast and one batched SVD.  Ranks are taken on the scale of
-        # A itself, like rank(A): a face restriction that vanishes (the
-        # sampled ray is the image ray) has rank 0, not a noise rank.
-        W = _random_boundary_rays(rng, instance.m, rays)
-        restricted = A - W[:, :, None] * (W @ A)[:, None, :]
-        sigmas = np.linalg.svd(restricted, compute_uv=False)
-        ranks = (sigmas > instance.tol * geo.singular_values[0]).sum(axis=1)
-        out.extend(
+        *(
             DimScan(f"SampledRay({i})", frozenset({int(r)}), samples, int(seed))
             for i, r in enumerate(ranks)
-        )
-    return out
+        ),
+    ]
 
 
 def dim_scan_consistent(scans: list[DimScan]) -> bool:
@@ -474,15 +475,13 @@ def dim_scan_consistent(scans: list[DimScan]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-#: Random-step polishing rounds per candidate of the brute-force classifier.
+#: Random unit vectors of the image the brute-force classifier starts from,
+#: and its random-step polishing rounds per candidate.
+_BRUTE_FORCE_SAMPLES = 4096
 _REFINEMENT_STEPS = 200
 
 
-def brute_force_subspace_class(
-    A: np.ndarray,
-    samples: int = 4096,
-    seed: int = 0,
-) -> SubspaceConeClass:
+def brute_force_subspace_class(A: np.ndarray, seed: int = 0) -> SubspaceConeClass:
     """Classify Im(A) against the cone by maximizing the margin numerically.
 
     Best-effort oracle: samples unit vectors of the image, polishes the
@@ -502,7 +501,7 @@ def brute_force_subspace_class(
     if k == 1:
         Z = np.array([[1.0], [-1.0]])
     else:
-        Z = rng.standard_normal((samples, k))
+        Z = rng.standard_normal((_BRUTE_FORCE_SAMPLES, k))
         Z /= _row_norms(Z, keepdims=True)
         Z = np.vstack([Z, np.eye(k), -np.eye(k)])
     vals = margin_of(Z)
@@ -735,13 +734,15 @@ def _safe_scan_radius(analysis) -> float:
     return 0.1
 
 
+#: Samples per radius of the harness's kappa scans, at the default radii.
+_HARNESS_SAMPLES_PER_RADIUS = 48
+
+
 def equivalence_harness(
     trials: int,
     m_max: int = 6,
     n_max: int = 6,
     seed: int = 42,
-    samples_per_radius: int = 48,
-    radii=(1e-1, 1e-2, 1e-3),
     fixed_instance: Optional[AffineSOCInstance] = None,
     fixed_point=None,
 ) -> HarnessReport:
@@ -792,8 +793,7 @@ def equivalence_harness(
             scan = mscq_kappa_scan(
                 instance,
                 analysis,
-                radii=radii,
-                samples_per_radius=samples_per_radius,
+                samples_per_radius=_HARNESS_SAMPLES_PER_RADIUS,
                 seed=trial_seed,
             )
             label = classify_kappa_growth(scan)
@@ -803,8 +803,7 @@ def equivalence_harness(
                 scan = mscq_kappa_scan(
                     instance,
                     analysis,
-                    radii=radii,
-                    samples_per_radius=4 * samples_per_radius,
+                    samples_per_radius=4 * _HARNESS_SAMPLES_PER_RADIUS,
                     seed=trial_seed + 1,
                 )
                 label = classify_kappa_growth(scan)

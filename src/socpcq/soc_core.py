@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,24 +32,6 @@ class ConeLocation(enum.Enum):
     POSITIVE_BOUNDARY = "positive_boundary"
     ZERO = "zero"
     OUTSIDE = "outside"
-
-
-class NormalConeKind(enum.Enum):
-    ZERO_SET = "zero_set"
-    MINUS_CONE = "minus_cone"
-    RAY = "ray"
-
-
-@dataclass(frozen=True)
-class NormalConeDescriptor:
-    """Finite description of the normal cone at a feasible cone point.
-
-    ``ZERO_SET`` means {0}, ``MINUS_CONE`` means -Q_m, and ``RAY`` means the
-    half-line of nonnegative multiples of ``generator``.
-    """
-
-    kind: NormalConeKind
-    generator: Optional[np.ndarray] = None
 
 
 def as_cone_vector(y) -> np.ndarray:
@@ -144,22 +124,6 @@ def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
     ytil = reflected(y)
     scale = max(1.0, _norm(ytil) * _norm(d))
     return float(ytil @ d) <= tol * scale
-
-
-def normal_cone_descriptor(y, tol: float = DEFAULT_TOL) -> NormalConeDescriptor:
-    """Finite description of the normal cone to Q_m at a feasible ``y``."""
-    y = as_cone_vector(y)
-    loc = classify_cone_point(y, tol)
-    if loc is ConeLocation.OUTSIDE:
-        raise InfeasiblePointError(
-            "normal cone requested at a point outside the cone",
-            distance_to_cone(y),
-        )
-    if loc is ConeLocation.INTERIOR:
-        return NormalConeDescriptor(NormalConeKind.ZERO_SET)
-    if loc is ConeLocation.ZERO:
-        return NormalConeDescriptor(NormalConeKind.MINUS_CONE)
-    return NormalConeDescriptor(NormalConeKind.RAY, generator=reflected(y))
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ V; a negative definite M means V meets the cone only at the origin.
 class, the rank, singular values, image basis and row basis it read off
 that SVD.  ``AffineSOCInstance.geometry()`` memoizes this record on the
 instance at the instance's ``tol``, so the verdicts, the projector and the
-oracles share one SVD per instance; ``numeric_rank`` and ``image_basis``
-remain for arbitrary matrices.
+oracles share one SVD per instance; ``image_basis`` remains for
+arbitrary matrices.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ def _rank_of(sigma: np.ndarray, tol: float) -> int:
     return int((sigma > tol * sigma[0]).sum())
 
 
-def numeric_rank(A, tol: float = DEFAULT_TOL) -> int:
-    """Rank by singular-value threshold tol * sigma_max (zero matrix -> 0)."""
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0
-    return _rank_of(np.linalg.svd(A, compute_uv=False), tol)
-
-
 def image_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of ``A`` as an (m, k) array."""
     A = _validated_matrix(A)
@@ -147,21 +139,3 @@ def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
         eigenvalues=eigvals,
         **svd_parts,
     )
-
-
-def image_equals_line(A, v, tol: float = DEFAULT_TOL) -> bool:
-    """Is Im(A) exactly the line spanned by ``v``?"""
-    A = _validated_matrix(A)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (A.shape[0],):
-        raise DimensionError(
-            f"direction has shape {v.shape}, expected ({A.shape[0]},)"
-        )
-    norm_v = _norm(v)
-    if norm_v <= 0.0 or not np.isfinite(v).all():
-        raise DimensionError("direction must be nonzero and finite")
-    if numeric_rank(A, tol) != 1:
-        return False
-    b1 = image_basis(A, tol)[:, 0]
-    residual = v - (b1 @ v) * b1
-    return _norm(residual) <= tol * norm_v

@@ -16,15 +16,17 @@ from socpcq import (
     HSetKind,
     affine_instance,
     analyze_point,
+    check_fcr,
+    classify_cone_point,
     cone_margin,
     full_report,
     grad_phi,
-    h_set_description,
     linearization_cone_membership,
     phi,
-    vanishing_reduction_test,
+    random_instance,
 )
 from socpcq.affine_instance import grad_phi_many
+from socpcq.oracles import TARGET_CASES
 from socpcq.errors import (
     DimensionError,
     InfeasiblePointError,
@@ -226,15 +228,15 @@ def test_analyze_point_rejects_infeasible():
 
 
 def test_h_set_kinds():
-    assert (
-        h_set_description(HALFPLANE, [1.0, 0.0, 0.0]).kind is HSetKind.RAY_IMAGE
-    )
-    assert h_set_description(HALFPLANE, [0.0, 0.0, 0.0]).kind is HSetKind.CONE_IMAGE
+    boundary = full_report(HALFPLANE, [1.0, 0.0, 0.0]).h_set
+    assert boundary.kind is HSetKind.RAY_IMAGE
+    assert full_report(HALFPLANE, [0.0, 0.0, 0.0]).h_set.kind is HSetKind.CONE_IMAGE
     interior = AffineSOCInstance(np.eye(2), np.array([2.0, 0.0]))
-    assert h_set_description(interior, [0.0, 0.0]).kind is HSetKind.ZERO_ONLY
+    assert full_report(interior, [0.0, 0.0]).h_set.kind is HSetKind.ZERO_ONLY
     # boundary generator is A^T (-y0, yr)
-    gen = h_set_description(HALFPLANE, [1.0, 0.0, 0.0]).generator
-    np.testing.assert_allclose(gen, A_HALFPLANE.T @ np.array([-1.0, 1.0, 0.0]))
+    np.testing.assert_allclose(
+        boundary.generator, A_HALFPLANE.T @ np.array([-1.0, 1.0, 0.0])
+    )
 
 
 def test_linearization_cone_membership():
@@ -246,6 +248,41 @@ def test_linearization_cone_membership():
     assert linearization_cone_membership(
         HALFPLANE, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
     )
+
+
+def _linearized_reference(analysis, d) -> bool:
+    """The linearized cone by the formula of phi: everything at an interior
+    point, grad phi . d >= -tol * max(1, ||grad phi|| ||d||) on the
+    boundary, A d not outside Q at the vertex."""
+    inst = analysis.instance
+    if analysis.location is ConeLocation.INTERIOR:
+        return True
+    if analysis.location is ConeLocation.ZERO:
+        return classify_cone_point(inst.A @ d, inst.tol) is not ConeLocation.OUTSIDE
+    g = analysis.grad_phi
+    scale = max(1.0, np.linalg.norm(g) * np.linalg.norm(d))
+    return float(g @ d) >= -inst.tol * scale
+
+
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_linearization_cone_is_the_preimage_of_the_tangent_cone(stratum):
+    # linearization_cone_membership asks the tangent cone of Q_m at g(x)
+    # about A d; it must agree with the formula of phi.  A quarter of the
+    # directions on the boundary strata are orthogonal to grad phi, where
+    # only the tolerance decides.
+    rng = np.random.default_rng(TARGET_CASES.index(stratum))
+    for seed in range(25):
+        m, n = int(rng.integers(3, 7)), int(rng.integers(2, 7))
+        inst, xbar = random_instance(m, n, stratum, seed)
+        analysis = analyze_point(inst, xbar)
+        D = rng.standard_normal((20, n))
+        g = analysis.grad_phi
+        if g is not None and g @ g > 0.0:
+            D[:5] -= np.outer(D[:5] @ g, g) / (g @ g)
+        for d in D:
+            assert linearization_cone_membership(inst, xbar, d) == (
+                _linearized_reference(analysis, d)
+            ), (seed, d)
 
 
 @pytest.mark.parametrize(
@@ -288,11 +325,11 @@ def test_vanishing_certificate_positive_case():
     b = c * np.concatenate([[1.0], u])
     inst = AffineSOCInstance(A, b)
     x = np.array([1.0, 0.5])  # w.x + c = 3 > 0
-    cert = vanishing_reduction_test(inst, x)
-    assert cert is not None
-    np.testing.assert_allclose(cert.u, u, atol=1e-12)
-    np.testing.assert_allclose(cert.w, w, atol=1e-12)
-    assert cert.c == pytest.approx(c)
+    fcr = check_fcr(inst, x)
+    assert fcr.condition == "Thm3.2(iv)"
+    np.testing.assert_allclose(fcr.evidence["certificate_u"], u, atol=1e-12)
+    np.testing.assert_allclose(fcr.evidence["certificate_w"], w, atol=1e-12)
+    assert fcr.evidence["certificate_c"] == pytest.approx(c)
     # the factorization reproduces g on random points
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -307,6 +344,13 @@ def test_vanishing_certificate_positive_case():
 
 
 def test_vanishing_certificate_negative_case():
-    assert vanishing_reduction_test(HALFPLANE, [1.0, 0.0, 0.0]) is None
-    with pytest.raises(InfeasiblePointError):
-        vanishing_reduction_test(HALFPLANE, [0.0, 0.0, 0.0])
+    # A degenerate boundary point whose A has a column off g(x): FCR fails
+    # with the residual of A and no certificate.
+    fcr = check_fcr(HALFPLANE, [1.0, 0.0, 0.0])
+    assert not fcr.holds
+    assert fcr.evidence["vanishing_residual"] == pytest.approx(1.0)
+    assert not any(key.startswith("certificate_") for key in fcr.evidence)
+    # The certificate is a boundary object: the vertex carries none.
+    vertex = check_fcr(HALFPLANE, [0.0, 0.0, 0.0])
+    assert vertex.condition == "Thm3.2(i)"
+    assert not any(key.startswith("certificate_") for key in vertex.evidence)

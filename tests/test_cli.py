@@ -378,6 +378,15 @@ BAD_DOCUMENTS = [
     # An integer beyond int64 makes numpy build an object array.
     '{"m": 3, "n": 1, "A": [[100000000000000000000],["1"],[0]], "b": [0,0,0],'
     ' "points": {"p": [1]}}',
+    # A JSON true/false inside a vector is no number either, though numpy
+    # reads it as 1/0 and makes a float array of [1.5, true] and an int
+    # array of [true, 0]: without the check, p is analyzed (exit 0).
+    '{"m": 3, "n": 1, "A": [[true],[0],[0]], "b": [0,0,false], "points": {"p": [true]}}',
+    '{"m": 3, "n": 1, "A": [[1.5],[true],[0.0]], "b": [0,0,0], "points": {"p": [1]}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [true,0,0], "points": {"p": [1]}}',
+    # A tolerance the instance does not know would be reported, not used.
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+    ' "tolerances": {"Tol": 1e-6}}',
 ]
 
 
@@ -388,6 +397,17 @@ def test_malformed_documents_exit_2(capsys, tmp_path, text):
     code, _, err = run_cli(capsys, "analyze", str(path), "p")
     assert code == EXIT_PARSE
     assert err.startswith("error: ")
+
+
+def test_unknown_tolerance_is_named(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(
+        '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+        ' "tolerances": {"tol": 1e-9, "Tol": 1e-6}}'
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path), "p")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "unknown tolerance 'Tol'" in err
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from socpcq import (
     AffineSOCInstance,
     ConeLocation,
     FeasibleSetProjector,
+    HSetKind,
     Verdict,
     check_crcq,
     check_fcr,
@@ -22,10 +23,11 @@ from socpcq import (
     check_nondegeneracy,
     check_rcq,
     full_report,
+    image_basis,
     random_instance,
     verify_report_invariants,
 )
-from socpcq.cq_checker import minimal_cone_distance_on_image
+from socpcq.cq_checker import _eta
 from socpcq.oracles import TARGET_CASES
 from socpcq.soc_core import cone_margin
 
@@ -192,19 +194,38 @@ def test_minimal_cone_distance_on_image_exact_cases():
     A = np.zeros((3, 2))
     A[1, 0] = 1.0
     A[2, 1] = 1.0
-    assert minimal_cone_distance_on_image(A) == pytest.approx(
-        np.sqrt(0.5), abs=1e-9
-    )
+    assert _eta(image_basis(A)) == pytest.approx(np.sqrt(0.5), abs=1e-9)
     # one-dimensional image along -e1: closest unit point is +e1 at dist 0
     A1 = np.array([[1.0], [0.0], [0.0]])
-    assert minimal_cone_distance_on_image(A1) == pytest.approx(0.0, abs=1e-12)
-    assert minimal_cone_distance_on_image(np.zeros((3, 1))) == float("inf")
+    assert _eta(image_basis(A1)) == pytest.approx(0.0, abs=1e-12)
+    assert _eta(image_basis(np.zeros((3, 1)))) == float("inf")
     # oblique image: the largest first coordinate of a unit image vector is
     # t = 0.5 / sqrt(1.25), reached at (0.5, 1, 0) / sqrt(1.25)
     A2 = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert minimal_cone_distance_on_image(A2) == pytest.approx(
+    assert _eta(image_basis(A2)) == pytest.approx(
         np.sqrt(0.5) * 0.5 / np.sqrt(1.25), abs=1e-12
     )
+    # The MSCQ evidence of a Thm4.4(v) point carries this eta.
+    ev = full_report(AffineSOCInstance(A, np.zeros(3)), np.zeros(2)).mscq.evidence
+    assert ev["eta"] == _eta(image_basis(A))
+
+
+def test_identity_h_set_is_the_normal_cone():
+    # With A = I the set H = A^T N_Q(g(x)) is N_Q itself: {0} inside, the
+    # ray of (-y0, yr) on the boundary, -Q_m at the vertex.
+    identity = AffineSOCInstance(np.eye(3), np.zeros(3))
+    assert full_report(identity, [3.0, 0.0, 0.0]).h_set.kind is HSetKind.ZERO_ONLY
+    y = np.array([1.0, 1.0, 0.0])
+    h_set = full_report(identity, y).h_set
+    assert h_set.kind is HSetKind.RAY_IMAGE
+    # the generator must be outward-normal: nonpositive inner product with
+    # every cone point and zero against the base point
+    rng = np.random.default_rng(1234)
+    w = rng.standard_normal((256, 3))
+    w[:, 0] = np.linalg.norm(w[:, 1:], axis=1) + np.abs(w[:, 0]) * rng.random(256)
+    assert float((w @ h_set.generator).max()) <= 1e-12
+    assert abs(float(h_set.generator @ y)) <= 1e-12
+    assert full_report(identity, np.zeros(3)).h_set.kind is HSetKind.CONE_IMAGE
 
 
 def test_report_and_projector_share_one_svd(monkeypatch):

@@ -372,20 +372,12 @@ def test_dim_scan_smooth_boundary_point():
 
 
 def test_dim_scan_vertex_faces():
-    scans = fcr_dim_scan(HALFPLANE, np.zeros(3), seed=0, rays=4)
+    scans = fcr_dim_scan(HALFPLANE, np.zeros(3), seed=0)
     by_label = {s.face_label: s for s in scans}
     assert by_label["ZeroFace"].observed_dims == frozenset({2})
     assert by_label["FullCone"].observed_dims == frozenset({0})
-    assert sum(1 for lbl in by_label if lbl.startswith("SampledRay")) == 4
+    assert sum(1 for lbl in by_label if lbl.startswith("SampledRay")) == 8
     assert dim_scan_consistent(scans)
-
-
-def test_dim_scan_vertex_without_rays():
-    scans = fcr_dim_scan(HALFPLANE, np.zeros(3), seed=0, rays=0)
-    assert [(s.face_label, s.observed_dims) for s in scans] == [
-        ("ZeroFace", frozenset({2})),
-        ("FullCone", frozenset({0})),
-    ]
 
 
 def _face_rank(A, w, tol):
@@ -401,7 +393,7 @@ def test_dim_scan_ray_ranks_match_per_ray_rank(stratum, seed):
     # separate SVD of the same restriction gives, on the scale of A.
     m, n = 3 + seed % 4, 2 + seed % 5
     inst, xbar = random_instance(m, n, stratum, seed)
-    scans = fcr_dim_scan(inst, xbar, seed=seed, rays=8)
+    scans = fcr_dim_scan(inst, xbar, seed=seed)
     rays = _random_boundary_rays(np.random.default_rng(seed), m, 8)
     expected = [frozenset({_face_rank(inst.A, w, inst.tol)}) for w in rays]
     observed = [s.observed_dims for s in scans if s.face_label.startswith("SampledRay")]
@@ -419,7 +411,7 @@ def test_dim_scan_vanishing_ray_face_has_rank_zero(seed):
     w = _random_boundary_rays(np.random.default_rng(seed), m, 8)[1]
     restricted = inst.A - np.outer(w, w @ inst.A)
     assert np.linalg.norm(restricted) < 1e-12 * np.linalg.norm(inst.A)
-    scans = fcr_dim_scan(inst, xbar, seed=seed, rays=8)
+    scans = fcr_dim_scan(inst, xbar, seed=seed)
     assert scans[3].face_label == "SampledRay(1)"
     assert scans[3].observed_dims == frozenset({0})
 

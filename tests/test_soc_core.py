@@ -1,4 +1,4 @@
-"""Cone kernel: membership, distance, projection, tangent/normal cones.
+"""Cone kernel: membership, distance, projection, tangent cone.
 
 The projection and distance formulas are validated two ways: against
 hand-computed closed-form values, and against the variational inequality
@@ -16,13 +16,11 @@ from hypothesis import strategies as st
 
 from socpcq import (
     ConeLocation,
-    NormalConeKind,
     classify_cone_point,
     cone_margin,
     distance_to_cone,
     distances_to_cone,
     margins,
-    normal_cone_descriptor,
     project_to_cone,
     projections_to_cone,
     tangent_membership,
@@ -138,7 +136,7 @@ def test_batched_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# tangent and normal cones
+# tangent cone
 # ---------------------------------------------------------------------------
 
 
@@ -153,23 +151,6 @@ def test_tangent_membership_cases():
     assert not tangent_membership(np.zeros(3), np.array([0.0, 0.0, 1.0]))
     # interior: everything is tangent
     assert tangent_membership(np.array([2.0, 0.0, 0.0]), np.array([-9.0, 4.0, 1.0]))
-
-
-def test_normal_cone_descriptor():
-    nd = normal_cone_descriptor(np.array([3.0, 0.0, 0.0]))
-    assert nd.kind is NormalConeKind.ZERO_SET
-
-    nd = normal_cone_descriptor(np.array([1.0, 1.0, 0.0]))
-    assert nd.kind is NormalConeKind.RAY
-    ray = nd.generator
-    # the generator must be outward-normal: nonpositive inner product with
-    # every cone point and zero against the base point
-    w = sample_cone_points(3, 256, RNG)
-    assert float((w @ ray).max()) <= 1e-12
-    assert abs(float(ray @ np.array([1.0, 1.0, 0.0]))) <= 1e-12
-
-    nd = normal_cone_descriptor(np.zeros(3))
-    assert nd.kind is NormalConeKind.MINUS_CONE
 
 
 # ---------------------------------------------------------------------------

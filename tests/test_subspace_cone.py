@@ -14,8 +14,6 @@ from socpcq import (
     SubspaceKind,
     classify_image_vs_cone,
     image_basis,
-    image_equals_line,
-    numeric_rank,
 )
 from socpcq.errors import DimensionError
 from socpcq.oracles import brute_force_subspace_class
@@ -50,15 +48,16 @@ def ray_image_matrix(rng, m, extra_cols):
 
 
 def test_rank_and_basis():
-    assert numeric_rank(np.zeros((3, 2))) == 0
-    assert numeric_rank(np.eye(4)) == 4
+    assert classify_image_vs_cone(np.zeros((3, 2))).rank == 0
+    assert classify_image_vs_cone(np.eye(4)).rank == 4
     A = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0]])
-    assert numeric_rank(A) == 1
+    assert classify_image_vs_cone(A).rank == 1
     B = image_basis(A)
     assert B.shape == (3, 1)
     np.testing.assert_allclose(np.linalg.norm(B[:, 0]), 1.0)
+    np.testing.assert_array_equal(classify_image_vs_cone(A).basis, B)
     # scaling cannot change the rank decision
-    assert numeric_rank(1e-14 * np.eye(3)) == 3
+    assert classify_image_vs_cone(1e-14 * np.eye(3)).rank == 3
 
 
 def test_classify_full_space_meets_interior():
@@ -130,23 +129,11 @@ def test_brute_force_on_constructions():
     assert brute_force_subspace_class(Z).kind is SubspaceKind.ZERO_ONLY
 
 
-def test_image_equals_line():
-    a = np.array([2.0, -1.0, 0.5])
-    v = np.array([1.0, 1.0, 0.0])
-    A = np.outer(v, a)
-    assert image_equals_line(A, v)
-    assert image_equals_line(A, -3.0 * v)
-    assert not image_equals_line(A, np.array([1.0, 0.0, 0.0]))
-    assert not image_equals_line(np.eye(3), v)
-    with pytest.raises(DimensionError):
-        image_equals_line(A, np.zeros(3))
-
-
 def test_eigenvalues_reported_in_range():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((5, 3))
     cls = classify_image_vs_cone(A)
-    assert cls.eigenvalues.size == numeric_rank(A)
+    assert cls.eigenvalues.size == cls.rank == np.linalg.matrix_rank(A)
     assert np.all(cls.eigenvalues >= -1.0 - 1e-12)
     assert np.all(cls.eigenvalues <= 1.0 + 1e-12)
 
