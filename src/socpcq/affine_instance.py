@@ -17,7 +17,9 @@ import numpy as np
 from .errors import DimensionError, InfeasiblePointError, SingularReductionError
 from .soc_core import (
     DEFAULT_TOL,
+    PROJECTION_TOL,
     ConeLocation,
+    _checked_tol,
     _norm,
     _row_norms,
     classify_cone_point,
@@ -28,6 +30,9 @@ from .soc_core import (
 )
 from .subspace_cone import SubspaceConeClass, classify_image_vs_cone
 
+#: The instance's tolerance fields, each checked by ``soc_core._checked_tol``.
+_TOLERANCES = ("tol", "projection_tol")
+
 
 @dataclass(frozen=True)
 class AffineSOCInstance:
@@ -35,14 +40,17 @@ class AffineSOCInstance:
 
     ``tol`` is the one tolerance of every decision on the instance and its
     points: the cone location of g(x), ranks and the spectral class of
-    Im(A), and the gradient floor.  The data is treated as immutable:
-    ``geometry`` memoizes the spectral geometry of Im(A) on the instance,
-    and ``norm_A`` its Frobenius norm.
+    Im(A), and the gradient floor.  ``projection_tol`` is the certified gap
+    of every projection onto the feasible set, and so of every distance a
+    kappa ratio divides.  Both obey the rule of ``soc_core._checked_tol``.
+    The data is treated as immutable: ``geometry`` memoizes the spectral
+    geometry of Im(A) on the instance, and ``norm_A`` its Frobenius norm.
     """
 
     A: np.ndarray
     b: np.ndarray
     tol: float = DEFAULT_TOL
+    projection_tol: float = PROJECTION_TOL
     _geometry: Optional[SubspaceConeClass] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -53,7 +61,6 @@ class AffineSOCInstance:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        tol = float(self.tol)
         if A.ndim != 2:
             raise DimensionError(f"A must be a matrix, got shape {A.shape}")
         m, n = A.shape
@@ -67,11 +74,10 @@ class AffineSOCInstance:
             raise DimensionError(f"b has shape {b.shape}, expected ({m},)")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise DimensionError("instance data has non-finite entries")
-        if not (np.isfinite(tol) and tol > 0.0):
-            raise DimensionError(f"tol must be positive and finite, got {tol!r}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "tol", tol)
+        for name in _TOLERANCES:
+            object.__setattr__(self, name, _checked_tol(getattr(self, name), name))
 
     @property
     def m(self) -> int:

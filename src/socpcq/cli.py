@@ -39,24 +39,23 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .affine_instance import AffineSOCInstance
+from .affine_instance import _TOLERANCES, AffineSOCInstance
 from .cq_checker import CQReport, full_report
 from .errors import (
+    DimensionError,
     InfeasiblePointError,
     ParseError,
     SocpcqError,
 )
 from .oracles import (
+    _scan_settings,
     dim_scan_consistent,
     equivalence_harness,
     fcr_dim_scan,
     mscq_kappa_scan,
 )
-from .projection import (
-    PROJECTION_TOL,
-    project_to_feasible_set,
-)
-from .soc_core import DEFAULT_TOL, ConeLocation, classify_cone_point, distance_to_cone
+from .projection import project_to_feasible_set
+from .soc_core import ConeLocation, classify_cone_point, distance_to_cone
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -69,15 +68,11 @@ _EXIT_CODES = {ParseError: EXIT_PARSE, InfeasiblePointError: EXIT_INFEASIBLE}
 
 @dataclass
 class InstanceDocument:
-    """A parsed document; its ``tol`` is the instance's own."""
+    """A parsed document; ``tolerances`` echo those it names."""
 
     instance: AffineSOCInstance
     points: dict[str, np.ndarray]
     tolerances: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def projection_tol(self) -> float:
-        return float(self.tolerances.get("projection_tol", PROJECTION_TOL))
 
 
 def _require(condition: bool, message: str):
@@ -133,43 +128,32 @@ def parse_instance(path: str) -> InstanceDocument:
 
 
 def instance_document_from_dict(raw: Any) -> InstanceDocument:
+    """Check what JSON can get wrong and numpy would accept (keys, integer
+    sizes, numbers, the declared shapes); the instance checks the rest."""
     _require(isinstance(raw, dict), "instance document must be a JSON object")
     for key in ("m", "n", "A", "b", "points"):
         _require(key in raw, f"missing field {key!r}")
     m, n = raw["m"], raw["n"]
     _require(_is_number(m, int) and _is_number(n, int), "fields m, n must be integers")
-    _require(m >= 2, f"m must be at least 2, got {m}")
-    _require(n >= 1, f"n must be at least 1, got {n}")
     A = _floats(raw["A"], "field A")
     _require(A.shape == (m, n), f"field A must be {m}x{n} row-major, got shape {A.shape}")
     b = _floats(raw["b"], "field b")
     _require(b.shape == (m,), f"field b must have length {m}, got shape {b.shape}")
-    _require(bool(np.isfinite(A).all()), "field A contains non-finite entries")
-    _require(bool(np.isfinite(b).all()), "field b contains non-finite entries")
     _require(isinstance(raw["points"], dict), "field points must map names to vectors")
-    points: dict[str, np.ndarray] = {}
-    for name, vec in raw["points"].items():
-        v = _floats(vec, f"point {name!r}")
-        _require(
-            v.shape == (n,), f"point {name!r} must have length {n}, got shape {v.shape}"
-        )
-        _require(bool(np.isfinite(v).all()), f"point {name!r} has non-finite entries")
-        points[name] = v
-    raw_tolerances = raw.get("tolerances", {})
-    _require(
-        isinstance(raw_tolerances, dict), "field tolerances must map names to numbers"
-    )
-    tolerances = {}
-    for key, value in raw_tolerances.items():
-        _require(key in ("tol", "projection_tol"), f"unknown tolerance {key!r}")
-        # An int beyond the float range compares above the largest float,
-        # and NaN compares false, so this also rejects both.
-        _require(
-            _is_number(value, (int, float)) and 0 < value <= sys.float_info.max,
-            f"tolerance {key!r} must be a positive finite number",
-        )
-        tolerances[key] = float(value)
-    instance = AffineSOCInstance(A, b, tolerances.get("tol", DEFAULT_TOL))
+    points = {name: _floats(v, f"point {name!r}") for name, v in raw["points"].items()}
+    tolerances = raw.get("tolerances", {})
+    _require(isinstance(tolerances, dict), "field tolerances must map names to numbers")
+    for key in tolerances:
+        _require(key in _TOLERANCES, f"unknown tolerance {key!r}")
+    name = None
+    try:
+        instance = AffineSOCInstance(A, b, **tolerances)
+        for name, v in points.items():
+            points[name] = instance.point(v)
+    except DimensionError as exc:
+        where = "instance" if name is None else f"point {name!r}"
+        raise ParseError(f"invalid {where}: {exc}") from exc
+    tolerances = {key: getattr(instance, key) for key in tolerances}
     return InstanceDocument(instance, points, tolerances)
 
 
@@ -311,7 +295,7 @@ def report_to_dict(doc: InstanceDocument, name: str, report: CQReport) -> dict:
         "version": __version__,
         "instance": serialize_instance(doc),
         "point": {"name": name, "x": analysis.x.tolist()},
-        "tolerances": {"tol": doc.instance.tol, "projection_tol": doc.projection_tol},
+        "tolerances": {k: getattr(doc.instance, k) for k in _TOLERANCES},
         "feasible": True,
         "location": analysis.location.value,
         "g_of_x": analysis.y.tolist(),
@@ -396,14 +380,14 @@ def cmd_analyze(args) -> int:
 def cmd_scan(args) -> int:
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
-    radii = _parse_radii(args.radii)
-    if args.samples < 1:
-        raise ParseError("--samples must be at least 1")
-    if not (np.isfinite(args.dim_radius) and args.dim_radius > 0):
-        raise ParseError("--dim-radius must be a positive finite number")
-    scans = fcr_dim_scan(doc.instance, x, args.dim_radius, args.samples, args.seed)
+    try:
+        radii = (float(r) for r in args.radii.split(",") if r.strip())
+        radii, samples, radius = _scan_settings(radii, args.samples, args.dim_radius)
+    except ValueError as exc:
+        raise ParseError(f"invalid --radii, --samples or --dim-radius: {exc}") from exc
+    scans = fcr_dim_scan(doc.instance, x, radius, samples, args.seed)
     kappa = mscq_kappa_scan(
-        doc.instance, x, radii=radii, samples_per_radius=args.samples, seed=args.seed
+        doc.instance, x, radii=radii, samples_per_radius=samples, seed=args.seed
     )
     print("radius,kappa_hat,samples,discarded")
     total = kappa.sample_count + kappa.probe_count
@@ -480,9 +464,7 @@ def cmd_project(args) -> int:
         ),
         None,
     )
-    z, dist = project_to_feasible_set(
-        instance, x, doc.projection_tol, reference=reference
-    )
+    z, dist = project_to_feasible_set(instance, x, reference=reference)
     dist_g = distance_to_cone(doc.instance.evaluate(x))
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")
@@ -498,22 +480,6 @@ def _write_out(path: str, text: str) -> None:
             fh.write(text + "\n")
     except OSError as exc:
         raise ParseError(f"cannot write {path!r}: {exc}") from exc
-
-
-def _parse_radii(text: str) -> tuple[float, ...]:
-    try:
-        radii = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ParseError(f"invalid --radii value {text!r}") from exc
-    if not radii:
-        raise ParseError("--radii must contain at least one radius")
-    if not all(np.isfinite(r) and r > 0 for r in radii) or any(
-        a <= b for a, b in zip(radii, radii[1:])
-    ):
-        raise ParseError(
-            f"--radii must be positive, finite and strictly decreasing, got {text!r}"
-        )
-    return radii
 
 
 def _default_seed(fallback: int) -> int:

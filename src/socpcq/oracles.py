@@ -25,10 +25,10 @@ Key design points:
   and 1-Lipschitz continuity of dist(., Omega) give
   dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||] from the
   base's record (ub, lb); p inherits ||p - z|| when that interval is
-  within the projector's gap tol * max(1, ||p||).  Wider intervals, and
-  bases at distance 0, take one fallback call, so every ratio still
-  rests on a certified distance; a failure reports the worst gap across
-  all radii.
+  within the certified gap, the instance's projection_tol * max(1, ||p||).
+  Wider intervals, and bases at distance 0, take one fallback call, so
+  every ratio still rests on a certified distance; a failure reports the
+  worst gap across all radii.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * ``random_instance`` builds one representative per characterization
@@ -48,7 +48,7 @@ import numpy as np
 from .affine_instance import AffineSOCInstance, analyze_point, grad_phi_many
 from .cq_checker import full_report, verify_report_invariants
 from .errors import GenerationError, NumericalFailureError
-from .projection import PROJECTION_TOL, BatchProjection, FeasibleSetProjector
+from .projection import BatchProjection, FeasibleSetProjector
 from .soc_core import ConeLocation, _norm, _row_norms, distances_to_cone, margins
 from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
 
@@ -177,23 +177,39 @@ def _uniform_ball_directions(rng: np.random.Generator, count: int, n: int):
     return d, u
 
 
-def _anchored_probes(record: BatchProjection, X, h, offsets):
+def _scan_settings(radii=(1e-1,), samples=1, radius=0.1):
+    """``(radii, samples, radius)`` of the scans, each checked by its one rule
+    (radii nonempty, positive, finite and strictly decreasing; samples per
+    radius >= 1; a positive finite dimension-scan radius), or ValueError."""
+    radii = tuple(float(r) for r in radii)
+    if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii) or any(
+        a <= b for a, b in zip(radii, radii[1:])
+    ):
+        raise ValueError(f"radii must be > 0, finite and strictly decreasing: {radii}")
+    samples, radius = int(samples), float(radius)
+    if samples < 1:
+        raise ValueError(f"samples per radius must be at least 1, got {samples}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"the scan radius must be positive and finite, got {radius}")
+    return radii, samples, radius
+
+
+def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
     """Probes a distance ``h`` off the projections of the rows ``X``.
 
-    ``record`` is the certified projection of ``X``.  A row with ub > 0
-    steps from its anchor z along the exact outward normal,
-    p = z + h (x - z) / ub, which carries the worst ratios; the others
-    step along their fixed random unit ``offsets``.  The normal probe lies
-    on the ray from z in Omega through x, so convexity and 1-Lipschitz
-    continuity of dist(., Omega) along that ray put
+    ``record`` is the projection of ``X``, certified at the relative gap
+    ``gap``.  A row with ub > 0 steps from its anchor z along the exact
+    outward normal, p = z + h (x - z) / ub, which carries the worst ratios;
+    the others step along their fixed random unit ``offsets``.  The normal
+    probe lies on the ray from z in Omega through x, so convexity and
+    1-Lipschitz continuity of dist(., Omega) along that ray put
 
         dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||],
 
     and the probe inherits the upper end as its distance when the interval
-    is no wider than the projector's own gap, ``PROJECTION_TOL`` *
-    max(1, ||p||).
-    Returns (probes, distances, inherited), the distances being valid on
-    the inherited rows only.
+    is no wider than the same gap, ``gap`` * max(1, ||p||).  Returns
+    (probes, distances, inherited), the distances being valid on the
+    inherited rows only.
     """
     Z, ub, lb = record
     normal = ub > 0.0
@@ -204,7 +220,7 @@ def _anchored_probes(record: BatchProjection, X, h, offsets):
     dist = _row_norms(probes - Z)
     # The interval's width times ub, free of a division by a tiny ub.
     width_ub = (dist - h) * ub + (ub - lb) * np.maximum(ub, h)
-    limit = PROJECTION_TOL * np.maximum(1.0, _row_norms(probes))
+    limit = gap * np.maximum(1.0, _row_norms(probes))
     return probes, dist, normal & (width_ub <= limit * ub)
 
 
@@ -236,14 +252,7 @@ def mscq_kappa_scan(
     radii.  The projector's construction is also the scan's one point
     analysis, and none when ``xbar`` is an analysis of ``instance``.
     """
-    radii = tuple(float(r) for r in radii)
-    if not all(math.isfinite(r) and r > 0.0 for r in radii) or any(
-        a <= b for a, b in zip(radii, radii[1:])
-    ):
-        raise ValueError("radii must be positive, finite and strictly decreasing")
-    samples_per_radius = int(samples_per_radius)
-    if samples_per_radius < 1:
-        raise ValueError("samples_per_radius must be positive")
+    radii, samples_per_radius, _ = _scan_settings(radii, samples_per_radius)
     projector = FeasibleSetProjector(instance, xbar)
     center = projector.reference
     n = instance.n
@@ -297,7 +306,7 @@ def mscq_kappa_scan(
     dist_probe[own] = record.ub[split:]
     anchors = BatchProjection(*(part[: far.size] for part in record))
     probes[far], dist, inherited = _anchored_probes(
-        anchors, bases[far], h_rows[far], offsets[far]
+        anchors, bases[far], h_rows[far], offsets[far], instance.projection_tol
     )
     dist_probe[far[inherited]] = dist[inherited]
     dist_g_probe = distances_to_cone(instance.evaluate_many(probes))
@@ -418,8 +427,10 @@ def fcr_dim_scan(
     (interior), the two faces of a half-line (positive boundary, where the
     dimension is the rank of the reduced gradient and the center point is
     always included), or the vertex cone's zero face, full face, and
-    ``_SAMPLED_RAYS`` sampled boundary-ray faces.
+    ``_SAMPLED_RAYS`` sampled boundary-ray faces.  A ``radius`` that is
+    not positive and finite raises ``ValueError``.
     """
+    _, _, radius = _scan_settings(radius=radius)
     analysis = analyze_point(instance, xbar)
     if analysis.location is ConeLocation.INTERIOR:
         return [

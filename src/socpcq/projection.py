@@ -117,8 +117,9 @@ Every candidate is certified the same way: ub is the distance to the
 candidate made feasible (moved along an interior ray of the recession cone
 when Im(A) meets the cone interior, else blended towards a known interior
 point), and lb is the dual bound <-mu, g(x)> / ||A^T mu|| of a cone
-multiplier mu.  A row is accepted once ub - lb <= tol * max(1, ||x||);
-otherwise ``NumericalFailureError`` is raised.
+multiplier mu.  A row is accepted once ub - lb <= tol * max(1, ||x||),
+tol the instance's ``projection_tol``; otherwise ``NumericalFailureError``
+is raised.
 
 ``project_batch`` returns a ``BatchProjection``: per row the feasible
 point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
@@ -139,7 +140,8 @@ import numpy as np
 from .affine_instance import AffineSOCInstance, analyze_point, phi
 from .cq_checker import _rcq
 from .errors import NumericalFailureError
-from .soc_core import (
+from .soc_core import (  # PROJECTION_TOL is re-exported
+    PROJECTION_TOL,
     ConeLocation,
     _norm,
     _row_norms,
@@ -149,9 +151,6 @@ from .soc_core import (
     projections_to_cone,
 )
 from .subspace_cone import SubspaceConeClass, SubspaceKind
-
-#: Default for the certified projection contract.
-PROJECTION_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = float(np.sqrt(_EPS))
@@ -183,7 +182,7 @@ class BatchProjection(NamedTuple):
 
     ``points`` are feasible, ``ub`` is the distance of each row to its
     point and ``lb`` a certified lower bound on its distance to Omega:
-    lb <= dist(x, Omega) <= ub and ub - lb <= tol * max(1, ||x||).
+    lb <= dist(x, Omega) <= ub and ub - lb <= projection_tol * max(1, ||x||).
     """
 
     points: np.ndarray
@@ -337,16 +336,14 @@ class FeasibleSetProjector:
 
     # -- projection ------------------------------------------------------
 
-    def project_batch(
-        self, X: np.ndarray, tol: float = PROJECTION_TOL
-    ) -> BatchProjection:
+    def project_batch(self, X: np.ndarray) -> BatchProjection:
         """Project the rows of X; returns their ``BatchProjection`` record.
 
         X must be (N, n) and finite; anything else raises ``DimensionError``.
         """
         X = self.instance._point_rows(X)
         if self.geometry is _Geometry.SLATER:
-            return self._project_slater(X, tol)
+            return self._project_slater(X)
         R = X - self.reference
         delta = R @ self._flat_projector.T
         if self._half_line is not None:
@@ -356,13 +353,13 @@ class FeasibleSetProjector:
         dist = _row_norms(delta)
         return BatchProjection(X - delta, dist, dist)
 
-    def project(self, x, tol: float = PROJECTION_TOL) -> tuple[np.ndarray, float]:
-        Z, d, _ = self.project_batch(np.asarray(x, dtype=float)[None, :], tol)
+    def project(self, x) -> tuple[np.ndarray, float]:
+        Z, d, _ = self.project_batch(np.asarray(x, dtype=float)[None, :])
         return Z[0], float(d[0])
 
     # -- Slater geometry: exact solve with duality certificate -----------
 
-    def _project_slater(self, X: np.ndarray, tol: float):
+    def _project_slater(self, X: np.ndarray):
         A, b = self.instance.A, self.instance.b
         Z_out = X.copy()
         ub_out = np.zeros(X.shape[0])
@@ -372,7 +369,7 @@ class FeasibleSetProjector:
         if todo.size == 0:
             return BatchProjection(Z_out, ub_out, lb_out)
         Xs, GXs = X[todo], GX[todo]
-        gap_tol = tol * np.maximum(1.0, _row_norms(Xs))
+        gap_tol = self.instance.projection_tol * np.maximum(1.0, _row_norms(Xs))
 
         if self._slater.null_proj is not None:
             best_Z, ub, lb = self._vertex_candidate(Xs, GXs)
@@ -711,7 +708,6 @@ def _search_feasible_reference(instance: AffineSOCInstance) -> np.ndarray:
 def project_to_feasible_set(
     instance: AffineSOCInstance,
     x,
-    tol: float = PROJECTION_TOL,
     reference=None,
 ) -> tuple[np.ndarray, float]:
     """Project ``x`` onto the feasible set; returns (point, distance).
@@ -721,9 +717,9 @@ def project_to_feasible_set(
     least-squares vertex or the best point of the image slice, see the
     module docstring), or raises ``NumericalFailureError`` with the
     supremum of the cone margin as the certificate that the set is empty.
-    ``tol`` is the certified gap of the projection; the shape decision,
-    and the feasibility of ``x`` itself, use the instance's own ``tol``: a
-    point whose image is not OUTSIDE the cone at that tolerance is its own
+    The certified gap is the instance's ``projection_tol``; the shape
+    decision, and the feasibility of ``x`` itself, use its ``tol``: a point
+    whose image is not OUTSIDE the cone at that tolerance is its own
     projection.
     """
     x = instance.point(x)
@@ -733,4 +729,4 @@ def project_to_feasible_set(
     if reference is None:
         reference = _search_feasible_reference(instance)
     projector = FeasibleSetProjector(instance, reference)
-    return projector.project(x, tol=tol)
+    return projector.project(x)

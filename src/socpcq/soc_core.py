@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .errors import DimensionError, InfeasiblePointError
 
 #: Default relative tolerance for all point classifications.
 DEFAULT_TOL = 1e-9
+#: Default certified gap of the projection onto the feasible set.
+PROJECTION_TOL = 1e-10
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -32,6 +35,21 @@ class ConeLocation(enum.Enum):
     POSITIVE_BOUNDARY = "positive_boundary"
     ZERO = "zero"
     OUTSIDE = "outside"
+
+
+def _checked_tol(tol, name: str = "tol") -> float:
+    """``tol`` as a float: every tolerance is a real number (not a bool or a
+    str), finite and > 0, else ``DimensionError`` (a too-large int too)."""
+    real = isinstance(tol, (float, numbers.Real)) and not isinstance(tol, bool)
+    try:
+        value = float(tol) if real else math.nan
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DimensionError(
+            f"{name} must be a positive finite number, got {tol!r:.40}"
+        )
+    return value
 
 
 def as_cone_vector(y) -> np.ndarray:
@@ -70,8 +88,7 @@ def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
     margin.
     """
     y = as_cone_vector(y)
-    if tol <= 0:
-        raise DimensionError("tolerance must be positive")
+    tol = _checked_tol(tol)
     norm_y = _norm(y)
     scale = max(1.0, norm_y)
     if norm_y <= tol * scale:
@@ -183,6 +200,8 @@ def _as_cone_rows(Y) -> np.ndarray:
         raise DimensionError(
             f"expected an (N, m) array with m >= 2, got shape {Y.shape}"
         )
+    if not np.isfinite(Y).all():
+        raise DimensionError("cone points have non-finite entries")
     return Y
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .soc_core import DEFAULT_TOL, _norm
+from .soc_core import DEFAULT_TOL, _checked_tol, _norm
 
 #: Unit boundary rays have |v0| = sqrt(1/2); anything well below that in the
 #: first coordinate cannot be an admissible kernel direction.
@@ -84,6 +84,7 @@ def _rank_of(sigma: np.ndarray, tol: float) -> int:
 def image_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of ``A`` as an (m, k) array."""
     A = _validated_matrix(A)
+    tol = _checked_tol(tol)
     u, sigma, _ = np.linalg.svd(A, full_matrices=False)
     return u[:, : _rank_of(sigma, tol)]
 
@@ -91,6 +92,7 @@ def image_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
 def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
     """Classify Im(A) against Q_m: meets the interior, a single ray, or {0}."""
     A = _validated_matrix(A)
+    tol = _checked_tol(tol)
     u, sigma, vt = np.linalg.svd(A, full_matrices=False)
     k = _rank_of(sigma, tol)
     B = u[:, :k]

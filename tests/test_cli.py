@@ -682,6 +682,41 @@ def test_harness_uses_document_tol(capsys, tmp_path):
     assert lines[-1] == "trials=1 disagreements=0 inconclusive=0 failures=0"
 
 
+#: An identity instance whose projection gap no projection can close.
+UNCERTIFIABLE_DOCUMENT = {
+    "m": 3,
+    "n": 3,
+    "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "b": [0, 0, 0],
+    "points": {"p": [1, 1, 0], "q": [0, 3, 4]},
+    "tolerances": {"projection_tol": 1e-300},
+}
+
+
+def test_document_projection_tol_reaches_every_projecting_command(capsys, tmp_path):
+    # project, scan and harness --instance all certify their distances at
+    # the document's projection_tol, so each fails (exit 3) at 1e-300 and
+    # succeeds at the default.
+    commands = [
+        ("project", "{path}", "q"),
+        ("scan", "{path}", "p", "--samples", "48"),
+        ("harness", "--instance", "{path}", "--point", "p", "--trials", "2"),
+    ]
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(UNCERTIFIABLE_DOCUMENT))
+    default = tmp_path / "default.json"
+    untoleranced = dict(UNCERTIFIABLE_DOCUMENT)
+    del untoleranced["tolerances"]
+    default.write_text(json.dumps(untoleranced))
+    for command in commands:
+        for path, expected in ((tight, EXIT_NUMERICAL), (default, EXIT_OK)):
+            argv = [part.format(path=path) for part in command]
+            code, _, err = run_cli(capsys, *argv)
+            assert code == expected, (argv, err)
+            if expected == EXIT_NUMERICAL:
+                assert "not certified" in err
+
+
 @pytest.mark.parametrize(
     "extra",
     [

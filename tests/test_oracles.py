@@ -19,6 +19,7 @@ from socpcq import (
     GenerationError,
     InfeasiblePointError,
     KappaScan,
+    NumericalFailureError,
     SubspaceKind,
     brute_force_subspace_class,
     classify_kappa_growth,
@@ -63,6 +64,28 @@ def test_kappa_scan_validation():
         mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=0)
     with pytest.raises(InfeasiblePointError):
         mscq_kappa_scan(TANGENT, np.array([1.0, 1.0]))  # infeasible center
+
+
+def test_kappa_scan_needs_a_radius():
+    with pytest.raises(ValueError, match="radii"):
+        mscq_kappa_scan(TANGENT, np.zeros(2), radii=())
+
+
+def test_kappa_scan_certifies_at_the_instance_projection_tol():
+    # A gap no projection can close: the scan's certified call must fail
+    # rather than divide an uncertified distance.
+    tight = AffineSOCInstance(np.eye(3), np.zeros(3), projection_tol=1e-300)
+    with pytest.raises(NumericalFailureError, match="not certified"):
+        mscq_kappa_scan(tight, [1.0, 1.0, 0.0])
+    mscq_kappa_scan(IDENTITY, [1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, np.nan])
+def test_dim_scan_rejects_bad_radius(radius):
+    # On the positive boundary the radius is the sampling radius: a ball of
+    # radius 0 or below is no neighborhood, and NaN is no radius.
+    with pytest.raises(ValueError, match="radius"):
+        fcr_dim_scan(HALFPLANE, np.array([1.0, 0.0, 0.0]), radius=radius)
 
 
 @pytest.fixture
@@ -227,7 +250,9 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
         offsets = rng.standard_normal(X.shape)
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
         record = projector.project_batch(X)
-        probes, dist, inherited = oracles._anchored_probes(record, X, h, offsets)
+        probes, dist, inherited = oracles._anchored_probes(
+            record, X, h, offsets, inst.projection_tol
+        )
         fresh = projector.project_batch(probes)
         slack = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(probes, axis=1))
         assert np.all(fresh.lb[inherited] - slack[inherited] <= dist[inherited])

@@ -7,6 +7,8 @@ points w.  Degenerate shapes additionally have closed-form answers that
 are frozen here by hand.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -528,3 +530,25 @@ def test_malformed_rows_are_rejected(instance, reference, shape, bad):
     # a stack of batches is not a batch
     with pytest.raises(DimensionError):
         proj.project_batch(np.ones((2, 2, instance.n)))
+
+
+def test_the_certified_gap_is_the_instance_projection_tol():
+    # No projection routine takes a gap of its own: each certifies at the
+    # instance's projection_tol, which an unreachable 1e-300 makes fail.
+    for routine in (
+        FeasibleSetProjector.project_batch,
+        FeasibleSetProjector.project,
+        project_to_feasible_set,
+    ):
+        assert "tol" not in inspect.signature(routine).parameters, routine
+    x = np.array([0.0, 3.0, 4.0])
+    tight = AffineSOCInstance(np.eye(3), np.zeros(3), projection_tol=1e-300)
+    with pytest.raises(NumericalFailureError, match="not certified"):
+        project_to_feasible_set(tight, x)
+    with pytest.raises(NumericalFailureError, match="not certified"):
+        FeasibleSetProjector(tight, np.array([1.0, 0.0, 0.0])).project_batch(x[None])
+    # Loose enough, the same instance data projects as before.
+    loose = AffineSOCInstance(np.eye(3), np.zeros(3), projection_tol=1e-6)
+    z, d = project_to_feasible_set(loose, x)
+    np.testing.assert_allclose(z, project_to_cone(x), atol=1e-9)
+    assert d == pytest.approx(distance_to_cone(x))

@@ -15,11 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socpcq import (
+    DEFAULT_TOL,
+    AffineSOCInstance,
     ConeLocation,
     classify_cone_point,
+    classify_image_vs_cone,
     cone_margin,
     distance_to_cone,
     distances_to_cone,
+    image_basis,
     margins,
     project_to_cone,
     projections_to_cone,
@@ -27,7 +31,7 @@ from socpcq import (
 )
 import socpcq
 from socpcq.errors import DimensionError
-from socpcq.soc_core import _norm, _row_norms
+from socpcq.soc_core import PROJECTION_TOL, _norm, _row_norms
 
 RNG = np.random.default_rng(1234)
 
@@ -94,6 +98,56 @@ def test_rejects_bad_input():
         project_to_cone(np.array([np.inf, 0.0]))
     with pytest.raises(DimensionError):
         margins(np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("kernel", [margins, distances_to_cone, projections_to_cone])
+def test_batch_kernels_reject_non_finite_rows(kernel):
+    # Like the scalar kernels: a NaN or an infinity is malformed input, not a
+    # NaN margin, a zero distance or an overflow warning.
+    for rows in ([[np.nan, 0.0]], [[np.inf, 1.0]], [[1.0, np.inf]], [[1, 0, -np.inf]]):
+        with pytest.raises(DimensionError, match="non-finite"):
+            kernel(np.array(rows))
+    assert kernel(np.array([[1.0, 0.0], [0.0, 1.0]])).shape[0] == 2
+
+
+#: Values the tolerance rule rejects: not finite, not positive, or no real
+#: number (a bool, a str), and an int beyond the float range.
+BAD_TOLERANCES = [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1e-9", 10**400]
+IDENTITY = np.eye(3)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tol: AffineSOCInstance(IDENTITY, np.zeros(3), tol=tol),
+        lambda tol: AffineSOCInstance(IDENTITY, np.zeros(3), projection_tol=tol),
+        lambda tol: classify_cone_point([1.0, 1.0, 0.0], tol),
+        lambda tol: classify_image_vs_cone(IDENTITY[:, :2], tol),
+        lambda tol: image_basis(IDENTITY[:, :2], tol),
+    ],
+    ids=[
+        "instance.tol",
+        "instance.projection_tol",
+        "classify_cone_point",
+        "classify_image_vs_cone",
+        "image_basis",
+    ],
+)
+def test_one_tolerance_rule(check):
+    for tol in BAD_TOLERANCES:
+        with pytest.raises(DimensionError, match="must be a positive finite number"):
+            check(tol)
+    # Real numbers of any type pass, ints and numpy scalars included.
+    for tol in (1e-9, 1, np.float32(1e-6), np.int64(2)):
+        check(tol)
+
+
+def test_instance_stores_its_tolerances_as_floats():
+    inst = AffineSOCInstance(IDENTITY, np.zeros(3), 1, projection_tol=np.float32(0.5))
+    assert (inst.tol, inst.projection_tol) == (1.0, 0.5)
+    assert type(inst.tol) is float and type(inst.projection_tol) is float
+    default = AffineSOCInstance(IDENTITY, np.zeros(3))
+    assert (default.tol, default.projection_tol) == (DEFAULT_TOL, PROJECTION_TOL)
 
 
 # ---------------------------------------------------------------------------
