@@ -48,6 +48,7 @@ from .errors import (
     SocpcqError,
 )
 from .oracles import (
+    _harness_trials,
     _scan_settings,
     dim_scan_consistent,
     equivalence_harness,
@@ -404,8 +405,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_harness(args) -> int:
-    if args.trials < 1:
-        raise ParseError("--trials must be at least 1")
+    try:
+        trials = _harness_trials(args.trials)
+    except ValueError as exc:
+        raise ParseError(f"invalid --trials: {exc}") from exc
     fixed_instance = None
     fixed_point = None
     if args.instance is not None:
@@ -415,7 +418,7 @@ def cmd_harness(args) -> int:
         fixed_instance = doc.instance
         fixed_point = _named_point(doc, args.point)
     report = equivalence_harness(
-        trials=args.trials,
+        trials=trials,
         m_max=args.mmax,
         n_max=args.nmax,
         seed=args.seed,

@@ -427,10 +427,10 @@ def fcr_dim_scan(
     (interior), the two faces of a half-line (positive boundary, where the
     dimension is the rank of the reduced gradient and the center point is
     always included), or the vertex cone's zero face, full face, and
-    ``_SAMPLED_RAYS`` sampled boundary-ray faces.  A ``radius`` that is
-    not positive and finite raises ``ValueError``.
+    ``_SAMPLED_RAYS`` sampled boundary-ray faces.  ``samples`` below 1, or
+    a ``radius`` that is not positive and finite, raises ``ValueError``.
     """
-    _, _, radius = _scan_settings(radius=radius)
+    _, samples, radius = _scan_settings(samples=samples, radius=radius)
     analysis = analyze_point(instance, xbar)
     if analysis.location is ConeLocation.INTERIOR:
         return [
@@ -738,11 +738,20 @@ def _draw(m: int, n: int, target_case: str, seed: int):
 
 
 def _safe_scan_radius(analysis) -> float:
-    if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
-        yr = _norm(analysis.y[1:])
-        a_op = float(analysis.geometry.singular_values[0])
-        return min(0.1, 0.1 * yr / max(1.0, a_op))
-    return 0.1
+    """Dimension-scan radius at a positive boundary point: a ball whose
+    image stays clear of the cone's vertex."""
+    yr = _norm(analysis.y[1:])
+    a_op = float(analysis.geometry.singular_values[0])
+    return min(0.1, 0.1 * yr / max(1.0, a_op))
+
+
+def _harness_trials(trials) -> int:
+    """The harness's trial count, checked by its one rule (at least 1), or
+    ValueError."""
+    trials = int(trials)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
 
 
 #: Samples per radius of the harness's kappa scans, at the default radii.
@@ -766,9 +775,13 @@ def equivalence_harness(
     ``fixed_instance``/``fixed_point`` pins every trial to one instance,
     decided at that instance's ``tol`` (fresh scan seeds per trial), instead
     of drawing random ones.
+
+    The FCR dimension scan runs only at points on the positive boundary.
+    At the vertex and at interior points FCR holds (Thm 3.2 (i)/(ii)) and
+    the scan sees one dimension per face by construction, so those trials
+    record ``fcr_consistent = True`` without running it.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _harness_trials(trials)
     master = np.random.SeedSequence(seed)
     children = master.spawn(trials)
     rows: list[TrialRecord] = []
@@ -822,14 +835,16 @@ def equivalence_harness(
             expected = "bounded" if crcq.holds else "growing"
             agree = label == expected
 
-            dim_scans = fcr_dim_scan(
-                instance,
-                analysis,
-                radius=_safe_scan_radius(analysis),
-                samples=64,
-                seed=trial_seed,
-            )
-            fcr_ok = dim_scan_consistent(dim_scans)
+            fcr_ok = True
+            if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
+                dim_scans = fcr_dim_scan(
+                    instance,
+                    analysis,
+                    radius=_safe_scan_radius(analysis),
+                    samples=64,
+                    seed=trial_seed,
+                )
+                fcr_ok = dim_scan_consistent(dim_scans)
             fcr_agree = fcr_ok == report.fcr.holds
 
             rows.append(

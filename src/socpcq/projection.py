@@ -58,7 +58,10 @@ A feasible reference, when none is given, is the least-squares vertex
 feasible, the supremum is negative, or zero and not attained, and the set
 is empty.  The Slater projector needs an interior point only when there is
 no recession ray: an interior reference is its own, otherwise the slice
-point of its image supplies one.
+point of its image supplies one.  All of this Slater data is built on
+the first batch with an infeasible row: feasible rows are their own
+projections, so a projector that only ever sees feasible rows never needs
+it.
 
 Slater geometry.  Write g(z) = Az + b, J = diag(1, -1, ..., -1),
 M = A^T J A, c = A^T J b and beta = b^T J b.  The projection z of an
@@ -133,6 +136,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -212,6 +216,9 @@ class _SlaterData:
     grid_h: np.ndarray       # t (2 - t lam) / (1 - t lam)^2: psi = psi(0) + w^2 . h
     grid_v: np.ndarray       # t / (1 - t lam): g(z(t)) = g(x) + A Q (w * v)
     grid_gap: int            # step j -> j+1 that crosses the pole (-1: none)
+    # the blend target of pull-ins without a recession ray, and its margin
+    interior: Optional[np.ndarray]
+    interior_margin: float
 
 
 class FeasibleSetProjector:
@@ -236,11 +243,8 @@ class FeasibleSetProjector:
         analysis = analyze_point(instance, reference)
         ref, y_ref = analysis.x, analysis.y
         self.reference = ref
-        self._interior_point: Optional[np.ndarray] = None
-        self._interior_margin = 0.0
         self._flat_projector: Optional[np.ndarray] = None
         self._half_line: Optional[tuple[np.ndarray, float]] = None
-        self._slater: Optional[_SlaterData] = None
 
         rcq = _rcq(analysis)
         if not rcq.holds:
@@ -271,26 +275,38 @@ class FeasibleSetProjector:
             return
 
         self.geometry = _Geometry.SLATER
+        # What ``_slater`` needs of the reference: its image, and whether it
+        # is an interior point, which is its own pull-in blend target.
+        self._y_ref = y_ref
+        self._interior = None
         if analysis.location is ConeLocation.INTERIOR:
-            self._interior_point = ref
-            self._interior_margin = rcq.evidence["margin"]
-        maps = _image_maps(instance)
-        self._slater = self._build_slater(maps)
-        if self._interior_point is None and self._slater.ray is None:
-            # Without a recession ray, pull-ins blend towards the best
-            # point of the image slice through the reference.
-            z = ref + _slice_step(instance, maps, y_ref)[0]
-            margin = phi(instance, z)
-            if not margin > 0.0:
-                raise NumericalFailureError(
-                    "the image slice has no interior point", margin
-                )
-            self._interior_point, self._interior_margin = z, margin
+            self._interior = (ref, rcq.evidence["margin"])
 
     # -- construction helpers -------------------------------------------
 
+    @cached_property
+    def _slater(self) -> _SlaterData:
+        """The Slater data, built on first use: the first batch with an
+        infeasible row."""
+        return self._build_slater(_image_maps(self.instance))
+
     def _build_slater(self, maps: _ImageMaps) -> _SlaterData:
-        """Vertex and secular-equation data; see the module docstring."""
+        """Vertex, secular-equation and pull-in data; see the module docstring.
+
+        Without an interior reference or a recession ray, pull-ins blend
+        towards the best point of the image slice through the reference, and
+        a slice without an interior point raises ``NumericalFailureError``.
+        """
+        interior, interior_margin = self._interior or (None, 0.0)
+        if interior is None and maps.ray is None:
+            z = self.reference + _slice_step(self.instance, maps, self._y_ref)[0]
+            interior_margin = phi(self.instance, z)
+            if not interior_margin > 0.0:
+                raise NumericalFailureError(
+                    "the image slice has no interior point", interior_margin
+                )
+            interior = z
+
         A, b = self.instance.A, self.instance.b
         # A row can project onto the vertex preimage only when b is in Im(A).
         # The Slater point then lies in Im(A) too, so P_00 < 1/2.
@@ -332,6 +348,8 @@ class FeasibleSetProjector:
             grid_h=grid_t[:, None] * (1.0 + E) / (E * E),
             grid_v=grid_t[:, None] / E,
             grid_gap=grid_gap,
+            interior=interior,
+            interior_margin=interior_margin,
         )
 
     # -- projection ------------------------------------------------------
@@ -406,12 +424,12 @@ class FeasibleSetProjector:
         neg = mz < 0.0
         if neg.any():
             Z = Z.copy()
-            ray = self._slater.ray
-            if ray is not None:
-                Z[neg] -= mz[neg, None] * ray
+            sd = self._slater
+            if sd.ray is not None:
+                Z[neg] -= mz[neg, None] * sd.ray
             else:
-                theta = -mz[neg] / (self._interior_margin - mz[neg])
-                Z[neg] += theta[:, None] * (self._interior_point - Z[neg])
+                theta = -mz[neg] / (sd.interior_margin - mz[neg])
+                Z[neg] += theta[:, None] * (sd.interior - Z[neg])
         return Z
 
     def _dual_bound(self, Mu, Xs, Z, GZ) -> np.ndarray:

@@ -30,10 +30,11 @@ from socpcq import (
     mscq_kappa_scan,
     random_instance,
 )
-from socpcq import PointAnalysis, analyze_point, cq_checker, oracles, projection
+from socpcq import PointAnalysis, analyze_point, cli, cq_checker, oracles, projection
+from socpcq.cli import parse_instance
 from socpcq.oracles import TARGET_CASES, _random_boundary_rays
 from socpcq.projection import PROJECTION_TOL, FeasibleSetProjector
-from socpcq.soc_core import ConeLocation, cone_margin, margins
+from socpcq.soc_core import ConeLocation, classify_cone_point, cone_margin, margins
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -86,6 +87,21 @@ def test_dim_scan_rejects_bad_radius(radius):
     # radius 0 or below is no neighborhood, and NaN is no radius.
     with pytest.raises(ValueError, match="radius"):
         fcr_dim_scan(HALFPLANE, np.array([1.0, 0.0, 0.0]), radius=radius)
+
+
+@pytest.mark.parametrize(
+    "instance, xbar",
+    [
+        (HALFPLANE, [1.0, 0.0, 0.0]),  # positive boundary
+        (HALFPLANE, [0.0, 0.0, 0.0]),  # vertex
+        (IDENTITY, [2.0, 0.0, 0.0]),  # interior
+    ],
+)
+@pytest.mark.parametrize("samples", [0, -1])
+def test_dim_scan_rejects_bad_samples(instance, xbar, samples):
+    # One samples rule on every branch, the kappa scan's.
+    with pytest.raises(ValueError, match="samples"):
+        fcr_dim_scan(instance, np.array(xbar), samples=samples)
 
 
 @pytest.fixture
@@ -405,6 +421,38 @@ def test_dim_scan_vertex_faces():
     assert dim_scan_consistent(scans)
 
 
+FIXTURES = Path(oracles.__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "stratum", ["Thm4.4(i)", "Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"]
+)
+def test_dim_scan_off_the_positive_boundary_sees_single_dimensions(stratum):
+    # The harness skips the scan off the positive boundary: there FCR holds
+    # (Thm 3.2 (i)/(ii)) and every scanned face shows one dimension.
+    for seed in range(20):
+        m, n = 3 + seed % 4, 2 + seed % 5
+        inst, xbar = random_instance(m, n, stratum, seed)
+        analysis = analyze_point(inst, xbar)
+        assert analysis.location is not ConeLocation.POSITIVE_BOUNDARY
+        assert dim_scan_consistent(fcr_dim_scan(inst, analysis, seed=seed))
+        assert full_report(inst, analysis).fcr.holds
+
+
+def test_dim_scan_at_the_fixture_vertices_sees_single_dimensions():
+    vertices = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse_instance(str(path))
+        for x in doc.points.values():
+            y = doc.instance.evaluate(x)
+            if classify_cone_point(y, doc.instance.tol) is not ConeLocation.ZERO:
+                continue
+            vertices += 1
+            assert dim_scan_consistent(fcr_dim_scan(doc.instance, x, seed=0))
+            assert full_report(doc.instance, x).fcr.holds
+    assert vertices == 3
+
+
 def _face_rank(A, w, tol):
     """Rank of the restriction A - w w^T A on the scale of A itself."""
     sigma = np.linalg.svd(A - np.outer(w, w @ A), compute_uv=False)
@@ -573,9 +621,88 @@ def test_harness_analyzes_each_random_trial_point_once(calls, monkeypatch):
     assert calls["build"] == 8 + sum(row.retried for row in report.rows)
 
 
+def test_harness_runs_the_dim_scan_on_the_positive_boundary_only(monkeypatch):
+    locations = []
+    scan = oracles.fcr_dim_scan
+
+    def recording(instance, xbar, *args, **kwargs):
+        locations.append(xbar.location)
+        return scan(instance, xbar, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "fcr_dim_scan", recording)
+    report = equivalence_harness(8, seed=11)
+    assert report.clean
+    # Thm4.4(ii), Thm4.4(iii) and degenerate-boundary, one call each.
+    assert locations == [ConeLocation.POSITIVE_BOUNDARY] * 3
+
+
 def test_harness_rejects_zero_trials():
     with pytest.raises(ValueError):
         equivalence_harness(0)
+
+
+def test_harness_and_cli_share_one_trials_rule(monkeypatch, capsys):
+    # The CLI rejects --trials through the harness's own rule, before any
+    # instance file is read, and turns only that rule's ValueError into a
+    # parse error: one raised by a run in progress propagates.
+    seen = []
+    rule = oracles._harness_trials
+
+    def recording(trials):
+        seen.append(trials)
+        return rule(trials)
+
+    monkeypatch.setattr(cli, "_harness_trials", recording)
+    assert cli.main(["harness", "--trials", "-3", "--instance", "missing.json"]) == 2
+    assert seen == [-3]
+    assert capsys.readouterr().err == (
+        "error: invalid --trials: trials must be at least 1, got -3\n"
+    )
+    with pytest.raises(ValueError, match="trials must be at least 1, got -3"):
+        equivalence_harness(-3)
+
+    def failing(**kwargs):
+        raise ValueError("inside the run")
+
+    monkeypatch.setattr(cli, "equivalence_harness", failing)
+    with pytest.raises(ValueError, match="inside the run"):
+        cli.main(["harness", "--trials", "1"])
+
+
+#: Harness rows pinned on a random sweep and on a fixed run at a vertex; they
+#: are regenerated together with the scan pins.
+PINNED_HARNESS = Path(__file__).parent / "data" / "harness_pins.json"
+HARNESS_PIN_CASES = {
+    "random@seed0": dict(trials=64, seed=0),
+    "vertex_halfplane@origin": dict(
+        trials=4, seed=0, fixed_instance=HALFPLANE, fixed_point=np.zeros(3)
+    ),
+}
+
+
+def _harness_record(report):
+    return {
+        "rows": [
+            {**row.__dict__, "kappa_hat": list(row.kappa_hat)} for row in report.rows
+        ],
+        "disagreements": list(report.disagreements),
+        "inconclusive": list(report.inconclusive),
+        "failures": [list(f) for f in report.failures],
+    }
+
+
+@pytest.mark.parametrize("key", HARNESS_PIN_CASES)
+def test_harness_matches_pinned_rows(key):
+    pinned = json.loads(PINNED_HARNESS.read_text())[key]
+    record = _harness_record(equivalence_harness(**HARNESS_PIN_CASES[key]))
+    assert {k: v for k, v in record.items() if k != "rows"} == {
+        k: v for k, v in pinned.items() if k != "rows"
+    }
+    assert len(record["rows"]) == len(pinned["rows"])
+    for row, pin in zip(record["rows"], pinned["rows"]):
+        kappa, pinned_kappa = row.pop("kappa_hat"), pin.pop("kappa_hat")
+        assert row == pin
+        np.testing.assert_allclose(kappa, pinned_kappa, rtol=1e-12, atol=0.0)
 
 
 if __name__ == "__main__":
@@ -585,3 +712,8 @@ if __name__ == "__main__":
         scan = _pinned_scan(*case)
         records[_pin_key(*case)] = {name: getattr(scan, name) for name in _PINNED_FIELDS}
     PINNED_SCANS.write_text(json.dumps(records, indent=1) + "\n")
+    harness = {
+        key: _harness_record(equivalence_harness(**kwargs))
+        for key, kwargs in HARNESS_PIN_CASES.items()
+    }
+    PINNED_HARNESS.write_text(json.dumps(harness, indent=1) + "\n")

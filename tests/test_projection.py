@@ -236,6 +236,75 @@ def test_project_batch_is_deterministic():
     assert np.array_equal(D1, D2)
 
 
+@pytest.fixture
+def slater_builds(monkeypatch):
+    """Counts the calls of ``_image_maps`` and ``_build_slater``."""
+    counts = {"maps": 0, "slater": 0}
+    image_maps = projection._image_maps
+    build_slater = FeasibleSetProjector._build_slater
+
+    def maps(*args):
+        counts["maps"] += 1
+        return image_maps(*args)
+
+    def slater(*args):
+        counts["slater"] += 1
+        return build_slater(*args)
+
+    monkeypatch.setattr(projection, "_image_maps", maps)
+    monkeypatch.setattr(FeasibleSetProjector, "_build_slater", slater)
+    return counts
+
+
+def test_feasible_batches_build_no_slater_data(slater_builds):
+    # Feasible rows are their own projections: a projector at an interior
+    # reference that only sees them computes no SVD and no secular data.
+    inst = AffineSOCInstance(np.eye(3), np.zeros(3))
+    proj = FeasibleSetProjector(inst, np.array([2.0, 0.0, 0.0]))
+    assert proj.geometry.value == "slater"
+    X = np.array([[3.0, 1.0, 0.0], [1.0, 0.0, 1.0], [5.0, -3.0, 4.0]])
+    for _ in range(3):
+        Z, ub, lb = proj.project_batch(X)
+        assert np.array_equal(Z, X) and not ub.any() and not lb.any()
+    assert slater_builds == {"maps": 0, "slater": 0}
+    assert inst._geometry is None
+
+
+def test_slater_data_is_built_once_on_the_first_infeasible_batch(slater_builds):
+    inst = AffineSOCInstance(np.eye(3), np.zeros(3))
+    proj = FeasibleSetProjector(inst, np.array([2.0, 0.0, 0.0]))
+    proj.project_batch(np.array([[3.0, 1.0, 0.0]]))
+    assert slater_builds == {"maps": 0, "slater": 0}
+    X = np.array([[0.0, 3.0, 4.0], [-1.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
+    for _ in range(3):
+        Z, _, _ = proj.project_batch(X)
+        np.testing.assert_allclose(Z, [project_to_cone(x) for x in X], atol=1e-12)
+    assert slater_builds == {"maps": 1, "slater": 1}
+
+
+def test_image_slice_without_interior_fails_at_the_first_infeasible_batch(
+    monkeypatch,
+):
+    # g(x) = (1, x, 0): Omega = [-1, 1], Im(A) meets the cone only at 0, and
+    # the reference 1 is on the boundary, so pull-ins blend towards the best
+    # point of the image slice.  With that point forced onto the reference
+    # (margin 0) the slice has no interior point to blend towards; the
+    # projector only finds out when a row needs the Slater data.
+    inst = AffineSOCInstance(np.array([[0.0], [1.0], [0.0]]), np.array([1.0, 0.0, 0.0]))
+    monkeypatch.setattr(
+        projection, "_slice_step", lambda instance, maps, y: (np.zeros(1), 0.0)
+    )
+    proj = FeasibleSetProjector(inst, np.array([1.0]))
+    assert proj.geometry.value == "slater"
+    assert proj.project_batch(np.array([[0.5]])).ub[0] == 0.0
+    for _ in range(2):
+        with pytest.raises(NumericalFailureError, match="no interior point"):
+            proj.project_batch(np.array([[0.5], [2.0]]))
+    monkeypatch.undo()
+    _, d = FeasibleSetProjector(inst, np.array([1.0])).project([2.0])
+    assert d == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("stratum", ["Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)"])
 def test_slater_batch_is_row_independent_across_grid_blocks(stratum, seed):
