@@ -485,14 +485,19 @@ def _write_out(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _default_seed(fallback: int) -> int:
-    env = os.environ.get("SOCPCQ_SEED")
-    if env is None:
-        return fallback
+def _seed(flag: Optional[int], fallback: int) -> int:
+    """The run's seed: ``--seed``, else ``SOCPCQ_SEED``, else ``fallback``.
+    A seed from either source that is not a non-negative integer is a usage
+    error."""
+    source, value = "--seed", flag
+    if flag is None:
+        source, value = "SOCPCQ_SEED", os.environ.get("SOCPCQ_SEED", fallback)
     try:
-        return int(env)
-    except ValueError as exc:
-        raise ParseError(f"SOCPCQ_SEED must be an integer, got {env!r}") from exc
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise ParseError(f"{source} must be a non-negative integer, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,8 +558,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed(42 if args.command == "harness" else 0)
+        if hasattr(args, "seed"):
+            args.seed = _seed(args.seed, 42 if args.command == "harness" else 0)
         # Looked up per call, not bound into the shared parser, so a cmd_*
         # rebound after the first call (a tracer, a monkeypatch) is the one run.
         command = {

@@ -100,22 +100,24 @@ class KappaScan:
     the distance ratio is exactly scale-invariant, so the per-radius max
     over uniform draws is a radius-independent heavy-tailed constant that
     would mask genuine unboundedness.  The uniform max is still recorded
-    in ``uniform_kappa_hat``.
+    in ``uniform_kappa_hat``.  ``classify_kappa_growth`` decides from
+    ``probe_ratios`` and ``discarded_feasible`` alone; ``kappa_hat`` only
+    tells it whether a scan without matched probes saw any ratio at all.
     """
 
     radii: tuple[float, ...]
     kappa_hat: tuple[float, ...]
     sample_count: int
     seed: int
-    probe_count: int = 0
-    discarded_feasible: tuple[int, ...] = ()
-    discarded_floor: tuple[int, ...] = ()
-    probe_valid: tuple[int, ...] = ()
-    uniform_kappa_hat: tuple[float, ...] = ()
+    probe_count: int
+    discarded_feasible: tuple[int, ...]
+    discarded_floor: tuple[int, ...]
+    probe_valid: tuple[int, ...]
+    uniform_kappa_hat: tuple[float, ...]
     #: per-radius ratio of each planted probe (0.0 where the probe was
     #: discarded); probes share their base draw across radii, so row-wise
     #: comparisons isolate the radius dependence.
-    probe_ratios: tuple[tuple[float, ...], ...] = ()
+    probe_ratios: tuple[tuple[float, ...], ...]
 
     def evaluated(self, k: int) -> int:
         """Number of ratio-bearing samples at radius index k."""
@@ -168,13 +170,6 @@ class HarnessReport:
 # ---------------------------------------------------------------------------
 # kappa scan
 # ---------------------------------------------------------------------------
-
-
-def _uniform_ball_directions(rng: np.random.Generator, count: int, n: int):
-    d = rng.standard_normal((count, n))
-    d /= _row_norms(d, keepdims=True)
-    u = rng.random(count) ** (1.0 / n)
-    return d, u
 
 
 def _scan_settings(radii=(1e-1,), samples=1, radius=0.1):
@@ -357,60 +352,33 @@ def classify_kappa_growth(scan: KappaScan) -> str:
     unbounded one drives some probe's ratio up by the step-size schedule.
     Matching probe-by-probe keeps one large-but-flat ratio (e.g. a probe
     anchored on a different face) from hiding the growth of another.  The
-    decision uses the finest radius pair with at least one matched probe;
-    scans without usable probes fall back to the per-radius aggregates.
+    decision uses the finest radius pair with at least one matched probe.
+    A finest ball that is entirely feasible reads ``bounded`` before any
+    ratio is looked at.  A scan with no matched pair reads ``bounded`` when
+    it saw no ratio at all (every ``kappa_hat`` is 0) and ``inconclusive``
+    otherwise: the per-radius maxima are radius-independent on conic
+    geometries, so they cannot tell growth from noise.
     """
-    k = len(scan.radii)
-    total = scan.sample_count + scan.probe_count
-    if scan.discarded_feasible and scan.discarded_feasible[-1] == total:
+    if scan.discarded_feasible[-1] == scan.sample_count + scan.probe_count:
         # The finest ball is entirely feasible: locally exact feasibility.
         return "bounded"
-    if scan.probe_ratios:
-        P = np.asarray(scan.probe_ratios, dtype=float)
-        for i in range(k - 2, -1, -1):
-            both = (P[i] > 0.0) & (P[i + 1] > 0.0)
-            if not both.any():
-                continue
-            growth = float((P[i + 1][both] / P[i][both]).max())
-            if growth >= _GROWING_MIN_GROWTH:
-                return "growing"
-            if growth <= _BOUNDED_MAX_GROWTH:
-                return "bounded"
-            return "inconclusive"
-    pairs = [
-        i
-        for i in range(k - 1)
-        if scan.kappa_hat[i] > 0.0 and scan.kappa_hat[i + 1] > 0.0
-    ]
-    if not pairs:
-        if all(v == 0.0 for v in scan.kappa_hat):
+    P = np.asarray(scan.probe_ratios, dtype=float)
+    for i in range(len(scan.radii) - 2, -1, -1):
+        both = (P[i] > 0.0) & (P[i + 1] > 0.0)
+        if not both.any():
+            continue
+        growth = float((P[i + 1][both] / P[i][both]).max())
+        if growth >= _GROWING_MIN_GROWTH:
+            return "growing"
+        if growth <= _BOUNDED_MAX_GROWTH:
             return "bounded"
         return "inconclusive"
-    i = pairs[-1]
-    ratio = scan.kappa_hat[i + 1] / scan.kappa_hat[i]
-    if ratio >= _GROWING_MIN_GROWTH:
-        return "growing"
-    if ratio <= _BOUNDED_MAX_GROWTH:
-        return "bounded"
-    return "inconclusive"
+    return "bounded" if not any(scan.kappa_hat) else "inconclusive"
 
 
 # ---------------------------------------------------------------------------
 # FCR dimension scan
 # ---------------------------------------------------------------------------
-
-
-def _random_boundary_rays(rng: np.random.Generator, m: int, count: int):
-    w = rng.standard_normal((count, m - 1))
-    w /= _row_norms(w, keepdims=True)
-    rays = np.empty((count, m))
-    rays[:, 0] = math.sqrt(0.5)
-    rays[:, 1:] = math.sqrt(0.5) * w
-    return rays
-
-
-#: Boundary-ray faces the dimension scan samples at the vertex.
-_SAMPLED_RAYS = 8
 
 
 def fcr_dim_scan(
@@ -422,57 +390,34 @@ def fcr_dim_scan(
 ) -> list[DimScan]:
     """Observed dims of the face-orthogonal images over a sampled ball.
 
-    ``xbar`` is a feasible point or its ``PointAnalysis``.  The faces
-    scanned depend on where g(xbar) sits: the trivial face only
-    (interior), the two faces of a half-line (positive boundary, where the
-    dimension is the rank of the reduced gradient and the center point is
-    always included), or the vertex cone's zero face, full face, and
-    ``_SAMPLED_RAYS`` sampled boundary-ray faces.  ``samples`` below 1, or
-    a ``radius`` that is not positive and finite, raises ``ValueError``.
+    ``xbar`` is a feasible point or its ``PointAnalysis``.  ``samples``
+    below 1, or a ``radius`` that is not positive and finite, raises
+    ``ValueError``.  Only a point whose image lies on the positive boundary
+    is scanned: there the two faces of the half-line are sampled, the zero
+    face's dimension being the rank of the reduced gradient at the center
+    and at ``samples`` points of the ball.  Off the positive boundary FCR
+    holds (Thm 3.2 (i)/(ii)), nothing can be inconsistent, and the scan
+    returns ``[]``.
     """
     _, samples, radius = _scan_settings(samples=samples, radius=radius)
     analysis = analyze_point(instance, xbar)
-    if analysis.location is ConeLocation.INTERIOR:
-        return [
-            DimScan("ZeroFace", frozenset({0}), 1, int(seed)),
-        ]
+    if analysis.location is not ConeLocation.POSITIVE_BOUNDARY:
+        return []
 
     rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((samples, instance.n))
+    dirs /= _row_norms(dirs, keepdims=True)
+    radial = radius * rng.random(samples) ** (1.0 / instance.n)
     center = analysis.x
-    n = instance.n
-
-    if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
-        dirs, radial = _uniform_ball_directions(rng, samples, n)
-        X = np.vstack([center[None, :], center + dirs * (radius * radial)[:, None]])
-        G, ok = grad_phi_many(instance, X)
-        discarded = int((~ok).sum())
-        norms = _row_norms(G[ok])
-        dims = frozenset(int(v) for v in (norms > analysis.grad_floor).astype(int))
-        count = int(ok.sum())
-        return [
-            DimScan("ZeroFace", dims, count, int(seed), discarded),
-            DimScan("FullCone", frozenset({0}), count, int(seed), discarded),
-        ]
-
-    # Vertex: the map is the same at every x, so sampling x is a pure
-    # consistency exercise; the face matters instead.
-    A = instance.A
-    geo = analysis.geometry
-    # The restrictions A - w w^T A to the sampled ray faces, in one
-    # broadcast and one batched SVD.  Ranks are taken on the scale of A
-    # itself, like rank(A): a face restriction that vanishes (the sampled
-    # ray is the image ray) has rank 0, not a noise rank.
-    W = _random_boundary_rays(rng, instance.m, _SAMPLED_RAYS)
-    restricted = A - W[:, :, None] * (W @ A)[:, None, :]
-    sigmas = np.linalg.svd(restricted, compute_uv=False)
-    ranks = (sigmas > instance.tol * geo.singular_values[0]).sum(axis=1)
+    X = np.vstack([center[None, :], center + dirs * radial[:, None]])
+    G, ok = grad_phi_many(instance, X)
+    discarded = int((~ok).sum())
+    norms = _row_norms(G[ok])
+    dims = frozenset(int(v) for v in (norms > analysis.grad_floor).astype(int))
+    count = int(ok.sum())
     return [
-        DimScan("ZeroFace", frozenset({geo.rank}), samples, int(seed)),
-        DimScan("FullCone", frozenset({0}), samples, int(seed)),
-        *(
-            DimScan(f"SampledRay({i})", frozenset({int(r)}), samples, int(seed))
-            for i, r in enumerate(ranks)
-        ),
+        DimScan("ZeroFace", dims, count, int(seed), discarded),
+        DimScan("FullCone", frozenset({0}), count, int(seed), discarded),
     ]
 
 
@@ -777,9 +722,9 @@ def equivalence_harness(
     of drawing random ones.
 
     The FCR dimension scan runs only at points on the positive boundary.
-    At the vertex and at interior points FCR holds (Thm 3.2 (i)/(ii)) and
-    the scan sees one dimension per face by construction, so those trials
-    record ``fcr_consistent = True`` without running it.
+    At the vertex and at interior points FCR holds (Thm 3.2 (i)/(ii)), the
+    scan has nothing to sample and returns no face, so those trials record
+    ``fcr_consistent = True`` without calling it.
     """
     trials = _harness_trials(trials)
     master = np.random.SeedSequence(seed)

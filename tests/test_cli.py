@@ -618,9 +618,9 @@ def test_scan_half_line_csv(capsys):
         assert int(total) == 562  # 500 uniform draws + 62 planted probes
         assert 0 <= int(discarded) < 562
     assert radii == [0.1, 0.01, 0.001]
-    assert "dimscan face=ZeroFace observed_dims=[1] samples=500 discarded=0" in lines
-    assert "dimscan face=FullCone observed_dims=[0] samples=500 discarded=0" in lines
-    assert lines[-1] == "fcr_consistent=true"
+    # At the vertex FCR holds (Thm 3.2 (i)): no face is scanned.
+    assert not any(line.startswith("dimscan") for line in lines)
+    assert lines[4:] == ["fcr_consistent=true"]
 
 
 def test_scan_degenerate_boundary_flags_inconsistency(capsys):
@@ -646,6 +646,24 @@ def test_scan_seed_env_matches_flag(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *args)
     assert code == EXIT_PARSE
     assert "SOCPCQ_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("scan", fixture("vertex_boundary_line"), "origin", "--seed", "-1"), None),
+        (("harness", "--trials", "1", "--seed", "-3"), None),
+        (("scan", fixture("vertex_boundary_line"), "origin"), "-5"),
+    ],
+    ids=["scan-flag", "harness-flag", "scan-env"],
+)
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SOCPCQ_SEED", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: ")
+    assert "must be a non-negative integer, got " in err
 
 
 #: xbar sits 7e-9 outside the cone: on the boundary at the document's tol
