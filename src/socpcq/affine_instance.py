@@ -20,15 +20,16 @@ from .soc_core import (
     PROJECTION_TOL,
     ConeLocation,
     _checked_tol,
+    _location,
     _norm,
     _row_norms,
-    classify_cone_point,
+    as_cone_vector,
     cone_margin,
     distance_to_cone,
     reflected,
     tangent_membership,
 )
-from .subspace_cone import SubspaceConeClass, classify_image_vs_cone
+from .subspace_cone import SubspaceConeClass, _classify
 
 #: The instance's tolerance fields, each checked by ``soc_core._checked_tol``.
 _TOLERANCES = ("tol", "projection_tol")
@@ -90,9 +91,7 @@ class AffineSOCInstance:
     def geometry(self) -> SubspaceConeClass:
         """Im(A) against the cone at ``tol``, with its SVD; computed once."""
         if self._geometry is None:
-            object.__setattr__(
-                self, "_geometry", classify_image_vs_cone(self.A, self.tol)
-            )
+            object.__setattr__(self, "_geometry", _classify(self.A, self.tol))
         return self._geometry
 
     def norm_A(self) -> float:
@@ -111,7 +110,11 @@ class AffineSOCInstance:
 
     def evaluate(self, x) -> np.ndarray:
         """g(x) = Ax + b."""
-        return self.A @ self.point(x) + self.b
+        return self._evaluate(self.point(x))
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        """``evaluate`` at a point that ``point`` has checked."""
+        return self.A @ x + self.b
 
     def _point_rows(self, X) -> np.ndarray:
         """``X`` as an (N, n) float array; other shapes or non-finite
@@ -219,12 +222,13 @@ def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
             return x
         x = x.x
     x = instance.point(x)
-    y = instance.evaluate(x)
-    loc = classify_cone_point(y, instance.tol)
+    # A finite x can still overflow g(x); as_cone_vector rejects that.
+    y = as_cone_vector(instance._evaluate(x))
+    loc = _location(y, instance.tol)
     if loc is ConeLocation.OUTSIDE:
+        distance = distance_to_cone(y)
         raise InfeasiblePointError(
-            f"g(x) lies outside the cone (distance {distance_to_cone(y):.3e})",
-            distance_to_cone(y),
+            f"g(x) lies outside the cone (distance {distance:.3e})", distance
         )
     grad = None
     if loc is ConeLocation.POSITIVE_BOUNDARY:

@@ -48,7 +48,7 @@ from .affine_instance import (
     _vanishing,
     analyze_point,
 )
-from .soc_core import ConeLocation, _norm, cone_margin
+from .soc_core import ConeLocation, _margin, _norm
 from .subspace_cone import SubspaceKind
 
 __all__ = [
@@ -103,7 +103,7 @@ class CQReport:
 def _off_vertex(pa: PointAnalysis) -> Verdict:
     """Nondegeneracy and RCQ away from the vertex, where the two coincide."""
     if pa.location is ConeLocation.INTERIOR:
-        return Verdict(True, "interior", {"margin": cone_margin(pa.y)})
+        return Verdict(True, "interior", {"margin": _margin(pa.y)})
     g = pa.grad_phi
     norm = _norm(g)
     ev = {"grad_phi": g, "grad_norm": norm}
@@ -142,7 +142,7 @@ def _fcr(pa: PointAnalysis) -> Verdict:
     if pa.location is ConeLocation.ZERO:
         return Verdict(True, "Thm3.2(i)", {"y_norm": _norm(pa.y)})
     if pa.location is ConeLocation.INTERIOR:
-        return Verdict(True, "Thm3.2(ii)", {"margin": cone_margin(pa.y)})
+        return Verdict(True, "Thm3.2(ii)", {"margin": _margin(pa.y)})
     g = pa.grad_phi
     norm = _norm(g)
     if norm > pa.grad_floor:
@@ -284,7 +284,24 @@ _DERIVED_CLAIMS = ("T_Omega(xbar) = L_Omega(xbar)", "N_Omega(xbar) = H(xbar)")
 
 
 def full_report(instance: AffineSOCInstance, x) -> CQReport:
-    """All six verdicts at a feasible point, with consistency enforced."""
+    """All six verdicts at a feasible point, with consistency enforced:
+    an invariant violation raises ``AssertionError``."""
+    report, violations = _report(instance, x)
+    _require_consistent(violations)
+    return report
+
+
+def _require_consistent(violations: list[str]) -> None:
+    """Raise ``AssertionError`` on any invariant violation."""
+    if violations:
+        raise AssertionError(
+            "internal verdict inconsistency: " + "; ".join(violations)
+        )
+
+
+def _report(instance: AffineSOCInstance, x) -> tuple[CQReport, list[str]]:
+    """``full_report`` with its invariant violations returned, not raised:
+    the oracles count them as disagreements."""
     pa = analyze_point(instance, x)
     fcr = _fcr(pa)
     h_closed = _h_closed(pa)
@@ -301,12 +318,7 @@ def full_report(instance: AffineSOCInstance, x) -> CQReport:
         h_set=replace(_h_set(pa), closed=h_closed.holds),
         derived_claims=_DERIVED_CLAIMS if mscq.holds else (),
     )
-    violations = verify_report_invariants(report)
-    if violations:
-        raise AssertionError(
-            "internal verdict inconsistency: " + "; ".join(violations)
-        )
-    return report
+    return report, verify_report_invariants(report)
 
 
 _ZERO_ONLY_LABELS = {"Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)"}

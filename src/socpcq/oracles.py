@@ -29,27 +29,37 @@ Key design points:
   Wider intervals, and bases at distance 0, take one fallback call, so
   every ratio still rests on a certified distance; a failure reports the
   worst gap across all radii.
+* The scan checks its settings once, in ``mscq_kappa_scan``; its body
+  ``_kappa_scan``, which the harness calls with the settings it fixed,
+  fills its draws in place and runs only private kernels on them: g(X) as
+  X A^T + b, ``soc_core._distance_rows`` and the projector's
+  ``_project_rows``.  Its radius factors and probe offsets depend on the
+  settings alone and are built once per setting.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * ``random_instance`` builds one representative per characterization
-  stratum and self-checks the realized geometry, from the draw's
-  ``full_report``, before returning it; the harness decides each random
-  trial from that same report, so a trial analyzes its point once.
+  stratum and self-checks the realized geometry, from the draw's report,
+  before returning it; the harness decides each random trial from that
+  same report, so a trial analyzes its point once.  Both take the report
+  and its invariant violations from ``cq_checker._report``:
+  ``random_instance`` raises on a violation, like ``full_report``, and the
+  harness counts it as a disagreement.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .affine_instance import AffineSOCInstance, analyze_point, grad_phi_many
-from .cq_checker import full_report, verify_report_invariants
+from .affine_instance import AffineSOCInstance, _grad_rows, analyze_point
+from .cq_checker import _report, _require_consistent
 from .errors import GenerationError, NumericalFailureError
 from .projection import BatchProjection, FeasibleSetProjector
-from .soc_core import ConeLocation, _norm, _row_norms, distances_to_cone, margins
+from .soc_core import ConeLocation, _distance_rows, _margin_rows, _norm, _row_norms
 from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
 
 __all__ = [
@@ -195,9 +205,10 @@ def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
     ``record`` is the projection of ``X``, certified at the relative gap
     ``gap``.  A row with ub > 0 steps from its anchor z along the exact
     outward normal, p = z + h (x - z) / ub, which carries the worst ratios;
-    the others step along their fixed random unit ``offsets``.  The normal
-    probe lies on the ray from z in Omega through x, so convexity and
-    1-Lipschitz continuity of dist(., Omega) along that ray put
+    the others step along their fixed random unit ``offsets``, an array of
+    the caller's that is overwritten with the steps.  The normal probe lies
+    on the ray from z in Omega through x, so convexity and 1-Lipschitz
+    continuity of dist(., Omega) along that ray put
 
         dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||],
 
@@ -208,9 +219,7 @@ def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
     """
     Z, ub, lb = record
     normal = ub > 0.0
-    step = np.divide(
-        X - Z, ub[:, None], out=np.array(offsets, dtype=float), where=normal[:, None]
-    )
+    step = np.divide(X - Z, ub[:, None], out=offsets, where=normal[:, None])
     probes = Z + h[:, None] * step
     dist = _row_norms(probes - Z)
     # The interval's width times ub, free of a division by a tiny ub.
@@ -219,10 +228,42 @@ def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
     return probes, dist, normal & (width_ub <= limit * ub)
 
 
+#: The kappa scan's default radii.
+_RADII = (1e-1, 1e-2, 1e-3)
+
+
+@functools.lru_cache(maxsize=16)
+def _radius_factors(radii: tuple[float, ...], S: int, P: int):
+    """What a scan's draws take from its settings alone, built once per
+    setting: (spread, h, offset_rows).
+
+    ``spread`` is (k, S + P): radius r_k on the S uniform columns and
+    0.9 r_k on the P probe-base columns, the factor of each draw's radial
+    part.  ``h`` holds the probe offset h_k = r_k / (8 * 30^k) of each of
+    the k * P radius-major probes, and ``offset_rows`` the row of its
+    random offset among the scan's directions, S + P + (probe index).
+    """
+    k = len(radii)
+    r_col = np.asarray(radii)[:, None]
+    spread = np.empty((k, S + P))
+    spread[:, :S] = r_col
+    spread[:, S:] = 0.9 * r_col
+    h = np.empty(k)
+    divisor = _PROBE_DIVISOR0
+    for i, r in enumerate(radii):
+        h[i] = r / divisor
+        divisor *= _PROBE_DIVISOR_GROWTH
+    h = np.repeat(h, P)
+    offset_rows = S + P + np.tile(np.arange(P), k)
+    for arr in (spread, h, offset_rows):
+        arr.setflags(write=False)
+    return spread, h, offset_rows
+
+
 def mscq_kappa_scan(
     instance: AffineSOCInstance,
     xbar,
-    radii=(1e-1, 1e-2, 1e-3),
+    radii=_RADII,
     samples_per_radius: int = 200,
     seed: int = 0,
 ) -> KappaScan:
@@ -248,67 +289,73 @@ def mscq_kappa_scan(
     analysis, and none when ``xbar`` is an analysis of ``instance``.
     """
     radii, samples_per_radius, _ = _scan_settings(radii, samples_per_radius)
+    return _kappa_scan(instance, xbar, radii, samples_per_radius, seed)
+
+
+def _kappa_scan(instance, xbar, radii, S: int, seed) -> KappaScan:
+    """``mscq_kappa_scan`` with settings that ``_scan_settings`` checked.
+
+    Every array past the draws is built here from checked data, so the
+    scan runs the private kernels on it: g(X) = X A^T + b, the cone
+    distance ``_distance_rows`` and the projector's ``_project_rows``.
+    """
     projector = FeasibleSetProjector(instance, xbar)
     center = projector.reference
-    n = instance.n
-    S, k = samples_per_radius, len(radii)
+    A, b, n = instance.A, instance.b, instance.n
+    k = len(radii)
     P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
+    spread, h_rows, offset_rows = _radius_factors(radii, S, P)
 
     rng = np.random.default_rng(seed)
     # The draws, in this order: S uniform directions and radii, P probe-base
     # directions and radii, P probe offsets.  The three direction blocks
     # are normalized together.
-    dirs, radial = rng.standard_normal((S, n)), rng.random(S)
-    base_dirs, base_radial = rng.standard_normal((P, n)), rng.random(P)
-    dirs = np.vstack([dirs, base_dirs, rng.standard_normal((P, n))])
+    dirs, radial = np.empty((S + 2 * P, n)), np.empty(S + P)
+    rng.standard_normal(out=dirs[:S])
+    rng.random(out=radial[:S])
+    rng.standard_normal(out=dirs[S : S + P])
+    rng.random(out=radial[S:])
+    rng.standard_normal(out=dirs[S + P :])
     dirs /= _row_norms(dirs, keepdims=True)
-    radial = np.concatenate([radial, base_radial]) ** (1.0 / n)
-    offsets = np.tile(dirs[S + P :], (k, 1))
-
-    # Probe offsets h_k = r_k / (8 * 30^k), from the running divisor.
-    h = np.empty(k)
-    divisor = _PROBE_DIVISOR0
-    for i, r in enumerate(radii):
-        h[i] = r / divisor
-        divisor *= _PROBE_DIVISOR_GROWTH
-    h_rows = np.repeat(h, P)
-    r_col = np.asarray(radii)[:, None]
+    radial **= 1.0 / n
 
     # Radius-major draws in one broadcast: per radius, S uniform points in
     # the ball, then P probe bases in 0.9 of it.  One distance pass covers
     # both; a base at distance 0 is feasible and its own anchor.
-    spread = np.hstack([r_col * radial[:S], 0.9 * r_col * radial[S:]])
-    draws = center + dirs[: S + P] * spread[:, :, None]
-    dist_g = distances_to_cone(instance.evaluate_many(draws.reshape(-1, n)))
-    dist_g = dist_g.reshape(k, S + P)
+    draws = center + dirs[: S + P] * (spread * radial)[:, :, None]
+    dist_g = _distance_rows(draws.reshape(-1, n) @ A.T + b).reshape(k, S + P)
     uniform = draws[:, :S]
     kept = dist_g[:, :S] > RATIO_DISTANCE_FLOOR
     bases = draws[:, S:].reshape(k * P, n)
     own = dist_g[:, S:].ravel() <= 0.0
+    near, far = np.flatnonzero(own), np.flatnonzero(~own)
     probes = np.empty_like(bases)
-    probes[own] = bases[own] + h_rows[own, None] * offsets[own]
+    probes[near] = bases[near] + h_rows[near, None] * dirs[offset_rows[near]]
 
     # The certified call: infeasible bases, kept uniform points and the
     # probes of feasible bases.
-    far = np.flatnonzero(~own)
-    record = projector.project_batch(
-        np.vstack([bases[far], uniform[kept], probes[own]])
+    record = projector._project_rows(
+        np.concatenate([bases[far], uniform[kept], probes[near]])
     )
     split = far.size + int(kept.sum())
     dist_omega = np.zeros((k, S + P))
     dist_omega[:, :S][kept] = record.ub[far.size : split]
     dist_probe = np.zeros(k * P)
-    dist_probe[own] = record.ub[split:]
+    dist_probe[near] = record.ub[split:]
     anchors = BatchProjection(*(part[: far.size] for part in record))
     probes[far], dist, inherited = _anchored_probes(
-        anchors, bases[far], h_rows[far], offsets[far], instance.projection_tol
+        anchors,
+        bases[far],
+        h_rows[far],
+        dirs[offset_rows[far]],
+        instance.projection_tol,
     )
     dist_probe[far[inherited]] = dist[inherited]
-    dist_g_probe = distances_to_cone(instance.evaluate_many(probes))
+    dist_g_probe = _distance_rows(probes @ A.T + b)
     pending = far[~inherited]
     fallback = pending[dist_g_probe[pending] > RATIO_DISTANCE_FLOOR]
     if fallback.size:
-        dist_probe[fallback] = projector.project_batch(probes[fallback]).ub
+        dist_probe[fallback] = projector._project_rows(probes[fallback]).ub
 
     dist_g[:, S:] = dist_g_probe.reshape(k, P)
     dist_omega[:, S:] = dist_probe.reshape(k, P)
@@ -405,15 +452,18 @@ def fcr_dim_scan(
         return []
 
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, instance.n))
+    # The center, then the samples, filled in place.
+    X = np.empty((samples + 1, instance.n))
+    X[0] = analysis.x
+    dirs = X[1:]
+    rng.standard_normal(out=dirs)
     dirs /= _row_norms(dirs, keepdims=True)
-    radial = radius * rng.random(samples) ** (1.0 / instance.n)
-    center = analysis.x
-    X = np.vstack([center[None, :], center + dirs * radial[:, None]])
-    G, ok = grad_phi_many(instance, X)
+    dirs *= (radius * rng.random(samples) ** (1.0 / instance.n))[:, None]
+    dirs += analysis.x
+    G, ok = _grad_rows(instance, X @ instance.A.T + instance.b)
     discarded = int((~ok).sum())
     norms = _row_norms(G[ok])
-    dims = frozenset(int(v) for v in (norms > analysis.grad_floor).astype(int))
+    dims = frozenset((norms > analysis.grad_floor).astype(int).tolist())
     count = int(ok.sum())
     return [
         DimScan("ZeroFace", dims, count, int(seed), discarded),
@@ -451,7 +501,7 @@ def brute_force_subspace_class(A: np.ndarray, seed: int = 0) -> SubspaceConeClas
         return SubspaceConeClass(SubspaceKind.ZERO_ONLY)
 
     def margin_of(Z: np.ndarray) -> np.ndarray:
-        return margins(Z @ B.T)
+        return _margin_rows(Z @ B.T)
 
     rng = np.random.default_rng(seed)
     if k == 1:
@@ -610,7 +660,7 @@ _FAILING_AT = {
 
 
 def _self_check(report, target) -> bool:
-    """Does the draw whose ``full_report`` is ``report`` realize ``target``?
+    """Does the draw whose report is ``report`` realize ``target``?
 
     The CRCQ label decides the stratum; only what the label leaves open is
     checked here: the location of a failing stratum, a spectrum clear of
@@ -650,13 +700,15 @@ def random_instance(
     one-ray image; boundary point with vanishing gradient but no rank-one
     factorization).
     """
-    instance, xbar, _ = _draw(m, n, target_case, seed)
+    instance, xbar, _, violations = _draw(m, n, target_case, seed)
+    _require_consistent(violations)
     return instance, xbar
 
 
 def _draw(m: int, n: int, target_case: str, seed: int):
-    """``random_instance`` with the ``full_report`` its self-check decided
-    from: (instance, xbar, report)."""
+    """``random_instance`` with the report its self-check decided from and
+    the report's invariant violations: (instance, xbar, report, violations).
+    """
     if target_case not in TARGET_CASES:
         raise GenerationError(
             f"unknown target case {target_case!r}; expected one of {TARGET_CASES}"
@@ -668,9 +720,9 @@ def _draw(m: int, n: int, target_case: str, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         instance, xbar = _build_candidate(rng, m, n, target_case)
-        report = full_report(instance, xbar)
+        report, violations = _report(instance, xbar)
         if _self_check(report, target_case):
-            return instance, xbar, report
+            return instance, xbar, report, violations
     raise GenerationError(
         f"failed to realize target case {target_case} with m={m}, n={n} "
         f"after {_MAX_RETRIES} attempts"
@@ -724,7 +776,9 @@ def equivalence_harness(
     The FCR dimension scan runs only at points on the positive boundary.
     At the vertex and at interior points FCR holds (Thm 3.2 (i)/(ii)), the
     scan has nothing to sample and returns no face, so those trials record
-    ``fcr_consistent = True`` without calling it.
+    ``fcr_consistent = True`` without calling it.  A trial whose report
+    breaks an invariant of ``verify_report_invariants`` records the count
+    and is a disagreement, whatever its scan read.
     """
     trials = _harness_trials(trials)
     master = np.random.SeedSequence(seed)
@@ -750,30 +804,27 @@ def equivalence_harness(
         try:
             if fixed_instance is not None:
                 instance = fixed_instance
-                report = full_report(instance, fixed_point)
+                report, violations = _report(instance, fixed_point)
             else:
-                instance, _, report = _draw(m, n, target, trial_seed)
+                instance, _, report, violations = _draw(m, n, target, trial_seed)
             crcq = report.crcq
-            violations = verify_report_invariants(report)
             # The report's analysis, the generator's own on a random draw, is
             # the trial's one analysis of xbar.
             analysis = report.point_analysis
 
-            scan = mscq_kappa_scan(
-                instance,
-                analysis,
-                samples_per_radius=_HARNESS_SAMPLES_PER_RADIUS,
-                seed=trial_seed,
+            scan = _kappa_scan(
+                instance, analysis, _RADII, _HARNESS_SAMPLES_PER_RADIUS, trial_seed
             )
             label = classify_kappa_growth(scan)
             retried = False
             if label == "inconclusive":
                 retried = True
-                scan = mscq_kappa_scan(
+                scan = _kappa_scan(
                     instance,
                     analysis,
-                    samples_per_radius=4 * _HARNESS_SAMPLES_PER_RADIUS,
-                    seed=trial_seed + 1,
+                    _RADII,
+                    4 * _HARNESS_SAMPLES_PER_RADIUS,
+                    trial_seed + 1,
                 )
                 label = classify_kappa_growth(scan)
 
@@ -809,10 +860,11 @@ def equivalence_harness(
                     invariant_violations=len(violations),
                 )
             )
-            if label == "inconclusive":
-                inconclusive.append(t)
-            elif not agree or not fcr_agree or violations:
+            # An invariant violation is a disagreement whatever the scan read.
+            if violations or (label != "inconclusive" and not (agree and fcr_agree)):
                 disagreements.append(t)
+            elif label == "inconclusive":
+                inconclusive.append(t)
         except (GenerationError, NumericalFailureError) as exc:
             failures.append((t, f"{type(exc).__name__}: {exc}"))
 

@@ -130,6 +130,12 @@ and the closed-form geometries are exact, with lb = ub; on the Slater
 geometry lb is the dual bound above, capped at ub.  Callers that bound
 the distances of further points from these records (the kappa scan's
 probes) need no second projection.
+
+``project_batch`` is the one check of its rows ((N, n) and finite); the
+private ``_project_rows`` behind it trusts them, and the kappa scan calls it
+directly on the rows it built.  Inside, every margin, cone projection and
+point location runs the private kernels of ``soc_core`` on arrays computed
+here, without a second check.
 """
 
 from __future__ import annotations
@@ -141,18 +147,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine_instance import AffineSOCInstance, analyze_point, phi
+from .affine_instance import AffineSOCInstance, analyze_point
 from .cq_checker import _rcq
 from .errors import NumericalFailureError
 from .soc_core import (  # PROJECTION_TOL is re-exported
     PROJECTION_TOL,
     ConeLocation,
+    _margin,
+    _margin_rows,
     _norm,
+    _projection_rows,
     _row_norms,
     classify_cone_point,
-    cone_margin,
-    margins,
-    projections_to_cone,
 )
 from .subspace_cone import SubspaceConeClass, SubspaceKind
 
@@ -300,7 +306,7 @@ class FeasibleSetProjector:
         interior, interior_margin = self._interior or (None, 0.0)
         if interior is None and maps.ray is None:
             z = self.reference + _slice_step(self.instance, maps, self._y_ref)[0]
-            interior_margin = phi(self.instance, z)
+            interior_margin = _margin(self.instance._evaluate(z))
             if not interior_margin > 0.0:
                 raise NumericalFailureError(
                     "the image slice has no interior point", interior_margin
@@ -359,7 +365,10 @@ class FeasibleSetProjector:
 
         X must be (N, n) and finite; anything else raises ``DimensionError``.
         """
-        X = self.instance._point_rows(X)
+        return self._project_rows(self.instance._point_rows(X))
+
+    def _project_rows(self, X: np.ndarray) -> BatchProjection:
+        """``project_batch`` on rows that are already (N, n) and finite."""
         if self.geometry is _Geometry.SLATER:
             return self._project_slater(X)
         R = X - self.reference
@@ -383,7 +392,7 @@ class FeasibleSetProjector:
         ub_out = np.zeros(X.shape[0])
         lb_out = np.zeros(X.shape[0])
         GX = X @ A.T + b
-        todo = np.flatnonzero(margins(GX) < 0.0)
+        todo = np.flatnonzero(_margin_rows(GX) < 0.0)
         if todo.size == 0:
             return BatchProjection(Z_out, ub_out, lb_out)
         Xs, GXs = X[todo], GX[todo]
@@ -476,10 +485,10 @@ class FeasibleSetProjector:
         sd = self._slater
         D = GXs @ sd.pinv_t                  # x - z_v = A^+ g(x)
         Gv = (Xs - D) @ A.T + b
-        Zv = self._pull_inside(Xs - D, margins(Gv))
+        Zv = self._pull_inside(Xs - D, _margin_rows(Gv))
         # A^T mu = -(x - z_v) on the slice -pinv(A^T)(x - z_v) + null(A^T)
         Mu = _max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
-        lb = self._dual_bound(projections_to_cone(Mu), Xs, Xs - D, Gv)
+        lb = self._dual_bound(_projection_rows(Mu), Xs, Xs - D, Gv)
         return Zv, _row_norms(Xs - Zv), lb
 
     def _secular_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
@@ -666,7 +675,7 @@ def _image_maps(instance: AffineSOCInstance) -> _ImageMaps:
     ray = None
     if geo.kind is SubspaceKind.MEETS_INTERIOR:
         d = geo.witness @ pinv_t
-        margin = cone_margin(instance.A @ d)
+        margin = _margin(instance.A @ d)
         if margin > 0.0:
             ray = d / margin
     return _ImageMaps(geo, pinv_t, np.eye(instance.m) - U @ U.T, ray)
@@ -684,10 +693,10 @@ def _slice_step(instance: AffineSOCInstance, maps: _ImageMaps, y: np.ndarray):
     if geo.kind is SubspaceKind.MEETS_INTERIOR:
         if ray is None:
             return np.zeros(instance.n), np.inf
-        return (_norm(y) - cone_margin(y)) * ray, np.inf
+        return (_norm(y) - _margin(y)) * ray, np.inf
     if geo.kind is SubspaceKind.ZERO_ONLY:
         best = _max_margin(np.eye(instance.m) - P, y[None, :])[0]
-        return (best - y) @ pinv_t, cone_margin(best)
+        return (best - y) @ pinv_t, _margin(best)
     e = geo.ray[1:] / geo.ray[0]              # (1, e) spans the ray
     along = float(e @ y[1:])
     sup = float(y[0]) - along

@@ -10,6 +10,15 @@ every vector, Frobenius and row norm goes through them.  They run the
 operations ``np.linalg.norm`` runs on float64 input, so their values are
 bitwise those of ``np.linalg.norm``, without its Python dispatch, which
 costs more than the arithmetic on the package's small matrices.
+
+Public names check, private kernels trust checked arrays.  Every public
+function checks its input once (shape, finiteness, the tolerance rule of
+``_checked_tol``) and hands it to a private body: ``_location`` behind
+``classify_cone_point``, ``_margin`` behind ``cone_margin``, and the row
+kernels ``_margin_rows``, ``_distance_rows`` and ``_projection_rows``
+behind the batch names.  The other modules follow the same rule, so a
+caller inside the package that holds arrays it built from checked data
+calls the bodies directly and pays for no second check.
 """
 
 from __future__ import annotations
@@ -76,7 +85,12 @@ def reflected(y: np.ndarray) -> np.ndarray:
 
 def cone_margin(y) -> float:
     """y0 - ||yr||; nonnegative exactly on the cone."""
-    return float(_margin_rows(as_cone_vector(y)[None, :])[0])
+    return _margin(as_cone_vector(y))
+
+
+def _margin(y: np.ndarray) -> float:
+    """``cone_margin`` of a checked vector."""
+    return float(_margin_rows(y[None, :])[0])
 
 
 def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
@@ -87,8 +101,11 @@ def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
     resolve to the boundary.  What remains is decided by the sign of the
     margin.
     """
-    y = as_cone_vector(y)
-    tol = _checked_tol(tol)
+    return _location(as_cone_vector(y), _checked_tol(tol))
+
+
+def _location(y: np.ndarray, tol: float) -> ConeLocation:
+    """``classify_cone_point`` on a checked vector and tolerance."""
     norm_y = _norm(y)
     scale = max(1.0, norm_y)
     if norm_y <= tol * scale:
@@ -128,7 +145,8 @@ def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
         raise DimensionError(f"direction shape {d.shape} != point shape {y.shape}")
     if not np.isfinite(d).all():
         raise DimensionError("direction has non-finite entries")
-    loc = classify_cone_point(y, tol)
+    tol = _checked_tol(tol)
+    loc = _location(y, tol)
     if loc is ConeLocation.OUTSIDE:
         raise InfeasiblePointError(
             "tangent cone requested at a point outside the cone",
@@ -137,7 +155,7 @@ def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
     if loc is ConeLocation.INTERIOR:
         return True
     if loc is ConeLocation.ZERO:
-        return classify_cone_point(d, tol) is not ConeLocation.OUTSIDE
+        return _location(d, tol) is not ConeLocation.OUTSIDE
     ytil = reflected(y)
     scale = max(1.0, _norm(ytil) * _norm(d))
     return float(ytil @ d) <= tol * scale

@@ -10,9 +10,10 @@ V; a negative definite M means V meets the cone only at the origin.
 ``classify_image_vs_cone`` runs one thin SVD of A and returns, next to the
 class, the rank, singular values, image basis and row basis it read off
 that SVD.  ``AffineSOCInstance.geometry()`` memoizes this record on the
-instance at the instance's ``tol``, so the verdicts, the projector and the
-oracles share one SVD per instance; ``image_basis`` remains for
-arbitrary matrices.
+instance at the instance's ``tol``, from the private body ``_classify`` on
+the data the instance checked when it was built, so the verdicts, the
+projector and the oracles share one SVD per instance; ``image_basis``
+remains for arbitrary matrices.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ def image_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:
     """Classify Im(A) against Q_m: meets the interior, a single ray, or {0}."""
-    A = _validated_matrix(A)
-    tol = _checked_tol(tol)
+    return _classify(_validated_matrix(A), _checked_tol(tol))
+
+
+def _classify(A: np.ndarray, tol: float) -> SubspaceConeClass:
+    """``classify_image_vs_cone`` on a checked matrix and tolerance."""
     u, sigma, vt = np.linalg.svd(A, full_matrices=False)
     k = _rank_of(sigma, tol)
     B = u[:, :k]

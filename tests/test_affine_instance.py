@@ -70,13 +70,13 @@ def test_instance_rejects_bad_tol(tol):
 
 def test_geometry_computed_once_per_instance(monkeypatch):
     calls = []
-    classify = affine_instance.classify_image_vs_cone
+    classify = affine_instance._classify
 
     def counting_classify(A, tol):
         calls.append(tol)
         return classify(A, tol)
 
-    monkeypatch.setattr(affine_instance, "classify_image_vs_cone", counting_classify)
+    monkeypatch.setattr(affine_instance, "_classify", counting_classify)
     # The 1e-8 column is a direction at the default tol 1e-9, rank noise at 1e-6.
     A = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]])
     inst = AffineSOCInstance(A, np.zeros(3))
@@ -303,13 +303,13 @@ def test_linearization_cone_membership_rejects_non_finite_direction(x, location,
 
 def test_boundary_analysis_evaluates_g_once(monkeypatch):
     calls = []
-    evaluate = AffineSOCInstance.evaluate
+    evaluate = AffineSOCInstance._evaluate
 
     def counting_evaluate(self, x):
         calls.append(x)
         return evaluate(self, x)
 
-    monkeypatch.setattr(AffineSOCInstance, "evaluate", counting_evaluate)
+    monkeypatch.setattr(AffineSOCInstance, "_evaluate", counting_evaluate)
     analysis = analyze_point(HALFPLANE, [1.0, 0.0, 0.0])
     assert analysis.location is ConeLocation.POSITIVE_BOUNDARY
     assert analysis.grad_phi is not None

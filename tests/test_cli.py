@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socpcq import cli, full_report, margins, random_instance
+from socpcq import cq_checker
 from socpcq.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -786,6 +787,19 @@ def test_harness_fixed_instance_row(capsys):
     assert fields[11] == "0"  # invariant violations
     assert len(fields[12].split(";")) == 3
     assert lines[2] == "trials=1 disagreements=0 inconclusive=0 failures=0"
+
+
+def test_harness_reports_an_invariant_violation(capsys, monkeypatch):
+    # A verdict inconsistency is a disagreement row and exit 3, not a
+    # traceback and exit 1, the infeasible-point code.
+    monkeypatch.setattr(
+        cq_checker, "verify_report_invariants", lambda report: ["forced"]
+    )
+    code, out, _ = run_cli(capsys, "harness", "--trials", "1", "--seed", "0")
+    assert code == EXIT_NUMERICAL
+    lines = out.splitlines()
+    assert lines[1].split(",")[11] == "1"
+    assert lines[2] == "trials=1 disagreements=1 inconclusive=0 failures=0"
 
 
 def test_harness_small_random_run(capsys, tmp_path):

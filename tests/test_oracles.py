@@ -30,7 +30,17 @@ from socpcq import (
     mscq_kappa_scan,
     random_instance,
 )
-from socpcq import PointAnalysis, analyze_point, cli, cq_checker, oracles, projection
+from socpcq import (
+    PointAnalysis,
+    affine_instance,
+    analyze_point,
+    cli,
+    cq_checker,
+    oracles,
+    projection,
+    soc_core,
+    subspace_cone,
+)
 from socpcq.cli import parse_instance
 from socpcq.oracles import TARGET_CASES
 from socpcq.projection import PROJECTION_TOL, FeasibleSetProjector
@@ -127,8 +137,8 @@ def calls(monkeypatch):
     )
     monkeypatch.setattr(
         FeasibleSetProjector,
-        "project_batch",
-        counting("batch", FeasibleSetProjector.project_batch),
+        "_project_rows",
+        counting("batch", FeasibleSetProjector._project_rows),
     )
     for module in (cq_checker, oracles, projection):
         monkeypatch.setattr(
@@ -231,6 +241,41 @@ def test_slater_scan_makes_one_certified_call(calls, stratum):
     assert all(v > 0 for v in scan.probe_valid)
     assert calls == {"build": 1, "batch": 1, "analyze": 0}
     assert scan == mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=1)
+
+
+#: The input checks of the public names; a scan handed an analysis runs on
+#: arrays it built from checked data and calls none of them.
+_INPUT_CHECKS = (
+    "_point_rows",
+    "_as_cone_rows",
+    "as_cone_vector",
+    "_validated_matrix",
+    "_checked_tol",
+)
+
+
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_kappa_scan_on_an_analysis_runs_no_input_check(monkeypatch, stratum):
+    inst, xbar = random_instance(4, 3, stratum, 2)
+    expected = mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=3)
+    # A fresh instance, so that the scan computes the geometry off the
+    # vertex too.
+    inst = AffineSOCInstance(inst.A, inst.b)
+    analysis = analyze_point(inst, xbar)
+
+    def forbidden(name):
+        def check(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        return check
+
+    modules = (soc_core, subspace_cone, affine_instance, cq_checker, projection, oracles)
+    for module in modules:
+        for name in _INPUT_CHECKS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    monkeypatch.setattr(AffineSOCInstance, "_point_rows", forbidden("_point_rows"))
+    assert mscq_kappa_scan(inst, analysis, samples_per_radius=48, seed=3) == expected
 
 
 def _boosted(inst, rapidity):
@@ -542,6 +587,22 @@ def test_harness_fixed_instance_mode():
         assert not row.crcq_holds
         assert row.scan_class == "growing"
         assert row.agree
+
+
+def test_harness_counts_invariant_violations(monkeypatch):
+    # A report that breaks an invariant is a disagreement of its trial, not
+    # an abort of the sweep; the public report and generator still raise.
+    monkeypatch.setattr(
+        cq_checker, "verify_report_invariants", lambda report: ["forced"]
+    )
+    report = equivalence_harness(1, seed=0)
+    assert [row.invariant_violations for row in report.rows] == [1]
+    assert report.disagreements == (0,)
+    assert not report.failures and not report.inconclusive
+    with pytest.raises(AssertionError, match="internal verdict inconsistency: forced"):
+        full_report(TANGENT, np.zeros(2))
+    with pytest.raises(AssertionError, match="internal verdict inconsistency: forced"):
+        random_instance(3, 2, "Thm4.4(i)", 0)
 
 
 def test_harness_analyzes_each_trial_point_once(calls):

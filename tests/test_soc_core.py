@@ -110,6 +110,52 @@ def test_batch_kernels_reject_non_finite_rows(kernel):
     assert kernel(np.array([[1.0, 0.0], [0.0, 1.0]])).shape[0] == 2
 
 
+_IDENTITY_INSTANCE = AffineSOCInstance(np.eye(3), np.zeros(3))
+_NAN_ROWS = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+
+
+def _overflowing_analysis():
+    instance = AffineSOCInstance(1e300 * np.eye(3), np.zeros(3))
+    with np.errstate(over="ignore"):
+        socpcq.analyze_point(instance, [1e10, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: socpcq.FeasibleSetProjector(
+            _IDENTITY_INSTANCE, [1.0, 0.0, 0.0]
+        ).project_batch(_NAN_ROWS),
+        lambda: _IDENTITY_INSTANCE.evaluate_many(_NAN_ROWS),
+        lambda: distances_to_cone(_NAN_ROWS),
+        lambda: margins(_NAN_ROWS),
+        lambda: classify_cone_point([np.nan, 0.0, 0.0]),
+        lambda: classify_cone_point([1.0, 1.0, 0.0], tol=True),
+        lambda: classify_image_vs_cone(np.array([[1.0, np.nan], [0.0, 1.0]])),
+        lambda: socpcq.analyze_point(_IDENTITY_INSTANCE, [np.nan, 0.0, 0.0]),
+        # A finite point whose image overflows (numpy's overflow warning
+        # comes first and is not the subject here).
+        _overflowing_analysis,
+    ],
+    ids=[
+        "project_batch",
+        "evaluate_many",
+        "distances_to_cone",
+        "margins",
+        "classify_cone_point",
+        "classify_cone_point-tol",
+        "classify_image_vs_cone",
+        "analyze_point",
+        "analyze_point-overflow",
+    ],
+)
+def test_public_names_check_their_input(call):
+    # The private bodies behind these names trust their arrays, so each
+    # public name is the one place that rejects malformed input.
+    with pytest.raises(DimensionError):
+        call()
+
+
 #: Values the tolerance rule rejects: not finite, not positive, or no real
 #: number (a bool, a str), and an int beyond the float range.
 BAD_TOLERANCES = [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1e-9", 10**400]
