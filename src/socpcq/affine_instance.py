@@ -23,7 +23,6 @@ from .soc_core import (
     _location,
     _norm,
     _row_norms,
-    as_cone_vector,
     cone_margin,
     distance_to_cone,
     reflected,
@@ -109,11 +108,24 @@ class AffineSOCInstance:
         return x
 
     def evaluate(self, x) -> np.ndarray:
-        """g(x) = Ax + b."""
-        return self._evaluate(self.point(x))
+        """g(x) = Ax + b; a finite x whose g(x) overflows raises
+        ``DimensionError``."""
+        return self._image(self.point(x))
+
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        """``evaluate`` at a point that ``point`` has checked.
+
+        A finite x can still overflow g(x): that raises ``DimensionError``,
+        and numpy's overflow warning is silenced."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = self._evaluate(x)
+        if not np.isfinite(y).all():
+            raise DimensionError("g(x) overflows to non-finite entries")
+        return y
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """``evaluate`` at a point that ``point`` has checked."""
+        """g(x), unguarded: for a point whose image is known to be finite,
+        such as one that ``_image`` has checked."""
         return self.A @ x + self.b
 
     def _point_rows(self, X) -> np.ndarray:
@@ -222,8 +234,7 @@ def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
             return x
         x = x.x
     x = instance.point(x)
-    # A finite x can still overflow g(x); as_cone_vector rejects that.
-    y = as_cone_vector(instance._evaluate(x))
+    y = instance._image(x)
     loc = _location(y, instance.tol)
     if loc is ConeLocation.OUTSIDE:
         distance = distance_to_cone(y)

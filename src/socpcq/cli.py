@@ -11,7 +11,8 @@ Instance documents are single JSON files::
     }
 
 Exit codes: 0 success, 1 infeasible analysis point (the report carries the
-cone distance), 2 parse/usage error, 3 numerical failure.
+cone distance), 2 parse/usage error, 3 numerical failure, 141 (128 +
+SIGPIPE) stdout closed before the output was written, as by ``| head``.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, on the first call, and reused, and each call dispatches to
@@ -62,10 +63,17 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
+EXIT_CLOSED_STDOUT = 141
 
 #: Exit code of each error type that ``main`` reports; any other package
-#: error exits with ``EXIT_NUMERICAL``.
-_EXIT_CODES = {ParseError: EXIT_PARSE, InfeasiblePointError: EXIT_INFEASIBLE}
+#: error exits with ``EXIT_NUMERICAL``.  A ``DimensionError`` is malformed
+#: input that the document's checks cannot see, a finite point whose g(x)
+#: overflows: the entry that computes g(x) rejects it.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    DimensionError: EXIT_PARSE,
+    InfeasiblePointError: EXIT_INFEASIBLE,
+}
 
 @dataclass
 class InstanceDocument:
@@ -457,18 +465,20 @@ def cmd_project(args) -> int:
     x = _named_point(doc, args.point)
     instance = doc.instance
     # The projector's own feasibility test picks the reference, so a boundary
-    # point that rounding leaves just outside the cone still qualifies.
+    # point that rounding leaves just outside the cone still qualifies.  The
+    # document checked its points; ``_image`` checks their images.
     reference = next(
         (
             p
             for p in doc.points.values()
-            if classify_cone_point(instance.evaluate(p), instance.tol)
+            if classify_cone_point(instance._image(p), instance.tol)
             is not ConeLocation.OUTSIDE
         ),
         None,
     )
     z, dist = project_to_feasible_set(instance, x, reference=reference)
-    dist_g = distance_to_cone(doc.instance.evaluate(x))
+    # project_to_feasible_set has checked the image of x.
+    dist_g = distance_to_cone(instance._evaluate(x))
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")
     print(f"dist(g(x), Q_m) = {dist_g:.12g}")
@@ -552,6 +562,35 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    A reader that closes stdout early (``socpcq harness | head -1``) ends the
+    command with ``EXIT_CLOSED_STDOUT`` and no traceback, as the Python
+    documentation's note on SIGPIPE advises: stdout is pointed at
+    ``os.devnull``, so the interpreter's flush at exit cannot fail again.
+    """
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_CLOSED_STDOUT
+
+
+def _discard_stdout() -> None:
+    """Point the file descriptor behind ``sys.stdout`` at ``os.devnull``;
+    an in-process stream without a descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _main(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

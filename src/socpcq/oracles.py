@@ -19,16 +19,19 @@ Key design points:
 * One scan builds one projector, whose construction is also the scan's
   point analysis (none when it is handed the point's ``PointAnalysis``),
   and makes one certified projector call for all radii together: the
-  infeasible probe bases, every kept uniform point and the probes of
-  feasible bases.  A probe p = z + h (x - z) / ub of an infeasible base x
-  with anchor z lies on the ray from z in Omega through x, so convexity
-  and 1-Lipschitz continuity of dist(., Omega) give
-  dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||] from the
-  base's record (ub, lb); p inherits ||p - z|| when that interval is
-  within the certified gap, the instance's projection_tol * max(1, ||p||).
-  Wider intervals, and bases at distance 0, take one fallback call, so
+  infeasible probe bases and the probes of feasible bases.  A probe
+  p = z + h (x - z) / ub of an infeasible base x with anchor z lies on the
+  ray from z in Omega through x, so convexity and 1-Lipschitz continuity
+  of dist(., Omega) give dist(p, Omega) in
+  [h - max(1, h / ub) (ub - lb), ||p - z||] from the base's record
+  (ub, lb); p inherits ||p - z|| when that interval is within the
+  certified gap, the instance's projection_tol * max(1, ||p||).  The
+  uniform points are drawn and counted at every radius, but projected
+  only at a radius where no probe survived, since only there does their
+  ratio reach the record.  Those points, the probes whose interval is
+  wider and the probes of bases at distance 0 take one fallback call, so
   every ratio still rests on a certified distance; a failure reports the
-  worst gap across all radii.
+  worst gap across the rows of its call.
 * The scan checks its settings once, in ``mscq_kappa_scan``; its body
   ``_kappa_scan``, which the harness calls with the settings it fixed,
   fills its draws in place and runs only private kernels on them: g(X) as
@@ -104,13 +107,16 @@ _GROWING_MIN_GROWTH = 10.0
 class KappaScan:
     """Per-radius worst observed dist(x, Omega) / dist(g(x), Q_m).
 
-    ``kappa_hat`` is driven by the boundary-hugging probes whenever any
+    ``kappa_hat`` is the max over the boundary-hugging probes whenever any
     probe survives the feasibility/floor filters at that radius, because
     only the probes carry a radius-dependent signal: on conic geometries
     the distance ratio is exactly scale-invariant, so the per-radius max
     over uniform draws is a radius-independent heavy-tailed constant that
-    would mask genuine unboundedness.  The uniform max is still recorded
-    in ``uniform_kappa_hat``.  ``classify_kappa_growth`` decides from
+    would mask genuine unboundedness.  The uniform ratios are therefore
+    computed only at a radius without a surviving probe, where
+    ``kappa_hat`` shows their max (0.0 when no uniform point survived
+    either): such a radius shows that the scan saw a ratio there, not how
+    the modulus grows.  ``classify_kappa_growth`` decides from
     ``probe_ratios`` and ``discarded_feasible`` alone; ``kappa_hat`` only
     tells it whether a scan without matched probes saw any ratio at all.
     """
@@ -123,7 +129,6 @@ class KappaScan:
     discarded_feasible: tuple[int, ...]
     discarded_floor: tuple[int, ...]
     probe_valid: tuple[int, ...]
-    uniform_kappa_hat: tuple[float, ...]
     #: per-radius ratio of each planted probe (0.0 where the probe was
     #: discarded); probes share their base draw across radii, so row-wise
     #: comparisons isolate the radius dependence.
@@ -279,14 +284,18 @@ def mscq_kappa_scan(
     prefix of ``radii`` reproduces that prefix of every per-radius field.
 
     All radii go through one certified projector call: the infeasible
-    probe bases, every kept uniform point and the probes of feasible bases
-    (a feasible base is its own anchor).  A probe of an infeasible base
-    inherits its distance from its base's record by the interval of
-    ``_anchored_probes``; the probes whose interval is wider than the
-    projector's gap, and those of bases at distance 0, take one fallback
-    call.  A ``NumericalFailureError`` reports the worst gap across all
-    radii.  The projector's construction is also the scan's one point
-    analysis, and none when ``xbar`` is an analysis of ``instance``.
+    probe bases and the probes of feasible bases (a feasible base is its
+    own anchor).  A probe of an infeasible base inherits its distance from
+    its base's record by the interval of ``_anchored_probes``.  One
+    fallback call takes the surviving probes that inherit no distance
+    (their interval is wider than the projector's gap, or their base is at
+    distance 0) and the kept uniform points of the radii where no probe
+    survived; the uniform points of the other radii are counted in
+    the discards but never projected, as their ratios would not reach the
+    record.  A ``NumericalFailureError`` reports the worst gap across the
+    rows of the failing call.  The projector's construction is also the
+    scan's one point analysis, and none when ``xbar`` is an analysis of
+    ``instance``.
     """
     radii, samples_per_radius, _ = _scan_settings(radii, samples_per_radius)
     return _kappa_scan(instance, xbar, radii, samples_per_radius, seed)
@@ -325,23 +334,17 @@ def _kappa_scan(instance, xbar, radii, S: int, seed) -> KappaScan:
     draws = center + dirs[: S + P] * (spread * radial)[:, :, None]
     dist_g = _distance_rows(draws.reshape(-1, n) @ A.T + b).reshape(k, S + P)
     uniform = draws[:, :S]
-    kept = dist_g[:, :S] > RATIO_DISTANCE_FLOOR
     bases = draws[:, S:].reshape(k * P, n)
     own = dist_g[:, S:].ravel() <= 0.0
     near, far = np.flatnonzero(own), np.flatnonzero(~own)
     probes = np.empty_like(bases)
     probes[near] = bases[near] + h_rows[near, None] * dirs[offset_rows[near]]
 
-    # The certified call: infeasible bases, kept uniform points and the
-    # probes of feasible bases.
-    record = projector._project_rows(
-        np.concatenate([bases[far], uniform[kept], probes[near]])
-    )
-    split = far.size + int(kept.sum())
-    dist_omega = np.zeros((k, S + P))
-    dist_omega[:, :S][kept] = record.ub[far.size : split]
+    # The certified call: the infeasible bases and the probes of feasible
+    # bases.
+    record = projector._project_rows(np.concatenate([bases[far], probes[near]]))
     dist_probe = np.zeros(k * P)
-    dist_probe[near] = record.ub[split:]
+    dist_probe[near] = record.ub[far.size :]
     anchors = BatchProjection(*(part[: far.size] for part in record))
     probes[far], dist, inherited = _anchored_probes(
         anchors,
@@ -351,30 +354,35 @@ def _kappa_scan(instance, xbar, radii, S: int, seed) -> KappaScan:
         instance.projection_tol,
     )
     dist_probe[far[inherited]] = dist[inherited]
-    dist_g_probe = _distance_rows(probes @ A.T + b)
-    pending = far[~inherited]
-    fallback = pending[dist_g_probe[pending] > RATIO_DISTANCE_FLOOR]
-    if fallback.size:
-        dist_probe[fallback] = projector._project_rows(probes[fallback]).ub
-
-    dist_g[:, S:] = dist_g_probe.reshape(k, P)
-    dist_omega[:, S:] = dist_probe.reshape(k, P)
+    dist_g[:, S:] = _distance_rows(probes @ A.T + b).reshape(k, P)
     keep = dist_g > RATIO_DISTANCE_FLOOR
+    probe_valid = keep[:, S:].sum(axis=1)
+
+    # The fallback call: the surviving probes that inherited no distance,
+    # and the kept uniform points of the radii where no probe survived.
+    # Only the planted probes see the radius (the ratio field is exactly
+    # scale-invariant on these conic geometries), so a radius's uniform
+    # ratios reach the record only when it has no probe ratio.
+    pending = far[~inherited]
+    fallback = pending[keep[:, S:].ravel()[pending]]
+    bare = keep[:, :S] & (probe_valid == 0)[:, None]
+    dist_omega = np.zeros((k, S + P))
+    if fallback.size or bare.any():
+        record = projector._project_rows(
+            np.concatenate([probes[fallback], uniform[bare]])
+        )
+        dist_probe[fallback] = record.ub[: fallback.size]
+        dist_omega[:, :S][bare] = record.ub[fallback.size :]
+    dist_omega[:, S:] = dist_probe.reshape(k, P)
+
     n_feas = (dist_g <= 0.0).sum(axis=1)
     n_floor = ((dist_g > 0.0) & ~keep).sum(axis=1)
     ratios = np.zeros((k, S + P))
     ratios[keep] = dist_omega[keep] / dist_g[keep]
-
-    # Ratios are nonnegative, so a row max over the zero-filled discards is
-    # the max over the kept entries, or 0.0 when none was kept.
-    uniform_kappa = ratios[:, :S].max(axis=1, initial=0.0)
-    probe_kappa = ratios[:, S:].max(axis=1, initial=0.0)
-    probe_valid = keep[:, S:].sum(axis=1)
-    # The ratio field is exactly scale-invariant on these conic geometries,
-    # so the uniform max is a radius-independent constant; only the planted
-    # probes see the radius.  Use them whenever any survived, else fall
-    # back to the uniform max.
-    kappa = np.where(probe_valid > 0, probe_kappa, uniform_kappa)
+    # Ratios are nonnegative and a row holds either probe ratios or uniform
+    # ones, so its max over the zero-filled rest is the probe max, else the
+    # uniform max, else 0.0.
+    kappa = ratios.max(axis=1, initial=0.0)
 
     return KappaScan(
         radii=radii,
@@ -385,7 +393,6 @@ def _kappa_scan(instance, xbar, radii, S: int, seed) -> KappaScan:
         discarded_feasible=tuple(n_feas.tolist()),
         discarded_floor=tuple(n_floor.tolist()),
         probe_valid=tuple(probe_valid.tolist()),
-        uniform_kappa_hat=tuple(uniform_kappa.tolist()),
         probe_ratios=tuple(map(tuple, ratios[:, S:].tolist())),
     )
 
@@ -440,11 +447,13 @@ def fcr_dim_scan(
     ``xbar`` is a feasible point or its ``PointAnalysis``.  ``samples``
     below 1, or a ``radius`` that is not positive and finite, raises
     ``ValueError``.  Only a point whose image lies on the positive boundary
-    is scanned: there the two faces of the half-line are sampled, the zero
-    face's dimension being the rank of the reduced gradient at the center
-    and at ``samples`` points of the ball.  Off the positive boundary FCR
-    holds (Thm 3.2 (i)/(ii)), nothing can be inconsistent, and the scan
-    returns ``[]``.
+    is scanned: there the reduced cone is a half-line, and the scan samples
+    its zero face, whose dimension is the rank of the reduced gradient at
+    the center and at ``samples`` points of the ball.  The half-line's
+    other face is the half-line itself, whose orthogonal complement is
+    {0}: its dimension is 0 everywhere, so it is not scanned.  Off the
+    positive boundary FCR holds (Thm 3.2 (i)/(ii)), nothing can be
+    inconsistent, and the scan returns ``[]``.
     """
     _, samples, radius = _scan_settings(samples=samples, radius=radius)
     analysis = analyze_point(instance, xbar)
@@ -464,11 +473,7 @@ def fcr_dim_scan(
     discarded = int((~ok).sum())
     norms = _row_norms(G[ok])
     dims = frozenset((norms > analysis.grad_floor).astype(int).tolist())
-    count = int(ok.sum())
-    return [
-        DimScan("ZeroFace", dims, count, int(seed), discarded),
-        DimScan("FullCone", frozenset({0}), count, int(seed), discarded),
-    ]
+    return [DimScan("ZeroFace", dims, int(ok.sum()), int(seed), discarded)]
 
 
 def dim_scan_consistent(scans: list[DimScan]) -> bool:

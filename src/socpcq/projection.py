@@ -750,7 +750,7 @@ def project_to_feasible_set(
     projection.
     """
     x = instance.point(x)
-    y = instance.evaluate(x)
+    y = instance._image(x)
     if classify_cone_point(y, instance.tol) is not ConeLocation.OUTSIDE:
         return x.copy(), 0.0
     if reference is None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from socpcq import cli, full_report, margins, random_instance
 from socpcq import cq_checker
 from socpcq.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -424,6 +425,59 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
     assert code == EXIT_PARSE
     assert err.startswith("error: cannot write ")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "project", "scan"])
+def test_point_whose_image_overflows_is_a_usage_error(capsys, tmp_path, command):
+    # The point is finite, but g(x) = 1e310 is not: one error line, no
+    # numpy warning, and the exit code of a NaN point.
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        '{"m": 3, "n": 1, "A": [[1e300],[0],[0]], "b": [0,0,0], "points": {"p": [1e10]}}'
+    )
+    code, out, err = run_cli(capsys, command, str(path), "p")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: g(x) overflows to non-finite entries\n"
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write fails with EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fixture("vertex_halfplane"), "origin"],
+        ["scan", fixture("vertex_halfplane"), "origin", "--samples", "16"],
+        ["harness", "--trials", "2"],
+        ["project", fixture("vertex_halfplane"), "outside"],
+    ],
+)
+def test_closed_stdout_exits_without_a_traceback(capsys, monkeypatch, argv):
+    # The stream has no file descriptor, so the process's own stdout is
+    # left alone.
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(argv) == EXIT_CLOSED_STDOUT
+    assert capsys.readouterr().err == ""
+
+
+def test_process_with_a_closed_stdout_pipe_exits_141():
+    # The reader is gone before the process writes its first byte, so its
+    # write fails, and so would the interpreter's flush at exit, had main
+    # not pointed the descriptor at os.devnull.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "socpcq.cli", "analyze", fixture("vertex_halfplane"), "origin"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_CLOSED_STDOUT
+    assert err == b""
 
 
 def test_missing_file_exits_2(capsys):

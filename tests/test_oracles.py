@@ -117,8 +117,9 @@ def test_dim_scan_rejects_bad_samples(instance, xbar, samples):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts projector builds and batches, and the ``analyze_point`` calls
-    that analyze (those not handed an analysis of their own instance)."""
-    counts = {"build": 0, "batch": 0, "analyze": 0}
+    that analyze (those not handed an analysis of their own instance);
+    ``rows`` holds the rows of each batch, in call order."""
+    counts = {"build": 0, "batch": 0, "analyze": 0, "rows": []}
 
     def counting(key, fn, counts_call=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -135,11 +136,13 @@ def calls(monkeypatch):
         "__init__",
         counting("build", FeasibleSetProjector.__init__),
     )
-    monkeypatch.setattr(
-        FeasibleSetProjector,
-        "_project_rows",
-        counting("batch", FeasibleSetProjector._project_rows),
-    )
+    batch = counting("batch", FeasibleSetProjector._project_rows)
+
+    def recording(self, X):
+        counts["rows"].append(X.copy())
+        return batch(self, X)
+
+    monkeypatch.setattr(FeasibleSetProjector, "_project_rows", recording)
     for module in (cq_checker, oracles, projection):
         monkeypatch.setattr(
             module,
@@ -185,8 +188,6 @@ def test_half_line_scan_is_flat_at_the_exact_constant():
     assert classify_kappa_growth(scan) == "bounded"
     for v in scan.kappa_hat:
         assert v == pytest.approx(np.sqrt(0.5), abs=1e-12)
-    for v in scan.uniform_kappa_hat:
-        assert v == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 def test_interior_center_scans_all_feasible():
@@ -213,7 +214,6 @@ def test_kappa_scan_prefix_reproduces_per_radius_fields(stratum, seed):
     assert head.radii == radii[:2]
     for field in (
         "kappa_hat",
-        "uniform_kappa_hat",
         "probe_ratios",
         "discarded_feasible",
         "discarded_floor",
@@ -225,7 +225,27 @@ def test_kappa_scan_prefix_reproduces_per_radius_fields(stratum, seed):
 def test_kappa_scan_makes_one_projector_call_and_one_analysis(calls):
     scan = mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=300, seed=0)
     assert all(scan.evaluated(k) > 0 for k in range(len(scan.radii)))
-    assert calls == {"build": 1, "batch": 1, "analyze": 1}
+    assert all(scan.probe_valid)
+    assert [calls[key] for key in ("build", "batch", "analyze")] == [1, 1, 1]
+    # Every radius keeps a probe, so no uniform point is projected: the one
+    # certified call holds the k * P probe bases and probes.
+    assert [len(X) for X in calls["rows"]] == [len(scan.radii) * scan.probe_count]
+
+
+def test_kappa_scan_projects_uniform_points_only_at_radii_without_probes(calls):
+    # At the degenerate boundary point no probe survives the floor at the
+    # finest radius; its kept uniform points, and only they, take the
+    # second call.
+    doc = parse_instance(str(FIXTURES / "boundary_degenerate.json"))
+    xbar = doc.points["xbar"]
+    scan = mscq_kappa_scan(doc.instance, xbar, samples_per_radius=300, seed=0)
+    finest = len(scan.radii) - 1
+    assert scan.probe_valid[finest] == 0 and all(scan.probe_valid[:finest])
+    first, second = calls["rows"]
+    assert len(first) == len(scan.radii) * scan.probe_count
+    assert len(second) == scan.evaluated(finest) > 0
+    assert np.all(np.linalg.norm(second - xbar, axis=1) <= scan.radii[finest])
+    assert scan.kappa_hat[finest] > 0.0
 
 
 @pytest.mark.parametrize("stratum", ["Thm4.4(ii)", "Thm4.4(iv)"])
@@ -236,10 +256,11 @@ def test_slater_scan_makes_one_certified_call(calls, stratum):
     inst, xbar = random_instance(4, 3, stratum, 1)
     analysis = analyze_point(inst, xbar)
     assert FeasibleSetProjector(inst, analysis).geometry.value == "slater"
-    calls.update(build=0, batch=0, analyze=0)
+    calls.update(build=0, batch=0, analyze=0, rows=[])
     scan = mscq_kappa_scan(inst, analysis, samples_per_radius=48, seed=1)
     assert all(v > 0 for v in scan.probe_valid)
-    assert calls == {"build": 1, "batch": 1, "analyze": 0}
+    assert [calls[key] for key in ("build", "batch", "analyze")] == [1, 1, 0]
+    assert [len(X) for X in calls["rows"]] == [len(scan.radii) * scan.probe_count]
     assert scan == mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=1)
 
 
@@ -376,7 +397,6 @@ def _scan(probe_ratios, kappa=None, radii=None, feas=None):
         )
         if probe_ratios
         else tuple(0 for _ in radii),
-        uniform_kappa_hat=tuple(0.0 for _ in radii),
         probe_ratios=tuple(tuple(row) for row in probe_ratios),
     )
 
@@ -446,7 +466,6 @@ def test_dim_scan_smooth_boundary_point():
     scans = fcr_dim_scan(inst, np.zeros(3), radius=0.05, seed=0)
     by_label = {s.face_label: s for s in scans}
     assert by_label["ZeroFace"].observed_dims == frozenset({1})
-    assert by_label["FullCone"].observed_dims == frozenset({0})
     assert dim_scan_consistent(scans)
 
 
