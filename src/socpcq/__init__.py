@@ -47,7 +47,6 @@ from .oracles import (
     KappaScan,
     brute_force_subspace_class,
     classify_kappa_growth,
-    dim_scan_consistent,
     equivalence_harness,
     fcr_dim_scan,
     mscq_kappa_scan,
@@ -109,7 +108,6 @@ __all__ = [
     "KappaScan",
     "brute_force_subspace_class",
     "classify_kappa_growth",
-    "dim_scan_consistent",
     "equivalence_harness",
     "fcr_dim_scan",
     "mscq_kappa_scan",

@@ -9,6 +9,7 @@ interior points it is locally inactive.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,7 +19,9 @@ from .errors import DimensionError, InfeasiblePointError, SingularReductionError
 from .soc_core import (
     DEFAULT_TOL,
     PROJECTION_TOL,
+    _SQUARE_LIMIT,
     ConeLocation,
+    _check_magnitude,
     _checked_tol,
     _location,
     _norm,
@@ -43,8 +46,10 @@ class AffineSOCInstance:
     Im(A), and the gradient floor.  ``projection_tol`` is the certified gap
     of every projection onto the feasible set, and so of every distance a
     kappa ratio divides.  Both obey the rule of ``soc_core._checked_tol``.
-    The data is treated as immutable: ``geometry`` memoizes the spectral
-    geometry of Im(A) on the instance, and ``norm_A`` its Frobenius norm.
+    A, b, every point and every image g(x) obey the magnitude rule of
+    ``soc_core._check_magnitude``: finite, with a squared norm that does not
+    overflow, else ``DimensionError``.  The data is treated as immutable:
+    ``geometry`` memoizes the spectral geometry of Im(A) on the instance.
     """
 
     A: np.ndarray
@@ -54,8 +59,10 @@ class AffineSOCInstance:
     _geometry: Optional[SubspaceConeClass] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _norm_A: Optional[float] = field(
-        default=None, init=False, repr=False, compare=False
+    _norm_A: float = field(default=0.0, init=False, repr=False, compare=False)
+    #: (||A||_F sqrt(n), ||b||): ||g(x)|| is at most reach * max|x_j| + ||b||.
+    _reach: tuple[float, float] = field(
+        default=(0.0, 0.0), init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -72,10 +79,13 @@ class AffineSOCInstance:
             raise DimensionError("A needs at least one column")
         if b.shape != (m,):
             raise DimensionError(f"b has shape {b.shape}, expected ({m},)")
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise DimensionError("instance data has non-finite entries")
+        _check_magnitude(A, "instance data has")
+        _check_magnitude(b, "instance data has")
+        norm_A = _norm(A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_norm_A", norm_A)
+        object.__setattr__(self, "_reach", (norm_A * math.sqrt(n), _norm(b)))
         for name in _TOLERANCES:
             object.__setattr__(self, name, _checked_tol(getattr(self, name), name))
 
@@ -94,55 +104,54 @@ class AffineSOCInstance:
         return self._geometry
 
     def norm_A(self) -> float:
-        """||A||_F; computed once."""
-        if self._norm_A is None:
-            object.__setattr__(self, "_norm_A", _norm(self.A))
+        """||A||_F, computed with the instance."""
         return self._norm_A
 
     def point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionError(f"point has shape {x.shape}, expected ({self.n},)")
-        if not np.isfinite(x).all():
-            raise DimensionError("point has non-finite entries")
-        return x
+        return _check_magnitude(x, "point has")
 
     def evaluate(self, x) -> np.ndarray:
-        """g(x) = Ax + b; a finite x whose g(x) overflows raises
+        """g(x) = Ax + b; a point whose g(x) breaks the magnitude rule raises
         ``DimensionError``."""
         return self._image(self.point(x))
 
     def _image(self, x: np.ndarray) -> np.ndarray:
-        """``evaluate`` at a point that ``point`` has checked.
-
-        A finite x can still overflow g(x): that raises ``DimensionError``,
-        and numpy's overflow warning is silenced."""
+        """``evaluate`` at a point that ``point``, or rows that
+        ``_point_rows``, checked.  The bound ``_reach`` clears the common
+        case; past it, g(x) is computed with numpy's overflow warning off
+        and held to the magnitude rule."""
+        reach, norm_b = self._reach
+        if reach * float(np.abs(x).max(initial=0.0)) + norm_b < _SQUARE_LIMIT:
+            return self._evaluate(x)
         with np.errstate(over="ignore", invalid="ignore"):
             y = self._evaluate(x)
-        if not np.isfinite(y).all():
-            raise DimensionError("g(x) overflows to non-finite entries")
-        return y
+        return _check_magnitude(y, "g(x) has", axis=-1)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """g(x), unguarded: for a point whose image is known to be finite,
-        such as one that ``_image`` has checked."""
-        return self.A @ x + self.b
+        """g(x), unguarded, at a point (A x + b) or at (N, n) rows
+        (X A^T + b) whose images are known to obey the magnitude rule, such
+        as those that ``_image`` has checked."""
+        if x.ndim == 1:
+            return self.A @ x + self.b
+        return x @ self.A.T + self.b
 
     def _point_rows(self, X) -> np.ndarray:
-        """``X`` as an (N, n) float array; other shapes or non-finite
-        entries raise ``DimensionError``."""
+        """``X`` as an (N, n) float array; other shapes, or rows that break
+        the magnitude rule, raise ``DimensionError``."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise DimensionError(
                 f"points have shape {X.shape}, expected (N, {self.n})"
             )
-        if not np.isfinite(X).all():
-            raise DimensionError("points have non-finite entries")
-        return X
+        return _check_magnitude(X, "points have", axis=-1)
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """g at the rows of an (N, n) array, returned as (N, m)."""
-        return self._point_rows(X) @ self.A.T + self.b
+        """g at the rows of an (N, n) array, returned as (N, m); a row whose
+        image breaks the magnitude rule raises ``DimensionError``."""
+        return self._image(self._point_rows(X))
 
 
 @dataclass(frozen=True)
@@ -286,8 +295,7 @@ def linearization_cone_membership(instance: AffineSOCInstance, x, d) -> bool:
     d = np.asarray(d, dtype=float)
     if d.shape != (instance.n,):
         raise DimensionError(f"direction has shape {d.shape}, expected ({instance.n},)")
-    if not np.isfinite(d).all():
-        raise DimensionError("direction has non-finite entries")
+    _check_magnitude(d, "direction has")
     return tangent_membership(analysis.y, instance.A @ d, instance.tol)
 
 

@@ -51,7 +51,6 @@ from .errors import (
 from .oracles import (
     _harness_trials,
     _scan_settings,
-    dim_scan_consistent,
     equivalence_harness,
     fcr_dim_scan,
     mscq_kappa_scan,
@@ -391,10 +390,10 @@ def cmd_scan(args) -> int:
     x = _named_point(doc, args.point)
     try:
         radii = (float(r) for r in args.radii.split(",") if r.strip())
-        radii, samples, radius = _scan_settings(radii, args.samples, args.dim_radius)
+        radii, samples = _scan_settings(radii, args.samples)
     except ValueError as exc:
-        raise ParseError(f"invalid --radii, --samples or --dim-radius: {exc}") from exc
-    scans = fcr_dim_scan(doc.instance, x, radius, samples, args.seed)
+        raise ParseError(f"invalid --radii or --samples: {exc}") from exc
+    dim_scan = fcr_dim_scan(doc.instance, x, samples, args.seed)
     kappa = mscq_kappa_scan(
         doc.instance, x, radii=radii, samples_per_radius=samples, seed=args.seed
     )
@@ -402,13 +401,14 @@ def cmd_scan(args) -> int:
     total = kappa.sample_count + kappa.probe_count
     for i, r in enumerate(kappa.radii):
         print(f"{r:g},{kappa.kappa_hat[i]:.12g},{total},{total - kappa.evaluated(i)}")
-    for scan in scans:
-        dims = sorted(scan.observed_dims)
+    if dim_scan is not None:
+        dims = sorted(dim_scan.observed_dims)
         print(
-            f"dimscan face={scan.face_label} observed_dims={dims} "
-            f"samples={scan.sample_count} discarded={scan.discarded}"
+            f"dimscan face=ZeroFace observed_dims={dims} "
+            f"samples={dim_scan.sample_count} discarded={dim_scan.discarded}"
         )
-    print(f"fcr_consistent={str(dim_scan_consistent(scans)).lower()}")
+    consistent = dim_scan is None or dim_scan.consistent
+    print(f"fcr_consistent={str(consistent).lower()}")
     return EXIT_OK
 
 
@@ -526,12 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("point", help="name of the point to analyze")
     p.add_argument("--out", help="also write the JSON report to this path")
 
-    p = sub.add_parser("scan", help="kappa-ratio and face-dimension scans")
+    p = sub.add_parser("scan", help="kappa-ratio scan and FCR dimension scan")
     p.add_argument("instance")
     p.add_argument("point")
     p.add_argument("--radii", default="1e-1,1e-2,1e-3", help="comma-separated radii")
     p.add_argument("--samples", type=int, default=200, help="samples per radius")
-    p.add_argument("--dim-radius", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("harness", help="analytic-vs-sampled equivalence harness")

@@ -73,7 +73,6 @@ __all__ = [
     "mscq_kappa_scan",
     "classify_kappa_growth",
     "fcr_dim_scan",
-    "dim_scan_consistent",
     "brute_force_subspace_class",
     "random_instance",
     "TARGET_CASES",
@@ -142,13 +141,19 @@ class KappaScan:
 
 @dataclass(frozen=True)
 class DimScan:
-    """Observed dimensions of A^*(F-perp) over a sampled neighborhood."""
+    """Observed dimensions of the zero face's A^*(F-perp) over the ball of
+    radius ``radius`` around a positive-boundary point."""
 
-    face_label: str
     observed_dims: frozenset[int]
     sample_count: int
     seed: int
-    discarded: int = 0
+    radius: float
+    discarded: int
+
+    @property
+    def consistent(self) -> bool:
+        """FCR-consistency: the scan saw a single dimension."""
+        return len(self.observed_dims) == 1
 
 
 @dataclass(frozen=True)
@@ -187,21 +192,24 @@ class HarnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan_settings(radii=(1e-1,), samples=1, radius=0.1):
-    """``(radii, samples, radius)`` of the scans, each checked by its one rule
-    (radii nonempty, positive, finite and strictly decreasing; samples per
-    radius >= 1; a positive finite dimension-scan radius), or ValueError."""
+def _scan_samples(samples) -> int:
+    """The sample count of either scan, checked by its one rule (at least 1),
+    or ValueError."""
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return samples
+
+
+def _scan_settings(radii, samples):
+    """``(radii, samples)`` of the kappa scan: radii nonempty, positive,
+    finite and strictly decreasing, and the samples rule, or ValueError."""
     radii = tuple(float(r) for r in radii)
     if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii) or any(
         a <= b for a, b in zip(radii, radii[1:])
     ):
         raise ValueError(f"radii must be > 0, finite and strictly decreasing: {radii}")
-    samples, radius = int(samples), float(radius)
-    if samples < 1:
-        raise ValueError(f"samples per radius must be at least 1, got {samples}")
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"the scan radius must be positive and finite, got {radius}")
-    return radii, samples, radius
+    return radii, _scan_samples(samples)
 
 
 def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
@@ -297,7 +305,7 @@ def mscq_kappa_scan(
     scan's one point analysis, and none when ``xbar`` is an analysis of
     ``instance``.
     """
-    radii, samples_per_radius, _ = _scan_settings(radii, samples_per_radius)
+    radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
     return _kappa_scan(instance, xbar, radii, samples_per_radius, seed)
 
 
@@ -438,27 +446,29 @@ def classify_kappa_growth(scan: KappaScan) -> str:
 def fcr_dim_scan(
     instance: AffineSOCInstance,
     xbar,
-    radius: float = 0.1,
     samples: int = 512,
     seed: int = 0,
-) -> list[DimScan]:
-    """Observed dims of the face-orthogonal images over a sampled ball.
+) -> Optional[DimScan]:
+    """The FCR oracle: observed dims of the zero face over a sampled ball.
 
-    ``xbar`` is a feasible point or its ``PointAnalysis``.  ``samples``
-    below 1, or a ``radius`` that is not positive and finite, raises
-    ``ValueError``.  Only a point whose image lies on the positive boundary
-    is scanned: there the reduced cone is a half-line, and the scan samples
-    its zero face, whose dimension is the rank of the reduced gradient at
-    the center and at ``samples`` points of the ball.  The half-line's
-    other face is the half-line itself, whose orthogonal complement is
-    {0}: its dimension is 0 everywhere, so it is not scanned.  Off the
-    positive boundary FCR holds (Thm 3.2 (i)/(ii)), nothing can be
-    inconsistent, and the scan returns ``[]``.
+    ``xbar`` is a feasible point or its ``PointAnalysis``; ``samples`` below
+    1 raises ``ValueError``.  FCR can fail only where g(xbar) lies on the
+    positive boundary: at the vertex and at interior points it holds
+    (Thm 3.2 (i)/(ii)), so there the scan returns None.  On the positive
+    boundary the reduced cone is a half-line, and only its zero face can
+    change dimension: the scan returns one ``DimScan`` of the rank of the
+    reduced gradient at the center and at ``samples`` points of the ball.
+    (The half-line's other face has orthogonal complement {0}, of dimension
+    0 everywhere.)  The ball's radius comes from the point's analysis,
+    min(0.1, 0.1 ||g_r(xbar)|| / max(1, sigma_max(A))), so that its image
+    stays clear of the cone's vertex; the record carries it.
     """
-    _, samples, radius = _scan_settings(samples=samples, radius=radius)
+    samples = _scan_samples(samples)
     analysis = analyze_point(instance, xbar)
     if analysis.location is not ConeLocation.POSITIVE_BOUNDARY:
-        return []
+        return None
+    a_op = float(analysis.geometry.singular_values[0])
+    radius = min(0.1, 0.1 * _norm(analysis.y[1:]) / max(1.0, a_op))
 
     rng = np.random.default_rng(seed)
     # The center, then the samples, filled in place.
@@ -473,12 +483,7 @@ def fcr_dim_scan(
     discarded = int((~ok).sum())
     norms = _row_norms(G[ok])
     dims = frozenset((norms > analysis.grad_floor).astype(int).tolist())
-    return [DimScan("ZeroFace", dims, int(ok.sum()), int(seed), discarded)]
-
-
-def dim_scan_consistent(scans: list[DimScan]) -> bool:
-    """FCR-consistency: every scanned face saw a single dimension."""
-    return all(len(s.observed_dims) == 1 for s in scans)
+    return DimScan(dims, int(ok.sum()), int(seed), radius, discarded)
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +744,6 @@ def _draw(m: int, n: int, target_case: str, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _safe_scan_radius(analysis) -> float:
-    """Dimension-scan radius at a positive boundary point: a ball whose
-    image stays clear of the cone's vertex."""
-    yr = _norm(analysis.y[1:])
-    a_op = float(analysis.geometry.singular_values[0])
-    return min(0.1, 0.1 * yr / max(1.0, a_op))
-
-
 def _harness_trials(trials) -> int:
     """The harness's trial count, checked by its one rule (at least 1), or
     ValueError."""
@@ -778,10 +775,10 @@ def equivalence_harness(
     decided at that instance's ``tol`` (fresh scan seeds per trial), instead
     of drawing random ones.
 
-    The FCR dimension scan runs only at points on the positive boundary.
-    At the vertex and at interior points FCR holds (Thm 3.2 (i)/(ii)), the
-    scan has nothing to sample and returns no face, so those trials record
-    ``fcr_consistent = True`` without calling it.  A trial whose report
+    Every trial runs the FCR oracle ``fcr_dim_scan`` on its analysis, which
+    decides where to sample and how widely.  It returns None off the
+    positive boundary, where FCR holds (Thm 3.2 (i)/(ii)), and the trial
+    reads None as consistent.  A trial whose report
     breaks an invariant of ``verify_report_invariants`` records the count
     and is a disagreement, whatever its scan read.
     """
@@ -836,16 +833,8 @@ def equivalence_harness(
             expected = "bounded" if crcq.holds else "growing"
             agree = label == expected
 
-            fcr_ok = True
-            if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
-                dim_scans = fcr_dim_scan(
-                    instance,
-                    analysis,
-                    radius=_safe_scan_radius(analysis),
-                    samples=64,
-                    seed=trial_seed,
-                )
-                fcr_ok = dim_scan_consistent(dim_scans)
+            dim_scan = fcr_dim_scan(instance, analysis, samples=64, seed=trial_seed)
+            fcr_ok = dim_scan is None or dim_scan.consistent
             fcr_agree = fcr_ok == report.fcr.holds
 
             rows.append(

@@ -12,13 +12,14 @@ bitwise those of ``np.linalg.norm``, without its Python dispatch, which
 costs more than the arithmetic on the package's small matrices.
 
 Public names check, private kernels trust checked arrays.  Every public
-function checks its input once (shape, finiteness, the tolerance rule of
-``_checked_tol``) and hands it to a private body: ``_location`` behind
-``classify_cone_point``, ``_margin`` behind ``cone_margin``, and the row
-kernels ``_margin_rows``, ``_distance_rows`` and ``_projection_rows``
-behind the batch names.  The other modules follow the same rule, so a
-caller inside the package that holds arrays it built from checked data
-calls the bodies directly and pays for no second check.
+function checks its input once (shape, the magnitude rule of
+``_check_magnitude``, the tolerance rule of ``_checked_tol``) and hands it
+to a private body: ``_location`` behind ``classify_cone_point``,
+``_margin`` behind ``cone_margin``, and the row kernels ``_margin_rows``,
+``_distance_rows`` and ``_projection_rows`` behind the batch names.  The
+other modules follow the same rule, so a caller inside the package that
+holds arrays it built from checked data calls the bodies directly and pays
+for no second check.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ DEFAULT_TOL = 1e-9
 PROJECTION_TOL = 1e-10
 
 _SQRT_HALF = np.sqrt(0.5)
+
+#: Half the root of the largest float: an array whose largest entry, times
+#: the root of its entry count, stays below this has a squared norm far
+#: from overflow.
+_SQUARE_LIMIT = 0.5 * math.sqrt(float(np.finfo(float).max))
 
 
 class ConeLocation(enum.Enum):
@@ -61,6 +67,23 @@ def _checked_tol(tol, name: str = "tol") -> float:
     return value
 
 
+def _check_magnitude(X: np.ndarray, subject: str, axis=None) -> np.ndarray:
+    """``X`` if it is finite and its squared norm (``axis`` None), or that
+    of each slice along ``axis``, does not overflow; else ``DimensionError``.
+    The largest entry decides in one pass unless it nears ``_SQUARE_LIMIT``;
+    only then are the squares summed, with numpy's overflow warning off."""
+    big = float(np.abs(X).max(initial=0.0))
+    if big * math.sqrt(X.size if axis is None else X.shape[axis]) < _SQUARE_LIMIT:
+        return X
+    if not math.isfinite(big):
+        raise DimensionError(f"{subject} non-finite entries")
+    with np.errstate(over="ignore"):
+        squares = np.add.reduce(X * X, axis=axis)
+    if not np.isfinite(squares).all():
+        raise DimensionError(f"{subject} a squared norm that overflows")
+    return X
+
+
 def as_cone_vector(y) -> np.ndarray:
     """Validate and return ``y`` as a 1-d float vector of length >= 2."""
     arr = np.asarray(y, dtype=float)
@@ -71,9 +94,7 @@ def as_cone_vector(y) -> np.ndarray:
             f"cone points need dimension >= 2, got {arr.shape[0]} "
             "(the m = 1 half-line is out of scope)"
         )
-    if not np.isfinite(arr).all():
-        raise DimensionError("cone point has non-finite entries")
-    return arr
+    return _check_magnitude(arr, "cone point has")
 
 
 def reflected(y: np.ndarray) -> np.ndarray:
@@ -143,8 +164,7 @@ def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
     d = np.asarray(d, dtype=float)
     if d.shape != y.shape:
         raise DimensionError(f"direction shape {d.shape} != point shape {y.shape}")
-    if not np.isfinite(d).all():
-        raise DimensionError("direction has non-finite entries")
+    _check_magnitude(d, "direction has")
     tol = _checked_tol(tol)
     loc = _location(y, tol)
     if loc is ConeLocation.OUTSIDE:
@@ -218,9 +238,7 @@ def _as_cone_rows(Y) -> np.ndarray:
         raise DimensionError(
             f"expected an (N, m) array with m >= 2, got shape {Y.shape}"
         )
-    if not np.isfinite(Y).all():
-        raise DimensionError("cone points have non-finite entries")
-    return Y
+    return _check_magnitude(Y, "cone points have", axis=-1)
 
 
 def margins(Y: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .soc_core import DEFAULT_TOL, _checked_tol, _norm
+from .soc_core import DEFAULT_TOL, _check_magnitude, _checked_tol, _norm
 
 #: Unit boundary rays have |v0| = sqrt(1/2); anything well below that in the
 #: first coordinate cannot be an admissible kernel direction.
@@ -70,9 +70,7 @@ def _validated_matrix(A) -> np.ndarray:
         raise DimensionError(f"expected a matrix, got shape {A.shape}")
     if A.shape[0] < 2:
         raise DimensionError("matrix must map into R^m with m >= 2")
-    if not np.isfinite(A).all():
-        raise DimensionError("matrix has non-finite entries")
-    return A
+    return _check_magnitude(A, "matrix has")
 
 
 def _rank_of(sigma: np.ndarray, tol: float) -> int:

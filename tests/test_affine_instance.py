@@ -219,6 +219,28 @@ def test_batched_calls_reject_malformed_rows(batch_call, X):
         batch_call(X)
 
 
+#: g = 1e150 x: the row (1e10, 0, 0) and its image are finite, but the
+#: image's squared norm, 1e320, overflows.
+_HUGE = AffineSOCInstance(1e150 * np.eye(3), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "batch_call",
+    [
+        _HUGE.evaluate_many,
+        lambda X: grad_phi_many(_HUGE, X),
+        FeasibleSetProjector(_HUGE, np.zeros(3)).project_batch,
+    ],
+    ids=["evaluate_many", "grad_phi_many", "project_batch"],
+)
+def test_batched_calls_reject_rows_whose_images_overflow(batch_call):
+    # A DimensionError, and no numpy warning: the test run turns every
+    # RuntimeWarning into an error.
+    with pytest.raises(DimensionError, match="g\\(x\\) has a squared norm"):
+        batch_call(np.array([[1e-3, 0.0, 0.0], [1e10, 0.0, 0.0]]))
+    batch_call(np.array([[1e-3, 0.0, 0.0], [-1e-3, 0.0, 0.0]]))
+
+
 def test_analyze_point_rejects_infeasible():
     with pytest.raises(InfeasiblePointError) as exc:
         analyze_point(HALFPLANE, [1.0, 0.0, 1.0])

@@ -427,18 +427,38 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
     assert out == ""
 
 
+#: Documents with a value whose squared norm overflows, and the one error
+#: line each gets: g(x) = 1e160, A = 1e300 I, and the point (2e200, 1e200, 0)
+#: of an image inside the cone.
+OVERFLOWING_DOCUMENTS = [
+    (
+        '{"m": 3, "n": 1, "A": [[1e150],[0],[0]], "b": [0,0,0], "points": {"p": [1e10]}}',
+        "error: g(x) has a squared norm that overflows\n",
+    ),
+    (
+        '{"m": 3, "n": 3, "A": [[1e300,0,0],[0,1e300,0],[0,0,1e300]], "b": [0,0,0], '
+        '"points": {"p": [0,0,0]}}',
+        "error: invalid instance: instance data has a squared norm that overflows\n",
+    ),
+    (
+        '{"m": 3, "n": 3, "A": [[1,0,0],[0,1,0],[0,0,1]], "b": [0,0,0], '
+        '"points": {"p": [2e200,1e200,0]}}',
+        "error: invalid point 'p': point has a squared norm that overflows\n",
+    ),
+]
+
+
 @pytest.mark.parametrize("command", ["analyze", "project", "scan"])
 def test_point_whose_image_overflows_is_a_usage_error(capsys, tmp_path, command):
-    # The point is finite, but g(x) = 1e310 is not: one error line, no
-    # numpy warning, and the exit code of a NaN point.
+    # Finite data whose squared norm overflows, in the instance, the point or
+    # g(x): one error line, no numpy warning, and the exit code of a NaN point.
     path = tmp_path / "overflow.json"
-    path.write_text(
-        '{"m": 3, "n": 1, "A": [[1e300],[0],[0]], "b": [0,0,0], "points": {"p": [1e10]}}'
-    )
-    code, out, err = run_cli(capsys, command, str(path), "p")
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert err == "error: g(x) overflows to non-finite entries\n"
+    for document, message in OVERFLOWING_DOCUMENTS:
+        path.write_text(document)
+        code, out, err = run_cli(capsys, command, str(path), "p")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == message
 
 
 class _ClosedStdout(io.TextIOBase):
@@ -802,10 +822,6 @@ def test_document_projection_tol_reaches_every_projecting_command(capsys, tmp_pa
         ["--radii", "inf,0.1"],
         ["--radii", "0.1,0"],
         ["--radii", "0.1,-0.01"],
-        ["--dim-radius", "0"],
-        ["--dim-radius", "-0.1"],
-        ["--dim-radius", "nan"],
-        ["--dim-radius", "inf"],
     ],
     ids=" ".join,
 )

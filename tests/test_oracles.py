@@ -23,7 +23,6 @@ from socpcq import (
     SubspaceKind,
     brute_force_subspace_class,
     classify_kappa_growth,
-    dim_scan_consistent,
     equivalence_harness,
     fcr_dim_scan,
     full_report,
@@ -89,14 +88,6 @@ def test_kappa_scan_certifies_at_the_instance_projection_tol():
     with pytest.raises(NumericalFailureError, match="not certified"):
         mscq_kappa_scan(tight, [1.0, 1.0, 0.0])
     mscq_kappa_scan(IDENTITY, [1.0, 1.0, 0.0])
-
-
-@pytest.mark.parametrize("radius", [0.0, -0.1, np.nan])
-def test_dim_scan_rejects_bad_radius(radius):
-    # On the positive boundary the radius is the sampling radius: a ball of
-    # radius 0 or below is no neighborhood, and NaN is no radius.
-    with pytest.raises(ValueError, match="radius"):
-        fcr_dim_scan(HALFPLANE, np.array([1.0, 0.0, 0.0]), radius=radius)
 
 
 @pytest.mark.parametrize(
@@ -450,27 +441,24 @@ def test_growth_classification_fallbacks():
 
 
 def test_dim_scan_flags_degenerate_boundary_center():
-    scans = fcr_dim_scan(HALFPLANE, np.array([1.0, 0.0, 0.0]), seed=0)
-    by_label = {s.face_label: s for s in scans}
-    assert by_label["ZeroFace"].observed_dims == frozenset({0, 1})
-    assert not dim_scan_consistent(scans)
+    scan = fcr_dim_scan(HALFPLANE, np.array([1.0, 0.0, 0.0]), seed=0)
+    assert scan.observed_dims == frozenset({0, 1})
+    assert not scan.consistent
 
 
 def test_dim_scan_interior_point():
-    assert fcr_dim_scan(IDENTITY, np.array([2.0, 0.0, 0.0]), seed=0) == []
-    assert dim_scan_consistent([])
+    assert fcr_dim_scan(IDENTITY, np.array([2.0, 0.0, 0.0]), seed=0) is None
 
 
 def test_dim_scan_smooth_boundary_point():
     inst = AffineSOCInstance(np.eye(3), np.array([1.0, 1.0, 0.0]))
-    scans = fcr_dim_scan(inst, np.zeros(3), radius=0.05, seed=0)
-    by_label = {s.face_label: s for s in scans}
-    assert by_label["ZeroFace"].observed_dims == frozenset({1})
-    assert dim_scan_consistent(scans)
+    scan = fcr_dim_scan(inst, np.zeros(3), seed=0)
+    assert scan.observed_dims == frozenset({1})
+    assert scan.consistent
 
 
 def test_dim_scan_vertex_faces():
-    assert fcr_dim_scan(HALFPLANE, np.zeros(3), seed=0) == []
+    assert fcr_dim_scan(HALFPLANE, np.zeros(3), seed=0) is None
 
 
 FIXTURES = Path(oracles.__file__).parent / "fixtures"
@@ -487,7 +475,7 @@ def test_dim_scan_off_the_positive_boundary_sees_single_dimensions(stratum):
         inst, xbar = random_instance(m, n, stratum, seed)
         analysis = analyze_point(inst, xbar)
         assert analysis.location is not ConeLocation.POSITIVE_BOUNDARY
-        assert fcr_dim_scan(inst, analysis, seed=seed) == []
+        assert fcr_dim_scan(inst, analysis, seed=seed) is None
         assert full_report(inst, analysis).fcr.holds
 
 
@@ -500,16 +488,47 @@ def test_dim_scan_at_the_fixture_vertices_sees_single_dimensions():
             if classify_cone_point(y, doc.instance.tol) is not ConeLocation.ZERO:
                 continue
             vertices += 1
-            assert fcr_dim_scan(doc.instance, x, seed=0) == []
+            assert fcr_dim_scan(doc.instance, x, seed=0) is None
             assert full_report(doc.instance, x).fcr.holds
     assert vertices == 3
 
 
 def test_dim_scan_consistency_predicate():
-    good = [DimScan("F", frozenset({1}), 10, 0)]
-    bad = good + [DimScan("G", frozenset({0, 1}), 10, 0)]
-    assert dim_scan_consistent(good)
-    assert not dim_scan_consistent(bad)
+    good = DimScan(frozenset({1}), 10, 0, 0.1, 0)
+    bad = DimScan(frozenset({0, 1}), 10, 0, 0.1, 0)
+    assert good.consistent
+    assert not bad.consistent
+
+
+def _scan_radius_rule(analysis) -> float:
+    """min(0.1, 0.1 ||g_r(x)|| / max(1, sigma_max(A))), from the SVD."""
+    a_op = np.linalg.svd(analysis.instance.A, compute_uv=False)[0]
+    return min(0.1, 0.1 * np.linalg.norm(analysis.y[1:]) / max(1.0, a_op))
+
+
+def test_dim_scan_radius_follows_the_point():
+    # The scan owns its radius, which keeps the ball's image clear of the
+    # vertex, so no sample is discarded; the record carries it.
+    points = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse_instance(str(path))
+        points += [(doc.instance, x) for x in doc.points.values()]
+    for stratum in ("Thm4.4(ii)", "Thm4.4(iii)", "degenerate-boundary"):
+        for seed in range(40):
+            points.append(random_instance(3 + seed % 4, 1 + seed % 5, stratum, seed))
+    scanned = 0
+    for instance, x in points:
+        try:
+            analysis = analyze_point(instance, x)
+        except InfeasiblePointError:
+            continue
+        if analysis.location is not ConeLocation.POSITIVE_BOUNDARY:
+            continue
+        scanned += 1
+        scan = fcr_dim_scan(instance, analysis, samples=64, seed=scanned)
+        assert scan.radius == pytest.approx(_scan_radius_rule(analysis), rel=1e-12)
+        assert (scan.sample_count, scan.discarded) == (65, 0)
+    assert scanned >= 120
 
 
 # -- brute-force subspace classification --------------------------------------
@@ -654,18 +673,21 @@ def test_harness_analyzes_each_random_trial_point_once(calls, monkeypatch):
 
 
 def test_harness_runs_the_dim_scan_on_the_positive_boundary_only(monkeypatch):
-    locations = []
+    scans = []
     scan = oracles.fcr_dim_scan
 
     def recording(instance, xbar, *args, **kwargs):
-        locations.append(xbar.location)
-        return scan(instance, xbar, *args, **kwargs)
+        scans.append((xbar.location, scan(instance, xbar, *args, **kwargs)))
+        return scans[-1][1]
 
     monkeypatch.setattr(oracles, "fcr_dim_scan", recording)
     report = equivalence_harness(8, seed=11)
     assert report.clean
-    # Thm4.4(ii), Thm4.4(iii) and degenerate-boundary, one call each.
-    assert locations == [ConeLocation.POSITIVE_BOUNDARY] * 3
+    # One call per trial; only Thm4.4(ii), Thm4.4(iii) and
+    # degenerate-boundary lie on the positive boundary and get a scan.
+    assert len(scans) == 8
+    scanned = [location for location, result in scans if result is not None]
+    assert scanned == [ConeLocation.POSITIVE_BOUNDARY] * 3
 
 
 def test_harness_reads_a_floored_degenerate_boundary_scan_as_inconclusive():

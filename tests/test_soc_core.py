@@ -115,7 +115,8 @@ _NAN_ROWS = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
 
 
 def _overflowing_analysis():
-    instance = AffineSOCInstance(1e300 * np.eye(3), np.zeros(3))
+    # ||g(x)||^2 = 1e320 overflows, though A, x and g(x) are finite.
+    instance = AffineSOCInstance(1e150 * np.eye(3), np.zeros(3))
     socpcq.analyze_point(instance, [1e10, 0.0, 0.0])
 
 
@@ -135,6 +136,12 @@ def _overflowing_analysis():
         # A finite point whose image overflows, without numpy's overflow
         # warning, which the test run turns into an error.
         _overflowing_analysis,
+        # Finite values whose squared norm overflows: A^T J A of 1e300 I,
+        # and ||y||^2 of a point inside the cone.
+        lambda: AffineSOCInstance(1e300 * np.eye(3), np.zeros(3)),
+        lambda: socpcq.analyze_point(_IDENTITY_INSTANCE, [2e200, 1e200, 0.0]),
+        lambda: classify_cone_point([2e200, 1e200, 0.0]),
+        lambda: margins([[1.0, 0.0], [2e200, 1e200]]),
     ],
     ids=[
         "project_batch",
@@ -146,6 +153,10 @@ def _overflowing_analysis():
         "classify_image_vs_cone",
         "analyze_point",
         "analyze_point-overflow",
+        "instance-square-overflow",
+        "analyze_point-square-overflow",
+        "classify_cone_point-square-overflow",
+        "margins-square-overflow",
     ],
 )
 def test_public_names_check_their_input(call):
