@@ -427,8 +427,6 @@ def cmd_harness(args) -> int:
         fixed_point = _named_point(doc, args.point)
     report = equivalence_harness(
         trials=trials,
-        m_max=args.mmax,
-        n_max=args.nmax,
         seed=args.seed,
         fixed_instance=fixed_instance,
         fixed_point=fixed_point,
@@ -535,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harness", help="analytic-vs-sampled equivalence harness")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--mmax", type=int, default=6)
-    p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="write the per-trial CSV to this path")
     p.add_argument("--instance", help="run all trials on this fixed instance")

@@ -16,10 +16,10 @@ Key design points:
   probes are what make the bounded/growing separation reproducible.  All
   radii share common random draws, which makes the ratio between
   consecutive kappa estimates deterministic and tight.
-* One scan builds one projector, whose construction is also the scan's
-  point analysis (none when it is handed the point's ``PointAnalysis``),
-  and makes one certified projector call for all radii together: the
-  infeasible probe bases and the probes of feasible bases.  A probe
+* A scan samples against the projector it is handed, whose construction
+  was the scan's one point analysis, and makes one certified projector
+  call for all radii together: the infeasible probe bases and the probes
+  of feasible bases.  A probe
   p = z + h (x - z) / ub of an infeasible base x with anchor z lies on the
   ray from z in Omega through x, so convexity and 1-Lipschitz continuity
   of dist(., Omega) give dist(p, Omega) in
@@ -32,9 +32,10 @@ Key design points:
   wider and the probes of bases at distance 0 take one fallback call, so
   every ratio still rests on a certified distance; a failure reports the
   worst gap across the rows of its call.
-* The scan checks its settings once, in ``mscq_kappa_scan``; its body
-  ``_kappa_scan``, which the harness calls with the settings it fixed,
-  fills its draws in place and runs only private kernels on them: g(X) as
+* The scan checks its settings once, in ``mscq_kappa_scan``, which builds
+  the projector; its body ``_kappa_scan``, which the harness calls with
+  the settings it fixed and the projector of its trial point, fills its
+  draws in place and runs only private kernels on them: g(X) as
   X A^T + b, ``soc_core._distance_rows`` and the projector's
   ``_project_rows``.  Its radius factors and probe offsets depend on the
   settings alone and are built once per setting.
@@ -301,23 +302,24 @@ def mscq_kappa_scan(
     survived; the uniform points of the other radii are counted in
     the discards but never projected, as their ratios would not reach the
     record.  A ``NumericalFailureError`` reports the worst gap across the
-    rows of the failing call.  The projector's construction is also the
-    scan's one point analysis, and none when ``xbar`` is an analysis of
-    ``instance``.
+    rows of the failing call.  The scan builds one projector, whose
+    construction is also its one point analysis, and none when ``xbar`` is
+    an analysis of ``instance``.
     """
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
-    return _kappa_scan(instance, xbar, radii, samples_per_radius, seed)
+    projector = FeasibleSetProjector(instance, xbar)
+    return _kappa_scan(projector, radii, samples_per_radius, seed)
 
 
-def _kappa_scan(instance, xbar, radii, S: int, seed) -> KappaScan:
-    """``mscq_kappa_scan`` with settings that ``_scan_settings`` checked.
+def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaScan:
+    """``mscq_kappa_scan`` with settings that ``_scan_settings`` checked,
+    around ``projector.reference`` and against ``projector.instance``.
 
     Every array past the draws is built here from checked data, so the
     scan runs the private kernels on it: g(X) = X A^T + b, the cone
     distance ``_distance_rows`` and the projector's ``_project_rows``.
     """
-    projector = FeasibleSetProjector(instance, xbar)
-    center = projector.reference
+    instance, center = projector.instance, projector.reference
     A, b, n = instance.A, instance.b, instance.n
     k = len(radii)
     P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
@@ -571,6 +573,14 @@ TARGET_CASES = (
 _MIN_M = {"Cor4.2": 3, "degenerate-boundary": 3}
 _MIN_N = {"Cor4.2": 2}
 
+#: The largest m and n of the harness's random trials.
+_HARNESS_MAX_SIZE = 6
+
+
+def _least_sizes(target_case: str) -> tuple[int, int]:
+    """The least (m, n) of a stratum."""
+    return _MIN_M.get(target_case, 2), _MIN_N.get(target_case, 1)
+
 
 def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.standard_normal(d)
@@ -723,10 +733,11 @@ def _draw(m: int, n: int, target_case: str, seed: int):
         raise GenerationError(
             f"unknown target case {target_case!r}; expected one of {TARGET_CASES}"
         )
-    if m < max(2, _MIN_M.get(target_case, 2)):
-        raise GenerationError(f"{target_case} requires m >= {_MIN_M.get(target_case, 2)}")
-    if n < _MIN_N.get(target_case, 1):
-        raise GenerationError(f"{target_case} requires n >= {_MIN_N[target_case]}")
+    m_lo, n_lo = _least_sizes(target_case)
+    if m < m_lo:
+        raise GenerationError(f"{target_case} requires m >= {m_lo}")
+    if n < n_lo:
+        raise GenerationError(f"{target_case} requires n >= {n_lo}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         instance, xbar = _build_candidate(rng, m, n, target_case)
@@ -759,81 +770,74 @@ _HARNESS_SAMPLES_PER_RADIUS = 48
 
 def equivalence_harness(
     trials: int,
-    m_max: int = 6,
-    n_max: int = 6,
     seed: int = 42,
     fixed_instance: Optional[AffineSOCInstance] = None,
     fixed_point=None,
 ) -> HarnessReport:
     """Cross-validate the analytic CRCQ/MSCQ verdict against the kappa scan.
 
-    Each trial draws a stratified random instance, decides CRCQ in closed
-    form, classifies the empirical kappa growth, and records whether the
-    two agree (bounded <=> CRCQ holds).  An inconclusive scan is retried
-    once with four times the sampling before being reported.  Passing
-    ``fixed_instance``/``fixed_point`` pins every trial to one instance,
-    decided at that instance's ``tol`` (fresh scan seeds per trial), instead
-    of drawing random ones.
+    Each trial draws a stratified random instance with m and n at most
+    6, decides CRCQ in closed form, classifies the empirical kappa growth,
+    and records whether the two agree (bounded <=> CRCQ holds).  An
+    inconclusive scan is retried once with four times the sampling before
+    being reported.  Passing ``fixed_instance``/``fixed_point`` pins every
+    trial to one instance, decided at that instance's ``tol`` (fresh scan
+    seeds per trial), instead of drawing random ones.
 
-    Every trial runs the FCR oracle ``fcr_dim_scan`` on its analysis, which
-    decides where to sample and how widely.  It returns None off the
-    positive boundary, where FCR holds (Thm 3.2 (i)/(ii)), and the trial
-    reads None as consistent.  A trial whose report
-    breaks an invariant of ``verify_report_invariants`` records the count
-    and is a disagreement, whatever its scan read.
+    Each decided point has one report and one projector, built from the
+    report's analysis: a random trial builds them for its draw, a fixed
+    instance once before the first trial (an infeasible fixed point raises
+    there).  The kappa scan and its retry sample against that projector.
+    Every trial runs the FCR oracle
+    ``fcr_dim_scan`` on the analysis, which decides where to sample and
+    how widely.  It returns None off the positive boundary, where FCR
+    holds (Thm 3.2 (i)/(ii)), and the trial reads None as consistent.  A
+    trial whose report breaks an invariant of ``verify_report_invariants``
+    records the count and is a disagreement, whatever its scan read.
     """
     trials = _harness_trials(trials)
-    master = np.random.SeedSequence(seed)
-    children = master.spawn(trials)
+    children = np.random.SeedSequence(seed).spawn(trials)
     rows: list[TrialRecord] = []
     disagreements: list[int] = []
     inconclusive: list[int] = []
     failures: list[tuple[int, str]] = []
 
-    for t in range(trials):
-        child = children[t]
+    if fixed_instance is not None:
+        target, m, n = "fixed", fixed_instance.m, fixed_instance.n
+        report, violations = _report(fixed_instance, fixed_point)
+        projector = FeasibleSetProjector(fixed_instance, report.point_analysis)
+
+    for t, child in enumerate(children):
         trial_seed = int(child.generate_state(1, dtype=np.uint32)[0])
-        rng = np.random.default_rng(child)
-        if fixed_instance is not None:
-            target = "fixed"
-            m, n = fixed_instance.m, fixed_instance.n
-        else:
-            target = TARGET_CASES[t % len(TARGET_CASES)]
-            m_lo = max(2, _MIN_M.get(target, 2))
-            n_lo = _MIN_N.get(target, 1)
-            m = int(rng.integers(m_lo, max(m_lo, m_max) + 1))
-            n = int(rng.integers(n_lo, max(n_lo, n_max) + 1))
         try:
-            if fixed_instance is not None:
-                instance = fixed_instance
-                report, violations = _report(instance, fixed_point)
-            else:
+            if fixed_instance is None:
+                target = TARGET_CASES[t % len(TARGET_CASES)]
+                m_lo, n_lo = _least_sizes(target)
+                rng = np.random.default_rng(child)
+                m = int(rng.integers(m_lo, _HARNESS_MAX_SIZE + 1))
+                n = int(rng.integers(n_lo, _HARNESS_MAX_SIZE + 1))
                 instance, _, report, violations = _draw(m, n, target, trial_seed)
+                projector = FeasibleSetProjector(instance, report.point_analysis)
             crcq = report.crcq
-            # The report's analysis, the generator's own on a random draw, is
-            # the trial's one analysis of xbar.
-            analysis = report.point_analysis
 
             scan = _kappa_scan(
-                instance, analysis, _RADII, _HARNESS_SAMPLES_PER_RADIUS, trial_seed
+                projector, _RADII, _HARNESS_SAMPLES_PER_RADIUS, trial_seed
             )
             label = classify_kappa_growth(scan)
             retried = False
             if label == "inconclusive":
                 retried = True
                 scan = _kappa_scan(
-                    instance,
-                    analysis,
-                    _RADII,
-                    4 * _HARNESS_SAMPLES_PER_RADIUS,
-                    trial_seed + 1,
+                    projector, _RADII, 4 * _HARNESS_SAMPLES_PER_RADIUS, trial_seed + 1
                 )
                 label = classify_kappa_growth(scan)
 
             expected = "bounded" if crcq.holds else "growing"
             agree = label == expected
 
-            dim_scan = fcr_dim_scan(instance, analysis, samples=64, seed=trial_seed)
+            dim_scan = fcr_dim_scan(
+                projector.instance, report.point_analysis, samples=64, seed=trial_seed
+            )
             fcr_ok = dim_scan is None or dim_scan.consistent
             fcr_agree = fcr_ok == report.fcr.holds
 

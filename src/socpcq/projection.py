@@ -76,6 +76,11 @@ w = Q^T A^T J g(x),
     psi(t) = psi(0) + sum_i w_i^2 t (2 - t lam_i) / (1 - t lam_i)^2,
     psi'(t) = 2 sum_i w_i^2 / (1 - t lam_i)^3.
 
+All of this runs on (s A, s b), s the power of two that puts sigma_max(A)
+in [1/2, 1): Omega is the same, and w, which grows like ||A||^2 ||g(x)||,
+and t, like 1 / ||A||^2, stay in floating-point range at any scale of
+(A, b).
+
 By Sylvester's law of inertia M inherits at most one positive eigenvalue
 lam_+ from J, so psi has at most one pole 1/lam_+ on t > 0 and is strictly
 increasing on the monotone branch [0, 1/lam_+): a row with psi(0) < 0 has
@@ -134,6 +139,7 @@ kernels of ``soc_core`` on arrays computed here, without a second check.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -200,8 +206,12 @@ class _Geometry(enum.Enum):
 
 @dataclass
 class _SlaterData:
-    pinv_t: np.ndarray       # pinv(A^T) = U_k diag(1/sigma) V_k^T, m x n
-    ray: Optional[np.ndarray]  # d / margin(A d), A d interior (None: no such d)
+    # All of this is for the scaled data (s A, s b); see ``_build_slater``.
+    scale: float             # s
+    A: np.ndarray            # s A
+    b: np.ndarray            # s b
+    pinv_t: np.ndarray       # pinv((s A)^T) = U_k diag(1/(s sigma)) V_k^T, m x n
+    ray: Optional[np.ndarray]  # d / margin(s A d), A d interior (None: no such d)
     # I - U_k U_k^T, the slice of the vertex multiplier; None when b is not
     # in Im(A) and no row projects onto the vertex
     null_proj: Optional[np.ndarray]
@@ -294,6 +304,12 @@ class FeasibleSetProjector:
         Without an interior reference or a recession ray, pull-ins blend
         towards the best point of the image slice through the reference, and
         a slice without an interior point raises ``NumericalFailureError``.
+
+        The data is that of (s A, s b) (module docstring), s = 2^-k with
+        2^k the power of two just above sigma_max(A).  A power of two scales
+        every value exactly, so the points and bounds of x-space come out
+        the same as on (A, b) wherever both are in range.  The vertex test
+        reads the instance's own b.
         """
         interior, interior_margin = self._interior or (None, 0.0)
         if interior is None and maps.ray is None:
@@ -305,14 +321,15 @@ class FeasibleSetProjector:
                 )
             interior = z
 
-        A, b = self.instance.A, self.instance.b
         # A row can project onto the vertex preimage only when b is in Im(A).
         # The Slater point then lies in Im(A) too, so P_00 < 1/2.
-        P = maps.null_proj
+        P, b = maps.null_proj, self.instance.b
         vertex = float(P[0, 0]) < 0.5 and _norm(P @ b) <= self.instance.tol * max(
             1.0, _norm(b)
         )
 
+        scale = math.ldexp(1.0, -math.frexp(float(maps.geo.singular_values[0]))[1])
+        A, b = scale * self.instance.A, scale * b
         JA = A.copy()
         JA[1:] *= -1.0
         lam, Q = np.linalg.eigh(A.T @ JA)
@@ -334,8 +351,11 @@ class FeasibleSetProjector:
         E = 1.0 - grid_t[:, None] * lam
         E[:, -1] = grid_u
         return _SlaterData(
-            pinv_t=maps.pinv_t,
-            ray=maps.ray,
+            scale=scale,
+            A=A,
+            b=b,
+            pinv_t=maps.pinv_t / scale,
+            ray=None if maps.ray is None else maps.ray / scale,
             null_proj=P if vertex else None,
             lam=lam,
             Q=Q,
@@ -347,7 +367,7 @@ class FeasibleSetProjector:
             grid_v=grid_t[:, None] / E,
             grid_gap=grid_gap,
             interior=interior,
-            interior_margin=interior_margin,
+            interior_margin=scale * interior_margin,
         )
 
     # -- projection ------------------------------------------------------
@@ -382,15 +402,15 @@ class FeasibleSetProjector:
     # -- Slater geometry: exact solve with duality certificate -----------
 
     def _project_slater(self, X: np.ndarray):
-        A, b = self.instance.A, self.instance.b
         Z_out = X.copy()
         ub_out = np.zeros(X.shape[0])
         lb_out = np.zeros(X.shape[0])
-        GX = X @ A.T + b
+        GX = self.instance._evaluate(X)
         todo = np.flatnonzero(_margin_rows(GX) < 0.0)
         if todo.size == 0:
             return BatchProjection(Z_out, ub_out, lb_out)
-        Xs, GXs = X[todo], GX[todo]
+        # From here on, images are those of the scaled data.
+        Xs, GXs = X[todo], self._slater.scale * GX[todo]
         gap_tol = self.instance.projection_tol * np.maximum(1.0, _row_norms(Xs))
 
         if self._slater.null_proj is not None:
@@ -445,7 +465,7 @@ class FeasibleSetProjector:
         candidate z, which keeps its relative precision when ||A^T mu|| is
         small and x is far away.
         """
-        AtMu = Mu @ self.instance.A
+        AtMu = Mu @ self._slater.A
         num = -np.einsum("ij,ij->i", Mu, GZ) - np.einsum("ij,ij->i", AtMu, Xs - Z)
         den = _row_norms(AtMu)
         lb = np.zeros(num.shape[0])
@@ -459,8 +479,8 @@ class FeasibleSetProjector:
         The multiplier is (1, -ghat) with ghat = g_r(z) / ||g_r(z)||, the
         normal direction at z; it is exact when z is the projection.
         """
-        A, b = self.instance.A, self.instance.b
-        G = Z @ A.T + b
+        sd = self._slater
+        G = Z @ sd.A.T + sd.b
         nr = _row_norms(G[:, 1:])
         Zf = self._pull_inside(Z, G[:, 0] - nr)
         ub = _row_norms(Xs - Zf)
@@ -476,10 +496,9 @@ class FeasibleSetProjector:
         margin-maximizing multiplier of the module docstring.  Exact for
         rows whose projection is the vertex preimage; harmless elsewhere.
         """
-        A, b = self.instance.A, self.instance.b
         sd = self._slater
         D = GXs @ sd.pinv_t                  # x - z_v = A^+ g(x)
-        Gv = (Xs - D) @ A.T + b
+        Gv = (Xs - D) @ sd.A.T + sd.b
         Zv = self._pull_inside(Xs - D, _margin_rows(Gv))
         # A^T mu = -(x - z_v) on the slice -pinv(A^T)(x - z_v) + null(A^T)
         Mu = _max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
@@ -491,7 +510,7 @@ class FeasibleSetProjector:
         sd = self._slater
         JG = GXs.copy()
         JG[:, 1:] *= -1.0
-        W = (JG @ self.instance.A) @ sd.Q    # w = Q^T A^T J g(x)
+        W = (JG @ sd.A) @ sd.Q               # w = Q^T A^T J g(x)
         psi0 = GXs[:, 0] ** 2 - np.einsum("ij,ij->i", GXs[:, 1:], GXs[:, 1:])
         has, j, pl, pr = self._secular_bracket(GXs, W, psi0)
         Z = Xs.copy()
@@ -559,10 +578,10 @@ class FeasibleSetProjector:
         then scales with ||g(z)||, not with ||g(x)|| as the sum
         psi(0) + sum_i (...) would, which matters for distant x.
         """
-        A, b = self.instance.A, self.instance.b
         sd = self._slater
+        A, b = sd.A, sd.b
         lam_top = sd.lam[-1]
-        norm_A, norm_b = self.instance.norm_A(), _norm(b)
+        norm_A, norm_b = sd.scale * self.instance.norm_A(), _norm(b)
         W2 = W * W
         active = np.ones(t.size, dtype=bool)
         for _ in range(_NEWTON_STEPS):

@@ -195,7 +195,7 @@ def test_criterion_6_subspace_classifier_vs_oracle():
 
 def test_criterion_7_equivalence_harness_1000():
     with criterion(7, "harness: 1000 stratified trials, seed 42", 60.0):
-        report = equivalence_harness(1000, m_max=6, n_max=6, seed=42)
+        report = equivalence_harness(1000, seed=42)
         _SHARED["harness"] = report
         assert len(report.rows) == 1000
         assert report.failures == (), f"failures: {report.failures[:3]}"

@@ -890,6 +890,11 @@ def test_harness_argument_validation(capsys):
         capsys, "harness", "--trials", "1", "--instance", fixture("vertex_halfplane")
     )
     assert code == EXIT_PARSE  # --point required alongside --instance
+    for option in ("--mmax", "--nmax"):
+        # The random trials' size bound is fixed; the options are gone.
+        code, _, err = run_cli(capsys, "harness", option, "5")
+        assert code == EXIT_PARSE
+        assert f"unrecognized arguments: {option} 5" in err
 
 
 # -- project ------------------------------------------------------------------

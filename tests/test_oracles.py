@@ -594,6 +594,8 @@ def test_random_instance_rejects_bad_requests():
         random_instance(2, 3, "Cor4.2")  # needs m >= 3
     with pytest.raises(GenerationError):
         random_instance(3, 1, "Cor4.2")  # needs n >= 2
+    with pytest.raises(GenerationError, match="requires n >= 1"):
+        random_instance(3, 0, "Thm4.4(i)")
     with pytest.raises(GenerationError):
         random_instance(2, 2, "degenerate-boundary")
 
@@ -602,7 +604,7 @@ def test_random_instance_rejects_bad_requests():
 
 
 def test_harness_small_run_is_clean():
-    report = equivalence_harness(16, m_max=5, n_max=5, seed=7)
+    report = equivalence_harness(16, seed=7)
     assert report.clean
     assert len(report.rows) == 16
     for row in report.rows:
@@ -644,14 +646,14 @@ def test_harness_counts_invariant_violations(monkeypatch):
 
 
 def test_harness_analyzes_each_trial_point_once(calls):
-    # The report's analysis is handed to the scans, so a trial's only
-    # analysis is the report's own.
+    # A fixed point is decided once: its report's analysis builds the one
+    # projector that every trial's scans sample against.
     report = equivalence_harness(
         3, seed=11, fixed_instance=TANGENT, fixed_point=np.zeros(2)
     )
     assert report.clean
-    assert calls["analyze"] == 3
-    assert calls["build"] == 3 + sum(row.retried for row in report.rows)
+    assert calls["analyze"] == 1
+    assert calls["build"] == 1
 
 
 def test_harness_analyzes_each_random_trial_point_once(calls, monkeypatch):
@@ -669,7 +671,30 @@ def test_harness_analyzes_each_random_trial_point_once(calls, monkeypatch):
     assert report.clean
     assert candidates == list(TARGET_CASES)
     assert calls["analyze"] == 8
-    assert calls["build"] == 8 + sum(row.retried for row in report.rows)
+    assert calls["build"] == 8
+
+
+def test_harness_retries_a_scan_against_its_trials_projector(calls, monkeypatch):
+    # A forced inconclusive first scan is retried with four times the
+    # samples against the projector the trial already built.
+    scans = []
+    scan = oracles._kappa_scan
+
+    def recording(projector, radii, samples, seed):
+        scans.append((projector, samples))
+        return scan(projector, radii, samples, seed)
+
+    labels = iter(["inconclusive"])
+    classify = oracles.classify_kappa_growth
+    monkeypatch.setattr(oracles, "_kappa_scan", recording)
+    monkeypatch.setattr(
+        oracles, "classify_kappa_growth", lambda s: next(labels, None) or classify(s)
+    )
+    report = equivalence_harness(1, seed=0)
+    assert report.clean and report.rows[0].retried
+    assert calls["build"] == 1
+    assert [samples for _, samples in scans] == [48, 192]
+    assert scans[0][0] is scans[1][0]
 
 
 def test_harness_runs_the_dim_scan_on_the_positive_boundary_only(monkeypatch):

@@ -169,6 +169,23 @@ def test_identity_instance_matches_cone_projector():
     assert np.max(np.abs(D - np.linalg.norm(X - exact, axis=1))) < 1e-9
 
 
+@pytest.mark.parametrize("e", [-100, -60, 0, 50, 80, 100, 150])
+def test_slater_projection_holds_at_extreme_scales(e):
+    # Scaling (A, b) leaves Omega unchanged.  On 10^e (A, b) the secular
+    # data w grows like ||A||^2 ||g|| and the multiplier t like 1 / ||A||^2,
+    # which overflowed (e >= 80) or lost the certificate (e = -100) before
+    # the Slater math ran on a power-of-two rescaling of (A, b).
+    x = np.array([[0.5, 1.0, 0.3]])
+    ref = np.array([1.0, 0.0, 0.0])
+    Z0, D0, _ = FeasibleSetProjector(IDENTITY, ref).project_batch(x)
+    inst = AffineSOCInstance(10.0**e * np.eye(3), np.zeros(3))
+    Z, D, L = FeasibleSetProjector(inst, ref).project_batch(x)
+    gap = inst.projection_tol * max(1.0, float(np.linalg.norm(x)))
+    assert D[0] - L[0] <= gap
+    assert abs(D[0] - D0[0]) <= gap
+    assert np.linalg.norm(Z[0] - Z0[0]) <= gap
+
+
 def test_shifted_cone_matches_translated_projection():
     b = np.array([1.0, -0.5, 2.0])
     inst = AffineSOCInstance(np.eye(3), b)
