@@ -37,7 +37,7 @@ from .subspace_cone import SubspaceConeClass, _classify
 _TOLERANCES = ("tol", "projection_tol")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSOCInstance:
     """The constraint data: A is m-by-n, b in R^m, feasibility is Ax+b in Q_m.
 
@@ -50,20 +50,17 @@ class AffineSOCInstance:
     ``soc_core._check_magnitude``: finite, with a squared norm that does not
     overflow, else ``DimensionError``.  The data is treated as immutable:
     ``geometry`` memoizes the spectral geometry of Im(A) on the instance.
+    An instance compares by identity (``==`` is ``is``) and is hashable.
     """
 
     A: np.ndarray
     b: np.ndarray
     tol: float = DEFAULT_TOL
     projection_tol: float = PROJECTION_TOL
-    _geometry: Optional[SubspaceConeClass] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _norm_A: float = field(default=0.0, init=False, repr=False, compare=False)
+    _geometry: Optional[SubspaceConeClass] = field(default=None, init=False, repr=False)
+    _norm_A: float = field(default=0.0, init=False, repr=False)
     #: (||A||_F sqrt(n), ||b||): ||g(x)|| is at most reach * max|x_j| + ||b||.
-    _reach: tuple[float, float] = field(
-        default=(0.0, 0.0), init=False, repr=False, compare=False
-    )
+    _reach: tuple[float, float] = field(default=(0.0, 0.0), init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -154,7 +151,7 @@ class AffineSOCInstance:
         return self._image(self._point_rows(X))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointAnalysis:
     """Everything a feasible point is judged by, computed once.
 

@@ -25,7 +25,6 @@ call and builds one parser, as before.
 from __future__ import annotations
 
 import argparse
-import enum
 import functools
 import itertools
 import json
@@ -49,7 +48,7 @@ from .errors import (
     SocpcqError,
 )
 from .oracles import (
-    _harness_trials,
+    _count,
     _scan_settings,
     equivalence_harness,
     fcr_dim_scan,
@@ -74,7 +73,7 @@ _EXIT_CODES = {
     InfeasiblePointError: EXIT_INFEASIBLE,
 }
 
-@dataclass
+@dataclass(eq=False)
 class InstanceDocument:
     """A parsed document; ``tolerances`` echo those it names."""
 
@@ -218,8 +217,6 @@ def _jsonable(value: Any) -> Any:
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
-    if isinstance(value, enum.Enum):
-        return value.value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -414,7 +411,7 @@ def cmd_scan(args) -> int:
 
 def cmd_harness(args) -> int:
     try:
-        trials = _harness_trials(args.trials)
+        trials = _count(args.trials, "trials")
     except ValueError as exc:
         raise ParseError(f"invalid --trials: {exc}") from exc
     fixed_instance = None

@@ -21,7 +21,9 @@ touches the cone in a single boundary ray without equaling its span).
 
 CRCQ is not decided separately: since CRCQ <=> FCR and H-closed, its
 verdict is the decisive one of those two (H-closedness at the vertex, FCR
-elsewhere) relabeled to its Thm 4.4 clause, evidence included.
+elsewhere) relabeled to its Thm 4.4 clause, evidence included.  Off the
+vertex, FCR is in turn the RCQ verdict relabeled to Thm 3.2 (ii)/(iii)
+wherever that verdict holds.
 
 Every clause reads one :class:`PointAnalysis`: the location of g(x), the
 gradient of phi on the boundary, the gradient floor, and, for the vertex
@@ -82,7 +84,7 @@ class Verdict:
             raise ValueError("verdict must have a condition iff it holds")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CQReport:
     point_analysis: PointAnalysis
     nondegeneracy: Verdict
@@ -141,12 +143,11 @@ def _rcq(pa: PointAnalysis) -> Verdict:
 def _fcr(pa: PointAnalysis) -> Verdict:
     if pa.location is ConeLocation.ZERO:
         return Verdict(True, "Thm3.2(i)", {"y_norm": _norm(pa.y)})
-    if pa.location is ConeLocation.INTERIOR:
-        return Verdict(True, "Thm3.2(ii)", {"margin": _margin(pa.y)})
-    g = pa.grad_phi
-    norm = _norm(g)
-    if norm > pa.grad_floor:
-        return Verdict(True, "Thm3.2(iii)", {"grad_phi": g, "grad_norm": norm})
+    rcq = _off_vertex(pa)
+    if rcq.holds:
+        label = "Thm3.2(ii)" if pa.location is ConeLocation.INTERIOR else "Thm3.2(iii)"
+        return Verdict(True, label, rcq.evidence)
+    norm = rcq.evidence["grad_norm"]
     cert, residual = _vanishing(pa)
     if cert is not None:
         u, w, c = cert
@@ -195,9 +196,8 @@ _CRCQ_LABELS = {
 
 def _crcq(pa: PointAnalysis, fcr: Verdict, h_closed: Verdict) -> Verdict:
     decisive = h_closed if pa.location is ConeLocation.ZERO else fcr
-    if not decisive.holds:
-        return Verdict(False, None, dict(decisive.evidence))
-    return Verdict(True, _CRCQ_LABELS[decisive.condition], dict(decisive.evidence))
+    label = _CRCQ_LABELS.get(decisive.condition)
+    return Verdict(decisive.holds, label, dict(decisive.evidence))
 
 
 def _eta(B: np.ndarray) -> float:

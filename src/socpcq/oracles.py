@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +65,7 @@ from .cq_checker import _report, _require_consistent
 from .errors import GenerationError, NumericalFailureError
 from .projection import BatchProjection, FeasibleSetProjector
 from .soc_core import ConeLocation, _distance_rows, _margin_rows, _norm, _row_norms
+from .soc_core import reflected
 from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
 
 __all__ = [
@@ -84,7 +86,7 @@ __all__ = [
 #: zero and the corresponding ratio is discarded.
 RATIO_DISTANCE_FLOOR = 1e-12
 
-#: Per-radius probe offset divisors: h_k = r_k / PROBE_DIVISOR_BASE**(k+1)...
+#: Per-radius probe offset divisors, k from 0: h_k = r_k / (8 * 30^k).
 _PROBE_DIVISOR0 = 8.0
 _PROBE_DIVISOR_GROWTH = 30.0
 
@@ -193,13 +195,13 @@ class HarnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan_samples(samples) -> int:
-    """The sample count of either scan, checked by its one rule (at least 1),
-    or ValueError."""
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    return samples
+def _count(value, name: str) -> int:
+    """``value`` as a count: an integer, not a bool, of at least 1, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r:.40}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
 
 
 def _scan_settings(radii, samples):
@@ -210,7 +212,7 @@ def _scan_settings(radii, samples):
         a <= b for a, b in zip(radii, radii[1:])
     ):
         raise ValueError(f"radii must be > 0, finite and strictly decreasing: {radii}")
-    return radii, _scan_samples(samples)
+    return radii, _count(samples, "samples")
 
 
 def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
@@ -262,12 +264,8 @@ def _radius_factors(radii: tuple[float, ...], S: int, P: int):
     spread = np.empty((k, S + P))
     spread[:, :S] = r_col
     spread[:, S:] = 0.9 * r_col
-    h = np.empty(k)
-    divisor = _PROBE_DIVISOR0
-    for i, r in enumerate(radii):
-        h[i] = r / divisor
-        divisor *= _PROBE_DIVISOR_GROWTH
-    h = np.repeat(h, P)
+    divisors = np.cumprod([_PROBE_DIVISOR0] + [_PROBE_DIVISOR_GROWTH] * (k - 1))
+    h = np.repeat(np.asarray(radii) / divisors, P)
     offset_rows = S + P + np.tile(np.arange(P), k)
     for arr in (spread, h, offset_rows):
         arr.setflags(write=False)
@@ -453,19 +451,20 @@ def fcr_dim_scan(
 ) -> Optional[DimScan]:
     """The FCR oracle: observed dims of the zero face over a sampled ball.
 
-    ``xbar`` is a feasible point or its ``PointAnalysis``; ``samples`` below
-    1 raises ``ValueError``.  FCR can fail only where g(xbar) lies on the
-    positive boundary: at the vertex and at interior points it holds
-    (Thm 3.2 (i)/(ii)), so there the scan returns None.  On the positive
-    boundary the reduced cone is a half-line, and only its zero face can
-    change dimension: the scan returns one ``DimScan`` of the rank of the
-    reduced gradient at the center and at ``samples`` points of the ball.
+    ``xbar`` is a feasible point or its ``PointAnalysis``; ``samples`` is an
+    integer, not a bool, of at least 1, else ``ValueError``.  FCR can fail
+    only where g(xbar) lies on the positive boundary: at the vertex and at
+    interior points it holds (Thm 3.2 (i)/(ii)), so there the scan returns
+    None.  On the positive boundary the reduced cone is a half-line, and
+    only its zero face can change dimension: the scan returns one
+    ``DimScan`` of the rank of the reduced gradient at the center and at
+    ``samples`` points of the ball.
     (The half-line's other face has orthogonal complement {0}, of dimension
     0 everywhere.)  The ball's radius comes from the point's analysis,
     min(0.1, 0.1 ||g_r(xbar)|| / max(1, sigma_max(A))), so that its image
     stays clear of the cone's vertex; the record carries it.
     """
-    samples = _scan_samples(samples)
+    samples = _count(samples, "samples")
     analysis = analyze_point(instance, xbar)
     if analysis.location is not ConeLocation.POSITIVE_BOUNDARY:
         return None
@@ -594,82 +593,75 @@ def _boundary_unit(rng: np.random.Generator, m: int) -> np.ndarray:
     return v
 
 
+def _shrunk(A: np.ndarray) -> np.ndarray:
+    """A scaled, in place, to a norm of at most 1."""
+    A /= max(1.0, _norm(A))
+    return A
+
+
+def _tangent_basis(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthonormal directions inside the supporting hyperplane of the unit
+    boundary direction v, orthogonal to v itself; w spans the ray of v."""
+    wtil = reflected(w)
+    P = np.eye(v.size) - np.outer(v, v) - np.outer(wtil, wtil) / float(wtil @ wtil)
+    return np.linalg.svd(P)[0][:, : v.size - 2]
+
+
 def _build_candidate(rng, m, n, target):
+    """A candidate (instance, xbar) of the stratum ``target``, which the
+    caller has validated: g(xbar) = y, or the vertex where y is None."""
     xbar = rng.standard_normal(n)
+    y = None
     if target == "Thm4.4(i)":
-        A = rng.standard_normal((m, n))
-        A /= max(1.0, _norm(A))
+        A = _shrunk(rng.standard_normal((m, n)))
         y = np.zeros(m)
         y[0] = 1.0 + rng.random()
         y[1:] = 0.4 * rng.random() * _unit(rng, m - 1)
-        return AffineSOCInstance(A, y - A @ xbar), xbar
-    if target == "Thm4.4(ii)":
-        A = rng.standard_normal((m, n))
-        A /= max(1.0, _norm(A))
+    elif target == "Thm4.4(ii)":
+        A = _shrunk(rng.standard_normal((m, n)))
         y = (0.5 + rng.random()) * _boundary_unit(rng, m) * math.sqrt(2.0)
-        return AffineSOCInstance(A, y - A @ xbar), xbar
-    if target == "Thm4.4(iii)":
+    elif target == "Thm4.4(iii)":
         u = _unit(rng, m - 1)
         w = rng.standard_normal(n)
         w /= max(0.25, _norm(w)) / (0.5 + rng.random())
         head = np.concatenate([[1.0], u])
-        A = np.outer(head, w)
         c = (0.5 + rng.random()) - float(w @ xbar)
-        return AffineSOCInstance(A, c * head), xbar
-    if target == "Thm4.4(iv)":
-        cols = rng.standard_normal((m, n))
-        interior = np.zeros(m)
-        interior[0] = 1.0
-        interior[1:] = 0.3 * _unit(rng, m - 1)
-        cols[:, 0] = interior
-        cols /= max(1.0, _norm(cols))
-        return AffineSOCInstance(cols, -cols @ xbar), xbar
-    if target == "Thm4.4(v)":
+        return AffineSOCInstance(np.outer(head, w), c * head), xbar
+    elif target == "Thm4.4(iv)":
+        A = rng.standard_normal((m, n))
+        # The first column is the interior point (1, 0.3 u).
+        A[0, 0] = 1.0
+        A[1:, 0] = 0.3 * _unit(rng, m - 1)
+        A = _shrunk(A)
+    elif target == "Thm4.4(v)":
         k = min(n, m - 1)
         block = rng.standard_normal((m - 1, k))
         svals = np.linalg.svd(block, compute_uv=False)
         tilt = rng.standard_normal(k)
         tilt *= 0.2 * svals[-1] / max(_norm(tilt), 1e-12)
-        S = np.vstack([tilt[None, :], block])
         C = rng.standard_normal((k, n))
-        A = S @ C
-        A /= max(1.0, _norm(A))
-        return AffineSOCInstance(A, -A @ xbar), xbar
-    if target == "Thm4.4(vi)":
+        A = _shrunk(np.vstack([tilt[None, :], block]) @ C)
+    elif target == "Thm4.4(vi)":
         v = _boundary_unit(rng, m)
         a = (0.5 + 1.5 * rng.random()) * _unit(rng, n)
         A = np.outer(v, a)
-        return AffineSOCInstance(A, -A @ xbar), xbar
-    if target == "Cor4.2":
+    elif target == "Cor4.2":
         v = _boundary_unit(rng, m)
-        vtil = v.copy()
-        vtil[0] = -vtil[0]
-        # orthonormal directions inside the supporting hyperplane of v,
-        # orthogonal to v itself
-        basis = np.linalg.svd(
-            np.eye(m) - np.outer(v, v) - np.outer(vtil, vtil) / float(vtil @ vtil)
-        )[0][:, : m - 2]
+        basis = _tangent_basis(v, v)
         j = int(rng.integers(1, min(n - 1, m - 2) + 1))
-        S = np.column_stack([v] + [basis[:, i] for i in range(j)])
         C = rng.standard_normal((j + 1, n))
-        A = S @ C
-        A /= max(1.0, _norm(A))
-        return AffineSOCInstance(A, -A @ xbar), xbar
-    if target == "degenerate-boundary":
+        A = _shrunk(np.column_stack([v, basis[:, :j]]) @ C)
+    else:  # degenerate-boundary
         y = (0.5 + rng.random()) * _boundary_unit(rng, m) * math.sqrt(2.0)
-        ytil = y.copy()
-        ytil[0] = -ytil[0]
         yhat = y / _norm(y)
-        P = np.eye(m) - np.outer(yhat, yhat) - np.outer(ytil, ytil) / float(ytil @ ytil)
-        basis = np.linalg.svd(P)[0][:, : m - 2]
+        basis = _tangent_basis(yhat, y)
         c = rng.standard_normal(n)
-        A = np.outer(yhat, c)
         D = rng.standard_normal((m - 2, n))
         D /= max(0.5, _norm(D)) / (0.5 + rng.random())
-        A = A + basis @ D
-        A /= max(1.0, _norm(A))
-        return AffineSOCInstance(A, y - A @ xbar), xbar
-    raise GenerationError(f"unknown target case {target!r}")
+        A = _shrunk(np.outer(yhat, c) + basis @ D)
+    # (-A) @ xbar, not 0 - A @ xbar: the vertex keeps the signs of zeros.
+    b = -A @ xbar if y is None else y - A @ xbar
+    return AffineSOCInstance(A, b), xbar
 
 
 #: The two failure strata, and where their CRCQ failure sits.
@@ -755,15 +747,6 @@ def _draw(m: int, n: int, target_case: str, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _harness_trials(trials) -> int:
-    """The harness's trial count, checked by its one rule (at least 1), or
-    ValueError."""
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    return trials
-
-
 #: Samples per radius of the harness's kappa scans, at the default radii.
 _HARNESS_SAMPLES_PER_RADIUS = 48
 
@@ -795,7 +778,7 @@ def equivalence_harness(
     trial whose report breaks an invariant of ``verify_report_invariants``
     records the count and is a disagreement, whatever its scan read.
     """
-    trials = _harness_trials(trials)
+    trials = _count(trials, "trials")
     children = np.random.SeedSequence(seed).spawn(trials)
     rows: list[TrialRecord] = []
     disagreements: list[int] = []

@@ -473,7 +473,12 @@ class FeasibleSetProjector:
         lb[good] = np.fmax(0.0, num[good] / den[good])
         return lb
 
-    def _certify(self, Xs: np.ndarray, GXs: np.ndarray, Z: np.ndarray):
+    def _record(self, Xs: np.ndarray, Z: np.ndarray, G: np.ndarray, Mu: np.ndarray):
+        """(feasible Z, ub, lb) of candidates Z with images G and multipliers Mu."""
+        Zf = self._pull_inside(Z, _margin_rows(G))
+        return Zf, _row_norms(Xs - Zf), self._dual_bound(Mu, Xs, Z, G)
+
+    def _certify(self, Xs: np.ndarray, Z: np.ndarray):
         """(feasible Z, ub, lb) for candidates at the smooth boundary.
 
         The multiplier is (1, -ghat) with ghat = g_r(z) / ||g_r(z)||, the
@@ -481,13 +486,10 @@ class FeasibleSetProjector:
         """
         sd = self._slater
         G = Z @ sd.A.T + sd.b
-        nr = _row_norms(G[:, 1:])
-        Zf = self._pull_inside(Z, G[:, 0] - nr)
-        ub = _row_norms(Xs - Zf)
         Mu = np.empty_like(G)
         Mu[:, 0] = 1.0
-        Mu[:, 1:] = -G[:, 1:] / np.maximum(nr, 1e-300)[:, None]
-        return Zf, ub, self._dual_bound(Mu, Xs, Z, G)
+        Mu[:, 1:] = -G[:, 1:] / np.maximum(_row_norms(G[:, 1:]), 1e-300)[:, None]
+        return self._record(Xs, Z, G, Mu)
 
     def _vertex_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
         """Least-squares pullback z_v of the cone vertex, with its multiplier.
@@ -498,12 +500,10 @@ class FeasibleSetProjector:
         """
         sd = self._slater
         D = GXs @ sd.pinv_t                  # x - z_v = A^+ g(x)
-        Gv = (Xs - D) @ sd.A.T + sd.b
-        Zv = self._pull_inside(Xs - D, _margin_rows(Gv))
+        Zv = Xs - D
         # A^T mu = -(x - z_v) on the slice -pinv(A^T)(x - z_v) + null(A^T)
         Mu = _max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
-        lb = self._dual_bound(_projection_rows(Mu), Xs, Xs - D, Gv)
-        return Zv, _row_norms(Xs - Zv), lb
+        return self._record(Xs, Zv, Zv @ sd.A.T + sd.b, _projection_rows(Mu))
 
     def _secular_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
         """Root of the secular equation per row (module docstring, stage 2)."""
@@ -536,7 +536,7 @@ class FeasibleSetProjector:
         hard = np.flatnonzero(~has) if np.isfinite(sd.pole) else np.zeros(0, int)
         if hard.size:
             Z[hard] = self._hard_case(Xs[hard], W[hard], psi0[hard])
-        return self._certify(Xs, GXs, Z)
+        return self._certify(Xs, Z)
 
     def _secular_bracket(self, GXs, W, psi0):
         """(has, j, pl, pr): the first grid step j -> j + 1 where psi changes
@@ -583,13 +583,17 @@ class FeasibleSetProjector:
         lam_top = sd.lam[-1]
         norm_A, norm_b = sd.scale * self.instance.norm_A(), _norm(b)
         W2 = W * W
+
+        def z_of(t, u):
+            E = 1.0 - t[:, None] * sd.lam
+            E[:, -1] = u
+            return E, Xs + t[:, None] * ((W / E) @ sd.Q.T)
+
         active = np.ones(t.size, dtype=bool)
         for _ in range(_NEWTON_STEPS):
             if not active.any():
                 break
-            E = 1.0 - t[:, None] * sd.lam
-            E[:, -1] = u
-            Z = Xs + t[:, None] * ((W / E) @ sd.Q.T)
+            E, Z = z_of(t, u)
             G = Z @ A.T + b
             g2 = np.einsum("ij,ij->i", G, G)
             psi = 2.0 * G[:, 0] ** 2 - g2
@@ -617,9 +621,7 @@ class FeasibleSetProjector:
             # Newton converges quadratically: after a step below sqrt(eps)
             # of the scale, the error left is at rounding level.
             active &= ~inside | (np.abs(step) > _SQRT_EPS * scale)
-        E = 1.0 - t[:, None] * sd.lam
-        E[:, -1] = u
-        return Xs + t[:, None] * ((W / E) @ sd.Q.T)
+        return z_of(t, u)[1]
 
     def _hard_case(self, Xs, W, psi0):
         """t = 1/lam_+; the lam_+ coordinate solves psi = 0 with g0 > 0."""

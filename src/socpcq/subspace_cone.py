@@ -38,7 +38,7 @@ class SubspaceKind(enum.Enum):
     RAY = "ray"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceConeClass:
     """Outcome of the subspace-versus-cone classification.
 

@@ -26,6 +26,7 @@ from socpcq import (
     random_instance,
 )
 from socpcq.affine_instance import grad_phi_many
+from socpcq.cli import InstanceDocument
 from socpcq.oracles import TARGET_CASES
 from socpcq.errors import (
     DimensionError,
@@ -90,6 +91,24 @@ def test_geometry_computed_once_per_instance(monkeypatch):
     assert (first.rank, loose.geometry().rank) == (2, 1)
     assert inst.geometry() is first
     assert calls == [1e-9, 1e-6]
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # Equal data is neither an error nor equality: each record equals only
+    # itself, and an instance is a dict key.
+    a, b = (AffineSOCInstance(np.eye(3), np.zeros(3)) for _ in range(2))
+    x = [1.0, 1.0, 0.0]
+    points = {"x": np.array(x)}
+    pairs = [
+        (a, b),
+        (analyze_point(a, x), analyze_point(a, x)),
+        (full_report(a, x), full_report(a, x)),
+        (InstanceDocument(a, points), InstanceDocument(a, dict(points))),
+    ]
+    for first, second in pairs:
+        assert first != second
+        assert first == first
+    assert {a: "a", b: "b"}[a] == "a"
 
 
 def _signature(obj):

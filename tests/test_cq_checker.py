@@ -301,6 +301,14 @@ def test_implication_lattice_on_stratified_instances():
             assert rep.mscq.holds
         else:
             assert not rep.crcq.holds and not rep.mscq.holds
+        if rep.point_analysis.location is not ConeLocation.ZERO:
+            # Off the vertex, FCR's (ii)/(iii) is the RCQ verdict relabeled.
+            relabeled = rep.fcr.condition in ("Thm3.2(ii)", "Thm3.2(iii)")
+            assert relabeled == rep.rcq.holds
+            if relabeled:
+                fcr_ev, rcq_ev = rep.fcr.evidence, rep.rcq.evidence
+                assert fcr_ev is not rcq_ev and fcr_ev.keys() == rcq_ev.keys()
+                assert all(np.array_equal(fcr_ev[k], v) for k, v in rcq_ev.items())
 
 
 def test_mscq_label_is_thm51_everywhere_it_holds():

@@ -70,8 +70,11 @@ def test_kappa_scan_validation():
         mscq_kappa_scan(TANGENT, np.zeros(2), radii=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         mscq_kappa_scan(TANGENT, np.zeros(2), radii=(1e-1, -1e-2))
-    with pytest.raises(ValueError):
-        mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=0)
+    for samples in (0, True, 2.9, "5"):
+        with pytest.raises(ValueError, match="samples"):
+            mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=samples)
+    scan = mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=np.int64(3))
+    assert scan.sample_count == 3
     with pytest.raises(InfeasiblePointError):
         mscq_kappa_scan(TANGENT, np.array([1.0, 1.0]))  # infeasible center
 
@@ -79,6 +82,18 @@ def test_kappa_scan_validation():
 def test_kappa_scan_needs_a_radius():
     with pytest.raises(ValueError, match="radii"):
         mscq_kappa_scan(TANGENT, np.zeros(2), radii=())
+
+
+def test_probe_offsets_follow_the_running_divisor():
+    # h_k = r_k / (8 * 30^k) with the divisor a running product, bit for bit,
+    # also past k = 13, where 8 * 30^k is no longer exact.
+    radii = tuple(np.geomspace(1.0, 1e-20, 25).tolist())
+    h, divisor = [], 8.0
+    for r in radii:
+        h.append(r / divisor)
+        divisor *= 30.0
+    _, offsets, _ = oracles._radius_factors(radii, 4, 2)
+    assert np.array_equal(offsets, np.repeat(h, 2))
 
 
 def test_kappa_scan_certifies_at_the_instance_projection_tol():
@@ -98,11 +113,14 @@ def test_kappa_scan_certifies_at_the_instance_projection_tol():
         (IDENTITY, [2.0, 0.0, 0.0]),  # interior
     ],
 )
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, True, 2.9, "5"])
 def test_dim_scan_rejects_bad_samples(instance, xbar, samples):
-    # One samples rule on every branch, the kappa scan's.
+    # One samples rule on every branch, the kappa scan's: an integer, not a
+    # bool, of at least 1; a numpy integer is one.
     with pytest.raises(ValueError, match="samples"):
         fcr_dim_scan(instance, np.array(xbar), samples=samples)
+    scan = fcr_dim_scan(instance, np.array(xbar), samples=np.int64(3))
+    assert scan is None or scan.sample_count + scan.discarded == 4
 
 
 @pytest.fixture
@@ -731,8 +749,10 @@ def test_harness_reads_a_floored_degenerate_boundary_scan_as_inconclusive():
 
 
 def test_harness_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        equivalence_harness(0)
+    for trials in (0, True, 2.9, "2"):
+        with pytest.raises(ValueError, match="trials"):
+            equivalence_harness(trials)
+    assert equivalence_harness(np.int64(1)).trials == 1
 
 
 def test_harness_and_cli_share_one_trials_rule(monkeypatch, capsys):
@@ -740,13 +760,13 @@ def test_harness_and_cli_share_one_trials_rule(monkeypatch, capsys):
     # instance file is read, and turns only that rule's ValueError into a
     # parse error: one raised by a run in progress propagates.
     seen = []
-    rule = oracles._harness_trials
+    rule = oracles._count
 
-    def recording(trials):
-        seen.append(trials)
-        return rule(trials)
+    def recording(value, name):
+        seen.append(value)
+        return rule(value, name)
 
-    monkeypatch.setattr(cli, "_harness_trials", recording)
+    monkeypatch.setattr(cli, "_count", recording)
     assert cli.main(["harness", "--trials", "-3", "--instance", "missing.json"]) == 2
     assert seen == [-3]
     assert capsys.readouterr().err == (
