@@ -259,7 +259,7 @@ class HSetKind(enum.Enum):
     CONE_IMAGE = "cone_image"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HSetDescription:
     """The set A^T N(g(x)) of multiplier images at a feasible point.
 

@@ -110,9 +110,12 @@ rows the first left uncertified:
    the root; a row freezes once psi is at rounding level (taking the
    Newton step from that value), its bracket has collapsed, or its step
    fell below sqrt(eps).  Near the pole the distance u = 1 - t lam_+ is
-   carried alongside t, so both stay accurate.  A row without such a
-   bracket is the hard case of trust-region solvers (w_+ = 0): t = 1/lam_+
-   and the lam_+ coordinate solves the quadratic psi = 0 with g0 > 0.
+   carried alongside t, so both stay accurate.  A lone bracketed row takes
+   the same Newton steps with its scalars in Python floats, where numpy's
+   per-call cost on length-1 arrays would dominate; its z(t) goes through
+   the same certificate.  A row without such a bracket is the hard case of
+   trust-region solvers (w_+ = 0): t = 1/lam_+ and the lam_+ coordinate
+   solves the quadratic psi = 0 with g0 > 0.
 
 Every candidate is certified the same way: ub is the distance to the
 candidate made feasible (moved along an interior ray of the recession cone
@@ -183,6 +186,12 @@ _GRID_BLOCK = 128
 #: step, so bisection alone collapses it to rounding level in under 80
 #: steps; Newton rows freeze after a handful.
 _NEWTON_STEPS = 120
+#: A Newton row freezes once |psi| is within this many times its rounding
+#: noise, its bracket is at most _FREEZE_BRACKET * scale wide, or its step
+#: was below _FREEZE_STEP * scale, scale being t or its distance to the pole.
+_FREEZE_PSI = 8.0
+_FREEZE_BRACKET = 4.0 * _EPS
+_FREEZE_STEP = _SQRT_EPS
 
 
 class BatchProjection(NamedTuple):
@@ -516,7 +525,10 @@ class FeasibleSetProjector:
         Z = Xs.copy()
 
         rows = np.flatnonzero(has)
-        if rows.size:
+        if rows.size == 1:
+            r = rows[0]
+            Z[r] = self._newton_row(Xs[r], W[r], int(j[r]), float(pl[r]), float(pr[r]))
+        elif rows.size:
             j, pl, pr = j[rows], pl[rows], pr[rows]
             tl, tr = sd.grid_t[j], sd.grid_t[j + 1]
             ul, ur = sd.grid_u[j], sd.grid_u[j + 1]
@@ -576,7 +588,9 @@ class FeasibleSetProjector:
 
         psi is evaluated from g(z(t)) = A z(t) + b directly: its rounding
         then scales with ||g(z)||, not with ||g(x)|| as the sum
-        psi(0) + sum_i (...) would, which matters for distant x.
+        psi(0) + sum_i (...) would, which matters for distant x.  One
+        bracketed row takes the same steps in Python floats instead
+        (``_newton_row``), and its z(t) meets the same certificate.
         """
         sd = self._slater
         A, b = sd.A, sd.b
@@ -607,8 +621,8 @@ class FeasibleSetProjector:
             )
             scale = np.fmin(t, np.abs(u) * sd.pole)
             stepping = active.copy()
-            active &= np.abs(psi) > 8.0 * noise
-            active &= np.abs(tp - tn) > 4.0 * _EPS * scale
+            active &= np.abs(psi) > _FREEZE_PSI * noise
+            active &= np.abs(tp - tn) > _FREEZE_BRACKET * scale
             step = -psi / (2.0 * (W2 / (E * E * E)).sum(axis=1))
             t_new = t + step
             inside = (t_new - tn) * (t_new - tp) < 0.0
@@ -620,8 +634,58 @@ class FeasibleSetProjector:
             u = np.where(newton, u - lam_top * step, np.where(active, u_mid, u))
             # Newton converges quadratically: after a step below sqrt(eps)
             # of the scale, the error left is at rounding level.
-            active &= ~inside | (np.abs(step) > _SQRT_EPS * scale)
+            active &= ~inside | (np.abs(step) > _FREEZE_STEP * scale)
         return z_of(t, u)[1]
+
+    def _newton_row(self, x, w, j, pl, pr):
+        """``_bracketed_newton`` on one row from its grid step j -> j + 1 and
+        psi there, the same steps with its scalars in Python floats."""
+        sd = self._slater
+        A, b, Q, lam = sd.A, sd.b, sd.Q, sd.lam
+        lam_top = float(lam[-1])
+        norm_A, norm_b = sd.scale * self.instance.norm_A(), _norm(b)
+        tl, tr = sd.grid_t[j : j + 2].tolist()
+        ul, ur = sd.grid_u[j : j + 2].tolist()
+        (tn, un), (tp, up) = ((tr, ur), (tl, ul)) if pl > 0.0 else ((tl, ul), (tr, ur))
+        s = pl / (pl - pr)                    # secant start; u is affine in t
+        t, u = tl + s * (tr - tl), ul + s * (ur - ul)
+
+        def z_of(t, u):
+            E = 1.0 - t * lam
+            E[-1] = u
+            C = w / E
+            return E, C, x + t * (Q @ C)
+
+        active = True
+        for _ in range(_NEWTON_STEPS):
+            if not active:
+                break
+            E, C, z = z_of(t, u)
+            g = A @ z + b
+            g0, g2 = float(g[0]), float(g @ g)
+            psi = 2.0 * g0 * g0 - g2
+            if psi < 0.0:
+                tn, un = t, u
+            else:
+                tp, up = t, u
+            noise = _EPS * math.sqrt(g2) * (norm_A * math.sqrt(float(z @ z)) + norm_b)
+            # min keeps t against a NaN second argument, as np.fmin does.
+            scale = min(t, abs(u) * sd.pole)
+            active = (
+                abs(psi) > _FREEZE_PSI * noise
+                and abs(tp - tn) > _FREEZE_BRACKET * scale
+            )
+            dpsi = 2.0 * float(C @ (C / E))   # psi'(t) = 2 sum_i w_i^2 / E_i^3
+            # A zero slope is numpy's infinite step: it never stays inside.
+            step = -psi / dpsi if dpsi else math.nan
+            t_new = t + step
+            inside = (t_new - tn) * (t_new - tp) < 0.0
+            if inside:
+                t, u = t_new, u - lam_top * step
+            elif active:
+                t, u = 0.5 * (tn + tp), 0.5 * (un + up)
+            active = active and (not inside or abs(step) > _FREEZE_STEP * scale)
+        return z_of(t, u)[2]
 
     def _hard_case(self, Xs, W, psi0):
         """t = 1/lam_+; the lam_+ coordinate solves psi = 0 with g0 > 0."""

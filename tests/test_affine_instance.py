@@ -105,6 +105,15 @@ def test_records_holding_arrays_compare_by_identity():
         (full_report(a, x), full_report(a, x)),
         (InstanceDocument(a, points), InstanceDocument(a, dict(points))),
     ]
+    # At a boundary point the RCQ verdict holds the array grad_phi and the
+    # H-set the array generator.
+    halfplane = AffineSOCInstance(
+        np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(3)
+    )
+    first, second = (full_report(halfplane, [1.0, 0.0]) for _ in range(2))
+    assert isinstance(first.rcq.evidence["grad_phi"], np.ndarray)
+    assert isinstance(first.h_set.generator, np.ndarray)
+    pairs += [(first.rcq, second.rcq), (first.h_set, second.h_set)]
     for first, second in pairs:
         assert first != second
         assert first == first

@@ -37,6 +37,16 @@ LINE = AffineSOCInstance(np.array([[1.0], [-1.0], [0.0]]), np.zeros(3))
 IDENTITY = AffineSOCInstance(np.eye(3), np.zeros(3))
 # Feasible set: the cone itself, so the cone projector is an exact oracle.
 
+HYPERBOLA = AffineSOCInstance(
+    np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 0.0, 1.0])
+)
+# Feasible set: {x : x1 >= sqrt(x2^2 + 1)}; its secular pole is at t = 1.
+
+ELLIPSE = AffineSOCInstance(
+    np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0, 0.0])
+)
+# Feasible set: an ellipse; M = A^T J A is negative definite, so no pole.
+
 
 def feasible(instance, Z, slack=1e-9):
     scale = max(1.0, float(np.max(np.linalg.norm(Z, axis=1))))
@@ -322,11 +332,37 @@ def test_image_slice_without_interior_fails_at_the_first_infeasible_batch(
     assert d == pytest.approx(1.0, abs=1e-12)
 
 
+def _assert_lone_rows_match(monkeypatch, proj, X, Z, D):
+    """Each row of X projected alone lands within 1e-12 max(1, D) of its
+    batch record (Z, D); returns the grid steps j of the rows that took
+    the one-row Newton path."""
+    steps = []
+    newton_row = FeasibleSetProjector._newton_row
+
+    def spy(self, x, w, j, pl, pr):
+        steps.append(j)
+        return newton_row(self, x, w, j, pl, pr)
+
+    monkeypatch.setattr(FeasibleSetProjector, "_newton_row", spy)
+    alone = [proj.project_batch(x[None, :]) for x in X]
+    monkeypatch.undo()
+    bound = 1e-12 * np.maximum(1.0, D)
+    assert np.all(np.abs(np.concatenate([r.ub for r in alone]) - D) <= bound)
+    assert np.all(
+        np.linalg.norm(np.vstack([r.points for r in alone]) - Z, axis=1) <= bound
+    )
+    return np.array(steps)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("stratum", ["Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)"])
-def test_slater_batch_is_row_independent_across_grid_blocks(stratum, seed):
+def test_slater_batch_is_row_independent_across_grid_blocks(
+    monkeypatch, stratum, seed
+):
     # The secular grid runs in row blocks; one 300-row batch must agree
-    # with the same rows split 137/163, which moves the block boundaries.
+    # with the same rows split 137/163, which moves the block boundaries,
+    # and with its first rows projected alone, which take the one-row
+    # Newton path in Python floats.
     m, n = 3 + seed % 4, 2 + seed % 5
     inst, xbar = random_instance(m, n, stratum, seed)
     rng = np.random.default_rng(seed)
@@ -340,6 +376,8 @@ def test_slater_batch_is_row_independent_across_grid_blocks(stratum, seed):
     bound = 1e-12 * np.maximum(1.0, D)
     assert np.all(np.abs(np.concatenate([D1, D2]) - D) <= bound)
     assert np.all(np.linalg.norm(np.vstack([Z1, Z2]) - Z, axis=1) <= bound)
+    steps = _assert_lone_rows_match(monkeypatch, proj, X[:20], Z[:20], D[:20])
+    assert steps.size > 0
 
 
 def _full_grid_bracket(proj, GX, W, psi0):
@@ -414,10 +452,7 @@ def test_secular_bracket_matches_full_grid_scan_past_the_pole(monkeypatch):
     # instances have their pole at t = 1; on the hyperbola, g = (x1, x2, 1),
     # b is not in Im(A), so every infeasible row reaches the secular stage,
     # here more than two row blocks of them.
-    hyperbola = AffineSOCInstance(
-        np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 0.0, 1.0])
-    )
-    proj = FeasibleSetProjector(hyperbola, np.array([2.0, 0.0]))
+    proj = FeasibleSetProjector(HYPERBOLA, np.array([2.0, 0.0]))
     X = np.random.default_rng(5).standard_normal((800, 2)) * 4.0
     has, j, psi0 = _checked_brackets(monkeypatch, proj, X)
     assert has.size > 2 * projection._GRID_BLOCK
@@ -442,15 +477,53 @@ def test_secular_bracket_matches_full_grid_scan_without_a_pole(monkeypatch):
     # M = A^T J A is negative definite here, so the grid has no pole and the
     # whole grid is the monotone branch, on which every row outside the
     # feasible ellipse has its bracket.
-    inst = AffineSOCInstance(
-        np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0, 0.0])
-    )
-    proj = FeasibleSetProjector(inst, np.zeros(2))
+    proj = FeasibleSetProjector(ELLIPSE, np.zeros(2))
     assert proj.geometry.value == "slater"
     assert proj._slater.grid_gap < 0
     X = np.random.default_rng(8).standard_normal((300, 2)) * 5.0
     has, _, _ = _checked_brackets(monkeypatch, proj, X)
     assert has.size > 100 and np.all(has)
+
+
+def _lone_row_case(case):
+    """(instance, reference, rows) on which lone rows must match the batch."""
+    if case == "past the pole":
+        # Led by rows next to the hard case x1 = 0: the root of x1 = +-1e-k
+        # lies about 1e-k from the pole, on the side of its sign, where only
+        # the carried u is accurate.
+        near = [
+            (sign * 10.0**-k, x2)
+            for k in (3, 5, 7, 9)
+            for sign in (1.0, -1.0)
+            for x2 in (0.5, 3.0)
+        ]
+        far = np.random.default_rng(5).standard_normal((200, 2)) * 4.0
+        return HYPERBOLA, np.array([2.0, 0.0]), np.vstack([near, far])
+    if case == "no pole":
+        X = np.random.default_rng(8).standard_normal((100, 2)) * 5.0
+        return ELLIPSE, np.zeros(2), X
+    # A vertex Slater point boosted at rapidity 3, rows at scales 1e-3 to 100.
+    inst, xbar = random_instance(4, 3, "Thm4.4(iv)", 1)
+    scale = np.repeat(np.logspace(-3, 2, 6), 20)[:, None]
+    X = xbar + scale * np.random.default_rng(1).standard_normal((120, 3))
+    return _boost(inst, 3.0), xbar, X
+
+
+@pytest.mark.parametrize("case", ["past the pole", "no pole", "boosted"])
+def test_lone_rows_match_the_batch(monkeypatch, case):
+    # A row left alone in the secular stage takes the Newton steps of the
+    # batch in Python floats; it must land where the batch puts it.
+    inst, ref, X = _lone_row_case(case)
+    proj = FeasibleSetProjector(inst, ref)
+    assert proj.geometry.value == "slater"
+    Z, D, _ = proj.project_batch(X)
+    steps = _assert_lone_rows_match(monkeypatch, proj, X, Z, D)
+    assert steps.size > X.shape[0] // 4
+    gap = proj._slater.grid_gap
+    if case == "past the pole":
+        assert np.any(steps > gap) and np.any(steps < gap)
+    if case == "no pole":
+        assert gap < 0
 
 
 def test_boosted_wedge_keeps_its_distances():
