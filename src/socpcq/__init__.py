@@ -41,6 +41,7 @@ from .errors import (
     SingularReductionError,
     SocpcqError,
 )
+from .families import random_instance
 from .oracles import (
     DimScan,
     HarnessReport,
@@ -50,7 +51,6 @@ from .oracles import (
     equivalence_harness,
     fcr_dim_scan,
     mscq_kappa_scan,
-    random_instance,
 )
 from .projection import (
     BatchProjection,

@@ -48,14 +48,13 @@ from .errors import (
     SocpcqError,
 )
 from .oracles import (
-    _count,
     _scan_settings,
     equivalence_harness,
     fcr_dim_scan,
     mscq_kappa_scan,
 )
 from .projection import project_to_feasible_set
-from .soc_core import ConeLocation, classify_cone_point, distance_to_cone
+from .soc_core import ConeLocation, _count, classify_cone_point, distance_to_cone
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1

@@ -41,31 +41,29 @@ Key design points:
   settings alone and are built once per setting.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
-* ``random_instance`` builds one representative per characterization
-  stratum and self-checks the realized geometry, from the draw's report,
-  before returning it; the harness decides each random trial from that
-  same report, so a trial analyzes its point once.  Both take the report
-  and its invariant violations from ``cq_checker._report``:
-  ``random_instance`` raises on a violation, like ``full_report``, and the
-  harness counts it as a disagreement.
+* Every seeded entry point (both scans, the brute-force classifier, the
+  harness and ``random_instance``) checks its seed with the integer rule
+  ``soc_core._count`` before any work: a non-negative integer, not a bool,
+  else ``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .affine_instance import AffineSOCInstance, _grad_rows, analyze_point
-from .cq_checker import _report, _require_consistent
+from .cq_checker import _report
 from .errors import GenerationError, NumericalFailureError
+# bench/workloads.py reads random_instance and TARGET_CASES from this module.
+from .families import TARGET_CASES, _draw, _least_sizes, random_instance
 from .projection import BatchProjection, FeasibleSetProjector
-from .soc_core import ConeLocation, _distance_rows, _margin_rows, _norm, _row_norms
-from .soc_core import reflected
+from .soc_core import ConeLocation, _count, _distance_rows, _margin_rows, _norm
+from .soc_core import _row_norms
 from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
 
 __all__ = [
@@ -77,8 +75,6 @@ __all__ = [
     "classify_kappa_growth",
     "fcr_dim_scan",
     "brute_force_subspace_class",
-    "random_instance",
-    "TARGET_CASES",
     "equivalence_harness",
 ]
 
@@ -195,15 +191,6 @@ class HarnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _count(value, name: str) -> int:
-    """``value`` as a count: an integer, not a bool, of at least 1, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r:.40}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return int(value)
-
-
 def _scan_settings(radii, samples):
     """``(radii, samples)`` of the kappa scan: radii nonempty, positive,
     finite and strictly decreasing, and the samples rule, or ValueError."""
@@ -304,6 +291,7 @@ def mscq_kappa_scan(
     construction is also its one point analysis, and none when ``xbar`` is
     an analysis of ``instance``.
     """
+    seed = _count(seed, "seed", 0)
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
     projector = FeasibleSetProjector(instance, xbar)
     return _kappa_scan(projector, radii, samples_per_radius, seed)
@@ -396,7 +384,7 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
         radii=radii,
         kappa_hat=tuple(kappa.tolist()),
         sample_count=S,
-        seed=int(seed),
+        seed=seed,
         probe_count=P,
         discarded_feasible=tuple(n_feas.tolist()),
         discarded_floor=tuple(n_floor.tolist()),
@@ -464,7 +452,7 @@ def fcr_dim_scan(
     min(0.1, 0.1 ||g_r(xbar)|| / max(1, sigma_max(A))), so that its image
     stays clear of the cone's vertex; the record carries it.
     """
-    samples = _count(samples, "samples")
+    samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     analysis = analyze_point(instance, xbar)
     if analysis.location is not ConeLocation.POSITIVE_BOUNDARY:
         return None
@@ -484,7 +472,7 @@ def fcr_dim_scan(
     discarded = int((~ok).sum())
     norms = _row_norms(G[ok])
     dims = frozenset((norms > analysis.grad_floor).astype(int).tolist())
-    return DimScan(dims, int(ok.sum()), int(seed), radius, discarded)
+    return DimScan(dims, int(ok.sum()), seed, radius, discarded)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +494,7 @@ def brute_force_subspace_class(A: np.ndarray, seed: int = 0) -> SubspaceConeClas
     classification off the sign of the maximal margin with a 1e-6 decision
     band.  Used to corroborate the spectral classifier, not to replace it.
     """
+    seed = _count(seed, "seed", 0)
     B = image_basis(np.asarray(A, dtype=float))
     k = B.shape[1]
     if k == 0:
@@ -555,197 +544,12 @@ def brute_force_subspace_class(A: np.ndarray, seed: int = 0) -> SubspaceConeClas
 
 
 # ---------------------------------------------------------------------------
-# stratified instance generator
-# ---------------------------------------------------------------------------
-
-TARGET_CASES = (
-    "Thm4.4(i)",
-    "Thm4.4(ii)",
-    "Thm4.4(iii)",
-    "Thm4.4(iv)",
-    "Thm4.4(v)",
-    "Thm4.4(vi)",
-    "Cor4.2",
-    "degenerate-boundary",
-)
-
-_MIN_M = {"Cor4.2": 3, "degenerate-boundary": 3}
-_MIN_N = {"Cor4.2": 2}
-
-#: The largest m and n of the harness's random trials.
-_HARNESS_MAX_SIZE = 6
-
-
-def _least_sizes(target_case: str) -> tuple[int, int]:
-    """The least (m, n) of a stratum."""
-    return _MIN_M.get(target_case, 2), _MIN_N.get(target_case, 1)
-
-
-def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d)
-    return v / _norm(v)
-
-
-def _boundary_unit(rng: np.random.Generator, m: int) -> np.ndarray:
-    v = np.empty(m)
-    v[0] = math.sqrt(0.5)
-    v[1:] = math.sqrt(0.5) * _unit(rng, m - 1)
-    return v
-
-
-def _shrunk(A: np.ndarray) -> np.ndarray:
-    """A scaled, in place, to a norm of at most 1."""
-    A /= max(1.0, _norm(A))
-    return A
-
-
-def _tangent_basis(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthonormal directions inside the supporting hyperplane of the unit
-    boundary direction v, orthogonal to v itself; w spans the ray of v."""
-    wtil = reflected(w)
-    P = np.eye(v.size) - np.outer(v, v) - np.outer(wtil, wtil) / float(wtil @ wtil)
-    return np.linalg.svd(P)[0][:, : v.size - 2]
-
-
-def _build_candidate(rng, m, n, target):
-    """A candidate (instance, xbar) of the stratum ``target``, which the
-    caller has validated: g(xbar) = y, or the vertex where y is None."""
-    xbar = rng.standard_normal(n)
-    y = None
-    if target == "Thm4.4(i)":
-        A = _shrunk(rng.standard_normal((m, n)))
-        y = np.zeros(m)
-        y[0] = 1.0 + rng.random()
-        y[1:] = 0.4 * rng.random() * _unit(rng, m - 1)
-    elif target == "Thm4.4(ii)":
-        A = _shrunk(rng.standard_normal((m, n)))
-        y = (0.5 + rng.random()) * _boundary_unit(rng, m) * math.sqrt(2.0)
-    elif target == "Thm4.4(iii)":
-        u = _unit(rng, m - 1)
-        w = rng.standard_normal(n)
-        w /= max(0.25, _norm(w)) / (0.5 + rng.random())
-        head = np.concatenate([[1.0], u])
-        c = (0.5 + rng.random()) - float(w @ xbar)
-        return AffineSOCInstance(np.outer(head, w), c * head), xbar
-    elif target == "Thm4.4(iv)":
-        A = rng.standard_normal((m, n))
-        # The first column is the interior point (1, 0.3 u).
-        A[0, 0] = 1.0
-        A[1:, 0] = 0.3 * _unit(rng, m - 1)
-        A = _shrunk(A)
-    elif target == "Thm4.4(v)":
-        k = min(n, m - 1)
-        block = rng.standard_normal((m - 1, k))
-        svals = np.linalg.svd(block, compute_uv=False)
-        tilt = rng.standard_normal(k)
-        tilt *= 0.2 * svals[-1] / max(_norm(tilt), 1e-12)
-        C = rng.standard_normal((k, n))
-        A = _shrunk(np.vstack([tilt[None, :], block]) @ C)
-    elif target == "Thm4.4(vi)":
-        v = _boundary_unit(rng, m)
-        a = (0.5 + 1.5 * rng.random()) * _unit(rng, n)
-        A = np.outer(v, a)
-    elif target == "Cor4.2":
-        v = _boundary_unit(rng, m)
-        basis = _tangent_basis(v, v)
-        j = int(rng.integers(1, min(n - 1, m - 2) + 1))
-        C = rng.standard_normal((j + 1, n))
-        A = _shrunk(np.column_stack([v, basis[:, :j]]) @ C)
-    else:  # degenerate-boundary
-        y = (0.5 + rng.random()) * _boundary_unit(rng, m) * math.sqrt(2.0)
-        yhat = y / _norm(y)
-        basis = _tangent_basis(yhat, y)
-        c = rng.standard_normal(n)
-        D = rng.standard_normal((m - 2, n))
-        D /= max(0.5, _norm(D)) / (0.5 + rng.random())
-        A = _shrunk(np.outer(yhat, c) + basis @ D)
-    # (-A) @ xbar, not 0 - A @ xbar: the vertex keeps the signs of zeros.
-    b = -A @ xbar if y is None else y - A @ xbar
-    return AffineSOCInstance(A, b), xbar
-
-
-#: The two failure strata, and where their CRCQ failure sits.
-_FAILING_AT = {
-    "Cor4.2": ConeLocation.ZERO,
-    "degenerate-boundary": ConeLocation.POSITIVE_BOUNDARY,
-}
-
-
-def _self_check(report, target) -> bool:
-    """Does the draw whose report is ``report`` realize ``target``?
-
-    The CRCQ label decides the stratum; only what the label leaves open is
-    checked here: the location of a failing stratum, a spectrum clear of
-    the tolerance band at the vertex, rank >= 1 for (v) and the gradient
-    margin of (ii).
-    """
-    crcq = report.crcq
-    if crcq.condition != (None if target in _FAILING_AT else target):
-        return False
-    instance = report.point_analysis.instance
-    if target == "Thm4.4(ii)":
-        # keep a healthy gradient margin so neighborhood scans stay clean
-        return crcq.evidence["grad_norm"] > 0.05 * max(1.0, instance.norm_A())
-    if target in _FAILING_AT:
-        if report.point_analysis.location is not _FAILING_AT[target]:
-            return False
-    if target in ("Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"):
-        cls = instance.geometry()
-        return not cls.marginal and (target != "Thm4.4(v)" or cls.rank >= 1)
-    return True
-
-
-#: Candidate draws before ``random_instance`` gives up on a stratum.
-_MAX_RETRIES = 32
-
-
-def random_instance(
-    m: int,
-    n: int,
-    target_case: str,
-    seed: int = 0,
-) -> tuple[AffineSOCInstance, np.ndarray]:
-    """A random (instance, feasible point) pair realizing the given stratum.
-
-    ``target_case`` is one of ``TARGET_CASES``: the six qualification
-    strata plus the two failure configurations (vertex with a wide
-    one-ray image; boundary point with vanishing gradient but no rank-one
-    factorization).
-    """
-    instance, xbar, _, violations = _draw(m, n, target_case, seed)
-    _require_consistent(violations)
-    return instance, xbar
-
-
-def _draw(m: int, n: int, target_case: str, seed: int):
-    """``random_instance`` with the report its self-check decided from and
-    the report's invariant violations: (instance, xbar, report, violations).
-    """
-    if target_case not in TARGET_CASES:
-        raise GenerationError(
-            f"unknown target case {target_case!r}; expected one of {TARGET_CASES}"
-        )
-    m_lo, n_lo = _least_sizes(target_case)
-    if m < m_lo:
-        raise GenerationError(f"{target_case} requires m >= {m_lo}")
-    if n < n_lo:
-        raise GenerationError(f"{target_case} requires n >= {n_lo}")
-    rng = np.random.default_rng(seed)
-    for _ in range(_MAX_RETRIES):
-        instance, xbar = _build_candidate(rng, m, n, target_case)
-        report, violations = _report(instance, xbar)
-        if _self_check(report, target_case):
-            return instance, xbar, report, violations
-    raise GenerationError(
-        f"failed to realize target case {target_case} with m={m}, n={n} "
-        f"after {_MAX_RETRIES} attempts"
-    )
-
-
-# ---------------------------------------------------------------------------
 # equivalence harness
 # ---------------------------------------------------------------------------
 
+
+#: The largest m and n of the harness's random trials.
+_HARNESS_MAX_SIZE = 6
 
 #: Samples per radius of the harness's kappa scans, at the default radii.
 _HARNESS_SAMPLES_PER_RADIUS = 48
@@ -778,7 +582,7 @@ def equivalence_harness(
     trial whose report breaks an invariant of ``verify_report_invariants``
     records the count and is a disagreement, whatever its scan read.
     """
-    trials = _count(trials, "trials")
+    trials, seed = _count(trials, "trials"), _count(seed, "seed", 0)
     children = np.random.SeedSequence(seed).spawn(trials)
     rows: list[TrialRecord] = []
     disagreements: list[int] = []
@@ -851,7 +655,7 @@ def equivalence_harness(
 
     return HarnessReport(
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         rows=tuple(rows),
         disagreements=tuple(disagreements),
         inconclusive=tuple(inconclusive),

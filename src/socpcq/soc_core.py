@@ -13,13 +13,13 @@ costs more than the arithmetic on the package's small matrices.
 
 Public names check, private kernels trust checked arrays.  Every public
 function checks its input once (shape, the magnitude rule of
-``_check_magnitude``, the tolerance rule of ``_checked_tol``) and hands it
-to a private body: ``_location`` behind ``classify_cone_point``,
-``_margin`` behind ``cone_margin``, and the row kernels ``_margin_rows``,
-``_distance_rows`` and ``_projection_rows`` behind the batch names.  The
-other modules follow the same rule, so a caller inside the package that
-holds arrays it built from checked data calls the bodies directly and pays
-for no second check.
+``_check_magnitude``, the tolerance rule of ``_checked_tol``, the integer
+rule of ``_count`` for counts, sizes and seeds) and hands it to a private
+body: ``_location`` behind ``classify_cone_point``, ``_margin`` behind
+``cone_margin``, and the row kernels ``_margin_rows``, ``_distance_rows``
+and ``_projection_rows`` behind the batch names.  The other modules follow
+the same rule, so a caller inside the package that holds arrays it built
+from checked data calls the bodies directly and pays for no second check.
 """
 
 from __future__ import annotations
@@ -65,6 +65,16 @@ def _checked_tol(tol, name: str = "tol") -> float:
             f"{name} must be a positive finite number, got {tol!r:.40}"
         )
     return value
+
+
+def _count(value, name: str, least=1) -> int:
+    """``value`` as an int: an integer, not a bool, of at least ``least``
+    (of any value when ``least`` is None), else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r:.40}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def _check_magnitude(X: np.ndarray, subject: str, axis=None) -> np.ndarray:

@@ -27,12 +27,12 @@ from socpcq import (
 )
 from socpcq.affine_instance import grad_phi_many
 from socpcq.cli import InstanceDocument
-from socpcq.oracles import TARGET_CASES
 from socpcq.errors import (
     DimensionError,
     InfeasiblePointError,
     SingularReductionError,
 )
+from socpcq.families import TARGET_CASES
 from socpcq.projection import PROJECTION_TOL
 
 # The shared 3x3 instance used throughout: g(x) = (x1, x1, x3), whose

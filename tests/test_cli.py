@@ -31,7 +31,7 @@ from socpcq.cli import (
     serialize_instance,
 )
 from socpcq.errors import InfeasiblePointError
-from socpcq.oracles import TARGET_CASES
+from socpcq.families import TARGET_CASES
 
 
 def fixture(name: str) -> str:

@@ -28,7 +28,7 @@ from socpcq import (
     verify_report_invariants,
 )
 from socpcq.cq_checker import _eta
-from socpcq.oracles import TARGET_CASES
+from socpcq.families import TARGET_CASES
 from socpcq.soc_core import cone_margin
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

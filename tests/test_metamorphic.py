@@ -5,19 +5,15 @@ orthogonal reparametrizations x = Qz + q all leave the feasible set (up to
 the reparametrization) and every constraint qualification unchanged.  Each
 case draws a stratified instance, applies one transform, and checks that
 all six verdicts keep their condition and that the certified distances
-from the transformed xbar do not move.
+from the transformed xbar do not move.  The boost itself is checked
+against the Lorentz form and against the explicit axis block.
 """
 
 import numpy as np
 import pytest
 
-from socpcq import (
-    AffineSOCInstance,
-    FeasibleSetProjector,
-    full_report,
-    random_instance,
-)
-from socpcq.oracles import TARGET_CASES
+from socpcq import FeasibleSetProjector, full_report, random_instance
+from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 
 VERDICTS = ("nondegeneracy", "rcq", "fcr", "h_closed", "crcq", "mscq")
 TRANSFORMS = ("scale:1e-3", "scale:1e3", "rotate", "boost:1", "reparametrize")
@@ -28,36 +24,6 @@ def _orthogonal(rng, k):
     return Q * np.sign(np.diag(R))
 
 
-def _boost(rng, m, rapidity):
-    """The Lorentz boost of Q_m along a random unit spatial direction."""
-    u = rng.standard_normal(m - 1)
-    u /= np.linalg.norm(u)
-    L = np.eye(m)
-    L[0, 0] = np.cosh(rapidity)
-    L[0, 1:] = L[1:, 0] = np.sinh(rapidity) * u
-    L[1:, 1:] += (np.cosh(rapidity) - 1.0) * np.outer(u, u)
-    return L
-
-
-def _transform(name, inst, xbar, X, rng):
-    """(instance, xbar, rows) after the transform; distances are invariant."""
-    A, b = inst.A, inst.b
-    m, n = A.shape
-    if name.startswith("scale:"):
-        s = float(name.split(":")[1])
-        return AffineSOCInstance(s * A, s * b), xbar, X
-    if name in ("rotate", "boost:1"):
-        if name == "rotate":
-            L = np.eye(m)
-            L[1:, 1:] = _orthogonal(rng, m - 1)
-        else:
-            L = _boost(rng, m, 1.0)
-        return AffineSOCInstance(L @ A, L @ b), xbar, X
-    # x = Q z + q: z = Q^T (x - q), and Q orthogonal keeps distances.
-    Q, q = _orthogonal(rng, n), rng.standard_normal(n)
-    return AffineSOCInstance(A @ Q, A @ q + b), (xbar - q) @ Q, (X - q) @ Q
-
-
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("transform", TRANSFORMS)
 @pytest.mark.parametrize("stratum", TARGET_CASES)
@@ -66,7 +32,16 @@ def test_verdicts_and_distances_are_invariant(stratum, transform, seed):
     inst, xbar = random_instance(m, n, stratum, seed)
     rng = np.random.default_rng(seed)
     X = xbar + rng.standard_normal((10, n))
-    t_inst, t_xbar, t_X = _transform(transform, inst, xbar, X, rng)
+    L, P, q = np.eye(m), None, None
+    if transform.startswith("scale:"):
+        L *= float(transform.split(":")[1])
+    elif transform == "rotate":
+        L[1:, 1:] = _orthogonal(rng, m - 1)
+    elif transform == "boost:1":
+        L = lorentz_boost(rng.standard_normal(m - 1), 1.0)
+    else:
+        P, q = _orthogonal(rng, n), rng.standard_normal(n)
+    t_inst, t_xbar, t_X = transformed(inst, xbar, X, L=L, P=P, q=q)
 
     before, after = full_report(inst, xbar), full_report(t_inst, t_xbar)
     for name in VERDICTS:
@@ -76,3 +51,31 @@ def test_verdicts_and_distances_are_invariant(stratum, transform, seed):
     _, D, _ = FeasibleSetProjector(inst, xbar).project_batch(X)
     _, Dt, _ = FeasibleSetProjector(t_inst, t_xbar).project_batch(t_X)
     assert np.all(np.abs(Dt - D) <= 1e-9 * np.maximum(1.0, D))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7])
+def test_lorentz_boost_keeps_the_lorentz_form(m):
+    # L^T J L = J to rounding, and the boost at -r inverts the boost at r,
+    # along the axes and along random directions.
+    J = np.diag([1.0] + [-1.0] * (m - 1))
+    rng = np.random.default_rng(m)
+    directions = [*np.eye(m - 1)[:2], *rng.standard_normal((3, m - 1))]
+    for rapidity in (0.0, 0.5, 1.0, 3.0, 6.0):
+        slack = 8 * m * np.finfo(float).eps * np.cosh(rapidity) ** 2
+        for u in directions:
+            L = lorentz_boost(u, rapidity)
+            assert np.all(np.abs(L.T @ J @ L - J) <= slack)
+            assert np.all(np.abs(lorentz_boost(u, -rapidity) @ L - np.eye(m)) <= slack)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_axis_boosts_are_the_cosh_sinh_block(m):
+    # Bit for bit: the boosted pins in tests/data were recorded with this
+    # block along e1.
+    for axis in range(1, min(2, m - 1) + 1):
+        for rapidity in range(7):
+            block = np.eye(m)
+            block[0, 0] = block[axis, axis] = np.cosh(rapidity)
+            block[0, axis] = block[axis, 0] = np.sinh(rapidity)
+            L = lorentz_boost(np.eye(m - 1)[axis - 1], rapidity)
+            assert L.tobytes() == block.tobytes()

@@ -35,13 +35,14 @@ from socpcq import (
     analyze_point,
     cli,
     cq_checker,
+    families,
     oracles,
     projection,
     soc_core,
     subspace_cone,
 )
 from socpcq.cli import parse_instance
-from socpcq.oracles import TARGET_CASES
+from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 from socpcq.projection import PROJECTION_TOL, FeasibleSetProjector
 from socpcq.soc_core import ConeLocation, classify_cone_point, cone_margin, margins
 
@@ -52,6 +53,10 @@ TANGENT = AffineSOCInstance(
 )
 HALFLINE = AffineSOCInstance(np.array([[1.0], [-1.0], [0.0]]), np.zeros(3))
 IDENTITY = AffineSOCInstance(np.eye(3), np.zeros(3))
+
+#: Seeds that every seeded entry point rejects with ValueError before any
+#: work: a seed is a non-negative integer, not a bool.
+BAD_SEEDS = (None, -1, 1.5, True, "3")
 
 
 # -- kappa scan ---------------------------------------------------------------
@@ -75,6 +80,9 @@ def test_kappa_scan_validation():
             mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=samples)
     scan = mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=np.int64(3))
     assert scan.sample_count == 3
+    for seed in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed"):
+            mscq_kappa_scan(TANGENT, np.zeros(2), seed=seed)
     with pytest.raises(InfeasiblePointError):
         mscq_kappa_scan(TANGENT, np.array([1.0, 1.0]))  # infeasible center
 
@@ -121,6 +129,21 @@ def test_dim_scan_rejects_bad_samples(instance, xbar, samples):
         fcr_dim_scan(instance, np.array(xbar), samples=samples)
     scan = fcr_dim_scan(instance, np.array(xbar), samples=np.int64(3))
     assert scan is None or scan.sample_count + scan.discarded == 4
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_seeded_entry_points_reject_bad_seeds(seed):
+    # The dim scan checks its seed on every branch, before its analysis; the
+    # generator and the brute-force classifier check theirs the same way.
+    runs = (
+        lambda: fcr_dim_scan(HALFPLANE, np.array([1.0, 0.0, 0.0]), seed=seed),
+        lambda: fcr_dim_scan(IDENTITY, np.array([2.0, 0.0, 0.0]), seed=seed),
+        lambda: brute_force_subspace_class(np.eye(3), seed=seed),
+        lambda: random_instance(4, 3, "Thm4.4(i)", seed),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="seed"):
+            run()
 
 
 @pytest.fixture
@@ -308,13 +331,6 @@ def test_kappa_scan_on_an_analysis_runs_no_input_check(monkeypatch, stratum):
     assert mscq_kappa_scan(inst, analysis, samples_per_radius=48, seed=3) == expected
 
 
-def _boosted(inst, rapidity):
-    L = np.eye(inst.m)
-    L[0, 0] = L[1, 1] = np.cosh(rapidity)
-    L[0, 1] = L[1, 0] = np.sinh(rapidity)
-    return AffineSOCInstance(L @ inst.A, L @ inst.b)
-
-
 @pytest.mark.parametrize(
     "stratum, rapidity",
     [("Thm4.4(i)", 0.0), ("Thm4.4(ii)", 0.0), ("Thm4.4(iv)", 0.0), ("Thm4.4(iv)", 3.0)],
@@ -327,7 +343,7 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
     for seed in range(6):
         m, n = 3 + seed % 4, 2 + seed % 5
         inst, xbar = random_instance(m, n, stratum, seed)
-        inst = _boosted(inst, rapidity)
+        inst = transformed(inst, L=lorentz_boost(np.eye(m - 1)[0], rapidity))[0]
         projector = FeasibleSetProjector(inst, xbar)
         assert projector.geometry.value == "slater"
         rng = np.random.default_rng(seed)
@@ -373,7 +389,7 @@ def _pinned_scan(target, rapidity):
     index = PIN_CASES.index((target, rapidity))
     inst, xbar = random_instance(4, 3, target, seed=index)
     if rapidity:
-        inst = _boosted(inst, rapidity)
+        inst = transformed(inst, L=lorentz_boost([1.0, 0.0, 0.0], rapidity))[0]
     return mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=100 + index)
 
 
@@ -415,7 +431,8 @@ def test_boosted_vertex_slater_scan_is_bounded(m, n, seed):
     # A Lorentz boost maps Q onto itself, so the feasible set and the
     # bounded error modulus of Thm4.4(iv) survive it.
     inst, xbar = random_instance(m, n, "Thm4.4(iv)", seed)
-    scan = mscq_kappa_scan(_boosted(inst, 3.0), xbar, samples_per_radius=48, seed=0)
+    inst = transformed(inst, L=lorentz_boost(np.eye(m - 1)[0], 3.0))[0]
+    scan = mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=0)
     assert classify_kappa_growth(scan) == "bounded"
 
 
@@ -618,6 +635,17 @@ def test_random_instance_rejects_bad_requests():
         random_instance(2, 2, "degenerate-boundary")
 
 
+def test_random_instance_rejects_non_integer_sizes():
+    # m and n take the integer rule of the seeds and counts; a numpy
+    # integer is one, and draws what the int draws.
+    for m, n in ((4.0, 3), (4, "3"), (True, 3), (4, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_instance(m, n, "Thm4.4(i)")
+    inst, xbar = random_instance(np.int64(4), np.int64(3), "Thm4.4(i)", np.int64(2))
+    ref, ref_xbar = random_instance(4, 3, "Thm4.4(i)", 2)
+    assert inst.A.tobytes() == ref.A.tobytes() and xbar.tobytes() == ref_xbar.tobytes()
+
+
 # -- equivalence harness --------------------------------------------------------
 
 
@@ -678,13 +706,13 @@ def test_harness_analyzes_each_random_trial_point_once(calls, monkeypatch):
     # A random trial's report is the one its generator's self-check decided
     # from, so each drawn candidate is analyzed once and nothing else is.
     candidates = []
-    build = oracles._build_candidate
+    build = families._build_candidate
 
     def counting(*args):
         candidates.append(args[-1])
         return build(*args)
 
-    monkeypatch.setattr(oracles, "_build_candidate", counting)
+    monkeypatch.setattr(families, "_build_candidate", counting)
     report = equivalence_harness(8, seed=11)
     assert report.clean
     assert candidates == list(TARGET_CASES)
@@ -752,6 +780,9 @@ def test_harness_rejects_zero_trials():
     for trials in (0, True, 2.9, "2"):
         with pytest.raises(ValueError, match="trials"):
             equivalence_harness(trials)
+    for seed in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed"):
+            equivalence_harness(1, seed=seed)
     assert equivalence_harness(np.int64(1)).trials == 1
 
 

@@ -25,7 +25,7 @@ from socpcq import (
     random_instance,
 )
 from socpcq import projection
-from socpcq.oracles import TARGET_CASES
+from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -421,23 +421,17 @@ def _checked_brackets(monkeypatch, proj, X):
     return has, j, psi0
 
 
-def _boost(inst, rapidity):
-    L = np.eye(inst.m)
-    L[0, 0] = L[1, 1] = np.cosh(rapidity)
-    L[0, 1] = L[1, 0] = np.sinh(rapidity)
-    return AffineSOCInstance(L @ inst.A, L @ inst.b)
-
-
 @pytest.mark.parametrize("rapidity", [0.0, 1.0, 2.0, 3.0])
 @pytest.mark.parametrize("stratum", ["Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)"])
 def test_secular_bracket_matches_full_grid_scan(monkeypatch, stratum, rapidity):
-    # The two-phase bracket (the monotone branch, then past the pole) picks
-    # the same grid step as the scan of the whole grid, at row scales 1e-3
-    # to 100.
+    # The one-pass bracket (psi and g0 on the whole grid in row blocks, the
+    # step across the pole masked) picks the grid step of the reference rule
+    # ``_full_grid_bracket``, at row scales 1e-3 to 100.
     for seed in range(3):
         m, n = 3 + seed % 4, 2 + seed % 5
         inst, xbar = random_instance(m, n, stratum, seed)
-        proj = FeasibleSetProjector(_boost(inst, rapidity), xbar)
+        inst = transformed(inst, L=lorentz_boost(np.eye(m - 1)[0], rapidity))[0]
+        proj = FeasibleSetProjector(inst, xbar)
         assert proj.geometry.value == "slater"
         rng = np.random.default_rng(seed)
         scale = np.repeat(np.logspace(-3, 2, 6), 100)[:, None]
@@ -506,7 +500,7 @@ def _lone_row_case(case):
     inst, xbar = random_instance(4, 3, "Thm4.4(iv)", 1)
     scale = np.repeat(np.logspace(-3, 2, 6), 20)[:, None]
     X = xbar + scale * np.random.default_rng(1).standard_normal((120, 3))
-    return _boost(inst, 3.0), xbar, X
+    return transformed(inst, xbar, X, L=lorentz_boost([1.0, 0.0, 0.0], 3.0))
 
 
 @pytest.mark.parametrize("case", ["past the pole", "no pole", "boosted"])
@@ -531,11 +525,9 @@ def test_boosted_wedge_keeps_its_distances():
     # but tilts null(A^T) towards e0, where the pseudo-inverse multiplier
     # leaves the cone; the vertex rows need the margin-maximizing one.
     def wedge(r):
-        L = np.eye(3)
-        L[0, 0] = L[2, 2] = np.cosh(r)
-        L[0, 2] = L[2, 0] = np.sinh(r)
-        A = L @ np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        return AffineSOCInstance(A, np.zeros(3))
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        boost = lorentz_boost([0.0, 1.0], r)
+        return transformed(AffineSOCInstance(A, np.zeros(3)), L=boost)[0]
 
     X = np.random.default_rng(31).standard_normal((40, 2)) * 3.0
     _, D0, _ = FeasibleSetProjector(wedge(0.0), np.zeros(2)).project_batch(X)
