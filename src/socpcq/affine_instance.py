@@ -253,6 +253,12 @@ def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
     return PointAnalysis(instance, x, y, loc, grad)
 
 
+def _feasible_image(instance: AffineSOCInstance, y: np.ndarray) -> bool:
+    """Is the checked image y = g(x) not OUTSIDE the cone at the instance's
+    ``tol``?  The rule by which ``analyze_point`` accepts a point."""
+    return _location(y, instance.tol) is not ConeLocation.OUTSIDE
+
+
 class HSetKind(enum.Enum):
     ZERO_ONLY = "zero_only"
     RAY_IMAGE = "ray_image"
@@ -266,12 +272,11 @@ class HSetDescription:
     ``ZERO_ONLY`` is {0} (interior points); ``RAY_IMAGE`` is the half-line
     of nonnegative multiples of ``generator`` = A^T(-y0, yr) (boundary
     points); ``CONE_IMAGE`` is A^T(-Q_m) (vertex), whose closedness is the
-    point of the analysis and is filled in by the checker.
+    point of the analysis: the report's ``h_closed`` verdict decides it.
     """
 
     kind: HSetKind
     generator: Optional[np.ndarray] = None
-    closed: Optional[bool] = None
 
 
 def _h_set(analysis: PointAnalysis) -> HSetDescription:

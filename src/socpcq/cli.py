@@ -39,7 +39,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .affine_instance import _TOLERANCES, AffineSOCInstance
+from .affine_instance import _TOLERANCES, AffineSOCInstance, _feasible_image
 from .cq_checker import CQReport, full_report
 from .errors import (
     DimensionError,
@@ -54,7 +54,7 @@ from .oracles import (
     mscq_kappa_scan,
 )
 from .projection import project_to_feasible_set
-from .soc_core import ConeLocation, _count, classify_cone_point, distance_to_cone
+from .soc_core import _count, distance_to_cone
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -314,7 +314,7 @@ def report_to_dict(doc: InstanceDocument, name: str, report: CQReport) -> dict:
         "h_set": {
             "kind": report.h_set.kind.value,
             "generator": _jsonable(report.h_set.generator),
-            "closed": report.h_set.closed,
+            "closed": report.h_closed.holds,
         },
         "derived_claims": list(report.derived_claims),
     }
@@ -413,14 +413,12 @@ def cmd_harness(args) -> int:
         trials = _count(args.trials, "trials")
     except ValueError as exc:
         raise ParseError(f"invalid --trials: {exc}") from exc
-    fixed_instance = None
-    fixed_point = None
+    fixed_instance = fixed_point = None
+    if (args.instance is None) != (args.point is None):
+        raise ParseError("give --instance and --point together, or neither")
     if args.instance is not None:
         doc = parse_instance(args.instance)
-        if args.point is None:
-            raise ParseError("--point is required when --instance is given")
-        fixed_instance = doc.instance
-        fixed_point = _named_point(doc, args.point)
+        fixed_instance, fixed_point = doc.instance, _named_point(doc, args.point)
     report = equivalence_harness(
         trials=trials,
         seed=args.seed,
@@ -458,18 +456,12 @@ def cmd_project(args) -> int:
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     instance = doc.instance
-    # The projector's own feasibility test picks the reference, so a boundary
-    # point that rounding leaves just outside the cone still qualifies.  The
-    # document checked its points; ``_image`` checks their images.
-    reference = next(
-        (
-            p
-            for p in doc.points.values()
-            if classify_cone_point(instance._image(p), instance.tol)
-            is not ConeLocation.OUTSIDE
-        ),
-        None,
-    )
+    # The feasibility rule of ``analyze_point`` picks the reference, so a
+    # boundary point that rounding leaves just outside the cone qualifies.
+    # The document checked its points; ``_image`` checks their images.
+    points = doc.points.values()
+    feasible = (p for p in points if _feasible_image(instance, instance._image(p)))
+    reference = next(feasible, None)
     z, dist = project_to_feasible_set(instance, x, reference=reference)
     # project_to_feasible_set has checked the image of x.
     dist_g = distance_to_cone(instance._evaluate(x))

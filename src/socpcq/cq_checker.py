@@ -37,7 +37,7 @@ and at most one SVD of A, and the projector decides its shape with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -315,7 +315,7 @@ def _report(instance: AffineSOCInstance, x) -> tuple[CQReport, list[str]]:
         h_closed=h_closed,
         crcq=crcq,
         mscq=mscq,
-        h_set=replace(_h_set(pa), closed=h_closed.holds),
+        h_set=_h_set(pa),
         derived_claims=_DERIVED_CLAIMS if mscq.holds else (),
     )
     return report, verify_report_invariants(report)

@@ -567,9 +567,10 @@ def equivalence_harness(
     6, decides CRCQ in closed form, classifies the empirical kappa growth,
     and records whether the two agree (bounded <=> CRCQ holds).  An
     inconclusive scan is retried once with four times the sampling before
-    being reported.  Passing ``fixed_instance``/``fixed_point`` pins every
-    trial to one instance, decided at that instance's ``tol`` (fresh scan
-    seeds per trial), instead of drawing random ones.
+    being reported.  Passing ``fixed_instance`` and ``fixed_point`` pins
+    every trial to one instance, decided at that instance's ``tol`` (fresh
+    scan seeds per trial), instead of drawing random ones; one of the two
+    without the other raises ``ValueError`` before any trial.
 
     Each decided point has one report and one projector, built from the
     report's analysis: a random trial builds them for its draw, a fixed
@@ -583,6 +584,8 @@ def equivalence_harness(
     records the count and is a disagreement, whatever its scan read.
     """
     trials, seed = _count(trials, "trials"), _count(seed, "seed", 0)
+    if (fixed_instance is None) != (fixed_point is None):
+        raise ValueError("give fixed_instance and fixed_point together, or neither")
     children = np.random.SeedSequence(seed).spawn(trials)
     rows: list[TrialRecord] = []
     disagreements: list[int] = []

@@ -56,7 +56,8 @@ spectral class of Im(A) gives three cases:
 A feasible reference, when none is given, is the least-squares vertex
 -A^+ b or else the slice point of the matching case; when neither is
 feasible, the supremum is negative, or zero and not attained, and the set
-is empty.  The Slater projector needs an interior point only when there is
+is empty.  The search and the Slater data below read pinv(A^T) and
+I - U_k U_k^T off the instance's SVD record, computed once per instance.  The Slater projector needs an interior point only when there is
 no recession ray: an interior reference is its own, otherwise the slice
 point of its image supplies one.  All of this Slater data is built on
 the first batch with an infeasible row: feasible rows are their own
@@ -104,16 +105,17 @@ rows the first left uncertified:
    are evaluated on every column of the grid in one pass, as matrix
    products per fixed-size block of rows, so the working set does not
    grow with the batch.  Each bracket is refined by bracketed Newton from
-   the secant point, run once on all bracketed rows.  Newton
+   the secant point; the bracket's orientation and that start are computed
+   once for all bracketed rows, and Newton runs once on all of them.  Newton
    evaluates psi directly from g(z(t)) = A z(t) + b, whose rounding scales
    with ||g(z)|| rather than ||g(x)||, so its last steps are the polish of
    the root; a row freezes once psi is at rounding level (taking the
    Newton step from that value), its bracket has collapsed, or its step
    fell below sqrt(eps).  Near the pole the distance u = 1 - t lam_+ is
    carried alongside t, so both stay accurate.  A lone bracketed row takes
-   the same Newton steps with its scalars in Python floats, where numpy's
-   per-call cost on length-1 arrays would dominate; its z(t) goes through
-   the same certificate.  A row without such a bracket is the hard case of
+   the same Newton steps from the same start with its scalars in Python
+   floats, where numpy's per-call cost on length-1 arrays would dominate;
+   its z(t) goes through the same certificate.  A row without such a bracket is the hard case of
    trust-region solvers (w_+ = 0): t = 1/lam_+ and the lam_+ coordinate
    solves the quadratic psi = 0 with g0 > 0.
 
@@ -132,9 +134,10 @@ geometry lb is the dual bound above, capped at ub.  Callers that bound
 the distances of further points from these records (the kappa scan's
 probes) need no second projection.
 
-``project_batch`` is the one check of its rows ((N, n), and the magnitude
-rule on the rows and their images); the private ``_project_rows`` behind it
-trusts them, and the kappa scan calls it directly on the rows it built.
+``project_batch`` checks its rows ((N, n), the magnitude rule on the rows
+and their images) and ``project`` its one point; the private
+``_project_rows`` behind both trusts them, and the kappa scan and
+``project_to_feasible_set`` call it directly on the rows they checked.
 Inside, every margin, cone projection and point location runs the private
 kernels of ``soc_core`` on arrays computed here, without a second check.
 """
@@ -149,7 +152,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine_instance import AffineSOCInstance, analyze_point
+from .affine_instance import AffineSOCInstance, _feasible_image, analyze_point
 from .cq_checker import _rcq
 from .errors import NumericalFailureError
 from .soc_core import (  # PROJECTION_TOL is re-exported
@@ -160,9 +163,8 @@ from .soc_core import (  # PROJECTION_TOL is re-exported
     _norm,
     _projection_rows,
     _row_norms,
-    classify_cone_point,
 )
-from .subspace_cone import SubspaceConeClass, SubspaceKind
+from .subspace_cone import SubspaceKind
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = float(np.sqrt(_EPS))
@@ -305,9 +307,9 @@ class FeasibleSetProjector:
     def _slater(self) -> _SlaterData:
         """The Slater data, built on first use: the first batch with an
         infeasible row."""
-        return self._build_slater(_image_maps(self.instance))
+        return self._build_slater()
 
-    def _build_slater(self, maps: _ImageMaps) -> _SlaterData:
+    def _build_slater(self) -> _SlaterData:
         """Vertex, secular-equation and pull-in data; see the module docstring.
 
         Without an interior reference or a recession ray, pull-ins blend
@@ -320,9 +322,11 @@ class FeasibleSetProjector:
         the same as on (A, b) wherever both are in range.  The vertex test
         reads the instance's own b.
         """
+        geo = self.instance.geometry()
+        ray = _recession_ray(self.instance)
         interior, interior_margin = self._interior or (None, 0.0)
-        if interior is None and maps.ray is None:
-            z = self.reference + _slice_step(self.instance, maps, self._y_ref)[0]
+        if interior is None and ray is None:
+            z = self.reference + _slice_step(self.instance, self._y_ref)[0]
             interior_margin = _margin(self.instance._evaluate(z))
             if not interior_margin > 0.0:
                 raise NumericalFailureError(
@@ -332,12 +336,12 @@ class FeasibleSetProjector:
 
         # A row can project onto the vertex preimage only when b is in Im(A).
         # The Slater point then lies in Im(A) too, so P_00 < 1/2.
-        P, b = maps.null_proj, self.instance.b
+        P, b = geo._null_proj, self.instance.b
         vertex = float(P[0, 0]) < 0.5 and _norm(P @ b) <= self.instance.tol * max(
             1.0, _norm(b)
         )
 
-        scale = math.ldexp(1.0, -math.frexp(float(maps.geo.singular_values[0]))[1])
+        scale = math.ldexp(1.0, -math.frexp(float(geo.singular_values[0]))[1])
         A, b = scale * self.instance.A, scale * b
         JA = A.copy()
         JA[1:] *= -1.0
@@ -363,8 +367,8 @@ class FeasibleSetProjector:
             scale=scale,
             A=A,
             b=b,
-            pinv_t=maps.pinv_t / scale,
-            ray=None if maps.ray is None else maps.ray / scale,
+            pinv_t=geo._pinv_t / scale,
+            ray=None if ray is None else ray / scale,
             null_proj=P if vertex else None,
             lam=lam,
             Q=Q,
@@ -405,7 +409,10 @@ class FeasibleSetProjector:
         return BatchProjection(X - delta, dist, dist)
 
     def project(self, x) -> tuple[np.ndarray, float]:
-        Z, d, _ = self.project_batch(np.asarray(x, dtype=float)[None, :])
+        """``project_batch`` on one point of shape (n,); returns (point, distance)."""
+        x = self.instance.point(x)
+        self.instance._image(x)
+        Z, d, _ = self._project_rows(x[None, :])
         return Z[0], float(d[0])
 
     # -- Slater geometry: exact solve with duality certificate -----------
@@ -525,25 +532,13 @@ class FeasibleSetProjector:
         Z = Xs.copy()
 
         rows = np.flatnonzero(has)
-        if rows.size == 1:
-            r = rows[0]
-            Z[r] = self._newton_row(Xs[r], W[r], int(j[r]), float(pl[r]), float(pr[r]))
-        elif rows.size:
-            j, pl, pr = j[rows], pl[rows], pr[rows]
-            tl, tr = sd.grid_t[j], sd.grid_t[j + 1]
-            ul, ur = sd.grid_u[j], sd.grid_u[j + 1]
-            flip = pl > 0.0                   # psi > 0 at the left end
-            w = pl / (pl - pr)                # secant start; u is affine in t
-            Z[rows] = self._bracketed_newton(
-                Xs[rows],
-                W[rows],
-                np.where(flip, tr, tl),
-                np.where(flip, ur, ul),
-                np.where(flip, tl, tr),
-                np.where(flip, ul, ur),
-                tl + w * (tr - tl),
-                ul + w * (ur - ul),
-            )
+        if rows.size:
+            start = self._newton_start(j[rows], pl[rows], pr[rows])
+            if rows.size == 1:
+                r = rows[0]
+                Z[r] = self._newton_row(Xs[r], W[r], *(float(v[0]) for v in start))
+            else:
+                Z[rows] = self._bracketed_newton(Xs[rows], W[rows], *start)
 
         hard = np.flatnonzero(~has) if np.isfinite(sd.pole) else np.zeros(0, int)
         if hard.size:
@@ -581,6 +576,19 @@ class FeasibleSetProjector:
             has[rows], j[rows] = True, jb
             pl[rows], pr[rows] = psi[at, jb], psi[at, jb + 1]
         return has, j, pl, pr
+
+    def _newton_start(self, j, pl, pr):
+        """(tn, un, tp, up, t, u) of rows bracketed on grid step j -> j + 1,
+        with psi pl and pr at its ends: the end where psi < 0, the end where
+        psi > 0, and the secant point, each as (t, u); u is affine in t."""
+        sd = self._slater
+        tl, tr = sd.grid_t[j], sd.grid_t[j + 1]
+        ul, ur = sd.grid_u[j], sd.grid_u[j + 1]
+        flip = pl > 0.0                       # psi > 0 at the left end
+        tn, tp = np.where(flip, tr, tl), np.where(flip, tl, tr)
+        un, up = np.where(flip, ur, ul), np.where(flip, ul, ur)
+        w = pl / (pl - pr)
+        return tn, un, tp, up, tl + w * (tr - tl), ul + w * (ur - ul)
 
     def _bracketed_newton(self, Xs, W, tn, un, tp, up, t, u):
         """Newton on psi(t) inside [tn, tp] (psi(tn) < 0 < psi(tp)), with
@@ -637,18 +645,14 @@ class FeasibleSetProjector:
             active &= ~inside | (np.abs(step) > _FREEZE_STEP * scale)
         return z_of(t, u)[1]
 
-    def _newton_row(self, x, w, j, pl, pr):
-        """``_bracketed_newton`` on one row from its grid step j -> j + 1 and
-        psi there, the same steps with its scalars in Python floats."""
+    def _newton_row(self, x, w, tn, un, tp, up, t, u):
+        """``_bracketed_newton`` on one row, the same steps with its scalars
+        (the bracket and start of ``_newton_start``, psi, the noise, the
+        step) in Python floats and its vectors in 1-D numpy."""
         sd = self._slater
         A, b, Q, lam = sd.A, sd.b, sd.Q, sd.lam
         lam_top = float(lam[-1])
         norm_A, norm_b = sd.scale * self.instance.norm_A(), _norm(b)
-        tl, tr = sd.grid_t[j : j + 2].tolist()
-        ul, ur = sd.grid_u[j : j + 2].tolist()
-        (tn, un), (tp, up) = ((tr, ur), (tl, ul)) if pl > 0.0 else ((tl, ul), (tr, ur))
-        s = pl / (pl - pr)                    # secant start; u is affine in t
-        t, u = tl + s * (tr - tl), ul + s * (ur - ul)
 
         def z_of(t, u):
             E = 1.0 - t * lam
@@ -721,33 +725,18 @@ def _max_margin(P: np.ndarray, C: np.ndarray) -> np.ndarray:
     return Y
 
 
-class _ImageMaps(NamedTuple):
-    geo: SubspaceConeClass
-    pinv_t: np.ndarray           # pinv(A^T) = U_k diag(1/sigma) V_k^T, m x n
-    null_proj: np.ndarray        # I - U_k U_k^T, the projector onto null(A^T)
-    ray: Optional[np.ndarray]    # d / margin(A d), A d interior (None: no such d)
-
-
-def _image_maps(instance: AffineSOCInstance) -> _ImageMaps:
-    """pinv(A^T), the projector onto null(A^T) and the recession ray.
-
-    Shared by the projector and the reference search, and read off the
-    memoized ``instance.geometry()``; the ray's d is A^+ w for the
-    interior witness w, when Im(A) meets the cone interior.
-    """
+def _recession_ray(instance: AffineSOCInstance) -> Optional[np.ndarray]:
+    """d / margin(A d) with d = A^+ w, w the interior witness, when Im(A)
+    meets the cone interior; None when there is no such ray."""
     geo = instance.geometry()
-    U = geo.basis
-    pinv_t = (U / geo.singular_values[: geo.rank]) @ geo.row_basis
-    ray = None
-    if geo.kind is SubspaceKind.MEETS_INTERIOR:
-        d = geo.witness @ pinv_t
-        margin = _margin(instance.A @ d)
-        if margin > 0.0:
-            ray = d / margin
-    return _ImageMaps(geo, pinv_t, np.eye(instance.m) - U @ U.T, ray)
+    if geo.kind is not SubspaceKind.MEETS_INTERIOR:
+        return None
+    d = geo.witness @ geo._pinv_t
+    margin = _margin(instance.A @ d)
+    return d / margin if margin > 0.0 else None
 
 
-def _slice_step(instance: AffineSOCInstance, maps: _ImageMaps, y: np.ndarray):
+def _slice_step(instance: AffineSOCInstance, y: np.ndarray):
     """(x-step, supremum) towards a large cone margin on y + Im(A).
 
     The three cases of the module docstring: along the recession ray until
@@ -755,14 +744,15 @@ def _slice_step(instance: AffineSOCInstance, maps: _ImageMaps, y: np.ndarray):
     or to a point of margin at least L / 2 (supremum L).  The step is zero
     when there is none to take: no ray, or L <= 0.
     """
-    geo, pinv_t, P, ray = maps
+    geo = instance.geometry()
     if geo.kind is SubspaceKind.MEETS_INTERIOR:
+        ray = _recession_ray(instance)
         if ray is None:
             return np.zeros(instance.n), np.inf
         return (_norm(y) - _margin(y)) * ray, np.inf
     if geo.kind is SubspaceKind.ZERO_ONLY:
-        best = _max_margin(np.eye(instance.m) - P, y[None, :])[0]
-        return (best - y) @ pinv_t, _margin(best)
+        best = _max_margin(np.eye(instance.m) - geo._null_proj, y[None, :])[0]
+        return (best - y) @ geo._pinv_t, _margin(best)
     e = geo.ray[1:] / geo.ray[0]              # (1, e) spans the ray
     along = float(e @ y[1:])
     sup = float(y[0]) - along
@@ -770,26 +760,24 @@ def _slice_step(instance: AffineSOCInstance, maps: _ImageMaps, y: np.ndarray):
         return np.zeros(instance.n), sup
     perp = y[1:] - along * e
     tau = sup + float(perp @ perp) / sup - along
-    return (tau / geo.ray[0]) * (geo.ray @ pinv_t), sup
+    return (tau / geo.ray[0]) * (geo.ray @ geo._pinv_t), sup
 
 
 def _search_feasible_reference(instance: AffineSOCInstance) -> np.ndarray:
     """A feasible point: the least-squares vertex -A^+ b, else the slice point.
 
-    Each candidate passes the projector's own test, g(z) not OUTSIDE at the
-    instance's ``tol``.  When neither does, the supremum of the cone margin
-    over b + Im(A) is negative, or zero and not attained: the set is empty,
-    and the ``NumericalFailureError`` carries the supremum as its residual.
+    Each candidate passes the feasibility rule of ``analyze_point``.  When
+    neither does, the supremum of the cone margin over b + Im(A) is
+    negative, or zero and not attained: the set is empty, and the
+    ``NumericalFailureError`` carries the supremum as its residual.
     """
-    maps = _image_maps(instance)
-    z = -(instance.b @ maps.pinv_t)
+    z = -(instance.b @ instance.geometry()._pinv_t)
     y = instance.evaluate(z)
-    if classify_cone_point(y, instance.tol) is not ConeLocation.OUTSIDE:
+    if _feasible_image(instance, y):
         return z
-    step, sup = _slice_step(instance, maps, y)
+    step, sup = _slice_step(instance, y)
     z = z + step
-    y = instance.evaluate(z)
-    if classify_cone_point(y, instance.tol) is not ConeLocation.OUTSIDE:
+    if _feasible_image(instance, instance.evaluate(z)):
         return z
     raise NumericalFailureError(
         f"the feasible set is empty: the cone margin on b + Im(A) has "
@@ -816,10 +804,9 @@ def project_to_feasible_set(
     projection.
     """
     x = instance.point(x)
-    y = instance._image(x)
-    if classify_cone_point(y, instance.tol) is not ConeLocation.OUTSIDE:
+    if _feasible_image(instance, instance._image(x)):
         return x.copy(), 0.0
     if reference is None:
         reference = _search_feasible_reference(instance)
-    projector = FeasibleSetProjector(instance, reference)
-    return projector.project(x)
+    Z, d, _ = FeasibleSetProjector(instance, reference)._project_rows(x[None, :])
+    return Z[0], float(d[0])

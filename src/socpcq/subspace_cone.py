@@ -12,14 +12,17 @@ class, the rank, singular values, image basis and row basis it read off
 that SVD.  ``AffineSOCInstance.geometry()`` memoizes this record on the
 instance at the instance's ``tol``, from the private body ``_classify`` on
 the data the instance checked when it was built, so the verdicts, the
-projector and the oracles share one SVD per instance; ``image_basis``
-remains for arbitrary matrices.
+projector and the oracles share one SVD per instance.  The projector and
+its reference search read pinv(A^T) and the projector onto null(A^T) off
+that record, computed on first use (``_pinv_t``, ``_null_proj``).
+``image_basis`` remains for arbitrary matrices.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -62,6 +65,16 @@ class SubspaceConeClass:
     singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     row_basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    @cached_property
+    def _pinv_t(self) -> np.ndarray:
+        """pinv(A^T) = U_k diag(1/sigma) V_k^T, m x n."""
+        return (self.basis / self.singular_values[: self.rank]) @ self.row_basis
+
+    @cached_property
+    def _null_proj(self) -> np.ndarray:
+        """I - U_k U_k^T, the projector onto null(A^T)."""
+        return np.eye(len(self.basis)) - self.basis @ self.basis.T
 
 
 def _validated_matrix(A) -> np.ndarray:

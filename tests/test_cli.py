@@ -127,13 +127,17 @@ def test_analyze_condition_labels_match_report_fields(capsys):
     assert payload["h_set"]["closed"] is True
 
 
-def test_analyze_infeasible_point_exits_1(capsys):
-    code, out, err = run_cli(capsys, "analyze", fixture("vertex_halfplane"), "outside")
+def test_analyze_infeasible_point_exits_1(capsys, tmp_path):
+    out_path = tmp_path / "outside.json"
+    code, out, err = run_cli(
+        capsys, "analyze", fixture("vertex_halfplane"), "outside", "--out", str(out_path)
+    )
     assert code == EXIT_INFEASIBLE
     payload = json.loads(out)
     assert payload["feasible"] is False
     assert payload["distance_to_cone"] > 0
     assert "infeasible" in err
+    assert not out_path.exists()  # the report of an infeasible point is not written
 
 
 def test_analyze_unknown_point_exits_2(capsys):
@@ -429,7 +433,7 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path, argv):
 
 #: Documents with a value whose squared norm overflows, and the one error
 #: line each gets: g(x) = 1e160, A = 1e300 I, and the point (2e200, 1e200, 0)
-#: of an image inside the cone.
+#: of an image inside the cone; last, a point with a NaN entry.
 OVERFLOWING_DOCUMENTS = [
     (
         '{"m": 3, "n": 1, "A": [[1e150],[0],[0]], "b": [0,0,0], "points": {"p": [1e10]}}',
@@ -445,13 +449,18 @@ OVERFLOWING_DOCUMENTS = [
         '"points": {"p": [2e200,1e200,0]}}',
         "error: invalid point 'p': point has a squared norm that overflows\n",
     ),
+    (
+        '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [NaN]}}',
+        "error: invalid point 'p': point has non-finite entries\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize("command", ["analyze", "project", "scan"])
 def test_point_whose_image_overflows_is_a_usage_error(capsys, tmp_path, command):
     # Finite data whose squared norm overflows, in the instance, the point or
-    # g(x): one error line, no numpy warning, and the exit code of a NaN point.
+    # g(x): one error line, no numpy warning, and the exit code of a NaN
+    # point, which the last document checks under every command too.
     path = tmp_path / "overflow.json"
     for document, message in OVERFLOWING_DOCUMENTS:
         path.write_text(document)
@@ -890,6 +899,9 @@ def test_harness_argument_validation(capsys):
         capsys, "harness", "--trials", "1", "--instance", fixture("vertex_halfplane")
     )
     assert code == EXIT_PARSE  # --point required alongside --instance
+    code, out, err = run_cli(capsys, "harness", "--trials", "1", "--point", "xbar")
+    assert (code, out) == (EXIT_PARSE, "")  # and --instance alongside --point
+    assert "--instance and --point together" in err
     for option in ("--mmax", "--nmax"):
         # The random trials' size bound is fixed; the options are gone.
         code, _, err = run_cli(capsys, "harness", option, "5")
@@ -908,6 +920,31 @@ def test_project_golden_output(capsys):
         "dist(x, Omega) = 3.16227766017",
         "dist(g(x), Q_m) = 2.94317475869",
     ]
+
+
+def test_project_slater_success_path(capsys, tmp_path):
+    # One secular root, taken by the lone-row Newton loop: with A = I and
+    # b = (1, 0, 0), z = P_Q(x + b) - b = (2, 1.8, 2.4) in closed form.  The
+    # last digit of z is rounding, so z is checked within 1e-9.
+    path = tmp_path / "slater.json"
+    path.write_text(
+        json.dumps(
+            {
+                "m": 3,
+                "n": 3,
+                "A": np.eye(3).tolist(),
+                "b": [1, 0, 0],
+                "points": {"p": [0, 0, 0], "x": [0, 3, 4]},
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "project", str(path), "x")
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert lines[1] == "dist(x, Omega) = 2.82842712475"
+    assert lines[0].startswith("z = ")
+    z = json.loads(lines[0][len("z = "):])
+    assert np.max(np.abs(np.subtract(z, [2.0, 1.8, 2.4]))) <= 1e-9
 
 
 def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):

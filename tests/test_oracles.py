@@ -675,6 +675,18 @@ def test_harness_fixed_instance_mode():
         assert row.agree
 
 
+@pytest.mark.parametrize(
+    "fixed",
+    [{"fixed_point": np.zeros(2)}, {"fixed_instance": TANGENT}],
+    ids=["point-alone", "instance-alone"],
+)
+def test_harness_fixed_instance_and_point_come_together(calls, fixed):
+    # One without the other is rejected before any trial runs.
+    with pytest.raises(ValueError, match="fixed_instance and fixed_point together"):
+        equivalence_harness(2, seed=11, **fixed)
+    assert calls["analyze"] == calls["build"] == 0
+
+
 def test_harness_counts_invariant_violations(monkeypatch):
     # A report that breaks an invariant is a disagreement of its trial, not
     # an abort of the sweep; the public report and generator still raise.

@@ -24,7 +24,7 @@ from socpcq import (
     project_to_feasible_set,
     random_instance,
 )
-from socpcq import projection
+from socpcq import affine_instance, projection
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -265,20 +265,21 @@ def test_project_batch_is_deterministic():
 
 @pytest.fixture
 def slater_builds(monkeypatch):
-    """Counts the calls of ``_image_maps`` and ``_build_slater``."""
-    counts = {"maps": 0, "slater": 0}
-    image_maps = projection._image_maps
+    """Counts the SVDs of the instance's geometry and the calls of
+    ``_build_slater``."""
+    counts = {"svd": 0, "slater": 0}
+    classify = affine_instance._classify
     build_slater = FeasibleSetProjector._build_slater
 
-    def maps(*args):
-        counts["maps"] += 1
-        return image_maps(*args)
+    def svd(*args):
+        counts["svd"] += 1
+        return classify(*args)
 
     def slater(*args):
         counts["slater"] += 1
         return build_slater(*args)
 
-    monkeypatch.setattr(projection, "_image_maps", maps)
+    monkeypatch.setattr(affine_instance, "_classify", svd)
     monkeypatch.setattr(FeasibleSetProjector, "_build_slater", slater)
     return counts
 
@@ -293,7 +294,7 @@ def test_feasible_batches_build_no_slater_data(slater_builds):
     for _ in range(3):
         Z, ub, lb = proj.project_batch(X)
         assert np.array_equal(Z, X) and not ub.any() and not lb.any()
-    assert slater_builds == {"maps": 0, "slater": 0}
+    assert slater_builds == {"svd": 0, "slater": 0}
     assert inst._geometry is None
 
 
@@ -301,12 +302,12 @@ def test_slater_data_is_built_once_on_the_first_infeasible_batch(slater_builds):
     inst = AffineSOCInstance(np.eye(3), np.zeros(3))
     proj = FeasibleSetProjector(inst, np.array([2.0, 0.0, 0.0]))
     proj.project_batch(np.array([[3.0, 1.0, 0.0]]))
-    assert slater_builds == {"maps": 0, "slater": 0}
+    assert slater_builds == {"svd": 0, "slater": 0}
     X = np.array([[0.0, 3.0, 4.0], [-1.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
     for _ in range(3):
         Z, _, _ = proj.project_batch(X)
         np.testing.assert_allclose(Z, [project_to_cone(x) for x in X], atol=1e-12)
-    assert slater_builds == {"maps": 1, "slater": 1}
+    assert slater_builds == {"svd": 1, "slater": 1}
 
 
 def test_image_slice_without_interior_fails_at_the_first_infeasible_batch(
@@ -319,7 +320,7 @@ def test_image_slice_without_interior_fails_at_the_first_infeasible_batch(
     # projector only finds out when a row needs the Slater data.
     inst = AffineSOCInstance(np.array([[0.0], [1.0], [0.0]]), np.array([1.0, 0.0, 0.0]))
     monkeypatch.setattr(
-        projection, "_slice_step", lambda instance, maps, y: (np.zeros(1), 0.0)
+        projection, "_slice_step", lambda instance, y: (np.zeros(1), 0.0)
     )
     proj = FeasibleSetProjector(inst, np.array([1.0]))
     assert proj.geometry.value == "slater"
@@ -334,14 +335,14 @@ def test_image_slice_without_interior_fails_at_the_first_infeasible_batch(
 
 def _assert_lone_rows_match(monkeypatch, proj, X, Z, D):
     """Each row of X projected alone lands within 1e-12 max(1, D) of its
-    batch record (Z, D); returns the grid steps j of the rows that took
-    the one-row Newton path."""
-    steps = []
+    batch record (Z, D); returns the start u = 1 - t lam_+ of the rows that
+    took the one-row Newton path, negative past the pole."""
+    starts = []
     newton_row = FeasibleSetProjector._newton_row
 
-    def spy(self, x, w, j, pl, pr):
-        steps.append(j)
-        return newton_row(self, x, w, j, pl, pr)
+    def spy(self, x, w, tn, un, tp, up, t, u):
+        starts.append(u)
+        return newton_row(self, x, w, tn, un, tp, up, t, u)
 
     monkeypatch.setattr(FeasibleSetProjector, "_newton_row", spy)
     alone = [proj.project_batch(x[None, :]) for x in X]
@@ -351,7 +352,7 @@ def _assert_lone_rows_match(monkeypatch, proj, X, Z, D):
     assert np.all(
         np.linalg.norm(np.vstack([r.points for r in alone]) - Z, axis=1) <= bound
     )
-    return np.array(steps)
+    return np.array(starts)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -376,8 +377,8 @@ def test_slater_batch_is_row_independent_across_grid_blocks(
     bound = 1e-12 * np.maximum(1.0, D)
     assert np.all(np.abs(np.concatenate([D1, D2]) - D) <= bound)
     assert np.all(np.linalg.norm(np.vstack([Z1, Z2]) - Z, axis=1) <= bound)
-    steps = _assert_lone_rows_match(monkeypatch, proj, X[:20], Z[:20], D[:20])
-    assert steps.size > 0
+    starts = _assert_lone_rows_match(monkeypatch, proj, X[:20], Z[:20], D[:20])
+    assert starts.size > 0
 
 
 def _full_grid_bracket(proj, GX, W, psi0):
@@ -511,11 +512,11 @@ def test_lone_rows_match_the_batch(monkeypatch, case):
     proj = FeasibleSetProjector(inst, ref)
     assert proj.geometry.value == "slater"
     Z, D, _ = proj.project_batch(X)
-    steps = _assert_lone_rows_match(monkeypatch, proj, X, Z, D)
-    assert steps.size > X.shape[0] // 4
+    starts = _assert_lone_rows_match(monkeypatch, proj, X, Z, D)
+    assert starts.size > X.shape[0] // 4
     gap = proj._slater.grid_gap
     if case == "past the pole":
-        assert np.any(steps > gap) and np.any(steps < gap)
+        assert np.any(starts < 0.0) and np.any(starts > 0.0)
     if case == "no pole":
         assert gap < 0
 
@@ -652,6 +653,16 @@ def test_dimension_mismatch_is_rejected():
     proj = FeasibleSetProjector(IDENTITY, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DimensionError):
         proj.project_batch(np.zeros((4, 2)))
+    # project takes one point of shape (n,): a scalar on an n = 1 instance
+    # and a (1, n) row are each reported as a point of the wrong shape.
+    proj = FeasibleSetProjector(LINE, np.array([1.0]))
+    with pytest.raises(DimensionError, match=r"point has shape \(\), expected \(1,\)"):
+        proj.project(3.0)
+    with pytest.raises(DimensionError, match=r"point has shape \(1, 1\), expected"):
+        proj.project(np.array([[-2.0]]))
+    z, d = proj.project([-2.0])
+    assert z == pytest.approx([0.0], abs=1e-12)
+    assert d == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
