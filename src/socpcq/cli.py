@@ -54,7 +54,7 @@ from .oracles import (
     mscq_kappa_scan,
 )
 from .projection import project_to_feasible_set
-from .soc_core import _count, distance_to_cone
+from .soc_core import _count, _distance_rows
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -382,6 +382,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    seed = _seed(args)
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     try:
@@ -389,9 +390,9 @@ def cmd_scan(args) -> int:
         radii, samples = _scan_settings(radii, args.samples)
     except ValueError as exc:
         raise ParseError(f"invalid --radii or --samples: {exc}") from exc
-    dim_scan = fcr_dim_scan(doc.instance, x, samples, args.seed)
+    dim_scan = fcr_dim_scan(doc.instance, x, samples, **seed)
     kappa = mscq_kappa_scan(
-        doc.instance, x, radii=radii, samples_per_radius=samples, seed=args.seed
+        doc.instance, x, radii=radii, samples_per_radius=samples, **seed
     )
     print("radius,kappa_hat,samples,discarded")
     total = kappa.sample_count + kappa.probe_count
@@ -409,6 +410,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_harness(args) -> int:
+    seed = _seed(args)
     try:
         trials = _count(args.trials, "trials")
     except ValueError as exc:
@@ -421,7 +423,7 @@ def cmd_harness(args) -> int:
         fixed_instance, fixed_point = doc.instance, _named_point(doc, args.point)
     report = equivalence_harness(
         trials=trials,
-        seed=args.seed,
+        **seed,
         fixed_instance=fixed_instance,
         fixed_point=fixed_point,
     )
@@ -464,7 +466,7 @@ def cmd_project(args) -> int:
     reference = next(feasible, None)
     z, dist = project_to_feasible_set(instance, x, reference=reference)
     # project_to_feasible_set has checked the image of x.
-    dist_g = distance_to_cone(instance._evaluate(x))
+    dist_g = float(_distance_rows(instance._evaluate(x)[None, :])[0])
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")
     print(f"dist(g(x), Q_m) = {dist_g:.12g}")
@@ -481,19 +483,14 @@ def _write_out(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _seed(flag: Optional[int], fallback: int) -> int:
-    """The run's seed: ``--seed``, else ``SOCPCQ_SEED``, else ``fallback``.
-    A seed from either source that is not a non-negative integer is a usage
-    error."""
-    source, value = "--seed", flag
-    if flag is None:
-        source, value = "SOCPCQ_SEED", os.environ.get("SOCPCQ_SEED", fallback)
-    try:
-        if int(value) >= 0:
-            return int(value)
-    except ValueError:
-        pass
-    raise ParseError(f"{source} must be a non-negative integer, got {value!r}")
+def _seed(args) -> dict:
+    """``--seed`` as keyword arguments: none when it is unset, so the
+    library's default seed stands; a negative seed is a usage error."""
+    if args.seed is None:
+        return {}
+    if args.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer, got {args.seed!r}")
+    return {"seed": args.seed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,9 +534,8 @@ def _parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use.
 
     Reuse is safe: ``parse_args`` fills a fresh ``Namespace`` per call, no
-    argument has a mutable default, argparse looks up ``sys.stdout``,
-    ``sys.stderr`` and the terminal width only when it prints, and
-    ``SOCPCQ_SEED`` is read in ``main`` after parsing.
+    argument has a mutable default, and argparse looks up ``sys.stdout``,
+    ``sys.stderr`` and the terminal width only when it prints.
     """
     return build_parser()
 
@@ -580,8 +576,6 @@ def _main(argv) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if hasattr(args, "seed"):
-            args.seed = _seed(args.seed, 42 if args.command == "harness" else 0)
         # Looked up per call, not bound into the shared parser, so a cmd_*
         # rebound after the first call (a tracer, a monkeypatch) is the one run.
         command = {

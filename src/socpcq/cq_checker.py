@@ -206,9 +206,9 @@ def _eta(B: np.ndarray) -> float:
 
     A unit w = (w0, wr) has ||wr|| = sqrt(1 - w0^2), so its cone distance
     is max(0, sqrt(1/2) (sqrt(1 - w0^2) - w0)), which decreases in w0; over
-    the unit sphere of Im(A) the largest w0 is t = ||B^T e0||.  Hence the
-    minimum is max(0, sqrt(1/2) (sqrt(1 - t^2) - t)), and inf for a zero
-    image.
+    the unit sphere of Im(A) the largest w0 is t = ||B^T e0||, the t by
+    which ``subspace_cone`` classifies Im(A).  Hence the minimum is
+    max(0, sqrt(1/2) (sqrt(1 - t^2) - t)), and inf for a zero image.
 
     Positive exactly when Im(A) touches the cone only at the origin; used
     as the eta in the flat-case error-bound modulus M/eta.

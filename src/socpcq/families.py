@@ -146,9 +146,8 @@ def _self_check(report, target) -> bool:
     """Does the draw whose report is ``report`` realize ``target``?
 
     The CRCQ label decides the stratum; only what the label leaves open is
-    checked here: the location of a failing stratum, a spectrum clear of
-    the tolerance band at the vertex, rank >= 1 for (v) and the gradient
-    margin of (ii).
+    checked here: the location of a failing stratum, rank >= 1 for (v) and
+    the gradient margin of (ii).
     """
     crcq = report.crcq
     if crcq.condition != (None if target in _FAILING_AT else target):
@@ -160,9 +159,8 @@ def _self_check(report, target) -> bool:
     if target in _FAILING_AT:
         if report.point_analysis.location is not _FAILING_AT[target]:
             return False
-    if target in ("Thm4.4(iv)", "Thm4.4(v)", "Thm4.4(vi)", "Cor4.2"):
-        cls = instance.geometry()
-        return not cls.marginal and (target != "Thm4.4(v)" or cls.rank >= 1)
+    if target == "Thm4.4(v)":
+        return instance.geometry().rank >= 1
     return True
 
 

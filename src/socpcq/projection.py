@@ -39,8 +39,9 @@ s = P_r0 / (1 - alpha), ||s||^2 = alpha / (1 - alpha),
 proj(Im B) = P_rr + P_r0 P_r0^T / (1 - alpha), and the factor
 kappa = 1 / sqrt(1 - ||s||^2) = sqrt((1 - alpha) / (1 - 2 alpha)).  The
 margin is bounded exactly when alpha < 1/2, i.e. when Im(P) does not meet
-the cone interior.  On the image slice b + Im(A), P = U_k U_k^T, the
-spectral class of Im(A) gives three cases:
+the cone interior.  On the image slice b + Im(A), P = U_k U_k^T and
+alpha = t^2, t = ||U_k[0]|| the number that classifies Im(A) in
+``subspace_cone``, and the class gives three cases:
 
 * Im(A) meets the cone interior: the margin is unbounded along the
   recession ray d / margin(A d), d = A^+ w for the interior witness w;

@@ -1,11 +1,12 @@
 """How a linear image subspace sits relative to the cone.
 
-For the image subspace V = Im(A) the classification is spectral: with an
-orthonormal basis B of V and the hyperbolic form J = diag(1, -1, ..., -1),
-the restricted symmetric matrix M = B^T J B decides everything.  A positive
-top eigenvalue gives an interior point of Q_m inside V; if M is negative
-semidefinite its kernel maps to the (at most one) boundary ray of Q_m inside
-V; a negative definite M means V meets the cone only at the origin.
+For the image subspace V = Im(A), with an orthonormal basis B of V and the
+hyperbolic form J = diag(1, -1, ..., -1), B^T B = I gives
+B^T J B = 2 b b^T - I with b = B^T e0 = B[0].  Its spectrum is -1, ..., -1
+and 2 t^2 - 1, t = ||b||, the largest first coordinate of a unit vector of
+V (reached at B b / t), so the class is closed form: V meets the cone
+interior when 2 t^2 - 1 > tol, touches it along one boundary ray when
+|2 t^2 - 1| <= tol, and meets it only at the origin otherwise.
 
 ``classify_image_vs_cone`` runs one thin SVD of A and returns, next to the
 class, the rank, singular values, image basis and row basis it read off
@@ -21,6 +22,7 @@ that record, computed on first use (``_pinv_t``, ``_null_proj``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -30,8 +32,8 @@ import numpy as np
 from .errors import DimensionError
 from .soc_core import DEFAULT_TOL, _check_magnitude, _checked_tol, _norm
 
-#: Unit boundary rays have |v0| = sqrt(1/2); anything well below that in the
-#: first coordinate cannot be an admissible kernel direction.
+#: A boundary ray of the image has t = sqrt(1/2); an image with t at most
+#: this touches the cone only at 0 at any tol, and t = 0 never divides.
 _ADMISSIBLE_FLOOR = 0.1
 
 
@@ -47,9 +49,8 @@ class SubspaceConeClass:
 
     ``ray`` is the unit generator with positive first coordinate when
     ``kind`` is RAY; ``witness`` is a unit interior point of the cone inside
-    the subspace when ``kind`` is MEETS_INTERIOR.  ``marginal`` flags
-    tolerance-ambiguous spectra (top eigenvalue inside the tolerance band
-    with no admissible kernel direction, or a multiple near-kernel).
+    the subspace when ``kind`` is MEETS_INTERIOR.  ``eigenvalues`` is the
+    spectrum of B^T J B, ascending: -1, ..., -1, 2 t^2 - 1 with t = ||U_k[0]||.
 
     ``rank``, ``singular_values``, ``basis`` (the m-by-rank image basis U_k)
     and ``row_basis`` (the rank-by-n row basis V_k^T) come from the thin SVD
@@ -59,7 +60,6 @@ class SubspaceConeClass:
     kind: SubspaceKind
     ray: Optional[np.ndarray] = None
     witness: Optional[np.ndarray] = None
-    marginal: bool = False
     eigenvalues: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rank: int = 0
     singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -114,45 +114,24 @@ def _classify(A: np.ndarray, tol: float) -> SubspaceConeClass:
     svd_parts = {"rank": k, "singular_values": sigma, "basis": B, "row_basis": vt[:k]}
     if k == 0:
         return SubspaceConeClass(SubspaceKind.ZERO_ONLY, **svd_parts)
-    # Restricted hyperbolic form; eigenvalues lie in [-1, 1] because B is
-    # orthonormal and J is an isometry.
+    # B^T J B = 2 b b^T - I, b = B[0] (module docstring).
+    b = B[0]
+    bb = float(b @ b)
+    t = math.sqrt(bb)
+    lam = 2.0 * bb - 1.0
+    eigvals = np.full(k, -1.0)
+    eigvals[-1] = lam
+    parts = {"eigenvalues": eigvals, **svd_parts}
+    if lam > tol:
+        w = B @ b / t
+        return SubspaceConeClass(SubspaceKind.MEETS_INTERIOR, witness=w, **parts)
+    if lam < -tol or t <= _ADMISSIBLE_FLOOR:
+        return SubspaceConeClass(SubspaceKind.ZERO_ONLY, **parts)
+    # The ray is B b / t as well, but it is kept as eigh's top eigenvector:
+    # the finest probes of the pinned kappa scans amplify its last bit.
     JB = B.copy()
     JB[1:, :] *= -1.0
-    M = B.T @ JB
-    eigvals, eigvecs = np.linalg.eigh(M)
-    lam_max = float(eigvals[-1])
-
-    if lam_max > tol:
-        w = B @ eigvecs[:, -1]
-        if w[0] < 0.0:
-            w = -w
-        return SubspaceConeClass(
-            SubspaceKind.MEETS_INTERIOR, witness=w, eigenvalues=eigvals, **svd_parts
-        )
-
-    # M is negative semidefinite within tolerance.  Kernel directions with a
-    # nonzero first coordinate generate boundary rays; a pointedness argument
-    # shows at most one such direction can exist exactly.
-    null_idx = [i for i in range(k) if abs(float(eigvals[i])) <= tol]
-    admissible = []
-    for i in null_idx:
-        w = B @ eigvecs[:, i]
-        if abs(float(w[0])) > _ADMISSIBLE_FLOOR:
-            admissible.append((abs(float(eigvals[i])), w))
-    if not admissible:
-        marginal = bool(null_idx)  # near-null spectrum but no usable direction
-        return SubspaceConeClass(
-            SubspaceKind.ZERO_ONLY, marginal=marginal, eigenvalues=eigvals, **svd_parts
-        )
-    admissible.sort(key=lambda item: item[0])
-    _, w = admissible[0]
+    w = B @ np.linalg.eigh(B.T @ JB)[1][:, -1]
     if w[0] < 0.0:
         w = -w
-    v = w / _norm(w)
-    return SubspaceConeClass(
-        SubspaceKind.RAY,
-        ray=v,
-        marginal=len(admissible) > 1,
-        eigenvalues=eigvals,
-        **svd_parts,
-    )
+    return SubspaceConeClass(SubspaceKind.RAY, ray=w / _norm(w), **parts)

@@ -162,8 +162,7 @@ def test_criterion_6_subspace_classifier_vs_oracle():
             A = rng.standard_normal((m, n))
             cls = classify_image_vs_cone(A)
             if (
-                cls.marginal
-                or cls.eigenvalues.size == 0
+                cls.eigenvalues.size == 0
                 or float(np.min(np.abs(cls.eigenvalues))) < 10.0 * DEFAULT_TOL
             ):
                 continue

@@ -38,11 +38,6 @@ def fixture(name: str) -> str:
     return str(files("socpcq").joinpath("fixtures", f"{name}.json"))
 
 
-@pytest.fixture(autouse=True)
-def _no_seed_env(monkeypatch):
-    monkeypatch.delenv("SOCPCQ_SEED", raising=False)
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -720,30 +715,15 @@ def test_scan_degenerate_boundary_flags_inconsistency(capsys):
     assert lines[-1] == "fcr_consistent=false"
 
 
-def test_scan_seed_env_matches_flag(capsys, monkeypatch):
-    args = ("scan", fixture("vertex_tangent_plane"), "origin", "--samples", "100")
-    _, with_flag, _ = run_cli(capsys, *args, "--seed", "5")
-    monkeypatch.setenv("SOCPCQ_SEED", "5")
-    _, with_env, _ = run_cli(capsys, *args)
-    assert with_env == with_flag
-    monkeypatch.setenv("SOCPCQ_SEED", "not-an-int")
-    code, _, err = run_cli(capsys, *args)
-    assert code == EXIT_PARSE
-    assert "SOCPCQ_SEED" in err
-
-
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (("scan", fixture("vertex_boundary_line"), "origin", "--seed", "-1"), None),
-        (("harness", "--trials", "1", "--seed", "-3"), None),
-        (("scan", fixture("vertex_boundary_line"), "origin"), "-5"),
+        ("scan", fixture("vertex_boundary_line"), "origin", "--seed", "-1"),
+        ("harness", "--trials", "1", "--seed", "-3"),
     ],
-    ids=["scan-flag", "harness-flag", "scan-env"],
+    ids=["scan-flag", "harness-flag"],
 )
-def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("SOCPCQ_SEED", env)
+def test_negative_seed_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("error: ")

@@ -7,6 +7,8 @@ boundary ray, or tangent-plane complement) and the sampling oracle
 the unit sphere of the subspace.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,6 @@ def test_brute_force_agreement():
         n = int(rng.integers(1, 7))
         A = rng.standard_normal((m, n))
         cls = classify_image_vs_cone(A, TOL)
-        if cls.marginal:
-            continue
         bf = brute_force_subspace_class(A, seed=i)
         assert bf.kind is cls.kind, (i, cls.kind, bf.kind)
         if cls.kind is SubspaceKind.RAY:
@@ -136,6 +136,72 @@ def test_eigenvalues_reported_in_range():
     assert cls.eigenvalues.size == cls.rank == np.linalg.matrix_rank(A)
     assert np.all(cls.eigenvalues >= -1.0 - 1e-12)
     assert np.all(cls.eigenvalues <= 1.0 + 1e-12)
+
+
+def eigen_class(B, tol):
+    """The image class read off eigh(B^T J B): the reference rule."""
+    if B.shape[1] == 0:
+        return SubspaceKind.ZERO_ONLY, np.zeros(0)
+    JB = B.copy()
+    JB[1:, :] *= -1.0
+    lam, Q = np.linalg.eigh(B.T @ JB)
+    if lam[-1] > tol:
+        return SubspaceKind.MEETS_INTERIOR, lam
+    if abs(lam[-1]) <= tol and abs(float(B[0] @ Q[:, -1])) > 0.1:
+        return SubspaceKind.RAY, lam
+    return SubspaceKind.ZERO_ONLY, lam
+
+
+def test_closed_form_matches_the_eigensolver():
+    rng = np.random.default_rng(28)
+    draws = []
+    for _ in range(150):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(1, 8))
+        r = int(rng.integers(1, min(m, n) + 1))
+        draws.append(rng.standard_normal((m, n)))
+        draws.append(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
+        if m >= 3:
+            draws.append(ray_image_matrix(rng, m, int(rng.integers(0, m - 1)))[0])
+    seen = set()
+    for A in draws:
+        for tol in (1e-12, 1e-9, 1e-6, 0.5):
+            cls = classify_image_vs_cone(A, tol)
+            B = cls.basis
+            kind, lam = eigen_class(B, tol)
+            np.testing.assert_allclose(cls.eigenvalues, lam, rtol=0, atol=1e-13)
+            if cls.kind is SubspaceKind.MEETS_INTERIOR:
+                JB = B.copy()
+                JB[1:, :] *= -1.0
+                top = B @ np.linalg.eigh(B.T @ JB)[1][:, -1]
+                sign = 1.0 if top[0] > 0.0 else -1.0
+                np.testing.assert_allclose(cls.witness, sign * top, atol=1e-13)
+                assert abs(cls.witness[0] - np.linalg.norm(B[0])) <= 1e-13
+            if lam.size and min(abs(lam[-1] - tol), abs(lam[-1] + tol)) <= 1e-13:
+                continue
+            assert cls.kind is kind, (A, tol, cls.kind, kind)
+            seen.add(kind)
+    assert seen == set(SubspaceKind)
+
+
+def test_closed_form_edge_inputs():
+    cls = classify_image_vs_cone(np.zeros((3, 2)))
+    assert (cls.kind, cls.rank, cls.eigenvalues.size) == (SubspaceKind.ZERO_ONLY, 0, 0)
+    # t = 0: Im(A) is orthogonal to e0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = classify_image_vs_cone(np.array([[0.0], [1.0], [0.0]]))
+    assert cls.kind is SubspaceKind.ZERO_ONLY
+    assert cls.witness is None and cls.ray is None
+    np.testing.assert_array_equal(cls.eigenvalues, [-1.0])
+    # t = 0.08: at tol 0.99 the eigenvalue 2 t^2 - 1 lies in the band, and
+    # the floor on t keeps the class ZERO_ONLY.
+    A = np.array([[0.08], [np.sqrt(1.0 - 0.08**2)], [0.0]])
+    assert classify_image_vs_cone(A, 0.99).kind is SubspaceKind.ZERO_ONLY
+    # A rank-one boundary ray: t = sqrt(1/2), eigenvalue 0.
+    cls = classify_image_vs_cone(np.array([[2.0], [-2.0], [0.0]]))
+    assert cls.kind is SubspaceKind.RAY
+    np.testing.assert_allclose(cls.ray, [np.sqrt(0.5), -np.sqrt(0.5), 0.0], atol=1e-15)
+    assert abs(cls.eigenvalues[0]) <= 1e-15
 
 
 def test_rejects_bad_matrices():
