@@ -24,11 +24,6 @@ from .cq_checker import (
     CQReport,
     Verdict,
     check_crcq,
-    check_fcr,
-    check_h_closed,
-    check_mscq,
-    check_nondegeneracy,
-    check_rcq,
     full_report,
     verify_report_invariants,
 )
@@ -73,7 +68,6 @@ from .subspace_cone import (
     SubspaceConeClass,
     SubspaceKind,
     classify_image_vs_cone,
-    image_basis,
 )
 
 __all__ = [
@@ -89,11 +83,6 @@ __all__ = [
     "CQReport",
     "Verdict",
     "check_crcq",
-    "check_fcr",
-    "check_h_closed",
-    "check_mscq",
-    "check_nondegeneracy",
-    "check_rcq",
     "full_report",
     "verify_report_invariants",
     "DimensionError",
@@ -128,5 +117,4 @@ __all__ = [
     "SubspaceConeClass",
     "SubspaceKind",
     "classify_image_vs_cone",
-    "image_basis",
 ]

@@ -145,11 +145,6 @@ class AffineSOCInstance:
             )
         return _check_magnitude(X, "points have", axis=-1)
 
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """g at the rows of an (N, n) array, returned as (N, m); a row whose
-        image breaks the magnitude rule raises ``DimensionError``."""
-        return self._image(self._point_rows(X))
-
 
 @dataclass(frozen=True, eq=False)
 class PointAnalysis:
@@ -215,18 +210,6 @@ def _grad_at(instance: AffineSOCInstance, y: np.ndarray) -> np.ndarray:
             "the scalar reduction is singular here"
         )
     return G[0]
-
-
-def grad_phi_many(
-    instance: AffineSOCInstance, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise grad phi for an (N, n) array.
-
-    Returns (G, ok) where rows of G are gradients and ok flags rows where
-    gr(x) is safely nonzero, by the test of ``grad_phi``; rows with
-    ok == False are zero-filled.
-    """
-    return _grad_rows(instance, instance.evaluate_many(X))
 
 
 def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:

@@ -48,6 +48,8 @@ from .errors import (
     SocpcqError,
 )
 from .oracles import (
+    _RADII,
+    _SAMPLES_PER_RADIUS,
     _scan_settings,
     equivalence_harness,
     fcr_dim_scan,
@@ -512,8 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="kappa-ratio scan and FCR dimension scan")
     p.add_argument("instance")
     p.add_argument("point")
-    p.add_argument("--radii", default="1e-1,1e-2,1e-3", help="comma-separated radii")
-    p.add_argument("--samples", type=int, default=200, help="samples per radius")
+    p.add_argument(
+        "--radii", default=",".join(map(str, _RADII)), help="comma-separated radii"
+    )
+    p.add_argument(
+        "--samples", type=int, default=_SAMPLES_PER_RADIUS, help="samples per radius"
+    )
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("harness", help="analytic-vs-sampled equivalence harness")

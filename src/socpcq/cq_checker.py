@@ -1,10 +1,12 @@
 """Certificate-producing decision procedures for constraint qualifications.
 
-Each ``check_*`` routine decides one qualification at a feasible point of
-an affine cone constraint and returns a :class:`Verdict` whose ``condition``
-names the clause of the governing characterization that fired, together
-with enough numeric evidence (gradients, ranks, rays, eigenvalues, moduli)
-to re-run the decisive comparison independently.
+``full_report`` decides all six qualifications at a feasible point of an
+affine cone constraint and returns a :class:`Verdict` for each, whose
+``condition`` names the clause of the governing characterization that
+fired, together with enough numeric evidence (gradients, ranks, rays,
+eigenvalues, moduli) to re-run the decisive comparison independently;
+read one verdict as a field of the report.  ``check_crcq`` returns the
+CRCQ verdict alone.
 
 Condition labels:
 
@@ -56,12 +58,7 @@ from .subspace_cone import SubspaceKind
 __all__ = [
     "Verdict",
     "CQReport",
-    "check_nondegeneracy",
-    "check_rcq",
-    "check_fcr",
-    "check_h_closed",
     "check_crcq",
-    "check_mscq",
     "full_report",
     "verify_report_invariants",
 ]
@@ -253,30 +250,9 @@ def _mscq(pa: PointAnalysis, crcq: Verdict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def check_nondegeneracy(instance: AffineSOCInstance, x) -> Verdict:
-    return _nondegeneracy(analyze_point(instance, x))
-
-
-def check_rcq(instance: AffineSOCInstance, x) -> Verdict:
-    return _rcq(analyze_point(instance, x))
-
-
-def check_fcr(instance: AffineSOCInstance, x) -> Verdict:
-    return _fcr(analyze_point(instance, x))
-
-
-def check_h_closed(instance: AffineSOCInstance, x) -> Verdict:
-    return _h_closed(analyze_point(instance, x))
-
-
 def check_crcq(instance: AffineSOCInstance, x) -> Verdict:
     pa = analyze_point(instance, x)
     return _crcq(pa, _fcr(pa), _h_closed(pa))
-
-
-def check_mscq(instance: AffineSOCInstance, x) -> Verdict:
-    pa = analyze_point(instance, x)
-    return _mscq(pa, _crcq(pa, _fcr(pa), _h_closed(pa)))
 
 
 #: What MSCQ yields about the tangent and normal cones at the point.

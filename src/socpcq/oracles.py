@@ -58,13 +58,13 @@ import numpy as np
 
 from .affine_instance import AffineSOCInstance, _grad_rows, analyze_point
 from .cq_checker import _report
-from .errors import GenerationError, NumericalFailureError
+from .errors import DimensionError, GenerationError, NumericalFailureError
 # bench/workloads.py reads random_instance and TARGET_CASES from this module.
 from .families import TARGET_CASES, _draw, _least_sizes, random_instance
 from .projection import BatchProjection, FeasibleSetProjector
-from .soc_core import ConeLocation, _count, _distance_rows, _margin_rows, _norm
-from .soc_core import _row_norms
-from .subspace_cone import SubspaceConeClass, SubspaceKind, image_basis
+from .soc_core import _SQUARE_LIMIT, ConeLocation, _count, _distance_rows, _margin_rows
+from .soc_core import _norm, _row_norms
+from .subspace_cone import SubspaceConeClass, SubspaceKind, classify_image_vs_cone
 
 __all__ = [
     "KappaScan",
@@ -231,8 +231,9 @@ def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
     return probes, dist, normal & (width_ub <= limit * ub)
 
 
-#: The kappa scan's default radii.
+#: The kappa scan's default radii and uniform samples per radius.
 _RADII = (1e-1, 1e-2, 1e-3)
+_SAMPLES_PER_RADIUS = 200
 
 
 @functools.lru_cache(maxsize=16)
@@ -263,7 +264,7 @@ def mscq_kappa_scan(
     instance: AffineSOCInstance,
     xbar,
     radii=_RADII,
-    samples_per_radius: int = 200,
+    samples_per_radius: int = _SAMPLES_PER_RADIUS,
     seed: int = 0,
 ) -> KappaScan:
     """Empirical error-bound moduli in shrinking balls around ``xbar``.
@@ -289,12 +290,29 @@ def mscq_kappa_scan(
     record.  A ``NumericalFailureError`` reports the worst gap across the
     rows of the failing call.  The scan builds one projector, whose
     construction is also its one point analysis, and none when ``xbar`` is
-    an analysis of ``instance``.
+    an analysis of ``instance``.  Every point the scan draws, projects or
+    probes lies within 2 * radii[0] of ``xbar``; a largest radius that
+    could take such a point, or its image, past the magnitude rule raises
+    ``DimensionError`` before any draw.
     """
     seed = _count(seed, "seed", 0)
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
     projector = FeasibleSetProjector(instance, xbar)
+    _check_scan_reach(instance, projector.reference, radii[0])
     return _kappa_scan(projector, radii, samples_per_radius, seed)
+
+
+def _check_scan_reach(instance: AffineSOCInstance, center, radius: float) -> None:
+    """``DimensionError`` unless every x within 2 * ``radius`` of ``center``
+    obeys the magnitude rule and so does g(x), by the bound of
+    ``AffineSOCInstance._image``: ||g(x)|| <= reach * max|x_j| + ||b||."""
+    reach, norm_b = instance._reach
+    big = float(np.abs(center).max()) + 2.0 * radius
+    if max(big * math.sqrt(instance.n), reach * big + norm_b) >= _SQUARE_LIMIT:
+        raise DimensionError(
+            f"radius {radius:g} takes the kappa scan's points or their images "
+            "past the magnitude rule"
+        )
 
 
 def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaScan:
@@ -495,7 +513,7 @@ def brute_force_subspace_class(A: np.ndarray, seed: int = 0) -> SubspaceConeClas
     band.  Used to corroborate the spectral classifier, not to replace it.
     """
     seed = _count(seed, "seed", 0)
-    B = image_basis(np.asarray(A, dtype=float))
+    B = classify_image_vs_cone(A).basis
     k = B.shape[1]
     if k == 0:
         return SubspaceConeClass(SubspaceKind.ZERO_ONLY)

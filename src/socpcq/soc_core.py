@@ -54,15 +54,17 @@ class ConeLocation(enum.Enum):
 
 def _checked_tol(tol, name: str = "tol") -> float:
     """``tol`` as a float: every tolerance is a real number (not a bool or a
-    str), finite and > 0, else ``DimensionError`` (a too-large int too)."""
+    str) in (0, 1), else ``DimensionError`` (a too-large int too).  A
+    relative tolerance of 1 or more would read every rank as 0 and every
+    cone point as the vertex."""
     real = isinstance(tol, (float, numbers.Real)) and not isinstance(tol, bool)
     try:
         value = float(tol) if real else math.nan
     except OverflowError:
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not 0.0 < value < 1.0:
         raise DimensionError(
-            f"{name} must be a positive finite number, got {tol!r:.40}"
+            f"{name} must be a positive finite number below 1, got {tol!r:.40}"
         )
     return value
 

@@ -16,7 +16,6 @@ the data the instance checked when it was built, so the verdicts, the
 projector and the oracles share one SVD per instance.  The projector and
 its reference search read pinv(A^T) and the projector onto null(A^T) off
 that record, computed on first use (``_pinv_t``, ``_null_proj``).
-``image_basis`` remains for arbitrary matrices.
 """
 
 from __future__ import annotations
@@ -91,14 +90,6 @@ def _rank_of(sigma: np.ndarray, tol: float) -> int:
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
     return int((sigma > tol * sigma[0]).sum())
-
-
-def image_basis(A, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column space of ``A`` as an (m, k) array."""
-    A = _validated_matrix(A)
-    tol = _checked_tol(tol)
-    u, sigma, _ = np.linalg.svd(A, full_matrices=False)
-    return u[:, : _rank_of(sigma, tol)]
 
 
 def classify_image_vs_cone(A, tol: float = DEFAULT_TOL) -> SubspaceConeClass:

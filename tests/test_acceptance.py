@@ -18,7 +18,6 @@ from socpcq import (
     FeasibleSetProjector,
     SubspaceKind,
     brute_force_subspace_class,
-    check_fcr,
     classify_image_vs_cone,
     classify_kappa_growth,
     distances_to_cone,
@@ -78,7 +77,7 @@ def test_criterion_2_vertex_halfplane_fcr_sequence():
         assert at_origin.fcr.holds
         assert at_origin.fcr.condition == "Thm3.2(i)"
         for k in range(1, 6):
-            v = check_fcr(boundary.instance, boundary.points[f"k{k}"])
+            v = full_report(boundary.instance, boundary.points[f"k{k}"]).fcr
             assert not v.holds, f"FCR unexpectedly holds at (1/{k}, 0, 0)"
         assert not at_origin.crcq.holds
         assert not at_origin.mscq.holds

@@ -16,7 +16,6 @@ from socpcq import (
     HSetKind,
     affine_instance,
     analyze_point,
-    check_fcr,
     classify_cone_point,
     cone_margin,
     full_report,
@@ -25,7 +24,7 @@ from socpcq import (
     phi,
     random_instance,
 )
-from socpcq.affine_instance import grad_phi_many
+from socpcq.affine_instance import _grad_rows
 from socpcq.cli import InstanceDocument
 from socpcq.errors import (
     DimensionError,
@@ -63,7 +62,7 @@ def test_instance_validation():
     np.testing.assert_allclose(inst.evaluate([1.0, 2.0, 3.0]), [2.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf, 1.0, 1.5])
 def test_instance_rejects_bad_tol(tol):
     with pytest.raises(DimensionError):
         AffineSOCInstance(np.eye(3), np.zeros(3), tol=tol)
@@ -152,11 +151,22 @@ def test_no_instance_call_takes_a_geometry_tolerance():
     assert "tol" not in _signature(socpcq.random_instance)
 
 
+def evaluate_many(instance, X):
+    """g at the rows of X by the row check and image check of
+    ``project_batch``."""
+    return instance._image(instance._point_rows(X))
+
+
+def grad_phi_many(instance, X):
+    """grad phi at the rows of X by the row kernel of ``fcr_dim_scan``."""
+    return _grad_rows(instance, evaluate_many(instance, X))
+
+
 def test_evaluate_many_matches_evaluate():
     rng = np.random.default_rng(0)
     inst = AffineSOCInstance(rng.standard_normal((4, 3)), rng.standard_normal(4))
     X = rng.standard_normal((32, 3))
-    Y = inst.evaluate_many(X)
+    Y = evaluate_many(inst, X)
     for i in range(32):
         np.testing.assert_allclose(Y[i], inst.evaluate(X[i]))
 
@@ -225,7 +235,7 @@ _IDENTITY = AffineSOCInstance(np.eye(3), np.zeros(3))
 @pytest.mark.parametrize(
     "batch_call",
     [
-        _IDENTITY.evaluate_many,
+        lambda X: evaluate_many(_IDENTITY, X),
         lambda X: grad_phi_many(_IDENTITY, X),
         FeasibleSetProjector(_IDENTITY, np.array([1.0, 0.0, 0.0])).project_batch,
     ],
@@ -255,7 +265,7 @@ _HUGE = AffineSOCInstance(1e150 * np.eye(3), np.zeros(3))
 @pytest.mark.parametrize(
     "batch_call",
     [
-        _HUGE.evaluate_many,
+        lambda X: evaluate_many(_HUGE, X),
         lambda X: grad_phi_many(_HUGE, X),
         FeasibleSetProjector(_HUGE, np.zeros(3)).project_batch,
     ],
@@ -375,7 +385,7 @@ def test_vanishing_certificate_positive_case():
     b = c * np.concatenate([[1.0], u])
     inst = AffineSOCInstance(A, b)
     x = np.array([1.0, 0.5])  # w.x + c = 3 > 0
-    fcr = check_fcr(inst, x)
+    fcr = full_report(inst, x).fcr
     assert fcr.condition == "Thm3.2(iv)"
     np.testing.assert_allclose(fcr.evidence["certificate_u"], u, atol=1e-12)
     np.testing.assert_allclose(fcr.evidence["certificate_w"], w, atol=1e-12)
@@ -396,11 +406,11 @@ def test_vanishing_certificate_positive_case():
 def test_vanishing_certificate_negative_case():
     # A degenerate boundary point whose A has a column off g(x): FCR fails
     # with the residual of A and no certificate.
-    fcr = check_fcr(HALFPLANE, [1.0, 0.0, 0.0])
+    fcr = full_report(HALFPLANE, [1.0, 0.0, 0.0]).fcr
     assert not fcr.holds
     assert fcr.evidence["vanishing_residual"] == pytest.approx(1.0)
     assert not any(key.startswith("certificate_") for key in fcr.evidence)
     # The certificate is a boundary object: the vertex carries none.
-    vertex = check_fcr(HALFPLANE, [0.0, 0.0, 0.0])
+    vertex = full_report(HALFPLANE, [0.0, 0.0, 0.0]).fcr
     assert vertex.condition == "Thm3.2(i)"
     assert not any(key.startswith("certificate_") for key in vertex.evidence)

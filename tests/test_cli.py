@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socpcq import cli, full_report, margins, random_instance
-from socpcq import cq_checker
+from socpcq import cq_checker, oracles
 from socpcq.cli import (
     EXIT_CLOSED_STDOUT,
     EXIT_INFEASIBLE,
@@ -388,6 +388,12 @@ BAD_DOCUMENTS = [
     # A tolerance the instance does not know would be reported, not used.
     '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
     ' "tolerances": {"Tol": 1e-6}}',
+    # A tolerance of 1 or more would read every rank as 0 and every point
+    # as the vertex.
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+    ' "tolerances": {"tol": 1.5}}',
+    '{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p": [1]},'
+    ' "tolerances": {"projection_tol": 1.0}}',
 ]
 
 
@@ -588,7 +594,7 @@ def test_shared_parser_holds_no_call_state():
     second = parser.parse_args(["scan", "doc.json", "p"])
     assert first is not second
     assert (first.seed, second.seed) == (5, None)
-    assert second.radii == "1e-1,1e-2,1e-3"
+    assert tuple(map(float, second.radii.split(","))) == oracles._RADII
 
 
 @pytest.mark.parametrize(
@@ -818,6 +824,16 @@ def test_scan_rejects_bad_radii(capsys, extra):
     code, _, err = run_cli(capsys, "scan", fixture("vertex_halfplane"), "origin", *extra)
     assert code == EXIT_PARSE
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("radius", ["1e160", "1e200"])
+def test_scan_rejects_a_radius_past_the_magnitude_rule(capsys, radius):
+    # No CSV and no numpy warning, which the test run turns into an error.
+    code, out, err = run_cli(
+        capsys, "scan", fixture("vertex_halfplane"), "origin", "--radii", radius
+    )
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: radius {float(radius):g} ")
 
 
 # -- harness ------------------------------------------------------------------

@@ -17,13 +17,8 @@ from socpcq import (
     HSetKind,
     Verdict,
     check_crcq,
-    check_fcr,
-    check_h_closed,
-    check_mscq,
-    check_nondegeneracy,
-    check_rcq,
+    classify_image_vs_cone,
     full_report,
-    image_basis,
     random_instance,
     verify_report_invariants,
 )
@@ -87,7 +82,7 @@ def test_vertex_of_halfplane_verdicts():
 
 def test_fcr_fails_along_degenerate_path():
     for k in range(1, 6):
-        v = check_fcr(HALFPLANE, np.array([1.0 / k, 0.0, 0.0]))
+        v = full_report(HALFPLANE, np.array([1.0 / k, 0.0, 0.0])).fcr
         assert not v.holds, k
 
 
@@ -116,19 +111,20 @@ def test_boundary_line_vertex():
 def test_interior_point_everything_holds():
     inst = AffineSOCInstance(np.eye(3), np.array([5.0, 0.0, 0.0]))
     x = np.zeros(3)
-    assert check_nondegeneracy(inst, x).holds
-    assert check_rcq(inst, x).holds
-    assert check_fcr(inst, x).condition == "Thm3.2(ii)"
+    report = full_report(inst, x)
+    assert report.nondegeneracy.holds
+    assert report.rcq.holds
+    assert report.fcr.condition == "Thm3.2(ii)"
     assert check_crcq(inst, x).condition == "Thm4.4(i)"
-    assert check_mscq(inst, x).holds
-    assert check_h_closed(inst, x).condition == "Thm4.1(i)"
+    assert report.mscq.holds
+    assert report.h_closed.condition == "Thm4.1(i)"
 
 
 def test_boundary_nondegenerate_point():
     # g(x) = (1 + x1, x2, x3) at the origin: smooth boundary, full rank
     inst = AffineSOCInstance(np.eye(3), np.array([1.0, 1.0, 0.0]))
     x = np.zeros(3)
-    assert check_nondegeneracy(inst, x).holds
+    assert full_report(inst, x).nondegeneracy.holds
     v = check_crcq(inst, x)
     assert v.holds and v.condition == "Thm4.4(ii)"
     assert v.evidence["grad_norm"] > 0.5
@@ -140,12 +136,12 @@ def test_vanishing_boundary_point():
     A = np.outer(np.concatenate([[1.0], u]), w)
     inst = AffineSOCInstance(A, np.concatenate([[1.0], u]))  # c = 1
     x = np.zeros(3)  # w.x + c = 1 > 0
-    fcr = check_fcr(inst, x)
+    fcr = full_report(inst, x).fcr
     assert fcr.holds and fcr.condition == "Thm3.2(iv)"
     crcq = check_crcq(inst, x)
     assert crcq.holds and crcq.condition == "Thm4.4(iii)"
     np.testing.assert_allclose(crcq.evidence["certificate_u"], u, atol=1e-12)
-    mscq = check_mscq(inst, x)
+    mscq = full_report(inst, x).mscq
     assert mscq.holds and mscq.condition == "Thm5.1"
 
 
@@ -157,7 +153,7 @@ def test_zero_only_vertex_bound_evidence():
     inst = AffineSOCInstance(A, np.zeros(3))
     v = check_crcq(inst, np.zeros(2))
     assert v.holds and v.condition == "Thm4.4(v)"
-    mscq = check_mscq(inst, np.zeros(2))
+    mscq = full_report(inst, np.zeros(2)).mscq
     assert mscq.holds
     assert mscq.evidence["bound_M"] == pytest.approx(1.0, abs=1e-12)
     assert mscq.evidence["eta"] == pytest.approx(np.sqrt(0.5), abs=1e-9)
@@ -182,9 +178,10 @@ def test_zero_only_bound_scales_with_the_instance():
     # bound_M = 1 / (smallest singular value the rank keeps): scaling (A, b)
     # by s divides it by s, down to scales far below the tolerance.
     inst, xbar = random_instance(5, 4, "Thm4.4(v)", seed=0)
-    base = check_mscq(inst, xbar).evidence["bound_M"]
+    base = full_report(inst, xbar).mscq.evidence["bound_M"]
     for s in (1.0, 1e-3, 1e-8, 1e-10):
-        ev = check_mscq(AffineSOCInstance(s * inst.A, s * inst.b), xbar).evidence
+        scaled = AffineSOCInstance(s * inst.A, s * inst.b)
+        ev = full_report(scaled, xbar).mscq.evidence
         assert s * ev["bound_M"] == pytest.approx(base, rel=1e-9)
         assert np.isfinite(ev["kappa_bound"])
 
@@ -194,20 +191,21 @@ def test_minimal_cone_distance_on_image_exact_cases():
     A = np.zeros((3, 2))
     A[1, 0] = 1.0
     A[2, 1] = 1.0
-    assert _eta(image_basis(A)) == pytest.approx(np.sqrt(0.5), abs=1e-9)
+    basis = classify_image_vs_cone(A).basis
+    assert _eta(basis) == pytest.approx(np.sqrt(0.5), abs=1e-9)
     # one-dimensional image along -e1: closest unit point is +e1 at dist 0
     A1 = np.array([[1.0], [0.0], [0.0]])
-    assert _eta(image_basis(A1)) == pytest.approx(0.0, abs=1e-12)
-    assert _eta(image_basis(np.zeros((3, 1)))) == float("inf")
+    assert _eta(classify_image_vs_cone(A1).basis) == pytest.approx(0.0, abs=1e-12)
+    assert _eta(classify_image_vs_cone(np.zeros((3, 1))).basis) == float("inf")
     # oblique image: the largest first coordinate of a unit image vector is
     # t = 0.5 / sqrt(1.25), reached at (0.5, 1, 0) / sqrt(1.25)
     A2 = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert _eta(image_basis(A2)) == pytest.approx(
+    assert _eta(classify_image_vs_cone(A2).basis) == pytest.approx(
         np.sqrt(0.5) * 0.5 / np.sqrt(1.25), abs=1e-12
     )
     # The MSCQ evidence of a Thm4.4(v) point carries this eta.
     ev = full_report(AffineSOCInstance(A, np.zeros(3)), np.zeros(2)).mscq.evidence
-    assert ev["eta"] == _eta(image_basis(A))
+    assert ev["eta"] == _eta(basis)
 
 
 def test_identity_h_set_is_the_normal_cone():
@@ -320,6 +318,6 @@ def test_mscq_label_is_thm51_everywhere_it_holds():
             ["Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(v)", "Thm4.4(vi)"][i % 4],
             9000 + i,
         )
-        v = check_mscq(inst, xbar)
+        v = full_report(inst, xbar).mscq
         assert v.holds and v.condition == "Thm5.1"
         assert v.evidence["equivalent_route"].startswith("Thm4.4")

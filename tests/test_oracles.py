@@ -8,6 +8,7 @@ harness runs.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from socpcq import (
     AffineSOCInstance,
+    DimensionError,
     DimScan,
     GenerationError,
     InfeasiblePointError,
@@ -90,6 +92,22 @@ def test_kappa_scan_validation():
 def test_kappa_scan_needs_a_radius():
     with pytest.raises(ValueError, match="radii"):
         mscq_kappa_scan(TANGENT, np.zeros(2), radii=())
+
+
+@pytest.mark.parametrize("radius", [1e160, 1e200])
+def test_kappa_scan_radius_obeys_the_magnitude_rule(monkeypatch, radius):
+    # Points within 2 * radius of xbar, or their images, would have squared
+    # norms past the float range: the scan refuses before it draws, and
+    # without numpy's overflow warning, which the test run turns into an
+    # error.
+    monkeypatch.setattr(oracles, "_kappa_scan", None)
+    with pytest.raises(DimensionError, match=re.escape(f"radius {radius:g} ")):
+        mscq_kappa_scan(IDENTITY, [1.0, 1.0, 0.0], radii=(radius, 1e-1))
+    monkeypatch.undo()
+    scan = mscq_kappa_scan(
+        IDENTITY, [1.0, 1.0, 0.0], radii=(1e100,), samples_per_radius=8
+    )
+    assert scan.radii == (1e100,)
 
 
 def test_probe_offsets_follow_the_running_divisor():
@@ -352,7 +370,7 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
         dirs = rng.standard_normal((radii.size, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         X = xbar + (0.9 * radii * rng.random(radii.size))[:, None] * dirs
-        far = margins(inst.evaluate_many(X)) < 0.0
+        far = margins(X @ inst.A.T + inst.b) < 0.0
         X, h = X[far], h[far]
         offsets = rng.standard_normal(X.shape)
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)

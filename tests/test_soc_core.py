@@ -7,6 +7,7 @@ characterizes the Euclidean projection onto a convex set without reusing
 any of the library's own formulas.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from socpcq import (
     cone_margin,
     distance_to_cone,
     distances_to_cone,
-    image_basis,
     margins,
     project_to_cone,
     projections_to_cone,
@@ -126,7 +126,6 @@ def _overflowing_analysis():
         lambda: socpcq.FeasibleSetProjector(
             _IDENTITY_INSTANCE, [1.0, 0.0, 0.0]
         ).project_batch(_NAN_ROWS),
-        lambda: _IDENTITY_INSTANCE.evaluate_many(_NAN_ROWS),
         lambda: distances_to_cone(_NAN_ROWS),
         lambda: margins(_NAN_ROWS),
         lambda: classify_cone_point([np.nan, 0.0, 0.0]),
@@ -145,7 +144,6 @@ def _overflowing_analysis():
     ],
     ids=[
         "project_batch",
-        "evaluate_many",
         "distances_to_cone",
         "margins",
         "classify_cone_point",
@@ -166,9 +164,11 @@ def test_public_names_check_their_input(call):
         call()
 
 
-#: Values the tolerance rule rejects: not finite, not positive, or no real
+#: Values the tolerance rule rejects: not finite, not in (0, 1), or no real
 #: number (a bool, a str), and an int beyond the float range.
-BAD_TOLERANCES = [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1e-9", 10**400]
+BAD_TOLERANCES = [
+    np.nan, np.inf, -np.inf, 0.0, -1.0, 1, 1.0, 1.5, np.int64(2), True, "1e-9", 10**400
+]
 IDENTITY = np.eye(3)
 
 
@@ -179,28 +179,29 @@ IDENTITY = np.eye(3)
         lambda tol: AffineSOCInstance(IDENTITY, np.zeros(3), projection_tol=tol),
         lambda tol: classify_cone_point([1.0, 1.0, 0.0], tol),
         lambda tol: classify_image_vs_cone(IDENTITY[:, :2], tol),
-        lambda tol: image_basis(IDENTITY[:, :2], tol),
     ],
     ids=[
         "instance.tol",
         "instance.projection_tol",
         "classify_cone_point",
         "classify_image_vs_cone",
-        "image_basis",
     ],
 )
 def test_one_tolerance_rule(check):
     for tol in BAD_TOLERANCES:
         with pytest.raises(DimensionError, match="must be a positive finite number"):
             check(tol)
-    # Real numbers of any type pass, ints and numpy scalars included.
-    for tol in (1e-9, 1, np.float32(1e-6), np.int64(2)):
+    # Real numbers of any type in (0, 1) pass, numpy scalars and fractions
+    # included.
+    for tol in (1e-9, np.float32(1e-6), Fraction(1, 10**9)):
         check(tol)
 
 
 def test_instance_stores_its_tolerances_as_floats():
-    inst = AffineSOCInstance(IDENTITY, np.zeros(3), 1, projection_tol=np.float32(0.5))
-    assert (inst.tol, inst.projection_tol) == (1.0, 0.5)
+    inst = AffineSOCInstance(
+        IDENTITY, np.zeros(3), Fraction(1, 4), projection_tol=np.float32(0.5)
+    )
+    assert (inst.tol, inst.projection_tol) == (0.25, 0.5)
     assert type(inst.tol) is float and type(inst.projection_tol) is float
     default = AffineSOCInstance(IDENTITY, np.zeros(3))
     assert (default.tol, default.projection_tol) == (DEFAULT_TOL, PROJECTION_TOL)

@@ -12,11 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from socpcq import (
-    SubspaceKind,
-    classify_image_vs_cone,
-    image_basis,
-)
+from socpcq import SubspaceKind, classify_image_vs_cone
 from socpcq.errors import DimensionError
 from socpcq.oracles import brute_force_subspace_class
 
@@ -54,7 +50,7 @@ def test_rank_and_basis():
     assert classify_image_vs_cone(np.eye(4)).rank == 4
     A = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0]])
     assert classify_image_vs_cone(A).rank == 1
-    B = image_basis(A)
+    B = classify_image_vs_cone(A).basis
     assert B.shape == (3, 1)
     np.testing.assert_allclose(np.linalg.norm(B[:, 0]), 1.0)
     np.testing.assert_array_equal(classify_image_vs_cone(A).basis, B)
