@@ -20,6 +20,11 @@ the module's current ``cmd_*`` function; ``build_parser()`` still returns a
 fresh parser. Only in-process loops (the test suite, the benchmark's
 ``cli-oneshot`` workload) gain from this; a ``socpcq`` process makes one
 call and builds one parser, as before.
+
+Each command imports only the layers it runs: ``analyze`` the verdict
+layers that ``import socpcq`` loads, ``project`` also ``projection``, and
+``scan`` and ``harness`` ``oracles``, which loads ``families`` and
+``projection``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,12 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__
-from .affine_instance import _TOLERANCES, AffineSOCInstance, _feasible_image
+from .affine_instance import (
+    _TOLERANCES,
+    AffineSOCInstance,
+    _feasible_image,
+    analyze_point,
+)
 from .cq_checker import CQReport, full_report
 from .errors import (
     DimensionError,
@@ -47,15 +57,6 @@ from .errors import (
     ParseError,
     SocpcqError,
 )
-from .oracles import (
-    _RADII,
-    _SAMPLES_PER_RADIUS,
-    _scan_settings,
-    equivalence_harness,
-    fcr_dim_scan,
-    mscq_kappa_scan,
-)
-from .projection import project_to_feasible_set
 from .soc_core import _count, _distance_rows
 
 EXIT_OK = 0
@@ -384,17 +385,29 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .oracles import (
+        _RADII,
+        _SAMPLES_PER_RADIUS,
+        _scan_settings,
+        fcr_dim_scan,
+        mscq_kappa_scan,
+    )
+
     seed = _seed(args)
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     try:
-        radii = (float(r) for r in args.radii.split(",") if r.strip())
-        radii, samples = _scan_settings(radii, args.samples)
+        radii = _RADII
+        if args.radii is not None:
+            radii = (float(r) for r in args.radii.split(",") if r.strip())
+        samples = _SAMPLES_PER_RADIUS if args.samples is None else args.samples
+        radii, samples = _scan_settings(radii, samples)
     except ValueError as exc:
         raise ParseError(f"invalid --radii or --samples: {exc}") from exc
-    dim_scan = fcr_dim_scan(doc.instance, x, samples, **seed)
+    analysis = analyze_point(doc.instance, x)
+    dim_scan = fcr_dim_scan(doc.instance, analysis, samples, **seed)
     kappa = mscq_kappa_scan(
-        doc.instance, x, radii=radii, samples_per_radius=samples, **seed
+        doc.instance, analysis, radii=radii, samples_per_radius=samples, **seed
     )
     print("radius,kappa_hat,samples,discarded")
     total = kappa.sample_count + kappa.probe_count
@@ -412,6 +425,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_harness(args) -> int:
+    from .oracles import equivalence_harness
+
     seed = _seed(args)
     try:
         trials = _count(args.trials, "trials")
@@ -457,6 +472,8 @@ def cmd_harness(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from .projection import project_to_feasible_set
+
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     instance = doc.instance
@@ -514,12 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="kappa-ratio scan and FCR dimension scan")
     p.add_argument("instance")
     p.add_argument("point")
-    p.add_argument(
-        "--radii", default=",".join(map(str, _RADII)), help="comma-separated radii"
-    )
-    p.add_argument(
-        "--samples", type=int, default=_SAMPLES_PER_RADIUS, help="samples per radius"
-    )
+    # The scan's defaults live in ``oracles``, which only ``cmd_scan`` imports.
+    p.add_argument("--radii", help="comma-separated radii")
+    p.add_argument("--samples", type=int, help="samples per radius")
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("harness", help="analytic-vs-sampled equivalence harness")

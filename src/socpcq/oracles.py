@@ -593,9 +593,10 @@ def equivalence_harness(
     Each decided point has one report and one projector, built from the
     report's analysis: a random trial builds them for its draw, a fixed
     instance once before the first trial (an infeasible fixed point raises
-    there).  The kappa scan and its retry sample against that projector.
-    Every trial runs the FCR oracle
-    ``fcr_dim_scan`` on the analysis, which decides where to sample and
+    there, and so does one whose scans would reach past the magnitude rule,
+    with the ``DimensionError`` of ``mscq_kappa_scan``).  The kappa scan
+    and its retry sample against that projector.  Every trial runs the FCR
+    oracle ``fcr_dim_scan`` on the analysis, which decides where to sample and
     how widely.  It returns None off the positive boundary, where FCR
     holds (Thm 3.2 (i)/(ii)), and the trial reads None as consistent.  A
     trial whose report breaks an invariant of ``verify_report_invariants``
@@ -614,6 +615,7 @@ def equivalence_harness(
         target, m, n = "fixed", fixed_instance.m, fixed_instance.n
         report, violations = _report(fixed_instance, fixed_point)
         projector = FeasibleSetProjector(fixed_instance, report.point_analysis)
+        _check_scan_reach(fixed_instance, projector.reference, _RADII[0])
 
     for t, child in enumerate(children):
         trial_seed = int(child.generate_state(1, dtype=np.uint32)[0])

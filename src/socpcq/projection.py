@@ -105,9 +105,12 @@ rows the first left uncertified:
    at its positive end; the step across the pole is skipped.  psi and g0
    are evaluated on every column of the grid in one pass, as matrix
    products per fixed-size block of rows, so the working set does not
-   grow with the batch.  Each bracket is refined by bracketed Newton from
-   the secant point; the bracket's orientation and that start are computed
-   once for all bracketed rows, and Newton runs once on all of them.  Newton
+   grow with the batch; each row enters them scaled by a power of two
+   near its largest |g(x)|, which keeps psi, quadratic in g(x), from
+   overflowing at distant x and changes no sign or ratio.  Each bracket
+   is refined by bracketed Newton from the secant point; the bracket's
+   orientation and that start are computed once for all bracketed rows,
+   and Newton runs once on all of them.  Newton
    evaluates psi directly from g(z(t)) = A z(t) + b, whose rounding scales
    with ||g(z)|| rather than ||g(x)||, so its last steps are the polish of
    the root; a row freezes once psi is at rounding level (taking the
@@ -529,7 +532,15 @@ class FeasibleSetProjector:
         JG[:, 1:] *= -1.0
         W = (JG @ sd.A) @ sd.Q               # w = Q^T A^T J g(x)
         psi0 = GXs[:, 0] ** 2 - np.einsum("ij,ij->i", GXs[:, 1:], GXs[:, 1:])
-        has, j, pl, pr = self._secular_bracket(GXs, W, psi0)
+        # The bracket reads the row scaled by 2^-e, 2^e about its largest
+        # |g(x)|, so that its psi, quadratic in g(x), cannot overflow.  A
+        # power of two scales exactly: the bracket, the sign of psi and the
+        # secant weight of ``_newton_start`` are those of the unscaled row.
+        e = np.frexp(np.abs(GXs).max(axis=1))[1]
+        down = -e[:, None]
+        has, j, pl, pr = self._secular_bracket(
+            np.ldexp(GXs, down), np.ldexp(W, down), np.ldexp(psi0, -2 * e)
+        )
         Z = Xs.copy()
 
         rows = np.flatnonzero(has)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import socpcq
 from socpcq import cli, full_report, margins, random_instance
 from socpcq import cq_checker, oracles
 from socpcq.cli import (
@@ -586,7 +587,77 @@ def test_import_builds_no_parser():
     assert proc.stdout.split() == ["0", "0"]
 
 
-def test_shared_parser_holds_no_call_state():
+def _layers_loaded_by(code: str) -> str:
+    """The list, as printed, of the lazily imported layers that a fresh
+    interpreter holds after running ``code``."""
+    script = code + textwrap.dedent(
+        """
+        import sys
+        lazy = ("families", "oracles", "projection")
+        print([name for name in lazy if f"socpcq.{name}" in sys.modules])
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import socpcq, socpcq.cli", "[]"),
+        (
+            "from socpcq import cli\n"
+            f"assert cli.main(['analyze', {fixture('vertex_halfplane')!r}, 'origin']) == 0",
+            "[]",
+        ),
+        (
+            "from socpcq import cli\n"
+            f"assert cli.main(['project', {fixture('vertex_halfplane')!r}, 'outside']) == 0",
+            "['projection']",
+        ),
+    ],
+    ids=["import", "analyze", "project"],
+)
+def test_a_command_imports_only_the_layers_it_runs(code, loaded):
+    assert _layers_loaded_by(code) == loaded
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    # In a fresh interpreter, where every lazy name is resolved cold.
+    code = textwrap.dedent(
+        """
+        import sys
+        import socpcq
+        star = {}
+        exec("from socpcq import *", star)
+        assert len(socpcq.__all__) == 46
+        constants = {"__version__": "socpcq", "DEFAULT_TOL": "socpcq.soc_core"}
+        for name in socpcq.__all__:
+            obj = getattr(socpcq, name)
+            module = constants.get(name) or obj.__module__
+            assert getattr(sys.modules[module], name) is obj, name
+            assert star[name] is obj, name
+        assert set(socpcq.__all__) <= set(dir(socpcq))
+        """
+    )
+    assert _layers_loaded_by(code) == "['families', 'oracles', 'projection']"
+
+
+def test_lazy_names_are_read_from_their_module(monkeypatch):
+    def patched():
+        pass
+
+    monkeypatch.setattr(oracles, "equivalence_harness", patched)
+    assert socpcq.equivalence_harness is patched
+    monkeypatch.undo()
+    assert socpcq.equivalence_harness is oracles.equivalence_harness
+    assert "equivalence_harness" not in vars(socpcq)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        socpcq.no_such_name
+
+
+def test_shared_parser_holds_no_call_state(capsys):
     parser = cli._parser()
     first = parser.parse_args(
         ["scan", "doc.json", "p", "--seed", "5", "--radii", "1e-1,1e-2"]
@@ -594,7 +665,14 @@ def test_shared_parser_holds_no_call_state():
     second = parser.parse_args(["scan", "doc.json", "p"])
     assert first is not second
     assert (first.seed, second.seed) == (5, None)
-    assert tuple(map(float, second.radii.split(","))) == oracles._RADII
+    assert (second.radii, second.samples) == (None, None)
+    # The scan's defaults live in oracles: a scan that sets neither option
+    # prints the bytes of one that spells the defaults out.
+    args = ("scan", fixture("boundary_degenerate"), "xbar")
+    plain = run_cli(capsys, *args)
+    spelled = run_cli(capsys, *args, "--radii", "0.1,0.01,0.001", "--samples", "200")
+    assert plain[0] == EXIT_OK
+    assert plain == spelled
 
 
 @pytest.mark.parametrize(
@@ -837,6 +915,25 @@ def test_scan_rejects_a_radius_past_the_magnitude_rule(capsys, radius):
 
 
 # -- harness ------------------------------------------------------------------
+
+
+def test_harness_fixed_point_obeys_the_scan_reach_rule(capsys, tmp_path):
+    # A point whose kappa-scan ball lies below one ulp of it: harness
+    # --instance exits 2 with scan's error, not with a scan that resolved
+    # nothing read as bounded.
+    path = tmp_path / "far.json"
+    doc = {"m": 3, "n": 3, "A": np.eye(3).tolist(), "b": [0, 0, 0]}
+    path.write_text(json.dumps({**doc, "points": {"p": [4e153, 4e153, 0]}}))
+    for argv in (
+        ("scan", str(path), "p"),
+        ("harness", "--instance", str(path), "--point", "p", "--trials", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            "error: radius 0.1 takes the kappa scan's points or their images "
+            "past the magnitude rule\n"
+        )
 
 
 def test_harness_fixed_instance_row(capsys):

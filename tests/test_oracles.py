@@ -110,6 +110,20 @@ def test_kappa_scan_radius_obeys_the_magnitude_rule(monkeypatch, radius):
     assert scan.radii == (1e100,)
 
 
+def test_harness_fixed_point_obeys_the_scan_reach_rule(monkeypatch):
+    # The kappa scan's ball around this point lies below one ulp of it, so
+    # its scan would resolve nothing: the harness refuses the point before
+    # its first trial, by the rule and with the error of mscq_kappa_scan.
+    monkeypatch.setattr(oracles, "_kappa_scan", None)
+    point = np.array([4e153, 4e153, 0.0])
+    for run in (
+        lambda: mscq_kappa_scan(IDENTITY, point),
+        lambda: equivalence_harness(1, fixed_instance=IDENTITY, fixed_point=point),
+    ):
+        with pytest.raises(DimensionError, match=re.escape("radius 0.1 ")):
+            run()
+
+
 def test_probe_offsets_follow_the_running_divisor():
     # h_k = r_k / (8 * 30^k) with the divisor a running product, bit for bit,
     # also past k = 13, where 8 * 30^k is no longer exact.
@@ -839,7 +853,7 @@ def test_harness_and_cli_share_one_trials_rule(monkeypatch, capsys):
     def failing(**kwargs):
         raise ValueError("inside the run")
 
-    monkeypatch.setattr(cli, "equivalence_harness", failing)
+    monkeypatch.setattr(oracles, "equivalence_harness", failing)
     with pytest.raises(ValueError, match="inside the run"):
         cli.main(["harness", "--trials", "1"])
 

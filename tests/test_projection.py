@@ -196,6 +196,21 @@ def test_slater_projection_holds_at_extreme_scales(e):
     assert np.linalg.norm(Z[0] - Z0[0]) <= gap
 
 
+@pytest.mark.parametrize("s", [1e140, 1e145, 1e150])
+def test_secular_bracket_holds_at_distant_rows(s):
+    # psi is quadratic in g(x); on the bracket's grid it overflowed for rows
+    # this far out (numpy's warning, an error in this test run) before the
+    # bracket read each row scaled by a power of two.  Far out, the distance
+    # grows linearly in s.
+    inst, xbar = random_instance(4, 3, "Thm4.4(iv)", seed=0)
+    proj = FeasibleSetProjector(inst, xbar)
+    Z, D, L = proj.project_batch(xbar + s * np.eye(3))
+    _, D_near, _ = proj.project_batch(xbar + 1e100 * np.eye(3))
+    assert np.all(D - L <= inst.projection_tol * s)
+    np.testing.assert_allclose(D / s, D_near / 1e100, rtol=1e-12)
+    assert np.all(margins(Z @ inst.A.T + inst.b) >= -1e-9 * s)
+
+
 def test_shifted_cone_matches_translated_projection():
     b = np.array([1.0, -0.5, 2.0])
     inst = AffineSOCInstance(np.eye(3), b)
