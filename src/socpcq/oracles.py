@@ -236,6 +236,14 @@ _RADII = (1e-1, 1e-2, 1e-3)
 _SAMPLES_PER_RADIUS = 200
 
 
+def _probe_offsets(radii: tuple[float, ...]) -> np.ndarray:
+    """The probe offset h_k = r_k / (8 * 30^k) of each radius, with the
+    divisor a running product."""
+    k = len(radii)
+    divisors = np.cumprod([_PROBE_DIVISOR0] + [_PROBE_DIVISOR_GROWTH] * (k - 1))
+    return np.asarray(radii) / divisors
+
+
 @functools.lru_cache(maxsize=16)
 def _radius_factors(radii: tuple[float, ...], S: int, P: int):
     """What a scan's draws take from its settings alone, built once per
@@ -252,8 +260,7 @@ def _radius_factors(radii: tuple[float, ...], S: int, P: int):
     spread = np.empty((k, S + P))
     spread[:, :S] = r_col
     spread[:, S:] = 0.9 * r_col
-    divisors = np.cumprod([_PROBE_DIVISOR0] + [_PROBE_DIVISOR_GROWTH] * (k - 1))
-    h = np.repeat(np.asarray(radii) / divisors, P)
+    h = np.repeat(_probe_offsets(radii), P)
     offset_rows = S + P + np.tile(np.arange(P), k)
     for arr in (spread, h, offset_rows):
         arr.setflags(write=False)
@@ -293,25 +300,36 @@ def mscq_kappa_scan(
     an analysis of ``instance``.  Every point the scan draws, projects or
     probes lies within 2 * radii[0] of ``xbar``; a largest radius that
     could take such a point, or its image, past the magnitude rule raises
-    ``DimensionError`` before any draw.
+    ``DimensionError`` before any draw, and so does a finest probe offset
+    below one ulp of ``xbar``'s largest entry, where the probes would round
+    onto their bases.
     """
     seed = _count(seed, "seed", 0)
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
     projector = FeasibleSetProjector(instance, xbar)
-    _check_scan_reach(instance, projector.reference, radii[0])
+    _check_scan_reach(instance, projector.reference, radii)
     return _kappa_scan(projector, radii, samples_per_radius, seed)
 
 
-def _check_scan_reach(instance: AffineSOCInstance, center, radius: float) -> None:
-    """``DimensionError`` unless every x within 2 * ``radius`` of ``center``
+def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
+    """``DimensionError`` unless every x within 2 * radii[0] of ``center``
     obeys the magnitude rule and so does g(x), by the bound of
-    ``AffineSOCInstance._image``: ||g(x)|| <= reach * max|x_j| + ||b||."""
+    ``AffineSOCInstance._image``: ||g(x)|| <= reach * max|x_j| + ||b||;
+    and unless the finest probe offset is at least one ulp of
+    max|center_j|, so that the scan's points resolve from its center."""
     reach, norm_b = instance._reach
-    big = float(np.abs(center).max()) + 2.0 * radius
+    top = float(np.abs(center).max())
+    big = top + 2.0 * radii[0]
     if max(big * math.sqrt(instance.n), reach * big + norm_b) >= _SQUARE_LIMIT:
         raise DimensionError(
-            f"radius {radius:g} takes the kappa scan's points or their images "
+            f"radius {radii[0]:g} takes the kappa scan's points or their images "
             "past the magnitude rule"
+        )
+    finest = float(_probe_offsets(radii)[-1])
+    if finest < math.ulp(top):
+        raise DimensionError(
+            f"radius {radii[-1]:g} puts the kappa scan's probe offset "
+            f"{finest:g} below one ulp of its center"
         )
 
 
@@ -593,8 +611,9 @@ def equivalence_harness(
     Each decided point has one report and one projector, built from the
     report's analysis: a random trial builds them for its draw, a fixed
     instance once before the first trial (an infeasible fixed point raises
-    there, and so does one whose scans would reach past the magnitude rule,
-    with the ``DimensionError`` of ``mscq_kappa_scan``).  The kappa scan
+    there, and so does one whose scans would reach past the magnitude rule
+    or probe below one ulp of it, with the ``DimensionError`` of
+    ``mscq_kappa_scan``).  The kappa scan
     and its retry sample against that projector.  Every trial runs the FCR
     oracle ``fcr_dim_scan`` on the analysis, which decides where to sample and
     how widely.  It returns None off the positive boundary, where FCR
@@ -615,7 +634,7 @@ def equivalence_harness(
         target, m, n = "fixed", fixed_instance.m, fixed_instance.n
         report, violations = _report(fixed_instance, fixed_point)
         projector = FeasibleSetProjector(fixed_instance, report.point_analysis)
-        _check_scan_reach(fixed_instance, projector.reference, _RADII[0])
+        _check_scan_reach(fixed_instance, projector.reference, _RADII)
 
     for t, child in enumerate(children):
         trial_seed = int(child.generate_state(1, dtype=np.uint32)[0])

@@ -107,7 +107,8 @@ rows the first left uncertified:
    products per fixed-size block of rows, so the working set does not
    grow with the batch; each row enters them scaled by a power of two
    near its largest |g(x)|, which keeps psi, quadratic in g(x), from
-   overflowing at distant x and changes no sign or ratio.  Each bracket
+   overflowing at distant x or underflowing at near ones and changes no
+   sign or ratio.  Each bracket
    is refined by bracketed Newton from the secant point; the bracket's
    orientation and that start are computed once for all bracketed rows,
    and Newton runs once on all of them.  Newton
@@ -531,16 +532,14 @@ class FeasibleSetProjector:
         JG = GXs.copy()
         JG[:, 1:] *= -1.0
         W = (JG @ sd.A) @ sd.Q               # w = Q^T A^T J g(x)
-        psi0 = GXs[:, 0] ** 2 - np.einsum("ij,ij->i", GXs[:, 1:], GXs[:, 1:])
         # The bracket reads the row scaled by 2^-e, 2^e about its largest
-        # |g(x)|, so that its psi, quadratic in g(x), cannot overflow.  A
-        # power of two scales exactly: the bracket, the sign of psi and the
-        # secant weight of ``_newton_start`` are those of the unscaled row.
-        e = np.frexp(np.abs(GXs).max(axis=1))[1]
-        down = -e[:, None]
-        has, j, pl, pr = self._secular_bracket(
-            np.ldexp(GXs, down), np.ldexp(W, down), np.ldexp(psi0, -2 * e)
-        )
+        # |g(x)|, so that its psi, quadratic in g(x), can neither overflow
+        # nor underflow.  A power of two scales exactly: the bracket, the
+        # sign of psi and the secant weight of ``_newton_start`` are those
+        # of the unscaled row wherever its squares are in range.
+        down = -np.frexp(np.abs(GXs).max(axis=1))[1][:, None]
+        Gs = np.ldexp(GXs, down)
+        has, j, pl, pr = self._secular_bracket(Gs, np.ldexp(W, down), _psi0(Gs))
         Z = Xs.copy()
 
         rows = np.flatnonzero(has)
@@ -554,7 +553,7 @@ class FeasibleSetProjector:
 
         hard = np.flatnonzero(~has) if np.isfinite(sd.pole) else np.zeros(0, int)
         if hard.size:
-            Z[hard] = self._hard_case(Xs[hard], W[hard], psi0[hard])
+            Z[hard] = self._hard_case(Xs[hard], W[hard], _psi0(GXs[hard]))
         return self._certify(Xs, Z)
 
     def _secular_bracket(self, GXs, W, psi0):
@@ -715,6 +714,11 @@ class FeasibleSetProjector:
         # and g0 changes by (A Q)[0, top] s: the root of larger g0 is kept.
         s = t * (-w + (root if sd.AQ0[-1] >= 0.0 else -root))
         return Xs + (t * Wr / E) @ sd.Q[:, :-1].T + s[:, None] * sd.Q[:, -1]
+
+
+def _psi0(G: np.ndarray) -> np.ndarray:
+    """psi(0) = g0^2 - ||g_r||^2 of each row g(x) of ``G``."""
+    return G[:, 0] ** 2 - np.einsum("ij,ij->i", G[:, 1:], G[:, 1:])
 
 
 def _max_margin(P: np.ndarray, C: np.ndarray) -> np.ndarray:

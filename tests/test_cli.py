@@ -917,23 +917,35 @@ def test_scan_rejects_a_radius_past_the_magnitude_rule(capsys, radius):
 # -- harness ------------------------------------------------------------------
 
 
-def test_harness_fixed_point_obeys_the_scan_reach_rule(capsys, tmp_path):
-    # A point whose kappa-scan ball lies below one ulp of it: harness
-    # --instance exits 2 with scan's error, not with a scan that resolved
-    # nothing read as bounded.
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (
+            [4e153, 4e153, 0],
+            "radius 0.1 takes the kappa scan's points or their images "
+            "past the magnitude rule",
+        ),
+        (
+            [1e100, 1e100, 0],
+            "radius 0.001 puts the kappa scan's probe offset 1.38889e-07 "
+            "below one ulp of its center",
+        ),
+    ],
+)
+def test_harness_fixed_point_obeys_the_scan_reach_rule(capsys, tmp_path, point, message):
+    # Points whose kappa scan would pass the magnitude rule, or whose probe
+    # offsets lie below one ulp of them: harness --instance exits 2 with
+    # scan's error, not with a scan that resolved nothing read as bounded.
     path = tmp_path / "far.json"
     doc = {"m": 3, "n": 3, "A": np.eye(3).tolist(), "b": [0, 0, 0]}
-    path.write_text(json.dumps({**doc, "points": {"p": [4e153, 4e153, 0]}}))
+    path.write_text(json.dumps({**doc, "points": {"p": point}}))
     for argv in (
         ("scan", str(path), "p"),
         ("harness", "--instance", str(path), "--point", "p", "--trials", "1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_PARSE, "")
-        assert err == (
-            "error: radius 0.1 takes the kappa scan's points or their images "
-            "past the magnitude rule\n"
-        )
+        assert err == f"error: {message}\n"
 
 
 def test_harness_fixed_instance_row(capsys):

@@ -8,6 +8,7 @@ harness runs.
 """
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -110,18 +111,41 @@ def test_kappa_scan_radius_obeys_the_magnitude_rule(monkeypatch, radius):
     assert scan.radii == (1e100,)
 
 
-def test_harness_fixed_point_obeys_the_scan_reach_rule(monkeypatch):
-    # The kappa scan's ball around this point lies below one ulp of it, so
-    # its scan would resolve nothing: the harness refuses the point before
-    # its first trial, by the rule and with the error of mscq_kappa_scan.
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ([4e153, 4e153, 0.0], "radius 0.1 takes"),
+        ([1e100, 1e100, 0.0], "radius 0.001 puts"),
+    ],
+)
+def test_harness_fixed_point_obeys_the_scan_reach_rule(monkeypatch, point, message):
+    # The kappa scan around the first point would pass the magnitude rule,
+    # and around the second its probe offsets lie below one ulp of the
+    # point, so its draws would round onto it: the harness refuses either
+    # point before its first trial, by the rule and with the error of
+    # mscq_kappa_scan.
     monkeypatch.setattr(oracles, "_kappa_scan", None)
-    point = np.array([4e153, 4e153, 0.0])
+    point = np.array(point)
     for run in (
         lambda: mscq_kappa_scan(IDENTITY, point),
         lambda: equivalence_harness(1, fixed_instance=IDENTITY, fixed_point=point),
     ):
-        with pytest.raises(DimensionError, match=re.escape("radius 0.1 ")):
+        with pytest.raises(DimensionError, match=re.escape(message)):
             run()
+
+
+def test_kappa_scan_probe_offsets_resolve_from_the_center(monkeypatch):
+    # The finest probe offset must reach one ulp of the center's largest
+    # entry: with radii (0.1, 0.01) it is 0.01 / 240, and ulp(2^k) = 2^(k-52).
+    finest = 0.01 / 240.0
+    k = math.frexp(finest)[1] + 52
+    monkeypatch.setattr(oracles, "_kappa_scan", None)
+    with pytest.raises(DimensionError, match="below one ulp of its center"):
+        mscq_kappa_scan(IDENTITY, [2.0**k, 2.0**k, 0.0], radii=(0.1, 0.01))
+    monkeypatch.undo()
+    point = [2.0 ** (k - 1), 2.0 ** (k - 1), 0.0]
+    scan = mscq_kappa_scan(IDENTITY, point, radii=(0.1, 0.01), samples_per_radius=8)
+    assert scan.radii == (0.1, 0.01)
 
 
 def test_probe_offsets_follow_the_running_divisor():

@@ -211,6 +211,39 @@ def test_secular_bracket_holds_at_distant_rows(s):
     assert np.all(margins(Z @ inst.A.T + inst.b) >= -1e-9 * s)
 
 
+class _BracketRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [-530, -660, 480])
+def test_secular_bracket_reads_every_scale_alike(monkeypatch, k):
+    # psi is quadratic in g(x): unscaled, its squares go subnormal on rows
+    # near 2^-530 (about 3e-160) and overflow near 2^480 (about 3e144).  The
+    # bracket reads each row scaled by a power of two, so on the rows 2^k X
+    # it returns bit for bit what it returns on X.  project_batch certifies
+    # rows that near the vertex before its secular stage, so the test calls
+    # that stage directly and stops it once the bracket is read.
+    inst, _ = random_instance(4, 3, "Thm4.4(iv)", seed=0)
+    proj = FeasibleSetProjector(AffineSOCInstance(inst.A, np.zeros(4)), np.zeros(3))
+    X = np.random.default_rng(1).standard_normal((40, 3))
+    bracket = FeasibleSetProjector._secular_bracket
+    seen = []
+
+    def read(self, GX, W, psi0):
+        seen.append(bracket(self, GX, W, psi0))
+        raise _BracketRead
+
+    monkeypatch.setattr(FeasibleSetProjector, "_secular_bracket", read)
+    for rows in (X, np.ldexp(X, k)):
+        with pytest.raises(_BracketRead):
+            proj._secular_candidate(rows, rows @ inst.A.T)
+    (has, j, pl, pr), (has_k, j_k, pl_k, pr_k) = seen
+    assert np.any(has)
+    assert np.array_equal(has_k, has)
+    for a, b in ((j_k, j), (pl_k, pl), (pr_k, pr)):
+        assert np.array_equal(a[has], b[has])
+
+
 def test_shifted_cone_matches_translated_projection():
     b = np.array([1.0, -0.5, 2.0])
     inst = AffineSOCInstance(np.eye(3), b)
