@@ -237,8 +237,10 @@ def transformed(instance, xbar=None, rows=None, *, L=None, P=None, q=None):
     """``(instance, xbar, rows)`` for the constraint L g(P z + q) in Q_m.
 
     L multiplies g from the left; P, an orthogonal (n, n) matrix, and q
-    come together and map the points to z = P^T (x - q).  The new instance
-    keeps the tolerances of ``instance``.
+    come together and map the points to z = P^T (x - q).  That point map
+    needs P orthogonal; the verdicts at the mapped point need only P
+    invertible, with z = P^-1 (x - q).  The new instance keeps the
+    tolerances of ``instance``.
     """
     A, b = instance.A, instance.b
     if L is not None:

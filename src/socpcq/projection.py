@@ -117,12 +117,9 @@ rows the first left uncertified:
    the root; a row freezes once psi is at rounding level (taking the
    Newton step from that value), its bracket has collapsed, or its step
    fell below sqrt(eps).  Near the pole the distance u = 1 - t lam_+ is
-   carried alongside t, so both stay accurate.  A lone bracketed row takes
-   the same Newton steps from the same start with its scalars in Python
-   floats, where numpy's per-call cost on length-1 arrays would dominate;
-   its z(t) goes through the same certificate.  A row without such a bracket is the hard case of
-   trust-region solvers (w_+ = 0): t = 1/lam_+ and the lam_+ coordinate
-   solves the quadratic psi = 0 with g0 > 0.
+   carried alongside t, so both stay accurate.  A row without such a
+   bracket is the hard case of trust-region solvers (w_+ = 0): t = 1/lam_+
+   and the lam_+ coordinate solves the quadratic psi = 0 with g0 > 0.
 
 Every candidate is certified the same way: ub is the distance to the
 candidate made feasible (moved along an interior ray of the recession cone
@@ -131,6 +128,14 @@ point), and lb is the dual bound <-mu, g(x)> / ||A^T mu|| of a cone
 multiplier mu.  A row is accepted once ub - lb <= tol * max(1, ||x||),
 tol the instance's ``projection_tol``; otherwise ``NumericalFailureError``
 is raised.
+
+A batch of one row, what ``project`` and ``project_to_feasible_set``
+pass, runs both stages and the certificate in ``_project_row`` instead:
+the same formulas with the scalars in Python floats and the vectors in
+1-D numpy, since numpy's per-call cost on length-1 arrays would dominate.
+It takes the grid bracket, the hard case and the Newton start of the
+batch, and the batch's Newton steps in ``_newton_row``.  Batches of two
+or more rows never take it.
 
 ``project_batch`` returns a ``BatchProjection``: per row the feasible
 point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
@@ -403,7 +408,10 @@ class FeasibleSetProjector:
     def _project_rows(self, X: np.ndarray) -> BatchProjection:
         """``project_batch`` on rows that are already (N, n) and finite."""
         if self.geometry is _Geometry.SLATER:
-            return self._project_slater(X)
+            if X.shape[0] != 1:
+                return self._project_slater(X)
+            z, ub, lb = self._project_row(X[0])
+            return BatchProjection(z[None, :], np.array([ub]), np.array([lb]))
         R = X - self.reference
         delta = R @ self._flat_projector.T
         if self._half_line is not None:
@@ -499,6 +507,23 @@ class FeasibleSetProjector:
         Zf = self._pull_inside(Z, _margin_rows(G))
         return Zf, _row_norms(Xs - Zf), self._dual_bound(Mu, Xs, Z, G)
 
+    def _record_row(self, x: np.ndarray, z: np.ndarray, g: np.ndarray, mu: np.ndarray):
+        """``_record`` on one row x: the pull-in of ``_pull_inside`` and the
+        bound of ``_dual_bound``, with the scalars in Python floats."""
+        sd = self._slater
+        mz = float(g[0]) - _norm(g[1:])
+        zf = z
+        if mz < 0.0:
+            if sd.ray is not None:
+                zf = z - mz * sd.ray
+            else:
+                zf = z + (-mz / (sd.interior_margin - mz)) * (sd.interior - z)
+        at_mu = mu @ sd.A
+        num = -float(mu @ g) - float(at_mu @ (x - z))
+        den = _norm(at_mu)
+        # max(0, NaN) is 0, as np.fmax has it.
+        return zf, _norm(x - zf), max(0.0, num / den) if den > 1e-300 else 0.0
+
     def _certify(self, Xs: np.ndarray, Z: np.ndarray):
         """(feasible Z, ub, lb) for candidates at the smooth boundary.
 
@@ -545,16 +570,68 @@ class FeasibleSetProjector:
         rows = np.flatnonzero(has)
         if rows.size:
             start = self._newton_start(j[rows], pl[rows], pr[rows])
-            if rows.size == 1:
-                r = rows[0]
-                Z[r] = self._newton_row(Xs[r], W[r], *(float(v[0]) for v in start))
-            else:
-                Z[rows] = self._bracketed_newton(Xs[rows], W[rows], *start)
+            Z[rows] = self._bracketed_newton(Xs[rows], W[rows], *start)
 
         hard = np.flatnonzero(~has) if np.isfinite(sd.pole) else np.zeros(0, int)
         if hard.size:
             Z[hard] = self._hard_case(Xs[hard], W[hard], _psi0(GXs[hard]))
         return self._certify(Xs, Z)
+
+    def _project_row(self, x: np.ndarray):
+        """``_project_slater`` on one row x of shape (n,): (z, ub, lb), z a
+        new array.  The same feasibility test, vertex candidate, secular
+        root and certificate, with the scalars in Python floats and the
+        vectors in 1-D numpy, where numpy's per-call cost on length-1
+        arrays would dominate; the grid bracket, ``_newton_start`` and
+        ``_hard_case`` run on the row as a one-row batch."""
+        g = self.instance._evaluate(x)
+        if not float(g[0]) - _norm(g[1:]) < 0.0:
+            return x.copy(), 0.0, 0.0
+        sd = self._slater
+        gs = sd.scale * g
+        gap_tol = self.instance.projection_tol * max(1.0, _norm(x))
+        z, ub, lb = x, math.inf, 0.0
+        if sd.null_proj is not None:
+            d = gs @ sd.pinv_t                   # x - z_v = A^+ g(x)
+            z = x - d
+            mu = _max_margin(sd.null_proj, -(d @ sd.pinv_t.T))
+            # mu projected onto Q, as soc_core._projection_rows does.
+            mu0, norm_r = float(mu[0]), _norm(mu[1:])
+            if -mu0 >= norm_r:
+                mu = np.zeros_like(mu)
+            elif mu0 < norm_r:
+                coef = 0.5 * (mu0 + norm_r)
+                mu *= coef / norm_r
+                mu[0] = coef
+            z, ub, lb = self._record_row(x, z, sd.A @ z + sd.b, mu)
+        if not ub - lb <= gap_tol:
+            jg = -gs                             # J g(x)
+            jg[0] = gs[0]
+            w = (jg @ sd.A) @ sd.Q
+            down = -math.frexp(float(np.abs(gs).max()))[1]
+            Gs = np.ldexp(gs, down)[None, :]
+            has, j, pl, pr = self._secular_bracket(
+                Gs, np.ldexp(w, down)[None, :], _psi0(Gs)
+            )
+            if has[0]:
+                start = self._newton_start(j, pl, pr)
+                zs = self._newton_row(x, w, *(float(v[0]) for v in start))
+            elif math.isfinite(sd.pole):
+                zs = self._hard_case(x[None, :], w[None, :], _psi0(gs[None, :]))[0]
+            else:
+                zs = x.copy()
+            # The multiplier of ``_certify``.
+            gz = sd.A @ zs + sd.b
+            mu = gz / -max(_norm(gz[1:]), 1e-300)
+            mu[0] = 1.0
+            zs, ub_s, lb_s = self._record_row(x, zs, gz, mu)
+            if ub_s < ub:
+                z, ub = zs, ub_s
+            lb = max(lb, lb_s)    # as np.fmax: neither is NaN
+        gap = ub - lb
+        if not gap <= gap_tol:
+            raise NumericalFailureError(f"projection gap {gap:.3e} not certified", gap)
+        return z, ub, min(lb, ub)
 
     def _secular_bracket(self, GXs, W, psi0):
         """(has, j, pl, pr): the first grid step j -> j + 1 where psi changes
@@ -607,9 +684,9 @@ class FeasibleSetProjector:
 
         psi is evaluated from g(z(t)) = A z(t) + b directly: its rounding
         then scales with ||g(z)||, not with ||g(x)|| as the sum
-        psi(0) + sum_i (...) would, which matters for distant x.  One
-        bracketed row takes the same steps in Python floats instead
-        (``_newton_row``), and its z(t) meets the same certificate.
+        psi(0) + sum_i (...) would, which matters for distant x.  A lone
+        row takes the same steps in Python floats instead (``_newton_row``,
+        from ``_project_row``).
         """
         sd = self._slater
         A, b = sd.A, sd.b
@@ -722,7 +799,8 @@ def _psi0(G: np.ndarray) -> np.ndarray:
 
 
 def _max_margin(P: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Per row c of C, the point of c + Im(P) of largest cone margin.
+    """Per row c of C (or for C itself, one row), the point of c + Im(P)
+    of largest cone margin.
 
     P is an orthogonal projector with P_00 < 1/2; the closed form is in the
     module docstring.
@@ -732,12 +810,12 @@ def _max_margin(P: np.ndarray, C: np.ndarray) -> np.ndarray:
     s = p / (1.0 - alpha)
     proj = P[1:, 1:] + np.outer(p, p) / (1.0 - alpha)
     kappa = float(np.sqrt((1.0 - alpha) / (1.0 - 2.0 * alpha)))
-    cr = C[:, 1:]
+    cr = C[..., 1:]
     perp = cr - cr @ proj
     lift = kappa * _row_norms(perp)
     Y = np.empty_like(C)
-    Y[:, 0] = C[:, 0] + (lift * float(s @ s) - cr @ s)
-    Y[:, 1:] = perp + lift[:, None] * s
+    Y[..., 0] = C[..., 0] + (lift * float(s @ s) - cr @ s)
+    Y[..., 1:] = perp + lift[..., None] * s
     return Y
 
 

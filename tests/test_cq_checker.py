@@ -321,3 +321,50 @@ def test_mscq_label_is_thm51_everywhere_it_holds():
         v = full_report(inst, xbar).mscq
         assert v.holds and v.condition == "Thm5.1"
         assert v.evidence["equivalent_route"].startswith("Thm4.4")
+
+
+def _q2_case(rng, image, point):
+    """An m = 2 instance and a feasible x.  ``image`` is the rank of Im(A),
+    or "ray" for a rank-one image along a boundary ray of Q_2; ``point``
+    puts g(x) at the vertex, on the boundary or in the interior."""
+    n = int(rng.integers(2 if image == 2 else 1, 5))
+    if image == 0:
+        A = np.zeros((2, n))
+    elif image == 2:
+        A = rng.standard_normal((2, n))
+    elif image == "ray":
+        A = np.outer([1.0, rng.choice([-1.0, 1.0])], rng.standard_normal(n))
+    else:
+        A = np.outer(rng.standard_normal(2), rng.standard_normal(n))
+    s = rng.exponential()
+    y = {
+        "vertex": [0.0, 0.0],
+        "boundary": [s, s * rng.choice([-1.0, 1.0])],
+        "interior": [s, s * rng.uniform(-0.9, 0.9)],
+    }[point]
+    x = rng.standard_normal(n)
+    return AffineSOCInstance(A, y - A @ x), x
+
+
+def test_crcq_holds_at_every_feasible_point_of_q2():
+    # Q_2 = {y : y0 >= |y1|} is polyhedral, so, as for linear programs,
+    # CRCQ holds at every feasible point (the paper's opening paragraph).
+    # The cases reach all three locations and all six CRCQ conditions, RCQ
+    # failing at some of them.
+    rng = np.random.default_rng(2)
+    locations, labels, rcq_fails = set(), set(), 0
+    for image in (0, 1, 2, "ray"):
+        for point in ("vertex", "boundary", "interior"):
+            for _ in range(25):
+                inst, x = _q2_case(rng, image, point)
+                rep = full_report(inst, x)
+                assert rep.crcq.holds, (image, point)
+                assert verify_report_invariants(rep) == []
+                locations.add(rep.point_analysis.location)
+                labels.add(rep.crcq.condition)
+                rcq_fails += not rep.rcq.holds
+    assert locations == {
+        ConeLocation.ZERO, ConeLocation.POSITIVE_BOUNDARY, ConeLocation.INTERIOR
+    }
+    assert labels == {f"Thm4.4({k})" for k in ("i", "ii", "iii", "iv", "v", "vi")}
+    assert rcq_fails > 50

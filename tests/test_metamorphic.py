@@ -5,14 +5,16 @@ orthogonal reparametrizations x = Qz + q all leave the feasible set (up to
 the reparametrization) and every constraint qualification unchanged.  Each
 case draws a stratified instance, applies one transform, and checks that
 all six verdicts keep their condition and that the certified distances
-from the transformed xbar do not move.  The boost itself is checked
-against the Lorentz form and against the explicit axis block.
+from the transformed xbar do not move.  An invertible, non-orthogonal
+reparametrization x = Pz + q, boosted or not, keeps the verdicts too, but
+not the distances.  The boost itself is checked against the Lorentz form
+and against the explicit axis block.
 """
 
 import numpy as np
 import pytest
 
-from socpcq import FeasibleSetProjector, full_report, random_instance
+from socpcq import AffineSOCInstance, FeasibleSetProjector, full_report, random_instance
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 
 VERDICTS = ("nondegeneracy", "rcq", "fcr", "h_closed", "crcq", "mscq")
@@ -22,6 +24,12 @@ TRANSFORMS = ("scale:1e-3", "scale:1e3", "rotate", "boost:1", "reparametrize")
 def _orthogonal(rng, k):
     Q, R = np.linalg.qr(rng.standard_normal((k, k)))
     return Q * np.sign(np.diag(R))
+
+
+def _invertible(rng, k, cond):
+    """A non-orthogonal (k, k) matrix of condition number ``cond``, k >= 2."""
+    spread = np.geomspace(np.sqrt(cond), 1.0 / np.sqrt(cond), k)
+    return (_orthogonal(rng, k) * spread) @ _orthogonal(rng, k).T
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -51,6 +59,33 @@ def test_verdicts_and_distances_are_invariant(stratum, transform, seed):
     _, D, _ = FeasibleSetProjector(inst, xbar).project_batch(X)
     _, Dt, _ = FeasibleSetProjector(t_inst, t_xbar).project_batch(t_X)
     assert np.all(np.abs(Dt - D) <= 1e-9 * np.maximum(1.0, D))
+
+
+@pytest.mark.parametrize("cond", [1e1, 1e3, 1e5])
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_verdicts_are_invariant_under_invertible_reparametrizations(stratum, cond):
+    # x = P z + q, then a boost at rapidity 0, 2 or 4.  ``transformed`` maps
+    # points by P^T, which is right only for an orthogonal P, so the cases
+    # are built here, with the point z = P^-1 (x - q).  Only the labels are
+    # compared: a non-orthogonal P changes the metric, so the distances.
+    for seed in range(5):
+        m, n = 3 + seed % 4, 2 + seed % 5
+        inst, xbar = random_instance(m, n, stratum, seed)
+        rng = np.random.default_rng(seed)
+        P, q = _invertible(rng, n, cond), rng.standard_normal(n)
+        z = np.linalg.solve(P, xbar - q)
+        before = full_report(inst, xbar)
+        for rapidity in (0.0, 2.0, 4.0):
+            L = lorentz_boost(rng.standard_normal(m - 1), rapidity)
+            t_inst = AffineSOCInstance(
+                L @ inst.A @ P, L @ (inst.A @ q + inst.b), inst.tol, inst.projection_tol
+            )
+            after = full_report(t_inst, z)
+            for name in VERDICTS:
+                v, w = getattr(before, name), getattr(after, name)
+                assert (w.holds, w.condition) == (v.holds, v.condition), (
+                    name, seed, rapidity
+                )
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7])

@@ -381,26 +381,51 @@ def test_image_slice_without_interior_fails_at_the_first_infeasible_batch(
     assert d == pytest.approx(1.0, abs=1e-12)
 
 
-def _assert_lone_rows_match(monkeypatch, proj, X, Z, D):
-    """Each row of X projected alone lands within 1e-12 max(1, D) of its
-    batch record (Z, D); returns the start u = 1 - t lam_+ of the rows that
-    took the one-row Newton path, negative past the pole."""
-    starts = []
-    newton_row = FeasibleSetProjector._newton_row
+def _assert_lone_rows_match(monkeypatch, proj, X, Z, D, L):
+    """Each row of X projected alone enters the lone path ``_project_row``
+    and lands within 1e-12 max(1, D) of its batch record (Z, D, L).
 
-    def spy(self, x, w, tn, un, tp, up, t, u):
-        starts.append(u)
-        return newton_row(self, x, w, tn, un, tp, up, t, u)
+    Returns, per row, the branch that produced its point: "feasible",
+    "vertex" (certified before the secular stage), "newton", "hard", or
+    "secular" (no bracket and no pole: the row itself); and the start
+    u = 1 - t lam_+ of each Newton row, negative past the pole."""
+    calls = []
 
-    monkeypatch.setattr(FeasibleSetProjector, "_newton_row", spy)
-    alone = [proj.project_batch(x[None, :]) for x in X]
+    def spy(name):
+        method = getattr(FeasibleSetProjector, name)
+
+        def call(self, *args):
+            calls.append((name, args))
+            return method(self, *args)
+
+        monkeypatch.setattr(FeasibleSetProjector, name, call)
+
+    for name in ("_project_row", "_secular_bracket", "_newton_row", "_hard_case"):
+        spy(name)
+    alone, branches, starts = [], [], []
+    for x in X:
+        calls.clear()
+        alone.append(proj.project_batch(x[None, :]))
+        names = [name for name, _ in calls]
+        assert names[0] == "_project_row"
+        if "_newton_row" in names:
+            branches.append("newton")
+            starts.append(calls[names.index("_newton_row")][1][-1])
+        elif "_hard_case" in names:
+            branches.append("hard")
+        elif "_secular_bracket" in names:
+            branches.append("secular")
+        else:
+            branches.append("vertex" if alone[-1].ub[0] > 0.0 else "feasible")
     monkeypatch.undo()
     bound = 1e-12 * np.maximum(1.0, D)
     assert np.all(np.abs(np.concatenate([r.ub for r in alone]) - D) <= bound)
+    assert np.all(np.abs(np.concatenate([r.lb for r in alone]) - L) <= bound)
+    assert all(r.lb[0] <= r.ub[0] for r in alone)
     assert np.all(
         np.linalg.norm(np.vstack([r.points for r in alone]) - Z, axis=1) <= bound
     )
-    return np.array(starts)
+    return branches, np.array(starts)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -410,8 +435,8 @@ def test_slater_batch_is_row_independent_across_grid_blocks(
 ):
     # The secular grid runs in row blocks; one 300-row batch must agree
     # with the same rows split 137/163, which moves the block boundaries,
-    # and with its first rows projected alone, which take the one-row
-    # Newton path in Python floats.
+    # and with its first rows projected alone, which take the lone path in
+    # Python floats.
     m, n = 3 + seed % 4, 2 + seed % 5
     inst, xbar = random_instance(m, n, stratum, seed)
     rng = np.random.default_rng(seed)
@@ -419,13 +444,15 @@ def test_slater_batch_is_row_independent_across_grid_blocks(
     X = xbar + scale * rng.standard_normal((300, n))
     proj = FeasibleSetProjector(inst, xbar)
     assert proj.geometry.value == "slater"
-    Z, D, _ = proj.project_batch(X)
+    Z, D, L = proj.project_batch(X)
     Z1, D1, _ = proj.project_batch(X[:137])
     Z2, D2, _ = proj.project_batch(X[137:])
     bound = 1e-12 * np.maximum(1.0, D)
     assert np.all(np.abs(np.concatenate([D1, D2]) - D) <= bound)
     assert np.all(np.linalg.norm(np.vstack([Z1, Z2]) - Z, axis=1) <= bound)
-    starts = _assert_lone_rows_match(monkeypatch, proj, X[:20], Z[:20], D[:20])
+    _, starts = _assert_lone_rows_match(
+        monkeypatch, proj, X[:20], Z[:20], D[:20], L[:20]
+    )
     assert starts.size > 0
 
 
@@ -528,8 +555,17 @@ def test_secular_bracket_matches_full_grid_scan_without_a_pole(monkeypatch):
     assert has.size > 100 and np.all(has)
 
 
+def _wedge(rapidity):
+    """{x : x1 >= |x2|}, written as L A x in Q for a boost L of the given
+    rapidity; the boost tilts null(A^T) towards e0."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    boost = lorentz_boost([0.0, 1.0], rapidity)
+    return transformed(AffineSOCInstance(A, np.zeros(3)), L=boost)[0]
+
+
 def _lone_row_case(case):
-    """(instance, reference, rows) on which lone rows must match the batch."""
+    """(instance, reference, rows, branch): lone rows must match the batch,
+    and some lone row must take ``branch`` (see ``_assert_lone_rows_match``)."""
     if case == "past the pole":
         # Led by rows next to the hard case x1 = 0: the root of x1 = +-1e-k
         # lies about 1e-k from the pole, on the side of its sign, where only
@@ -541,54 +577,161 @@ def _lone_row_case(case):
             for x2 in (0.5, 3.0)
         ]
         far = np.random.default_rng(5).standard_normal((200, 2)) * 4.0
-        return HYPERBOLA, np.array([2.0, 0.0]), np.vstack([near, far])
+        return HYPERBOLA, np.array([2.0, 0.0]), np.vstack([near, far]), "newton"
     if case == "no pole":
         X = np.random.default_rng(8).standard_normal((100, 2)) * 5.0
-        return ELLIPSE, np.zeros(2), X
+        return ELLIPSE, np.zeros(2), X, "newton"
+    if case == "hard case":
+        # (0, 3, 4) has no bracket (w_+ = 0); the rows after it give the
+        # batch more than one row.
+        X = np.random.default_rng(5).standard_normal((40, 3)) * 4.0
+        X = np.vstack([[0.0, 3.0, 4.0], X])
+        return IDENTITY, np.array([1.0, 0.0, 0.0]), X, "hard"
+    if case.startswith("wedge"):
+        # The rows of ``test_boosted_wedge_keeps_its_distances``; those in
+        # the polar wedge are certified at the vertex.  Rapidity 4 is left
+        # out: there a row's Newton loop in Python floats lands 1.1e-12 off
+        # the batch's numpy loop, in the lone path as in the one-row loop it
+        # extends; the boost's conditioning amplifies their rounding
+        # (ROADMAP item 7).
+        X = np.random.default_rng(31).standard_normal((40, 2)) * 3.0
+        return _wedge(float(case.split(":")[1])), np.zeros(2), X, "vertex"
     # A vertex Slater point boosted at rapidity 3, rows at scales 1e-3 to 100.
     inst, xbar = random_instance(4, 3, "Thm4.4(iv)", 1)
     scale = np.repeat(np.logspace(-3, 2, 6), 20)[:, None]
     X = xbar + scale * np.random.default_rng(1).standard_normal((120, 3))
-    return transformed(inst, xbar, X, L=lorentz_boost([1.0, 0.0, 0.0], 3.0))
+    boost = lorentz_boost([1.0, 0.0, 0.0], 3.0)
+    return (*transformed(inst, xbar, X, L=boost), "newton")
 
 
-@pytest.mark.parametrize("case", ["past the pole", "no pole", "boosted"])
+@pytest.mark.parametrize(
+    "case",
+    ["past the pole", "no pole", "boosted", "hard case"]
+    + [f"wedge:{r}" for r in range(4)],
+)
 def test_lone_rows_match_the_batch(monkeypatch, case):
-    # A row left alone in the secular stage takes the Newton steps of the
-    # batch in Python floats; it must land where the batch puts it.
-    inst, ref, X = _lone_row_case(case)
+    # A batch of one row takes the lone path in Python floats, both stages
+    # and the certificate; it must land where the batch puts the row.
+    inst, ref, X, branch = _lone_row_case(case)
     proj = FeasibleSetProjector(inst, ref)
     assert proj.geometry.value == "slater"
-    Z, D, _ = proj.project_batch(X)
-    starts = _assert_lone_rows_match(monkeypatch, proj, X, Z, D)
-    assert starts.size > X.shape[0] // 4
-    gap = proj._slater.grid_gap
+    Z, D, L = proj.project_batch(X)
+    branches, starts = _assert_lone_rows_match(monkeypatch, proj, X, Z, D, L)
+    assert branch in branches
+    if branch == "newton":
+        assert starts.size > X.shape[0] // 4
     if case == "past the pole":
         assert np.any(starts < 0.0) and np.any(starts > 0.0)
     if case == "no pole":
-        assert gap < 0
+        assert proj._slater.grid_gap < 0
+
+
+def test_lone_record_matches_the_batch_record():
+    # ``_record_row`` is ``_record`` on one row: the pull-in of a candidate
+    # outside Omega, along the recession ray (hyperbola) or towards the
+    # interior point (ellipse), ub, and the dual bound, clipped at 0.
+    rng = np.random.default_rng(4)
+    for inst, ref in ((HYPERBOLA, np.array([2.0, 0.0])), (ELLIPSE, np.zeros(2))):
+        proj = FeasibleSetProjector(inst, ref)
+        sd = proj._slater
+        X, Z = rng.standard_normal((2, 50, 2)) * 3.0
+        G = Z @ sd.A.T + sd.b
+        Mu = rng.standard_normal((50, 3))
+        Zf, ub, lb = proj._record(X, Z, G, Mu)
+        for i in range(50):
+            zf, u, l = proj._record_row(X[i], Z[i], G[i], Mu[i])
+            bound = 1e-12 * max(1.0, ub[i])
+            assert abs(u - ub[i]) <= bound and abs(l - lb[i]) <= bound
+            assert np.linalg.norm(zf - Zf[i]) <= bound
+        assert (sd.ray is None) == (inst is ELLIPSE)
+        assert np.any(margins(G) < 0.0) and np.any(lb == 0.0) and np.any(lb > 0.0)
+
+
+def test_lone_vertex_record_matches_the_batch(monkeypatch):
+    # The vertex stage of each lone row, the projection of its multiplier
+    # onto Q included, gives the record of the batch's ``_vertex_candidate``
+    # for that row, whether or not the record certifies the row.
+    inst, xbar = random_instance(4, 2, "Thm4.4(iv)", 5)
+    proj = FeasibleSetProjector(inst, xbar)
+    X = xbar + np.random.default_rng(2).standard_normal((60, 2)) * 3.0
+    X = X[margins(X @ inst.A.T + inst.b) < 0.0]
+    records = []
+    record_row = FeasibleSetProjector._record_row
+
+    def spy(self, *args):
+        records.append(record_row(self, *args))
+        return records[-1]
+
+    monkeypatch.setattr(FeasibleSetProjector, "_record_row", spy)
+    vertex = []
+    for x in X:
+        records.clear()
+        proj.project_batch(x[None, :])
+        vertex.append(records[0])
+    monkeypatch.undo()
+    sd = proj._slater
+    GXs = sd.scale * (X @ inst.A.T + inst.b)
+    Z, ub, lb = proj._vertex_candidate(X, GXs)
+    bound = 1e-12 * np.maximum(1.0, ub)
+    assert np.all(np.abs([r[1] for r in vertex] - ub) <= bound)
+    assert np.all(np.abs([r[2] for r in vertex] - lb) <= bound)
+    assert np.all(np.linalg.norm([r[0] for r in vertex] - Z, axis=1) <= bound)
+    # Both branches of the multiplier's projection onto Q are taken.
+    D = GXs @ sd.pinv_t
+    mu = projection._max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
+    outside = margins(mu) < 0.0
+    assert np.any(outside & (mu[:, 0] > -np.linalg.norm(mu[:, 1:], axis=1)))
+    assert np.any(mu[:, 0] <= -np.linalg.norm(mu[:, 1:], axis=1))
+
+
+#: The hyperbola rows (s 10^-k, x2), as (s k, x2), that both one-row paths
+#: refuse: their root lies within about 1e-10 of the pole, where t resolves
+#: the distance to the pole only to eps / |u| (ROADMAP item 7).  A fix there
+#: empties this set.
+NEAR_POLE_REFUSED = {
+    (-10, 0.5), (-10, 3.0), (-11, 0.5), (12, 0.5), (13, 3.0), (-14, 0.5)
+}
+
+
+def test_near_pole_rows_are_refused_alike_on_both_paths():
+    # Each of the 56 rows goes through the lone path and through the batch
+    # path on its one-row array; both refuse the same rows and agree on
+    # the rest.
+    proj = FeasibleSetProjector(HYPERBOLA, np.array([2.0, 0.0]))
+    refused = set()
+    for k in range(1, 15):
+        for sign in (1, -1):
+            for x2 in (0.5, 3.0):
+                x = np.array([sign * 10.0**-k, x2])
+                try:
+                    z, ub, lb = proj._project_row(x)
+                except NumericalFailureError:
+                    with pytest.raises(NumericalFailureError):
+                        proj._project_slater(x[None, :])
+                    refused.add((sign * k, x2))
+                    continue
+                Z, D, L = proj._project_slater(x[None, :])
+                bound = 1e-12 * max(1.0, D[0])
+                assert abs(ub - D[0]) <= bound and abs(lb - L[0]) <= bound
+                assert np.linalg.norm(z - Z[0]) <= bound
+    assert refused == NEAR_POLE_REFUSED
 
 
 def test_boosted_wedge_keeps_its_distances():
     # A Lorentz boost L leaves {x : L A x in Q} = {x : x1 >= |x2|} unchanged,
     # but tilts null(A^T) towards e0, where the pseudo-inverse multiplier
     # leaves the cone; the vertex rows need the margin-maximizing one.
-    def wedge(r):
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        boost = lorentz_boost([0.0, 1.0], r)
-        return transformed(AffineSOCInstance(A, np.zeros(3)), L=boost)[0]
-
     X = np.random.default_rng(31).standard_normal((40, 2)) * 3.0
-    _, D0, _ = FeasibleSetProjector(wedge(0.0), np.zeros(2)).project_batch(X)
+    _, D0, _ = FeasibleSetProjector(_wedge(0.0), np.zeros(2)).project_batch(X)
     for r in (0.0, 1.0, 2.0, 3.0, 4.0):
-        proj = FeasibleSetProjector(wedge(r), np.zeros(2))
+        proj = FeasibleSetProjector(_wedge(r), np.zeros(2))
         assert proj.geometry.value == "slater"
         Z, D, _ = proj.project_batch(X)
         scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
         assert np.all(np.abs(D - D0) <= 1e-9 * scale)
         assert np.all(Z[:, 0] >= np.abs(Z[:, 1]) - 1e-9)
 
-    z, d = FeasibleSetProjector(wedge(2.0), np.zeros(2)).project(np.array([-1.0, 0.5]))
+    z, d = FeasibleSetProjector(_wedge(2.0), np.zeros(2)).project(np.array([-1.0, 0.5]))
     assert np.allclose(z, 0.0, atol=1e-12)
     assert d == pytest.approx(np.sqrt(1.25), abs=1e-12)
 
