@@ -477,15 +477,22 @@ def cmd_project(args) -> int:
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     instance = doc.instance
-    # The feasibility rule of ``analyze_point`` picks the reference, so a
-    # boundary point that rounding leaves just outside the cone qualifies.
     # The document checked its points; ``_image`` checks their images.
-    points = doc.points.values()
-    feasible = (p for p in points if _feasible_image(instance, instance._image(p)))
-    reference = next(feasible, None)
+    y = instance._image(x)
+    reference = None
+    if not _feasible_image(instance, y):
+        # The reference is the first point that ``analyze_point`` accepts,
+        # so a boundary point that rounding leaves just outside the cone
+        # qualifies; the projector reads its analysis instead of redoing it.
+        # A feasible x is its own projection and needs none.
+        for p in doc.points.values():
+            try:
+                reference = analyze_point(instance, p)
+                break
+            except InfeasiblePointError:
+                pass
     z, dist = project_to_feasible_set(instance, x, reference=reference)
-    # project_to_feasible_set has checked the image of x.
-    dist_g = float(_distance_rows(instance._evaluate(x)[None, :])[0])
+    dist_g = float(_distance_rows(y[None, :])[0])
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")
     print(f"dist(g(x), Q_m) = {dist_g:.12g}")

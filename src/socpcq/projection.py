@@ -58,8 +58,10 @@ A feasible reference, when none is given, is the least-squares vertex
 -A^+ b or else the slice point of the matching case; when neither is
 feasible, the supremum is negative, or zero and not attained, and the set
 is empty.  The search and the Slater data below read pinv(A^T) and
-I - U_k U_k^T off the instance's SVD record, computed once per instance.  The Slater projector needs an interior point only when there is
-no recession ray: an interior reference is its own, otherwise the slice
+I - U_k U_k^T off the instance's SVD record, computed once per instance,
+and the vertex stage the ``_margin_frame`` of its slice off the Slater
+data.  The Slater projector needs an interior point only when there is no
+recession ray: an interior reference is its own, otherwise the slice
 point of its image supplies one.  All of this Slater data is built on
 the first batch with an infeasible row: feasible rows are their own
 projections, so a projector that only ever sees feasible rows never needs
@@ -133,9 +135,10 @@ A batch of one row, what ``project`` and ``project_to_feasible_set``
 pass, runs both stages and the certificate in ``_project_row`` instead:
 the same formulas with the scalars in Python floats and the vectors in
 1-D numpy, since numpy's per-call cost on length-1 arrays would dominate.
-It takes the grid bracket, the hard case and the Newton start of the
-batch, and the batch's Newton steps in ``_newton_row``.  Batches of two
-or more rows never take it.
+Its grid bracket is the batch's rule on the same products in 1-D, and its
+Newton start the batch's secant point, both bit for bit; it takes the
+batch's hard case, and its Newton steps in ``_newton_row``.  Batches of
+two or more rows never take it.
 
 ``project_batch`` returns a ``BatchProjection``: per row the feasible
 point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
@@ -147,7 +150,8 @@ probes) need no second projection.
 ``project_batch`` checks its rows ((N, n), the magnitude rule on the rows
 and their images) and ``project`` its one point; the private
 ``_project_rows`` behind both trusts them, and the kappa scan and
-``project_to_feasible_set`` call it directly on the rows they checked.
+``project_to_feasible_set`` call it directly on the rows they checked,
+each entry with the images it checked, when it holds them.
 Inside, every margin, cone projection and point location runs the private
 kernels of ``soc_core`` on arrays computed here, without a second check.
 """
@@ -231,11 +235,12 @@ class _SlaterData:
     scale: float             # s
     A: np.ndarray            # s A
     b: np.ndarray            # s b
-    pinv_t: np.ndarray       # pinv((s A)^T) = U_k diag(1/(s sigma)) V_k^T, m x n
     ray: Optional[np.ndarray]  # d / margin(s A d), A d interior (None: no such d)
-    # I - U_k U_k^T, the slice of the vertex multiplier; None when b is not
-    # in Im(A) and no row projects onto the vertex
-    null_proj: Optional[np.ndarray]
+    # The vertex stage's pinv((s A)^T) = U_k diag(1/(s sigma)) V_k^T (m x n)
+    # and ``_margin_frame`` of its slice I - U_k U_k^T; None when b is not in
+    # Im(A) and no row projects onto the vertex
+    pinv_t: Optional[np.ndarray]
+    vertex: Optional[tuple]
     lam: np.ndarray          # eigenvalues of M, ascending; all but the last <= 0
     Q: np.ndarray            # eigenvectors of M
     AQ0: np.ndarray          # first row of A Q: g0 along z(t)
@@ -377,9 +382,9 @@ class FeasibleSetProjector:
             scale=scale,
             A=A,
             b=b,
-            pinv_t=geo._pinv_t / scale,
             ray=None if ray is None else ray / scale,
-            null_proj=P if vertex else None,
+            pinv_t=geo._pinv_t / scale if vertex else None,
+            vertex=_margin_frame(P) if vertex else None,
             lam=lam,
             Q=Q,
             AQ0=A[0] @ Q,
@@ -402,15 +407,17 @@ class FeasibleSetProjector:
         instance's magnitude rule; anything else raises ``DimensionError``.
         """
         X = self.instance._point_rows(X)
-        self.instance._image(X)
-        return self._project_rows(X)
+        return self._project_rows(X, self.instance._image(X))
 
-    def _project_rows(self, X: np.ndarray) -> BatchProjection:
-        """``project_batch`` on rows that are already (N, n) and finite."""
+    def _project_rows(self, X: np.ndarray, GX=None) -> BatchProjection:
+        """``project_batch`` on rows that are already (N, n) and finite, with
+        their images GX when the caller holds them."""
         if self.geometry is _Geometry.SLATER:
+            if GX is None:
+                GX = self.instance._evaluate(X)
             if X.shape[0] != 1:
-                return self._project_slater(X)
-            z, ub, lb = self._project_row(X[0])
+                return self._project_slater(X, GX)
+            z, ub, lb = self._project_row(X[0], GX[0])
             return BatchProjection(z[None, :], np.array([ub]), np.array([lb]))
         R = X - self.reference
         delta = R @ self._flat_projector.T
@@ -424,17 +431,15 @@ class FeasibleSetProjector:
     def project(self, x) -> tuple[np.ndarray, float]:
         """``project_batch`` on one point of shape (n,); returns (point, distance)."""
         x = self.instance.point(x)
-        self.instance._image(x)
-        Z, d, _ = self._project_rows(x[None, :])
+        Z, d, _ = self._project_rows(x[None, :], self.instance._image(x)[None, :])
         return Z[0], float(d[0])
 
     # -- Slater geometry: exact solve with duality certificate -----------
 
-    def _project_slater(self, X: np.ndarray):
+    def _project_slater(self, X: np.ndarray, GX: np.ndarray):
         Z_out = X.copy()
         ub_out = np.zeros(X.shape[0])
         lb_out = np.zeros(X.shape[0])
-        GX = self.instance._evaluate(X)
         todo = np.flatnonzero(_margin_rows(GX) < 0.0)
         if todo.size == 0:
             return BatchProjection(Z_out, ub_out, lb_out)
@@ -442,7 +447,7 @@ class FeasibleSetProjector:
         Xs, GXs = X[todo], self._slater.scale * GX[todo]
         gap_tol = self.instance.projection_tol * np.maximum(1.0, _row_norms(Xs))
 
-        if self._slater.null_proj is not None:
+        if self._slater.vertex is not None:
             best_Z, ub, lb = self._vertex_candidate(Xs, GXs)
         else:
             best_Z, ub, lb = Xs.copy(), np.full(len(Xs), np.inf), np.zeros(len(Xs))
@@ -548,7 +553,7 @@ class FeasibleSetProjector:
         D = GXs @ sd.pinv_t                  # x - z_v = A^+ g(x)
         Zv = Xs - D
         # A^T mu = -(x - z_v) on the slice -pinv(A^T)(x - z_v) + null(A^T)
-        Mu = _max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
+        Mu = _max_margin(sd.vertex, -(D @ sd.pinv_t.T))
         return self._record(Xs, Zv, Zv @ sd.A.T + sd.b, _projection_rows(Mu))
 
     def _secular_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
@@ -577,24 +582,23 @@ class FeasibleSetProjector:
             Z[hard] = self._hard_case(Xs[hard], W[hard], _psi0(GXs[hard]))
         return self._certify(Xs, Z)
 
-    def _project_row(self, x: np.ndarray):
-        """``_project_slater`` on one row x of shape (n,): (z, ub, lb), z a
-        new array.  The same feasibility test, vertex candidate, secular
-        root and certificate, with the scalars in Python floats and the
-        vectors in 1-D numpy, where numpy's per-call cost on length-1
-        arrays would dominate; the grid bracket, ``_newton_start`` and
-        ``_hard_case`` run on the row as a one-row batch."""
-        g = self.instance._evaluate(x)
+    def _project_row(self, x: np.ndarray, g: np.ndarray):
+        """``_project_slater`` on one row x of shape (n,) and its image g:
+        (z, ub, lb), z a new array.  The same feasibility test, vertex
+        candidate, secular root and certificate, with the scalars in Python
+        floats and the vectors in 1-D numpy, where numpy's per-call cost on
+        length-1 arrays would dominate; ``_hard_case`` runs on the row as a
+        one-row batch."""
         if not float(g[0]) - _norm(g[1:]) < 0.0:
             return x.copy(), 0.0, 0.0
         sd = self._slater
         gs = sd.scale * g
         gap_tol = self.instance.projection_tol * max(1.0, _norm(x))
         z, ub, lb = x, math.inf, 0.0
-        if sd.null_proj is not None:
+        if sd.vertex is not None:
             d = gs @ sd.pinv_t                   # x - z_v = A^+ g(x)
             z = x - d
-            mu = _max_margin(sd.null_proj, -(d @ sd.pinv_t.T))
+            mu = _max_margin(sd.vertex, -(d @ sd.pinv_t.T))
             # mu projected onto Q, as soc_core._projection_rows does.
             mu0, norm_r = float(mu[0]), _norm(mu[1:])
             if -mu0 >= norm_r:
@@ -609,13 +613,18 @@ class FeasibleSetProjector:
             jg[0] = gs[0]
             w = (jg @ sd.A) @ sd.Q
             down = -math.frexp(float(np.abs(gs).max()))[1]
-            Gs = np.ldexp(gs, down)[None, :]
+            gd = np.ldexp(gs, down)
             has, j, pl, pr = self._secular_bracket(
-                Gs, np.ldexp(w, down)[None, :], _psi0(Gs)
+                gd, np.ldexp(w, down), _psi0(gd[None, :])
             )
-            if has[0]:
-                start = self._newton_start(j, pl, pr)
-                zs = self._newton_row(x, w, *(float(v[0]) for v in start))
+            if has:
+                # ``_newton_start`` in Python floats.
+                tl, tr = float(sd.grid_t[j]), float(sd.grid_t[j + 1])
+                ul, ur = float(sd.grid_u[j]), float(sd.grid_u[j + 1])
+                ends = (tr, ur, tl, ul) if pl > 0.0 else (tl, ul, tr, ur)
+                c = pl / (pl - pr)
+                secant = (tl + c * (tr - tl), ul + c * (ur - ul))
+                zs = self._newton_row(x, w, *ends, *secant)
             elif math.isfinite(sd.pole):
                 zs = self._hard_case(x[None, :], w[None, :], _psi0(gs[None, :]))[0]
             else:
@@ -640,30 +649,44 @@ class FeasibleSetProjector:
         A continuous path within psi > 0 keeps the sign of g0, so the root
         such a step brackets lies on +Q.  The step across the pole is no
         path and is never taken.  psi and g0 are evaluated on every grid
-        column, in row blocks.
+        column, in row blocks.  A lone row (1-D ``GXs`` and ``W``) takes
+        the same products and rule on 1-D arrays and gets Python scalars.
         """
-        sd = self._slater
+        if W.ndim == 1:
+            psi, good = self._grid_steps(GXs[:1], W, psi0)
+            hit = np.flatnonzero(good)
+            if not hit.size:
+                return False, 0, 0.0, 0.0
+            j = int(hit[0])
+            return True, j, float(psi[j]), float(psi[j + 1])
         count = len(W)
         has = np.zeros(count, dtype=bool)
         j = np.zeros(count, dtype=np.intp)
         pl, pr = np.zeros(count), np.zeros(count)
         for lo in range(0, count, _GRID_BLOCK):
             r = slice(lo, lo + _GRID_BLOCK)
-            Wb = W[r]
-            psi = psi0[r, None] + (Wb * Wb) @ sd.grid_h.T
-            g0 = GXs[r, :1] + (Wb * sd.AQ0) @ sd.grid_v.T
-            pos = psi > 0.0
-            good = (pos[:, :-1] != pos[:, 1:]) & (
-                np.where(pos[:, 1:], g0[:, 1:], g0[:, :-1]) > 0.0
-            )
-            if sd.grid_gap >= 0:
-                good[:, sd.grid_gap] = False
+            psi, good = self._grid_steps(GXs[r, :1], W[r], psi0[r, None])
             at = np.flatnonzero(good.any(axis=1))
             jb = good[at].argmax(axis=1)
             rows = lo + at
             has[rows], j[rows] = True, jb
             pl[rows], pr[rows] = psi[at, jb], psi[at, jb + 1]
         return has, j, pl, pr
+
+    def _grid_steps(self, gx0, W, psi0):
+        """psi on every grid column, and the steps of ``_secular_bracket``'s
+        rule, along the last axis; ``gx0`` and ``psi0`` broadcast against
+        it."""
+        sd = self._slater
+        psi = psi0 + (W * W) @ sd.grid_h.T
+        g0 = gx0 + (W * sd.AQ0) @ sd.grid_v.T
+        pos = psi > 0.0
+        good = (pos[..., :-1] != pos[..., 1:]) & (
+            np.where(pos[..., 1:], g0[..., 1:], g0[..., :-1]) > 0.0
+        )
+        if sd.grid_gap >= 0:
+            good[..., sd.grid_gap] = False
+        return psi, good
 
     def _newton_start(self, j, pl, pr):
         """(tn, un, tp, up, t, u) of rows bracketed on grid step j -> j + 1,
@@ -798,23 +821,27 @@ def _psi0(G: np.ndarray) -> np.ndarray:
     return G[:, 0] ** 2 - np.einsum("ij,ij->i", G[:, 1:], G[:, 1:])
 
 
-def _max_margin(P: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Per row c of C (or for C itself, one row), the point of c + Im(P)
-    of largest cone margin.
-
-    P is an orthogonal projector with P_00 < 1/2; the closed form is in the
-    module docstring.
-    """
+def _margin_frame(P: np.ndarray) -> tuple:
+    """What ``_max_margin`` reads off an orthogonal projector P with
+    P_00 = alpha < 1/2 (module docstring): (s, the projector onto Im B,
+    kappa, s . s), computed once per slice."""
     alpha = float(P[0, 0])
     p = P[1:, 0]
     s = p / (1.0 - alpha)
     proj = P[1:, 1:] + np.outer(p, p) / (1.0 - alpha)
     kappa = float(np.sqrt((1.0 - alpha) / (1.0 - 2.0 * alpha)))
+    return s, proj, kappa, float(s @ s)
+
+
+def _max_margin(frame: tuple, C: np.ndarray) -> np.ndarray:
+    """Per row c of C (or for C itself, one row), the point of c + Im(P)
+    of largest cone margin, ``frame`` the ``_margin_frame`` of P."""
+    s, proj, kappa, ss = frame
     cr = C[..., 1:]
     perp = cr - cr @ proj
     lift = kappa * _row_norms(perp)
     Y = np.empty_like(C)
-    Y[..., 0] = C[..., 0] + (lift * float(s @ s) - cr @ s)
+    Y[..., 0] = C[..., 0] + (lift * ss - cr @ s)
     Y[..., 1:] = perp + lift[..., None] * s
     return Y
 
@@ -845,7 +872,8 @@ def _slice_step(instance: AffineSOCInstance, y: np.ndarray):
             return np.zeros(instance.n), np.inf
         return (_norm(y) - _margin(y)) * ray, np.inf
     if geo.kind is SubspaceKind.ZERO_ONLY:
-        best = _max_margin(np.eye(instance.m) - geo._null_proj, y[None, :])[0]
+        frame = _margin_frame(np.eye(instance.m) - geo._null_proj)
+        best = _max_margin(frame, y[None, :])[0]
         return (best - y) @ geo._pinv_t, _margin(best)
     e = geo.ray[1:] / geo.ray[0]              # (1, e) spans the ray
     along = float(e @ y[1:])
@@ -887,8 +915,8 @@ def project_to_feasible_set(
 ) -> tuple[np.ndarray, float]:
     """Project ``x`` onto the feasible set; returns (point, distance).
 
-    A feasible ``reference`` pins down the global shape of the feasible
-    set.  Without one, the routine finds a reference in closed form (the
+    A feasible ``reference``, a point or a ``PointAnalysis`` of the
+    instance, pins down the global shape of the feasible set.  Without one, the routine finds a reference in closed form (the
     least-squares vertex or the best point of the image slice, see the
     module docstring), or raises ``NumericalFailureError`` with the
     supremum of the cone margin as the certificate that the set is empty.
@@ -898,9 +926,11 @@ def project_to_feasible_set(
     projection.
     """
     x = instance.point(x)
-    if _feasible_image(instance, instance._image(x)):
+    y = instance._image(x)
+    if _feasible_image(instance, y):
         return x.copy(), 0.0
     if reference is None:
         reference = _search_feasible_reference(instance)
-    Z, d, _ = FeasibleSetProjector(instance, reference)._project_rows(x[None, :])
+    projector = FeasibleSetProjector(instance, reference)
+    Z, d, _ = projector._project_rows(x[None, :], y[None, :])
     return Z[0], float(d[0])

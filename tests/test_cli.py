@@ -1027,10 +1027,8 @@ def test_project_golden_output(capsys):
     ]
 
 
-def test_project_slater_success_path(capsys, tmp_path):
-    # One secular root, taken by the lone-row Newton loop: with A = I and
-    # b = (1, 0, 0), z = P_Q(x + b) - b = (2, 1.8, 2.4) in closed form.  The
-    # last digit of z is rounding, so z is checked within 1e-9.
+def _slater_document(tmp_path):
+    """A = I, b = (1, 0, 0): the interior point p and the infeasible x."""
     path = tmp_path / "slater.json"
     path.write_text(
         json.dumps(
@@ -1043,6 +1041,14 @@ def test_project_slater_success_path(capsys, tmp_path):
             }
         )
     )
+    return path
+
+
+def test_project_slater_success_path(capsys, tmp_path):
+    # One secular root, taken by the lone-row Newton loop: with A = I and
+    # b = (1, 0, 0), z = P_Q(x + b) - b = (2, 1.8, 2.4) in closed form.  The
+    # last digit of z is rounding, so z is checked within 1e-9.
+    path = _slater_document(tmp_path)
     code, out, err = run_cli(capsys, "project", str(path), "x")
     assert (code, err) == (EXIT_OK, "")
     lines = out.splitlines()
@@ -1050,6 +1056,70 @@ def test_project_slater_success_path(capsys, tmp_path):
     assert lines[0].startswith("z = ")
     z = json.loads(lines[0][len("z = "):])
     assert np.max(np.abs(np.subtract(z, [2.0, 1.8, 2.4]))) <= 1e-9
+
+
+def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):
+    # The reference's analysis (its image, location and gradient) is made
+    # once, in the reference search, and the projector reads it; the Slater
+    # data is built once; the output is the same, to the last digit.
+    from socpcq import affine_instance, projection
+
+    counts = {"analyze": 0, "build": 0}
+    images = []
+    analyze_point = affine_instance.analyze_point
+    image = affine_instance.AffineSOCInstance._image
+    build_slater = projection.FeasibleSetProjector._build_slater
+
+    def analyzing(instance, x):
+        if not isinstance(x, affine_instance.PointAnalysis):
+            counts["analyze"] += 1
+        return analyze_point(instance, x)
+
+    def imaging(self, x):
+        images.append(np.array(x))
+        return image(self, x)
+
+    def building(self):
+        counts["build"] += 1
+        return build_slater(self)
+
+    for module in (cli, projection):
+        monkeypatch.setattr(module, "analyze_point", analyzing)
+    monkeypatch.setattr(affine_instance.AffineSOCInstance, "_image", imaging)
+    monkeypatch.setattr(projection.FeasibleSetProjector, "_build_slater", building)
+    code, out, err = run_cli(capsys, "project", str(_slater_document(tmp_path)), "x")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "z = [2.000000000000001, 1.8, 2.4]\n"
+        "dist(x, Omega) = 2.82842712475\n"
+        "dist(g(x), Q_m) = 2.82842712475\n"
+    )
+    assert counts == {"analyze": 1, "build": 1}
+    assert sum(not x.any() for x in images) == 1     # the reference p = 0
+
+
+def test_project_searches_a_reference_only_for_an_infeasible_point(capsys, tmp_path):
+    # The point "big" has an image past the magnitude rule.  A feasible x is
+    # its own projection and needs no reference, so only the search for the
+    # infeasible y's reference meets "big" and exits 2.
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps(
+            {
+                "m": 3,
+                "n": 3,
+                "A": [[1e150, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "b": [0, 0, 0],
+                "points": {"big": [1e10, 0, 0], "x": [1, 0, 0], "y": [0, 3, 4]},
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "project", str(path), "x")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1:] == ["dist(x, Omega) = 0", "dist(g(x), Q_m) = 0"]
+    code, out, err = run_cli(capsys, "project", str(path), "y")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "overflows" in err
 
 
 def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):

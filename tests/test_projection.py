@@ -626,6 +626,68 @@ def test_lone_rows_match_the_batch(monkeypatch, case):
         assert proj._slater.grid_gap < 0
 
 
+def _assert_lone_brackets_exact(monkeypatch, proj, X):
+    """Projects each row of X alone and checks its bracket against
+    ``_full_grid_bracket`` on its one-row arrays, and its Newton start
+    against ``_newton_start``, bit for bit; returns the starts' u."""
+    bracket = FeasibleSetProjector._secular_bracket
+    newton_row = FeasibleSetProjector._newton_row
+    seen = []
+
+    def read_bracket(self, GX, W, psi0):
+        out = bracket(self, GX, W, psi0)
+        assert W.ndim == 1
+        seen.append([(GX[None, :], W[None, :], psi0), out, None])
+        return out
+
+    def read_start(self, x, w, *start):
+        seen[-1][2] = start
+        return newton_row(self, x, w, *start)
+
+    monkeypatch.setattr(FeasibleSetProjector, "_secular_bracket", read_bracket)
+    monkeypatch.setattr(FeasibleSetProjector, "_newton_row", read_start)
+    for x in X:
+        proj.project_batch(x[None, :])
+    monkeypatch.undo()
+    starts = []
+    for args, (has, j, pl, pr), start in seen:
+        ref = _full_grid_bracket(proj, *args)
+        assert np.array_equal(has, ref[0][0])
+        if not has:
+            assert start is None
+            continue
+        for value, ref_value in zip((j, pl, pr), ref[1:]):
+            assert np.array_equal(value, ref_value[0])
+        batch = proj._newton_start(*(np.array([v]) for v in (j, pl, pr)))
+        assert [float(v).hex() for v in start] == [float(v[0]).hex() for v in batch]
+        starts.append(start[-1])
+    return np.array(starts)
+
+
+@pytest.mark.parametrize("rapidity", [0.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("stratum", ["Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)"])
+def test_lone_bracket_and_start_match_the_one_row_batch_exactly(
+    monkeypatch, stratum, rapidity
+):
+    # A lone row reads its bracket off 1-D products and computes its Newton
+    # start in Python floats; both must be the one-row batch's, bit for bit.
+    for seed in range(2):
+        m, n = 3 + seed % 4, 2 + seed % 5
+        inst, xbar = random_instance(m, n, stratum, seed)
+        inst = transformed(inst, L=lorentz_boost(np.eye(m - 1)[0], rapidity))[0]
+        proj = FeasibleSetProjector(inst, xbar)
+        scale = np.repeat(np.logspace(-3, 2, 6), 5)[:, None]
+        X = xbar + scale * np.random.default_rng(seed).standard_normal((30, n))
+        assert _assert_lone_brackets_exact(monkeypatch, proj, X).size > 0
+
+
+def test_lone_bracket_and_start_are_exact_past_the_pole(monkeypatch):
+    inst, ref, X, _ = _lone_row_case("past the pole")
+    proj = FeasibleSetProjector(inst, ref)
+    starts = _assert_lone_brackets_exact(monkeypatch, proj, X[:60])
+    assert np.any(starts < 0.0) and np.any(starts > 0.0)
+
+
 def test_lone_record_matches_the_batch_record():
     # ``_record_row`` is ``_record`` on one row: the pull-in of a candidate
     # outside Omega, along the recession ray (hyperbola) or towards the
@@ -678,7 +740,7 @@ def test_lone_vertex_record_matches_the_batch(monkeypatch):
     assert np.all(np.linalg.norm([r[0] for r in vertex] - Z, axis=1) <= bound)
     # Both branches of the multiplier's projection onto Q are taken.
     D = GXs @ sd.pinv_t
-    mu = projection._max_margin(sd.null_proj, -(D @ sd.pinv_t.T))
+    mu = projection._max_margin(sd.vertex, -(D @ sd.pinv_t.T))
     outside = margins(mu) < 0.0
     assert np.any(outside & (mu[:, 0] > -np.linalg.norm(mu[:, 1:], axis=1)))
     assert np.any(mu[:, 0] <= -np.linalg.norm(mu[:, 1:], axis=1))
@@ -703,14 +765,15 @@ def test_near_pole_rows_are_refused_alike_on_both_paths():
         for sign in (1, -1):
             for x2 in (0.5, 3.0):
                 x = np.array([sign * 10.0**-k, x2])
+                g = HYPERBOLA.evaluate(x)
                 try:
-                    z, ub, lb = proj._project_row(x)
+                    z, ub, lb = proj._project_row(x, g)
                 except NumericalFailureError:
                     with pytest.raises(NumericalFailureError):
-                        proj._project_slater(x[None, :])
+                        proj._project_slater(x[None, :], g[None, :])
                     refused.add((sign * k, x2))
                     continue
-                Z, D, L = proj._project_slater(x[None, :])
+                Z, D, L = proj._project_slater(x[None, :], g[None, :])
                 bound = 1e-12 * max(1.0, D[0])
                 assert abs(ub - D[0]) <= bound and abs(lb - L[0]) <= bound
                 assert np.linalg.norm(z - Z[0]) <= bound
