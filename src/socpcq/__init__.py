@@ -48,10 +48,6 @@ from .soc_core import (
     classify_cone_point,
     cone_margin,
     distance_to_cone,
-    distances_to_cone,
-    margins,
-    project_to_cone,
-    projections_to_cone,
     tangent_membership,
 )
 from .subspace_cone import (
@@ -99,10 +95,6 @@ __all__ = [
     "classify_cone_point",
     "cone_margin",
     "distance_to_cone",
-    "distances_to_cone",
-    "margins",
-    "project_to_cone",
-    "projections_to_cone",
     "tangent_membership",
     "SubspaceConeClass",
     "SubspaceKind",

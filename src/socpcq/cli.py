@@ -472,26 +472,29 @@ def cmd_harness(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .projection import project_to_feasible_set
+    from .projection import _project_outside
 
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     instance = doc.instance
     # The document checked its points; ``_image`` checks their images.
     y = instance._image(x)
-    reference = None
-    if not _feasible_image(instance, y):
+    if _feasible_image(instance, y):
+        # A feasible x is its own projection and needs no reference.
+        z, dist = x, 0.0
+    else:
         # The reference is the first point that ``analyze_point`` accepts,
         # so a boundary point that rounding leaves just outside the cone
-        # qualifies; the projector reads its analysis instead of redoing it.
-        # A feasible x is its own projection and needs none.
+        # qualifies; the projector reads its analysis instead of redoing it,
+        # and reads x and y as checked here instead of evaluating x again.
+        reference = None
         for p in doc.points.values():
             try:
                 reference = analyze_point(instance, p)
                 break
             except InfeasiblePointError:
                 pass
-    z, dist = project_to_feasible_set(instance, x, reference=reference)
+        z, dist = _project_outside(instance, x, y, reference)
     dist_g = float(_distance_rows(y[None, :])[0])
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")

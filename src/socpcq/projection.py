@@ -151,7 +151,10 @@ probes) need no second projection.
 and their images) and ``project`` its one point; the private
 ``_project_rows`` behind both trusts them, and the kappa scan and
 ``project_to_feasible_set`` call it directly on the rows they checked,
-each entry with the images it checked, when it holds them.
+each entry with the images it checked, when it holds them.  The body of
+``project_to_feasible_set`` past its feasibility test, ``_project_outside``,
+takes a checked point and its image, so ``socpcq project`` evaluates its
+point once.
 Inside, every margin, cone projection and point location runs the private
 kernels of ``soc_core`` on arrays computed here, without a second check.
 """
@@ -929,6 +932,12 @@ def project_to_feasible_set(
     y = instance._image(x)
     if _feasible_image(instance, y):
         return x.copy(), 0.0
+    return _project_outside(instance, x, y, reference)
+
+
+def _project_outside(instance, x, y, reference) -> tuple[np.ndarray, float]:
+    """``project_to_feasible_set`` of a checked ``x`` whose image ``y`` lies
+    outside the cone."""
     if reference is None:
         reference = _search_feasible_reference(instance)
     projector = FeasibleSetProjector(instance, reference)

@@ -1,9 +1,11 @@
 """Geometry kernels for the second-order (Lorentz) cone.
 
 The cone in R^m (m >= 2) is the set of points y = (y0, yr) with
-y0 >= ||yr||.  Everything else in the package reduces to the four-way
-classification implemented here (interior / positive boundary / zero /
-outside) together with the exact distance and projection formulas.
+y0 >= ||yr||.  Everything else in the package reduces to three questions
+about a point, answered here: its margin (``cone_margin``), its location,
+the four-way classification interior / positive boundary / zero / outside
+(``classify_cone_point``), and its exact distance (``distance_to_cone``).
+``tangent_membership`` decides the tangent cone at a cone point.
 
 ``_norm`` and ``_row_norms`` are the package's one Euclidean norm kernel:
 every vector, Frobenius and row norm goes through them.  They run the
@@ -16,10 +18,12 @@ function checks its input once (shape, the magnitude rule of
 ``_check_magnitude``, the tolerance rule of ``_checked_tol``, the integer
 rule of ``_count`` for counts, sizes and seeds) and hands it to a private
 body: ``_location`` behind ``classify_cone_point``, ``_margin`` behind
-``cone_margin``, and the row kernels ``_margin_rows``, ``_distance_rows``
-and ``_projection_rows`` behind the batch names.  The other modules follow
-the same rule, so a caller inside the package that holds arrays it built
-from checked data calls the bodies directly and pays for no second check.
+``cone_margin`` and the row kernel ``_distance_rows`` behind
+``distance_to_cone``.  The other modules follow the same rule, so a caller
+inside the package that holds arrays it built from checked data calls the
+bodies directly and pays for no second check: the row kernels
+``_margin_rows``, ``_distance_rows`` and ``_projection_rows`` have no
+public batch name.
 """
 
 from __future__ import annotations
@@ -160,11 +164,6 @@ def distance_to_cone(y) -> float:
     return float(_distance_rows(as_cone_vector(y)[None, :])[0])
 
 
-def project_to_cone(y) -> np.ndarray:
-    """Euclidean projection of ``y`` onto Q_m (exact, closed form)."""
-    return _projection_rows(as_cone_vector(y)[None, :])[0]
-
-
 def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
     """Does direction ``d`` belong to the tangent cone of Q_m at ``y``?
 
@@ -214,8 +213,8 @@ def _row_norms(Y: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # Row kernels.  Each formula is written once, for an (N, m) array; the
-# scalar functions above run it on one row.  The sampling oracles push
-# thousands of points through the batched names per call.
+# scalar functions above run it on one row.  The sampling oracles and the
+# projector push thousands of checked rows through them per call.
 
 def _margin_rows(Y: np.ndarray) -> np.ndarray:
     return Y[:, 0] - _row_norms(Y[:, 1:])
@@ -243,26 +242,3 @@ def _projection_rows(Y: np.ndarray) -> np.ndarray:
         out[mid, 1:] = (coef / norm_r[mid])[:, None] * Y[mid, 1:]
     return out
 
-
-def _as_cone_rows(Y) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] < 2:
-        raise DimensionError(
-            f"expected an (N, m) array with m >= 2, got shape {Y.shape}"
-        )
-    return _check_magnitude(Y, "cone points have", axis=-1)
-
-
-def margins(Y: np.ndarray) -> np.ndarray:
-    """Row-wise cone margins y0 - ||yr|| for an (N, m) array."""
-    return _margin_rows(_as_cone_rows(Y))
-
-
-def distances_to_cone(Y: np.ndarray) -> np.ndarray:
-    """Row-wise distances to Q_m for an (N, m) array."""
-    return _distance_rows(_as_cone_rows(Y))
-
-
-def projections_to_cone(Y: np.ndarray) -> np.ndarray:
-    """Row-wise projections onto Q_m for an (N, m) array."""
-    return _projection_rows(_as_cone_rows(Y))

@@ -20,15 +20,13 @@ from socpcq import (
     brute_force_subspace_class,
     classify_image_vs_cone,
     classify_kappa_growth,
-    distances_to_cone,
     equivalence_harness,
     fcr_dim_scan,
     full_report,
-    margins,
     mscq_kappa_scan,
-    projections_to_cone,
 )
 from socpcq.cli import parse_instance
+from socpcq.soc_core import _distance_rows, _margin_rows, _projection_rows
 
 _SHARED = {}
 
@@ -133,12 +131,12 @@ def test_criterion_5_cone_kernel_suite():
         for m in range(2, 7):
             Y = rng.standard_normal((10_000, m))
             Y *= rng.choice([0.05, 1.0, 20.0], size=(10_000, 1))
-            Z = projections_to_cone(Y)
-            D = distances_to_cone(Y)
+            Z = _projection_rows(Y)
+            D = _distance_rows(Y)
             scale = np.maximum(1.0, np.linalg.norm(Y, axis=1))
             assert np.all(np.abs(D - np.linalg.norm(Y - Z, axis=1)) <= 1e-10 * scale)
             zscale = np.maximum(1.0, np.linalg.norm(Z, axis=1))
-            assert np.all(margins(Z) >= -1e-12 * zscale)
+            assert np.all(_margin_rows(Z) >= -1e-12 * zscale)
             # variational inequality against sampled cone members
             Wr = rng.standard_normal((64, m - 1))
             W = np.column_stack(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import socpcq
-from socpcq import cli, full_report, margins, random_instance
+from socpcq import cli, full_report, random_instance
 from socpcq import cq_checker, oracles
 from socpcq.cli import (
     EXIT_CLOSED_STDOUT,
@@ -33,6 +33,7 @@ from socpcq.cli import (
 )
 from socpcq.errors import InfeasiblePointError
 from socpcq.families import TARGET_CASES
+from socpcq.soc_core import _margin_rows
 
 
 def fixture(name: str) -> str:
@@ -631,7 +632,7 @@ def test_public_names_resolve_to_their_defining_modules():
         import socpcq
         star = {}
         exec("from socpcq import *", star)
-        assert len(socpcq.__all__) == 46
+        assert len(socpcq.__all__) == 42
         constants = {"__version__": "socpcq", "DEFAULT_TOL": "socpcq.soc_core"}
         for name in socpcq.__all__:
             obj = getattr(socpcq, name)
@@ -1060,14 +1061,15 @@ def test_project_slater_success_path(capsys, tmp_path):
 
 def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):
     # The reference's analysis (its image, location and gradient) is made
-    # once, in the reference search, and the projector reads it; the Slater
-    # data is built once; the output is the same, to the last digit.
+    # once, in the reference search, and the projector reads it; x is
+    # evaluated once, and the projector reads its image; the Slater data is
+    # built once; the output is the same, to the last digit.
     from socpcq import affine_instance, projection
 
     counts = {"analyze": 0, "build": 0}
     images = []
     analyze_point = affine_instance.analyze_point
-    image = affine_instance.AffineSOCInstance._image
+    evaluate = affine_instance.AffineSOCInstance._evaluate
     build_slater = projection.FeasibleSetProjector._build_slater
 
     def analyzing(instance, x):
@@ -1077,7 +1079,7 @@ def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):
 
     def imaging(self, x):
         images.append(np.array(x))
-        return image(self, x)
+        return evaluate(self, x)
 
     def building(self):
         counts["build"] += 1
@@ -1085,7 +1087,7 @@ def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):
 
     for module in (cli, projection):
         monkeypatch.setattr(module, "analyze_point", analyzing)
-    monkeypatch.setattr(affine_instance.AffineSOCInstance, "_image", imaging)
+    monkeypatch.setattr(affine_instance.AffineSOCInstance, "_evaluate", imaging)
     monkeypatch.setattr(projection.FeasibleSetProjector, "_build_slater", building)
     code, out, err = run_cli(capsys, "project", str(_slater_document(tmp_path)), "x")
     assert (code, err) == (EXIT_OK, "")
@@ -1096,6 +1098,7 @@ def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):
     )
     assert counts == {"analyze": 1, "build": 1}
     assert sum(not x.any() for x in images) == 1     # the reference p = 0
+    assert sum(np.array_equal(x, [0.0, 3.0, 4.0]) for x in images) == 1
 
 
 def test_project_searches_a_reference_only_for_an_infeasible_point(capsys, tmp_path):
@@ -1127,7 +1130,7 @@ def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):
     # tolerance still accepts xbar as the reference
     inst, xbar = random_instance(5, 3, "degenerate-boundary", seed=0)
     x = xbar + np.array([0.0, 0.0, 4.0])
-    assert margins((inst.A @ x + inst.b)[None, :])[0] < 0.0
+    assert _margin_rows((inst.A @ x + inst.b)[None, :])[0] < 0.0
     doc = {
         "m": 5,
         "n": 3,
@@ -1143,7 +1146,7 @@ def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):
     z = np.array(json.loads(lines["z"]))
     dist = float(lines["dist(x, Omega)"])
     y = inst.A @ z + inst.b
-    assert margins(y[None, :])[0] >= -1e-10 * max(1.0, float(np.linalg.norm(y)))
+    assert _margin_rows(y[None, :])[0] >= -1e-10 * max(1.0, float(np.linalg.norm(y)))
     assert dist <= float(np.linalg.norm(x - xbar)) * (1.0 + 1e-12)
 
 

@@ -47,7 +47,7 @@ from socpcq import (
 from socpcq.cli import parse_instance
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 from socpcq.projection import PROJECTION_TOL, FeasibleSetProjector
-from socpcq.soc_core import ConeLocation, classify_cone_point, cone_margin, margins
+from socpcq.soc_core import ConeLocation, _margin_rows, classify_cone_point, cone_margin
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -356,7 +356,6 @@ def test_slater_scan_makes_one_certified_call(calls, stratum):
 #: arrays it built from checked data and calls none of them.
 _INPUT_CHECKS = (
     "_point_rows",
-    "_as_cone_rows",
     "as_cone_vector",
     "_validated_matrix",
     "_checked_tol",
@@ -408,7 +407,7 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
         dirs = rng.standard_normal((radii.size, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         X = xbar + (0.9 * radii * rng.random(radii.size))[:, None] * dirs
-        far = margins(X @ inst.A.T + inst.b) < 0.0
+        far = _margin_rows(X @ inst.A.T + inst.b) < 0.0
         X, h = X[far], h[far]
         offsets = rng.standard_normal(X.shape)
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)

@@ -8,6 +8,7 @@ are frozen here by hand.
 """
 
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from socpcq import (
     InfeasiblePointError,
     NumericalFailureError,
     distance_to_cone,
-    margins,
-    project_to_cone,
     project_to_feasible_set,
     random_instance,
 )
 from socpcq import affine_instance, projection
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
+from socpcq.soc_core import _margin_rows, _projection_rows
+
+from exact_distance import boundary_distance2
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -50,7 +52,7 @@ ELLIPSE = AffineSOCInstance(
 
 def feasible(instance, Z, slack=1e-9):
     scale = max(1.0, float(np.max(np.linalg.norm(Z, axis=1))))
-    return bool(np.all(margins(Z @ instance.A.T + instance.b) >= -slack * scale))
+    return bool(np.all(_margin_rows(Z @ instance.A.T + instance.b) >= -slack * scale))
 
 
 def vi_gap(X, Z, pool):
@@ -170,7 +172,7 @@ def test_identity_instance_matches_cone_projector():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((60, 3)) * 4.0
     Z, D, _ = proj.project_batch(X)
-    exact = np.array([project_to_cone(x) for x in X])
+    exact = _projection_rows(X)
     # The certificate bounds the distance gap by delta; the point itself can
     # then deviate by at most sqrt(2 d delta) (feasible z, obtuse angle).
     delta = 1e-10 * np.maximum(1.0, np.linalg.norm(X, axis=1))
@@ -208,7 +210,7 @@ def test_secular_bracket_holds_at_distant_rows(s):
     _, D_near, _ = proj.project_batch(xbar + 1e100 * np.eye(3))
     assert np.all(D - L <= inst.projection_tol * s)
     np.testing.assert_allclose(D / s, D_near / 1e100, rtol=1e-12)
-    assert np.all(margins(Z @ inst.A.T + inst.b) >= -1e-9 * s)
+    assert np.all(_margin_rows(Z @ inst.A.T + inst.b) >= -1e-9 * s)
 
 
 class _BracketRead(Exception):
@@ -251,7 +253,7 @@ def test_shifted_cone_matches_translated_projection():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((40, 3)) * 5.0
     Z, D, _ = proj.project_batch(X)
-    exact = np.array([project_to_cone(x + b) - b for x in X])
+    exact = _projection_rows(X + b) - b
     delta = 1e-10 * np.maximum(1.0, np.linalg.norm(X, axis=1))
     point_bound = np.sqrt(2.0 * (D + delta) * delta) + 1e-9
     assert np.all(np.linalg.norm(Z - exact, axis=1) <= point_bound)
@@ -354,7 +356,7 @@ def test_slater_data_is_built_once_on_the_first_infeasible_batch(slater_builds):
     X = np.array([[0.0, 3.0, 4.0], [-1.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
     for _ in range(3):
         Z, _, _ = proj.project_batch(X)
-        np.testing.assert_allclose(Z, [project_to_cone(x) for x in X], atol=1e-12)
+        np.testing.assert_allclose(Z, _projection_rows(X), atol=1e-12)
     assert slater_builds == {"svd": 1, "slater": 1}
 
 
@@ -706,7 +708,7 @@ def test_lone_record_matches_the_batch_record():
             assert abs(u - ub[i]) <= bound and abs(l - lb[i]) <= bound
             assert np.linalg.norm(zf - Zf[i]) <= bound
         assert (sd.ray is None) == (inst is ELLIPSE)
-        assert np.any(margins(G) < 0.0) and np.any(lb == 0.0) and np.any(lb > 0.0)
+        assert np.any(_margin_rows(G) < 0.0) and np.any(lb == 0.0) and np.any(lb > 0.0)
 
 
 def test_lone_vertex_record_matches_the_batch(monkeypatch):
@@ -716,7 +718,7 @@ def test_lone_vertex_record_matches_the_batch(monkeypatch):
     inst, xbar = random_instance(4, 2, "Thm4.4(iv)", 5)
     proj = FeasibleSetProjector(inst, xbar)
     X = xbar + np.random.default_rng(2).standard_normal((60, 2)) * 3.0
-    X = X[margins(X @ inst.A.T + inst.b) < 0.0]
+    X = X[_margin_rows(X @ inst.A.T + inst.b) < 0.0]
     records = []
     record_row = FeasibleSetProjector._record_row
 
@@ -741,7 +743,7 @@ def test_lone_vertex_record_matches_the_batch(monkeypatch):
     # Both branches of the multiplier's projection onto Q are taken.
     D = GXs @ sd.pinv_t
     mu = projection._max_margin(sd.vertex, -(D @ sd.pinv_t.T))
-    outside = margins(mu) < 0.0
+    outside = _margin_rows(mu) < 0.0
     assert np.any(outside & (mu[:, 0] > -np.linalg.norm(mu[:, 1:], axis=1)))
     assert np.any(mu[:, 0] <= -np.linalg.norm(mu[:, 1:], axis=1))
 
@@ -780,6 +782,50 @@ def test_near_pole_rows_are_refused_alike_on_both_paths():
     assert refused == NEAR_POLE_REFUSED
 
 
+def test_exact_distance_matches_a_closed_form():
+    # A = I, b = (1, 0, 0): z = P_Q(x + b) - b = (2, 1.8, 2.4) for
+    # x = (0, 3, 4), at squared distance 4 + 1.44 + 2.56 = 8.
+    low, high = boundary_distance2(np.eye(3), [1.0, 0.0, 0.0], [0.0, 3.0, 4.0])
+    assert low <= 8 <= high and high - low <= Fraction(1, 2**100)
+
+
+def _hyperbola_row(sk, x2):
+    marks = ()
+    if (sk, x2) in NEAR_POLE_REFUSED:
+        marks = pytest.mark.xfail(
+            strict=True,
+            raises=NumericalFailureError,
+            reason="root within about 1e-10 of the pole (ROADMAP item 7)",
+        )
+    return pytest.param(sk, x2, marks=marks, id=f"{sk:+d}-{x2}")
+
+
+@pytest.mark.parametrize(
+    "sk, x2",
+    [
+        _hyperbola_row(sign * k, x2)
+        for k in range(1, 15)
+        for sign in (1, -1)
+        for x2 in (0.5, 3.0)
+    ],
+)
+def test_hyperbola_record_brackets_the_exact_distance(sk, x2):
+    # The row (sign 10^-k, x2) of the near-pole test, against the exact
+    # smooth-boundary distance in rational arithmetic.  The record is no
+    # enclosure at rounding level yet (ROADMAP item 8): lb may lie a few
+    # ulps above the exact distance, or ub a few ulps below it.  So each end
+    # is allowed a slack of 4 eps max(1, ||x||), and no more.
+    x = np.array([np.sign(sk) * 10.0 ** -abs(sk), x2])
+    low, high = boundary_distance2(HYPERBOLA.A, HYPERBOLA.b, x)
+    _, ub, lb = FeasibleSetProjector(HYPERBOLA, np.array([2.0, 0.0])).project_batch(
+        x[None, :]
+    )
+    slack = Fraction(4 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(x))))
+    below, above = Fraction(float(lb[0])) - slack, Fraction(float(ub[0])) + slack
+    assert below <= 0 or below * below <= high
+    assert above * above >= low
+
+
 def test_boosted_wedge_keeps_its_distances():
     # A Lorentz boost L leaves {x : L A x in Q} = {x : x1 >= |x2|} unchanged,
     # but tilts null(A^T) towards e0, where the pseudo-inverse multiplier
@@ -816,7 +862,7 @@ def test_batch_record_bounds_every_row(stratum, seed):
     if proj.geometry.value != "slater":
         assert np.array_equal(lb, ub)
     else:
-        inside = margins(X @ inst.A.T + inst.b) >= 0.0
+        inside = _margin_rows(X @ inst.A.T + inst.b) >= 0.0
         assert np.all(ub[inside] == 0.0) and np.all(lb[inside] == 0.0)
         assert np.all(lb[~inside] > 0.0)
 
@@ -835,7 +881,7 @@ def test_wrapper_takes_rounding_level_points_as_feasible(monkeypatch):
     # g(x) = (1 - 1e-15, 1, 0) is outside the cone only by rounding: inside
     # the instance's tol band it is its own projection, with no projector.
     x = np.array([1.0 - 1e-15, 1.0, 0.0])
-    assert margins(IDENTITY.evaluate(x)[None, :])[0] < 0.0
+    assert _margin_rows(IDENTITY.evaluate(x)[None, :])[0] < 0.0
     builds = []
     monkeypatch.setattr(FeasibleSetProjector, "__init__", builds.append)
     z, d = project_to_feasible_set(IDENTITY, x)
@@ -878,7 +924,7 @@ def test_wrapper_matches_xbar_projector_on_degenerate_boundary(seed):
     m, n = 3 + seed % 4, 2 + (seed // 4) % 5
     inst, xbar = random_instance(m, n, "degenerate-boundary", seed)
     X = xbar + np.random.default_rng(seed).standard_normal((5, n))
-    x = X[np.flatnonzero(margins(X @ inst.A.T + inst.b) < 0.0)[0]]
+    x = X[np.flatnonzero(_margin_rows(X @ inst.A.T + inst.b) < 0.0)[0]]
     z, d = project_to_feasible_set(inst, x)
     _, d_xbar = FeasibleSetProjector(inst, xbar).project(x)
     assert d == pytest.approx(d_xbar, rel=1e-8)
@@ -966,5 +1012,5 @@ def test_the_certified_gap_is_the_instance_projection_tol():
     # Loose enough, the same instance data projects as before.
     loose = AffineSOCInstance(np.eye(3), np.zeros(3), projection_tol=1e-6)
     z, d = project_to_feasible_set(loose, x)
-    np.testing.assert_allclose(z, project_to_cone(x), atol=1e-9)
+    np.testing.assert_allclose(z, _projection_rows(x[None, :])[0], atol=1e-9)
     assert d == pytest.approx(distance_to_cone(x))

@@ -23,15 +23,18 @@ from socpcq import (
     classify_image_vs_cone,
     cone_margin,
     distance_to_cone,
-    distances_to_cone,
-    margins,
-    project_to_cone,
-    projections_to_cone,
     tangent_membership,
 )
 import socpcq
 from socpcq.errors import DimensionError
-from socpcq.soc_core import PROJECTION_TOL, _norm, _row_norms
+from socpcq.soc_core import (
+    PROJECTION_TOL,
+    _distance_rows,
+    _margin_rows,
+    _norm,
+    _projection_rows,
+    _row_norms,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -43,6 +46,11 @@ def sample_cone_points(m, count, rng):
     return w
 
 
+def project(y) -> np.ndarray:
+    """The projection row kernel on one point."""
+    return _projection_rows(np.asarray(y, dtype=float)[None, :])[0]
+
+
 # ---------------------------------------------------------------------------
 # frozen closed-form cases
 # ---------------------------------------------------------------------------
@@ -51,18 +59,18 @@ def sample_cone_points(m, count, rng):
 def test_projection_hand_cases():
     # y = (0, 3, 4): ||y_r|| = 5, projection scales the boundary direction
     y = np.array([0.0, 3.0, 4.0])
-    p = project_to_cone(y)
+    p = project(y)
     np.testing.assert_allclose(p, [2.5, 1.5, 2.0], atol=1e-14)
     assert distance_to_cone(y) == pytest.approx(2.5 * np.sqrt(2.0), abs=1e-14)
 
     # -y in Q: projection collapses to the vertex
     y = np.array([-5.0, 3.0, 4.0])
-    np.testing.assert_allclose(project_to_cone(y), np.zeros(3), atol=1e-14)
+    np.testing.assert_allclose(project(y), np.zeros(3), atol=1e-14)
     assert distance_to_cone(y) == pytest.approx(np.sqrt(50.0), abs=1e-12)
 
     # interior point is a fixed point
     y = np.array([2.0, 1.0, 0.5])
-    np.testing.assert_allclose(project_to_cone(y), y)
+    np.testing.assert_allclose(project(y), y)
     assert distance_to_cone(y) == 0.0
 
 
@@ -87,7 +95,7 @@ def test_m2_cone_is_a_wedge():
     assert classify_cone_point(np.array([1.0, -1.0])) is ConeLocation.POSITIVE_BOUNDARY
     assert distance_to_cone(np.array([0.0, 2.0])) == pytest.approx(np.sqrt(2.0))
     np.testing.assert_allclose(
-        project_to_cone(np.array([0.0, 2.0])), [1.0, 1.0], atol=1e-14
+        project(np.array([0.0, 2.0])), [1.0, 1.0], atol=1e-14
     )
 
 
@@ -95,19 +103,7 @@ def test_rejects_bad_input():
     with pytest.raises(DimensionError):
         cone_margin(np.array([1.0]))
     with pytest.raises(DimensionError):
-        project_to_cone(np.array([np.inf, 0.0]))
-    with pytest.raises(DimensionError):
-        margins(np.ones((3, 1)))
-
-
-@pytest.mark.parametrize("kernel", [margins, distances_to_cone, projections_to_cone])
-def test_batch_kernels_reject_non_finite_rows(kernel):
-    # Like the scalar kernels: a NaN or an infinity is malformed input, not a
-    # NaN margin, a zero distance or an overflow warning.
-    for rows in ([[np.nan, 0.0]], [[np.inf, 1.0]], [[1.0, np.inf]], [[1, 0, -np.inf]]):
-        with pytest.raises(DimensionError, match="non-finite"):
-            kernel(np.array(rows))
-    assert kernel(np.array([[1.0, 0.0], [0.0, 1.0]])).shape[0] == 2
+        distance_to_cone(np.array([np.inf, 0.0]))
 
 
 _IDENTITY_INSTANCE = AffineSOCInstance(np.eye(3), np.zeros(3))
@@ -126,8 +122,6 @@ def _overflowing_analysis():
         lambda: socpcq.FeasibleSetProjector(
             _IDENTITY_INSTANCE, [1.0, 0.0, 0.0]
         ).project_batch(_NAN_ROWS),
-        lambda: distances_to_cone(_NAN_ROWS),
-        lambda: margins(_NAN_ROWS),
         lambda: classify_cone_point([np.nan, 0.0, 0.0]),
         lambda: classify_cone_point([1.0, 1.0, 0.0], tol=True),
         lambda: classify_image_vs_cone(np.array([[1.0, np.nan], [0.0, 1.0]])),
@@ -140,12 +134,9 @@ def _overflowing_analysis():
         lambda: AffineSOCInstance(1e300 * np.eye(3), np.zeros(3)),
         lambda: socpcq.analyze_point(_IDENTITY_INSTANCE, [2e200, 1e200, 0.0]),
         lambda: classify_cone_point([2e200, 1e200, 0.0]),
-        lambda: margins([[1.0, 0.0], [2e200, 1e200]]),
     ],
     ids=[
         "project_batch",
-        "distances_to_cone",
-        "margins",
         "classify_cone_point",
         "classify_cone_point-tol",
         "classify_image_vs_cone",
@@ -154,7 +145,6 @@ def _overflowing_analysis():
         "instance-square-overflow",
         "analyze_point-square-overflow",
         "classify_cone_point-square-overflow",
-        "margins-square-overflow",
     ],
 )
 def test_public_names_check_their_input(call):
@@ -215,33 +205,34 @@ def test_instance_stores_its_tolerances_as_floats():
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
 def test_projection_variational_inequality(m):
     y = RNG.standard_normal((2000, m)) * RNG.lognormal(0.0, 1.5, (2000, 1))
-    p = projections_to_cone(y)
+    p = _projection_rows(y)
     scale = np.maximum(1.0, np.linalg.norm(y, axis=1))
     # feasibility
-    assert np.all(margins(p) >= -1e-12 * scale)
+    assert np.all(_margin_rows(p) >= -1e-12 * scale)
     # optimality against sampled cone points
     w = sample_cone_points(m, 128, RNG)
     gaps = (y - p) @ w.T - np.einsum("ij,ij->i", y - p, p)[:, None]
     assert gaps.max() <= 1e-10 * scale.max()
     # distance formula agrees with the projection it certifies
-    d = distances_to_cone(y)
+    d = _distance_rows(y)
     np.testing.assert_allclose(
         d, np.linalg.norm(y - p, axis=1), atol=1e-10 * float(scale.max())
     )
 
 
 def test_batched_matches_scalar():
-    # The scalar functions run the batched formula on one row, so they agree
-    # to the last bit, on polar rows and the vertex too.
+    # The scalar functions run the row kernels on one row, and a row's value
+    # does not depend on the rows beside it, so they agree to the last bit,
+    # on polar rows and the vertex too.
     for m in (2, 5):
         Y = RNG.standard_normal((64, m))
         Y[:8, 0] = -np.linalg.norm(Y[:8, 1:], axis=1) - np.abs(Y[:8, 0])
         Y[8:12] = 0.0
-        P = projections_to_cone(Y)
-        D = distances_to_cone(Y)
-        M = margins(Y)
+        P = _projection_rows(Y)
+        D = _distance_rows(Y)
+        M = _margin_rows(Y)
         for i in range(Y.shape[0]):
-            assert np.array_equal(P[i], project_to_cone(Y[i]))
+            assert np.array_equal(P[i], project(Y[i]))
             assert D[i] == distance_to_cone(Y[i])
             assert M[i] == cone_margin(Y[i])
 
@@ -277,10 +268,10 @@ finite = st.floats(
 @given(st.lists(finite, min_size=2, max_size=7))
 def test_projection_idempotent_and_feasible(values):
     y = np.asarray(values)
-    p = project_to_cone(y)
+    p = project(y)
     scale = max(1.0, float(np.linalg.norm(y)))
     assert cone_margin(p) >= -1e-12 * scale
-    np.testing.assert_allclose(project_to_cone(p), p, atol=1e-9 * scale)
+    np.testing.assert_allclose(project(p), p, atol=1e-9 * scale)
 
 
 @settings(deadline=None, max_examples=200)
@@ -291,8 +282,8 @@ def test_projection_idempotent_and_feasible(values):
 def test_projection_positively_homogeneous(values, t):
     y = np.asarray(values)
     np.testing.assert_allclose(
-        project_to_cone(t * y),
-        t * project_to_cone(y),
+        project(t * y),
+        t * project(y),
         atol=1e-9 * t * max(1.0, float(np.linalg.norm(y))),
     )
 
