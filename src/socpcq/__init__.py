@@ -22,9 +22,6 @@ from .affine_instance import (
     HSetKind,
     PointAnalysis,
     analyze_point,
-    grad_phi,
-    linearization_cone_membership,
-    phi,
 )
 from .cq_checker import (
     CQReport,
@@ -39,7 +36,6 @@ from .errors import (
     InfeasiblePointError,
     NumericalFailureError,
     ParseError,
-    SingularReductionError,
     SocpcqError,
 )
 from .soc_core import (
@@ -48,7 +44,6 @@ from .soc_core import (
     classify_cone_point,
     cone_margin,
     distance_to_cone,
-    tangent_membership,
 )
 from .subspace_cone import (
     SubspaceConeClass,
@@ -63,9 +58,6 @@ __all__ = [
     "HSetKind",
     "PointAnalysis",
     "analyze_point",
-    "grad_phi",
-    "linearization_cone_membership",
-    "phi",
     "CQReport",
     "Verdict",
     "check_crcq",
@@ -76,7 +68,6 @@ __all__ = [
     "InfeasiblePointError",
     "NumericalFailureError",
     "ParseError",
-    "SingularReductionError",
     "SocpcqError",
     "DimScan",
     "HarnessReport",
@@ -95,7 +86,6 @@ __all__ = [
     "classify_cone_point",
     "cone_margin",
     "distance_to_cone",
-    "tangent_membership",
     "SubspaceConeClass",
     "SubspaceKind",
     "classify_image_vs_cone",

@@ -3,7 +3,9 @@
 Holds the instance data plus the pointwise reduction machinery: on the
 positive boundary the constraint reduces to the smooth scalar inequality
 phi(x) = g0(x) - ||gr(x)|| >= 0, at the vertex it stays conic, and at
-interior points it is locally inactive.
+interior points it is locally inactive.  ``analyze_point`` records the
+gradient of phi at every positive-boundary point: the cone location and
+the gradient decide by the one floor of ``soc_core._reducible_rows``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, InfeasiblePointError, SingularReductionError
+from .errors import DimensionError, InfeasiblePointError
 from .soc_core import (
     DEFAULT_TOL,
     PROJECTION_TOL,
@@ -25,11 +27,9 @@ from .soc_core import (
     _checked_tol,
     _location,
     _norm,
-    _row_norms,
-    cone_margin,
+    _reducible_rows,
     distance_to_cone,
     reflected,
-    tangent_membership,
 )
 from .subspace_cone import SubspaceConeClass, _classify
 
@@ -174,42 +174,18 @@ class PointAnalysis:
         return self.instance.tol * max(1.0, self.instance.norm_A())
 
 
-def phi(instance: AffineSOCInstance, x) -> float:
-    """The concave margin g0(x) - ||gr(x)||; feasibility is phi(x) >= 0."""
-    return cone_margin(instance.evaluate(x))
-
-
-def grad_phi(instance: AffineSOCInstance, x) -> np.ndarray:
-    """Gradient of phi at x: A0 - (gr(x)/||gr(x)||)^T Ar.
-
-    Defined only where gr(x) is safely nonzero.
-    """
-    return _grad_at(instance, instance.evaluate(x))
-
-
 def _grad_rows(
     instance: AffineSOCInstance, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """grad phi from the rows of Y = g(X); ok flags the rows where gr is
-    safely nonzero, ||gr|| > tol * max(1, ||g||), the others are zero."""
-    norms = _row_norms(Y[:, 1:])
-    ok = norms > instance.tol * np.maximum(1.0, _row_norms(Y))
+    """grad phi = A0 - (gr/||gr||)^T Ar from the rows of Y = g(X); ok flags
+    the rows where gr is safely nonzero by ``_reducible_rows``, the others
+    are zero."""
+    norms, ok = _reducible_rows(Y, instance.tol)
     G = np.zeros((Y.shape[0], instance.n))
     if ok.any():
         unit = Y[ok, 1:] / norms[ok, None]
         G[ok] = instance.A[0] - unit @ instance.A[1:]
     return G, ok
-
-
-def _grad_at(instance: AffineSOCInstance, y: np.ndarray) -> np.ndarray:
-    """``grad_phi`` from y = g(x), which the caller already holds."""
-    G, ok = _grad_rows(instance, y[None, :])
-    if not ok[0]:
-        raise SingularReductionError(
-            f"gr(x) has norm {_norm(y[1:]):.3e}; "
-            "the scalar reduction is singular here"
-        )
-    return G[0]
 
 
 def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
@@ -232,7 +208,7 @@ def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
         )
     grad = None
     if loc is ConeLocation.POSITIVE_BOUNDARY:
-        grad = _grad_at(instance, y)
+        grad = _grad_rows(instance, y[None, :])[0][0]
     return PointAnalysis(instance, x, y, loc, grad)
 
 
@@ -269,19 +245,6 @@ def _h_set(analysis: PointAnalysis) -> HSetDescription:
         return HSetDescription(HSetKind.CONE_IMAGE)
     gen = analysis.instance.A.T @ reflected(analysis.y)
     return HSetDescription(HSetKind.RAY_IMAGE, generator=gen)
-
-
-def linearization_cone_membership(instance: AffineSOCInstance, x, d) -> bool:
-    """Is ``d`` in the linearized feasible cone at the feasible point ``x``?
-
-    That cone is the preimage under A of the tangent cone of Q_m at g(x).
-    """
-    analysis = analyze_point(instance, x)
-    d = np.asarray(d, dtype=float)
-    if d.shape != (instance.n,):
-        raise DimensionError(f"direction has shape {d.shape}, expected ({instance.n},)")
-    _check_magnitude(d, "direction has")
-    return tangent_membership(analysis.y, instance.A @ d, instance.tol)
 
 
 def _vanishing(

@@ -23,10 +23,6 @@ class InfeasiblePointError(SocpcqError):
         self.distance = float(distance)
 
 
-class SingularReductionError(SocpcqError):
-    """Boundary reduction requested where g_r(x) vanishes."""
-
-
 class NumericalFailureError(SocpcqError):
     """A routine ended without a certificate, or certified that no answer
     exists (an empty feasible set); ``residual`` is the deciding number."""

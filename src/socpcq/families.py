@@ -22,8 +22,8 @@ import numpy as np
 
 from .affine_instance import AffineSOCInstance
 from .cq_checker import _report, _require_consistent
-from .errors import GenerationError
-from .soc_core import ConeLocation, _count, _norm, reflected
+from .errors import DimensionError, GenerationError
+from .soc_core import ConeLocation, _check_magnitude, _count, _is_real, _norm, reflected
 
 __all__ = ["TARGET_CASES", "random_instance", "lorentz_boost", "transformed"]
 
@@ -222,15 +222,34 @@ def _draw(m: int, n: int, target_case: str, seed: int):
 def lorentz_boost(direction, rapidity: float) -> np.ndarray:
     """The boost of Q_m at ``rapidity`` r along the spatial ``direction`` u
     (m - 1 entries, normalized here): L[0, 0] = cosh r,
-    L[0, 1:] = L[1:, 0] = sinh(r) u and L[1:, 1:] = I + (cosh r - 1) u u^T."""
+    L[0, 1:] = L[1:, 0] = sinh(r) u and L[1:, 1:] = I + (cosh r - 1) u u^T.
+
+    ``direction`` is a finite 1-d vector of nonzero norm and ``rapidity`` a
+    real number (not a bool or a str) whose boost obeys the magnitude rule
+    of ``soc_core._check_magnitude``, else ``DimensionError``.
+    """
+    if not _is_real(rapidity):
+        raise DimensionError(f"rapidity must be a real number, got {rapidity!r:.40}")
     u = np.asarray(direction, dtype=float)
-    u = u / _norm(u)
-    c, s = np.cosh(rapidity), np.sinh(rapidity)
+    if u.ndim != 1:
+        raise DimensionError(f"boost direction must be 1-d, got shape {u.shape}")
+    norm = _norm(_check_magnitude(u, "boost direction has"))
+    if norm == 0.0:
+        raise DimensionError("boost direction has norm 0")
+    u = u / norm
+    try:
+        r = float(rapidity)
+    except OverflowError:
+        r = math.inf
+    with np.errstate(over="ignore"):
+        c, s = np.cosh(r), np.sinh(r)
+    if not math.isfinite(c):
+        raise DimensionError(f"rapidity {rapidity!r:.40} gives a non-finite boost")
     L = np.empty((u.size + 1, u.size + 1))
     L[0, 0] = c
     L[0, 1:] = L[1:, 0] = s * u
     L[1:, 1:] = np.eye(u.size) + (c - 1.0) * np.outer(u, u)
-    return L
+    return _check_magnitude(L, "boost has")
 
 
 def transformed(instance, xbar=None, rows=None, *, L=None, P=None, q=None):

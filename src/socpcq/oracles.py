@@ -63,7 +63,7 @@ from .errors import DimensionError, GenerationError, NumericalFailureError
 from .families import TARGET_CASES, _draw, _least_sizes, random_instance
 from .projection import BatchProjection, FeasibleSetProjector
 from .soc_core import _SQUARE_LIMIT, ConeLocation, _count, _distance_rows, _margin_rows
-from .soc_core import _norm, _row_norms
+from .soc_core import _is_real, _norm, _row_norms
 from .subspace_cone import SubspaceConeClass, SubspaceKind, classify_image_vs_cone
 
 __all__ = [
@@ -192,13 +192,15 @@ class HarnessReport:
 
 
 def _scan_settings(radii, samples):
-    """``(radii, samples)`` of the kappa scan: radii nonempty, positive,
-    finite and strictly decreasing, and the samples rule, or ValueError."""
-    radii = tuple(float(r) for r in radii)
+    """``(radii, samples)`` of the kappa scan: radii nonempty real numbers
+    (``_is_real``: no bool, no str), positive, finite and strictly
+    decreasing, and the samples rule, or ValueError."""
+    given = tuple(radii)
+    radii = tuple(float(r) for r in given) if all(map(_is_real, given)) else ()
     if not radii or not all(math.isfinite(r) and r > 0.0 for r in radii) or any(
         a <= b for a, b in zip(radii, radii[1:])
     ):
-        raise ValueError(f"radii must be > 0, finite and strictly decreasing: {radii}")
+        raise ValueError(f"radii must be > 0, finite and strictly decreasing: {given}")
     return radii, _count(samples, "samples")
 
 

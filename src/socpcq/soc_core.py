@@ -5,7 +5,9 @@ y0 >= ||yr||.  Everything else in the package reduces to three questions
 about a point, answered here: its margin (``cone_margin``), its location,
 the four-way classification interior / positive boundary / zero / outside
 (``classify_cone_point``), and its exact distance (``distance_to_cone``).
-``tangent_membership`` decides the tangent cone at a cone point.
+A point is on the positive boundary only where the scalar reduction
+y0 - ||yr|| is smooth, by the one floor ``_reducible_rows`` that the
+reduction's gradient applies too.
 
 ``_norm`` and ``_row_norms`` are the package's one Euclidean norm kernel:
 every vector, Frobenius and row norm goes through them.  They run the
@@ -15,11 +17,11 @@ costs more than the arithmetic on the package's small matrices.
 
 Public names check, private kernels trust checked arrays.  Every public
 function checks its input once (shape, the magnitude rule of
-``_check_magnitude``, the tolerance rule of ``_checked_tol``, the integer
-rule of ``_count`` for counts, sizes and seeds) and hands it to a private
-body: ``_location`` behind ``classify_cone_point``, ``_margin`` behind
-``cone_margin`` and the row kernel ``_distance_rows`` behind
-``distance_to_cone``.  The other modules follow the same rule, so a caller
+``_check_magnitude``, the tolerance rule of ``_checked_tol``, the
+real-number rule of ``_is_real``, the integer rule of ``_count`` for
+counts, sizes and seeds) and hands it to a private body: ``_location``
+behind ``classify_cone_point``, ``_margin`` behind ``cone_margin`` and the
+row kernel ``_distance_rows`` behind ``distance_to_cone``.  The other modules follow the same rule, so a caller
 inside the package that holds arrays it built from checked data calls the
 bodies directly and pays for no second check: the row kernels
 ``_margin_rows``, ``_distance_rows`` and ``_projection_rows`` have no
@@ -34,7 +36,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionError, InfeasiblePointError
+from .errors import DimensionError
 
 #: Default relative tolerance for all point classifications.
 DEFAULT_TOL = 1e-9
@@ -56,14 +58,19 @@ class ConeLocation(enum.Enum):
     OUTSIDE = "outside"
 
 
+def _is_real(value) -> bool:
+    """Is ``value`` a real number: a ``numbers.Real`` (so not a str) and not
+    a bool?  The rule of every tolerance, radius and rapidity."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _checked_tol(tol, name: str = "tol") -> float:
-    """``tol`` as a float: every tolerance is a real number (not a bool or a
-    str) in (0, 1), else ``DimensionError`` (a too-large int too).  A
-    relative tolerance of 1 or more would read every rank as 0 and every
-    cone point as the vertex."""
-    real = isinstance(tol, (float, numbers.Real)) and not isinstance(tol, bool)
+    """``tol`` as a float: every tolerance is a real number (``_is_real``)
+    in (0, 1), else ``DimensionError`` (a too-large int too).  A relative
+    tolerance of 1 or more would read every rank as 0 and every cone point
+    as the vertex."""
     try:
-        value = float(tol) if real else math.nan
+        value = float(tol) if _is_real(tol) else math.nan
     except OverflowError:
         value = math.inf
     if not 0.0 < value < 1.0:
@@ -134,9 +141,11 @@ def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
     """Classify ``y`` relative to Q_m with a relative tolerance.
 
     The zero test fires first (||y|| <= tol), then the boundary band
-    |y0 - ||yr||| <= tol * max(1, ||y||) with y0 > tol; ties on the band
-    resolve to the boundary.  What remains is decided by the sign of the
-    margin.
+    |y0 - ||yr||| <= tol * max(1, ||y||) with y0 > tol and
+    ||yr|| > tol * max(1, ||y||), the floor of ``_reducible_rows``; ties on
+    the band resolve to the boundary.  What remains is decided by the sign
+    of the margin, which is positive on the band points below the floor
+    when tol < 1/sqrt(2).
     """
     return _location(as_cone_vector(y), _checked_tol(tol))
 
@@ -147,8 +156,9 @@ def _location(y: np.ndarray, tol: float) -> ConeLocation:
     scale = max(1.0, norm_y)
     if norm_y <= tol * scale:
         return ConeLocation.ZERO
-    margin = float(_margin_rows(y[None, :])[0])
-    if abs(margin) <= tol * scale and y[0] > tol:
+    Y = y[None, :]
+    margin = float(_margin_rows(Y)[0])
+    if abs(margin) <= tol * scale and y[0] > tol and _reducible_rows(Y, tol)[1][0]:
         return ConeLocation.POSITIVE_BOUNDARY
     if margin > 0.0:
         return ConeLocation.INTERIOR
@@ -162,34 +172,6 @@ def distance_to_cone(y) -> float:
     sqrt(1/2) * (||yr|| - y0) in the ambient region between them.
     """
     return float(_distance_rows(as_cone_vector(y)[None, :])[0])
-
-
-def tangent_membership(y, d, tol: float = DEFAULT_TOL) -> bool:
-    """Does direction ``d`` belong to the tangent cone of Q_m at ``y``?
-
-    Requires y in Q_m.  At interior points the tangent cone is everything;
-    at the vertex it is Q_m itself; on the positive boundary it is the
-    half-space <(-y0, yr), d> <= 0.
-    """
-    y = as_cone_vector(y)
-    d = np.asarray(d, dtype=float)
-    if d.shape != y.shape:
-        raise DimensionError(f"direction shape {d.shape} != point shape {y.shape}")
-    _check_magnitude(d, "direction has")
-    tol = _checked_tol(tol)
-    loc = _location(y, tol)
-    if loc is ConeLocation.OUTSIDE:
-        raise InfeasiblePointError(
-            "tangent cone requested at a point outside the cone",
-            distance_to_cone(y),
-        )
-    if loc is ConeLocation.INTERIOR:
-        return True
-    if loc is ConeLocation.ZERO:
-        return _location(d, tol) is not ConeLocation.OUTSIDE
-    ytil = reflected(y)
-    scale = max(1.0, _norm(ytil) * _norm(d))
-    return float(ytil @ d) <= tol * scale
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +200,15 @@ def _row_norms(Y: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
 def _margin_rows(Y: np.ndarray) -> np.ndarray:
     return Y[:, 0] - _row_norms(Y[:, 1:])
+
+
+def _reducible_rows(Y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(||yr||, ok) of the rows of Y: ok flags the rows where yr is safely
+    nonzero, ||yr|| > tol * max(1, ||y||), so that the scalar reduction
+    y0 - ||yr|| is smooth there.  The positive boundary of ``_location`` and
+    the gradient of ``affine_instance._grad_rows`` both decide by it."""
+    norm_r = _row_norms(Y[:, 1:])
+    return norm_r, norm_r > tol * np.maximum(1.0, _row_norms(Y))
 
 
 def _distance_rows(Y: np.ndarray) -> np.ndarray:

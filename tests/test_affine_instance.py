@@ -16,22 +16,12 @@ from socpcq import (
     HSetKind,
     affine_instance,
     analyze_point,
-    classify_cone_point,
     cone_margin,
     full_report,
-    grad_phi,
-    linearization_cone_membership,
-    phi,
-    random_instance,
 )
 from socpcq.affine_instance import _grad_rows
 from socpcq.cli import InstanceDocument
-from socpcq.errors import (
-    DimensionError,
-    InfeasiblePointError,
-    SingularReductionError,
-)
-from socpcq.families import TARGET_CASES
+from socpcq.errors import DimensionError, InfeasiblePointError
 from socpcq.projection import PROJECTION_TOL
 
 # The shared 3x3 instance used throughout: g(x) = (x1, x1, x3), whose
@@ -41,12 +31,14 @@ HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
 
 
 def fd_gradient(instance, x, h=1e-6):
-    """Central finite differences of phi, the independent gradient oracle."""
+    """Central finite differences of phi(x) = cone_margin(g(x)), the
+    independent gradient oracle."""
     g = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (phi(instance, x + e) - phi(instance, x - e)) / (2.0 * h)
+        forward = cone_margin(instance.evaluate(x + e))
+        g[i] = (forward - cone_margin(instance.evaluate(x - e))) / (2.0 * h)
     return g
 
 
@@ -182,15 +174,9 @@ def test_grad_phi_matches_finite_differences():
         x = rng.standard_normal(n)
         if float(np.linalg.norm(inst.evaluate(x)[1:])) < 1e-3:
             continue
-        np.testing.assert_allclose(
-            grad_phi(inst, x), fd_gradient(inst, x), atol=1e-6, rtol=1e-6
-        )
-
-
-def test_grad_phi_singular_at_axis():
-    inst = AffineSOCInstance(np.eye(3), np.zeros(3))
-    with pytest.raises(SingularReductionError):
-        grad_phi(inst, np.array([2.0, 0.0, 0.0]))
+        G, ok = grad_phi_many(inst, x[None, :])
+        assert ok[0]
+        np.testing.assert_allclose(G[0], fd_gradient(inst, x), atol=1e-6, rtol=1e-6)
 
 
 def test_grad_phi_many_flags_singular_rows():
@@ -199,7 +185,8 @@ def test_grad_phi_many_flags_singular_rows():
     G, ok = grad_phi_many(inst, X)
     assert not ok[0] and ok[1]
     np.testing.assert_allclose(G[0], 0.0)
-    np.testing.assert_allclose(G[1], grad_phi(inst, X[1]))
+    # A0 - (gr / ||gr||)^T Ar at g = (1, 0.5, 0): e0 - e1.
+    np.testing.assert_allclose(G[1], [1.0, -1.0, 0.0])
 
 
 def test_analyze_point_locations():
@@ -216,6 +203,49 @@ def test_analyze_point_locations():
     a = analyze_point(interior, [0.0, 0.5])
     assert a.location is ConeLocation.INTERIOR
     assert a.grad_phi is None
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3, 0.1])
+def test_every_boundary_point_near_the_vertex_has_its_gradient(tol, scale):
+    # Images within a few tol of the vertex, where ||gr|| may lie at or
+    # below the gradient floor tol * max(1, ||g||).  analyze_point either
+    # rejects the point or returns, and each boundary point carries the
+    # gradient _grad_rows computes, on a row _grad_rows flags ok.  The band
+    # points below the floor have a positive margin and read interior.
+    rng = np.random.default_rng(7)
+    below_floor = boundary = 0
+    for m in range(2, 6):
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        inst = AffineSOCInstance(scale * Q, np.zeros(m), tol=tol)
+        for _ in range(60):
+            y = np.empty(m)
+            y[0] = tol * rng.uniform(-0.5, 3.0)
+            r = rng.standard_normal(m - 1)
+            y[1:] = tol * rng.uniform(0.0, 3.0) * r / np.linalg.norm(r)
+            x = Q.T @ y / scale
+            try:
+                analysis = analyze_point(inst, x)
+            except InfeasiblePointError:
+                continue
+            g = analysis.y
+            floor = tol * max(1.0, np.linalg.norm(g))
+            if (
+                g[0] > tol
+                and abs(cone_margin(g)) <= floor
+                and np.linalg.norm(g[1:]) <= floor
+            ):
+                below_floor += 1
+                assert analysis.location is ConeLocation.INTERIOR
+                assert cone_margin(g) > 0.0
+            if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
+                boundary += 1
+                G, ok = _grad_rows(inst, g[None, :])
+                assert ok[0]
+                assert np.array_equal(analysis.grad_phi, G[0])
+            else:
+                assert analysis.grad_phi is None
+    assert below_floor > 0 and boundary > 0
 
 
 def test_analyze_point_returns_a_given_analysis_of_its_instance():
@@ -299,68 +329,6 @@ def test_h_set_kinds():
     )
 
 
-def test_linearization_cone_membership():
-    # at the vertex the linearized cone is {d : Ad in Q}
-    assert linearization_cone_membership(HALFPLANE, np.zeros(3), [1.0, 0.0, 0.0])
-    assert not linearization_cone_membership(HALFPLANE, np.zeros(3), [0.0, 0.0, 1.0])
-    assert linearization_cone_membership(HALFPLANE, np.zeros(3), [0.0, 5.0, 0.0])
-    # at a degenerate boundary point grad phi = 0 accepts every direction
-    assert linearization_cone_membership(
-        HALFPLANE, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
-    )
-
-
-def _linearized_reference(analysis, d) -> bool:
-    """The linearized cone by the formula of phi: everything at an interior
-    point, grad phi . d >= -tol * max(1, ||grad phi|| ||d||) on the
-    boundary, A d not outside Q at the vertex."""
-    inst = analysis.instance
-    if analysis.location is ConeLocation.INTERIOR:
-        return True
-    if analysis.location is ConeLocation.ZERO:
-        return classify_cone_point(inst.A @ d, inst.tol) is not ConeLocation.OUTSIDE
-    g = analysis.grad_phi
-    scale = max(1.0, np.linalg.norm(g) * np.linalg.norm(d))
-    return float(g @ d) >= -inst.tol * scale
-
-
-@pytest.mark.parametrize("stratum", TARGET_CASES)
-def test_linearization_cone_is_the_preimage_of_the_tangent_cone(stratum):
-    # linearization_cone_membership asks the tangent cone of Q_m at g(x)
-    # about A d; it must agree with the formula of phi.  A quarter of the
-    # directions on the boundary strata are orthogonal to grad phi, where
-    # only the tolerance decides.
-    rng = np.random.default_rng(TARGET_CASES.index(stratum))
-    for seed in range(25):
-        m, n = int(rng.integers(3, 7)), int(rng.integers(2, 7))
-        inst, xbar = random_instance(m, n, stratum, seed)
-        analysis = analyze_point(inst, xbar)
-        D = rng.standard_normal((20, n))
-        g = analysis.grad_phi
-        if g is not None and g @ g > 0.0:
-            D[:5] -= np.outer(D[:5] @ g, g) / (g @ g)
-        for d in D:
-            assert linearization_cone_membership(inst, xbar, d) == (
-                _linearized_reference(analysis, d)
-            ), (seed, d)
-
-
-@pytest.mark.parametrize(
-    "x, location",
-    [
-        ([2.0, 0.0, 0.0], ConeLocation.INTERIOR),
-        ([1.0, 1.0, 0.0], ConeLocation.POSITIVE_BOUNDARY),
-        ([0.0, 0.0, 0.0], ConeLocation.ZERO),
-    ],
-)
-@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
-def test_linearization_cone_membership_rejects_non_finite_direction(x, location, bad):
-    identity = AffineSOCInstance(np.eye(3), np.zeros(3))
-    assert analyze_point(identity, x).location is location
-    with pytest.raises(DimensionError):
-        linearization_cone_membership(identity, x, [bad, 0.0, 0.0])
-
-
 def test_boundary_analysis_evaluates_g_once(monkeypatch):
     calls = []
     evaluate = AffineSOCInstance._evaluate
@@ -400,7 +368,7 @@ def test_vanishing_certificate_positive_case():
     # and phi really is identically zero nearby
     for _ in range(10):
         z = x + 0.05 * rng.standard_normal(2)
-        assert abs(phi(inst, z)) <= 1e-12
+        assert abs(cone_margin(inst.evaluate(z))) <= 1e-12
 
 
 def test_vanishing_certificate_negative_case():

@@ -632,7 +632,7 @@ def test_public_names_resolve_to_their_defining_modules():
         import socpcq
         star = {}
         exec("from socpcq import *", star)
-        assert len(socpcq.__all__) == 42
+        assert len(socpcq.__all__) == 37
         constants = {"__version__": "socpcq", "DEFAULT_TOL": "socpcq.soc_core"}
         for name in socpcq.__all__:
             obj = getattr(socpcq, name)
@@ -1057,6 +1057,31 @@ def test_project_slater_success_path(capsys, tmp_path):
     assert lines[0].startswith("z = ")
     z = json.loads(lines[0][len("z = "):])
     assert np.max(np.abs(np.subtract(z, [2.0, 1.8, 2.4]))) <= 1e-9
+
+
+def test_near_vertex_point_is_interior_in_every_command(capsys, tmp_path):
+    # g(p) = (1.5e-9, 6e-10, 0) passes the boundary band at tol 1e-9, but
+    # ||gr|| lies below the gradient floor, so p is no positive-boundary
+    # point: its margin 9e-10 makes it interior.  Every command that reads
+    # the document runs, the projection of x too, which analyzes p.
+    path = tmp_path / "near_vertex.json"
+    doc = {"m": 3, "n": 3, "A": np.eye(3).tolist(), "b": [0, 0, 0]}
+    points = {"p": [1.5e-9, 6e-10, 0], "x": [0, 3, 4]}
+    path.write_text(json.dumps({**doc, "points": points}))
+    code, out, err = run_cli(capsys, "analyze", str(path), "p")
+    assert (code, err) == (EXIT_OK, "")
+    summary = split_report(out)[1]
+    assert summary[0] == "location: interior"
+    assert "CRCQ: holds (Thm 4.4 (i)); MSCQ: holds (Thm 5.1)" in summary
+    for argv in (
+        ("scan", str(path), "p", "--samples", "16"),
+        ("harness", "--instance", str(path), "--point", "p", "--trials", "2"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+    code, out, err = run_cli(capsys, "project", str(path), "x")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1] == "dist(x, Omega) = 3.53553390593"
 
 
 def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):

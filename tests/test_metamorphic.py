@@ -8,13 +8,19 @@ all six verdicts keep their condition and that the certified distances
 from the transformed xbar do not move.  An invertible, non-orthogonal
 reparametrization x = Pz + q, boosted or not, keeps the verdicts too, but
 not the distances.  The boost itself is checked against the Lorentz form
-and against the explicit axis block.
+and against the explicit axis block, and refuses malformed input.
 """
 
 import numpy as np
 import pytest
 
-from socpcq import AffineSOCInstance, FeasibleSetProjector, full_report, random_instance
+from socpcq import (
+    AffineSOCInstance,
+    DimensionError,
+    FeasibleSetProjector,
+    full_report,
+    random_instance,
+)
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 
 VERDICTS = ("nondegeneracy", "rcq", "fcr", "h_closed", "crcq", "mscq")
@@ -114,3 +120,38 @@ def test_axis_boosts_are_the_cosh_sinh_block(m):
             block[0, axis] = block[axis, 0] = np.sinh(rapidity)
             L = lorentz_boost(np.eye(m - 1)[axis - 1], rapidity)
             assert L.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize(
+    "direction, rapidity, message",
+    [
+        ([0.0, 0.0], 1.0, "norm 0"),
+        ([np.nan, 1.0], 1.0, "non-finite entries"),
+        ([np.inf, 1.0], 1.0, "non-finite entries"),
+        ([[1.0, 2.0]], 1.0, "must be 1-d"),
+        ([1.0, 0.0], np.nan, "non-finite boost"),
+        ([1.0, 0.0], 800.0, "non-finite boost"),
+        ([1.0, 0.0], -800, "non-finite boost"),
+        ([1.0, 0.0], 600.0, "squared norm that overflows"),
+        ([1.0, 0.0], True, "real number"),
+        ([1.0, 0.0], "1", "real number"),
+    ],
+    ids=[
+        "zero-direction",
+        "nan-direction",
+        "inf-direction",
+        "2-d-direction",
+        "nan-rapidity",
+        "overflowing-rapidity",
+        "overflowing-negative-rapidity",
+        "overflowing-square",
+        "bool-rapidity",
+        "str-rapidity",
+    ],
+)
+def test_lorentz_boost_rejects_malformed_input(direction, rapidity, message):
+    # A DimensionError, and no numpy warning, which the test run turns into
+    # an error: a zero direction once gave a NaN matrix, a rapidity past
+    # cosh's range an inf and NaN one, and a (1, 2) direction a 3x3 boost.
+    with pytest.raises(DimensionError, match=message):
+        lorentz_boost(direction, rapidity)

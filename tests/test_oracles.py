@@ -78,6 +78,15 @@ def test_kappa_scan_validation():
         mscq_kappa_scan(TANGENT, np.zeros(2), radii=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         mscq_kappa_scan(TANGENT, np.zeros(2), radii=(1e-1, -1e-2))
+    # Radii are real numbers, as tolerances and counts are: a bool or a
+    # str is refused, not read as 1.0 or parsed.
+    for radii in ((True,), (0.1, False), ("0.1", "1e-2"), (0.1, "1e-2")):
+        with pytest.raises(ValueError, match="radii"):
+            mscq_kappa_scan(TANGENT, np.zeros(2), radii=radii)
+    scan = mscq_kappa_scan(
+        TANGENT, np.zeros(2), radii=(1, np.float64(0.5)), samples_per_radius=4
+    )
+    assert scan.radii == (1.0, 0.5)
     for samples in (0, True, 2.9, "5"):
         with pytest.raises(ValueError, match="samples"):
             mscq_kappa_scan(TANGENT, np.zeros(2), samples_per_radius=samples)

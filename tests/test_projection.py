@@ -816,14 +816,49 @@ def test_hyperbola_record_brackets_the_exact_distance(sk, x2):
     # ulps above the exact distance, or ub a few ulps below it.  So each end
     # is allowed a slack of 4 eps max(1, ||x||), and no more.
     x = np.array([np.sign(sk) * 10.0 ** -abs(sk), x2])
-    low, high = boundary_distance2(HYPERBOLA.A, HYPERBOLA.b, x)
-    _, ub, lb = FeasibleSetProjector(HYPERBOLA, np.array([2.0, 0.0])).project_batch(
-        x[None, :]
-    )
+    _assert_lone_record_brackets(HYPERBOLA, np.array([2.0, 0.0]), x)
+
+
+def _assert_lone_record_brackets(instance, reference, x):
+    """Project the row x alone and check that its record [lb, ub] holds the
+    exact smooth-boundary distance, each end within 4 eps max(1, ||x||)."""
+    low, high = boundary_distance2(instance.A, instance.b, x)
+    _, ub, lb = FeasibleSetProjector(instance, reference).project_batch(x[None, :])
     slack = Fraction(4 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(x))))
     below, above = Fraction(float(lb[0])) - slack, Fraction(float(ub[0])) + slack
     assert below <= 0 or below * below <= high
     assert above * above >= low
+
+
+#: Rows xbar + 1e8 u of the far-row test that the projector refuses today:
+#: the multiplier lies far past the pole (ROADMAP item 20).  A fix there
+#: turns them into unexpected passes, and their markers go.
+FAR_ROWS_REFUSED = (6, 11)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(
+            row,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=NumericalFailureError,
+                reason="multiplier far past the pole (ROADMAP item 20)",
+            ),
+        )
+        if row in FAR_ROWS_REFUSED
+        else row
+        for row in (0, 1, *FAR_ROWS_REFUSED)
+    ],
+)
+def test_far_row_record_brackets_the_exact_distance(row):
+    # Rows 1e8 away from xbar along normalized standard normal directions,
+    # each projected alone, against the exact smooth-boundary distance.
+    inst, xbar = random_instance(4, 3, "Thm4.4(i)", seed=0)
+    U = np.random.default_rng(0).standard_normal((12, 3))
+    u = U[row] / np.linalg.norm(U[row])
+    _assert_lone_record_brackets(inst, xbar, xbar + 1e8 * u)
 
 
 def test_boosted_wedge_keeps_its_distances():

@@ -1,4 +1,4 @@
-"""Cone kernel: membership, distance, projection, tangent cone.
+"""Cone kernel: membership, distance, projection.
 
 The projection and distance formulas are validated two ways: against
 hand-computed closed-form values, and against the variational inequality
@@ -23,7 +23,6 @@ from socpcq import (
     classify_image_vs_cone,
     cone_margin,
     distance_to_cone,
-    tangent_membership,
 )
 import socpcq
 from socpcq.errors import DimensionError
@@ -235,24 +234,6 @@ def test_batched_matches_scalar():
             assert np.array_equal(P[i], project(Y[i]))
             assert D[i] == distance_to_cone(Y[i])
             assert M[i] == cone_margin(Y[i])
-
-
-# ---------------------------------------------------------------------------
-# tangent cone
-# ---------------------------------------------------------------------------
-
-
-def test_tangent_membership_cases():
-    y_bd = np.array([1.0, 1.0, 0.0])
-    # tangent halfspace at a smooth boundary point: d0 >= ghat . d_r
-    assert tangent_membership(y_bd, np.array([1.0, 0.5, 3.0]))
-    assert tangent_membership(y_bd, np.array([1.0, 1.0, 0.0]))
-    assert not tangent_membership(y_bd, np.array([0.0, 1.0, 0.0]))
-    # at the vertex the tangent cone is the cone itself
-    assert tangent_membership(np.zeros(3), np.array([1.0, 0.0, 0.5]))
-    assert not tangent_membership(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    # interior: everything is tangent
-    assert tangent_membership(np.array([2.0, 0.0, 0.0]), np.array([-9.0, 4.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
