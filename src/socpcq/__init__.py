@@ -16,15 +16,11 @@ import importlib
 
 __version__ = "0.1.0"
 
-from .affine_instance import (
-    AffineSOCInstance,
-    HSetDescription,
-    HSetKind,
-    PointAnalysis,
-    analyze_point,
-)
+from .affine_instance import AffineSOCInstance, PointAnalysis, analyze_point
 from .cq_checker import (
     CQReport,
+    HSetDescription,
+    HSetKind,
     Verdict,
     check_crcq,
     full_report,
@@ -54,11 +50,11 @@ from .subspace_cone import (
 __all__ = [
     "__version__",
     "AffineSOCInstance",
-    "HSetDescription",
-    "HSetKind",
     "PointAnalysis",
     "analyze_point",
     "CQReport",
+    "HSetDescription",
+    "HSetKind",
     "Verdict",
     "check_crcq",
     "full_report",

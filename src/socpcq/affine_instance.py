@@ -6,11 +6,12 @@ phi(x) = g0(x) - ||gr(x)|| >= 0, at the vertex it stays conic, and at
 interior points it is locally inactive.  ``analyze_point`` records the
 gradient of phi at every positive-boundary point: the cone location and
 the gradient decide by the one floor of ``soc_core._reducible_rows``.
+The verdicts that read this record, and the set H(x) of multiplier
+images, live in ``cq_checker``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +30,6 @@ from .soc_core import (
     _norm,
     _reducible_rows,
     distance_to_cone,
-    reflected,
 )
 from .subspace_cone import SubspaceConeClass, _classify
 
@@ -216,47 +216,3 @@ def _feasible_image(instance: AffineSOCInstance, y: np.ndarray) -> bool:
     """Is the checked image y = g(x) not OUTSIDE the cone at the instance's
     ``tol``?  The rule by which ``analyze_point`` accepts a point."""
     return _location(y, instance.tol) is not ConeLocation.OUTSIDE
-
-
-class HSetKind(enum.Enum):
-    ZERO_ONLY = "zero_only"
-    RAY_IMAGE = "ray_image"
-    CONE_IMAGE = "cone_image"
-
-
-@dataclass(frozen=True, eq=False)
-class HSetDescription:
-    """The set A^T N(g(x)) of multiplier images at a feasible point.
-
-    ``ZERO_ONLY`` is {0} (interior points); ``RAY_IMAGE`` is the half-line
-    of nonnegative multiples of ``generator`` = A^T(-y0, yr) (boundary
-    points); ``CONE_IMAGE`` is A^T(-Q_m) (vertex), whose closedness is the
-    point of the analysis: the report's ``h_closed`` verdict decides it.
-    """
-
-    kind: HSetKind
-    generator: Optional[np.ndarray] = None
-
-
-def _h_set(analysis: PointAnalysis) -> HSetDescription:
-    if analysis.location is ConeLocation.INTERIOR:
-        return HSetDescription(HSetKind.ZERO_ONLY)
-    if analysis.location is ConeLocation.ZERO:
-        return HSetDescription(HSetKind.CONE_IMAGE)
-    gen = analysis.instance.A.T @ reflected(analysis.y)
-    return HSetDescription(HSetKind.RAY_IMAGE, generator=gen)
-
-
-def _vanishing(
-    analysis: PointAnalysis,
-) -> tuple[Optional[tuple[np.ndarray, np.ndarray, float]], float]:
-    """At a boundary point: (u, w, c) with g = (w^T x + c)(1, u), ||u|| = 1,
-    which makes phi vanish near the point (None if A has a column not
-    parallel to g(x)), and the residual norm of A against such columns."""
-    instance, y = analysis.instance, analysis.y
-    residual = instance.A - np.outer(y, (y @ instance.A) / float(y @ y))
-    residual_norm = _norm(residual)
-    if residual_norm > analysis.grad_floor:
-        return None, residual_norm
-    u = y[1:] / _norm(y[1:])
-    return (u, instance.A[0].copy(), float(instance.b[0])), residual_norm

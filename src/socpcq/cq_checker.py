@@ -5,8 +5,9 @@ affine cone constraint and returns a :class:`Verdict` for each, whose
 ``condition`` names the clause of the governing characterization that
 fired, together with enough numeric evidence (gradients, ranks, rays,
 eigenvalues, moduli) to re-run the decisive comparison independently;
-read one verdict as a field of the report.  ``check_crcq`` returns the
-CRCQ verdict alone.
+read one verdict as a field of the report, next to the set H(x) of
+multiplier images (:class:`HSetDescription`).  ``check_crcq`` returns the
+report's CRCQ verdict.
 
 Condition labels:
 
@@ -21,11 +22,15 @@ always a degenerate boundary point without the rank-one factorization, and
 an H-closedness failure is always the ``Cor 4.2`` geometry (the image
 touches the cone in a single boundary ray without equaling its span).
 
-CRCQ is not decided separately: since CRCQ <=> FCR and H-closed, its
-verdict is the decisive one of those two (H-closedness at the vertex, FCR
-elsewhere) relabeled to its Thm 4.4 clause, evidence included.  Off the
-vertex, FCR is in turn the RCQ verdict relabeled to Thm 3.2 (ii)/(iii)
-wherever that verdict holds.
+A report splits once on the location of g(x), as the characterizations
+do.  At the vertex (``_vertex``) FCR always holds, and the class of Im(A)
+decides H-closedness and the MSCQ modulus.  Off the vertex
+(``_off_vertex``) H is closed, and FCR is the RCQ verdict relabeled to
+Thm 3.2 (ii)/(iii) wherever that verdict holds, else the vanishing
+certificate of (iv) or a failure.  CRCQ is not decided separately: since
+CRCQ <=> FCR and H-closed, its verdict is the decisive one of those two
+relabeled to its Thm 4.4 clause, evidence included, and MSCQ is that
+verdict under Thm 5.1 with the branch's modulus added.
 
 Every clause reads one :class:`PointAnalysis`: the location of g(x), the
 gradient of phi on the boundary, the gradient floor, and, for the vertex
@@ -38,25 +43,21 @@ and at most one SVD of A, and the projector decides its shape with
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
 
-from .affine_instance import (
-    AffineSOCInstance,
-    HSetDescription,
-    PointAnalysis,
-    _h_set,
-    _vanishing,
-    analyze_point,
-)
-from .soc_core import ConeLocation, _margin, _norm
+from .affine_instance import AffineSOCInstance, PointAnalysis, analyze_point
+from .soc_core import ConeLocation, _margin, _norm, reflected
 from .subspace_cone import SubspaceKind
 
 __all__ = [
     "Verdict",
+    "HSetKind",
+    "HSetDescription",
     "CQReport",
     "check_crcq",
     "full_report",
@@ -81,6 +82,26 @@ class Verdict:
             raise ValueError("verdict must have a condition iff it holds")
 
 
+class HSetKind(enum.Enum):
+    ZERO_ONLY = "zero_only"
+    RAY_IMAGE = "ray_image"
+    CONE_IMAGE = "cone_image"
+
+
+@dataclass(frozen=True, eq=False)
+class HSetDescription:
+    """The set A^T N(g(x)) of multiplier images at a feasible point.
+
+    ``ZERO_ONLY`` is {0} (interior points); ``RAY_IMAGE`` is the half-line
+    of nonnegative multiples of ``generator`` = A^T(-y0, yr) (boundary
+    points); ``CONE_IMAGE`` is A^T(-Q_m) (vertex), whose closedness is the
+    point of the analysis: the report's ``h_closed`` verdict decides it.
+    """
+
+    kind: HSetKind
+    generator: Optional[np.ndarray] = None
+
+
 @dataclass(frozen=True, eq=False)
 class CQReport:
     point_analysis: PointAnalysis
@@ -95,40 +116,29 @@ class CQReport:
 
 
 # ---------------------------------------------------------------------------
-# individual qualifications
+# the case split on the location of g(x)
 # ---------------------------------------------------------------------------
 
 
-def _off_vertex(pa: PointAnalysis) -> Verdict:
-    """Nondegeneracy and RCQ away from the vertex, where the two coincide."""
-    if pa.location is ConeLocation.INTERIOR:
-        return Verdict(True, "interior", {"margin": _margin(pa.y)})
-    g = pa.grad_phi
-    norm = _norm(g)
-    ev = {"grad_phi": g, "grad_norm": norm}
-    if norm > pa.grad_floor:
-        return Verdict(True, "boundary gradient nonzero", ev)
-    return Verdict(False, None, ev)
-
-
-def _nondegeneracy(pa: PointAnalysis) -> Verdict:
-    if pa.location is not ConeLocation.ZERO:
-        return _off_vertex(pa)
-    rank = pa.geometry.rank
-    ev = {"rank": rank, "m": pa.instance.m}
-    if rank == pa.instance.m:
-        return Verdict(True, "surjective at vertex", ev)
-    return Verdict(False, None, ev)
+def _relabeled(verdict: Verdict, condition: Optional[str]) -> Verdict:
+    """``verdict`` under another condition label, with its own evidence."""
+    return Verdict(verdict.holds, condition, dict(verdict.evidence))
 
 
 def _rcq(pa: PointAnalysis) -> Verdict:
-    if pa.location is not ConeLocation.ZERO:
-        return _off_vertex(pa)
+    """Robinson's CQ: g(x) interior, a boundary gradient of phi above the
+    floor, or an image of A that meets the interior at the vertex."""
+    if pa.location is ConeLocation.INTERIOR:
+        return Verdict(True, "interior", {"margin": _margin(pa.y)})
+    if pa.location is ConeLocation.POSITIVE_BOUNDARY:
+        g = pa.grad_phi
+        norm = _norm(g)
+        ev = {"grad_phi": g, "grad_norm": norm}
+        if norm > pa.grad_floor:
+            return Verdict(True, "boundary gradient nonzero", ev)
+        return Verdict(False, None, ev)
     cls = pa.geometry
-    ev: dict[str, Any] = {
-        "image_class": cls.kind.value,
-        "eigenvalues": cls.eigenvalues,
-    }
+    ev = {"image_class": cls.kind.value, "eigenvalues": cls.eigenvalues}
     if cls.kind is SubspaceKind.MEETS_INTERIOR:
         ev["witness"] = cls.witness
         return Verdict(True, "image meets interior", ev)
@@ -137,64 +147,27 @@ def _rcq(pa: PointAnalysis) -> Verdict:
     return Verdict(False, None, ev)
 
 
-def _fcr(pa: PointAnalysis) -> Verdict:
-    if pa.location is ConeLocation.ZERO:
-        return Verdict(True, "Thm3.2(i)", {"y_norm": _norm(pa.y)})
-    rcq = _off_vertex(pa)
-    if rcq.holds:
-        label = "Thm3.2(ii)" if pa.location is ConeLocation.INTERIOR else "Thm3.2(iii)"
-        return Verdict(True, label, rcq.evidence)
-    norm = rcq.evidence["grad_norm"]
-    cert, residual = _vanishing(pa)
-    if cert is not None:
-        u, w, c = cert
-        ev = {
-            "grad_norm": norm,
-            "certificate_u": u,
-            "certificate_w": w,
-            "certificate_c": c,
-        }
-        return Verdict(True, "Thm3.2(iv)", ev)
-    return Verdict(False, None, {"grad_norm": norm, "vanishing_residual": residual})
+def _vanishing(pa: PointAnalysis, grad_norm: float) -> Verdict:
+    """FCR at a boundary point where the gradient of phi vanishes.
 
-
-def _h_closed(pa: PointAnalysis) -> Verdict:
-    if pa.location in (ConeLocation.INTERIOR, ConeLocation.POSITIVE_BOUNDARY):
-        return Verdict(True, "Thm4.1(i)", {"y": pa.y})
-    cls = pa.geometry
-    if cls.kind is SubspaceKind.MEETS_INTERIOR:
+    Thm 3.2 (iv) holds when every column of A is parallel to g(x), with the
+    certificate (u, w, c): g = (w^T x + c)(1, u) with ||u|| = 1, which makes
+    phi vanish near the point.  Otherwise FCR fails, with the residual norm
+    of A against such columns.
+    """
+    instance, y = pa.instance, pa.y
+    residual = _norm(instance.A - np.outer(y, (y @ instance.A) / float(y @ y)))
+    if residual > pa.grad_floor:
         return Verdict(
-            True, "Thm4.1(ii)", {"witness": cls.witness, "eigenvalues": cls.eigenvalues}
+            False, None, {"grad_norm": grad_norm, "vanishing_residual": residual}
         )
-    if cls.kind is SubspaceKind.ZERO_ONLY:
-        return Verdict(
-            True, "Thm4.1(iii)", {"rank": cls.rank, "eigenvalues": cls.eigenvalues}
-        )
-    ev: dict[str, Any] = {"ray": cls.ray, "rank": cls.rank}
-    # The ray lies in Im(A), so Im(A) is its span exactly when the rank is 1.
-    if cls.rank == 1:
-        return Verdict(True, "Thm4.1(iv)", ev)
-    ev["reason"] = "Cor 4.2"
-    return Verdict(False, None, ev)
-
-
-#: CRCQ <=> FCR and H-closed (Thm 4.4).  At the vertex FCR always holds and
-#: H-closedness decides; elsewhere H is closed and FCR decides.  Each CRCQ
-#: clause is the decisive clause under its Thm 4.4 name.
-_CRCQ_LABELS = {
-    "Thm3.2(ii)": "Thm4.4(i)",
-    "Thm3.2(iii)": "Thm4.4(ii)",
-    "Thm3.2(iv)": "Thm4.4(iii)",
-    "Thm4.1(ii)": "Thm4.4(iv)",
-    "Thm4.1(iii)": "Thm4.4(v)",
-    "Thm4.1(iv)": "Thm4.4(vi)",
-}
-
-
-def _crcq(pa: PointAnalysis, fcr: Verdict, h_closed: Verdict) -> Verdict:
-    decisive = h_closed if pa.location is ConeLocation.ZERO else fcr
-    label = _CRCQ_LABELS.get(decisive.condition)
-    return Verdict(decisive.holds, label, dict(decisive.evidence))
+    ev = {
+        "grad_norm": grad_norm,
+        "certificate_u": y[1:] / _norm(y[1:]),
+        "certificate_w": instance.A[0].copy(),
+        "certificate_c": float(instance.b[0]),
+    }
+    return Verdict(True, "Thm3.2(iv)", ev)
 
 
 def _eta(B: np.ndarray) -> float:
@@ -216,33 +189,83 @@ def _eta(B: np.ndarray) -> float:
     return max(0.0, math.sqrt(0.5) * (math.sqrt(1.0 - t * t) - t))
 
 
-def _mscq(pa: PointAnalysis, crcq: Verdict) -> Verdict:
-    ev = dict(crcq.evidence)
-    ev["equivalent_route"] = crcq.condition
-    if not crcq.holds:
-        return Verdict(False, None, ev)
-    if crcq.condition == "Thm4.4(vi)":
-        # Rank-one image along a boundary ray: the error-bound modulus is
-        # 1/(norm(a) * norm(v)) for any factorization A = v a^T, and that
-        # product is the top singular value of A.
-        ev["kappa"] = 1.0 / float(pa.geometry.singular_values[0])
-    elif crcq.condition == "Thm4.4(v)":
-        # The smallest singular value the rank keeps, so the bound scales
-        # exactly with (A, b).
-        geo = pa.geometry
-        bound_m = float("inf")
-        if geo.rank:
-            bound_m = 1.0 / float(geo.singular_values[geo.rank - 1])
+#: The verdicts a branch decides, in this order: nondegeneracy, FCR,
+#: H-closedness, the H set, and the MSCQ modulus evidence of its class.
+_Branch = tuple[Verdict, Verdict, Verdict, HSetDescription, dict[str, Any]]
+
+
+def _vertex(pa: PointAnalysis) -> _Branch:
+    """g(x) = 0: nondegeneracy is the rank test, FCR holds (Thm 3.2 (i)),
+    H = A^T(-Q_m), and the class of Im(A) decides H-closedness (Thm 4.1
+    (ii)-(iv), else Cor 4.2) and the MSCQ modulus."""
+    geo = pa.geometry
+    ev = {"rank": geo.rank, "m": pa.instance.m}
+    if geo.rank == pa.instance.m:
+        nondegeneracy = Verdict(True, "surjective at vertex", ev)
+    else:
+        nondegeneracy = Verdict(False, None, ev)
+    fcr = Verdict(True, "Thm3.2(i)", {"y_norm": _norm(pa.y)})
+    modulus: dict[str, Any] = {}
+    if geo.kind is SubspaceKind.MEETS_INTERIOR:
+        ev = {"witness": geo.witness, "eigenvalues": geo.eigenvalues}
+        h_closed = Verdict(True, "Thm4.1(ii)", ev)
+    elif geo.kind is SubspaceKind.ZERO_ONLY:
+        h_closed = Verdict(
+            True, "Thm4.1(iii)", {"rank": geo.rank, "eigenvalues": geo.eigenvalues}
+        )
         eta = _eta(geo.basis)
-        ev["bound_M"] = bound_m
-        ev["eta"] = eta
         if geo.rank == 0:
             # A = 0: Omega is the whole space, so dist(x, Omega) = 0 and the
             # modulus is 0 (M/eta would be inf/inf).
-            ev["kappa_bound"] = 0.0
+            bound_m, kappa = float("inf"), 0.0
         else:
-            ev["kappa_bound"] = bound_m / eta if eta > 0 else float("inf")
-    return Verdict(True, "Thm5.1", ev)
+            # The smallest singular value the rank keeps, so the bound
+            # scales exactly with (A, b).
+            bound_m = 1.0 / float(geo.singular_values[geo.rank - 1])
+            kappa = bound_m / eta if eta > 0 else float("inf")
+        modulus = {"bound_M": bound_m, "eta": eta, "kappa_bound": kappa}
+    # The ray lies in Im(A), so Im(A) is its span exactly when the rank is 1.
+    elif geo.rank == 1:
+        h_closed = Verdict(True, "Thm4.1(iv)", {"ray": geo.ray, "rank": geo.rank})
+        # Rank-one image along a boundary ray: the error-bound modulus is
+        # 1/(norm(a) * norm(v)) for any factorization A = v a^T, and that
+        # product is the top singular value of A.
+        modulus = {"kappa": 1.0 / float(geo.singular_values[0])}
+    else:
+        ev = {"ray": geo.ray, "rank": geo.rank, "reason": "Cor 4.2"}
+        h_closed = Verdict(False, None, ev)
+    return nondegeneracy, fcr, h_closed, HSetDescription(HSetKind.CONE_IMAGE), modulus
+
+
+def _off_vertex(pa: PointAnalysis, rcq: Verdict) -> _Branch:
+    """g(x) interior or on the positive boundary: nondegeneracy is RCQ, H is
+    closed (Thm 4.1 (i)), and FCR is RCQ relabeled to Thm 3.2 (ii) or (iii),
+    else the vanishing certificate (iv) or a failure."""
+    if pa.location is ConeLocation.INTERIOR:
+        label, h_set = "Thm3.2(ii)", HSetDescription(HSetKind.ZERO_ONLY)
+    else:
+        label = "Thm3.2(iii)"
+        generator = pa.instance.A.T @ reflected(pa.y)
+        h_set = HSetDescription(HSetKind.RAY_IMAGE, generator)
+    if rcq.holds:
+        fcr = _relabeled(rcq, label)
+    else:
+        fcr = _vanishing(pa, rcq.evidence["grad_norm"])
+    h_closed = Verdict(True, "Thm4.1(i)", {"y": pa.y})
+    return _relabeled(rcq, rcq.condition), fcr, h_closed, h_set, {}
+
+
+#: CRCQ <=> FCR and H-closed (Thm 4.4).  At the vertex FCR always holds and
+#: H-closedness decides; elsewhere H is closed and FCR decides.  Each CRCQ
+#: clause is the decisive clause under its Thm 4.4 name.
+_CRCQ_LABELS = {
+    "Thm3.2(ii)": "Thm4.4(i)",
+    "Thm3.2(iii)": "Thm4.4(ii)",
+    "Thm3.2(iv)": "Thm4.4(iii)",
+    "Thm4.1(ii)": "Thm4.4(iv)",
+    "Thm4.1(iii)": "Thm4.4(v)",
+    "Thm4.1(iv)": "Thm4.4(vi)",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +274,8 @@ def _mscq(pa: PointAnalysis, crcq: Verdict) -> Verdict:
 
 
 def check_crcq(instance: AffineSOCInstance, x) -> Verdict:
-    pa = analyze_point(instance, x)
-    return _crcq(pa, _fcr(pa), _h_closed(pa))
+    """The CRCQ verdict of the report at ``x``."""
+    return _report(instance, x)[0].crcq
 
 
 #: What MSCQ yields about the tangent and normal cones at the point.
@@ -277,22 +300,29 @@ def _require_consistent(violations: list[str]) -> None:
 
 def _report(instance: AffineSOCInstance, x) -> tuple[CQReport, list[str]]:
     """``full_report`` with its invariant violations returned, not raised:
-    the oracles count them as disagreements."""
+    the oracles count them as disagreements.  MSCQ is CRCQ's verdict under
+    Thm 5.1, its evidence followed by the route and the branch's modulus."""
     pa = analyze_point(instance, x)
-    fcr = _fcr(pa)
-    h_closed = _h_closed(pa)
-    crcq = _crcq(pa, fcr, h_closed)
-    mscq = _mscq(pa, crcq)
+    rcq = _rcq(pa)
+    if pa.location is ConeLocation.ZERO:
+        nondegeneracy, fcr, h_closed, h_set, modulus = _vertex(pa)
+        decisive = h_closed
+    else:
+        nondegeneracy, fcr, h_closed, h_set, modulus = _off_vertex(pa, rcq)
+        decisive = fcr
+    crcq = _relabeled(decisive, _CRCQ_LABELS.get(decisive.condition))
+    evidence = {**crcq.evidence, "equivalent_route": crcq.condition, **modulus}
+    mscq = Verdict(crcq.holds, "Thm5.1" if crcq.holds else None, evidence)
     report = CQReport(
         point_analysis=pa,
-        nondegeneracy=_nondegeneracy(pa),
-        rcq=_rcq(pa),
+        nondegeneracy=nondegeneracy,
+        rcq=rcq,
         fcr=fcr,
         h_closed=h_closed,
         crcq=crcq,
         mscq=mscq,
-        h_set=_h_set(pa),
-        derived_claims=_DERIVED_CLAIMS if mscq.holds else (),
+        h_set=h_set,
+        derived_claims=_DERIVED_CLAIMS if crcq.holds else (),
     )
     return report, verify_report_invariants(report)
 

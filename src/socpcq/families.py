@@ -256,15 +256,19 @@ def transformed(instance, xbar=None, rows=None, *, L=None, P=None, q=None):
     """``(instance, xbar, rows)`` for the constraint L g(P z + q) in Q_m.
 
     L multiplies g from the left; P, an orthogonal (n, n) matrix, and q
-    come together and map the points to z = P^T (x - q).  That point map
-    needs P orthogonal; the verdicts at the mapped point need only P
-    invertible, with z = P^-1 (x - q).  The new instance keeps the
-    tolerances of ``instance``.
+    come together (one without the other raises ``ValueError``) and map
+    the points given to z = P^T (x - q).  That point map needs P
+    orthogonal; the verdicts at the mapped point need only P invertible,
+    with z = P^-1 (x - q).  The new instance keeps the tolerances of
+    ``instance``.
     """
+    if (P is None) != (q is None):
+        raise ValueError("give P and q together")
     A, b = instance.A, instance.b
     if L is not None:
         A, b = L @ A, L @ b
     if P is not None:
-        A, b, xbar, rows = A @ P, A @ q + b, (xbar - q) @ P, (rows - q) @ P
+        A, b = A @ P, A @ q + b
+        xbar, rows = (None if z is None else (z - q) @ P for z in (xbar, rows))
     tols = instance.tol, instance.projection_tol
     return AffineSOCInstance(A, b, *tols), xbar, rows

@@ -143,9 +143,10 @@ def classify_cone_point(y, tol: float = DEFAULT_TOL) -> ConeLocation:
     The zero test fires first (||y|| <= tol), then the boundary band
     |y0 - ||yr||| <= tol * max(1, ||y||) with y0 > tol and
     ||yr|| > tol * max(1, ||y||), the floor of ``_reducible_rows``; ties on
-    the band resolve to the boundary.  What remains is decided by the sign
-    of the margin, which is positive on the band points below the floor
-    when tol < 1/sqrt(2).
+    the band resolve to the boundary.  A positive margin then reads
+    interior, any other band point reads zero (for tol < 1/sqrt(5) it lies
+    within sqrt(5) * tol of the vertex), and only a point outside the band
+    reads outside.
     """
     return _location(as_cone_vector(y), _checked_tol(tol))
 
@@ -162,6 +163,8 @@ def _location(y: np.ndarray, tol: float) -> ConeLocation:
         return ConeLocation.POSITIVE_BOUNDARY
     if margin > 0.0:
         return ConeLocation.INTERIOR
+    if margin >= -tol * scale:
+        return ConeLocation.ZERO
     return ConeLocation.OUTSIDE
 
 

@@ -1059,20 +1059,32 @@ def test_project_slater_success_path(capsys, tmp_path):
     assert np.max(np.abs(np.subtract(z, [2.0, 1.8, 2.4]))) <= 1e-9
 
 
-def test_near_vertex_point_is_interior_in_every_command(capsys, tmp_path):
-    # g(p) = (1.5e-9, 6e-10, 0) passes the boundary band at tol 1e-9, but
-    # ||gr|| lies below the gradient floor, so p is no positive-boundary
-    # point: its margin 9e-10 makes it interior.  Every command that reads
-    # the document runs, the projection of x too, which analyzes p.
+@pytest.mark.parametrize(
+    "point,location,crcq",
+    [
+        # g(p) = (1.5e-9, 6e-10, 0) passes the boundary band at tol 1e-9,
+        # but ||gr|| lies below the gradient floor, so p is no
+        # positive-boundary point: its margin 9e-10 makes it interior.
+        ([1.5e-9, 6e-10, 0], "interior", "Thm 4.4 (i)"),
+        # g(q) = (0.9e-9, 1.5e-9, 0) lies in the band with a negative
+        # margin, within sqrt(5) tol of the vertex: q reads as the vertex,
+        # where Im(A) = R^3 meets the interior.
+        ([0.9e-9, 1.5e-9, 0], "zero", "Thm 4.4 (iv)"),
+    ],
+)
+def test_near_vertex_band_point_runs_in_every_command(
+    capsys, tmp_path, point, location, crcq
+):
+    # Every command that reads the document runs, the projection of x too,
+    # which analyzes p as its reference.
     path = tmp_path / "near_vertex.json"
     doc = {"m": 3, "n": 3, "A": np.eye(3).tolist(), "b": [0, 0, 0]}
-    points = {"p": [1.5e-9, 6e-10, 0], "x": [0, 3, 4]}
-    path.write_text(json.dumps({**doc, "points": points}))
+    path.write_text(json.dumps({**doc, "points": {"p": point, "x": [0, 3, 4]}}))
     code, out, err = run_cli(capsys, "analyze", str(path), "p")
     assert (code, err) == (EXIT_OK, "")
     summary = split_report(out)[1]
-    assert summary[0] == "location: interior"
-    assert "CRCQ: holds (Thm 4.4 (i)); MSCQ: holds (Thm 5.1)" in summary
+    assert summary[0] == f"location: {location}"
+    assert f"CRCQ: holds ({crcq}); MSCQ: holds (Thm 5.1)" in summary
     for argv in (
         ("scan", str(path), "p", "--samples", "16"),
         ("harness", "--instance", str(path), "--point", "p", "--trials", "2"),

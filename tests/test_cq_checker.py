@@ -368,3 +368,109 @@ def test_crcq_holds_at_every_feasible_point_of_q2():
     }
     assert labels == {f"Thm4.4({k})" for k in ("i", "ii", "iii", "iv", "v", "vi")}
     assert rcq_fails > 50
+
+
+VERDICT_FIELDS = ("nondegeneracy", "rcq", "fcr", "h_closed", "crcq", "mscq")
+
+# Each stratum's report at random_instance(4, 3, stratum, seed=0): holds,
+# condition and evidence keys, in order, of nondegeneracy, RCQ, FCR,
+# H-closedness, CRCQ and MSCQ, then the kind of the H set.
+_MARGIN, _GRAD = ["margin"], ["grad_phi", "grad_norm"]
+_CERT = ["grad_norm", "certificate_u", "certificate_w", "certificate_c"]
+_RANK, _VANISH = ["rank", "m"], ["grad_norm", "vanishing_residual"]
+_COR42 = ["ray", "rank", "reason"]
+STRATUM_REPORTS = {
+    "Thm4.4(i)": (
+        (True, "interior", _MARGIN),
+        (True, "interior", _MARGIN),
+        (True, "Thm3.2(ii)", _MARGIN),
+        (True, "Thm4.1(i)", ["y"]),
+        (True, "Thm4.4(i)", _MARGIN),
+        (True, "Thm5.1", [*_MARGIN, "equivalent_route"]),
+        HSetKind.ZERO_ONLY,
+    ),
+    "Thm4.4(ii)": (
+        (True, "boundary gradient nonzero", _GRAD),
+        (True, "boundary gradient nonzero", _GRAD),
+        (True, "Thm3.2(iii)", _GRAD),
+        (True, "Thm4.1(i)", ["y"]),
+        (True, "Thm4.4(ii)", _GRAD),
+        (True, "Thm5.1", [*_GRAD, "equivalent_route"]),
+        HSetKind.RAY_IMAGE,
+    ),
+    "Thm4.4(iii)": (
+        (False, None, _GRAD),
+        (False, None, _GRAD),
+        (True, "Thm3.2(iv)", _CERT),
+        (True, "Thm4.1(i)", ["y"]),
+        (True, "Thm4.4(iii)", _CERT),
+        (True, "Thm5.1", [*_CERT, "equivalent_route"]),
+        HSetKind.RAY_IMAGE,
+    ),
+    "Thm4.4(iv)": (
+        (False, None, _RANK),
+        (True, "image meets interior", ["image_class", "eigenvalues", "witness"]),
+        (True, "Thm3.2(i)", ["y_norm"]),
+        (True, "Thm4.1(ii)", ["witness", "eigenvalues"]),
+        (True, "Thm4.4(iv)", ["witness", "eigenvalues"]),
+        (True, "Thm5.1", ["witness", "eigenvalues", "equivalent_route"]),
+        HSetKind.CONE_IMAGE,
+    ),
+    "Thm4.4(v)": (
+        (False, None, _RANK),
+        (False, None, ["image_class", "eigenvalues"]),
+        (True, "Thm3.2(i)", ["y_norm"]),
+        (True, "Thm4.1(iii)", ["rank", "eigenvalues"]),
+        (True, "Thm4.4(v)", ["rank", "eigenvalues"]),
+        (
+            True,
+            "Thm5.1",
+            ["rank", "eigenvalues", "equivalent_route", "bound_M", "eta", "kappa_bound"],
+        ),
+        HSetKind.CONE_IMAGE,
+    ),
+    "Thm4.4(vi)": (
+        (False, None, _RANK),
+        (False, None, ["image_class", "eigenvalues", "ray"]),
+        (True, "Thm3.2(i)", ["y_norm"]),
+        (True, "Thm4.1(iv)", ["ray", "rank"]),
+        (True, "Thm4.4(vi)", ["ray", "rank"]),
+        (True, "Thm5.1", ["ray", "rank", "equivalent_route", "kappa"]),
+        HSetKind.CONE_IMAGE,
+    ),
+    "Cor4.2": (
+        (False, None, _RANK),
+        (False, None, ["image_class", "eigenvalues", "ray"]),
+        (True, "Thm3.2(i)", ["y_norm"]),
+        (False, None, _COR42),
+        (False, None, _COR42),
+        (False, None, [*_COR42, "equivalent_route"]),
+        HSetKind.CONE_IMAGE,
+    ),
+    "degenerate-boundary": (
+        (False, None, _GRAD),
+        (False, None, _GRAD),
+        (False, None, _VANISH),
+        (True, "Thm4.1(i)", ["y"]),
+        (False, None, _VANISH),
+        (False, None, [*_VANISH, "equivalent_route"]),
+        HSetKind.RAY_IMAGE,
+    ),
+}
+
+
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_report_of_each_stratum(stratum):
+    inst, xbar = random_instance(4, 3, stratum, seed=0)
+    report = full_report(inst, xbar)
+    verdicts = [getattr(report, name) for name in VERDICT_FIELDS]
+    pinned = [(v.holds, v.condition, list(v.evidence)) for v in verdicts]
+    assert (*pinned, report.h_set.kind) == STRATUM_REPORTS[stratum]
+    # check_crcq reads the same verdict, value for value.
+    crcq = check_crcq(inst, xbar)
+    assert (crcq.holds, crcq.condition) == (report.crcq.holds, report.crcq.condition)
+    assert list(crcq.evidence) == list(report.crcq.evidence)
+    for key, value in crcq.evidence.items():
+        assert np.array_equal(value, report.crcq.evidence[key]), key
+    # Each verdict owns its evidence.
+    assert len({id(v.evidence) for v in verdicts}) == len(verdicts)

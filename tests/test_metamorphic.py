@@ -67,6 +67,22 @@ def test_verdicts_and_distances_are_invariant(stratum, transform, seed):
     assert np.all(np.abs(Dt - D) <= 1e-9 * np.maximum(1.0, D))
 
 
+def test_transformed_maps_only_the_points_given():
+    inst, xbar = random_instance(4, 3, "Thm4.4(i)", 0)
+    rng = np.random.default_rng(0)
+    P, q = _orthogonal(rng, 3), rng.standard_normal(3)
+    t_inst, t_xbar, t_rows = transformed(inst, P=P, q=q)
+    assert t_xbar is None and t_rows is None
+    np.testing.assert_allclose(t_inst.A, inst.A @ P)
+    _, t_xbar, t_rows = transformed(inst, xbar, P=P, q=q)
+    np.testing.assert_allclose(t_xbar, (xbar - q) @ P)
+    assert t_rows is None
+    # P and q come as a pair.
+    for pair in ({"P": P}, {"q": q}):
+        with pytest.raises(ValueError, match="give P and q together"):
+            transformed(inst, xbar, **pair)
+
+
 @pytest.mark.parametrize("cond", [1e1, 1e3, 1e5])
 @pytest.mark.parametrize("stratum", TARGET_CASES)
 def test_verdicts_are_invariant_under_invertible_reparametrizations(stratum, cond):

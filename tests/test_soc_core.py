@@ -89,6 +89,23 @@ def test_margin_and_classification():
     )
 
 
+@pytest.mark.parametrize(
+    "y,tol,location",
+    [
+        # Band points that fail the boundary test: a positive margin reads
+        # interior, any other margin zero, and only a point past the band
+        # outside.
+        ([1.5e-9, 6e-10, 0.0], 1e-9, ConeLocation.INTERIOR),
+        ([0.9e-9, 0.9e-9, 0.0], 1e-9, ConeLocation.ZERO),
+        ([0.9e-9, 1.5e-9, 0.0], 1e-9, ConeLocation.ZERO),
+        ([0.0, 2.1e-9, 0.0], 1e-9, ConeLocation.OUTSIDE),
+        ([0.95, 0.95, 0.0], 0.9, ConeLocation.ZERO),
+    ],
+)
+def test_band_points_off_the_boundary_are_feasible(y, tol, location):
+    assert classify_cone_point(y, tol) is location
+
+
 def test_m2_cone_is_a_wedge():
     # Q_2 = {(y0, y1): y0 >= |y1|}
     assert classify_cone_point(np.array([1.0, -1.0])) is ConeLocation.POSITIVE_BOUNDARY
