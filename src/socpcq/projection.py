@@ -131,14 +131,18 @@ multiplier mu.  A row is accepted once ub - lb <= tol * max(1, ||x||),
 tol the instance's ``projection_tol``; otherwise ``NumericalFailureError``
 is raised.
 
-A batch of one row, what ``project`` and ``project_to_feasible_set``
-pass, runs both stages and the certificate in ``_project_row`` instead:
-the same formulas with the scalars in Python floats and the vectors in
-1-D numpy, since numpy's per-call cost on length-1 arrays would dominate.
-Its grid bracket is the batch's rule on the same products in 1-D, and its
-Newton start the batch's secant point, both bit for bit; it takes the
-batch's hard case, and its Newton steps in ``_newton_row``.  Batches of
-two or more rows never take it.
+Each formula of the Slater stages is written once, as a method that
+reduces rows through a table, and two drivers call them:
+``_project_slater`` on (N, n) rows through ``_ROWS``, and ``_project_row``
+on the one row that ``project`` and ``project_to_feasible_set`` pass,
+through ``_ROW``, with the row's values in Python floats and its vectors
+in 1-D numpy, since numpy's per-call cost on length-1 arrays would
+dominate.  A driver keeps only its row selection and its table (row dot,
+row norm, the matrix applied to rows, select, min and max, ...); the two
+tables sum some terms in different orders, so a lone row lands within
+rounding of the batch's record of it.  Its grid bracket and Newton start
+are a one-row batch's, bit for bit, and its hard case runs as a one-row
+batch.  Batches of two or more rows never take ``_project_row``.
 
 ``project_batch`` returns a ``BatchProjection``: per row the feasible
 point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
@@ -165,6 +169,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -256,6 +261,78 @@ class _SlaterData:
     # the blend target of pull-ins without a recession ray, and its margin
     interior: Optional[np.ndarray]
     interior_margin: float
+
+
+def _update_rows(mask, X, f, v):
+    """X with f(rows, column of v) in place of the rows where mask holds."""
+    if not mask.any():
+        return X
+    X = X.copy()
+    X[mask] = f(X[mask], v[mask, None])
+    return X
+
+
+def _projection_row(mu: np.ndarray) -> np.ndarray:
+    """``soc_core._projection_rows`` on one row, its scalars in Python floats."""
+    mu0, norm_r = float(mu[0]), _norm(mu[1:])
+    if -mu0 >= norm_r:
+        return np.zeros_like(mu)
+    if mu0 < norm_r:
+        coef = 0.5 * (mu0 + norm_r)
+        mu = mu * (coef / norm_r)
+        mu[0] = coef
+    return mu
+
+
+#: The reductions of the batch driver ``_project_slater``: rows are an
+#: (N, k) array, a value per row an (N,) array.  ``apply(M, X)`` is M
+#: applied to each row, ``col`` a value per row as a column against rows,
+#: ``head`` the first coordinate, ``exponent`` the binary exponent,
+#: ``slope(W2, C, E)`` the sum of w_i^2 / E_i^3 (W2 = W * W, C = W / E),
+#: ``cone`` the projection onto Q, and ``update(mask, X, f, v)`` X with
+#: f(rows, v) in place of the rows where mask holds.
+_ROWS = SimpleNamespace(
+    dot=lambda X, Y: np.einsum("ij,ij->i", X, Y),
+    slope=lambda W2, C, E: (W2 / (E * E * E)).sum(axis=1),
+    norm=_row_norms,
+    head=lambda X: X[:, 0],
+    apply=lambda M, X: X @ M.T,
+    col=lambda v: v[:, None],
+    exponent=lambda v: np.frexp(v)[1],
+    select=np.where,
+    min=np.fmin,
+    max=np.fmax,
+    sqrt=np.sqrt,
+    any=np.any,
+    all=np.all,
+    cone=_projection_rows,
+    update=_update_rows,
+)
+#: The same reductions for the lone-row driver ``_project_row``: its row is
+#: 1-D and its values Python floats, since numpy's per-call cost on
+#: length-1 arrays would dominate.  min and max keep their first argument
+#: against a NaN second, as np.fmin and np.fmax do.  The two tables sum in
+#: different orders (a BLAS dot against einsum; the slope as a dot against
+#: a pairwise sum), and each driver's records, and the pinned and golden
+#: outputs built on them, rest on its own order.
+_ROW = SimpleNamespace(
+    dot=lambda x, y: float(x @ y),
+    # A zero slope reads NaN, a step that never stays inside the bracket.
+    slope=lambda w2, c, e: float(c @ (c / e)) or math.nan,
+    norm=_norm,
+    head=lambda x: float(x[0]),
+    apply=np.matmul,
+    col=lambda v: v,
+    exponent=lambda v: math.frexp(v)[1],
+    select=lambda c, a, b: a if c else b,
+    min=min,
+    max=max,
+    sqrt=math.sqrt,
+    any=bool,
+    all=bool,
+    cone=_projection_row,
+    update=lambda mask, x, f, v: f(x, v) if mask else x,
+)
 
 
 class FeasibleSetProjector:
@@ -448,10 +525,10 @@ class FeasibleSetProjector:
             return BatchProjection(Z_out, ub_out, lb_out)
         # From here on, images are those of the scaled data.
         Xs, GXs = X[todo], self._slater.scale * GX[todo]
-        gap_tol = self.instance.projection_tol * np.maximum(1.0, _row_norms(Xs))
+        gap_tol = self._gap_tol(_ROWS, Xs)
 
         if self._slater.vertex is not None:
-            best_Z, ub, lb = self._vertex_candidate(Xs, GXs)
+            best_Z, ub, lb = self._vertex_candidate(_ROWS, Xs, GXs)
         else:
             best_Z, ub, lb = Xs.copy(), np.full(len(Xs), np.inf), np.zeros(len(Xs))
         rows = np.flatnonzero(~(ub - lb <= gap_tol))
@@ -462,19 +539,66 @@ class FeasibleSetProjector:
             ub[rows[better]] = ub_s[better]
             lb[rows] = np.fmax(lb[rows], lb_s)
 
-        gap = ub - lb
-        if not (gap <= gap_tol).all():
-            worst = float(gap.max())
-            raise NumericalFailureError(
-                f"projection gap {worst:.3e} not certified", worst
-            )
+        _check_gap(_ROWS, ub, lb, gap_tol)
         Z_out[todo] = best_Z
         ub_out[todo] = ub
         lb_out[todo] = np.fmin(lb, ub)
         return BatchProjection(Z_out, ub_out, lb_out)
 
-    def _pull_inside(self, Z: np.ndarray, mz: np.ndarray) -> np.ndarray:
-        """Move rows with negative margin ``mz`` into Omega.
+    def _secular_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
+        """Root of the secular equation per row (module docstring, stage 2)."""
+        W, Gd, Wd = self._secular_data(_ROWS, GXs)
+        has, j, pl, pr = self._secular_bracket(Gd, Wd, _psi0(Gd))
+        Z = Xs.copy()
+
+        rows = np.flatnonzero(has)
+        if rows.size:
+            start = self._newton_start(_ROWS, j[rows], pl[rows], pr[rows])
+            Z[rows] = self._newton(_ROWS, Xs[rows], W[rows], *start)
+
+        if np.isfinite(self._slater.pole):
+            hard = np.flatnonzero(~has)
+            if hard.size:
+                Z[hard] = self._hard_case(Xs[hard], W[hard], _psi0(GXs[hard]))
+        return self._certify(_ROWS, Xs, Z)
+
+    def _project_row(self, x: np.ndarray, g: np.ndarray):
+        """``_project_slater`` on one row x of shape (n,) and its image g:
+        (z, ub, lb), z a new array.  The same stages and certificate
+        through ``_ROW``; its psi(0) and ``_hard_case`` run on the row as a
+        one-row batch."""
+        if not float(g[0]) - _norm(g[1:]) < 0.0:
+            return x.copy(), 0.0, 0.0
+        sd = self._slater
+        gs = sd.scale * g
+        gap_tol = self._gap_tol(_ROW, x)
+        z, ub, lb = x, math.inf, 0.0
+        if sd.vertex is not None:
+            z, ub, lb = self._vertex_candidate(_ROW, x, gs)
+        if not ub - lb <= gap_tol:
+            w, gd, wd = self._secular_data(_ROW, gs)
+            has, j, pl, pr = self._secular_bracket(gd, wd, _psi0(gd[None, :]))
+            if has:
+                # Python floats: numpy scalars would slow the Newton loop.
+                start = map(float, self._newton_start(_ROW, j, pl, pr))
+                zs = self._newton(_ROW, x, w, *start)
+            elif math.isfinite(sd.pole):
+                zs = self._hard_case(x[None, :], w[None, :], _psi0(gs[None, :]))[0]
+            else:
+                zs = x.copy()
+            zs, ub_s, lb_s = self._certify(_ROW, x, zs)
+            if ub_s < ub:
+                z, ub = zs, ub_s
+            lb = max(lb, lb_s)    # as np.fmax: neither is NaN
+        _check_gap(_ROW, ub, lb, gap_tol)
+        return z, ub, min(lb, ub)
+
+    def _gap_tol(self, ops, X):
+        """The certified gap of each row x: projection_tol * max(1, ||x||)."""
+        return self.instance.projection_tol * ops.max(1.0, ops.norm(X))
+
+    def _pull_inside(self, Z: np.ndarray, mz) -> np.ndarray:
+        """Rows Z with negative margins ``mz`` (a column) moved into Omega.
 
         The margin is concave and positively homogeneous.  When Im(A)
         meets the cone interior, the step -mz along the recession ray
@@ -482,168 +606,73 @@ class FeasibleSetProjector:
         distance to the reference; otherwise the blend towards the
         interior point with weight -mz / (interior margin - mz) does.
         """
-        neg = mz < 0.0
-        if neg.any():
-            Z = Z.copy()
-            sd = self._slater
-            if sd.ray is not None:
-                Z[neg] -= mz[neg, None] * sd.ray
-            else:
-                theta = -mz[neg] / (sd.interior_margin - mz[neg])
-                Z[neg] += theta[:, None] * (sd.interior - Z[neg])
-        return Z
+        sd = self._slater
+        if sd.ray is not None:
+            return Z - mz * sd.ray
+        return Z + (-mz / (sd.interior_margin - mz)) * (sd.interior - Z)
 
-    def _dual_bound(self, Mu, Xs, Z, GZ) -> np.ndarray:
-        """max(0, <-mu, g(x)> / ||A^T mu||) per row, for multipliers mu in Q.
+    def _record(self, ops, X, Z, G, Mu):
+        """(feasible Z, ub, lb) of candidates Z with images G and multipliers
+        Mu in Q: Z pulled inside, ub its distance to X, and lb the dual bound
+        max(0, <-mu, g(x)> / ||A^T mu||).
 
         For feasible w, <mu, g(w)> >= 0, so <-mu, g(x)> <= <mu, A(w - x)>
         <= ||A^T mu|| ||x - w||: a lower bound on dist(x, Omega).  The
         numerator is evaluated as <-mu, g(z)> - <A^T mu, x - z> at the
         candidate z, which keeps its relative precision when ||A^T mu|| is
-        small and x is far away.
+        small and x is far away.  A row with ||A^T mu|| <= 1e-300 gets 0.
         """
+        mz = ops.head(G) - ops.norm(G[..., 1:])
+        Zf = ops.update(mz < 0.0, Z, self._pull_inside, mz)
         AtMu = Mu @ self._slater.A
-        num = -np.einsum("ij,ij->i", Mu, GZ) - np.einsum("ij,ij->i", AtMu, Xs - Z)
-        den = _row_norms(AtMu)
-        lb = np.zeros(num.shape[0])
-        good = den > 1e-300
-        lb[good] = np.fmax(0.0, num[good] / den[good])
-        return lb
+        num = -ops.dot(Mu, G) - ops.dot(AtMu, X - Z)
+        den = ops.norm(AtMu)
+        lb = ops.max(0.0, num / ops.select(den > 1e-300, den, math.inf))
+        return Zf, ops.norm(X - Zf), lb
 
-    def _record(self, Xs: np.ndarray, Z: np.ndarray, G: np.ndarray, Mu: np.ndarray):
-        """(feasible Z, ub, lb) of candidates Z with images G and multipliers Mu."""
-        Zf = self._pull_inside(Z, _margin_rows(G))
-        return Zf, _row_norms(Xs - Zf), self._dual_bound(Mu, Xs, Z, G)
-
-    def _record_row(self, x: np.ndarray, z: np.ndarray, g: np.ndarray, mu: np.ndarray):
-        """``_record`` on one row x: the pull-in of ``_pull_inside`` and the
-        bound of ``_dual_bound``, with the scalars in Python floats."""
-        sd = self._slater
-        mz = float(g[0]) - _norm(g[1:])
-        zf = z
-        if mz < 0.0:
-            if sd.ray is not None:
-                zf = z - mz * sd.ray
-            else:
-                zf = z + (-mz / (sd.interior_margin - mz)) * (sd.interior - z)
-        at_mu = mu @ sd.A
-        num = -float(mu @ g) - float(at_mu @ (x - z))
-        den = _norm(at_mu)
-        # max(0, NaN) is 0, as np.fmax has it.
-        return zf, _norm(x - zf), max(0.0, num / den) if den > 1e-300 else 0.0
-
-    def _certify(self, Xs: np.ndarray, Z: np.ndarray):
+    def _certify(self, ops, X, Z):
         """(feasible Z, ub, lb) for candidates at the smooth boundary.
 
         The multiplier is (1, -ghat) with ghat = g_r(z) / ||g_r(z)||, the
         normal direction at z; it is exact when z is the projection.
         """
         sd = self._slater
-        G = Z @ sd.A.T + sd.b
-        Mu = np.empty_like(G)
-        Mu[:, 0] = 1.0
-        Mu[:, 1:] = -G[:, 1:] / np.maximum(_row_norms(G[:, 1:]), 1e-300)[:, None]
-        return self._record(Xs, Z, G, Mu)
+        G = ops.apply(sd.A, Z) + sd.b
+        Mu = G / -ops.col(ops.max(ops.norm(G[..., 1:]), 1e-300))
+        Mu[..., 0] = 1.0
+        return self._record(ops, X, Z, G, Mu)
 
-    def _vertex_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
+    def _vertex_candidate(self, ops, X, GS):
         """Least-squares pullback z_v of the cone vertex, with its multiplier.
 
         Solves min ||z - x|| s.t. A z + b = 0 per row and pairs it with the
-        margin-maximizing multiplier of the module docstring.  Exact for
-        rows whose projection is the vertex preimage; harmless elsewhere.
+        margin-maximizing multiplier of the module docstring, projected onto
+        Q.  Exact for rows whose projection is the vertex preimage; harmless
+        elsewhere.
         """
         sd = self._slater
-        D = GXs @ sd.pinv_t                  # x - z_v = A^+ g(x)
-        Zv = Xs - D
+        D = GS @ sd.pinv_t                   # x - z_v = A^+ g(x)
+        Z = X - D
         # A^T mu = -(x - z_v) on the slice -pinv(A^T)(x - z_v) + null(A^T)
         Mu = _max_margin(sd.vertex, -(D @ sd.pinv_t.T))
-        return self._record(Xs, Zv, Zv @ sd.A.T + sd.b, _projection_rows(Mu))
+        return self._record(ops, X, Z, ops.apply(sd.A, Z) + sd.b, ops.cone(Mu))
 
-    def _secular_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
-        """Root of the secular equation per row (module docstring, stage 2)."""
+    def _secular_data(self, ops, GS):
+        """(W, Gd, Wd): w = Q^T A^T J g(x) per row, and the rows g(x) and w
+        scaled by 2^-e, 2^e about the row's largest |g(x)|.
+
+        The bracket reads the scaled rows, so that their psi, quadratic in
+        g(x), can neither overflow nor underflow.  A power of two scales
+        exactly: the bracket, the sign of psi and the secant weight of
+        ``_newton_start`` are those of the unscaled row wherever its squares
+        are in range.
+        """
         sd = self._slater
-        JG = GXs.copy()
-        JG[:, 1:] *= -1.0
-        W = (JG @ sd.A) @ sd.Q               # w = Q^T A^T J g(x)
-        # The bracket reads the row scaled by 2^-e, 2^e about its largest
-        # |g(x)|, so that its psi, quadratic in g(x), can neither overflow
-        # nor underflow.  A power of two scales exactly: the bracket, the
-        # sign of psi and the secant weight of ``_newton_start`` are those
-        # of the unscaled row wherever its squares are in range.
-        down = -np.frexp(np.abs(GXs).max(axis=1))[1][:, None]
-        Gs = np.ldexp(GXs, down)
-        has, j, pl, pr = self._secular_bracket(Gs, np.ldexp(W, down), _psi0(Gs))
-        Z = Xs.copy()
-
-        rows = np.flatnonzero(has)
-        if rows.size:
-            start = self._newton_start(j[rows], pl[rows], pr[rows])
-            Z[rows] = self._bracketed_newton(Xs[rows], W[rows], *start)
-
-        hard = np.flatnonzero(~has) if np.isfinite(sd.pole) else np.zeros(0, int)
-        if hard.size:
-            Z[hard] = self._hard_case(Xs[hard], W[hard], _psi0(GXs[hard]))
-        return self._certify(Xs, Z)
-
-    def _project_row(self, x: np.ndarray, g: np.ndarray):
-        """``_project_slater`` on one row x of shape (n,) and its image g:
-        (z, ub, lb), z a new array.  The same feasibility test, vertex
-        candidate, secular root and certificate, with the scalars in Python
-        floats and the vectors in 1-D numpy, where numpy's per-call cost on
-        length-1 arrays would dominate; ``_hard_case`` runs on the row as a
-        one-row batch."""
-        if not float(g[0]) - _norm(g[1:]) < 0.0:
-            return x.copy(), 0.0, 0.0
-        sd = self._slater
-        gs = sd.scale * g
-        gap_tol = self.instance.projection_tol * max(1.0, _norm(x))
-        z, ub, lb = x, math.inf, 0.0
-        if sd.vertex is not None:
-            d = gs @ sd.pinv_t                   # x - z_v = A^+ g(x)
-            z = x - d
-            mu = _max_margin(sd.vertex, -(d @ sd.pinv_t.T))
-            # mu projected onto Q, as soc_core._projection_rows does.
-            mu0, norm_r = float(mu[0]), _norm(mu[1:])
-            if -mu0 >= norm_r:
-                mu = np.zeros_like(mu)
-            elif mu0 < norm_r:
-                coef = 0.5 * (mu0 + norm_r)
-                mu *= coef / norm_r
-                mu[0] = coef
-            z, ub, lb = self._record_row(x, z, sd.A @ z + sd.b, mu)
-        if not ub - lb <= gap_tol:
-            jg = -gs                             # J g(x)
-            jg[0] = gs[0]
-            w = (jg @ sd.A) @ sd.Q
-            down = -math.frexp(float(np.abs(gs).max()))[1]
-            gd = np.ldexp(gs, down)
-            has, j, pl, pr = self._secular_bracket(
-                gd, np.ldexp(w, down), _psi0(gd[None, :])
-            )
-            if has:
-                # ``_newton_start`` in Python floats.
-                tl, tr = float(sd.grid_t[j]), float(sd.grid_t[j + 1])
-                ul, ur = float(sd.grid_u[j]), float(sd.grid_u[j + 1])
-                ends = (tr, ur, tl, ul) if pl > 0.0 else (tl, ul, tr, ur)
-                c = pl / (pl - pr)
-                secant = (tl + c * (tr - tl), ul + c * (ur - ul))
-                zs = self._newton_row(x, w, *ends, *secant)
-            elif math.isfinite(sd.pole):
-                zs = self._hard_case(x[None, :], w[None, :], _psi0(gs[None, :]))[0]
-            else:
-                zs = x.copy()
-            # The multiplier of ``_certify``.
-            gz = sd.A @ zs + sd.b
-            mu = gz / -max(_norm(gz[1:]), 1e-300)
-            mu[0] = 1.0
-            zs, ub_s, lb_s = self._record_row(x, zs, gz, mu)
-            if ub_s < ub:
-                z, ub = zs, ub_s
-            lb = max(lb, lb_s)    # as np.fmax: neither is NaN
-        gap = ub - lb
-        if not gap <= gap_tol:
-            raise NumericalFailureError(f"projection gap {gap:.3e} not certified", gap)
-        return z, ub, min(lb, ub)
+        JG = -GS
+        JG[..., 0] = GS[..., 0]              # J g(x)
+        W = (JG @ sd.A) @ sd.Q
+        down = ops.col(-ops.exponent(np.abs(GS).max(axis=-1)))
+        return W, np.ldexp(GS, down), np.ldexp(W, down)
 
     def _secular_bracket(self, GXs, W, psi0):
         """(has, j, pl, pr): the first grid step j -> j + 1 where psi changes
@@ -652,8 +681,8 @@ class FeasibleSetProjector:
         A continuous path within psi > 0 keeps the sign of g0, so the root
         such a step brackets lies on +Q.  The step across the pole is no
         path and is never taken.  psi and g0 are evaluated on every grid
-        column, in row blocks.  A lone row (1-D ``GXs`` and ``W``) takes
-        the same products and rule on 1-D arrays and gets Python scalars.
+        column, in row blocks.  A lone row (1-D ``GXs`` and ``W``) takes the
+        same products and rule on 1-D arrays and gets Python scalars.
         """
         if W.ndim == 1:
             psi, good = self._grid_steps(GXs[:1], W, psi0)
@@ -691,7 +720,7 @@ class FeasibleSetProjector:
             good[..., sd.grid_gap] = False
         return psi, good
 
-    def _newton_start(self, j, pl, pr):
+    def _newton_start(self, ops, j, pl, pr):
         """(tn, un, tp, up, t, u) of rows bracketed on grid step j -> j + 1,
         with psi pl and pr at its ends: the end where psi < 0, the end where
         psi > 0, and the secant point, each as (t, u); u is affine in t."""
@@ -699,110 +728,69 @@ class FeasibleSetProjector:
         tl, tr = sd.grid_t[j], sd.grid_t[j + 1]
         ul, ur = sd.grid_u[j], sd.grid_u[j + 1]
         flip = pl > 0.0                       # psi > 0 at the left end
-        tn, tp = np.where(flip, tr, tl), np.where(flip, tl, tr)
-        un, up = np.where(flip, ur, ul), np.where(flip, ul, ur)
+        tn, tp = ops.select(flip, tr, tl), ops.select(flip, tl, tr)
+        un, up = ops.select(flip, ur, ul), ops.select(flip, ul, ur)
         w = pl / (pl - pr)
         return tn, un, tp, up, tl + w * (tr - tl), ul + w * (ur - ul)
 
-    def _bracketed_newton(self, Xs, W, tn, un, tp, up, t, u):
+    def _newton(self, ops, X, W, tn, un, tp, up, t, u):
         """Newton on psi(t) inside [tn, tp] (psi(tn) < 0 < psi(tp)), with
         bisection whenever a step leaves the bracket; returns z(t).
 
         psi is evaluated from g(z(t)) = A z(t) + b directly: its rounding
         then scales with ||g(z)||, not with ||g(x)|| as the sum
-        psi(0) + sum_i (...) would, which matters for distant x.  A lone
-        row takes the same steps in Python floats instead (``_newton_row``,
-        from ``_project_row``).
+        psi(0) + sum_i (...) would, which matters for distant x.
         """
         sd = self._slater
-        A, b = sd.A, sd.b
-        lam_top = sd.lam[-1]
+        A, b, Q, lam, pole = sd.A, sd.b, sd.Q, sd.lam, sd.pole
+        lam_top = float(lam[-1])
         norm_A, norm_b = sd.scale * self.instance.norm_A(), _norm(b)
+        # The table's entries as locals: the loop runs them on every step.
+        dot, head, slope, apply = ops.dot, ops.head, ops.slope, ops.apply
+        select, col, sqrt, fmin, any_ = ops.select, ops.col, ops.sqrt, ops.min, ops.any
         W2 = W * W
 
         def z_of(t, u):
-            E = 1.0 - t[:, None] * sd.lam
-            E[:, -1] = u
-            return E, Xs + t[:, None] * ((W / E) @ sd.Q.T)
+            tc = col(t)
+            E = 1.0 - tc * lam
+            E[..., -1] = u
+            C = W / E
+            return E, C, X + tc * apply(Q, C)
 
-        active = np.ones(t.size, dtype=bool)
+        active = True
         for _ in range(_NEWTON_STEPS):
-            if not active.any():
+            if not any_(active):
                 break
-            E, Z = z_of(t, u)
-            G = Z @ A.T + b
-            g2 = np.einsum("ij,ij->i", G, G)
-            psi = 2.0 * G[:, 0] ** 2 - g2
+            E, C, Z = z_of(t, u)
+            G = apply(A, Z) + b
+            g0, g2 = head(G), dot(G, G)
+            psi = 2.0 * (g0 * g0) - g2
             neg = psi < 0.0
-            tn, un = np.where(neg, t, tn), np.where(neg, u, un)
-            tp, up = np.where(neg, tp, t), np.where(neg, up, u)
+            tn, un = select(neg, t, tn), select(neg, u, un)
+            tp, up = select(neg, tp, t), select(neg, up, u)
             # Freeze rows at rounding level of psi or of the point (t, u),
             # whose scale is t, or its distance to the pole when smaller.
-            noise = _EPS * np.sqrt(g2) * (
-                norm_A * np.sqrt(np.einsum("ij,ij->i", Z, Z)) + norm_b
+            noise = _EPS * sqrt(g2) * (norm_A * sqrt(dot(Z, Z)) + norm_b)
+            scale = fmin(t, abs(u) * pole)
+            stepping = active
+            active = (
+                active
+                & (abs(psi) > _FREEZE_PSI * noise)
+                & (abs(tp - tn) > _FREEZE_BRACKET * scale)
             )
-            scale = np.fmin(t, np.abs(u) * sd.pole)
-            stepping = active.copy()
-            active &= np.abs(psi) > _FREEZE_PSI * noise
-            active &= np.abs(tp - tn) > _FREEZE_BRACKET * scale
-            step = -psi / (2.0 * (W2 / (E * E * E)).sum(axis=1))
+            step = -psi / (2.0 * slope(W2, C, E))   # psi'(t) = 2 * slope
             t_new = t + step
             inside = (t_new - tn) * (t_new - tp) < 0.0
             # Rows freezing now still take their Newton step when it stays
             # in the bracket: near rounding level it can only help.
             newton = stepping & inside
-            t_mid, u_mid = 0.5 * (tn + tp), 0.5 * (un + up)
-            t = np.where(newton, t_new, np.where(active, t_mid, t))
-            u = np.where(newton, u - lam_top * step, np.where(active, u_mid, u))
+            t, u = (
+                select(newton, t_new, select(active, 0.5 * (tn + tp), t)),
+                select(newton, u - lam_top * step, select(active, 0.5 * (un + up), u)),
+            )
             # Newton converges quadratically: after a step below sqrt(eps)
             # of the scale, the error left is at rounding level.
-            active &= ~inside | (np.abs(step) > _FREEZE_STEP * scale)
-        return z_of(t, u)[1]
-
-    def _newton_row(self, x, w, tn, un, tp, up, t, u):
-        """``_bracketed_newton`` on one row, the same steps with its scalars
-        (the bracket and start of ``_newton_start``, psi, the noise, the
-        step) in Python floats and its vectors in 1-D numpy."""
-        sd = self._slater
-        A, b, Q, lam = sd.A, sd.b, sd.Q, sd.lam
-        lam_top = float(lam[-1])
-        norm_A, norm_b = sd.scale * self.instance.norm_A(), _norm(b)
-
-        def z_of(t, u):
-            E = 1.0 - t * lam
-            E[-1] = u
-            C = w / E
-            return E, C, x + t * (Q @ C)
-
-        active = True
-        for _ in range(_NEWTON_STEPS):
-            if not active:
-                break
-            E, C, z = z_of(t, u)
-            g = A @ z + b
-            g0, g2 = float(g[0]), float(g @ g)
-            psi = 2.0 * g0 * g0 - g2
-            if psi < 0.0:
-                tn, un = t, u
-            else:
-                tp, up = t, u
-            noise = _EPS * math.sqrt(g2) * (norm_A * math.sqrt(float(z @ z)) + norm_b)
-            # min keeps t against a NaN second argument, as np.fmin does.
-            scale = min(t, abs(u) * sd.pole)
-            active = (
-                abs(psi) > _FREEZE_PSI * noise
-                and abs(tp - tn) > _FREEZE_BRACKET * scale
-            )
-            dpsi = 2.0 * float(C @ (C / E))   # psi'(t) = 2 sum_i w_i^2 / E_i^3
-            # A zero slope is numpy's infinite step: it never stays inside.
-            step = -psi / dpsi if dpsi else math.nan
-            t_new = t + step
-            inside = (t_new - tn) * (t_new - tp) < 0.0
-            if inside:
-                t, u = t_new, u - lam_top * step
-            elif active:
-                t, u = 0.5 * (tn + tp), 0.5 * (un + up)
-            active = active and (not inside or abs(step) > _FREEZE_STEP * scale)
+            active = select(inside & (abs(step) <= _FREEZE_STEP * scale), False, active)
         return z_of(t, u)[2]
 
     def _hard_case(self, Xs, W, psi0):
@@ -822,6 +810,15 @@ class FeasibleSetProjector:
 def _psi0(G: np.ndarray) -> np.ndarray:
     """psi(0) = g0^2 - ||g_r||^2 of each row g(x) of ``G``."""
     return G[:, 0] ** 2 - np.einsum("ij,ij->i", G[:, 1:], G[:, 1:])
+
+
+def _check_gap(ops, ub, lb, gap_tol) -> None:
+    """The gap rule: every row certified, ub - lb <= gap_tol, or
+    ``NumericalFailureError`` with the largest gap."""
+    gap = ub - lb
+    if not ops.all(gap <= gap_tol):
+        worst = float(np.max(gap))
+        raise NumericalFailureError(f"projection gap {worst:.3e} not certified", worst)
 
 
 def _margin_frame(P: np.ndarray) -> tuple:

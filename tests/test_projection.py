@@ -402,7 +402,7 @@ def _assert_lone_rows_match(monkeypatch, proj, X, Z, D, L):
 
         monkeypatch.setattr(FeasibleSetProjector, name, call)
 
-    for name in ("_project_row", "_secular_bracket", "_newton_row", "_hard_case"):
+    for name in ("_project_row", "_secular_bracket", "_newton", "_hard_case"):
         spy(name)
     alone, branches, starts = [], [], []
     for x in X:
@@ -410,9 +410,9 @@ def _assert_lone_rows_match(monkeypatch, proj, X, Z, D, L):
         alone.append(proj.project_batch(x[None, :]))
         names = [name for name, _ in calls]
         assert names[0] == "_project_row"
-        if "_newton_row" in names:
+        if "_newton" in names:
             branches.append("newton")
-            starts.append(calls[names.index("_newton_row")][1][-1])
+            starts.append(calls[names.index("_newton")][1][-1])
         elif "_hard_case" in names:
             branches.append("hard")
         elif "_secular_bracket" in names:
@@ -592,10 +592,10 @@ def _lone_row_case(case):
     if case.startswith("wedge"):
         # The rows of ``test_boosted_wedge_keeps_its_distances``; those in
         # the polar wedge are certified at the vertex.  Rapidity 4 is left
-        # out: there a row's Newton loop in Python floats lands 1.1e-12 off
-        # the batch's numpy loop, in the lone path as in the one-row loop it
-        # extends; the boost's conditioning amplifies their rounding
-        # (ROADMAP item 7).
+        # out: there a lone row lands 1.1e-12 off the batch, because the
+        # two drivers reduce the same formulas in different orders (``_ROW``
+        # against ``_ROWS``) and the boost's conditioning amplifies that
+        # rounding (ROADMAP item 7).
         X = np.random.default_rng(31).standard_normal((40, 2)) * 3.0
         return _wedge(float(case.split(":")[1])), np.zeros(2), X, "vertex"
     # A vertex Slater point boosted at rapidity 3, rows at scales 1e-3 to 100.
@@ -606,11 +606,12 @@ def _lone_row_case(case):
     return (*transformed(inst, xbar, X, L=boost), "newton")
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["past the pole", "no pole", "boosted", "hard case"]
-    + [f"wedge:{r}" for r in range(4)],
-)
+LONE_ROW_CASES = ["past the pole", "no pole", "boosted", "hard case"] + [
+    f"wedge:{r}" for r in range(4)
+]
+
+
+@pytest.mark.parametrize("case", LONE_ROW_CASES)
 def test_lone_rows_match_the_batch(monkeypatch, case):
     # A batch of one row takes the lone path in Python floats, both stages
     # and the certificate; it must land where the batch puts the row.
@@ -628,12 +629,41 @@ def test_lone_rows_match_the_batch(monkeypatch, case):
         assert proj._slater.grid_gap < 0
 
 
+def test_lone_rows_enter_only_what_batches_enter(monkeypatch):
+    # The Slater formulas have one home: every projector method a lone row
+    # enters, other than its driver ``_project_row``, is entered by batches
+    # of two or more rows too.
+    entered = {"batch": set(), "lone": set()}
+    side = ["batch"]
+
+    def spy(name, method):
+        def call(self, *args):
+            entered[side[0]].add(name)
+            return method(self, *args)
+
+        return call
+
+    for name, member in list(vars(FeasibleSetProjector).items()):
+        if inspect.isfunction(member):
+            monkeypatch.setattr(FeasibleSetProjector, name, spy(name, member))
+    for case in LONE_ROW_CASES:
+        inst, ref, X, _ = _lone_row_case(case)
+        proj = FeasibleSetProjector(inst, ref)
+        side[0] = "batch"
+        proj.project_batch(X)
+        side[0] = "lone"
+        for x in X:
+            proj.project_batch(x[None, :])
+    assert "_project_row" in entered["lone"]
+    assert sorted(entered["lone"] - entered["batch"]) == ["_project_row"]
+
+
 def _assert_lone_brackets_exact(monkeypatch, proj, X):
     """Projects each row of X alone and checks its bracket against
     ``_full_grid_bracket`` on its one-row arrays, and its Newton start
     against ``_newton_start``, bit for bit; returns the starts' u."""
     bracket = FeasibleSetProjector._secular_bracket
-    newton_row = FeasibleSetProjector._newton_row
+    newton = FeasibleSetProjector._newton
     seen = []
 
     def read_bracket(self, GX, W, psi0):
@@ -642,12 +672,12 @@ def _assert_lone_brackets_exact(monkeypatch, proj, X):
         seen.append([(GX[None, :], W[None, :], psi0), out, None])
         return out
 
-    def read_start(self, x, w, *start):
+    def read_start(self, ops, x, w, *start):
         seen[-1][2] = start
-        return newton_row(self, x, w, *start)
+        return newton(self, ops, x, w, *start)
 
     monkeypatch.setattr(FeasibleSetProjector, "_secular_bracket", read_bracket)
-    monkeypatch.setattr(FeasibleSetProjector, "_newton_row", read_start)
+    monkeypatch.setattr(FeasibleSetProjector, "_newton", read_start)
     for x in X:
         proj.project_batch(x[None, :])
     monkeypatch.undo()
@@ -660,7 +690,8 @@ def _assert_lone_brackets_exact(monkeypatch, proj, X):
             continue
         for value, ref_value in zip((j, pl, pr), ref[1:]):
             assert np.array_equal(value, ref_value[0])
-        batch = proj._newton_start(*(np.array([v]) for v in (j, pl, pr)))
+        one_row = (np.array([v]) for v in (j, pl, pr))
+        batch = proj._newton_start(projection._ROWS, *one_row)
         assert [float(v).hex() for v in start] == [float(v[0]).hex() for v in batch]
         starts.append(start[-1])
     return np.array(starts)
@@ -691,9 +722,10 @@ def test_lone_bracket_and_start_are_exact_past_the_pole(monkeypatch):
 
 
 def test_lone_record_matches_the_batch_record():
-    # ``_record_row`` is ``_record`` on one row: the pull-in of a candidate
-    # outside Omega, along the recession ray (hyperbola) or towards the
-    # interior point (ellipse), ub, and the dual bound, clipped at 0.
+    # ``_record`` on one row, through ``_ROW``, is ``_record`` on a batch:
+    # the pull-in of a candidate outside Omega, along the recession ray
+    # (hyperbola) or towards the interior point (ellipse), ub, and the dual
+    # bound, clipped at 0.
     rng = np.random.default_rng(4)
     for inst, ref in ((HYPERBOLA, np.array([2.0, 0.0])), (ELLIPSE, np.zeros(2))):
         proj = FeasibleSetProjector(inst, ref)
@@ -701,9 +733,9 @@ def test_lone_record_matches_the_batch_record():
         X, Z = rng.standard_normal((2, 50, 2)) * 3.0
         G = Z @ sd.A.T + sd.b
         Mu = rng.standard_normal((50, 3))
-        Zf, ub, lb = proj._record(X, Z, G, Mu)
+        Zf, ub, lb = proj._record(projection._ROWS, X, Z, G, Mu)
         for i in range(50):
-            zf, u, l = proj._record_row(X[i], Z[i], G[i], Mu[i])
+            zf, u, l = proj._record(projection._ROW, X[i], Z[i], G[i], Mu[i])
             bound = 1e-12 * max(1.0, ub[i])
             assert abs(u - ub[i]) <= bound and abs(l - lb[i]) <= bound
             assert np.linalg.norm(zf - Zf[i]) <= bound
@@ -720,13 +752,13 @@ def test_lone_vertex_record_matches_the_batch(monkeypatch):
     X = xbar + np.random.default_rng(2).standard_normal((60, 2)) * 3.0
     X = X[_margin_rows(X @ inst.A.T + inst.b) < 0.0]
     records = []
-    record_row = FeasibleSetProjector._record_row
+    record = FeasibleSetProjector._record
 
     def spy(self, *args):
-        records.append(record_row(self, *args))
+        records.append(record(self, *args))
         return records[-1]
 
-    monkeypatch.setattr(FeasibleSetProjector, "_record_row", spy)
+    monkeypatch.setattr(FeasibleSetProjector, "_record", spy)
     vertex = []
     for x in X:
         records.clear()
@@ -735,7 +767,7 @@ def test_lone_vertex_record_matches_the_batch(monkeypatch):
     monkeypatch.undo()
     sd = proj._slater
     GXs = sd.scale * (X @ inst.A.T + inst.b)
-    Z, ub, lb = proj._vertex_candidate(X, GXs)
+    Z, ub, lb = proj._vertex_candidate(projection._ROWS, X, GXs)
     bound = 1e-12 * np.maximum(1.0, ub)
     assert np.all(np.abs([r[1] for r in vertex] - ub) <= bound)
     assert np.all(np.abs([r[2] for r in vertex] - lb) <= bound)

@@ -1,5 +1,6 @@
 """The README's python examples run, the quick start prints what its
-comments say, and every private name it cites exists."""
+comments say, and every private name it or the package's docstrings and
+comments cite exists."""
 
 import contextlib
 import importlib
@@ -7,6 +8,7 @@ import inspect
 import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import socpcq
@@ -29,17 +31,40 @@ def test_readme_python_blocks():
     assert printed[0] == expected
 
 
+def _docs_and_comments(path: Path) -> str:
+    """The comments and string literals, docstrings among them, of a
+    python source file."""
+    with path.open("rb") as f:
+        tokens = tokenize.tokenize(f.readline)
+        kept = (tokenize.COMMENT, tokenize.STRING)
+        return "\n".join(tok.string for tok in tokens if tok.type in kept)
+
+
 def test_readme_private_names_exist():
-    # A private name the README cites in backticks, `_name` or `_name(...)`,
-    # is defined in some module of the package or on a public class.
-    text = README.read_text(encoding="utf-8")
-    cited = set(re.findall(r"`(_[A-Za-z]\w*)[`(]", text))
-    assert cited
-    owners = [
-        importlib.import_module(f"socpcq.{info.name}")
+    # A private name the README, or a docstring or comment of the package,
+    # cites in backticks, `_name`, ``_name`` or `_name(...)`, is defined in
+    # some module of the package or on a public class; one cited as
+    # module._name, for a module of the package, is defined in that module.
+    modules = {
+        info.name: importlib.import_module(f"socpcq.{info.name}")
         for info in pkgutil.iter_modules(socpcq.__path__)
-    ]
+    }
     public = [getattr(socpcq, name) for name in socpcq.__all__]
-    owners += [obj for obj in public if inspect.isclass(obj)]
-    missing = sorted(n for n in cited if not any(hasattr(o, n) for o in owners))
-    assert not missing
+    owners = [*modules.values(), *(obj for obj in public if inspect.isclass(obj))]
+    sources = {"README.md": README.read_text(encoding="utf-8")}
+    for path in sorted(Path(socpcq.__file__).parent.glob("*.py")):
+        sources[path.name] = _docs_and_comments(path)
+    missing = []
+    for source, text in sources.items():
+        cited = set(re.findall(r"`(_[A-Za-z]\w*)[`(]", text))
+        if source == "README.md":
+            assert cited
+        missing += [
+            f"{source}: {name}"
+            for name in cited
+            if not any(hasattr(owner, name) for owner in owners)
+        ]
+        for module, name in re.findall(r"\b([a-z_]\w*)\.(_[A-Za-z]\w*)", text):
+            if module in modules and not hasattr(modules[module], name):
+                missing.append(f"{source}: {module}.{name}")
+    assert not sorted(missing)
