@@ -49,6 +49,10 @@ def test_instance_validation():
         AffineSOCInstance(np.ones((3, 2)), np.ones(2))
     with pytest.raises(DimensionError):
         AffineSOCInstance(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(DimensionError, match="A must be a matrix"):
+        AffineSOCInstance(np.ones(3), np.ones(3))
+    with pytest.raises(DimensionError, match="at least one column"):
+        AffineSOCInstance(np.ones((3, 0)), np.ones(3))
     inst = AffineSOCInstance(np.eye(3), np.array([1.0, 0.0, 0.0]))
     assert inst.m == 3 and inst.n == 3
     np.testing.assert_allclose(inst.evaluate([1.0, 2.0, 3.0]), [2.0, 2.0, 3.0])

@@ -654,6 +654,7 @@ def test_lazy_names_are_read_from_their_module(monkeypatch):
     monkeypatch.undo()
     assert socpcq.equivalence_harness is oracles.equivalence_harness
     assert "equivalence_harness" not in vars(socpcq)
+    assert "equivalence_harness" in dir(socpcq)
     with pytest.raises(AttributeError, match="no_such_name"):
         socpcq.no_such_name
 
@@ -1028,8 +1029,9 @@ def test_project_golden_output(capsys):
     ]
 
 
-def _slater_document(tmp_path):
-    """A = I, b = (1, 0, 0): the interior point p and the infeasible x."""
+def _slater_document(tmp_path, b=(1, 0, 0), p=(0, 0, 0)):
+    """A = I, b = (1, 0, 0) by default: the interior point p and the
+    infeasible x."""
     path = tmp_path / "slater.json"
     path.write_text(
         json.dumps(
@@ -1037,26 +1039,37 @@ def _slater_document(tmp_path):
                 "m": 3,
                 "n": 3,
                 "A": np.eye(3).tolist(),
-                "b": [1, 0, 0],
-                "points": {"p": [0, 0, 0], "x": [0, 3, 4]},
+                "b": list(b),
+                "points": {"p": list(p), "x": [0, 3, 4]},
             }
         )
     )
     return path
 
 
-def test_project_slater_success_path(capsys, tmp_path):
-    # One secular root, taken by the lone-row Newton loop: with A = I and
-    # b = (1, 0, 0), z = P_Q(x + b) - b = (2, 1.8, 2.4) in closed form.  The
-    # last digit of z is rounding, so z is checked within 1e-9.
-    path = _slater_document(tmp_path)
+@pytest.mark.parametrize(
+    "b,p,dist,expected",
+    [
+        # One secular root, taken by the lone-row Newton loop: with A = I and
+        # b = (1, 0, 0), z = P_Q(x + b) - b = (2, 1.8, 2.4) in closed form.
+        ((1, 0, 0), (0, 0, 0), "2.82842712475", [2.0, 1.8, 2.4]),
+        # The lone hard case: with b = 0 and the interior reference
+        # (1, 0, 0), x has no secular bracket (w_+ = 0); z = P_Q(x) =
+        # (2.5, 1.5, 2), 5 / sqrt(2) from x.
+        ((0, 0, 0), (1, 0, 0), "3.53553390593", [2.5, 1.5, 2.0]),
+    ],
+    ids=["newton", "hard-case"],
+)
+def test_project_slater_success_path(capsys, tmp_path, b, p, dist, expected):
+    # The last digit of z is rounding, so z is checked within 1e-9.
+    path = _slater_document(tmp_path, b, p)
     code, out, err = run_cli(capsys, "project", str(path), "x")
     assert (code, err) == (EXIT_OK, "")
     lines = out.splitlines()
-    assert lines[1] == "dist(x, Omega) = 2.82842712475"
+    assert lines[1] == f"dist(x, Omega) = {dist}"
     assert lines[0].startswith("z = ")
     z = json.loads(lines[0][len("z = "):])
-    assert np.max(np.abs(np.subtract(z, [2.0, 1.8, 2.4]))) <= 1e-9
+    assert np.max(np.abs(np.subtract(z, expected))) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -1214,22 +1227,27 @@ def test_project_uses_document_tol_without_feasible_point(
     assert float(lines["dist(x, Omega)"]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_project_reports_empty_feasible_set(capsys, tmp_path):
-    # g(x) = (-1, x, 0) never reaches the cone: the margin -1 - |x| has
-    # supremum -1, so no reference exists
-    doc = {
-        "m": 3,
-        "n": 1,
-        "A": [[0.0], [1.0], [0.0]],
-        "b": [-1.0, 0.0, 0.0],
-        "points": {"x": [0.5]},
-    }
+@pytest.mark.parametrize(
+    "A, b, supremum",
+    [
+        # g(x) = (-1, x, 0) never reaches the cone: the margin -1 - |x| has
+        # supremum -1, so no reference exists
+        ([[0.0], [1.0], [0.0]], [-1.0, 0.0, 0.0], "-1"),
+        # g(x) = (x, x, 1) runs parallel to the boundary ray (1, 1, 0): the
+        # margin x - sqrt(x^2 + 1) has supremum 0, never attained
+        ([[1.0], [1.0], [0.0]], [0.0, 0.0, 1.0], "0"),
+    ],
+    ids=["negative-supremum", "boundary-ray"],
+)
+def test_project_reports_empty_feasible_set(capsys, tmp_path, A, b, supremum):
+    doc = {"m": 3, "n": 1, "A": A, "b": b, "points": {"x": [0.5]}}
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "project", str(path), "x")
     assert code == EXIT_NUMERICAL
     assert out == ""
-    assert "feasible set is empty" in err and "supremum -1" in err
+    assert "feasible set is empty" in err
+    assert err.rstrip().endswith(f"supremum {supremum}")
 
 
 def test_project_feasible_point_is_fixed(capsys):

@@ -7,6 +7,9 @@ lean on verify_report_invariants as the single source of implication
 rules.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from socpcq import (
     random_instance,
     verify_report_invariants,
 )
+from socpcq import cq_checker
 from socpcq.cq_checker import _eta
 from socpcq.families import TARGET_CASES
 from socpcq.soc_core import cone_margin
@@ -38,6 +42,9 @@ TANGENT_SLICE = AffineSOCInstance(
 BOUNDARY_LINE = AffineSOCInstance(
     np.array([[1.0], [-1.0], [0.0]]), np.zeros(3)
 )
+
+# g(0) = (5, 0, 0) lies inside the cone
+INTERIOR = AffineSOCInstance(np.eye(3), np.array([5.0, 0.0, 0.0]))
 
 
 def test_verdict_consistency_enforced():
@@ -109,7 +116,7 @@ def test_boundary_line_vertex():
 
 
 def test_interior_point_everything_holds():
-    inst = AffineSOCInstance(np.eye(3), np.array([5.0, 0.0, 0.0]))
+    inst = INTERIOR
     x = np.zeros(3)
     report = full_report(inst, x)
     assert report.nondegeneracy.holds
@@ -307,6 +314,50 @@ def test_implication_lattice_on_stratified_instances():
                 fcr_ev, rcq_ev = rep.fcr.evidence, rep.rcq.evidence
                 assert fcr_ev is not rcq_ev and fcr_ev.keys() == rcq_ev.keys()
                 assert all(np.array_equal(fcr_ev[k], v) for k, v in rcq_ev.items())
+
+
+FORCED = Verdict(True, "forced", {})
+
+
+@pytest.mark.parametrize(
+    "instance, x, changes, message",
+    [
+        # An interior point, where every verdict holds, under Thm4.4(i).
+        (INTERIOR, np.zeros(3), {"h_closed": Verdict(False, None, {})},
+         "CRCQ must equal FCR AND H-closed"),
+        (INTERIOR, np.zeros(3), {"crcq": Verdict(True, "Thm4.4(iv)", {})},
+         "Thm4.4(iv) is only valid at the vertex"),
+        # A degenerate boundary point, where every verdict fails.
+        (HALFPLANE, np.array([1.0, 0.0, 0.0]), {"mscq": Verdict(True, "Thm5.1", {})},
+         "MSCQ must equal CRCQ"),
+        (HALFPLANE, np.array([1.0, 0.0, 0.0]), {"nondegeneracy": FORCED},
+         "nondegeneracy must imply RCQ"),
+        (HALFPLANE, np.array([1.0, 0.0, 0.0]), {"rcq": FORCED},
+         "RCQ must imply MSCQ"),
+        # The vertex of the boundary line, where CRCQ holds under Thm4.4(vi).
+        (BOUNDARY_LINE, np.zeros(1), {"crcq": Verdict(True, "Thm4.4(i)", {})},
+         "Thm4.4(i) is not valid at the vertex"),
+        # The vertex of the halfplane: FCR holds, H-closedness fails (Cor 4.2).
+        (HALFPLANE, np.zeros(3), {"fcr": Verdict(False, None, {})},
+         "FCR can only fail on the positive boundary"),
+    ],
+    ids=["crcq", "zero-only-label", "mscq", "nondegeneracy", "rcq",
+         "nonzero-label", "fcr"],
+)
+def test_each_invariant_violation_is_reported_and_raised(
+    monkeypatch, instance, x, changes, message
+):
+    # A real report with one verdict replaced breaks exactly one invariant,
+    # and full_report raises with that one message.
+    real = full_report(instance, x)
+    assert verify_report_invariants(replace(real, **changes)) == [message]
+    report = cq_checker.CQReport
+    monkeypatch.setattr(
+        cq_checker, "CQReport", lambda **fields: replace(report(**fields), **changes)
+    )
+    expected = f"internal verdict inconsistency: {message}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(expected)}$"):
+        full_report(instance, x)
 
 
 def test_mscq_label_is_thm51_everywhere_it_holds():

@@ -640,6 +640,8 @@ def test_brute_force_classification_frozen_cases():
 
     zero = brute_force_subspace_class(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert zero.kind is SubspaceKind.ZERO_ONLY
+    # Im(0) = {0} has no unit vector to sample.
+    assert brute_force_subspace_class(np.zeros((3, 2))).kind is SubspaceKind.ZERO_ONLY
 
     ray = brute_force_subspace_class(A_HALFPLANE)
     assert ray.kind is SubspaceKind.RAY
@@ -697,6 +699,43 @@ def test_random_instance_rejects_bad_requests():
         random_instance(3, 0, "Thm4.4(i)")
     with pytest.raises(GenerationError):
         random_instance(2, 2, "degenerate-boundary")
+
+
+#: A stratum and the stratum whose candidates stand in for its own: a
+#: Thm4.4(i) draw fails the label test of Thm4.4(ii), a Cor4.2 draw (CRCQ
+#: fails, at the vertex) the location test of degenerate-boundary.
+STAND_IN = {"Thm4.4(ii)": "Thm4.4(i)", "degenerate-boundary": "Cor4.2"}
+
+
+@pytest.mark.parametrize("target", sorted(STAND_IN))
+def test_generator_gives_up_after_its_retries(monkeypatch, target):
+    # A stratum that no candidate realizes raises GenerationError from the
+    # generator, and is a failure row of the harness, not an abort.
+    build = families._build_candidate
+
+    def stand_in(rng, m, n, target_case):
+        if target_case == target:
+            target_case = STAND_IN[target]
+        return build(rng, m, n, target_case)
+
+    monkeypatch.setattr(families, "_build_candidate", stand_in)
+    message = (
+        f"failed to realize target case {target} with m={{}}, n={{}} "
+        f"after {families._MAX_RETRIES} attempts"
+    )
+    with pytest.raises(GenerationError, match=f"^{re.escape(message.format(4, 3))}$"):
+        random_instance(4, 3, target, 0)
+    # At seed 1 the degenerate-boundary trial draws n = 2, the least n of
+    # the Cor4.2 candidates that stand in for it.
+    report = equivalence_harness(len(TARGET_CASES), seed=1)
+    index = TARGET_CASES.index(target)
+    assert [row.index for row in report.rows] == [
+        t for t in range(len(TARGET_CASES)) if t != index
+    ]
+    ((t, error),) = report.failures
+    assert t == index
+    m, n = re.search(r"with m=(\d+), n=(\d+)", error).groups()
+    assert error == "GenerationError: " + message.format(m, n)
 
 
 def test_random_instance_rejects_non_integer_sizes():

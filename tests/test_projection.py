@@ -893,6 +893,31 @@ def test_far_row_record_brackets_the_exact_distance(row):
     _assert_lone_record_brackets(inst, xbar, xbar + 1e8 * u)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalFailureError,
+    reason="a far row's verdict depends on its batch (ROADMAP item 20)",
+)
+def test_far_boosted_row_certifies_in_any_batch():
+    # Row 63, 1.45e7 from xbar, certifies alone, but a batch of two rows
+    # holding it refuses it with a gap of 1.446e7, beside row 0 and beside
+    # itself.  The two-row product X A^T rounds g0 of the row one ulp away
+    # from the one-row product, and from that image both drivers refuse
+    # it: the verdict turns on one ulp of g(x).  Once the row certifies in
+    # a pair, its ub must be the lone row's.
+    inst, xbar = random_instance(3, 2, "Thm4.4(ii)", 0)
+    direction = np.random.default_rng(100).standard_normal(2)
+    boost = lorentz_boost(direction / np.linalg.norm(direction), 2.0)
+    inst = transformed(inst, L=boost)[0]
+    scale = np.repeat(np.logspace(-3, 7, 11), 6)[:, None]
+    X = xbar + scale * np.random.default_rng(0).standard_normal((66, 2))
+    proj = FeasibleSetProjector(inst, xbar)
+    _, ub, _ = proj.project_batch(X[[63]])
+    for rows in ([63, 63], [0, 63]):
+        _, pair_ub, _ = proj.project_batch(X[rows])
+        assert pair_ub[1] == pytest.approx(ub[0], rel=1e-12)
+
+
 def test_boosted_wedge_keeps_its_distances():
     # A Lorentz boost L leaves {x : L A x in Q} = {x : x1 >= |x2|} unchanged,
     # but tilts null(A^T) towards e0, where the pseudo-inverse multiplier
@@ -998,14 +1023,22 @@ def test_wrapper_matches_xbar_projector_on_degenerate_boundary(seed):
     assert d == pytest.approx(float(np.linalg.norm(x - z)), rel=1e-12)
 
 
-def test_wrapper_raises_when_set_is_empty():
-    empty = AffineSOCInstance(
-        np.array([[0.0], [1.0], [0.0]]), np.array([-1.0, 0.0, 0.0])
-    )
+@pytest.mark.parametrize(
+    "column, b, supremum",
+    [
+        # The margin on the slice (-1, t, 0) is -1 - |t|: its supremum is -1.
+        ([0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], -1.0),
+        # Im(A) is the boundary ray (1, 1, 0): the margin on the slice
+        # (t, t, 1) is t - sqrt(t^2 + 1), below its supremum 0 at every t.
+        ([1.0, 1.0, 0.0], [0.0, 0.0, 1.0], 0.0),
+    ],
+    ids=["negative-supremum", "boundary-ray"],
+)
+def test_wrapper_raises_when_set_is_empty(column, b, supremum):
+    empty = AffineSOCInstance(np.array(column)[:, None], np.array(b))
     with pytest.raises(NumericalFailureError) as info:
         project_to_feasible_set(empty, np.array([0.0]))
-    # The margin on the slice (-1, t, 0) is -1 - |t|: its supremum is -1.
-    assert info.value.residual == -1.0
+    assert info.value.residual == supremum
 
 
 def test_infeasible_reference_is_rejected():

@@ -118,6 +118,8 @@ def test_m2_cone_is_a_wedge():
 def test_rejects_bad_input():
     with pytest.raises(DimensionError):
         cone_margin(np.array([1.0]))
+    with pytest.raises(DimensionError, match="expected a 1-d vector"):
+        cone_margin(np.ones((2, 3)))
     with pytest.raises(DimensionError):
         distance_to_cone(np.array([np.inf, 0.0]))
 

@@ -203,5 +203,7 @@ def test_closed_form_edge_inputs():
 def test_rejects_bad_matrices():
     with pytest.raises(DimensionError):
         classify_image_vs_cone(np.ones((1, 3)))
+    with pytest.raises(DimensionError, match="expected a matrix"):
+        classify_image_vs_cone(np.ones(3))
     with pytest.raises(DimensionError):
         classify_image_vs_cone(np.array([[1.0, np.nan], [0.0, 1.0]]))
