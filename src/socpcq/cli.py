@@ -39,7 +39,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -193,10 +193,8 @@ def _named_point(doc: InstanceDocument, name: str) -> np.ndarray:
 
 
 @functools.cache
-def _display_label(label: Optional[str]) -> str:
+def _display_label(label: str) -> str:
     """Compact condition labels to display form: Thm4.4(vi) -> Thm 4.4 (vi)."""
-    if label is None:
-        return ""
     return re.sub(r"^(Thm|Cor)(\d+\.\d+)(\(|$)", r"\1 \2 \3", label).rstrip()
 
 

@@ -576,8 +576,6 @@ def brute_force_subspace_class(A: np.ndarray, seed: int = 0) -> SubspaceConeClas
         return SubspaceConeClass(SubspaceKind.MEETS_INTERIOR, witness=y)
     if best_v < -1e-6:
         return SubspaceConeClass(SubspaceKind.ZERO_ONLY)
-    if y[0] < 0:
-        y = -y
     return SubspaceConeClass(SubspaceKind.RAY, ray=y / _norm(y))
 
 

@@ -4,9 +4,9 @@ For the image subspace V = Im(A), with an orthonormal basis B of V and the
 hyperbolic form J = diag(1, -1, ..., -1), B^T B = I gives
 B^T J B = 2 b b^T - I with b = B^T e0 = B[0].  Its spectrum is -1, ..., -1
 and 2 t^2 - 1, t = ||b||, the largest first coordinate of a unit vector of
-V (reached at B b / t), so the class is closed form: V meets the cone
-interior when 2 t^2 - 1 > tol, touches it along one boundary ray when
-|2 t^2 - 1| <= tol, and meets it only at the origin otherwise.
+V, reached at w = B b / t.  So the class is closed form: V meets the cone
+interior (at w) when 2 t^2 - 1 > tol, touches it along the boundary ray
+through w when |2 t^2 - 1| <= tol, and meets it only at the origin otherwise.
 
 ``classify_image_vs_cone`` runs one thin SVD of A and returns, next to the
 class, the rank, singular values, image basis and row basis it read off
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .soc_core import DEFAULT_TOL, _check_magnitude, _checked_tol, _norm
+from .soc_core import DEFAULT_TOL, _check_magnitude, _checked_tol
 
 #: A boundary ray of the image has t = sqrt(1/2); an image with t at most
 #: this touches the cone only at 0 at any tol, and t = 0 never divides.
@@ -46,10 +46,10 @@ class SubspaceKind(enum.Enum):
 class SubspaceConeClass:
     """Outcome of the subspace-versus-cone classification.
 
-    ``ray`` is the unit generator with positive first coordinate when
-    ``kind`` is RAY; ``witness`` is a unit interior point of the cone inside
-    the subspace when ``kind`` is MEETS_INTERIOR.  ``eigenvalues`` is the
-    spectrum of B^T J B, ascending: -1, ..., -1, 2 t^2 - 1 with t = ||U_k[0]||.
+    ``ray`` (kind RAY) and ``witness`` (kind MEETS_INTERIOR) are both
+    U_k b / t with b = U_k[0] and t = ||b||: the unit vector of the subspace
+    with the largest first coordinate, t.  ``eigenvalues`` is the spectrum
+    of B^T J B, ascending: -1, ..., -1, 2 t^2 - 1.
 
     ``rank``, ``singular_values``, ``basis`` (the m-by-rank image basis U_k)
     and ``row_basis`` (the rank-by-n row basis V_k^T) come from the thin SVD
@@ -113,16 +113,9 @@ def _classify(A: np.ndarray, tol: float) -> SubspaceConeClass:
     eigvals = np.full(k, -1.0)
     eigvals[-1] = lam
     parts = {"eigenvalues": eigvals, **svd_parts}
-    if lam > tol:
-        w = B @ b / t
-        return SubspaceConeClass(SubspaceKind.MEETS_INTERIOR, witness=w, **parts)
     if lam < -tol or t <= _ADMISSIBLE_FLOOR:
         return SubspaceConeClass(SubspaceKind.ZERO_ONLY, **parts)
-    # The ray is B b / t as well, but it is kept as eigh's top eigenvector:
-    # the finest probes of the pinned kappa scans amplify its last bit.
-    JB = B.copy()
-    JB[1:, :] *= -1.0
-    w = B @ np.linalg.eigh(B.T @ JB)[1][:, -1]
-    if w[0] < 0.0:
-        w = -w
-    return SubspaceConeClass(SubspaceKind.RAY, ray=w / _norm(w), **parts)
+    w = B @ b / t
+    if lam > tol:
+        return SubspaceConeClass(SubspaceKind.MEETS_INTERIOR, witness=w, **parts)
+    return SubspaceConeClass(SubspaceKind.RAY, ray=w, **parts)

@@ -148,6 +148,7 @@ def test_axis_boosts_are_the_cosh_sinh_block(m):
         ([1.0, 0.0], np.nan, "non-finite boost"),
         ([1.0, 0.0], 800.0, "non-finite boost"),
         ([1.0, 0.0], -800, "non-finite boost"),
+        ([1.0, 0.0], 10**400, "non-finite boost"),
         ([1.0, 0.0], 600.0, "squared norm that overflows"),
         ([1.0, 0.0], True, "real number"),
         ([1.0, 0.0], "1", "real number"),
@@ -160,6 +161,7 @@ def test_axis_boosts_are_the_cosh_sinh_block(m):
         "nan-rapidity",
         "overflowing-rapidity",
         "overflowing-negative-rapidity",
+        "int-past-float-rapidity",
         "overflowing-square",
         "bool-rapidity",
         "str-rapidity",
