@@ -37,8 +37,8 @@ Key design points:
   the settings it fixed and the projector of its trial point, fills its
   draws in place and runs only private kernels on them: g(X) as
   X A^T + b, ``soc_core._distance_rows`` and the projector's
-  ``_project_rows``.  Its radius factors and probe offsets depend on the
-  settings alone and are built once per setting.
+  ``_project_rows``.  It scales its draws by the radii and computes the
+  probe offsets on every call, and keeps no state between calls.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * Every seeded entry point (both scans, the brute-force classifier, the
@@ -49,7 +49,6 @@ Key design points:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -61,7 +60,7 @@ from .cq_checker import _report
 from .errors import DimensionError, GenerationError, NumericalFailureError
 # bench/workloads.py reads random_instance and TARGET_CASES from this module.
 from .families import TARGET_CASES, _draw, _least_sizes, random_instance
-from .projection import BatchProjection, FeasibleSetProjector
+from .projection import FeasibleSetProjector
 from .soc_core import _SQUARE_LIMIT, ConeLocation, _count, _distance_rows, _margin_rows
 from .soc_core import _is_real, _norm, _row_norms
 from .subspace_cone import SubspaceConeClass, SubspaceKind, classify_image_vs_cone
@@ -204,16 +203,17 @@ def _scan_settings(radii, samples):
     return radii, _count(samples, "samples")
 
 
-def _anchored_probes(record: BatchProjection, X, h, offsets, gap: float):
+def _anchored_probes(record, X, h, offsets, gap: float):
     """Probes a distance ``h`` off the projections of the rows ``X``.
 
-    ``record`` is the projection of ``X``, certified at the relative gap
-    ``gap``.  A row with ub > 0 steps from its anchor z along the exact
-    outward normal, p = z + h (x - z) / ub, which carries the worst ratios;
-    the others step along their fixed random unit ``offsets``, an array of
-    the caller's that is overwritten with the steps.  The normal probe lies
-    on the ray from z in Omega through x, so convexity and 1-Lipschitz
-    continuity of dist(., Omega) along that ray put
+    ``record`` is the projection (Z, ub, lb) of ``X``, certified at the
+    relative gap ``gap``.  A row with ub > 0 steps from its anchor z along
+    the exact outward normal, p = z + h (x - z) / ub, which carries the
+    worst ratios; the others step along their fixed random unit
+    ``offsets``, an array of the caller's that is overwritten with the
+    steps.  The normal probe lies on the ray from z in Omega through x, so
+    convexity and 1-Lipschitz continuity of dist(., Omega) along that ray
+    put
 
         dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||],
 
@@ -241,32 +241,11 @@ _SAMPLES_PER_RADIUS = 200
 def _probe_offsets(radii: tuple[float, ...]) -> np.ndarray:
     """The probe offset h_k = r_k / (8 * 30^k) of each radius, with the
     divisor a running product."""
-    k = len(radii)
-    divisors = np.cumprod([_PROBE_DIVISOR0] + [_PROBE_DIVISOR_GROWTH] * (k - 1))
-    return np.asarray(radii) / divisors
-
-
-@functools.lru_cache(maxsize=16)
-def _radius_factors(radii: tuple[float, ...], S: int, P: int):
-    """What a scan's draws take from its settings alone, built once per
-    setting: (spread, h, offset_rows).
-
-    ``spread`` is (k, S + P): radius r_k on the S uniform columns and
-    0.9 r_k on the P probe-base columns, the factor of each draw's radial
-    part.  ``h`` holds the probe offset h_k = r_k / (8 * 30^k) of each of
-    the k * P radius-major probes, and ``offset_rows`` the row of its
-    random offset among the scan's directions, S + P + (probe index).
-    """
-    k = len(radii)
-    r_col = np.asarray(radii)[:, None]
-    spread = np.empty((k, S + P))
-    spread[:, :S] = r_col
-    spread[:, S:] = 0.9 * r_col
-    h = np.repeat(_probe_offsets(radii), P)
-    offset_rows = S + P + np.tile(np.arange(P), k)
-    for arr in (spread, h, offset_rows):
-        arr.setflags(write=False)
-    return spread, h, offset_rows
+    h, divisor = [], _PROBE_DIVISOR0
+    for r in radii:
+        h.append(r / divisor)
+        divisor *= _PROBE_DIVISOR_GROWTH
+    return np.array(h)
 
 
 def mscq_kappa_scan(
@@ -347,7 +326,6 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     A, b, n = instance.A, instance.b, instance.n
     k = len(radii)
     P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
-    spread, h_rows, offset_rows = _radius_factors(radii, S, P)
 
     rng = np.random.default_rng(seed)
     # The draws, in this order: S uniform directions and radii, P probe-base
@@ -363,28 +341,32 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     radial **= 1.0 / n
 
     # Radius-major draws in one broadcast: per radius, S uniform points in
-    # the ball, then P probe bases in 0.9 of it.  One distance pass covers
-    # both; a base at distance 0 is feasible and its own anchor.
-    draws = center + dirs[: S + P] * (spread * radial)[:, :, None]
+    # the ball, each at r_k times its radial draw, then P probe bases in
+    # 0.9 of it, each at (0.9 r_k) times its radial draw.  One distance
+    # pass covers both; a base at distance 0 is feasible and its own
+    # anchor.  Every probe steps h_k from its base along its random offset;
+    # the probes of infeasible bases are replaced by anchored ones below.
+    r = np.array(radii)
+    spread = np.multiply.outer(r, radial)
+    spread[:, S:] = np.multiply.outer(0.9 * r, radial[S:])
+    draws = center + dirs[: S + P] * spread[:, :, None]
     dist_g = _distance_rows(draws.reshape(-1, n) @ A.T + b).reshape(k, S + P)
-    uniform = draws[:, :S]
     bases = draws[:, S:].reshape(k * P, n)
+    h = _probe_offsets(radii)
+    probes = (draws[:, S:] + h[:, None, None] * dirs[S + P :]).reshape(-1, n)
     own = dist_g[:, S:].ravel() <= 0.0
     near, far = np.flatnonzero(own), np.flatnonzero(~own)
-    probes = np.empty_like(bases)
-    probes[near] = bases[near] + h_rows[near, None] * dirs[offset_rows[near]]
 
     # The certified call: the infeasible bases and the probes of feasible
     # bases.
-    record = projector._project_rows(np.concatenate([bases[far], probes[near]]))
+    Z, ub, lb = projector._project_rows(np.concatenate([bases[far], probes[near]]))
     dist_probe = np.zeros(k * P)
-    dist_probe[near] = record.ub[far.size :]
-    anchors = BatchProjection(*(part[: far.size] for part in record))
+    dist_probe[near] = ub[far.size :]
     probes[far], dist, inherited = _anchored_probes(
-        anchors,
+        (Z[: far.size], ub[: far.size], lb[: far.size]),
         bases[far],
-        h_rows[far],
-        dirs[offset_rows[far]],
+        h[far // P],
+        dirs[S + P + far % P],
         instance.projection_tol,
     )
     dist_probe[far[inherited]] = dist[inherited]
@@ -402,17 +384,18 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     bare = keep[:, :S] & (probe_valid == 0)[:, None]
     dist_omega = np.zeros((k, S + P))
     if fallback.size or bare.any():
-        record = projector._project_rows(
-            np.concatenate([probes[fallback], uniform[bare]])
+        _, ub, _ = projector._project_rows(
+            np.concatenate([probes[fallback], draws[:, :S][bare]])
         )
-        dist_probe[fallback] = record.ub[: fallback.size]
-        dist_omega[:, :S][bare] = record.ub[fallback.size :]
+        dist_probe[fallback] = ub[: fallback.size]
+        dist_omega[:, :S][bare] = ub[fallback.size :]
     dist_omega[:, S:] = dist_probe.reshape(k, P)
 
+    # A kept point has dist_g above the positive floor, so every point is
+    # feasible, floored or kept.
     n_feas = (dist_g <= 0.0).sum(axis=1)
-    n_floor = ((dist_g > 0.0) & ~keep).sum(axis=1)
-    ratios = np.zeros((k, S + P))
-    ratios[keep] = dist_omega[keep] / dist_g[keep]
+    n_floor = S + P - n_feas - keep.sum(axis=1)
+    ratios = np.divide(dist_omega, dist_g, out=np.zeros((k, S + P)), where=keep)
     # Ratios are nonnegative and a row holds either probe ratios or uniform
     # ones, so its max over the zero-filled rest is the probe max, else the
     # uniform max, else 0.0.
@@ -450,12 +433,12 @@ def classify_kappa_growth(scan: KappaScan) -> str:
     if scan.discarded_feasible[-1] == scan.sample_count + scan.probe_count:
         # The finest ball is entirely feasible: locally exact feasibility.
         return "bounded"
-    P = np.asarray(scan.probe_ratios, dtype=float)
+    P = scan.probe_ratios
     for i in range(len(scan.radii) - 2, -1, -1):
-        both = (P[i] > 0.0) & (P[i + 1] > 0.0)
-        if not both.any():
+        growths = [b / a for a, b in zip(P[i], P[i + 1]) if a > 0.0 and b > 0.0]
+        if not growths:
             continue
-        growth = float((P[i + 1][both] / P[i][both]).max())
+        growth = max(growths)
         if growth >= _GROWING_MIN_GROWTH:
             return "growing"
         if growth <= _BOUNDED_MAX_GROWTH:

@@ -165,8 +165,7 @@ def test_probe_offsets_follow_the_running_divisor():
     for r in radii:
         h.append(r / divisor)
         divisor *= 30.0
-    _, offsets, _ = oracles._radius_factors(radii, 4, 2)
-    assert np.array_equal(offsets, np.repeat(h, 2))
+    assert np.array_equal(oracles._probe_offsets(radii), h)
 
 
 def test_kappa_scan_certifies_at_the_instance_projection_tol():
@@ -490,7 +489,23 @@ def _scan(probe_ratios, kappa=None, radii=None, feas=None):
     )
 
 
-@pytest.mark.parametrize("m, n, seed", [(4, 3, 3), (5, 4, 0), (6, 5, 2)])
+#: Boosted Thm4.4(iv) draws whose scan misreads a flat kappa-hat (for
+#: (4, 3, 1) it is 49.7, 52.5 and 52.6): the first three read ``growing``,
+#: because one probe grows 10x at the finest radius pair, and (5, 4, 3)
+#: reads ``inconclusive``.  CRCQ holds at all four.
+_NOISE_READ_AS_GROWTH = pytest.mark.xfail(
+    strict=True, reason="per-probe growth reads noise as growth (ROADMAP item 1)"
+)
+
+
+@pytest.mark.parametrize(
+    "m, n, seed",
+    [(4, 3, 3), (5, 4, 0), (6, 5, 2)]
+    + [
+        pytest.param(*case, marks=_NOISE_READ_AS_GROWTH)
+        for case in [(4, 3, 1), (4, 3, 2), (6, 5, 1), (5, 4, 3)]
+    ],
+)
 def test_boosted_vertex_slater_scan_is_bounded(m, n, seed):
     # A Lorentz boost maps Q onto itself, so the feasible set and the
     # bounded error modulus of Thm4.4(iv) survive it.
@@ -534,6 +549,48 @@ def test_growth_classification_fallbacks():
         [(1.0,), (50.0,), (2500.0,)], kappa=(1.0, 50.0, 2500.0), feas=(0, 0, 11)
     )
     assert classify_kappa_growth(feasible_finest) == "bounded"
+
+
+def _array_growth_class(scan):
+    """``classify_kappa_growth`` in its earlier array form, kept as the
+    reference of the loop that replaced it."""
+    if scan.discarded_feasible[-1] == scan.sample_count + scan.probe_count:
+        return "bounded"
+    P = np.asarray(scan.probe_ratios, dtype=float)
+    for i in range(len(scan.radii) - 2, -1, -1):
+        both = (P[i] > 0.0) & (P[i + 1] > 0.0)
+        if not both.any():
+            continue
+        growth = float((P[i + 1][both] / P[i][both]).max())
+        if growth >= oracles._GROWING_MIN_GROWTH:
+            return "growing"
+        if growth <= oracles._BOUNDED_MAX_GROWTH:
+            return "bounded"
+        return "inconclusive"
+    return "bounded" if not any(scan.kappa_hat) else "inconclusive"
+
+
+def test_growth_classification_matches_its_array_reference():
+    # Random records: 1-4 radii, 1-5 probes, lognormal ratios of which about
+    # 40 % are discarded (0.0), some tables with no ratio at all, uniform
+    # maxima where a radius has no probe ratio, and random feasible counts
+    # that sometimes fill the finest ball.
+    rng = np.random.default_rng(0)
+    labels = set()
+    for _ in range(2000):
+        k, p = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        ratios = rng.lognormal(0.0, 2.0, (k, p)) * (rng.random((k, p)) >= 0.4)
+        if rng.random() < 0.1:
+            ratios[:] = 0.0
+        uniform = rng.lognormal(0.0, 1.0, k) * (rng.random(k) < 0.5)
+        kappa = np.where(ratios.any(axis=1), ratios.max(axis=1), uniform)
+        feas = rng.integers(0, 10 + p + 1, k)
+        kappa, feas = tuple(kappa.tolist()), tuple(feas.tolist())
+        scan = _scan(ratios.tolist(), kappa=kappa, feas=feas)
+        label = classify_kappa_growth(scan)
+        assert label == _array_growth_class(scan), scan
+        labels.add(label)
+    assert labels == {"bounded", "growing", "inconclusive"}
 
 
 # -- FCR dimension scan -------------------------------------------------------

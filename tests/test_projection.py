@@ -862,6 +862,23 @@ def _assert_lone_record_brackets(instance, reference, x):
     assert above * above >= low
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalFailureError,
+    reason="rank-one image along a boundary ray, b outside Im A (ROADMAP item 7)",
+)
+def test_rank_one_boundary_ray_record_brackets_the_exact_distance():
+    # The one column of A lies on a boundary ray of Q_3 up to rounding:
+    # M = A^T J A is 3.3e-18 where it would be 0.  b lies outside Im A.  The
+    # feasible set is the half-line x >= 81721.358..., and x = 1.7 lies
+    # 81719.658... from it.  The projector refuses the row with a gap of
+    # 1.7e-5 against an allowed 1.7e-10: its candidate z is the exact
+    # projection, but its dual bound lb falls short.
+    A = np.array([[0.2], [-0.17614271948730068], [0.09472983886621]])
+    inst = AffineSOCInstance(A, np.array([17.3, -22.7, -5.7]))
+    _assert_lone_record_brackets(inst, np.array([1e5]), np.array([1.7]))
+
+
 #: Rows xbar + 1e8 u of the far-row test that the projector refuses today:
 #: the multiplier lies far past the pole (ROADMAP item 20).  A fix there
 #: turns them into unexpected passes, and their markers go.
