@@ -59,7 +59,6 @@ class AffineSOCInstance:
     projection_tol: float = PROJECTION_TOL
     _geometry: Optional[SubspaceConeClass] = field(default=None, init=False, repr=False)
     _norm_A: float = field(default=0.0, init=False, repr=False)
-    #: (||A||_F sqrt(n), ||b||): ||g(x)|| is at most reach * max|x_j| + ||b||.
     _reach: tuple[float, float] = field(default=(0.0, 0.0), init=False, repr=False)
 
     def __post_init__(self):
@@ -117,15 +116,19 @@ class AffineSOCInstance:
 
     def _image(self, x: np.ndarray) -> np.ndarray:
         """``evaluate`` at a point that ``point``, or rows that
-        ``_point_rows``, checked.  The bound ``_reach`` clears the common
-        case; past it, g(x) is computed with numpy's overflow warning off
-        and held to the magnitude rule."""
-        reach, norm_b = self._reach
-        if reach * float(np.abs(x).max(initial=0.0)) + norm_b < _SQUARE_LIMIT:
+        ``_point_rows``, checked.  The bound ``_image_bound`` clears the
+        common case; past it, g(x) is computed with numpy's overflow warning
+        off and held to the magnitude rule."""
+        if self._image_bound(float(np.abs(x).max(initial=0.0))) < _SQUARE_LIMIT:
             return self._evaluate(x)
         with np.errstate(over="ignore", invalid="ignore"):
             y = self._evaluate(x)
         return _check_magnitude(y, "g(x) has", axis=-1)
+
+    def _image_bound(self, top: float) -> float:
+        """||A||_F sqrt(n) top + ||b||, a bound on ||g(x)|| if max|x_j| <= top."""
+        reach, norm_b = self._reach
+        return reach * top + norm_b
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         """g(x), unguarded, at a point (A x + b) or at (N, n) rows

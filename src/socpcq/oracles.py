@@ -19,26 +19,25 @@ Key design points:
 * A scan samples against the projector it is handed, whose construction
   was the scan's one point analysis, and makes one certified projector
   call for all radii together: the infeasible probe bases and the probes
-  of feasible bases.  A probe
-  p = z + h (x - z) / ub of an infeasible base x with anchor z lies on the
-  ray from z in Omega through x, so convexity and 1-Lipschitz continuity
-  of dist(., Omega) give dist(p, Omega) in
-  [h - max(1, h / ub) (ub - lb), ||p - z||] from the base's record
-  (ub, lb); p inherits ||p - z|| when that interval is within the
-  certified gap, the instance's projection_tol * max(1, ||p||).  The
-  uniform points are drawn and counted at every radius, but projected
-  only at a radius where no probe survived, since only there does their
-  ratio reach the record.  Those points, the probes whose interval is
-  wider and the probes of bases at distance 0 take one fallback call, so
-  every ratio still rests on a certified distance; a failure reports the
-  worst gap across the rows of its call.
+  of feasible bases.  The probe of an infeasible base x with anchor z and
+  record (ub, lb) is p = z + h (x - z) / ub, on the ray from z in Omega
+  through x, and the projector's ``_ray_distances`` decides, next to the
+  record and gap rule it rests on, whether p inherits ||p - z|| as its
+  distance.  The uniform points are drawn and counted at every radius,
+  but projected only at a radius where no probe survived, since only
+  there does their ratio reach the record.  Those points, the probes that
+  inherit nothing and the probes of bases at distance 0 take one fallback
+  call, so every ratio still rests on a certified distance; a failure
+  reports the worst gap across the rows of its call.
 * The scan checks its settings once, in ``mscq_kappa_scan``, which builds
-  the projector; its body ``_kappa_scan``, which the harness calls with
+  the projector and holds the largest radius to the instance's
+  ``_image_bound``; its body ``_kappa_scan``, which the harness calls with
   the settings it fixed and the projector of its trial point, fills its
-  draws in place and runs only private kernels on them: g(X) as
-  X A^T + b, ``soc_core._distance_rows`` and the projector's
-  ``_project_rows``.  It scales its draws by the radii and computes the
-  probe offsets on every call, and keeps no state between calls.
+  draws in place and runs only private kernels on them: the instance's
+  ``_evaluate``, ``soc_core._distance_rows`` and the projector's
+  ``_project_rows`` and ``_ray_distances``.  It scales its draws by the
+  radii and computes the probe offsets on every call, and keeps no state
+  between calls.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * Every seeded entry point (both scans, the brute-force classifier, the
@@ -203,36 +202,6 @@ def _scan_settings(radii, samples):
     return radii, _count(samples, "samples")
 
 
-def _anchored_probes(record, X, h, offsets, gap: float):
-    """Probes a distance ``h`` off the projections of the rows ``X``.
-
-    ``record`` is the projection (Z, ub, lb) of ``X``, certified at the
-    relative gap ``gap``.  A row with ub > 0 steps from its anchor z along
-    the exact outward normal, p = z + h (x - z) / ub, which carries the
-    worst ratios; the others step along their fixed random unit
-    ``offsets``, an array of the caller's that is overwritten with the
-    steps.  The normal probe lies on the ray from z in Omega through x, so
-    convexity and 1-Lipschitz continuity of dist(., Omega) along that ray
-    put
-
-        dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||],
-
-    and the probe inherits the upper end as its distance when the interval
-    is no wider than the same gap, ``gap`` * max(1, ||p||).  Returns
-    (probes, distances, inherited), the distances being valid on the
-    inherited rows only.
-    """
-    Z, ub, lb = record
-    normal = ub > 0.0
-    step = np.divide(X - Z, ub[:, None], out=offsets, where=normal[:, None])
-    probes = Z + h[:, None] * step
-    dist = _row_norms(probes - Z)
-    # The interval's width times ub, free of a division by a tiny ub.
-    width_ub = (dist - h) * ub + (ub - lb) * np.maximum(ub, h)
-    limit = gap * np.maximum(1.0, _row_norms(probes))
-    return probes, dist, normal & (width_ub <= limit * ub)
-
-
 #: The kappa scan's default radii and uniform samples per radius.
 _RADII = (1e-1, 1e-2, 1e-3)
 _SAMPLES_PER_RADIUS = 200
@@ -269,7 +238,7 @@ def mscq_kappa_scan(
     All radii go through one certified projector call: the infeasible
     probe bases and the probes of feasible bases (a feasible base is its
     own anchor).  A probe of an infeasible base inherits its distance from
-    its base's record by the interval of ``_anchored_probes``.  One
+    its base's record by the projector's ``_ray_distances``.  One
     fallback call takes the surviving probes that inherit no distance
     (their interval is wider than the projector's gap, or their base is at
     distance 0) and the kept uniform points of the radii where no probe
@@ -280,10 +249,10 @@ def mscq_kappa_scan(
     construction is also its one point analysis, and none when ``xbar`` is
     an analysis of ``instance``.  Every point the scan draws, projects or
     probes lies within 2 * radii[0] of ``xbar``; a largest radius that
-    could take such a point, or its image, past the magnitude rule raises
-    ``DimensionError`` before any draw, and so does a finest probe offset
-    below one ulp of ``xbar``'s largest entry, where the probes would round
-    onto their bases.
+    could take such a point, or its image by the instance's
+    ``_image_bound``, past the magnitude rule raises ``DimensionError``
+    before any draw, and so does a finest probe offset below one ulp of
+    ``xbar``'s largest entry, where the probes would round onto their bases.
     """
     seed = _count(seed, "seed", 0)
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
@@ -294,14 +263,13 @@ def mscq_kappa_scan(
 
 def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
     """``DimensionError`` unless every x within 2 * radii[0] of ``center``
-    obeys the magnitude rule and so does g(x), by the bound of
-    ``AffineSOCInstance._image``: ||g(x)|| <= reach * max|x_j| + ||b||;
-    and unless the finest probe offset is at least one ulp of
-    max|center_j|, so that the scan's points resolve from its center."""
-    reach, norm_b = instance._reach
+    obeys the magnitude rule and so does g(x), by the bound
+    ``AffineSOCInstance._image_bound`` that ``_image`` applies; and unless
+    the finest probe offset is at least one ulp of max|center_j|, so that
+    the scan's points resolve from its center."""
     top = float(np.abs(center).max())
     big = top + 2.0 * radii[0]
-    if max(big * math.sqrt(instance.n), reach * big + norm_b) >= _SQUARE_LIMIT:
+    if max(big * math.sqrt(instance.n), instance._image_bound(big)) >= _SQUARE_LIMIT:
         raise DimensionError(
             f"radius {radii[0]:g} takes the kappa scan's points or their images "
             "past the magnitude rule"
@@ -316,14 +284,16 @@ def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
 
 def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaScan:
     """``mscq_kappa_scan`` with settings that ``_scan_settings`` checked,
-    around ``projector.reference`` and against ``projector.instance``.
+    around ``projector.reference`` and against ``projector.instance``, at
+    radii that ``_check_scan_reach`` held to the instance's ``_image_bound``.
 
     Every array past the draws is built here from checked data, so the
-    scan runs the private kernels on it: g(X) = X A^T + b, the cone
-    distance ``_distance_rows`` and the projector's ``_project_rows``.
+    scan runs the private kernels on it: g(X) by the instance's
+    ``_evaluate``, the cone distance ``_distance_rows``, and the
+    projector's ``_project_rows`` and ``_ray_distances``.
     """
     instance, center = projector.instance, projector.reference
-    A, b, n = instance.A, instance.b, instance.n
+    n = instance.n
     k = len(radii)
     P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
 
@@ -350,7 +320,7 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     spread = np.multiply.outer(r, radial)
     spread[:, S:] = np.multiply.outer(0.9 * r, radial[S:])
     draws = center + dirs[: S + P] * spread[:, :, None]
-    dist_g = _distance_rows(draws.reshape(-1, n) @ A.T + b).reshape(k, S + P)
+    dist_g = _distance_rows(instance._evaluate(draws.reshape(-1, n))).reshape(k, -1)
     bases = draws[:, S:].reshape(k * P, n)
     h = _probe_offsets(radii)
     probes = (draws[:, S:] + h[:, None, None] * dirs[S + P :]).reshape(-1, n)
@@ -358,19 +328,20 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     near, far = np.flatnonzero(own), np.flatnonzero(~own)
 
     # The certified call: the infeasible bases and the probes of feasible
-    # bases.
+    # bases.  An infeasible base x with anchor z at distance ub > 0 plants
+    # its probe h along the exact outward normal, p = z + h (x - z) / ub,
+    # which carries the worst ratios; one at distance 0 keeps its random
+    # offset.
     Z, ub, lb = projector._project_rows(np.concatenate([bases[far], probes[near]]))
     dist_probe = np.zeros(k * P)
     dist_probe[near] = ub[far.size :]
-    probes[far], dist, inherited = _anchored_probes(
-        (Z[: far.size], ub[: far.size], lb[: far.size]),
-        bases[far],
-        h[far // P],
-        dirs[S + P + far % P],
-        instance.projection_tol,
-    )
+    Z, ub, lb = Z[: far.size], ub[: far.size], lb[: far.size]
+    h_far, offsets = h[far // P], dirs[S + P + far % P]
+    step = np.divide(bases[far] - Z, ub[:, None], out=offsets, where=ub[:, None] > 0.0)
+    probes[far] = Z + h_far[:, None] * step
+    dist, inherited = projector._ray_distances((Z, ub, lb), probes[far], h_far)
     dist_probe[far[inherited]] = dist[inherited]
-    dist_g[:, S:] = _distance_rows(probes @ A.T + b).reshape(k, P)
+    dist_g[:, S:] = _distance_rows(instance._evaluate(probes)).reshape(k, P)
     keep = dist_g > RATIO_DISTANCE_FLOOR
     probe_valid = keep[:, S:].sum(axis=1)
 
@@ -489,7 +460,7 @@ def fcr_dim_scan(
     dirs /= _row_norms(dirs, keepdims=True)
     dirs *= (radius * rng.random(samples) ** (1.0 / instance.n))[:, None]
     dirs += analysis.x
-    G, ok = _grad_rows(instance, X @ instance.A.T + instance.b)
+    G, ok = _grad_rows(instance, instance._evaluate(X))
     discarded = int((~ok).sum())
     norms = _row_norms(G[ok])
     dims = frozenset((norms > analysis.grad_floor).astype(int).tolist())

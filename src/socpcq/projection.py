@@ -12,7 +12,8 @@ whose geometry is the instance's cached SVD A = U_k Sigma V_k^T:
 * RCQ fails: g(Omega) lies on a single ray of the cone, spanned by the
   unit d = g(ref) / ||g(ref)|| at a boundary reference, by the ray of
   Im(A) at the vertex, and by none when Im(A) meets the cone only at 0.
-  When d is in Im(A), Omega = ref + null(A) + {s q : s >= -||g(ref)||}
+  When d is in Im(A) (``SubspaceConeClass._in_image``),
+  Omega = ref + null(A) + {s q : s >= -||g(ref)||}
   with q = A^+ d = V_k Sigma^-1 U_k^T d, a flat plus a half-line
   ("ray_flat"); otherwise A(z - ref) must vanish and
   Omega = ref + null(A) ("flat").  Both are projected in closed form.
@@ -147,9 +148,9 @@ batch.  Batches of two or more rows never take ``_project_row``.
 ``project_batch`` returns a ``BatchProjection``: per row the feasible
 point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
 and the closed-form geometries are exact, with lb = ub; on the Slater
-geometry lb is the dual bound above, capped at ub.  Callers that bound
-the distances of further points from these records (the kappa scan's
-probes) need no second projection.
+geometry lb is the dual bound above, capped at ub.  ``_ray_distances``
+bounds the distances of further points on the rays of a record (the
+kappa scan's probes), which then need no second projection.
 
 ``project_batch`` checks its rows ((N, n), the magnitude rule on the rows
 and their images) and ``project`` its one point; the private
@@ -363,17 +364,17 @@ class FeasibleSetProjector:
         rcq = _rcq(analysis)
         if not rcq.holds:
             geo = analysis.geometry
-            rows, U = geo.row_basis, geo.basis
+            rows = geo.row_basis
             d = None
             if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
                 y_norm = _norm(y_ref)
                 d = y_ref / y_norm
             elif geo.kind is SubspaceKind.RAY:
                 d, y_norm = geo.ray, 0.0
-            if d is not None and _norm(d - U @ (U.T @ d)) <= instance.tol:
+            if d is not None and geo._in_image(d, instance.tol):
                 # Omega = ref + null(A) + {s q : s >= -y_norm}, q = A^+ d.
                 self.geometry = _Geometry.RAY_FLAT
-                a = (d @ U) / geo.singular_values[: geo.rank]
+                a = (d @ geo.basis) / geo.singular_values[: geo.rank]
                 norm_a = _norm(a)
                 a_hat = a / norm_a
                 # Not V_k V_k^T - q_hat q_hat^T: this form is exactly zero
@@ -432,9 +433,7 @@ class FeasibleSetProjector:
         # A row can project onto the vertex preimage only when b is in Im(A).
         # The Slater point then lies in Im(A) too, so P_00 < 1/2.
         P, b = geo._null_proj, self.instance.b
-        vertex = float(P[0, 0]) < 0.5 and _norm(P @ b) <= self.instance.tol * max(
-            1.0, _norm(b)
-        )
+        vertex = float(P[0, 0]) < 0.5 and geo._in_image(b, self.instance.tol)
 
         scale = math.ldexp(1.0, -math.frexp(float(geo.singular_values[0]))[1])
         A, b = scale * self.instance.A, scale * b
@@ -596,6 +595,28 @@ class FeasibleSetProjector:
     def _gap_tol(self, ops, X):
         """The certified gap of each row x: projection_tol * max(1, ||x||)."""
         return self.instance.projection_tol * ops.max(1.0, ops.norm(X))
+
+    def _ray_distances(self, record, P, h):
+        """(dist, inherited): the distances to Omega of probes P that the
+        rows of ``record`` bound, and the rows where they are certified.
+
+        ``record`` is this projector's (Z, ub, lb) of rows X, and a probe of
+        a row with ub > 0 is p = z + h (x - z) / ub: h along the exact
+        outward normal from its anchor z.  It lies on the ray from z in
+        Omega through x, so convexity and 1-Lipschitz continuity of
+        dist(., Omega) along that ray put
+
+            dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||],
+
+        and p inherits the upper end when the interval is no wider than
+        the gap ``_gap_tol`` certifies at p.  A row with ub = 0 inherits
+        nothing.
+        """
+        Z, ub, lb = record
+        dist = _row_norms(P - Z)
+        # The interval's width times ub, free of a division by a tiny ub.
+        width_ub = (dist - h) * ub + (ub - lb) * np.maximum(ub, h)
+        return dist, (ub > 0.0) & (width_ub <= self._gap_tol(_ROWS, P) * ub)
 
     def _pull_inside(self, Z: np.ndarray, mz) -> np.ndarray:
         """Rows Z with negative margins ``mz`` (a column) moved into Omega.

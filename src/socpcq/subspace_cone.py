@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .soc_core import DEFAULT_TOL, _check_magnitude, _checked_tol
+from .soc_core import DEFAULT_TOL, _check_magnitude, _checked_tol, _norm
 
 #: A boundary ray of the image has t = sqrt(1/2); an image with t at most
 #: this touches the cone only at 0 at any tol, and t = 0 never divides.
@@ -74,6 +74,11 @@ class SubspaceConeClass:
     def _null_proj(self) -> np.ndarray:
         """I - U_k U_k^T, the projector onto null(A^T)."""
         return np.eye(len(self.basis)) - self.basis @ self.basis.T
+
+    def _in_image(self, v: np.ndarray, tol: float) -> bool:
+        """Is v in Im(A): ||v - U_k U_k^T v|| <= tol * max(1, ||v||)?"""
+        U = self.basis
+        return _norm(v - U @ (U.T @ v)) <= tol * max(1.0, _norm(v))
 
 
 def _validated_matrix(A) -> np.ndarray:

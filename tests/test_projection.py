@@ -879,6 +879,46 @@ def test_rank_one_boundary_ray_record_brackets_the_exact_distance():
     _assert_lone_record_brackets(inst, np.array([1e5]), np.array([1.7]))
 
 
+#: Rows that the projector refuses at rapidity 5, on
+#: ``random_instance(5, 3, "Thm4.4(iv)", 0)`` boosted along
+#: ``default_rng(1000).standard_normal(4)``, with the reference xbar.  The
+#: first is refused alone (gap 1.181e-8) and beside xbar (gap 1.795e-8);
+#: the other two are refused alone (gaps 1.214e-10 and 2.857e-8) but
+#: certified beside xbar, where the batch driver takes them.
+RAPIDITY_FIVE_ROWS = (
+    (-89.63426674233901, -35.6891532598047, 26.69496648549466),
+    (-0.6607066227093764, -0.3473086412693288, 0.06145423623269475),
+    (-91.51776735346589, 0.08137402785555811, 40.65821593124255),
+)
+_RAPIDITY_FIVE_REFUSED = pytest.mark.xfail(
+    strict=True,
+    raises=NumericalFailureError,
+    reason="boosted row refused at rapidity 5 (ROADMAP item 7)",
+)
+
+
+@pytest.mark.parametrize(
+    "row, beside_xbar",
+    [
+        pytest.param(0, False, marks=_RAPIDITY_FIVE_REFUSED),
+        pytest.param(0, True, marks=_RAPIDITY_FIVE_REFUSED),
+        pytest.param(1, False, marks=_RAPIDITY_FIVE_REFUSED),
+        (1, True),
+        pytest.param(2, False, marks=_RAPIDITY_FIVE_REFUSED),
+        (2, True),
+    ],
+)
+def test_rapidity_five_rows_are_certified(row, beside_xbar):
+    inst, xbar = random_instance(5, 3, "Thm4.4(iv)", 0)
+    boost = lorentz_boost(np.random.default_rng(1000).standard_normal(4), 5.0)
+    inst = transformed(inst, L=boost)[0]
+    x = np.array(RAPIDITY_FIVE_ROWS[row])
+    X = np.array([x, xbar]) if beside_xbar else x[None, :]
+    Z, ub, lb = FeasibleSetProjector(inst, xbar).project_batch(X)
+    assert ub[0] - lb[0] <= inst.projection_tol * max(1.0, float(np.linalg.norm(x)))
+    assert ub[0] == pytest.approx(float(np.linalg.norm(x - Z[0])))
+
+
 #: Rows xbar + 1e8 u of the far-row test that the projector refuses today:
 #: the multiplier lies far past the pole (ROADMAP item 20).  A fix there
 #: turns them into unexpected passes, and their markers go.
