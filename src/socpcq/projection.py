@@ -139,7 +139,9 @@ on the one row that ``project`` and ``project_to_feasible_set`` pass,
 through ``_ROW``, with the row's values in Python floats and its vectors
 in 1-D numpy, since numpy's per-call cost on length-1 arrays would
 dominate.  A driver keeps only its row selection and its table (row dot,
-row norm, the matrix applied to rows, select, min and max, ...); the two
+row norm, cone margin and projection, select, min and max, ...); no cone
+rule is restated: a row's margin is its table's ``margin`` entry, and the
+projection onto Q is ``soc_core._projection_rows`` in both.  The two
 tables sum some terms in different orders, so a lone row lands within
 rounding of the batch's record of it.  Its grid bracket and Newton start
 are a one-row batch's, bit for bit, and its hard case runs as a one-row
@@ -273,25 +275,13 @@ def _update_rows(mask, X, f, v):
     return X
 
 
-def _projection_row(mu: np.ndarray) -> np.ndarray:
-    """``soc_core._projection_rows`` on one row, its scalars in Python floats."""
-    mu0, norm_r = float(mu[0]), _norm(mu[1:])
-    if -mu0 >= norm_r:
-        return np.zeros_like(mu)
-    if mu0 < norm_r:
-        coef = 0.5 * (mu0 + norm_r)
-        mu = mu * (coef / norm_r)
-        mu[0] = coef
-    return mu
-
-
 #: The reductions of the batch driver ``_project_slater``: rows are an
 #: (N, k) array, a value per row an (N,) array.  ``apply(M, X)`` is M
 #: applied to each row, ``col`` a value per row as a column against rows,
 #: ``head`` the first coordinate, ``exponent`` the binary exponent,
 #: ``slope(W2, C, E)`` the sum of w_i^2 / E_i^3 (W2 = W * W, C = W / E),
-#: ``cone`` the projection onto Q, and ``update(mask, X, f, v)`` X with
-#: f(rows, v) in place of the rows where mask holds.
+#: ``margin`` y0 - ||y_r||, ``cone`` the projection onto Q, and
+#: ``update(mask, X, f, v)`` X with f(rows, v) where mask holds.
 _ROWS = SimpleNamespace(
     dot=lambda X, Y: np.einsum("ij,ij->i", X, Y),
     slope=lambda W2, C, E: (W2 / (E * E * E)).sum(axis=1),
@@ -306,6 +296,7 @@ _ROWS = SimpleNamespace(
     sqrt=np.sqrt,
     any=np.any,
     all=np.all,
+    margin=_margin_rows,
     cone=_projection_rows,
     update=_update_rows,
 )
@@ -313,9 +304,9 @@ _ROWS = SimpleNamespace(
 #: 1-D and its values Python floats, since numpy's per-call cost on
 #: length-1 arrays would dominate.  min and max keep their first argument
 #: against a NaN second, as np.fmin and np.fmax do.  The two tables sum in
-#: different orders (a BLAS dot against einsum; the slope as a dot against
-#: a pairwise sum), and each driver's records, and the pinned and golden
-#: outputs built on them, rest on its own order.
+#: different orders (a BLAS dot against einsum; the slope and the margin's
+#: norm as a dot against a pairwise sum), and each driver's records, and
+#: the pinned and golden outputs built on them, rest on its own order.
 _ROW = SimpleNamespace(
     dot=lambda x, y: float(x @ y),
     # A zero slope reads NaN, a step that never stays inside the bracket.
@@ -331,7 +322,8 @@ _ROW = SimpleNamespace(
     sqrt=math.sqrt,
     any=bool,
     all=bool,
-    cone=_projection_row,
+    margin=lambda g: float(g[0]) - _norm(g[1:]),
+    cone=lambda mu: _projection_rows(mu[None, :])[0],
     update=lambda mask, x, f, v: f(x, v) if mask else x,
 )
 
@@ -519,7 +511,7 @@ class FeasibleSetProjector:
         Z_out = X.copy()
         ub_out = np.zeros(X.shape[0])
         lb_out = np.zeros(X.shape[0])
-        todo = np.flatnonzero(_margin_rows(GX) < 0.0)
+        todo = np.flatnonzero(_ROWS.margin(GX) < 0.0)
         if todo.size == 0:
             return BatchProjection(Z_out, ub_out, lb_out)
         # From here on, images are those of the scaled data.
@@ -566,7 +558,7 @@ class FeasibleSetProjector:
         (z, ub, lb), z a new array.  The same stages and certificate
         through ``_ROW``; its psi(0) and ``_hard_case`` run on the row as a
         one-row batch."""
-        if not float(g[0]) - _norm(g[1:]) < 0.0:
+        if not _ROW.margin(g) < 0.0:
             return x.copy(), 0.0, 0.0
         sd = self._slater
         gs = sd.scale * g
@@ -643,7 +635,7 @@ class FeasibleSetProjector:
         candidate z, which keeps its relative precision when ||A^T mu|| is
         small and x is far away.  A row with ||A^T mu|| <= 1e-300 gets 0.
         """
-        mz = ops.head(G) - ops.norm(G[..., 1:])
+        mz = ops.margin(G)
         Zf = ops.update(mz < 0.0, Z, self._pull_inside, mz)
         AtMu = Mu @ self._slater.A
         num = -ops.dot(Mu, G) - ops.dot(AtMu, X - Z)

@@ -181,6 +181,53 @@ def test_identity_instance_matches_cone_projector():
     assert np.max(np.abs(D - np.linalg.norm(X - exact, axis=1))) < 1e-9
 
 
+#: Images of margin exactly 0 on IDENTITY: a boundary point and a
+#: Pythagorean one, both on Q.
+MARGIN_TIES = np.array([[5.0, 3.0, 4.0], [1.0, 1.0, 0.0]])
+
+
+def test_margin_ties_are_their_own_projection_in_both_drivers():
+    # Both drivers select rows by margin < 0 (their tables' ``margin``
+    # entries), so a row of margin exactly 0 is feasible: it is its own
+    # point, with ub = lb = 0, alone and in a batch, and it needs no Slater
+    # data.
+    assert not _margin_rows(MARGIN_TIES).any()
+    proj = FeasibleSetProjector(IDENTITY, np.array([1.0, 0.0, 0.0]))
+    for X in (MARGIN_TIES[:1], MARGIN_TIES[1:], MARGIN_TIES):
+        Z, ub, lb = proj.project_batch(X)
+        assert np.array_equal(Z, X) and not ub.any() and not lb.any()
+    assert "_slater" not in vars(proj)
+    X = np.vstack([MARGIN_TIES, [[0.0, 3.0, 4.0]]])
+    Z, ub, lb = proj.project_batch(X)
+    assert np.array_equal(Z[:2], MARGIN_TIES) and ub[2] > 0.0
+    assert not ub[:2].any() and not lb[:2].any()
+
+
+def test_record_leaves_a_margin_tie_in_place(monkeypatch):
+    # ``_record`` pulls in only candidates of margin < 0: one of margin
+    # exactly 0 is never handed to ``_pull_inside``, in either table, along
+    # the recession ray (identity) or with the interior blend (ellipse).
+    def pull_inside(self, Z, mz):
+        raise AssertionError(f"pulled in at margin {mz}")
+
+    monkeypatch.setattr(FeasibleSetProjector, "_pull_inside", pull_inside)
+    mu = np.array([1.0, -0.6, -0.8])
+    for inst, ref, Z in (
+        (IDENTITY, np.array([1.0, 0.0, 0.0]), MARGIN_TIES),
+        (ELLIPSE, np.zeros(2), np.array([[0.0, 1.0], [2.0, 0.0]])),
+    ):
+        proj = FeasibleSetProjector(inst, ref)
+        sd = proj._slater
+        G = Z @ sd.A.T + sd.b
+        assert not _margin_rows(G).any()
+        X = Z + 1.0
+        Zf, ub, _ = proj._record(projection._ROWS, X, Z, G, np.tile(mu, (2, 1)))
+        assert np.array_equal(Zf, Z) and np.array_equal(ub, np.linalg.norm(X - Z, axis=1))
+        for x, z, g in zip(X, Z, G):
+            zf, _, _ = proj._record(projection._ROW, x, z, g, mu)
+            assert np.array_equal(zf, z)
+
+
 @pytest.mark.parametrize("e", [-100, -60, 0, 50, 80, 100, 150])
 def test_slater_projection_holds_at_extreme_scales(e):
     # Scaling (A, b) leaves Omega unchanged.  On 10^e (A, b) the secular

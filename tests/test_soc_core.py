@@ -73,6 +73,21 @@ def test_projection_hand_cases():
     assert distance_to_cone(y) == 0.0
 
 
+def test_cone_kernel_exact_ties():
+    # Margin exactly 0 reads as a cone point: distance 0, its own
+    # projection.  y0 exactly -||y_r|| reads as polar: the vertex, at
+    # distance ||y||, as one row and in a batch.  At (-13, 5, 12) the side
+    # shows in the last bit: sqrt(1/2) (||y_r|| - y0) rounds to one ulp
+    # above sqrt(338).
+    ties = np.array([[5.0, 3.0, 4.0], [1.0, 1.0, 0.0]])
+    assert np.array_equal(_projection_rows(ties), ties)
+    assert not _distance_rows(ties).any()
+    for polar, norm2 in (([-5.0, 3.0, 4.0], 50.0), ([-13.0, 5.0, 12.0], 338.0)):
+        for rows in (np.array([polar]), np.vstack([ties, polar])):
+            assert not _projection_rows(rows)[-1].any()
+            assert _distance_rows(rows)[-1] == np.sqrt(norm2)
+
+
 def test_margin_and_classification():
     assert cone_margin(np.array([2.0, 1.0, 0.0])) == pytest.approx(1.0)
     assert classify_cone_point(np.array([3.0, 0.0, 0.0])) is ConeLocation.INTERIOR
