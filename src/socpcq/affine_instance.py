@@ -214,8 +214,3 @@ def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
         grad = _grad_rows(instance, y[None, :])[0][0]
     return PointAnalysis(instance, x, y, loc, grad)
 
-
-def _feasible_image(instance: AffineSOCInstance, y: np.ndarray) -> bool:
-    """Is the checked image y = g(x) not OUTSIDE the cone at the instance's
-    ``tol``?  The rule by which ``analyze_point`` accepts a point."""
-    return _location(y, instance.tol) is not ConeLocation.OUTSIDE

@@ -44,12 +44,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .affine_instance import (
-    _TOLERANCES,
-    AffineSOCInstance,
-    _feasible_image,
-    analyze_point,
-)
+from .affine_instance import _TOLERANCES, AffineSOCInstance, analyze_point
 from .cq_checker import CQReport, full_report
 from .errors import (
     DimensionError,
@@ -470,15 +465,15 @@ def cmd_harness(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .projection import _project_outside
+    from .projection import _is_own_projection, _project_outside
 
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     instance = doc.instance
     # The document checked its points; ``_image`` checks their images.
     y = instance._image(x)
-    if _feasible_image(instance, y):
-        # A feasible x is its own projection and needs no reference.
+    if _is_own_projection(y):
+        # x is its own projection and needs no reference.
         z, dist = x, 0.0
     else:
         # The reference is the first point that ``analyze_point`` accepts,

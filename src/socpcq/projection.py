@@ -56,17 +56,18 @@ alpha = t^2, t = ||U_k[0]|| the number that classifies Im(A) in
   has margin at least L / 2 when L > 0.
 
 A feasible reference, when none is given, is the least-squares vertex
--A^+ b or else the slice point of the matching case; when neither is
-feasible, the supremum is negative, or zero and not attained, and the set
-is empty.  The search and the Slater data below read pinv(A^T) and
-I - U_k U_k^T off the instance's SVD record, computed once per instance,
-and the vertex stage the ``_margin_frame`` of its slice off the Slater
-data.  The Slater projector needs an interior point only when there is no
-recession ray: an interior reference is its own, otherwise the slice
-point of its image supplies one.  All of this Slater data is built on
-the first batch with an infeasible row: feasible rows are their own
-projections, so a projector that only ever sees feasible rows never needs
-it.
+-A^+ b or else the slice point of the matching case, whichever
+``analyze_point`` accepts first, and the projector reads that analysis;
+when it accepts neither, the supremum is negative, or zero and not
+attained, and the set is empty.  The search and the Slater data below read
+pinv(A^T) and I - U_k U_k^T off the instance's SVD record, computed once
+per instance, and the vertex stage the ``_margin_frame`` of its slice off
+the Slater data.  The Slater projector needs an interior point only when
+there is no recession ray: an interior reference is its own, otherwise
+the slice point of its image supplies one.  All of this Slater data is
+built on the first batch with an infeasible row: feasible rows are their
+own projections, so a projector that only ever sees feasible rows never
+needs it.
 
 Slater geometry.  Write g(z) = Az + b, J = diag(1, -1, ..., -1),
 M = A^T J A, c = A^T J b and beta = b^T J b.  The projection z of an
@@ -158,10 +159,12 @@ kappa scan's probes), which then need no second projection.
 and their images) and ``project`` its one point; the private
 ``_project_rows`` behind both trusts them, and the kappa scan and
 ``project_to_feasible_set`` call it directly on the rows they checked,
-each entry with the images it checked, when it holds them.  The body of
-``project_to_feasible_set`` past its feasibility test, ``_project_outside``,
-takes a checked point and its image, so ``socpcq project`` evaluates its
-point once.
+each entry with the images it checked, when it holds them.  A point is
+its own projection only when its image lies in Q, by the lone driver's
+margin rule ``_is_own_projection``, which ``project_to_feasible_set`` and
+``socpcq project`` apply too.  The body of ``project_to_feasible_set`` past
+that test, ``_project_outside``, takes a checked point and its image, so
+``socpcq project`` evaluates its point once.
 Inside, every margin, cone projection and point location runs the private
 kernels of ``soc_core`` on arrays computed here, without a second check.
 """
@@ -177,9 +180,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine_instance import AffineSOCInstance, _feasible_image, analyze_point
+from .affine_instance import AffineSOCInstance, PointAnalysis, analyze_point
 from .cq_checker import _rcq
-from .errors import NumericalFailureError
+from .errors import InfeasiblePointError, NumericalFailureError
 from .soc_core import (  # PROJECTION_TOL is re-exported
     PROJECTION_TOL,
     ConeLocation,
@@ -558,7 +561,7 @@ class FeasibleSetProjector:
         (z, ub, lb), z a new array.  The same stages and certificate
         through ``_ROW``; its psi(0) and ``_hard_case`` run on the row as a
         one-row batch."""
-        if not _ROW.margin(g) < 0.0:
+        if _is_own_projection(g):
             return x.copy(), 0.0, 0.0
         sd = self._slater
         gs = sd.scale * g
@@ -898,56 +901,61 @@ def _slice_step(instance: AffineSOCInstance, y: np.ndarray):
     return (tau / geo.ray[0]) * (geo.ray @ geo._pinv_t), sup
 
 
-def _search_feasible_reference(instance: AffineSOCInstance) -> np.ndarray:
-    """A feasible point: the least-squares vertex -A^+ b, else the slice point.
+def _search_feasible_reference(instance: AffineSOCInstance) -> PointAnalysis:
+    """The analysis of a feasible point: the least-squares vertex -A^+ b,
+    else the slice point.
 
-    Each candidate passes the feasibility rule of ``analyze_point``.  When
-    neither does, the supremum of the cone margin over b + Im(A) is
-    negative, or zero and not attained: the set is empty, and the
-    ``NumericalFailureError`` carries the supremum as its residual.
+    ``analyze_point`` decides each candidate.  When it accepts neither,
+    the supremum of the cone margin over b + Im(A) is negative, or zero
+    and not attained: the set is empty, and the ``NumericalFailureError``
+    carries the supremum as its residual.
     """
     z = -(instance.b @ instance.geometry()._pinv_t)
-    y = instance.evaluate(z)
-    if _feasible_image(instance, y):
-        return z
-    step, sup = _slice_step(instance, y)
-    z = z + step
-    if _feasible_image(instance, instance.evaluate(z)):
-        return z
-    raise NumericalFailureError(
-        f"the feasible set is empty: the cone margin on b + Im(A) has "
-        f"supremum {sup:.6g}",
-        sup,
-    )
+    try:
+        return analyze_point(instance, z)
+    except InfeasiblePointError:
+        pass
+    step, sup = _slice_step(instance, instance.evaluate(z))
+    try:
+        return analyze_point(instance, z + step)
+    except InfeasiblePointError:
+        raise NumericalFailureError(
+            f"the feasible set is empty: the cone margin on b + Im(A) has "
+            f"supremum {sup:.6g}",
+            sup,
+        ) from None
 
 
-def project_to_feasible_set(
-    instance: AffineSOCInstance,
-    x,
-    reference=None,
-) -> tuple[np.ndarray, float]:
+def _is_own_projection(g: np.ndarray) -> bool:
+    """Is a point with the image g its own projection?  Only when g lies in
+    Q: its margin, as ``_ROW`` computes it, is not below 0."""
+    return not _ROW.margin(g) < 0.0
+
+
+def project_to_feasible_set(instance: AffineSOCInstance, x) -> tuple[np.ndarray, float]:
     """Project ``x`` onto the feasible set; returns (point, distance).
 
-    A feasible ``reference``, a point or a ``PointAnalysis`` of the
-    instance, pins down the global shape of the feasible set.  Without one, the routine finds a reference in closed form (the
+    A point whose image lies in the cone is its own projection, by the
+    rule of ``_is_own_projection``.  Any other point is projected from a
+    feasible reference that the routine finds in closed form (the
     least-squares vertex or the best point of the image slice, see the
-    module docstring), or raises ``NumericalFailureError`` with the
-    supremum of the cone margin as the certificate that the set is empty.
-    The certified gap is the instance's ``projection_tol``; the shape
-    decision, and the feasibility of ``x`` itself, use its ``tol``: a point
-    whose image is not OUTSIDE the cone at that tolerance is its own
-    projection.
+    module docstring), or the routine raises ``NumericalFailureError``
+    with the supremum of the cone margin as the certificate that the set
+    is empty.  The instance's ``tol`` decides whether that reference is
+    feasible and the shape of the feasible set; its ``projection_tol`` is
+    the certified gap of the distance.
     """
     x = instance.point(x)
     y = instance._image(x)
-    if _feasible_image(instance, y):
+    if _is_own_projection(y):
         return x.copy(), 0.0
-    return _project_outside(instance, x, y, reference)
+    return _project_outside(instance, x, y, None)
 
 
 def _project_outside(instance, x, y, reference) -> tuple[np.ndarray, float]:
     """``project_to_feasible_set`` of a checked ``x`` whose image ``y`` lies
-    outside the cone."""
+    outside the cone, from ``reference`` (a point or ``PointAnalysis``),
+    or, when that is None, from the one the search finds."""
     if reference is None:
         reference = _search_feasible_reference(instance)
     projector = FeasibleSetProjector(instance, reference)

@@ -1200,6 +1200,32 @@ def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):
     assert dist <= float(np.linalg.norm(x - xbar)) * (1.0 + 1e-12)
 
 
+def test_project_point_within_tol_of_a_degenerate_boundary(capsys, tmp_path):
+    # g(x) lies 2.6e-11 from the cone, inside the document's tol, but x lies
+    # 8.6e-6 off Omega: it is projected, to the xbar projector's distance.
+    from socpcq import FeasibleSetProjector
+
+    inst, xbar = random_instance(3, 2, "degenerate-boundary", 0)
+    x = xbar + 1e-5 * inst.geometry().row_basis[0]
+    doc = {
+        "m": 3,
+        "n": 2,
+        "A": inst.A.tolist(),
+        "b": inst.b.tolist(),
+        "points": {"xbar": xbar.tolist(), "x": x.tolist()},
+    }
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "project", str(path), "x")
+    assert (code, err) == (EXIT_OK, "")
+    lines = dict(line.split(" = ", 1) for line in out.splitlines())
+    dist = float(lines["dist(x, Omega)"])
+    assert dist == pytest.approx(8.64952103482e-06, rel=1e-9)
+    _, d_xbar = FeasibleSetProjector(inst, xbar).project(x)
+    assert abs(dist - d_xbar) <= inst.projection_tol
+    assert float(lines["dist(g(x), Q_m)"]) < inst.tol
+
+
 @pytest.mark.parametrize("with_origin", [False, True])
 def test_project_uses_document_tol_without_feasible_point(
     capsys, tmp_path, with_origin

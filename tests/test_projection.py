@@ -19,6 +19,7 @@ from socpcq import (
     FeasibleSetProjector,
     InfeasiblePointError,
     NumericalFailureError,
+    analyze_point,
     distance_to_cone,
     project_to_feasible_set,
     random_instance,
@@ -926,12 +927,48 @@ def test_rank_one_boundary_ray_record_brackets_the_exact_distance():
     _assert_lone_record_brackets(inst, np.array([1e5]), np.array([1.7]))
 
 
+def _rank_one_ray_draw(index):
+    """Draw ``index`` of a random wrapper family: (instance, x).  Every
+    third draw has A = r a^T with r a boundary direction of the cone."""
+    rng = np.random.default_rng(99)
+    for i in range(index + 1):
+        m = int(rng.integers(3, 7))
+        n = int(rng.integers(1, m))
+        if i % 3 == 2:
+            u = rng.standard_normal(m - 1)
+            r = np.concatenate([[1.0], u / np.linalg.norm(u)]) / np.sqrt(2.0)
+            A = np.outer(r, rng.standard_normal(n))
+        else:
+            A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m) * [0.1, 1.0, 10.0][i % 3]
+        x = rng.standard_normal(n) * 3.0
+    return AffineSOCInstance(A, b), x
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalFailureError,
+    reason="rank-one light-like image far from Omega (ROADMAP item 20)",
+)
+@pytest.mark.parametrize("index", [593, 1520, 1970, 2744])
+def test_rank_one_ray_rows_are_certified(index):
+    # A = r a^T, r on a boundary ray, b outside Im A, and x 760 to 5,282
+    # from Omega.  M = A^T J A has only rounding-level eigenvalues, and the
+    # wrapper refuses the row with gaps of 1.6e-9 to 4.4e-8.
+    inst, x = _rank_one_ray_draw(index)
+    z, d = project_to_feasible_set(inst, x)
+    assert d == pytest.approx(float(np.linalg.norm(x - z)))
+
+
 #: Rows that the projector refuses at rapidity 5, on
 #: ``random_instance(5, 3, "Thm4.4(iv)", 0)`` boosted along
 #: ``default_rng(1000).standard_normal(4)``, with the reference xbar.  The
 #: first is refused alone (gap 1.181e-8) and beside xbar (gap 1.795e-8);
 #: the other two are refused alone (gaps 1.214e-10 and 2.857e-8) but
-#: certified beside xbar, where the batch driver takes them.
+#: certified beside xbar.  For those two the image decides, not the
+#: driver: X A^T on the rows [x, xbar] rounds g(x) 4.4e-16 and 1.1e-13
+#: away from the one-row product, and from either image both drivers
+#: reach the same verdict.
 RAPIDITY_FIVE_ROWS = (
     (-89.63426674233901, -35.6891532598047, 26.69496648549466),
     (-0.6607066227093764, -0.3473086412693288, 0.06145423623269475),
@@ -964,6 +1001,25 @@ def test_rapidity_five_rows_are_certified(row, beside_xbar):
     Z, ub, lb = FeasibleSetProjector(inst, xbar).project_batch(X)
     assert ub[0] - lb[0] <= inst.projection_tol * max(1.0, float(np.linalg.norm(x)))
     assert ub[0] == pytest.approx(float(np.linalg.norm(x - Z[0])))
+
+
+def _rapidity_five_instance():
+    inst, xbar = random_instance(5, 3, "Thm4.4(iv)", 0)
+    boost = lorentz_boost(np.random.default_rng(1000).standard_normal(4), 5.0)
+    return transformed(inst, L=boost)[0], xbar
+
+
+@pytest.mark.parametrize("row", [1, 2])
+def test_rapidity_five_rows_certify_from_their_two_row_image(row):
+    # Fed the image that the batch [x, xbar] computes, the lone-row driver
+    # certifies the row too (gaps 9.06e-11 and 9.88e-9), as the batch does.
+    inst, xbar = _rapidity_five_instance()
+    x = np.array(RAPIDITY_FIVE_ROWS[row])
+    two_row_image = inst._image(np.array([x, xbar]))
+    _, ub, lb = FeasibleSetProjector(inst, xbar)._project_rows(
+        x[None, :], two_row_image[:1]
+    )
+    assert ub[0] - lb[0] <= inst.projection_tol * max(1.0, float(np.linalg.norm(x)))
 
 
 #: Rows xbar + 1e8 u of the far-row test that the projector refuses today:
@@ -1073,17 +1129,41 @@ def test_wrapper_short_circuits_on_feasible_input():
     assert d == 0.0
 
 
-def test_wrapper_takes_rounding_level_points_as_feasible(monkeypatch):
-    # g(x) = (1 - 1e-15, 1, 0) is outside the cone only by rounding: inside
-    # the instance's tol band it is its own projection, with no projector.
+def test_wrapper_projects_rounding_level_points():
+    # g(x) = (1 - 1e-15, 1, 0) lies outside the cone only by rounding, inside
+    # the instance's tol band: analyze_point accepts x, but x is no point of
+    # Omega, so the wrapper projects it, to the projector's distance at e0.
     x = np.array([1.0 - 1e-15, 1.0, 0.0])
     assert _margin_rows(IDENTITY.evaluate(x)[None, :])[0] < 0.0
-    builds = []
-    monkeypatch.setattr(FeasibleSetProjector, "__init__", builds.append)
+    assert analyze_point(IDENTITY, x).location.value == "positive_boundary"
     z, d = project_to_feasible_set(IDENTITY, x)
-    assert np.array_equal(z, x)
-    assert d == 0.0
-    assert builds == []
+    z_e0, d_e0 = FeasibleSetProjector(IDENTITY, np.array([1.0, 0.0, 0.0])).project(x)
+    assert np.array_equal(z, z_e0)
+    assert d == d_e0 == pytest.approx(7.1e-16, rel=0.01)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("seed", range(30))
+def test_wrapper_projects_points_within_tol_of_a_degenerate_boundary(seed, eps):
+    # x = xbar + eps v, v the first row of V_k: g(x) lies within tol of the
+    # cone, but x lies up to eps off Omega, which has no interior.  The
+    # wrapper must give the xbar projector's distance, not 0.
+    inst, xbar = random_instance(3 + seed % 4, 2 + seed % 3, "degenerate-boundary", seed)
+    x = xbar + eps * inst.geometry().row_basis[0]
+    _, d = project_to_feasible_set(inst, x)
+    _, d_xbar = FeasibleSetProjector(inst, xbar).project(x)
+    assert abs(d - d_xbar) <= inst.projection_tol * max(1.0, float(np.linalg.norm(x)))
+
+
+def test_wrapper_projects_a_reference_outside_the_cone_by_rounding():
+    # g(xbar) has norm 3.0e-15 and margin -3.0e-15 on the rapidity-5
+    # instance: the wrapper projects xbar, as the projector at xbar does.
+    inst, xbar = _rapidity_five_instance()
+    assert _margin_rows(inst.evaluate(xbar)[None, :])[0] < 0.0
+    z, d = project_to_feasible_set(inst, xbar)
+    z_xbar, d_xbar = FeasibleSetProjector(inst, xbar).project(xbar)
+    assert np.array_equal(z, z_xbar)
+    assert d == d_xbar > 0.0
 
 
 def test_wrapper_finds_vertex_reference():
