@@ -26,10 +26,10 @@ from .soc_core import (
     ConeLocation,
     _check_magnitude,
     _checked_tol,
+    _distance_rows,
     _location,
     _norm,
     _reducible_rows,
-    distance_to_cone,
 )
 from .subspace_cone import SubspaceConeClass, _classify
 
@@ -205,7 +205,7 @@ def analyze_point(instance: AffineSOCInstance, x) -> PointAnalysis:
     y = instance._image(x)
     loc = _location(y, instance.tol)
     if loc is ConeLocation.OUTSIDE:
-        distance = distance_to_cone(y)
+        distance = _distance_rows(y[None, :])[0]
         raise InfeasiblePointError(
             f"g(x) lies outside the cone (distance {distance:.3e})", distance
         )

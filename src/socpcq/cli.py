@@ -465,29 +465,24 @@ def cmd_harness(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .projection import _is_own_projection, _project_outside
+    from .projection import _project_point
 
     doc = parse_instance(args.instance)
     x = _named_point(doc, args.point)
     instance = doc.instance
     # The document checked its points; ``_image`` checks their images.
     y = instance._image(x)
-    if _is_own_projection(y):
-        # x is its own projection and needs no reference.
-        z, dist = x, 0.0
-    else:
-        # The reference is the first point that ``analyze_point`` accepts,
-        # so a boundary point that rounding leaves just outside the cone
-        # qualifies; the projector reads its analysis instead of redoing it,
-        # and reads x and y as checked here instead of evaluating x again.
-        reference = None
-        for p in doc.points.values():
-            try:
-                reference = analyze_point(instance, p)
-                break
-            except InfeasiblePointError:
-                pass
-        z, dist = _project_outside(instance, x, y, reference)
+    # The reference is the first point in document order that
+    # ``analyze_point`` accepts, which can be x itself; the projector reads
+    # its analysis, and x and y as checked here, without redoing them.
+    reference = None
+    for p in doc.points.values():
+        try:
+            reference = analyze_point(instance, p)
+            break
+        except InfeasiblePointError:
+            pass
+    z, dist = _project_point(instance, x, y, reference)
     dist_g = float(_distance_rows(y[None, :])[0])
     print(f"z = {z.tolist()}")
     print(f"dist(x, Omega) = {dist:.12g}")

@@ -159,12 +159,12 @@ kappa scan's probes), which then need no second projection.
 and their images) and ``project`` its one point; the private
 ``_project_rows`` behind both trusts them, and the kappa scan and
 ``project_to_feasible_set`` call it directly on the rows they checked,
-each entry with the images it checked, when it holds them.  A point is
-its own projection only when its image lies in Q, by the lone driver's
-margin rule ``_is_own_projection``, which ``project_to_feasible_set`` and
-``socpcq project`` apply too.  The body of ``project_to_feasible_set`` past
-that test, ``_project_outside``, takes a checked point and its image, so
-``socpcq project`` evaluates its point once.
+each entry with the images it checked, when it holds them.  Only the
+projector decides whether a point is its own projection: the Slater
+drivers when its image lies in Q by their table's margin, the flat shapes
+by their closed form.  ``project_to_feasible_set`` projects every point
+from a reference; its body, ``_project_point``, takes a checked point and
+its image, so ``socpcq project`` evaluates its point once.
 Inside, every margin, cone projection and point location runs the private
 kernels of ``soc_core`` on arrays computed here, without a second check.
 """
@@ -561,7 +561,7 @@ class FeasibleSetProjector:
         (z, ub, lb), z a new array.  The same stages and certificate
         through ``_ROW``; its psi(0) and ``_hard_case`` run on the row as a
         one-row batch."""
-        if _is_own_projection(g):
+        if not _ROW.margin(g) < 0.0:          # as ``_project_slater``'s todo
             return x.copy(), 0.0, 0.0
         sd = self._slater
         gs = sd.scale * g
@@ -926,36 +926,26 @@ def _search_feasible_reference(instance: AffineSOCInstance) -> PointAnalysis:
         ) from None
 
 
-def _is_own_projection(g: np.ndarray) -> bool:
-    """Is a point with the image g its own projection?  Only when g lies in
-    Q: its margin, as ``_ROW`` computes it, is not below 0."""
-    return not _ROW.margin(g) < 0.0
-
-
 def project_to_feasible_set(instance: AffineSOCInstance, x) -> tuple[np.ndarray, float]:
     """Project ``x`` onto the feasible set; returns (point, distance).
 
-    A point whose image lies in the cone is its own projection, by the
-    rule of ``_is_own_projection``.  Any other point is projected from a
-    feasible reference that the routine finds in closed form (the
-    least-squares vertex or the best point of the image slice, see the
-    module docstring), or the routine raises ``NumericalFailureError``
-    with the supremum of the cone margin as the certificate that the set
-    is empty.  The instance's ``tol`` decides whether that reference is
-    feasible and the shape of the feasible set; its ``projection_tol`` is
-    the certified gap of the distance.
+    Every point, feasible or not, is projected from a feasible reference
+    that the routine finds in closed form (the least-squares vertex or the
+    best point of the image slice, see the module docstring), or the
+    routine raises ``NumericalFailureError`` with the supremum of the cone
+    margin as the certificate that the set is empty.  The instance's
+    ``tol`` decides whether that reference is feasible and the shape of the
+    feasible set; its ``projection_tol`` is the certified gap of the
+    distance.
     """
     x = instance.point(x)
-    y = instance._image(x)
-    if _is_own_projection(y):
-        return x.copy(), 0.0
-    return _project_outside(instance, x, y, None)
+    return _project_point(instance, x, instance._image(x), None)
 
 
-def _project_outside(instance, x, y, reference) -> tuple[np.ndarray, float]:
-    """``project_to_feasible_set`` of a checked ``x`` whose image ``y`` lies
-    outside the cone, from ``reference`` (a point or ``PointAnalysis``),
-    or, when that is None, from the one the search finds."""
+def _project_point(instance, x, y, reference) -> tuple[np.ndarray, float]:
+    """``project_to_feasible_set`` of a checked ``x`` with its image ``y``,
+    from ``reference`` (a point or ``PointAnalysis``), or, when that is
+    None, from the one the search finds."""
     if reference is None:
         reference = _search_feasible_reference(instance)
     projector = FeasibleSetProjector(instance, reference)

@@ -1151,10 +1151,11 @@ def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):
     assert sum(np.array_equal(x, [0.0, 3.0, 4.0]) for x in images) == 1
 
 
-def test_project_searches_a_reference_only_for_an_infeasible_point(capsys, tmp_path):
-    # The point "big" has an image past the magnitude rule.  A feasible x is
-    # its own projection and needs no reference, so only the search for the
-    # infeasible y's reference meets "big" and exits 2.
+def test_project_reads_the_points_in_order_for_any_point(capsys, tmp_path):
+    # The point "big" has an image past the magnitude rule.  Every point is
+    # projected from the first point in document order that analyze_point
+    # accepts, so the feasible x meets "big" as the infeasible y does, and
+    # both exit 2.
     path = tmp_path / "big.json"
     path.write_text(
         json.dumps(
@@ -1167,12 +1168,28 @@ def test_project_searches_a_reference_only_for_an_infeasible_point(capsys, tmp_p
             }
         )
     )
+    for name in ("x", "y"):
+        code, out, err = run_cli(capsys, "project", str(path), name)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "overflows" in err
+
+
+def test_project_measures_a_point_whose_image_passes_the_cone_test(capsys, tmp_path):
+    # On a degenerate boundary Omega is a flat: x = xbar + 1e-7 V_k[0] has
+    # an image of cone margin 0.0, yet lies 9.99e-8 off Omega, as the flat
+    # projector from xbar gives it.
+    inst, xbar = random_instance(5, 4, "degenerate-boundary", 26)
+    x = xbar + 1e-7 * inst.geometry().row_basis[0]
+    assert _margin_rows(inst.evaluate(x)[None, :])[0] == 0.0
+    path = tmp_path / "flat.json"
+    doc = {"m": 5, "n": 4, "A": inst.A.tolist(), "b": inst.b.tolist()}
+    path.write_text(json.dumps({**doc, "points": {"xbar": xbar.tolist(), "x": x.tolist()}}))
     code, out, err = run_cli(capsys, "project", str(path), "x")
     assert (code, err) == (EXIT_OK, "")
-    assert out.splitlines()[1:] == ["dist(x, Omega) = 0", "dist(g(x), Q_m) = 0"]
-    code, out, err = run_cli(capsys, "project", str(path), "y")
-    assert (code, out) == (EXIT_PARSE, "")
-    assert "overflows" in err
+    assert out.splitlines()[1:] == [
+        "dist(x, Omega) = 9.99088586177e-08",
+        "dist(g(x), Q_m) = 0",
+    ]
 
 
 def test_project_from_rounded_degenerate_boundary_reference(capsys, tmp_path):
