@@ -473,14 +473,15 @@ def cmd_project(args) -> int:
     # The document checked its points; ``_image`` checks their images.
     y = instance._image(x)
     # The reference is the first point in document order that
-    # ``analyze_point`` accepts, which can be x itself; the projector reads
-    # its analysis, and x and y as checked here, without redoing them.
+    # ``analyze_point`` accepts (an overflowing image is no reference), which
+    # can be x itself; the projector reads its analysis, and x and y as
+    # checked here, without redoing them.
     reference = None
     for p in doc.points.values():
         try:
             reference = analyze_point(instance, p)
             break
-        except InfeasiblePointError:
+        except (InfeasiblePointError, DimensionError):
             pass
     z, dist = _project_point(instance, x, y, reference)
     dist_g = float(_distance_rows(y[None, :])[0])

@@ -144,9 +144,11 @@ row norm, cone margin and projection, select, min and max, ...); no cone
 rule is restated: a row's margin is its table's ``margin`` entry, and the
 projection onto Q is ``soc_core._projection_rows`` in both.  The two
 tables sum some terms in different orders, so a lone row lands within
-rounding of the batch's record of it.  Its grid bracket and Newton start
-are a one-row batch's, bit for bit, and its hard case runs as a one-row
-batch.  Batches of two or more rows never take ``_project_row``.
+rounding of the batch's record of it.  Only the vertex candidate, Newton
+and the certificate go through ``_ROW``: the lone row's secular data,
+psi(0), grid bracket and hard case run on it as a one-row block, so its
+bracket and Newton start are a one-row batch's, bit for bit.  Batches of
+two or more rows never take ``_project_row``.
 
 ``project_batch`` returns a ``BatchProjection``: per row the feasible
 point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
@@ -281,10 +283,10 @@ def _update_rows(mask, X, f, v):
 #: The reductions of the batch driver ``_project_slater``: rows are an
 #: (N, k) array, a value per row an (N,) array.  ``apply(M, X)`` is M
 #: applied to each row, ``col`` a value per row as a column against rows,
-#: ``head`` the first coordinate, ``exponent`` the binary exponent,
-#: ``slope(W2, C, E)`` the sum of w_i^2 / E_i^3 (W2 = W * W, C = W / E),
-#: ``margin`` y0 - ||y_r||, ``cone`` the projection onto Q, and
-#: ``update(mask, X, f, v)`` X with f(rows, v) where mask holds.
+#: ``head`` the first coordinate, ``slope(W2, C, E)`` the sum of
+#: w_i^2 / E_i^3 (W2 = W * W, C = W / E), ``margin`` y0 - ||y_r||, ``cone``
+#: the projection onto Q, and ``update(mask, X, f, v)`` X with f(rows, v)
+#: where mask holds.
 _ROWS = SimpleNamespace(
     dot=lambda X, Y: np.einsum("ij,ij->i", X, Y),
     slope=lambda W2, C, E: (W2 / (E * E * E)).sum(axis=1),
@@ -292,7 +294,6 @@ _ROWS = SimpleNamespace(
     head=lambda X: X[:, 0],
     apply=lambda M, X: X @ M.T,
     col=lambda v: v[:, None],
-    exponent=lambda v: np.frexp(v)[1],
     select=np.where,
     min=np.fmin,
     max=np.fmax,
@@ -318,7 +319,6 @@ _ROW = SimpleNamespace(
     head=lambda x: float(x[0]),
     apply=np.matmul,
     col=lambda v: v,
-    exponent=lambda v: math.frexp(v)[1],
     select=lambda c, a, b: a if c else b,
     min=min,
     max=max,
@@ -541,7 +541,7 @@ class FeasibleSetProjector:
 
     def _secular_candidate(self, Xs: np.ndarray, GXs: np.ndarray):
         """Root of the secular equation per row (module docstring, stage 2)."""
-        W, Gd, Wd = self._secular_data(_ROWS, GXs)
+        W, Gd, Wd = self._secular_data(GXs)
         has, j, pl, pr = self._secular_bracket(Gd, Wd, _psi0(Gd))
         Z = Xs.copy()
 
@@ -558,9 +558,9 @@ class FeasibleSetProjector:
 
     def _project_row(self, x: np.ndarray, g: np.ndarray):
         """``_project_slater`` on one row x of shape (n,) and its image g:
-        (z, ub, lb), z a new array.  The same stages and certificate
-        through ``_ROW``; its psi(0) and ``_hard_case`` run on the row as a
-        one-row batch."""
+        (z, ub, lb), z a new array.  The vertex candidate, Newton and the
+        certificate run through ``_ROW``; the secular data, psi(0), bracket
+        and hard case run on the row as the one-row block ``gs[None, :]``."""
         if not _ROW.margin(g) < 0.0:          # as ``_project_slater``'s todo
             return x.copy(), 0.0, 0.0
         sd = self._slater
@@ -570,14 +570,15 @@ class FeasibleSetProjector:
         if sd.vertex is not None:
             z, ub, lb = self._vertex_candidate(_ROW, x, gs)
         if not ub - lb <= gap_tol:
-            w, gd, wd = self._secular_data(_ROW, gs)
-            has, j, pl, pr = self._secular_bracket(gd, wd, _psi0(gd[None, :]))
-            if has:
+            GS = gs[None, :]
+            W, GD, WD = self._secular_data(GS)
+            has, j, pl, pr = self._secular_bracket(GD, WD, _psi0(GD))
+            if has[0]:
                 # Python floats: numpy scalars would slow the Newton loop.
-                start = map(float, self._newton_start(_ROW, j, pl, pr))
-                zs = self._newton(_ROW, x, w, *start)
+                start = self._newton_start(_ROW, int(j[0]), float(pl[0]), float(pr[0]))
+                zs = self._newton(_ROW, x, W[0], *map(float, start))
             elif math.isfinite(sd.pole):
-                zs = self._hard_case(x[None, :], w[None, :], _psi0(gs[None, :]))[0]
+                zs = self._hard_case(x[None, :], W, _psi0(GS))[0]
             else:
                 zs = x.copy()
             zs, ub_s, lb_s = self._certify(_ROW, x, zs)
@@ -673,9 +674,9 @@ class FeasibleSetProjector:
         Mu = _max_margin(sd.vertex, -(D @ sd.pinv_t.T))
         return self._record(ops, X, Z, ops.apply(sd.A, Z) + sd.b, ops.cone(Mu))
 
-    def _secular_data(self, ops, GS):
-        """(W, Gd, Wd): w = Q^T A^T J g(x) per row, and the rows g(x) and w
-        scaled by 2^-e, 2^e about the row's largest |g(x)|.
+    def _secular_data(self, GS):
+        """(W, Gd, Wd): w = Q^T A^T J g(x) per row g(x) of GS, and the rows
+        g(x) and w scaled by 2^-e, 2^e about the row's largest |g(x)|.
 
         The bracket reads the scaled rows, so that their psi, quadratic in
         g(x), can neither overflow nor underflow.  A power of two scales
@@ -685,56 +686,37 @@ class FeasibleSetProjector:
         """
         sd = self._slater
         JG = -GS
-        JG[..., 0] = GS[..., 0]              # J g(x)
+        JG[:, 0] = GS[:, 0]                  # J g(x)
         W = (JG @ sd.A) @ sd.Q
-        down = ops.col(-ops.exponent(np.abs(GS).max(axis=-1)))
+        down = -np.frexp(np.abs(GS).max(axis=1))[1][:, None]
         return W, np.ldexp(GS, down), np.ldexp(W, down)
 
     def _secular_bracket(self, GXs, W, psi0):
-        """(has, j, pl, pr): the first grid step j -> j + 1 where psi changes
-        sign and g0 > 0 at its positive end, and psi at both of its ends.
+        """(has, j, pl, pr): per row, the first grid step j -> j + 1 where psi
+        changes sign and g0 > 0 at its positive end, and psi at both of its
+        ends; a row without such a step has ``has`` False and j = 0.
 
         A continuous path within psi > 0 keeps the sign of g0, so the root
         such a step brackets lies on +Q.  The step across the pole is no
         path and is never taken.  psi and g0 are evaluated on every grid
-        column, in row blocks.  A lone row (1-D ``GXs`` and ``W``) takes the
-        same products and rule on 1-D arrays and gets Python scalars.
+        column, in row blocks.
         """
-        if W.ndim == 1:
-            psi, good = self._grid_steps(GXs[:1], W, psi0)
-            hit = np.flatnonzero(good)
-            if not hit.size:
-                return False, 0, 0.0, 0.0
-            j = int(hit[0])
-            return True, j, float(psi[j]), float(psi[j + 1])
-        count = len(W)
-        has = np.zeros(count, dtype=bool)
-        j = np.zeros(count, dtype=np.intp)
-        pl, pr = np.zeros(count), np.zeros(count)
-        for lo in range(0, count, _GRID_BLOCK):
-            r = slice(lo, lo + _GRID_BLOCK)
-            psi, good = self._grid_steps(GXs[r, :1], W[r], psi0[r, None])
-            at = np.flatnonzero(good.any(axis=1))
-            jb = good[at].argmax(axis=1)
-            rows = lo + at
-            has[rows], j[rows] = True, jb
-            pl[rows], pr[rows] = psi[at, jb], psi[at, jb + 1]
-        return has, j, pl, pr
-
-    def _grid_steps(self, gx0, W, psi0):
-        """psi on every grid column, and the steps of ``_secular_bracket``'s
-        rule, along the last axis; ``gx0`` and ``psi0`` broadcast against
-        it."""
         sd = self._slater
-        psi = psi0 + (W * W) @ sd.grid_h.T
-        g0 = gx0 + (W * sd.AQ0) @ sd.grid_v.T
-        pos = psi > 0.0
-        good = (pos[..., :-1] != pos[..., 1:]) & (
-            np.where(pos[..., 1:], g0[..., 1:], g0[..., :-1]) > 0.0
-        )
-        if sd.grid_gap >= 0:
-            good[..., sd.grid_gap] = False
-        return psi, good
+        blocks = []
+        for lo in range(0, len(W), _GRID_BLOCK):
+            r = slice(lo, lo + _GRID_BLOCK)
+            psi = psi0[r, None] + (W[r] * W[r]) @ sd.grid_h.T
+            g0 = GXs[r, :1] + (W[r] * sd.AQ0) @ sd.grid_v.T
+            pos = psi > 0.0
+            good = (pos[:, :-1] != pos[:, 1:]) & (
+                np.where(pos[:, 1:], g0[:, 1:], g0[:, :-1]) > 0.0
+            )
+            if sd.grid_gap >= 0:
+                good[:, sd.grid_gap] = False
+            j = good.argmax(axis=1)
+            at = np.arange(j.size)
+            blocks.append((good[at, j], j, psi[at, j], psi[at, j + 1]))
+        return tuple(map(np.concatenate, zip(*blocks)))
 
     def _newton_start(self, ops, j, pl, pr):
         """(tn, un, tp, up, t, u) of rows bracketed on grid step j -> j + 1,

@@ -624,6 +624,22 @@ def test_a_command_imports_only_the_layers_it_runs(code, loaded):
     assert _layers_loaded_by(code) == loaded
 
 
+def test_layers_load_no_undeclared_dependency():
+    # pyproject.toml declares numpy alone, so no layer may import scipy,
+    # sympy or mpmath, even where they are installed.
+    script = textwrap.dedent(
+        """
+        import sys
+        import socpcq, socpcq.cli, socpcq.oracles, socpcq.projection, socpcq.families
+        extra = ("scipy", "sympy", "mpmath")
+        print(sorted({name.split(".")[0] for name in sys.modules} & set(extra)))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_public_names_resolve_to_their_defining_modules():
     # In a fresh interpreter, where every lazy name is resolved cold.
     code = textwrap.dedent(
@@ -1154,8 +1170,9 @@ def test_project_analyzes_its_reference_once(capsys, tmp_path, monkeypatch):
 def test_project_reads_the_points_in_order_for_any_point(capsys, tmp_path):
     # The point "big" has an image past the magnitude rule.  Every point is
     # projected from the first point in document order that analyze_point
-    # accepts, so the feasible x meets "big" as the infeasible y does, and
-    # both exit 2.
+    # accepts; "big" is skipped like an infeasible point, so x is its own
+    # reference and y is projected from x.  Only "big" itself exits 2, since
+    # a point's own image is checked first.
     path = tmp_path / "big.json"
     path.write_text(
         json.dumps(
@@ -1168,10 +1185,15 @@ def test_project_reads_the_points_in_order_for_any_point(capsys, tmp_path):
             }
         )
     )
-    for name in ("x", "y"):
-        code, out, err = run_cli(capsys, "project", str(path), name)
-        assert (code, out) == (EXIT_PARSE, "")
-        assert "overflows" in err
+    code, out, err = run_cli(capsys, "project", str(path), "x")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[:2] == ["z = [1.0, 0.0, 0.0]", "dist(x, Omega) = 0"]
+    code, out, err = run_cli(capsys, "project", str(path), "y")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[:2] == ["z = [5e-150, 3.0, 4.0]", "dist(x, Omega) = 5e-150"]
+    code, out, err = run_cli(capsys, "project", str(path), "big")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "overflows" in err
 
 
 def test_project_measures_a_point_whose_image_passes_the_cone_test(capsys, tmp_path):

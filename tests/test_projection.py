@@ -707,17 +707,18 @@ def test_lone_rows_enter_only_what_batches_enter(monkeypatch):
 
 
 def _assert_lone_brackets_exact(monkeypatch, proj, X):
-    """Projects each row of X alone and checks its bracket against
-    ``_full_grid_bracket`` on its one-row arrays, and its Newton start
-    against ``_newton_start``, bit for bit; returns the starts' u."""
+    """Projects each row of X alone and checks its bracket, read off its
+    one-row block, against ``_full_grid_bracket`` on that block, and its
+    Newton start against ``_newton_start``, bit for bit; returns the starts'
+    u."""
     bracket = FeasibleSetProjector._secular_bracket
     newton = FeasibleSetProjector._newton
     seen = []
 
     def read_bracket(self, GX, W, psi0):
         out = bracket(self, GX, W, psi0)
-        assert W.ndim == 1
-        seen.append([(GX[None, :], W[None, :], psi0), out, None])
+        assert W.shape[0] == 1 and GX.shape[0] == 1 and psi0.shape == (1,)
+        seen.append([(GX, W, psi0), out, None])
         return out
 
     def read_start(self, ops, x, w, *start):
@@ -732,14 +733,13 @@ def _assert_lone_brackets_exact(monkeypatch, proj, X):
     starts = []
     for args, (has, j, pl, pr), start in seen:
         ref = _full_grid_bracket(proj, *args)
-        assert np.array_equal(has, ref[0][0])
-        if not has:
+        assert np.array_equal(has, ref[0])
+        if not has[0]:
             assert start is None
             continue
         for value, ref_value in zip((j, pl, pr), ref[1:]):
-            assert np.array_equal(value, ref_value[0])
-        one_row = (np.array([v]) for v in (j, pl, pr))
-        batch = proj._newton_start(projection._ROWS, *one_row)
+            assert np.array_equal(value, ref_value)
+        batch = proj._newton_start(projection._ROWS, j, pl, pr)
         assert [float(v).hex() for v in start] == [float(v[0]).hex() for v in batch]
         starts.append(start[-1])
     return np.array(starts)
@@ -750,8 +750,9 @@ def _assert_lone_brackets_exact(monkeypatch, proj, X):
 def test_lone_bracket_and_start_match_the_one_row_batch_exactly(
     monkeypatch, stratum, rapidity
 ):
-    # A lone row reads its bracket off 1-D products and computes its Newton
-    # start in Python floats; both must be the one-row batch's, bit for bit.
+    # A lone row reads its bracket off its one-row block and computes its
+    # Newton start in Python floats; both must be the one-row batch's, bit
+    # for bit.
     for seed in range(2):
         m, n = 3 + seed % 4, 2 + seed % 5
         inst, xbar = random_instance(m, n, stratum, seed)
