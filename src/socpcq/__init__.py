@@ -47,46 +47,6 @@ from .subspace_cone import (
     classify_image_vs_cone,
 )
 
-__all__ = [
-    "__version__",
-    "AffineSOCInstance",
-    "PointAnalysis",
-    "analyze_point",
-    "CQReport",
-    "HSetDescription",
-    "HSetKind",
-    "Verdict",
-    "check_crcq",
-    "full_report",
-    "verify_report_invariants",
-    "DimensionError",
-    "GenerationError",
-    "InfeasiblePointError",
-    "NumericalFailureError",
-    "ParseError",
-    "SocpcqError",
-    "DimScan",
-    "HarnessReport",
-    "KappaScan",
-    "brute_force_subspace_class",
-    "classify_kappa_growth",
-    "equivalence_harness",
-    "fcr_dim_scan",
-    "mscq_kappa_scan",
-    "random_instance",
-    "BatchProjection",
-    "FeasibleSetProjector",
-    "project_to_feasible_set",
-    "DEFAULT_TOL",
-    "ConeLocation",
-    "classify_cone_point",
-    "cone_margin",
-    "distance_to_cone",
-    "SubspaceConeClass",
-    "SubspaceKind",
-    "classify_image_vs_cone",
-]
-
 #: Module of each public name that is imported on first access.
 _LAZY = {
     "random_instance": "families",
@@ -108,6 +68,35 @@ _LAZY = {
         "projection",
     ),
 }
+
+__all__ = [
+    "__version__",
+    "AffineSOCInstance",
+    "PointAnalysis",
+    "analyze_point",
+    "CQReport",
+    "HSetDescription",
+    "HSetKind",
+    "Verdict",
+    "check_crcq",
+    "full_report",
+    "verify_report_invariants",
+    "DimensionError",
+    "GenerationError",
+    "InfeasiblePointError",
+    "NumericalFailureError",
+    "ParseError",
+    "SocpcqError",
+    "DEFAULT_TOL",
+    "ConeLocation",
+    "classify_cone_point",
+    "cone_margin",
+    "distance_to_cone",
+    "SubspaceConeClass",
+    "SubspaceKind",
+    "classify_image_vs_cone",
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

@@ -187,6 +187,7 @@ def _named_point(doc: InstanceDocument, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Cached: re.sub per summary line shows in cli-oneshot's op_p50_ms (CHANGES.md).
 @functools.cache
 def _display_label(label: str) -> str:
     """Compact condition labels to display form: Thm4.4(vi) -> Thm 4.4 (vi)."""
@@ -205,10 +206,6 @@ def _jsonable(value: Any) -> Any:
     if t is float:
         return value if math.isfinite(value) else repr(value)
     if isinstance(value, np.ndarray):
-        # An int, bool or finite float array's list needs no walk.
-        kind = value.dtype.kind
-        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
-            return value.tolist()
         return _jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
@@ -256,19 +253,8 @@ def _render(value: Any, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        separator = "," + inner
-        if type(value[0]) is float:
-            # A list of finite floats takes one join; "inf" and "nan" are
-            # the only float reprs with an "n", and json spells them otherwise.
-            try:
-                text = separator.join(map(float.__repr__, value))
-            except TypeError:
-                pass
-            else:
-                if "n" not in text:
-                    return "[" + inner + text + newline + "]"
         items = [_render(v, inner) for v in value]
-        return "[" + inner + separator.join(items) + newline + "]"
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if value is None:
         return "null"
     if value is True:

@@ -274,8 +274,8 @@ _CRCQ_LABELS = {
 
 
 def check_crcq(instance: AffineSOCInstance, x) -> Verdict:
-    """The CRCQ verdict of the report at ``x``."""
-    return _report(instance, x)[0].crcq
+    """The CRCQ verdict of ``full_report`` at ``x``."""
+    return full_report(instance, x).crcq
 
 
 #: What MSCQ yields about the tangent and normal cones at the point.

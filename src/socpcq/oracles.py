@@ -300,7 +300,8 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     rng = np.random.default_rng(seed)
     # The draws, in this order: S uniform directions and radii, P probe-base
     # directions and radii, P probe offsets.  The three direction blocks
-    # are normalized together.
+    # are normalized together.  Filled in place: joining separate draws
+    # shows in the harness's op_p50_ms (CHANGES.md).
     dirs, radial = np.empty((S + 2 * P, n)), np.empty(S + P)
     rng.standard_normal(out=dirs[:S])
     rng.random(out=radial[:S])
@@ -452,14 +453,10 @@ def fcr_dim_scan(
     radius = min(0.1, 0.1 * _norm(analysis.y[1:]) / max(1.0, a_op))
 
     rng = np.random.default_rng(seed)
-    # The center, then the samples, filled in place.
-    X = np.empty((samples + 1, instance.n))
-    X[0] = analysis.x
-    dirs = X[1:]
-    rng.standard_normal(out=dirs)
+    dirs = rng.standard_normal((samples, instance.n))
     dirs /= _row_norms(dirs, keepdims=True)
     dirs *= (radius * rng.random(samples) ** (1.0 / instance.n))[:, None]
-    dirs += analysis.x
+    X = np.vstack([analysis.x, analysis.x + dirs])
     G, ok = _grad_rows(instance, instance._evaluate(X))
     discarded = int((~ok).sum())
     norms = _row_norms(G[ok])

@@ -743,52 +743,52 @@ class FeasibleSetProjector:
         A, b, Q, lam, pole = sd.A, sd.b, sd.Q, sd.lam, sd.pole
         lam_top = float(lam[-1])
         norm_A, norm_b = sd.scale * self.instance.norm_A(), _norm(b)
-        # The table's entries as locals: the loop runs them on every step.
-        dot, head, slope, apply = ops.dot, ops.head, ops.slope, ops.apply
-        select, col, sqrt, fmin, any_ = ops.select, ops.col, ops.sqrt, ops.min, ops.any
         W2 = W * W
 
         def z_of(t, u):
-            tc = col(t)
+            tc = ops.col(t)
             E = 1.0 - tc * lam
             E[..., -1] = u
             C = W / E
-            return E, C, X + tc * apply(Q, C)
+            return E, C, X + tc * ops.apply(Q, C)
 
         active = True
         for _ in range(_NEWTON_STEPS):
-            if not any_(active):
+            if not ops.any(active):
                 break
             E, C, Z = z_of(t, u)
-            G = apply(A, Z) + b
-            g0, g2 = head(G), dot(G, G)
+            G = ops.apply(A, Z) + b
+            g0, g2 = ops.head(G), ops.dot(G, G)
             psi = 2.0 * (g0 * g0) - g2
             neg = psi < 0.0
-            tn, un = select(neg, t, tn), select(neg, u, un)
-            tp, up = select(neg, tp, t), select(neg, up, u)
+            tn, un = ops.select(neg, t, tn), ops.select(neg, u, un)
+            tp, up = ops.select(neg, tp, t), ops.select(neg, up, u)
             # Freeze rows at rounding level of psi or of the point (t, u),
             # whose scale is t, or its distance to the pole when smaller.
-            noise = _EPS * sqrt(g2) * (norm_A * sqrt(dot(Z, Z)) + norm_b)
-            scale = fmin(t, abs(u) * pole)
+            noise = _EPS * ops.sqrt(g2) * (norm_A * ops.sqrt(ops.dot(Z, Z)) + norm_b)
+            scale = ops.min(t, abs(u) * pole)
             stepping = active
             active = (
                 active
                 & (abs(psi) > _FREEZE_PSI * noise)
                 & (abs(tp - tn) > _FREEZE_BRACKET * scale)
             )
-            step = -psi / (2.0 * slope(W2, C, E))   # psi'(t) = 2 * slope
+            step = -psi / (2.0 * ops.slope(W2, C, E))   # psi'(t) = 2 * slope
             t_new = t + step
             inside = (t_new - tn) * (t_new - tp) < 0.0
             # Rows freezing now still take their Newton step when it stays
             # in the bracket: near rounding level it can only help.
             newton = stepping & inside
             t, u = (
-                select(newton, t_new, select(active, 0.5 * (tn + tp), t)),
-                select(newton, u - lam_top * step, select(active, 0.5 * (un + up), u)),
+                ops.select(newton, t_new, ops.select(active, 0.5 * (tn + tp), t)),
+                ops.select(
+                    newton, u - lam_top * step, ops.select(active, 0.5 * (un + up), u)
+                ),
             )
             # Newton converges quadratically: after a step below sqrt(eps)
             # of the scale, the error left is at rounding level.
-            active = select(inside & (abs(step) <= _FREEZE_STEP * scale), False, active)
+            converged = inside & (abs(step) <= _FREEZE_STEP * scale)
+            active = ops.select(converged, False, active)
         return z_of(t, u)[2]
 
     def _hard_case(self, Xs, W, psi0):

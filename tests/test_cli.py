@@ -264,7 +264,8 @@ _json_values = st.recursive(
         st.lists(children),
         st.lists(children).map(tuple),
         st.dictionaries(st.text(), children),
-        # The renderer joins a list that starts with a float in one pass.
+        # The shapes of a report's vectors: lists of floats, non-finite ones
+        # among them, and lists that start with a float.
         st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS)),
         st.tuples(st.floats(), st.lists(children)).map(lambda t: [t[0], *t[1]]),
     ),

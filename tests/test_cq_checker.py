@@ -360,6 +360,15 @@ def test_each_invariant_violation_is_reported_and_raised(
         full_report(instance, x)
 
 
+def test_check_crcq_raises_on_an_invariant_violation(monkeypatch):
+    # check_crcq answers through full_report, so no public route returns a
+    # verdict of a report that breaks an invariant.
+    monkeypatch.setattr(cq_checker, "verify_report_invariants", lambda report: ["forced"])
+    for route in (full_report, check_crcq):
+        with pytest.raises(AssertionError, match="^internal verdict inconsistency: forced$"):
+            route(INTERIOR, np.zeros(3))
+
+
 def test_mscq_label_is_thm51_everywhere_it_holds():
     rng = np.random.default_rng(13)
     for i in range(16):

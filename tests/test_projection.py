@@ -921,8 +921,9 @@ def test_rank_one_boundary_ray_record_brackets_the_exact_distance():
     # M = A^T J A is 3.3e-18 where it would be 0.  b lies outside Im A.  The
     # feasible set is the half-line x >= 81721.358..., and x = 1.7 lies
     # 81719.658... from it.  The projector refuses the row with a gap of
-    # 1.7e-5 against an allowed 1.7e-10: its candidate z is the exact
-    # projection, but its dual bound lb falls short.
+    # 1.7e-5 against an allowed 1.7e-10.  Both ends are wrong: its candidate
+    # z lies 3.1e-5 past the exact projection z*, and its dual bound lb lies
+    # 1.4e-5 above the exact distance d*, so it is no lower bound.
     A = np.array([[0.2], [-0.17614271948730068], [0.09472983886621]])
     inst = AffineSOCInstance(A, np.array([17.3, -22.7, -5.7]))
     _assert_lone_record_brackets(inst, np.array([1e5]), np.array([1.7]))
@@ -1154,10 +1155,11 @@ def _flat_points_passing_the_cone_test():
                     yield seed, eps, i
 
 
-#: Seed 58 draws (m, n) = (5, 3) at rank 3, so Omega = {xbar}; the
-#: wrapper's reference -A^+ b, accepted at tol as a boundary point, lies
-#: 2.1e-8 from xbar, and the wrapper reads 1.17e-8 to 8.01e-8 where the
-#: xbar projector reads eps.
+#: Seed 58 draws (m, n) = (5, 3) at rank 3, so Omega = {xbar}.  The
+#: wrapper's search rejects -A^+ b, whose image lies 1.15e-4 outside the
+#: cone, and accepts ``_slice_step``'s point at tol as a boundary point; that
+#: reference lies 2.10e-8 from xbar, and the wrapper reads 1.17e-8 to 8.01e-8
+#: where the xbar projector reads eps.
 _SINGLE_POINT_OFF_REFERENCE = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
