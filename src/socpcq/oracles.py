@@ -38,6 +38,15 @@ Key design points:
   ``_project_rows`` and ``_ray_distances``.  It scales its draws by the
   radii and computes the probe offsets on every call, and keeps no state
   between calls.
+* Every row a scan evaluates or projects lies within its reach
+  ``_scan_reach`` = 2 * radii[0] of its center.  Where that whole ball
+  provably lies inside Omega, the scan's record is fixed before any draw,
+  and ``_kappa_scan`` returns it in closed form: at an interior center
+  xbar whose image has margin M, Robinson's error bound makes every x with
+  sqrt(2) ||A|| ||x - xbar|| < M feasible, and ``_ball_inside`` checks
+  M - sqrt(2) ||A||_F * reach against a slack that covers the rounding of
+  the scan's own feasibility test.  Its proof rests on the margin, never
+  on a verdict label.  Every other center samples as described above.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * Every seeded entry point (both scans, the brute-force classifier, the
@@ -59,7 +68,7 @@ from .cq_checker import _report
 from .errors import DimensionError, GenerationError, NumericalFailureError
 # bench/workloads.py reads random_instance and TARGET_CASES from this module.
 from .families import TARGET_CASES, _draw, _least_sizes, random_instance
-from .projection import FeasibleSetProjector
+from .projection import _EPS, FeasibleSetProjector
 from .soc_core import _SQUARE_LIMIT, ConeLocation, _count, _distance_rows, _margin_rows
 from .soc_core import _is_real, _norm, _row_norms
 from .subspace_cone import SubspaceConeClass, SubspaceKind, classify_image_vs_cone
@@ -253,6 +262,16 @@ def mscq_kappa_scan(
     ``_image_bound``, past the magnitude rule raises ``DimensionError``
     before any draw, and so does a finest probe offset below one ulp of
     ``xbar``'s largest entry, where the probes would round onto their bases.
+
+    At an interior ``xbar`` whose image has margin M, Robinson's error
+    bound (1975) puts every x with sqrt(2) ||A|| ||x - xbar|| < M in Omega.
+    When M - sqrt(2) ||A||_F 2 radii[0] exceeds the rounding slack
+    64 (m + 1)(n + 1) eps max(1, ``_image_bound``(max|xbar_j| + 2 radii[0])),
+    every point the scan could draw passes its feasibility test, so it
+    returns the all-feasible record without drawing: ``kappa_hat`` and
+    ``probe_ratios`` all 0.0, every draw discarded as feasible, no floored
+    draw and no valid probe.  The record is the one the draws would give,
+    by proof; ``_ball_inside`` derives the slack.
     """
     seed = _count(seed, "seed", 0)
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
@@ -261,14 +280,20 @@ def mscq_kappa_scan(
     return _kappa_scan(projector, radii, samples_per_radius, seed)
 
 
+def _scan_reach(radii) -> float:
+    """2 * radii[0], the reach of a kappa scan: every row it evaluates or
+    projects lies within it of the scan's center."""
+    return 2.0 * radii[0]
+
+
 def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
-    """``DimensionError`` unless every x within 2 * radii[0] of ``center``
+    """``DimensionError`` unless every x within ``_scan_reach`` of ``center``
     obeys the magnitude rule and so does g(x), by the bound
     ``AffineSOCInstance._image_bound`` that ``_image`` applies; and unless
     the finest probe offset is at least one ulp of max|center_j|, so that
     the scan's points resolve from its center."""
     top = float(np.abs(center).max())
-    big = top + 2.0 * radii[0]
+    big = top + _scan_reach(radii)
     if max(big * math.sqrt(instance.n), instance._image_bound(big)) >= _SQUARE_LIMIT:
         raise DimensionError(
             f"radius {radii[0]:g} takes the kappa scan's points or their images "
@@ -282,10 +307,76 @@ def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
         )
 
 
+#: The factor of the ball test's rounding slack; see ``_ball_inside``.
+_BALL_SLACK = 64.0
+
+
+def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
+    """Does every row the kappa scan could evaluate pass its feasibility
+    test ``_distance_rows(instance._evaluate(x)) <= 0``, by proof?
+
+    Only an interior reference xbar can pass, with the margin M of its image
+    that the projector holds in ``FeasibleSetProjector._interior``.  The
+    test is
+
+        M - sqrt(2) ||A||_F reach > 64 (m + 1)(n + 1) eps max(1, B),
+
+    with reach = ``_scan_reach(radii)``, T = max|xbar_j| + reach and
+    B = ``_image_bound(T)`` = ||A||_F sqrt(n) T + ||b||.  The proof rests
+    on M, never on a verdict label: a point misread as interior has M <= 0
+    and fails.
+
+    Exactly, margin(y) = y_0 - ||y_r|| is sqrt(2)-Lipschitz, so the ball of
+    radius margin(g(xbar)) / sqrt(2) around g(xbar) lies in Q_m, Robinson's
+    (1975) radius, and every x with sqrt(2) ||A|| ||x - xbar|| < margin(g(xbar))
+    is feasible.  The slack covers the rounding.  Let u = eps / 2 and
+    gamma_k = k u / (1 - k u).  Every x with max|x_j| <= T has
+    || |A| |x| + |b| || <= B.  To first order in u:
+
+    1. the computed image Y of such an x (a product and a sum in any order,
+       with or without fused multiply-adds) has ||Y - g(x)|| <= gamma_{n+1} B;
+    2. the computed ||Y_r|| is at most (1 + gamma_m) ||Y_r||, so the test
+       Y_0 >= fl(||Y_r||) holds once margin(Y) >= gamma_m ||Y||, while
+       margin(Y) >= margin(g(x)) - sqrt(2) gamma_{n+1} B;
+    3. M was computed the same way from g(xbar), so
+       margin(g(xbar)) >= M - (1 + m + sqrt(2) (n + 1)) u B;
+    4. the draws and the probes of feasible bases lie within
+       0.9 r_0 + h_0 < 1.03 r_0 of xbar before rounding, and within
+       reach + sqrt(n) u T after it; once they all pass, the scan moves no
+       probe and makes no fallback call.  The computed ||A||_F is low by at
+       most gamma_{mn} ||A||_F, and ||A||_F reach <= B / sqrt(n), so
+       margin(g(x)) >= margin(g(xbar)) - sqrt(2) ||A||_F reach
+       - sqrt(2) (1 + m sqrt(n)) u B;
+    5. the test's own three operations round by at most 12 u B.
+
+    The losses add up to at most (2 m + 3 n + 3 m sqrt(n) + 20) u B, below
+    the slack, which also covers the higher-order terms while
+    (m + 1)(n + 1) eps is small, and underflow, through max(1, B).
+    """
+    if projector._interior is None:
+        return False
+    instance = projector.instance
+    center, margin = projector._interior
+    reach = _scan_reach(radii)
+    top = float(np.abs(center).max()) + reach
+    size = (instance.m + 1) * (instance.n + 1)
+    slack = _BALL_SLACK * size * _EPS * max(1.0, instance._image_bound(top))
+    return margin - math.sqrt(2.0) * instance.norm_A() * reach > slack
+
+
 def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaScan:
     """``mscq_kappa_scan`` with settings that ``_scan_settings`` checked,
     around ``projector.reference`` and against ``projector.instance``, at
     radii that ``_check_scan_reach`` held to the instance's ``_image_bound``.
+
+    When the reference is an interior point xbar whose image has margin M,
+    and M - sqrt(2) ||A||_F 2 r_0 exceeds the rounding slack
+    64 (m + 1)(n + 1) eps max(1, ``_image_bound``(max|xbar_j| + 2 r_0)), the
+    whole ball of the scan's reach lies inside Omega by Robinson's bound:
+    every x with sqrt(2) ||A|| ||x - xbar|| < M is feasible.  Every draw would
+    then be discarded as feasible, so the scan returns that record without
+    drawing, building no generator and projecting nothing
+    (``_ball_inside`` derives the slack).  Every other reference samples.
 
     Every array past the draws is built here from checked data, so the
     scan runs the private kernels on it: g(X) by the instance's
@@ -296,6 +387,18 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     n = instance.n
     k = len(radii)
     P = max(_MIN_PROBES, S // _SAMPLES_PER_PROBE)
+    if _ball_inside(projector, radii):
+        return KappaScan(
+            radii=radii,
+            kappa_hat=(0.0,) * k,
+            sample_count=S,
+            seed=seed,
+            probe_count=P,
+            discarded_feasible=(S + P,) * k,
+            discarded_floor=(0,) * k,
+            probe_valid=(0,) * k,
+            probe_ratios=((0.0,) * P,) * k,
+        )
 
     rng = np.random.default_rng(seed)
     # The draws, in this order: S uniform directions and radii, P probe-base

@@ -355,6 +355,9 @@ class FeasibleSetProjector:
         self.reference = ref
         self._flat_projector: Optional[np.ndarray] = None
         self._half_line: Optional[tuple[np.ndarray, float]] = None
+        # (reference, its cone margin) when the reference is an interior
+        # point: the pull-in blend target, and the kappa scan's ball test.
+        self._interior: Optional[tuple[np.ndarray, float]] = None
 
         rcq = _rcq(analysis)
         if not rcq.holds:
@@ -388,7 +391,6 @@ class FeasibleSetProjector:
         # What ``_slater`` needs of the reference: its image, and whether it
         # is an interior point, which is its own pull-in blend target.
         self._y_ref = y_ref
-        self._interior = None
         if analysis.location is ConeLocation.INTERIOR:
             self._interior = (ref, rcq.evidence["margin"])
 

@@ -10,6 +10,8 @@ harness runs.
 import json
 import math
 import re
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +432,132 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
         assert np.all(dist[inherited] <= fresh.ub[inherited] + slack[inherited])
         inherited_rows += int(np.count_nonzero(inherited))
     assert inherited_rows >= 32
+
+
+# -- the ball test: a scan whose whole reach lies inside Omega ------------------
+
+
+@pytest.fixture
+def scan_spy(monkeypatch, calls):
+    """``calls``, which records the rows of each projector batch, plus the
+    count of random generators built (``rng``) and the rows of each
+    ``_evaluate`` call that ``oracles._kappa_scan`` makes itself
+    (``evaluated``); the projector's own evaluations are not recorded."""
+    calls.update(rng=0, evaluated=[])
+    default_rng = np.random.default_rng
+    evaluate = AffineSOCInstance._evaluate
+
+    def counting_rng(*args, **kwargs):
+        calls["rng"] += 1
+        return default_rng(*args, **kwargs)
+
+    def evaluating(self, x):
+        if sys._getframe(1).f_code is oracles._kappa_scan.__code__:
+            calls["evaluated"].append(x.copy())
+        return evaluate(self, x)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(AffineSOCInstance, "_evaluate", evaluating)
+    return calls
+
+
+def _sampled_scan(monkeypatch, instance, xbar, seed):
+    """The kappa scan's record at 48 samples with the ball test switched
+    off, from a projector of its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_ball_inside", lambda projector, radii: False)
+        projector = FeasibleSetProjector(instance, xbar)
+        return oracles._kappa_scan(projector, oracles._RADII, 48, seed)
+
+
+def _interior_scans():
+    """(label, instance, xbar, seed): Thm4.4(i) draws as drawn, boosted along
+    e_1 at rapidities 1 to 3 and with (A, b) scaled by 1e-3 and 1e3, and the
+    identity at (2, 0, 0)."""
+    for m, n, seed in [(2, 1, 0), (3, 2, 1), (4, 3, 2), (6, 5, 3), (5, 6, 4)]:
+        inst, xbar = random_instance(m, n, "Thm4.4(i)", seed)
+        yield f"({m}, {n}, {seed})", inst, xbar, seed
+        for rapidity in (1.0, 2.0, 3.0):
+            boost = lorentz_boost(np.eye(m - 1)[0], rapidity)
+            label = f"({m}, {n}, {seed}) boosted {rapidity:g}"
+            yield label, transformed(inst, L=boost)[0], xbar, seed
+        for scale in (1e-3, 1e3):
+            scaled = AffineSOCInstance(scale * inst.A, scale * inst.b)
+            yield f"({m}, {n}, {seed}) scaled {scale:g}", scaled, xbar, seed
+    yield "identity", IDENTITY, np.array([2.0, 0.0, 0.0]), 0
+
+
+def test_ball_test_changes_no_kappa_scan_record(monkeypatch, scan_spy):
+    # Where the ball test proves every draw feasible, the record it returns
+    # is the sampled one, field by field and type by type, and it is made
+    # without a generator or a projection.  Elsewhere the scan samples.
+    fired = []
+    for label, inst, xbar, seed in _interior_scans():
+        sampled = _sampled_scan(monkeypatch, inst, xbar, seed)
+        projector = FeasibleSetProjector(inst, xbar)
+        scan_spy.update(rng=0, rows=[])
+        scan = oracles._kappa_scan(projector, oracles._RADII, 48, seed)
+        for name in (field.name for field in fields(KappaScan)):
+            same = repr(getattr(scan, name)) == repr(getattr(sampled, name))
+            assert same, (label, name)
+        if oracles._ball_inside(projector, oracles._RADII):
+            fired.append(label)
+            assert scan_spy["rng"] == 0 and scan_spy["rows"] == [], label
+        else:
+            assert scan_spy["rng"] == 1 and scan_spy["rows"], label
+    # The draws as drawn, scaled either way, and the identity all fire; the
+    # boosted draws fire only where the boost leaves margin enough.
+    plain = [label for label, *_ in _interior_scans() if "boosted" not in label]
+    assert set(plain) <= set(fired)
+    assert len(fired) < len(list(_interior_scans()))
+
+
+@pytest.mark.parametrize(
+    "stratum", [target for target in TARGET_CASES if target != "Thm4.4(i)"]
+)
+def test_ball_test_samples_off_the_interior(scan_spy, stratum):
+    # Without an interior reference the ball test cannot fire: the scan
+    # builds its generator and makes its certified call of k * P rows.
+    inst, xbar = random_instance(4, 3, stratum, 5)
+    projector = FeasibleSetProjector(inst, xbar)
+    assert projector._interior is None
+    assert not oracles._ball_inside(projector, oracles._RADII)
+    scan_spy.update(rng=0, rows=[])
+    scan = oracles._kappa_scan(projector, oracles._RADII, 48, 5)
+    assert scan_spy["rng"] == 1
+    assert len(scan_spy["rows"][0]) == len(scan.radii) * scan.probe_count
+
+
+def test_ball_test_samples_an_interior_ball_that_crosses_the_boundary(scan_spy):
+    # g(1.05, 1, 0) has margin 0.05, so the ball of radius 0.2 around the
+    # point leaves Omega: the scan samples and sees infeasible draws at r_0.
+    projector = FeasibleSetProjector(IDENTITY, np.array([1.05, 1.0, 0.0]))
+    assert projector._interior is not None
+    assert not oracles._ball_inside(projector, oracles._RADII)
+    scan = oracles._kappa_scan(projector, oracles._RADII, 48, 0)
+    assert scan_spy["rng"] == 1
+    assert len(scan_spy["rows"][0]) == len(scan.radii) * scan.probe_count
+    assert scan.discarded_feasible[0] < scan.sample_count + scan.probe_count
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_kappa_scan_rows_lie_within_its_reach(monkeypatch, scan_spy, stratum, seed):
+    # The premise of the scan's reach rule and of its ball test: every row
+    # the scan evaluates or projects (draws, relocated probes and fallback
+    # rows) lies within 2 * radii[0] of the center.  The ball test is off,
+    # so that the interior stratum samples too.
+    monkeypatch.setattr(oracles, "_ball_inside", lambda projector, radii: False)
+    m, n = 3 + seed, 2 + seed
+    inst, xbar = random_instance(m, n, stratum, seed)
+    projector = FeasibleSetProjector(inst, xbar)
+    scan_spy.update(rows=[], evaluated=[])
+    oracles._kappa_scan(projector, oracles._RADII, 48, seed)
+    rows = scan_spy["evaluated"] + scan_spy["rows"]
+    assert scan_spy["evaluated"] and scan_spy["rows"]
+    reach = 2.0 * oracles._RADII[0]
+    for X in rows:
+        assert np.all(np.linalg.norm(X - projector.reference, axis=1) <= reach)
 
 
 #: Scan records pinned on a seeded draw of every stratum, and of two Slater
