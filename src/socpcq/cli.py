@@ -384,10 +384,12 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         raise ParseError(f"invalid --radii or --samples: {exc}") from exc
     analysis = analyze_point(doc.instance, x)
-    dim_scan = fcr_dim_scan(doc.instance, analysis, samples, **seed)
+    # The kappa scan first: its reach, 2 radii[0], is checked before the
+    # dimension scan's smaller ball, so a point both refuse gets its error.
     kappa = mscq_kappa_scan(
         doc.instance, analysis, radii=radii, samples_per_radius=samples, **seed
     )
+    dim_scan = fcr_dim_scan(doc.instance, analysis, samples, **seed)
     print("radius,kappa_hat,samples,discarded")
     total = kappa.sample_count + kappa.probe_count
     for i, r in enumerate(kappa.radii):

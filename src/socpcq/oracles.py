@@ -47,6 +47,18 @@ Key design points:
   M - sqrt(2) ||A||_F * reach against a slack that covers the rounding of
   the scan's own feasibility test.  Its proof rests on the margin, never
   on a verdict label.  Every other center samples as described above.
+* ``fcr_dim_scan`` samples a ball of radius rho = min(0.1, 0.1 ||g_r(xbar)||
+  / max(1, sigma)), sigma = sigma_max(A), around a positive-boundary center,
+  held to the magnitude rule of the kappa scan's reach by ``_check_reach``.
+  Where a gradient bound proves what every row reads, it returns that
+  record in closed form, with no draw: every row's image lies within
+  sigma rho of y = g(xbar), so the unit vector of g_r moves by at most
+  2 sigma rho / ||y_r||, and ``_proved_dim`` proves d = 1 when
+  ||grad phi(xbar)|| outlasts that Lipschitz loss, or d = 0 when, with
+  A = y a^T + R, a bound on every row's gradient through ||R||_F and the
+  margin of y stays below the floor, each against a rounding slack.  Its
+  proof rests on y, grad phi(xbar), sigma and A, never on an FCR verdict;
+  a degenerate-boundary center, which reads {0, 1}, always samples.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * Every seeded entry point (both scans, the brute-force classifier, the
@@ -286,19 +298,26 @@ def _scan_reach(radii) -> float:
     return 2.0 * radii[0]
 
 
+def _check_reach(instance: AffineSOCInstance, center, reach: float, what: str) -> float:
+    """``DimensionError`` unless every x within ``reach`` of ``center`` obeys
+    the magnitude rule and so does g(x), by the bound
+    ``AffineSOCInstance._image_bound`` that ``_image`` applies; ``what``
+    names the radius and the scan in the error.  Returns that bound,
+    ``_image_bound``(max|center_j| + reach)."""
+    big = max(map(abs, center.tolist())) + reach
+    bound = instance._image_bound(big)
+    if max(big * math.sqrt(instance.n), bound) >= _SQUARE_LIMIT:
+        raise DimensionError(f"{what} points or their images past the magnitude rule")
+    return bound
+
+
 def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
-    """``DimensionError`` unless every x within ``_scan_reach`` of ``center``
-    obeys the magnitude rule and so does g(x), by the bound
-    ``AffineSOCInstance._image_bound`` that ``_image`` applies; and unless
-    the finest probe offset is at least one ulp of max|center_j|, so that
-    the scan's points resolve from its center."""
+    """``_check_reach`` at the kappa scan's ``_scan_reach``; and
+    ``DimensionError`` unless the finest probe offset is at least one ulp
+    of max|center_j|, so that the scan's points resolve from its center."""
+    what = f"radius {radii[0]:g} takes the kappa scan's"
+    _check_reach(instance, center, _scan_reach(radii), what)
     top = float(np.abs(center).max())
-    big = top + _scan_reach(radii)
-    if max(big * math.sqrt(instance.n), instance._image_bound(big)) >= _SQUARE_LIMIT:
-        raise DimensionError(
-            f"radius {radii[0]:g} takes the kappa scan's points or their images "
-            "past the magnitude rule"
-        )
     finest = float(_probe_offsets(radii)[-1])
     if finest < math.ulp(top):
         raise DimensionError(
@@ -545,8 +564,24 @@ def fcr_dim_scan(
     ``samples`` points of the ball.
     (The half-line's other face has orthogonal complement {0}, of dimension
     0 everywhere.)  The ball's radius comes from the point's analysis,
-    min(0.1, 0.1 ||g_r(xbar)|| / max(1, sigma_max(A))), so that its image
-    stays clear of the cone's vertex; the record carries it.
+    rho = min(0.1, 0.1 ||g_r(xbar)|| / max(1, sigma)) with sigma =
+    sigma_max(A), so that its image stays clear of the cone's vertex; the
+    record carries it.  A ball that could take a point, or its image, past
+    the magnitude rule raises ``DimensionError`` before any draw, by the
+    rule of the kappa scan's reach (``_check_reach``).
+
+    Where a gradient bound proves what every row reads, the scan returns
+    that record without drawing: dims {d}, ``samples`` + 1 rows, none
+    discarded.  Every row's image lies within sigma rho of g(xbar), so
+    every row is reducible once ||g_r(xbar)|| - sigma rho clears the
+    floor of ``soc_core._reducible_rows``.  Then d = 1 when
+    ||grad phi(xbar)|| - 2 sigma^2 rho / ||g_r(xbar)|| exceeds the
+    gradient floor, since the unit vector of g_r moves by at most
+    2 sigma rho / ||g_r(xbar)||; and d = 0 when, with A = y a^T + R and
+    a = A^T y / ||y||^2, the bound ||a|| (|margin(y)| + ||y_r|| sin^2 theta)
+    + sqrt(2) ||R||_F on every row's gradient lies below it.  Each test
+    has a rounding slack; ``_proved_dim`` derives both.  It reads the
+    analysis and A, never an FCR verdict.  Every other point samples.
     """
     samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     analysis = analyze_point(instance, xbar)
@@ -554,6 +589,11 @@ def fcr_dim_scan(
         return None
     a_op = float(analysis.geometry.singular_values[0])
     radius = min(0.1, 0.1 * _norm(analysis.y[1:]) / max(1.0, a_op))
+    what = f"radius {radius:g} takes the FCR scan's"
+    bound = _check_reach(instance, analysis.x, radius, what)
+    dim = _proved_dim(analysis, a_op, radius, bound)
+    if dim is not None:
+        return DimScan(frozenset({dim}), samples + 1, seed, radius, 0)
 
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((samples, instance.n))
@@ -565,6 +605,99 @@ def fcr_dim_scan(
     norms = _row_norms(G[ok])
     dims = frozenset((norms > analysis.grad_floor).astype(int).tolist())
     return DimScan(dims, int(ok.sum()), seed, radius, discarded)
+
+
+def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional[int]:
+    """The dimension every row of the FCR scan reads, by proof, or None.
+
+    The rows are xbar and fl(xbar + d) for draws d with ||d|| <= rho =
+    ``radius``; the scan reads a row's dimension as
+    ``_row_norms(G) > grad_floor`` on the gradients G that ``_grad_rows``
+    computes from the rows' images, once ``_reducible_rows`` flags every
+    row.  Write y for the computed g(xbar) of the analysis, sigma for the
+    computed sigma_max(A), T = max|xbar_j| + rho, B = ``_image_bound(T)``
+    = ``bound`` (which ``_check_reach`` returns), and the two slacks
+
+        E = 64 (m + 1)(n + 1) eps max(1, B)          (images),
+        S = 64 (m + 1)(n + 1) eps max(1, ||A||_F)    (gradients).
+
+    With iota = sigma rho + E, the tests are
+
+    * reducible: ||y_r|| - iota > tol max(1, ||y|| + iota);
+    * d = 1: ||grad phi(xbar)|| - 2 sigma iota / ||y_r|| > floor + S;
+    * d = 0: with a = A^T y / ||y||^2, R = A - y a^T, M = margin(y),
+      D = (1 - ||a|| rho) ||y_r|| - ||R||_F rho - E > 0 and
+      s = (||R||_F rho + E) / D,
+      ||a|| (|M| + ||y_r|| s^2) + sqrt(2) ||R||_F < floor - S;
+      by Weyl's inequality ||R||_F >= sigma_2(A), so a computed
+      sigma_2(A) above the floor skips this test, which could pass only
+      at a rounding tie (a skip only sends the scan to its draws).
+
+    Let u = eps / 2 and gamma_k = k u / (1 - k u).  Assume the SVD puts
+    ||A||_2 within p eps ||A||_F of sigma, with p <= 8 (m + 1)(n + 1)
+    (LAPACK's bound is of order max(m, n)).  To first order in u:
+
+    1. Images.  A draw has ||d|| <= (1 + (n + 4) u) rho, the row
+       fl(xbar + d) lies within sqrt(n) u T of xbar + d, and y and the
+       row's image Y each carry at most gamma_{n+1} B of rounding (as in
+       ``_ball_inside``).  As ||A||_F rho <= B / sqrt(n),
+       ||Y - y|| <= sigma rho + (3 n + 7 + 2 p) u B <= iota - 3 E / 4.
+    2. Reducible.  So the computed ||Y_r|| is at least
+       (1 - gamma_m)(||y_r|| - iota + 3 E / 4), and the computed ||Y|| at
+       most (1 + gamma_m)(||y|| + iota), where ||y|| + iota <= 3 max(1, B).
+       The margin 3 E / 4 covers the rounding of both norms and of the
+       test, so ``_reducible_rows`` flags every row; and iota < ||y_r||.
+    3. d = 1.  For nonzero p and q, ||p/||p|| - q/||q|||| <= 2 ||p - q|| / ||q||,
+       so the exact unit vectors of Y_r and y_r differ by at most
+       2 iota / ||y_r|| < 2, and the computed ones lie within (m + 3) u of
+       them.  A computed A_0 - v^T A_r carries at most sqrt(2) gamma_m
+       ||A||_F of rounding, and ||A_r||_2 <= sigma + 2 p u ||A||_F.  So
+       every row's computed gradient lies within 2 sigma iota / ||y_r||
+       + (5 m + 6 + 4 p) u ||A||_F of the analysis's grad phi(xbar); its
+       computed norm, at most 2 ||A||_F, and the test's own operations
+       lose (4 n + 8) u max(1, ||A||_F) more, below S with the rest.
+    4. d = 0.  A = y a^T + R holds exactly for the computed a, whose
+       ||y|| ||a|| <= 2 ||A||_F, so the computed ||R||_F is within
+       (5 + 3 m n) u ||A||_F of the exact one.  By step 1, every row has
+       Y = t y + w with t = 1 + a^T d, where t ||y_r|| >= (1 - ||a|| rho)
+       ||y_r|| - 2 (n + 4) u B and ||w|| <= ||R||_F rho + (5 n + 20 + 3 m n)
+       u B <= ||R||_F rho + E / 2.  So ||Y_r|| >= D > 0, and the angle
+       theta between Y_r and y_r has sin theta <= s and cos theta > 0.  At
+       the exact unit vector v of Y_r,
+       A_0 - v^T A_r = a^T (M' + ||y_r|| (1 - cos theta)) + (R_0 - v^T R_r),
+       with M' the exact margin of y, |M' - M| <= gamma_m ||y||,
+       0 <= 1 - cos theta <= sin^2 theta and
+       ||R_0 - v^T R_r|| <= ||R_0|| + ||R_r||_2 <= sqrt(2) ||R||_F.  The
+       computed unit vector, product, margin and norms add at most
+       (5 m n + 5 m + 2 n + 15) u max(1, ||A||_F), below S.
+
+    The slacks also cover the higher-order terms while (m + 1)(n + 1) eps
+    is small, and underflow, through max(1, .).  The test reads y,
+    grad phi(xbar), sigma and A, never an FCR verdict.
+    """
+    instance, y = analysis.instance, analysis.y
+    A = instance.A
+    scale = _BALL_SLACK * (A.shape[0] + 1) * (A.shape[1] + 1) * _EPS
+    E = scale * max(1.0, bound)
+    iota = sigma * radius + E
+    y0, norm_r = float(y[0]), _norm(y[1:])
+    if norm_r - iota <= instance.tol * max(1.0, math.hypot(y0, norm_r) + iota):
+        return None
+    floor, slack = analysis.grad_floor, scale * max(1.0, instance.norm_A())
+    if _norm(analysis.grad_phi) - 2.0 * sigma * iota / norm_r > floor + slack:
+        return 1
+    values = analysis.geometry.singular_values
+    if values.size > 1 and values[1] > floor:
+        return None
+    a = y @ A / (y0 * y0 + norm_r * norm_r)
+    norm_a, norm_R = _norm(a), _norm(A - y[:, None] * a)
+    room = (1.0 - norm_a * radius) * norm_r - norm_R * radius - E
+    if room <= 0.0:
+        return None
+    sin = (norm_R * radius + E) / room
+    vanishing = norm_a * (abs(y0 - norm_r) + norm_r * sin * sin)
+    vanishing += math.sqrt(2.0) * norm_R
+    return 0 if vanishing < floor - slack else None
 
 
 # ---------------------------------------------------------------------------

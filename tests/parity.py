@@ -5,11 +5,16 @@
 
 Exports ``src/`` of the git revision ``BASE`` into a temporary directory
 and, for that tree and for the working tree's ``src/``, each in a fresh
-interpreter, prints two digests of the benchmark's workloads at seed 11:
+interpreter, prints three digests of the benchmark's workloads at seed 11:
 the reprs of the first 400 ``harness`` reports
-(``equivalence_harness(8, seed=_child_seed(11, MAIN, i))``) and the exit
-codes and standard output of the first 2,400 ``cli-oneshot`` calls.  Both
-trees run the inputs of the working tree's ``bench/workloads.py``.
+(``equivalence_harness(8, seed=_child_seed(11, MAIN, i))``), the exit codes
+and standard output of the first 2,400 ``cli-oneshot`` calls, and, as
+``fcr-records``, the repr of every record that ``oracles.fcr_dim_scan``
+returns during those calls (a ``DimScan`` or None, one per harness trial).
+The reports show that record only as ``fcr_consistent`` and
+``fcr_agree``, so the oracle is wrapped in place, as the recording fixture
+of ``tests/test_oracles.py`` wraps it.  Both trees run the inputs of the
+working tree's ``bench/workloads.py``.
 
 Exits 0 when the digests agree, 1 when they differ, and 2 when the base
 cannot be exported or a tree fails to run.  Nothing is written into the
@@ -33,12 +38,22 @@ SEED = 11
 COUNTS = {"harness": 400, "cli-oneshot": 2400}
 
 #: Run in a fresh interpreter with ``src/`` and ``bench/`` on the path:
-#: prints ``<workload> <sha256>`` per workload.
+#: prints ``<workload> <sha256>`` per workload, then ``fcr-records <sha256>``.
 DIGEST_CODE = """
 import hashlib, itertools, json, sys, tempfile
 from pathlib import Path
 import socpcq
+from socpcq import oracles
 from workloads import WORKLOADS
+
+records = []
+scan = oracles.fcr_dim_scan
+
+def recording(*args, **kwargs):
+    records.append(scan(*args, **kwargs))
+    return records[-1]
+
+oracles.fcr_dim_scan = recording
 
 src, seed, counts = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
 if Path(socpcq.__file__).resolve().parent != Path(src).resolve() / "socpcq":
@@ -50,6 +65,10 @@ with tempfile.TemporaryDirectory() as tmp:
         for item in itertools.islice(workload.inputs(), count):
             digest.update(repr(workload.run(item)).encode())
         print(name, digest.hexdigest())
+digest = hashlib.sha256()
+for record in records:
+    digest.update(repr(record).encode())
+print("fcr-records", digest.hexdigest())
 """
 
 
@@ -101,7 +120,7 @@ def main(argv=None) -> int:
     for label, result in ((base, theirs), ("working tree", ours)):
         for name, digest in result.items():
             print(f"{label:<14} {name:<12} {digest}")
-    differ = [name for name in COUNTS if theirs[name] != ours[name]]
+    differ = [name for name in ours if theirs[name] != ours[name]]
     print(f"differ: {', '.join(differ)}" if differ else "identical")
     return 1 if differ else 0
 

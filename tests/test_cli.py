@@ -474,6 +474,29 @@ def test_point_whose_image_overflows_is_a_usage_error(capsys, tmp_path, command)
         assert err == message
 
 
+def test_scan_whose_balls_overflow_is_a_usage_error(capsys, tmp_path):
+    # g(p) = (9.3e153, 9.3e153, 0) obeys the magnitude rule, so `analyze`
+    # runs, but ||b|| alone is past the bound that every scan's reach rule
+    # applies: `scan` prints one error line, no numpy warning (the test run
+    # turns one into an error), and exits 2.  It once ran the FCR scan
+    # first, which sampled its ball with numpy's overflow warning, a
+    # traceback under -W error::RuntimeWarning.
+    path = tmp_path / "wide.json"
+    path.write_text(
+        '{"m": 3, "n": 2, "A": [[9e153, 0], [9e153, 0], [0, 1e150]], '
+        '"b": [9.3e153, 9.3e153, 0], "points": {"p": [0, 0]}}'
+    )
+    code, _, err = run_cli(capsys, "analyze", str(path), "p")
+    assert (code, err) == (EXIT_OK, "")
+    for radii in ("0.1,0.01,0.001", "0.01,0.001"):
+        code, out, err = run_cli(capsys, "scan", str(path), "p", "--radii", radii)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            f"error: radius {radii.split(',')[0]} takes the kappa scan's points "
+            "or their images past the magnitude rule\n"
+        )
+
+
 class _ClosedStdout(io.TextIOBase):
     """A stdout whose reader has gone: every write fails with EPIPE."""
 

@@ -7,8 +7,10 @@ case draws a stratified instance, applies one transform, and checks that
 all six verdicts keep their condition and that the certified distances
 from the transformed xbar do not move.  An invertible, non-orthogonal
 reparametrization x = Pz + q, boosted or not, keeps the verdicts too, but
-not the distances.  The boost itself is checked against the Lorentz form
-and against the explicit axis block, and refuses malformed input.
+not the distances.  The FCR oracle's dimensions and consistency stay too,
+on the strata where it samples and on those whose record a gradient bound
+proves.  The boost itself is checked against the Lorentz form and against
+the explicit axis block, and refuses malformed input.
 """
 
 import numpy as np
@@ -18,13 +20,18 @@ from socpcq import (
     AffineSOCInstance,
     DimensionError,
     FeasibleSetProjector,
+    fcr_dim_scan,
     full_report,
+    oracles,
     random_instance,
 )
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 
 VERDICTS = ("nondegeneracy", "rcq", "fcr", "h_closed", "crcq", "mscq")
 TRANSFORMS = ("scale:1e-3", "scale:1e3", "rotate", "boost:1", "reparametrize")
+#: The strata whose point lies on the positive boundary, where the FCR
+#: oracle returns a record.
+POSITIVE_BOUNDARY_STRATA = ("Thm4.4(ii)", "Thm4.4(iii)", "degenerate-boundary")
 
 
 def _orthogonal(rng, k):
@@ -38,6 +45,19 @@ def _invertible(rng, k, cond):
     return (_orthogonal(rng, k) * spread) @ _orthogonal(rng, k).T
 
 
+def _symmetry(transform, m, n, rng):
+    """The keyword arguments of ``transformed`` for one of ``TRANSFORMS``."""
+    L = np.eye(m)
+    if transform.startswith("scale:"):
+        return {"L": L * float(transform.split(":")[1])}
+    if transform == "rotate":
+        L[1:, 1:] = _orthogonal(rng, m - 1)
+        return {"L": L}
+    if transform.startswith("boost:"):
+        return {"L": lorentz_boost(rng.standard_normal(m - 1), float(transform[6:]))}
+    return {"P": _orthogonal(rng, n), "q": rng.standard_normal(n)}
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("transform", TRANSFORMS)
 @pytest.mark.parametrize("stratum", TARGET_CASES)
@@ -46,16 +66,7 @@ def test_verdicts_and_distances_are_invariant(stratum, transform, seed):
     inst, xbar = random_instance(m, n, stratum, seed)
     rng = np.random.default_rng(seed)
     X = xbar + rng.standard_normal((10, n))
-    L, P, q = np.eye(m), None, None
-    if transform.startswith("scale:"):
-        L *= float(transform.split(":")[1])
-    elif transform == "rotate":
-        L[1:, 1:] = _orthogonal(rng, m - 1)
-    elif transform == "boost:1":
-        L = lorentz_boost(rng.standard_normal(m - 1), 1.0)
-    else:
-        P, q = _orthogonal(rng, n), rng.standard_normal(n)
-    t_inst, t_xbar, t_X = transformed(inst, xbar, X, L=L, P=P, q=q)
+    t_inst, t_xbar, t_X = transformed(inst, xbar, X, **_symmetry(transform, m, n, rng))
 
     before, after = full_report(inst, xbar), full_report(t_inst, t_xbar)
     for name in VERDICTS:
@@ -108,6 +119,46 @@ def test_verdicts_are_invariant_under_invertible_reparametrizations(stratum, con
                 assert (w.holds, w.condition) == (v.holds, v.condition), (
                     name, seed, rapidity
                 )
+
+
+@pytest.mark.parametrize("stratum", POSITIVE_BOUNDARY_STRATA)
+def test_fcr_oracle_is_invariant(monkeypatch, stratum):
+    # The FCR scan's dims and consistency, at 64 samples, under every
+    # transform above, a boost at rapidity 3, and an invertible
+    # reparametrization x = P z + q of condition number 1e3 (with z =
+    # P^-1 (x - q), as above).  The (iii) draws and the (ii) draws as drawn
+    # take the closed form; some boosted (ii) draws and every
+    # degenerate-boundary draw, which reads {0, 1}, sample.
+    proved, paths = oracles._proved_dim, []
+
+    def recording(*args):
+        paths.append(proved(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(oracles, "_proved_dim", recording)
+    for seed in range(10):
+        m, n = 3 + seed % 4, 2 + (seed // 4) % 5
+        inst, xbar = random_instance(m, n, stratum, seed)
+        before = fcr_dim_scan(inst, xbar, samples=64, seed=seed)
+        assert before.consistent == (stratum != "degenerate-boundary"), seed
+        rng = np.random.default_rng(seed)
+        cases = [
+            transformed(inst, xbar, **_symmetry(transform, m, n, rng))[:2]
+            for transform in (*TRANSFORMS, "boost:3")
+        ]
+        P, q = _invertible(rng, n, 1e3), rng.standard_normal(n)
+        t_inst = AffineSOCInstance(inst.A @ P, inst.A @ q + inst.b)
+        cases.append((t_inst, np.linalg.solve(P, xbar - q)))
+        for t_inst, t_xbar in cases:
+            after = fcr_dim_scan(t_inst, t_xbar, samples=64, seed=seed)
+            assert after.observed_dims == before.observed_dims, seed
+            assert after.consistent == before.consistent, seed
+    closed = [dim is not None for dim in paths]
+    if stratum == "degenerate-boundary":
+        assert not any(closed)
+    else:
+        assert sum(closed) >= len(closed) // 2
+    assert (stratum == "Thm4.4(iii)") == all(closed)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7])

@@ -872,6 +872,146 @@ def test_dim_scan_radius_follows_the_point():
     assert scanned >= 120
 
 
+# The FCR scan's wide-data case: A = [[9e153, 0], [9e153, 0], [0, 1e150]],
+# b = (9.3e153, 9.3e153, 0) and xbar = 0 give a positive-boundary point whose
+# ball of radius 0.073 reaches images past the magnitude rule.
+A_WIDE = [[9e153, 0.0], [9e153, 0.0], [0.0, 1e150]]
+B_WIDE = [9.3e153, 9.3e153, 0.0]
+
+
+def test_dim_scan_radius_obeys_the_magnitude_rule(scan_spy, monkeypatch):
+    # The scan refuses before any draw, by the kappa scan's reach rule, and
+    # without numpy's overflow warning, which the test run turns into an
+    # error; it once returned dims {0} with 20 of 65 rows discarded.
+    monkeypatch.setattr(oracles, "_proved_dim", None)
+    wide = AffineSOCInstance(np.array(A_WIDE), np.array(B_WIDE))
+    analysis = analyze_point(wide, np.zeros(2))
+    assert analysis.location is ConeLocation.POSITIVE_BOUNDARY
+    scan_spy.update(rng=0)
+    with pytest.raises(DimensionError, match=r"radius 0\.073\d* takes the FCR scan's"):
+        fcr_dim_scan(wide, analysis, samples=64)
+    assert scan_spy["rng"] == 0
+
+
+# -- the FCR closed form: a record a gradient bound proves --------------------
+
+
+def _sampled_dim_scan(monkeypatch, instance, xbar, seed):
+    """The FCR scan's record at 64 samples with the closed form switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_proved_dim", lambda *args: None)
+        return fcr_dim_scan(instance, xbar, samples=64, seed=seed)
+
+
+def _proved(instance, xbar):
+    """``oracles._proved_dim`` at the scan's own sigma, radius and bound."""
+    analysis = analyze_point(instance, xbar)
+    sigma = float(analysis.geometry.singular_values[0])
+    radius = min(0.1, 0.1 * np.linalg.norm(analysis.y[1:]) / max(1.0, sigma))
+    bound = oracles._check_reach(instance, xbar, radius, "")
+    return oracles._proved_dim(analysis, sigma, radius, bound)
+
+
+def _boundary_scans():
+    """(label, instance, xbar, seed): Thm4.4(ii) and (iii) draws as drawn,
+    boosted along e_1 at rapidities 1 to 3 and with (A, b) scaled by 1e-3
+    and 1e3."""
+    for stratum in ("Thm4.4(ii)", "Thm4.4(iii)"):
+        for m, n, seed in [(2, 1, 0), (3, 2, 1), (4, 3, 2), (6, 5, 3), (5, 6, 4)]:
+            inst, xbar = random_instance(m, n, stratum, seed)
+            label = f"{stratum} ({m}, {n}, {seed})"
+            yield label, inst, xbar, seed
+            for rapidity in (1.0, 2.0, 3.0):
+                boost = lorentz_boost(np.eye(m - 1)[0], rapidity)
+                boosted = transformed(inst, L=boost)[0]
+                yield f"{label} boosted {rapidity:g}", boosted, xbar, seed
+            for scale in (1e-3, 1e3):
+                scaled = AffineSOCInstance(scale * inst.A, scale * inst.b)
+                yield f"{label} scaled {scale:g}", scaled, xbar, seed
+
+
+def test_dim_scan_closed_form_changes_no_record(monkeypatch, scan_spy):
+    # Where the gradient bound proves the record, it is the sampled one,
+    # field by field and type by type, and it is made without a generator.
+    # Elsewhere the scan samples.
+    fired = {}
+    for label, inst, xbar, seed in _boundary_scans():
+        sampled = _sampled_dim_scan(monkeypatch, inst, xbar, seed)
+        scan_spy.update(rng=0)
+        scan = fcr_dim_scan(inst, xbar, samples=64, seed=seed)
+        for name in (field.name for field in fields(DimScan)):
+            same = repr(getattr(scan, name)) == repr(getattr(sampled, name))
+            assert same, (label, name)
+        dim = _proved(inst, xbar)
+        assert scan_spy["rng"] == (dim is None), label
+        if dim is not None:
+            fired[label] = dim
+    # Every draw as drawn and scaled fires, (ii) with d = 1 and (iii) with
+    # d = 0; some boosted (ii) draws lose the Lipschitz bound and sample.
+    for label, *_ in _boundary_scans():
+        if "boosted" not in label:
+            assert fired.get(label) == (0 if "Thm4.4(iii)" in label else 1), label
+    assert len(fired) < len(list(_boundary_scans()))
+
+
+def test_dim_scan_closed_form_samples_where_the_draws_decide(scan_spy):
+    # A degenerate-boundary point reads {0, 1}, which only the draws show,
+    # and so does HALFPLANE at (1, 0, 0).  The (ii) point g(x) = (1 + 10 x,
+    # 1 + 9 x, 0) at x = 0 has grad phi = 1 below the Lipschitz loss
+    # 2 sigma^2 rho / ||g_r|| = 0.2 sigma = 2.69: no bound proves its
+    # record, though the draws read {1}.
+    steep = AffineSOCInstance(np.array([[10.0], [9.0], [0.0]]), np.array([1.0, 1.0, 0]))
+    assert full_report(steep, np.zeros(1)).crcq.condition == "Thm4.4(ii)"
+    # g(x) = (1.05e-9, 1.05e-9 - x, 0) at x = 0 has grad phi = 1, but the
+    # ball of radius 1.05e-10 reaches images with ||g_r|| below tol, which
+    # the scan discards.
+    b_near = np.array([1.05e-9, 1.05e-9, 0.0])
+    near = AffineSOCInstance(np.array([[0.0], [-1.0], [0.0]]), b_near)
+    points = [
+        (HALFPLANE, np.array([1.0, 0.0, 0.0]), {0, 1}),
+        (steep, np.zeros(1), {1}),
+        (near, np.zeros(1), {1}),
+    ]
+    for m, n, seed in [(3, 1, 0), (3, 2, 1), (4, 3, 2), (6, 5, 3), (5, 6, 4)]:
+        inst, xbar = random_instance(m, n, "degenerate-boundary", seed)
+        points.append((inst, xbar, {0, 1}))
+    for inst, xbar, dims in points:
+        assert _proved(inst, xbar) is None
+        scan_spy.update(rng=0)
+        scan = fcr_dim_scan(inst, xbar, samples=64, seed=0)
+        assert scan.observed_dims == dims
+        assert scan_spy["rng"] == 1
+        assert (scan.discarded > 0) == (inst is near)
+
+
+@pytest.mark.parametrize("case", ["reducible", "d = 1", "d = 0"])
+def test_dim_scan_closed_form_fires_only_with_its_slack_to_spare(case):
+    # At x = 0 with m = 3, n = 1 and b = (c, c, 0), each test fires once
+    # its quantity clears its bar by twice its slack, 64 (m + 1)(n + 1) eps
+    # (the image bound and ||A||_F are at most 1), and not by half of it;
+    # the draws read the same record either way.
+    # * reducible: the column (0, -1, 0) has sigma = 1, rho = 0.1 c and
+    #   grad phi = 1, and every image of the ball has ||g_r|| >= 0.9 c, which
+    #   the test holds to tol;
+    # * d = 1: the column (s, 0, 0) has grad phi = s everywhere;
+    # * d = 0: the column (0.5, 0.5, r) has grad phi(xbar) = 0 and the
+    #   vanishing bound sqrt(2) r, up to terms of order 1e-26.
+    tol, slack = 1e-9, 64 * 4 * 2 * np.finfo(float).eps
+    for spare, fires in ((2.0, True), (0.5, False)):
+        c, dim = 1.0, 0 if case == "d = 0" else 1
+        if case == "reducible":
+            c = (tol + spare * slack) / 0.9
+            column = [0.0, -1.0, 0.0]
+        elif case == "d = 1":
+            column = [tol + spare * slack, 0.0, 0.0]
+        else:
+            column = [0.5, 0.5, (tol - spare * slack) / np.sqrt(2.0)]
+        inst = AffineSOCInstance(np.array(column)[:, None], np.array([c, c, 0.0]))
+        assert _proved(inst, np.zeros(1)) == (dim if fires else None)
+        scan = fcr_dim_scan(inst, np.zeros(1), samples=64)
+        assert (scan.observed_dims, scan.sample_count) == ({dim}, 65)
+
+
 # -- brute-force subspace classification --------------------------------------
 
 
