@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -175,6 +176,15 @@ class PointAnalysis:
     @property
     def grad_floor(self) -> float:
         return self.instance.tol * max(1.0, self.instance.norm_A())
+
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, float]:
+        """(a, ||R||_F) of the rank-one split A = y a^T + R, a = A^T y / ||y||^2,
+        computed once: the vanishing certificate of Thm 3.2 (iv) and the FCR
+        scan's closed form both read it."""
+        A, y = self.instance.A, self.y
+        a = (y @ A) / float(y @ y)
+        return a, _norm(A - np.outer(y, a))
 
 
 def _grad_rows(

@@ -153,10 +153,10 @@ def _vanishing(pa: PointAnalysis, grad_norm: float) -> Verdict:
     Thm 3.2 (iv) holds when every column of A is parallel to g(x), with the
     certificate (u, w, c): g = (w^T x + c)(1, u) with ||u|| = 1, which makes
     phi vanish near the point.  Otherwise FCR fails, with the residual norm
-    of A against such columns.
+    ||R||_F of A against such columns, read off ``PointAnalysis._split``.
     """
     instance, y = pa.instance, pa.y
-    residual = _norm(instance.A - np.outer(y, (y @ instance.A) / float(y @ y)))
+    residual = pa._split[1]
     if residual > pa.grad_floor:
         return Verdict(
             False, None, {"grad_norm": grad_norm, "vanishing_residual": residual}

@@ -40,25 +40,14 @@ Key design points:
   between calls.
 * Every row a scan evaluates or projects lies within its reach
   ``_scan_reach`` = 2 * radii[0] of its center.  Where that whole ball
-  provably lies inside Omega, the scan's record is fixed before any draw,
-  and ``_kappa_scan`` returns it in closed form: at an interior center
-  xbar whose image has margin M, Robinson's error bound makes every x with
-  sqrt(2) ||A|| ||x - xbar|| < M feasible, and ``_ball_inside`` checks
-  M - sqrt(2) ||A||_F * reach against a slack that covers the rounding of
-  the scan's own feasibility test.  Its proof rests on the margin, never
-  on a verdict label.  Every other center samples as described above.
+  provably lies inside Omega, ``_kappa_scan`` returns its record in closed
+  form, by the proof of ``_ball_inside``; every other center samples.
 * ``fcr_dim_scan`` samples a ball of radius rho = min(0.1, 0.1 ||g_r(xbar)||
   / max(1, sigma)), sigma = sigma_max(A), around a positive-boundary center,
-  held to the magnitude rule of the kappa scan's reach by ``_check_reach``.
-  Where a gradient bound proves what every row reads, it returns that
-  record in closed form, with no draw: every row's image lies within
-  sigma rho of y = g(xbar), so the unit vector of g_r moves by at most
-  2 sigma rho / ||y_r||, and ``_proved_dim`` proves d = 1 when
-  ||grad phi(xbar)|| outlasts that Lipschitz loss, or d = 0 when, with
-  A = y a^T + R, a bound on every row's gradient through ||R||_F and the
-  margin of y stays below the floor, each against a rounding slack.  Its
-  proof rests on y, grad phi(xbar), sigma and A, never on an FCR verdict;
-  a degenerate-boundary center, which reads {0, 1}, always samples.
+  held to the magnitude rule of the kappa scan's reach by ``_check_reach``,
+  unless ``_proved_dim`` proves what every row reads.
+* Both closed forms read the center's ``PointAnalysis`` and A, never a
+  verdict, and hold their bounds to one rounding slack, ``_slack``.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * Every seeded entry point (both scans, the brute-force classifier, the
@@ -82,7 +71,7 @@ from .errors import DimensionError, GenerationError, NumericalFailureError
 from .families import TARGET_CASES, _draw, _least_sizes, random_instance
 from .projection import _EPS, FeasibleSetProjector
 from .soc_core import _SQUARE_LIMIT, ConeLocation, _count, _distance_rows, _margin_rows
-from .soc_core import _is_real, _norm, _row_norms
+from .soc_core import _is_real, _margin, _norm, _row_norms
 from .subspace_cone import SubspaceConeClass, SubspaceKind, classify_image_vs_cone
 
 __all__ = [
@@ -274,16 +263,8 @@ def mscq_kappa_scan(
     ``_image_bound``, past the magnitude rule raises ``DimensionError``
     before any draw, and so does a finest probe offset below one ulp of
     ``xbar``'s largest entry, where the probes would round onto their bases.
-
-    At an interior ``xbar`` whose image has margin M, Robinson's error
-    bound (1975) puts every x with sqrt(2) ||A|| ||x - xbar|| < M in Omega.
-    When M - sqrt(2) ||A||_F 2 radii[0] exceeds the rounding slack
-    64 (m + 1)(n + 1) eps max(1, ``_image_bound``(max|xbar_j| + 2 radii[0])),
-    every point the scan could draw passes its feasibility test, so it
-    returns the all-feasible record without drawing: ``kappa_hat`` and
-    ``probe_ratios`` all 0.0, every draw discarded as feasible, no floored
-    draw and no valid probe.  The record is the one the draws would give,
-    by proof; ``_ball_inside`` derives the slack.
+    Where ``_ball_inside`` proves every draw feasible, the scan returns the
+    record the draws would give without drawing.
     """
     seed = _count(seed, "seed", 0)
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
@@ -326,19 +307,24 @@ def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
         )
 
 
-#: The factor of the ball test's rounding slack; see ``_ball_inside``.
-_BALL_SLACK = 64.0
+def _slack(instance: AffineSOCInstance, size: float) -> float:
+    """64 (m + 1)(n + 1) eps max(1, size), the rounding slack of both closed
+    forms, which ``_ball_inside`` and ``_proved_dim`` derive.  The factor
+    before max(1, size) is exact, so only the last product rounds."""
+    return 64.0 * (instance.m + 1) * (instance.n + 1) * _EPS * max(1.0, size)
 
 
 def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
     """Does every row the kappa scan could evaluate pass its feasibility
-    test ``_distance_rows(instance._evaluate(x)) <= 0``, by proof?
+    test ``_distance_rows(instance._evaluate(x)) <= 0``, by proof?  Then the
+    scan's record is the all-feasible one: ``kappa_hat`` and ``probe_ratios``
+    all 0.0, every draw discarded as feasible, none floored, no valid probe.
 
-    Only an interior reference xbar can pass, with the margin M of its image
-    that the projector holds in ``FeasibleSetProjector._interior``.  The
-    test is
+    Only an interior reference xbar can pass, with the margin
+    M = margin(g(xbar)) of the projector's ``analysis``, the bits of the
+    RCQ verdict's margin.  The test is
 
-        M - sqrt(2) ||A||_F reach > 64 (m + 1)(n + 1) eps max(1, B),
+        M - sqrt(2) ||A||_F reach > ``_slack``(B),
 
     with reach = ``_scan_reach(radii)``, T = max|xbar_j| + reach and
     B = ``_image_bound(T)`` = ||A||_F sqrt(n) T + ||b||.  The proof rests
@@ -372,30 +358,21 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
     the slack, which also covers the higher-order terms while
     (m + 1)(n + 1) eps is small, and underflow, through max(1, B).
     """
-    if projector._interior is None:
+    analysis = projector.analysis
+    if analysis.location is not ConeLocation.INTERIOR:
         return False
-    instance = projector.instance
-    center, margin = projector._interior
-    reach = _scan_reach(radii)
-    top = float(np.abs(center).max()) + reach
-    size = (instance.m + 1) * (instance.n + 1)
-    slack = _BALL_SLACK * size * _EPS * max(1.0, instance._image_bound(top))
-    return margin - math.sqrt(2.0) * instance.norm_A() * reach > slack
+    instance, reach = projector.instance, _scan_reach(radii)
+    top = float(np.abs(analysis.x).max()) + reach
+    slack = _slack(instance, instance._image_bound(top))
+    return _margin(analysis.y) - math.sqrt(2.0) * instance.norm_A() * reach > slack
 
 
 def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaScan:
     """``mscq_kappa_scan`` with settings that ``_scan_settings`` checked,
     around ``projector.reference`` and against ``projector.instance``, at
     radii that ``_check_scan_reach`` held to the instance's ``_image_bound``.
-
-    When the reference is an interior point xbar whose image has margin M,
-    and M - sqrt(2) ||A||_F 2 r_0 exceeds the rounding slack
-    64 (m + 1)(n + 1) eps max(1, ``_image_bound``(max|xbar_j| + 2 r_0)), the
-    whole ball of the scan's reach lies inside Omega by Robinson's bound:
-    every x with sqrt(2) ||A|| ||x - xbar|| < M is feasible.  Every draw would
-    then be discarded as feasible, so the scan returns that record without
-    drawing, building no generator and projecting nothing
-    (``_ball_inside`` derives the slack).  Every other reference samples.
+    Where ``_ball_inside`` proves every draw feasible, it returns the
+    all-feasible record with no generator and no projection.
 
     Every array past the draws is built here from checked data, so the
     scan runs the private kernels on it: g(X) by the instance's
@@ -568,20 +545,9 @@ def fcr_dim_scan(
     sigma_max(A), so that its image stays clear of the cone's vertex; the
     record carries it.  A ball that could take a point, or its image, past
     the magnitude rule raises ``DimensionError`` before any draw, by the
-    rule of the kappa scan's reach (``_check_reach``).
-
-    Where a gradient bound proves what every row reads, the scan returns
-    that record without drawing: dims {d}, ``samples`` + 1 rows, none
-    discarded.  Every row's image lies within sigma rho of g(xbar), so
-    every row is reducible once ||g_r(xbar)|| - sigma rho clears the
-    floor of ``soc_core._reducible_rows``.  Then d = 1 when
-    ||grad phi(xbar)|| - 2 sigma^2 rho / ||g_r(xbar)|| exceeds the
-    gradient floor, since the unit vector of g_r moves by at most
-    2 sigma rho / ||g_r(xbar)||; and d = 0 when, with A = y a^T + R and
-    a = A^T y / ||y||^2, the bound ||a|| (|margin(y)| + ||y_r|| sin^2 theta)
-    + sqrt(2) ||R||_F on every row's gradient lies below it.  Each test
-    has a rounding slack; ``_proved_dim`` derives both.  It reads the
-    analysis and A, never an FCR verdict.  Every other point samples.
+    rule of the kappa scan's reach (``_check_reach``).  Where
+    ``_proved_dim`` proves the dimension d every row reads, the scan returns
+    dims {d} with ``samples`` + 1 rows and none discarded, without drawing.
     """
     samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     analysis = analyze_point(instance, xbar)
@@ -617,21 +583,16 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
     row.  Write y for the computed g(xbar) of the analysis, sigma for the
     computed sigma_max(A), T = max|xbar_j| + rho, B = ``_image_bound(T)``
     = ``bound`` (which ``_check_reach`` returns), and the two slacks
-
-        E = 64 (m + 1)(n + 1) eps max(1, B)          (images),
-        S = 64 (m + 1)(n + 1) eps max(1, ||A||_F)    (gradients).
-
+    E = ``_slack``(B) (images) and S = ``_slack``(||A||_F) (gradients).
     With iota = sigma rho + E, the tests are
 
     * reducible: ||y_r|| - iota > tol max(1, ||y|| + iota);
     * d = 1: ||grad phi(xbar)|| - 2 sigma iota / ||y_r|| > floor + S;
-    * d = 0: with a = A^T y / ||y||^2, R = A - y a^T, M = margin(y),
+    * d = 0: with the analysis's split A = y a^T + R
+      (``PointAnalysis._split``), M = margin(y),
       D = (1 - ||a|| rho) ||y_r|| - ||R||_F rho - E > 0 and
       s = (||R||_F rho + E) / D,
-      ||a|| (|M| + ||y_r|| s^2) + sqrt(2) ||R||_F < floor - S;
-      by Weyl's inequality ||R||_F >= sigma_2(A), so a computed
-      sigma_2(A) above the floor skips this test, which could pass only
-      at a rounding tie (a skip only sends the scan to its draws).
+      ||a|| (|M| + ||y_r|| s^2) + sqrt(2) ||R||_F < floor - S.
 
     Let u = eps / 2 and gamma_k = k u / (1 - k u).  Assume the SVD puts
     ||A||_2 within p eps ||A||_F of sigma, with p <= 8 (m + 1)(n + 1)
@@ -656,8 +617,9 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
        + (5 m + 6 + 4 p) u ||A||_F of the analysis's grad phi(xbar); its
        computed norm, at most 2 ||A||_F, and the test's own operations
        lose (4 n + 8) u max(1, ||A||_F) more, below S with the rest.
-    4. d = 0.  A = y a^T + R holds exactly for the computed a, whose
-       ||y|| ||a|| <= 2 ||A||_F, so the computed ||R||_F is within
+    4. d = 0.  A = y a^T + R holds exactly for the computed
+       a = fl(y^T A) / fl(y^T y), whose ||y|| ||a|| <= (1 + 3 gamma_m)
+       ||A||_F <= 2 ||A||_F, so the computed ||R||_F is within
        (5 + 3 m n) u ||A||_F of the exact one.  By step 1, every row has
        Y = t y + w with t = 1 + a^T d, where t ||y_r|| >= (1 - ||a|| rho)
        ||y_r|| - 2 (n + 4) u B and ||w|| <= ||R||_F rho + (5 n + 20 + 3 m n)
@@ -672,25 +634,21 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
        (5 m n + 5 m + 2 n + 15) u max(1, ||A||_F), below S.
 
     The slacks also cover the higher-order terms while (m + 1)(n + 1) eps
-    is small, and underflow, through max(1, .).  The test reads y,
-    grad phi(xbar), sigma and A, never an FCR verdict.
+    is small, and underflow, through max(1, .).  The test reads the
+    analysis (y, grad phi(xbar) and its split) and sigma, never an FCR
+    verdict.
     """
     instance, y = analysis.instance, analysis.y
-    A = instance.A
-    scale = _BALL_SLACK * (A.shape[0] + 1) * (A.shape[1] + 1) * _EPS
-    E = scale * max(1.0, bound)
+    E = _slack(instance, bound)
     iota = sigma * radius + E
     y0, norm_r = float(y[0]), _norm(y[1:])
     if norm_r - iota <= instance.tol * max(1.0, math.hypot(y0, norm_r) + iota):
         return None
-    floor, slack = analysis.grad_floor, scale * max(1.0, instance.norm_A())
+    floor, slack = analysis.grad_floor, _slack(instance, instance.norm_A())
     if _norm(analysis.grad_phi) - 2.0 * sigma * iota / norm_r > floor + slack:
         return 1
-    values = analysis.geometry.singular_values
-    if values.size > 1 and values[1] > floor:
-        return None
-    a = y @ A / (y0 * y0 + norm_r * norm_r)
-    norm_a, norm_R = _norm(a), _norm(A - y[:, None] * a)
+    a, norm_R = analysis._split
+    norm_a = _norm(a)
     room = (1.0 - norm_a * radius) * norm_r - norm_R * radius - E
     if room <= 0.0:
         return None

@@ -339,7 +339,9 @@ class FeasibleSetProjector:
     handles arbitrarily many points.  The shape of Omega is the RCQ
     verdict at the reference; an infeasible reference is rejected by the
     point analysis, whose error carries the distance of its image to the
-    cone.
+    cone.  The projector keeps that ``PointAnalysis`` as ``analysis``
+    (``reference`` is its point), which the Slater data and the kappa
+    scan's ball test read.
     All returned points are feasible and all distances carry a
     certificate: where RCQ fails, Omega is a flat, or a flat plus a
     half-line, read off the instance's cached SVD and projected in closed
@@ -350,23 +352,18 @@ class FeasibleSetProjector:
 
     def __init__(self, instance: AffineSOCInstance, reference):
         self.instance = instance
-        analysis = analyze_point(instance, reference)
-        ref, y_ref = analysis.x, analysis.y
-        self.reference = ref
+        self.analysis = analysis = analyze_point(instance, reference)
+        self.reference = analysis.x
         self._flat_projector: Optional[np.ndarray] = None
         self._half_line: Optional[tuple[np.ndarray, float]] = None
-        # (reference, its cone margin) when the reference is an interior
-        # point: the pull-in blend target, and the kappa scan's ball test.
-        self._interior: Optional[tuple[np.ndarray, float]] = None
 
-        rcq = _rcq(analysis)
-        if not rcq.holds:
+        if not _rcq(analysis).holds:
             geo = analysis.geometry
             rows = geo.row_basis
             d = None
             if analysis.location is ConeLocation.POSITIVE_BOUNDARY:
-                y_norm = _norm(y_ref)
-                d = y_ref / y_norm
+                y_norm = _norm(analysis.y)
+                d = analysis.y / y_norm
             elif geo.kind is SubspaceKind.RAY:
                 d, y_norm = geo.ray, 0.0
             if d is not None and geo._in_image(d, instance.tol):
@@ -388,11 +385,6 @@ class FeasibleSetProjector:
             return
 
         self.geometry = _Geometry.SLATER
-        # What ``_slater`` needs of the reference: its image, and whether it
-        # is an interior point, which is its own pull-in blend target.
-        self._y_ref = y_ref
-        if analysis.location is ConeLocation.INTERIOR:
-            self._interior = (ref, rcq.evidence["margin"])
 
     # -- construction helpers -------------------------------------------
 
@@ -417,9 +409,11 @@ class FeasibleSetProjector:
         """
         geo = self.instance.geometry()
         ray = _recession_ray(self.instance)
-        interior, interior_margin = self._interior or (None, 0.0)
-        if interior is None and ray is None:
-            z = self.reference + _slice_step(self.instance, self._y_ref)[0]
+        analysis, interior, interior_margin = self.analysis, None, 0.0
+        if analysis.location is ConeLocation.INTERIOR:
+            interior, interior_margin = analysis.x, _margin(analysis.y)
+        elif ray is None:
+            z = self.reference + _slice_step(self.instance, analysis.y)[0]
             interior_margin = _margin(self.instance._evaluate(z))
             if not interior_margin > 0.0:
                 raise NumericalFailureError(

@@ -20,6 +20,9 @@ polynomial of degree at most 2n.  The helper
 - keeps the roots with det(I - tM) != 0 and g0(z(t)) > 0, and returns the
   least squared distance ||z(t) - x||^2 among them, as an interval.
 
+``boundary_root`` returns that root's narrowed bracket [t_lo, t_hi] and
+z(t) at both ends instead.
+
 A projection onto the vertex of the cone, or a root at a pole of z(t) (the
 hard case), has no candidate here; the helper then returns None.  Any
 candidate it does return is the projection, since the feasible set is
@@ -202,6 +205,35 @@ def boundary_distance2(A, b, x):
     return best
 
 
+def boundary_root(A, b, x):
+    """The narrowed root bracket behind ``boundary_distance2``:
+    (t_lo, t_hi, z(t_lo), z(t_hi)) as Fractions, at the root whose
+    smooth-boundary candidate is nearest x, or None where
+    ``boundary_distance2`` is None.  The projection's multiplier t lies in
+    [t_lo, t_hi], and ||z(t) - x||^2 at the two ends agree to 2**-_BITS
+    relative."""
+    inst = _Instance(A, b, x)
+    degree = 2 * inst.n
+    nodes, values = [], []
+    t = Fraction(0)
+    while len(nodes) < degree + 3:
+        det, z = inst.point(t)
+        if det != 0:
+            nodes.append(t)
+            values.append(inst.psi(z) * det * det)
+        t += 1
+    poly = _trim(_interpolate(nodes, values))
+    if len(poly) < 2 or poly[0] == 0:
+        return None
+    chain = _sturm(poly)
+    best = None
+    for lo, hi in _positive_roots(chain):
+        ends = _bracket(inst, chain, lo, hi)
+        if ends is not None and (best is None or ends[1] < best[1]):
+            best = ends
+    return None if best is None else best[2]
+
+
 def _candidate(inst: _Instance, t: Fraction):
     """||z(t) - x||^2 where det(I - tM) != 0 and g0(z(t)) > 0, else None."""
     det, z = inst.point(t)
@@ -213,8 +245,15 @@ def _candidate(inst: _Instance, t: Fraction):
 def _narrowed(inst: _Instance, chain: list, lo: Fraction, hi: Fraction):
     """Bisect the root in (lo, hi] until the squared distance at both ends
     agrees to 2**-_BITS relative; (low, high) of it, or None if the root
-    is no smooth-boundary candidate.  A root where p changes sign is
-    bisected on the sign of p, any other on the Sturm count."""
+    is no smooth-boundary candidate."""
+    ends = _bracket(inst, chain, lo, hi)
+    return None if ends is None else ends[:2]
+
+
+def _bracket(inst: _Instance, chain: list, lo: Fraction, hi: Fraction):
+    """``_narrowed``'s bisection: (low, high, (lo, hi, z(lo), z(hi))) at the
+    narrowed bracket, or None.  A root where p changes sign is bisected on
+    the sign of p, any other on the Sturm count."""
     p = chain[0]
     p_lo, p_hi = _eval(p, lo), _eval(p, hi)
     if p_hi == 0:
@@ -247,4 +286,4 @@ def _narrowed(inst: _Instance, chain: list, lo: Fraction, hi: Fraction):
             continue
         low, high = min(d_lo, d_hi), max(d_lo, d_hi)
         if high - low <= Fraction(1, 2**_BITS) * (1 + low):
-            return low, high
+            return low, high, (lo, hi, inst.point(lo)[1], inst.point(hi)[1])

@@ -7,6 +7,7 @@ lean on verify_report_invariants as the single source of implication
 rules.
 """
 
+import functools
 import re
 from dataclasses import replace
 
@@ -18,9 +19,11 @@ from socpcq import (
     ConeLocation,
     FeasibleSetProjector,
     HSetKind,
+    PointAnalysis,
     Verdict,
     check_crcq,
     classify_image_vs_cone,
+    fcr_dim_scan,
     full_report,
     random_instance,
     verify_report_invariants,
@@ -28,7 +31,7 @@ from socpcq import (
 from socpcq import cq_checker
 from socpcq.cq_checker import _eta
 from socpcq.families import TARGET_CASES
-from socpcq.soc_core import cone_margin
+from socpcq.soc_core import _norm, cone_margin
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -280,6 +283,54 @@ def test_report_and_projector_share_one_svd(monkeypatch):
         projector.project_batch(x[None, :])
         svds_of_a = [a for a in svd_args if np.array_equal(a, inst.A)]
         assert len(svds_of_a) <= 1, target
+
+
+@pytest.mark.parametrize("target", TARGET_CASES)
+def test_projector_keeps_the_reports_analysis(target):
+    inst, xbar = random_instance(4, 3, target, seed=7)
+    report = full_report(inst, xbar)
+    projector = FeasibleSetProjector(inst, report.point_analysis)
+    assert projector.analysis is report.point_analysis
+    assert projector.reference is report.point_analysis.x
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The analyses whose rank-one split ``PointAnalysis._split`` computes."""
+    calls = []
+    split = PointAnalysis.__dict__["_split"]
+
+    def counted(analysis):
+        calls.append(analysis)
+        return split.func(analysis)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(PointAnalysis, "_split")
+    monkeypatch.setattr(PointAnalysis, "_split", spy)
+    return calls
+
+
+@pytest.mark.parametrize("target", ["Thm4.4(iii)", "degenerate-boundary"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_report_and_fcr_scan_compute_the_split_once(split_calls, target, seed):
+    # The vanishing certificate and the FCR scan's closed form read one
+    # split of A at the point; the scan never recomputes it.
+    inst, xbar = random_instance(3 + seed, 2 + seed, target, seed)
+    split_calls.clear()  # the generator's own check of its draw
+    report = full_report(inst, xbar)
+    assert split_calls == [report.point_analysis]
+    fcr_dim_scan(inst, report.point_analysis, samples=64, seed=seed)
+    assert split_calls == [report.point_analysis]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vanishing_residual_keeps_its_expression(seed):
+    # The residual of Thm 3.2 (iv)'s certificate, bit for bit.
+    inst, xbar = random_instance(3 + seed % 4, 2 + seed % 3, "degenerate-boundary", seed)
+    report = full_report(inst, xbar)
+    A, y = inst.A, report.point_analysis.y
+    expected = _norm(A - np.outer(y, (y @ A) / float(y @ y)))
+    assert report.fcr.evidence["vanishing_residual"] == expected
 
 
 def test_implication_lattice_on_stratified_instances():

@@ -520,7 +520,7 @@ def test_ball_test_samples_off_the_interior(scan_spy, stratum):
     # builds its generator and makes its certified call of k * P rows.
     inst, xbar = random_instance(4, 3, stratum, 5)
     projector = FeasibleSetProjector(inst, xbar)
-    assert projector._interior is None
+    assert projector.analysis.location is not ConeLocation.INTERIOR
     assert not oracles._ball_inside(projector, oracles._RADII)
     scan_spy.update(rng=0, rows=[])
     scan = oracles._kappa_scan(projector, oracles._RADII, 48, 5)
@@ -532,7 +532,7 @@ def test_ball_test_samples_an_interior_ball_that_crosses_the_boundary(scan_spy):
     # g(1.05, 1, 0) has margin 0.05, so the ball of radius 0.2 around the
     # point leaves Omega: the scan samples and sees infeasible draws at r_0.
     projector = FeasibleSetProjector(IDENTITY, np.array([1.05, 1.0, 0.0]))
-    assert projector._interior is not None
+    assert projector.analysis.location is ConeLocation.INTERIOR
     assert not oracles._ball_inside(projector, oracles._RADII)
     scan = oracles._kappa_scan(projector, oracles._RADII, 48, 0)
     assert scan_spy["rng"] == 1

@@ -28,7 +28,7 @@ from socpcq import affine_instance, projection
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 from socpcq.soc_core import _margin_rows, _projection_rows
 
-from exact_distance import boundary_distance2
+from exact_distance import boundary_distance2, boundary_root
 
 A_HALFPLANE = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 HALFPLANE = AffineSOCInstance(A_HALFPLANE, np.zeros(3))
@@ -868,6 +868,24 @@ def test_exact_distance_matches_a_closed_form():
     # x = (0, 3, 4), at squared distance 4 + 1.44 + 2.56 = 8.
     low, high = boundary_distance2(np.eye(3), [1.0, 0.0, 0.0], [0.0, 3.0, 4.0])
     assert low <= 8 <= high and high - low <= Fraction(1, 2**100)
+
+
+def test_exact_root_bracket_holds_the_closed_form_projection():
+    # The case above: z* = (2, 1.8, 2.4) with multiplier t* = 2/3, since
+    # z* - x = t* J g(z*), and g(z*) = (3, 1.8, 2.4) lies on the boundary of
+    # Q.  Each coordinate of z(t) is monotone in t, so z* lies between the
+    # bracket's ends, whose squared distances are boundary_distance2's.
+    A, b, x = np.eye(3), [1.0, 0.0, 0.0], [0.0, 3.0, 4.0]
+    t_lo, t_hi, z_lo, z_hi = boundary_root(A, b, x)
+    low, high = boundary_distance2(A, b, x)
+    assert t_lo <= Fraction(2, 3) <= t_hi
+    z_star = [Fraction(2), Fraction(9, 5), Fraction(12, 5)]
+    g = [z_star[0] + 1, z_star[1], z_star[2]]
+    assert g[0] > 0 and g[0] ** 2 == g[1] ** 2 + g[2] ** 2
+    assert all(min(a, c) <= z <= max(a, c) for a, z, c in zip(z_lo, z_star, z_hi))
+    dist2 = [sum((zi - Fraction(xi)) ** 2 for zi, xi in zip(z, x)) for z in (z_lo, z_hi)]
+    assert sorted(dist2) == [low, high]
+    assert low <= sum((zi - Fraction(xi)) ** 2 for zi, xi in zip(z_star, x)) <= high
 
 
 def _hyperbola_row(sk, x2):
