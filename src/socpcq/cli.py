@@ -126,7 +126,9 @@ def parse_instance(path: str) -> InstanceDocument:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read instance file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; a document
+        # nested past the interpreter's recursion limit raises RecursionError.
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
     return instance_document_from_dict(raw)
 

@@ -2,7 +2,8 @@
 
 This helper shares no code with ``socpcq.projection``: it reads the
 instance as plain numbers, converts every float to a ``Fraction`` exactly,
-and decides in ``Fraction`` arithmetic only.
+and decides in ``Fraction`` arithmetic only, on the primitives of
+``rational``.
 
 It covers the smooth-boundary candidate alone.  At the projection z of an
 infeasible x with g(z) = Az + b on the boundary of Q and g0(z) > 0, the
@@ -33,46 +34,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from rational import evaluate, exact, interpolate, positive_roots, solve, sturm, trim, variations
+
 #: Relative width, in bits, of the squared-distance interval returned.
 _BITS = 120
-
-
-def _exact(values) -> list:
-    return [Fraction(float(v)) for v in values]
-
-
-def _solve(matrix: list, rhs: list) -> tuple[Fraction, list]:
-    """(det, solution) of a square rational system; solution None when the
-    matrix is singular."""
-    n = len(rhs)
-    rows = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0), None
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for i in range(k + 1, n):
-            f = rows[i][k] / rows[k][k]
-            if f:
-                rows[i] = [a - f * c for a, c in zip(rows[i], rows[k])]
-    sol = [Fraction(0)] * n
-    for k in reversed(range(n)):
-        s = rows[k][n] - sum(rows[k][j] * sol[j] for j in range(k + 1, n))
-        sol[k] = s / rows[k][k]
-    return det, sol
 
 
 class _Instance:
     """A, b and x as Fractions, with M = A^T J A and c = A^T J b."""
 
     def __init__(self, A, b, x):
-        self.A = [_exact(row) for row in A]
-        self.b = _exact(b)
-        self.x = _exact(x)
+        self.A = [exact(row) for row in A]
+        self.b = exact(b)
+        self.x = exact(x)
         self.n = len(self.x)
         JA = [row if i == 0 else [-a for a in row] for i, row in enumerate(self.A)]
         Jb = [v if i == 0 else -v for i, v in enumerate(self.b)]
@@ -85,7 +59,7 @@ class _Instance:
         """(det(I - tM), z(t)); z is None where the determinant vanishes."""
         n = self.n
         matrix = [[(i == j) - t * self.M[i][j] for j in range(n)] for i in range(n)]
-        return _solve(matrix, [xi + t * ci for xi, ci in zip(self.x, self.c)])
+        return solve(matrix, [xi + t * ci for xi, ci in zip(self.x, self.c)])
 
     def image(self, z: list) -> list:
         return [sum(a * zj for a, zj in zip(row, z)) + bi for row, bi in zip(self.A, self.b)]
@@ -98,111 +72,12 @@ class _Instance:
         return sum((zi - xi) ** 2 for zi, xi in zip(z, self.x))
 
 
-# -- polynomials, as coefficient lists from the constant term up ----------
-
-
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _eval(p: list, t: Fraction) -> Fraction:
-    out = Fraction(0)
-    for a in reversed(p):
-        out = out * t + a
-    return out
-
-
-def _interpolate(nodes: list, values: list) -> list:
-    """Coefficients of the polynomial through (nodes, values), by Newton's
-    divided differences."""
-    coef = list(values)
-    k = len(nodes)
-    for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
-    poly = [Fraction(0)] * k
-    for i in reversed(range(k)):
-        # poly = poly * (t - nodes[i]) + coef[i]
-        shifted = [Fraction(0)] + poly[:-1]
-        poly = [s - nodes[i] * q for s, q in zip(shifted, poly)]
-        poly[0] += coef[i]
-    return poly
-
-
-def _remainder(a: list, b: list) -> list:
-    a = list(a)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, v in enumerate(b):
-            a[shift + i] -= f * v
-        a = _trim(a[:-1])
-    return a
-
-
-def _sturm(p: list) -> list:
-    chain = [p, _trim([i * a for i, a in enumerate(p)][1:])]
-    while len(chain[-1]) > 1:
-        r = _remainder(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-v for v in r])
-    return chain
-
-
-def _variations(chain: list, t: Fraction) -> int:
-    signs = [v > 0 for v in (_eval(q, t) for q in chain) if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _positive_roots(chain: list) -> list:
-    """Isolating intervals (lo, hi] of the distinct positive roots of p,
-    the head of its Sturm chain, p(0) != 0."""
-    p = chain[0]
-    bound = 1 + max(abs(a / p[-1]) for a in p[:-1])
-    todo, out = [(Fraction(0), bound)], []
-    while todo:
-        lo, hi = todo.pop()
-        count = _variations(chain, lo) - _variations(chain, hi)
-        if count == 1:
-            out.append((lo, hi))
-        elif count > 1:
-            mid = (lo + hi) / 2
-            todo += [(lo, mid), (mid, hi)]
-    return out
-
-
 def boundary_distance2(A, b, x):
     """Bounds (lo, hi) on the squared distance from an infeasible x to
     {x : Ax + b in Q} at its smooth-boundary candidate, as Fractions; None
     when there is no such candidate (a vertex or hard-case projection)."""
-    inst = _Instance(A, b, x)
-    degree = 2 * inst.n
-    nodes, values = [], []
-    t = Fraction(0)
-    while len(nodes) < degree + 3:
-        det, z = inst.point(t)
-        if det != 0:
-            nodes.append(t)
-            values.append(inst.psi(z) * det * det)
-        t += 1
-    poly = _interpolate(nodes, values)
-    assert poly[degree + 1] == poly[degree + 2] == 0, "p has degree above 2n"
-    poly = _trim(poly)
-    if len(poly) < 2 or poly[0] == 0:
-        # No positive root, or g(x) on the boundary of Q or -Q.
-        return None
-    chain = _sturm(poly)
-    best = None
-    for lo, hi in _positive_roots(chain):
-        ends = _narrowed(inst, chain, lo, hi)
-        if ends is None:
-            continue
-        if best is None or ends[1] < best[1]:
-            best = ends
-    return best
+    nearest = _nearest_root(A, b, x)
+    return None if nearest is None else nearest[:2]
 
 
 def boundary_root(A, b, x):
@@ -212,6 +87,13 @@ def boundary_root(A, b, x):
     ``boundary_distance2`` is None.  The projection's multiplier t lies in
     [t_lo, t_hi], and ||z(t) - x||^2 at the two ends agree to 2**-_BITS
     relative."""
+    nearest = _nearest_root(A, b, x)
+    return None if nearest is None else nearest[2]
+
+
+def _nearest_root(A, b, x):
+    """``_bracket`` at the positive root of p whose smooth-boundary
+    candidate is nearest x, or None where no root has one."""
     inst = _Instance(A, b, x)
     degree = 2 * inst.n
     nodes, values = [], []
@@ -222,16 +104,19 @@ def boundary_root(A, b, x):
             nodes.append(t)
             values.append(inst.psi(z) * det * det)
         t += 1
-    poly = _trim(_interpolate(nodes, values))
+    poly = interpolate(nodes, values)
+    assert poly[degree + 1] == poly[degree + 2] == 0, "p has degree above 2n"
+    poly = trim(poly)
     if len(poly) < 2 or poly[0] == 0:
+        # No positive root, or g(x) on the boundary of Q or -Q.
         return None
-    chain = _sturm(poly)
+    chain = sturm(poly)
     best = None
-    for lo, hi in _positive_roots(chain):
+    for lo, hi in positive_roots(chain):
         ends = _bracket(inst, chain, lo, hi)
         if ends is not None and (best is None or ends[1] < best[1]):
             best = ends
-    return None if best is None else best[2]
+    return best
 
 
 def _candidate(inst: _Instance, t: Fraction):
@@ -242,30 +127,24 @@ def _candidate(inst: _Instance, t: Fraction):
     return inst.dist2(z)
 
 
-def _narrowed(inst: _Instance, chain: list, lo: Fraction, hi: Fraction):
-    """Bisect the root in (lo, hi] until the squared distance at both ends
-    agrees to 2**-_BITS relative; (low, high) of it, or None if the root
-    is no smooth-boundary candidate."""
-    ends = _bracket(inst, chain, lo, hi)
-    return None if ends is None else ends[:2]
-
-
 def _bracket(inst: _Instance, chain: list, lo: Fraction, hi: Fraction):
-    """``_narrowed``'s bisection: (low, high, (lo, hi, z(lo), z(hi))) at the
-    narrowed bracket, or None.  A root where p changes sign is bisected on
+    """Bisect the root in (lo, hi] until the squared distance at both ends
+    agrees to 2**-_BITS relative: (low, high, (lo, hi, z(lo), z(hi))) of
+    that distance at the narrowed bracket, or None if the root is no
+    smooth-boundary candidate.  A root where p changes sign is bisected on
     the sign of p, any other on the Sturm count."""
     p = chain[0]
-    p_lo, p_hi = _eval(p, lo), _eval(p, hi)
+    p_lo, p_hi = evaluate(p, lo), evaluate(p, hi)
     if p_hi == 0:
         lo = hi
     sign_change = p_lo * p_hi < 0
-    v_lo = _variations(chain, lo)
+    v_lo = variations(chain, lo)
     while True:
         for _ in range(32):
             if lo == hi:
                 break
             mid = (lo + hi) / 2
-            p_mid = _eval(p, mid)
+            p_mid = evaluate(p, mid)
             if p_mid == 0:
                 lo = hi = mid
             elif sign_change:
@@ -274,7 +153,7 @@ def _bracket(inst: _Instance, chain: list, lo: Fraction, hi: Fraction):
                 else:
                     hi = mid
             else:
-                v_mid = _variations(chain, mid)
+                v_mid = variations(chain, mid)
                 if v_lo - v_mid == 1:
                     hi = mid
                 else:

@@ -409,6 +409,25 @@ def test_malformed_documents_exit_2(capsys, tmp_path, text):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"m": 3, "n": 1, "A": [[1],[0],[0]], "b": [0,0,0], "points": {"p\xff": [1]}}',
+        100_000 * b"[" + 100_000 * b"]",
+    ],
+    ids=["not-utf-8", "nested-1e5-deep"],
+)
+def test_undecodable_or_deeply_nested_documents_exit_2(capsys, tmp_path, data):
+    # A UnicodeDecodeError or RecursionError from the JSON reader is a parse
+    # error, not a traceback with exit 1, the infeasible-point code.
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "analyze", str(path), "p")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: invalid JSON in {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_tolerance_is_named(capsys, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(

@@ -9,16 +9,15 @@ gradient) in every combination, where a random draw meets them only where
 the generator plants them.
 
 The image class is checked against an exact one, decided in ``Fraction``:
-the rank by elimination, and the class by the sign of 2 t^2 - 1 with
-t^2 = e0^T U U^T e0 = B[0]^T (B^T B)^-1 B[0] for a column basis B, from one
-Gram solve.  A Lorentz boost maps Q_3 onto itself, so every verdict, and
+the rank and a column basis B from one elimination, and the class by the
+sign of 2 t^2 - 1 with t^2 = e0^T U U^T e0 = B[0]^T (B^T B)^-1 B[0], from
+one Gram solve.  A Lorentz boost maps Q_3 onto itself, so every verdict, and
 the bounded error modulus of Thm4.4(iv), must survive one.
 """
 
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from socpcq.families import lorentz_boost, transformed
 from socpcq.oracles import classify_kappa_growth, mscq_kappa_scan
 from socpcq.subspace_cone import SubspaceKind
 
-from exact_distance import _solve
+from rational import eliminate, exact, solve
 
 VERDICTS = ("nondegeneracy", "rcq", "fcr", "h_closed", "crcq", "mscq")
 #: g(0) = b at the vertex, on the boundary and inside Q_3.
@@ -55,28 +54,23 @@ def _boosted(inst, rapidity):
     return transformed(inst, L=lorentz_boost([1.0, 0.0], rapidity))[0]
 
 
-def _gram(cols):
-    return [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
-
-
 def _exact_class(A):
-    """(kind, rank) of Im(A) in ``Fraction``: a column basis B by
-    elimination (a column joins B when the Gram determinant stays nonzero),
-    then the sign of 2 t^2 - 1 with t^2 = B[0]^T (B^T B)^-1 B[0]."""
-    basis = []
-    for col in ([Fraction(int(v)) for v in c] for c in A.T):
-        if _solve(_gram(basis + [col]), [Fraction(0)] * (len(basis) + 1))[0] != 0:
-            basis.append(col)
-    if not basis:
+    """(kind, rank) of Im(A) in ``Fraction``: a column basis B from one
+    elimination, then the sign of 2 t^2 - 1 with
+    t^2 = B[0]^T (B^T B)^-1 B[0]."""
+    rows = [exact(row) for row in A]
+    pivots = eliminate(rows)[1]
+    if not pivots:
         return SubspaceKind.ZERO_ONLY, 0
-    head = [c[0] for c in basis]
-    t2 = sum(h * s for h, s in zip(head, _solve(_gram(basis), head)[1]))
-    sign = 2 * t2 - 1
+    basis = [[row[j] for row in rows] for j in pivots]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    head = [rows[0][j] for j in pivots]
+    sign = 2 * sum(h * s for h, s in zip(head, solve(gram, head)[1])) - 1
     if sign > 0:
-        return SubspaceKind.MEETS_INTERIOR, len(basis)
+        return SubspaceKind.MEETS_INTERIOR, len(pivots)
     if sign == 0:
-        return SubspaceKind.RAY, len(basis)
-    return SubspaceKind.ZERO_ONLY, len(basis)
+        return SubspaceKind.RAY, len(pivots)
+    return SubspaceKind.ZERO_ONLY, len(pivots)
 
 
 @functools.cache
