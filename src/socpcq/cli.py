@@ -415,18 +415,13 @@ def cmd_harness(args) -> int:
         trials = _count(args.trials, "trials")
     except ValueError as exc:
         raise ParseError(f"invalid --trials: {exc}") from exc
-    fixed_instance = fixed_point = None
+    fixed = None
     if (args.instance is None) != (args.point is None):
         raise ParseError("give --instance and --point together, or neither")
     if args.instance is not None:
         doc = parse_instance(args.instance)
-        fixed_instance, fixed_point = doc.instance, _named_point(doc, args.point)
-    report = equivalence_harness(
-        trials=trials,
-        **seed,
-        fixed_instance=fixed_instance,
-        fixed_point=fixed_point,
-    )
+        fixed = analyze_point(doc.instance, _named_point(doc, args.point))
+    report = equivalence_harness(trials=trials, **seed, fixed=fixed)
     header = (
         "trial,target_case,m,n,crcq,condition,kappa_class,agree,retried,"
         "fcr_consistent,fcr_agree,invariant_violations,kappa_hat"
@@ -522,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("point")
     # The scan's defaults live in ``oracles``, which only ``cmd_scan`` imports.
     p.add_argument("--radii", help="comma-separated radii")
-    p.add_argument("--samples", type=int, help="samples per radius")
+    p.add_argument(
+        "--samples", type=int, help="kappa-scan samples per radius and FCR-scan samples"
+    )
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("harness", help="analytic-vs-sampled equivalence harness")

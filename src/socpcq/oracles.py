@@ -19,10 +19,9 @@ Key design points:
 * A scan samples against the projector it is handed, whose construction
   was the scan's one point analysis, and makes one certified projector
   call for all radii together: the infeasible probe bases and the probes
-  of feasible bases.  The probe of an infeasible base x with anchor z and
-  record (ub, lb) is p = z + h (x - z) / ub, on the ray from z in Omega
-  through x, and the projector's ``_ray_distances`` decides, next to the
-  record and gap rule it rests on, whether p inherits ||p - z|| as its
+  of feasible bases.  The projector's ``_ray_probes`` plants the probe of
+  an infeasible base on its anchor's ray and decides, next to the record
+  and gap rule it rests on, whether the probe inherits a certified
   distance.  The uniform points are drawn and counted at every radius,
   but projected only at a radius where no probe survived, since only
   there does their ratio reach the record.  Those points, the probes that
@@ -35,7 +34,7 @@ Key design points:
   the settings it fixed and the projector of its trial point, fills its
   draws in place and runs only private kernels on them: the instance's
   ``_evaluate``, ``soc_core._distance_rows`` and the projector's
-  ``_project_rows`` and ``_ray_distances``.  It scales its draws by the
+  ``_project_rows`` and ``_ray_probes``.  It scales its draws by the
   radii and computes the probe offsets on every call, and keeps no state
   between calls.
 * Every row a scan evaluates or projects lies within its reach
@@ -64,7 +63,8 @@ from typing import Optional
 
 import numpy as np
 
-from .affine_instance import AffineSOCInstance, _grad_rows, analyze_point
+from .affine_instance import AffineSOCInstance, PointAnalysis, _grad_rows
+from .affine_instance import analyze_point
 from .cq_checker import _report
 from .errors import DimensionError, GenerationError, NumericalFailureError
 # bench/workloads.py reads random_instance and TARGET_CASES from this module.
@@ -247,8 +247,9 @@ def mscq_kappa_scan(
 
     All radii go through one certified projector call: the infeasible
     probe bases and the probes of feasible bases (a feasible base is its
-    own anchor).  A probe of an infeasible base inherits its distance from
-    its base's record by the projector's ``_ray_distances``.  One
+    own anchor).  The probe of an infeasible base is planted on its
+    anchor's ray, and may inherit its distance from its base's record, by
+    the projector's ``_ray_probes``.  One
     fallback call takes the surviving probes that inherit no distance
     (their interval is wider than the projector's gap, or their base is at
     distance 0) and the kept uniform points of the radii where no probe
@@ -377,7 +378,7 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     Every array past the draws is built here from checked data, so the
     scan runs the private kernels on it: g(X) by the instance's
     ``_evaluate``, the cone distance ``_distance_rows``, and the
-    projector's ``_project_rows`` and ``_ray_distances``.
+    projector's ``_project_rows`` and ``_ray_probes``.
     """
     instance, center = projector.instance, projector.reference
     n = instance.n
@@ -428,18 +429,15 @@ def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaSc
     near, far = np.flatnonzero(own), np.flatnonzero(~own)
 
     # The certified call: the infeasible bases and the probes of feasible
-    # bases.  An infeasible base x with anchor z at distance ub > 0 plants
-    # its probe h along the exact outward normal, p = z + h (x - z) / ub,
-    # which carries the worst ratios; one at distance 0 keeps its random
-    # offset.
+    # bases.  The probe of an infeasible base moves onto its anchor's ray
+    # by ``_ray_probes``, where it carries the worst ratios.
     Z, ub, lb = projector._project_rows(np.concatenate([bases[far], probes[near]]))
     dist_probe = np.zeros(k * P)
     dist_probe[near] = ub[far.size :]
-    Z, ub, lb = Z[: far.size], ub[: far.size], lb[: far.size]
-    h_far, offsets = h[far // P], dirs[S + P + far % P]
-    step = np.divide(bases[far] - Z, ub[:, None], out=offsets, where=ub[:, None] > 0.0)
-    probes[far] = Z + h_far[:, None] * step
-    dist, inherited = projector._ray_distances((Z, ub, lb), probes[far], h_far)
+    record = Z[: far.size], ub[: far.size], lb[: far.size]
+    probes[far], dist, inherited = projector._ray_probes(
+        bases[far], record, h[far // P], dirs[S + P + far % P]
+    )
     dist_probe[far[inherited]] = dist[inherited]
     dist_g[:, S:] = _distance_rows(instance._evaluate(probes)).reshape(k, P)
     keep = dist_g > RATIO_DISTANCE_FLOOR
@@ -739,8 +737,7 @@ _HARNESS_SAMPLES_PER_RADIUS = 48
 def equivalence_harness(
     trials: int,
     seed: int = 42,
-    fixed_instance: Optional[AffineSOCInstance] = None,
-    fixed_point=None,
+    fixed: Optional[PointAnalysis] = None,
 ) -> HarnessReport:
     """Cross-validate the analytic CRCQ/MSCQ verdict against the kappa scan.
 
@@ -748,16 +745,15 @@ def equivalence_harness(
     6, decides CRCQ in closed form, classifies the empirical kappa growth,
     and records whether the two agree (bounded <=> CRCQ holds).  An
     inconclusive scan is retried once with four times the sampling before
-    being reported.  Passing ``fixed_instance`` and ``fixed_point`` pins
-    every trial to one instance, decided at that instance's ``tol`` (fresh
-    scan seeds per trial), instead of drawing random ones; one of the two
-    without the other raises ``ValueError`` before any trial.
+    being reported.  Passing ``fixed``, a feasible point's
+    ``PointAnalysis``, pins every trial to that point of its instance
+    (fresh scan seeds per trial) instead of drawing random ones.
 
     Each decided point has one report and one projector, built from the
     report's analysis: a random trial builds them for its draw, a fixed
-    instance once before the first trial (an infeasible fixed point raises
-    there, and so does one whose scans would reach past the magnitude rule
-    or probe below one ulp of it, with the ``DimensionError`` of
+    point once before the first trial, from ``fixed`` without a second
+    analysis (a point whose scans would reach past the magnitude rule or
+    probe below one ulp of it raises there, with the ``DimensionError`` of
     ``mscq_kappa_scan``).  The kappa scan
     and its retry sample against that projector.  Every trial runs the FCR
     oracle ``fcr_dim_scan`` on the analysis, which decides where to sample and
@@ -767,24 +763,22 @@ def equivalence_harness(
     records the count and is a disagreement, whatever its scan read.
     """
     trials, seed = _count(trials, "trials"), _count(seed, "seed", 0)
-    if (fixed_instance is None) != (fixed_point is None):
-        raise ValueError("give fixed_instance and fixed_point together, or neither")
     children = np.random.SeedSequence(seed).spawn(trials)
     rows: list[TrialRecord] = []
     disagreements: list[int] = []
     inconclusive: list[int] = []
     failures: list[tuple[int, str]] = []
 
-    if fixed_instance is not None:
-        target, m, n = "fixed", fixed_instance.m, fixed_instance.n
-        report, violations = _report(fixed_instance, fixed_point)
-        projector = FeasibleSetProjector(fixed_instance, report.point_analysis)
-        _check_scan_reach(fixed_instance, projector.reference, _RADII)
+    if fixed is not None:
+        target, m, n = "fixed", fixed.instance.m, fixed.instance.n
+        report, violations = _report(fixed.instance, fixed)
+        projector = FeasibleSetProjector(fixed.instance, fixed)
+        _check_scan_reach(fixed.instance, fixed.x, _RADII)
 
     for t, child in enumerate(children):
         trial_seed = int(child.generate_state(1, dtype=np.uint32)[0])
         try:
-            if fixed_instance is None:
+            if fixed is None:
                 target = TARGET_CASES[t % len(TARGET_CASES)]
                 m_lo, n_lo = _least_sizes(target)
                 rng = np.random.default_rng(child)

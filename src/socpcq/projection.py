@@ -153,9 +153,9 @@ two or more rows never take ``_project_row``.
 ``project_batch`` returns a ``BatchProjection``: per row the feasible
 point, ``ub`` and ``lb`` with lb <= dist(x, Omega) <= ub.  Feasible rows
 and the closed-form geometries are exact, with lb = ub; on the Slater
-geometry lb is the dual bound above, capped at ub.  ``_ray_distances``
-bounds the distances of further points on the rays of a record (the
-kappa scan's probes), which then need no second projection.
+geometry lb is the dual bound above, capped at ub.  ``_ray_probes``
+plants further points on the rays of a record (the kappa scan's probes)
+and bounds their distances, so that they need no second projection.
 
 ``project_batch`` checks its rows ((N, n), the magnitude rule on the rows
 and their images) and ``project`` its one point; the private
@@ -588,12 +588,13 @@ class FeasibleSetProjector:
         """The certified gap of each row x: projection_tol * max(1, ||x||)."""
         return self.instance.projection_tol * ops.max(1.0, ops.norm(X))
 
-    def _ray_distances(self, record, P, h):
-        """(dist, inherited): the distances to Omega of probes P that the
-        rows of ``record`` bound, and the rows where they are certified.
+    def _ray_probes(self, X, record, h, offsets):
+        """(P, dist, inherited): the probe of each row x of X, planted h off
+        Omega on its anchor's ray, ||p - z||, and the rows where that is
+        its certified distance to Omega.
 
-        ``record`` is this projector's (Z, ub, lb) of rows X, and a probe of
-        a row with ub > 0 is p = z + h (x - z) / ub: h along the exact
+        ``record`` is this projector's (Z, ub, lb) of the rows X.  A row
+        with ub > 0 plants p = z + h (x - z) / ub: h along the exact
         outward normal from its anchor z.  It lies on the ray from z in
         Omega through x, so convexity and 1-Lipschitz continuity of
         dist(., Omega) along that ray put
@@ -601,14 +602,17 @@ class FeasibleSetProjector:
             dist(p, Omega) in [h - max(1, h / ub) (ub - lb), ||p - z||],
 
         and p inherits the upper end when the interval is no wider than
-        the gap ``_gap_tol`` certifies at p.  A row with ub = 0 inherits
-        nothing.
+        the gap ``_gap_tol`` certifies at p.  A row with ub = 0 has no ray:
+        it steps h from z along its row of ``offsets`` (unit rows, which
+        the steps overwrite) and inherits nothing.
         """
         Z, ub, lb = record
+        step = np.divide(X - Z, ub[:, None], out=offsets, where=ub[:, None] > 0.0)
+        P = Z + h[:, None] * step
         dist = _row_norms(P - Z)
         # The interval's width times ub, free of a division by a tiny ub.
         width_ub = (dist - h) * ub + (ub - lb) * np.maximum(ub, h)
-        return dist, (ub > 0.0) & (width_ub <= self._gap_tol(_ROWS, P) * ub)
+        return P, dist, (ub > 0.0) & (width_ub <= self._gap_tol(_ROWS, P) * ub)
 
     def _pull_inside(self, Z: np.ndarray, mz) -> np.ndarray:
         """Rows Z with negative margins ``mz`` (a column) moved into Omega.

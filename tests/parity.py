@@ -5,12 +5,15 @@
 
 Exports ``src/`` of the git revision ``BASE`` into a temporary directory
 and, for that tree and for the working tree's ``src/``, each in a fresh
-interpreter, prints three digests of the benchmark's workloads at seed 11:
+interpreter, prints four digests of the benchmark's workloads at seed 11:
 the reprs of the first 400 ``harness`` reports
 (``equivalence_harness(8, seed=_child_seed(11, MAIN, i))``), the exit codes
-and standard output of the first 2,400 ``cli-oneshot`` calls, and, as
-``fcr-records``, the repr of every record that ``oracles.fcr_dim_scan``
-returns during those calls (a ``DimScan`` or None, one per harness trial).
+and standard output of the first 2,400 ``cli-oneshot`` calls, the reprs of
+the first 240 ``kappa-slater`` scans and their classes (kappa scans at
+Thm4.4(iv) vertex Slater points, half of them boosted at rapidity 1, the
+only digested rows on boosted instances), and, as ``fcr-records``, the
+repr of every record that ``oracles.fcr_dim_scan`` returns during those
+calls (a ``DimScan`` or None, one per harness trial).
 The reports show that record only as ``fcr_consistent`` and
 ``fcr_agree``, so the oracle is wrapped in place, as the recording fixture
 of ``tests/test_oracles.py`` wraps it.  Both trees run the inputs of the
@@ -35,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 11
 #: Operations digested per workload.
-COUNTS = {"harness": 400, "cli-oneshot": 2400}
+COUNTS = {"harness": 400, "cli-oneshot": 2400, "kappa-slater": 240}
 
 #: Run in a fresh interpreter with ``src/`` and ``bench/`` on the path:
 #: prints ``<workload> <sha256>`` per workload, then ``fcr-records <sha256>``.

@@ -46,7 +46,7 @@ from socpcq import (
     soc_core,
     subspace_cone,
 )
-from socpcq.cli import parse_instance
+from socpcq.cli import EXIT_PARSE, main, parse_instance
 from socpcq.families import TARGET_CASES, lorentz_boost, transformed
 from socpcq.projection import PROJECTION_TOL, FeasibleSetProjector
 from socpcq.soc_core import ConeLocation, _margin_rows, classify_cone_point, cone_margin
@@ -139,7 +139,7 @@ def test_harness_fixed_point_obeys_the_scan_reach_rule(monkeypatch, point, messa
     point = np.array(point)
     for run in (
         lambda: mscq_kappa_scan(IDENTITY, point),
-        lambda: equivalence_harness(1, fixed_instance=IDENTITY, fixed_point=point),
+        lambda: equivalence_harness(1, fixed=analyze_point(IDENTITY, point)),
     ):
         with pytest.raises(DimensionError, match=re.escape(message)):
             run()
@@ -422,10 +422,7 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
         offsets = rng.standard_normal(X.shape)
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
         record = projector.project_batch(X)
-        Z, ub, _ = record
-        step = np.divide(X - Z, ub[:, None], out=offsets, where=ub[:, None] > 0.0)
-        probes = Z + h[:, None] * step
-        dist, inherited = projector._ray_distances(record, probes, h)
+        probes, dist, inherited = projector._ray_probes(X, record, h, offsets)
         fresh = projector.project_batch(probes)
         slack = PROJECTION_TOL * np.maximum(1.0, np.linalg.norm(probes, axis=1))
         assert np.all(fresh.lb[inherited] - slack[inherited] <= dist[inherited])
@@ -1148,9 +1145,7 @@ def test_harness_small_run_is_clean():
 
 
 def test_harness_fixed_instance_mode():
-    report = equivalence_harness(
-        2, seed=11, fixed_instance=TANGENT, fixed_point=np.zeros(2)
-    )
+    report = equivalence_harness(2, seed=11, fixed=analyze_point(TANGENT, np.zeros(2)))
     assert report.clean
     for row in report.rows:
         assert row.target_case == "fixed"
@@ -1162,13 +1157,17 @@ def test_harness_fixed_instance_mode():
 
 @pytest.mark.parametrize(
     "fixed",
-    [{"fixed_point": np.zeros(2)}, {"fixed_instance": TANGENT}],
+    [["--point", "xbar"], ["--instance", str(FIXTURES / "vertex_halfplane.json")]],
     ids=["point-alone", "instance-alone"],
 )
-def test_harness_fixed_instance_and_point_come_together(calls, fixed):
-    # One without the other is rejected before any trial runs.
-    with pytest.raises(ValueError, match="fixed_instance and fixed_point together"):
-        equivalence_harness(2, seed=11, **fixed)
+def test_harness_fixed_instance_and_point_come_together(calls, capsys, fixed):
+    # The harness takes its fixed point analyzed; the CLI, which builds that
+    # analysis from outside input, rejects an instance or a point alone
+    # before it parses, analyzes or runs any trial.
+    assert main(["harness", "--trials", "2", "--seed", "11", *fixed]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give --instance and --point together, or neither" in captured.err
     assert calls["analyze"] == calls["build"] == 0
 
 
@@ -1189,13 +1188,13 @@ def test_harness_counts_invariant_violations(monkeypatch):
 
 
 def test_harness_analyzes_each_trial_point_once(calls):
-    # A fixed point is decided once: its report's analysis builds the one
-    # projector that every trial's scans sample against.
-    report = equivalence_harness(
-        3, seed=11, fixed_instance=TANGENT, fixed_point=np.zeros(2)
-    )
+    # A fixed point comes analyzed: the harness decides its report from
+    # that analysis, which builds the one projector that every trial's
+    # scans sample against, and makes no analysis of its own.
+    fixed = analyze_point(TANGENT, np.zeros(2))
+    report = equivalence_harness(3, seed=11, fixed=fixed)
     assert report.clean
-    assert calls["analyze"] == 1
+    assert calls["analyze"] == 0
     assert calls["build"] == 1
 
 
@@ -1317,7 +1316,7 @@ PINNED_HARNESS = Path(__file__).parent / "data" / "harness_pins.json"
 HARNESS_PIN_CASES = {
     "random@seed0": dict(trials=64, seed=0),
     "vertex_halfplane@origin": dict(
-        trials=4, seed=0, fixed_instance=HALFPLANE, fixed_point=np.zeros(3)
+        trials=4, seed=0, fixed=analyze_point(HALFPLANE, np.zeros(3))
     ),
 }
 

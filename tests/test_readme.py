@@ -44,13 +44,15 @@ def test_readme_private_names_exist():
     # A private name the README, or a docstring or comment of the package,
     # cites in backticks, `_name`, ``_name`` or `_name(...)`, is defined in
     # some module of the package or on a public class; one cited as
-    # module._name, for a module of the package, is defined in that module.
+    # module._name or Class._name, for a module or public class of the
+    # package, is defined there.
     modules = {
         info.name: importlib.import_module(f"socpcq.{info.name}")
         for info in pkgutil.iter_modules(socpcq.__path__)
     }
-    public = [getattr(socpcq, name) for name in socpcq.__all__]
-    owners = [*modules.values(), *(obj for obj in public if inspect.isclass(obj))]
+    public = {name: getattr(socpcq, name) for name in socpcq.__all__}
+    scopes = {**modules, **{k: v for k, v in public.items() if inspect.isclass(v)}}
+    owners = list(scopes.values())
     sources = {"README.md": README.read_text(encoding="utf-8")}
     for path in sorted(Path(socpcq.__file__).parent.glob("*.py")):
         sources[path.name] = _docs_and_comments(path)
@@ -64,7 +66,7 @@ def test_readme_private_names_exist():
             for name in cited
             if not any(hasattr(owner, name) for owner in owners)
         ]
-        for module, name in re.findall(r"\b([a-z_]\w*)\.(_[A-Za-z]\w*)", text):
-            if module in modules and not hasattr(modules[module], name):
-                missing.append(f"{source}: {module}.{name}")
+        for scope, name in re.findall(r"\b([A-Za-z_]\w*)\.(_[A-Za-z]\w*)", text):
+            if scope in scopes and not hasattr(scopes[scope], name):
+                missing.append(f"{source}: {scope}.{name}")
     assert not sorted(missing)
