@@ -40,7 +40,9 @@ Key design points:
 * Every row a scan evaluates or projects lies within its reach
   ``_scan_reach`` = 2 * radii[0] of its center.  Where that whole ball
   provably lies inside Omega, ``_kappa_scan`` returns its record in closed
-  form, by the proof of ``_ball_inside``; every other center samples.
+  form, by the proof of ``_ball_inside``, a lower bound on the Lorentz form
+  q(g(x)) = g(x)^T J g(x) over the ball that reads only invariants of the
+  cone's boosts and rotations; every other center samples.
 * ``fcr_dim_scan`` samples a ball of radius rho = min(0.1, 0.1 ||g_r(xbar)||
   / max(1, sigma)), sigma = sigma_max(A), around a positive-boundary center,
   held to the magnitude rule of the kappa scan's reach by ``_check_reach``,
@@ -71,7 +73,7 @@ from .errors import DimensionError, GenerationError, NumericalFailureError
 from .families import TARGET_CASES, _draw, _least_sizes, random_instance
 from .projection import _EPS, FeasibleSetProjector
 from .soc_core import _SQUARE_LIMIT, ConeLocation, _count, _distance_rows, _margin_rows
-from .soc_core import _is_real, _margin, _norm, _row_norms
+from .soc_core import _is_real, _norm, _row_norms, reflected
 from .subspace_cone import SubspaceConeClass, SubspaceKind, classify_image_vs_cone
 
 __all__ = [
@@ -264,8 +266,9 @@ def mscq_kappa_scan(
     ``_image_bound``, past the magnitude rule raises ``DimensionError``
     before any draw, and so does a finest probe offset below one ulp of
     ``xbar``'s largest entry, where the probes would round onto their bases.
-    Where ``_ball_inside`` proves every draw feasible, the scan returns the
-    record the draws would give without drawing.
+    Where ``_ball_inside`` proves every draw feasible, by a bound on the
+    Lorentz form of g(x) that holds in every frame of the cone, the scan
+    returns the record the draws would give without drawing.
     """
     seed = _count(seed, "seed", 0)
     radii, samples_per_radius = _scan_settings(radii, samples_per_radius)
@@ -310,8 +313,9 @@ def _check_scan_reach(instance: AffineSOCInstance, center, radii) -> None:
 
 def _slack(instance: AffineSOCInstance, size: float) -> float:
     """64 (m + 1)(n + 1) eps max(1, size), the rounding slack of both closed
-    forms, which ``_ball_inside`` and ``_proved_dim`` derive.  The factor
-    before max(1, size) is exact, so only the last product rounds."""
+    forms, which ``_ball_inside`` (times max(1, size) again, as its bound is
+    quadratic in the data) and ``_proved_dim`` derive.  The factor before
+    max(1, size) is exact, so only the last product rounds."""
     return 64.0 * (instance.m + 1) * (instance.n + 1) * _EPS * max(1.0, size)
 
 
@@ -321,59 +325,84 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
     scan's record is the all-feasible one: ``kappa_hat`` and ``probe_ratios``
     all 0.0, every draw discarded as feasible, none floored, no valid probe.
 
-    Only an interior reference xbar can pass, with the margin
-    M = margin(g(xbar)) of the projector's ``analysis``, the bits of the
-    RCQ verdict's margin.  The test is
+    Only an interior reference xbar can pass: ``_location`` reads y, the
+    computed g(xbar) of the projector's ``analysis``, as interior only where
+    its computed margin y_0 - ||y_r|| is positive, so y_0 > 0.  With the
+    Lorentz form q(v) = v^T J v = v_0^2 - ||v_r||^2, beta = q(y),
+    w = A^T J y = -A^T ``reflected``(y), lambda_- = min(0, lambda_min(A^T J A))
+    and reach = ``_scan_reach(radii)``, the test is
 
-        M - sqrt(2) ||A||_F reach > ``_slack``(B),
+        beta - 2 ||w|| reach + lambda_- reach^2 > ``_slack``(B) max(1, B),
 
-    with reach = ``_scan_reach(radii)``, T = max|xbar_j| + reach and
-    B = ``_image_bound(T)`` = ||A||_F sqrt(n) T + ||b||.  The proof rests
-    on M, never on a verdict label: a point misread as interior has M <= 0
-    and fails.
+    with T = max|xbar_j| + reach and B = ``_image_bound(T)``
+    = ||A||_F sqrt(n) T + ||b||.  beta, ||w|| and lambda_- do not change
+    under boosts or rotations of y_r, which keep J, and all scale by s^2
+    under (A, b) -> s (A, b); only the rounding slack sees the frame,
+    through B.  The proof rests on the bits of y, never on a verdict label.
 
-    Exactly, margin(y) = y_0 - ||y_r|| is sqrt(2)-Lipschitz, so the ball of
-    radius margin(g(xbar)) / sqrt(2) around g(xbar) lies in Q_m, Robinson's
-    (1975) radius, and every x with sqrt(2) ||A|| ||x - xbar|| < margin(g(xbar))
-    is feasible.  The slack covers the rounding.  Let u = eps / 2 and
-    gamma_k = k u / (1 - k u).  Every x with max|x_j| <= T has
-    || |A| |x| + |b| || <= B.  To first order in u:
+    Exactly, q(y + A d) = beta + 2 w^T d + d^T A^T J A d
+    >= beta - 2 ||w|| ||d|| + lambda_- ||d||^2.  Where this is positive on a
+    ball of d, the image of the ball is a connected set that holds y, with
+    y_0 > 0, and avoids the boundary of Q_m and of -Q_m, so it lies in
+    int Q_m; there v_0 + ||v_r|| <= sqrt(2) ||v||, so
+    margin(v) = q(v) / (v_0 + ||v_r||) >= q(v) / (sqrt(2) ||v||).  The slack
+    covers the rounding.  Let u = eps / 2 and gamma_k = k u / (1 - k u).
+    Every x with max|x_j| <= T has || |A| |x| + |b| || <= B.  To first order
+    in u:
 
     1. the computed image Y of such an x (a product and a sum in any order,
-       with or without fused multiply-adds) has ||Y - g(x)|| <= gamma_{n+1} B;
+       with or without fused multiply-adds) has ||Y - g(x)|| <= gamma_{n+1} B,
+       and so has y, computed the same way from xbar: with d = x - xbar,
+       ||Y - (y + A d)|| <= 2 gamma_{n+1} B;
     2. the computed ||Y_r|| is at most (1 + gamma_m) ||Y_r||, so the test
        Y_0 >= fl(||Y_r||) holds once margin(Y) >= gamma_m ||Y||, while
-       margin(Y) >= margin(g(x)) - sqrt(2) gamma_{n+1} B;
-    3. M was computed the same way from g(xbar), so
-       margin(g(xbar)) >= M - (1 + m + sqrt(2) (n + 1)) u B;
+       margin(Y) >= margin(y + A d) - 2 sqrt(2) gamma_{n+1} B;
+    3. beta is one dot product of length m, within gamma_m B^2 of q(y); the
+       computed w is within gamma_m ||A||_F B of the exact one and its norm
+       within gamma_{n+1} of its value, and ||w|| <= ||A||_F B; each entry
+       of the computed product A^T ``reflected``(A) is within gamma_m of
+       the product of the columns' absolute values, so within
+       gamma_m ||A||_F^2 of -A^T J A in the 2-norm; assuming eigvalsh
+       returns the largest eigenvalue of that computed product P within
+       p eps ||P||_2 of the exact one, with p <= 8 (m + 1)(n + 1) (LAPACK's
+       bound is of order n), the computed -lambda_- is low by at most
+       (m + 2 p) u ||A||_F^2.  As
+       ||A||_F reach <= B / sqrt(n), the computed left side is at most
+       (4 m + 2 n + 2 p + 2) u B^2 above the exact one;
     4. the draws and the probes of feasible bases lie within
        0.9 r_0 + h_0 < 1.03 r_0 of xbar before rounding, and within
        reach + sqrt(n) u T after it; once they all pass, the scan moves no
-       probe and makes no fallback call.  The computed ||A||_F is low by at
-       most gamma_{mn} ||A||_F, and ||A||_F reach <= B / sqrt(n), so
-       margin(g(x)) >= margin(g(xbar)) - sqrt(2) ||A||_F reach
-       - sqrt(2) (1 + m sqrt(n)) u B;
-    5. the test's own three operations round by at most 12 u B.
+       probe and makes no fallback call.  As ||A||_F sqrt(n) u T <= u B, the
+       bound at that radius is at most 4 u B^2 below the one at reach;
+    5. the test's own operations round by at most 11 u B^2.
 
-    The losses add up to at most (2 m + 3 n + 3 m sqrt(n) + 20) u B, below
-    the slack, which also covers the higher-order terms while
-    (m + 1)(n + 1) eps is small, and underflow, through max(1, B).
+    So q(y + A d) >= L - (4 m + 2 n + 2 p + 17) u B^2 for the computed left
+    side L, and by 1 and 2 (||y + A d|| <= (1 + gamma_{n+1}) B) every row
+    passes once q(y + A d) > (4 n + 4 + sqrt(2) m) u B^2.  The losses add
+    up to at most (6 m + 6 n + 2 p + 21) u B^2, below the slack, which also
+    covers the higher-order terms while (m + 1)(n + 1) eps is small, and
+    underflow, through max(1, B)^2.
     """
     analysis = projector.analysis
     if analysis.location is not ConeLocation.INTERIOR:
         return False
     instance, reach = projector.instance, _scan_reach(radii)
-    top = float(np.abs(analysis.x).max()) + reach
-    slack = _slack(instance, instance._image_bound(top))
-    return _margin(analysis.y) - math.sqrt(2.0) * instance.norm_A() * reach > slack
+    A, y, flip = instance.A, analysis.y, reflected(analysis.y)
+    bound = instance._image_bound(float(np.abs(analysis.x).max()) + reach)
+    # reflected(v) = -J v, so beta = -y^T flip, ||w|| = ||A^T flip|| and
+    # -lambda_- = max(0, lambda_max(A^T reflected(A))).
+    lift = max(0.0, float(np.linalg.eigvalsh(A.T @ reflected(A))[-1]))
+    low = -float(y @ flip) - 2.0 * _norm(flip @ A) * reach - lift * reach * reach
+    return low > _slack(instance, bound) * max(1.0, bound)
 
 
 def _kappa_scan(projector: FeasibleSetProjector, radii, S: int, seed) -> KappaScan:
     """``mscq_kappa_scan`` with settings that ``_scan_settings`` checked,
     around ``projector.reference`` and against ``projector.instance``, at
     radii that ``_check_scan_reach`` held to the instance's ``_image_bound``.
-    Where ``_ball_inside`` proves every draw feasible, it returns the
-    all-feasible record with no generator and no projection.
+    Where ``_ball_inside`` proves every draw feasible (q(g(x)) > 0 on the
+    whole reach, from Lorentz invariants), it returns the all-feasible
+    record with no generator and no projection.
 
     Every array past the draws is built here from checked data, so the
     scan runs the private kernels on it: g(X) by the instance's

@@ -13,7 +13,12 @@ the first 240 ``kappa-slater`` scans and their classes (kappa scans at
 Thm4.4(iv) vertex Slater points, half of them boosted at rapidity 1, the
 only digested rows on boosted instances), and, as ``fcr-records``, the
 repr of every record that ``oracles.fcr_dim_scan`` returns during those
-calls (a ``DimScan`` or None, one per harness trial).
+calls (a ``DimScan`` or None, one per harness trial).  A fifth digest,
+``kappa-interior``, covers interior points in other frames: the reprs and
+classes of the kappa scans of the first 60 draws
+``random_instance(2 + s % 5, 1 + s % 6, "Thm4.4(i)", s)``, boosted along
+e_1 at rapidities 1, 2, 3 and 5 and with (A, b) scaled by 1e-3 and 1e3,
+at seed s and the scan's default settings.
 The reports show that record only as ``fcr_consistent`` and
 ``fcr_agree``, so the oracle is wrapped in place, as the recording fixture
 of ``tests/test_oracles.py`` wraps it.  Both trees run the inputs of the
@@ -41,12 +46,15 @@ SEED = 11
 COUNTS = {"harness": 400, "cli-oneshot": 2400, "kappa-slater": 240}
 
 #: Run in a fresh interpreter with ``src/`` and ``bench/`` on the path:
-#: prints ``<workload> <sha256>`` per workload, then ``fcr-records <sha256>``.
+#: prints ``<workload> <sha256>`` per workload, then ``fcr-records <sha256>``
+#: and ``kappa-interior <sha256>``.
 DIGEST_CODE = """
 import hashlib, itertools, json, sys, tempfile
 from pathlib import Path
+import numpy as np
 import socpcq
-from socpcq import oracles
+from socpcq import AffineSOCInstance, classify_kappa_growth, oracles
+from socpcq.families import lorentz_boost, transformed
 from workloads import WORKLOADS
 
 records = []
@@ -72,6 +80,18 @@ digest = hashlib.sha256()
 for record in records:
     digest.update(repr(record).encode())
 print("fcr-records", digest.hexdigest())
+digest = hashlib.sha256()
+for s in range(60):
+    inst, xbar = oracles.random_instance(2 + s % 5, 1 + s % 6, "Thm4.4(i)", s)
+    frames = [
+        transformed(inst, L=lorentz_boost(np.eye(inst.m - 1)[0], rapidity))[0]
+        for rapidity in (1.0, 2.0, 3.0, 5.0)
+    ]
+    frames += [AffineSOCInstance(c * inst.A, c * inst.b) for c in (1e-3, 1e3)]
+    for frame in frames:
+        scan = oracles.mscq_kappa_scan(frame, xbar, seed=s)
+        digest.update(repr((scan, classify_kappa_growth(scan))).encode())
+print("kappa-interior", digest.hexdigest())
 """
 
 
@@ -122,7 +142,7 @@ def main(argv=None) -> int:
         return 2
     for label, result in ((base, theirs), ("working tree", ours)):
         for name, digest in result.items():
-            print(f"{label:<14} {name:<12} {digest}")
+            print(f"{label:<14} {name:<14} {digest}")
     differ = [name for name in ours if theirs[name] != ours[name]]
     print(f"differ: {', '.join(differ)}" if differ else "identical")
     return 1 if differ else 0

@@ -9,8 +9,10 @@ from the transformed xbar do not move.  An invertible, non-orthogonal
 reparametrization x = Pz + q, boosted or not, keeps the verdicts too, but
 not the distances.  The FCR oracle's dimensions and consistency stay too,
 on the strata where it samples and on those whose record a gradient bound
-proves.  The boost itself is checked against the Lorentz form and against
-the explicit axis block, and refuses malformed input.
+proves.  At an interior point the kappa scan returns its all-feasible
+record in closed form, without drawing, in every frame.  The boost itself
+is checked against the Lorentz form and against the explicit axis block,
+and refuses malformed input.
 """
 
 import numpy as np
@@ -20,8 +22,10 @@ from socpcq import (
     AffineSOCInstance,
     DimensionError,
     FeasibleSetProjector,
+    classify_kappa_growth,
     fcr_dim_scan,
     full_report,
+    mscq_kappa_scan,
     oracles,
     random_instance,
 )
@@ -159,6 +163,30 @@ def test_fcr_oracle_is_invariant(monkeypatch, stratum):
     else:
         assert sum(closed) >= len(closed) // 2
     assert (stratum == "Thm4.4(iii)") == all(closed)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_interior_kappa_scan_is_invariant(scan_spy, seed):
+    # The kappa scan's closed form reads Lorentz invariants, so an interior
+    # point's scan returns the same all-feasible record, reads bounded and
+    # builds no generator as drawn, boosted at rapidities 1 to 5, rotated in
+    # y_r and scaled either way.
+    m, n = 2 + seed % 5, 1 + seed % 6
+    inst, xbar = random_instance(m, n, "Thm4.4(i)", seed)
+    rng = np.random.default_rng(seed)
+    transforms = ("boost:1", "boost:2", "boost:3", "boost:4", "boost:5")
+    transforms += ("rotate", "scale:1e-3", "scale:1e3")
+    cases = [transformed(inst, **_symmetry(t, m, n, rng))[0] for t in transforms]
+    scan_spy.update(rng=0)
+    scan = mscq_kappa_scan(inst, xbar, samples_per_radius=48, seed=seed)
+    total = scan.sample_count + scan.probe_count
+    assert scan.discarded_feasible == (total,) * len(scan.radii)
+    assert scan.kappa_hat == (0.0,) * len(scan.radii)
+    assert classify_kappa_growth(scan) == "bounded"
+    for transform, t_inst in zip(transforms, cases):
+        after = mscq_kappa_scan(t_inst, xbar, samples_per_radius=48, seed=seed)
+        assert after == scan, (transform, seed)
+    assert scan_spy["rng"] == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7])

@@ -10,7 +10,6 @@ harness runs.
 import json
 import math
 import re
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -35,7 +34,6 @@ from socpcq import (
     random_instance,
 )
 from socpcq import (
-    PointAnalysis,
     affine_instance,
     analyze_point,
     cli,
@@ -210,44 +208,6 @@ def test_seeded_entry_points_reject_bad_seeds(seed):
     for run in runs:
         with pytest.raises(ValueError, match="seed"):
             run()
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts projector builds and batches, and the ``analyze_point`` calls
-    that analyze (those not handed an analysis of their own instance);
-    ``rows`` holds the rows of each batch, in call order."""
-    counts = {"build": 0, "batch": 0, "analyze": 0, "rows": []}
-
-    def counting(key, fn, counts_call=lambda *args: True):
-        def wrapper(*args, **kwargs):
-            counts[key] += counts_call(*args)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    def analyzes(instance, x):
-        return not (isinstance(x, PointAnalysis) and x.instance is instance)
-
-    monkeypatch.setattr(
-        FeasibleSetProjector,
-        "__init__",
-        counting("build", FeasibleSetProjector.__init__),
-    )
-    batch = counting("batch", FeasibleSetProjector._project_rows)
-
-    def recording(self, X):
-        counts["rows"].append(X.copy())
-        return batch(self, X)
-
-    monkeypatch.setattr(FeasibleSetProjector, "_project_rows", recording)
-    for module in (cq_checker, oracles, projection):
-        monkeypatch.setattr(
-            module,
-            "analyze_point",
-            counting("analyze", module.analyze_point, analyzes),
-        )
-    return counts
 
 
 @pytest.mark.parametrize(
@@ -434,30 +394,6 @@ def test_inherited_probe_distances_match_fresh_projections(stratum, rapidity):
 # -- the ball test: a scan whose whole reach lies inside Omega ------------------
 
 
-@pytest.fixture
-def scan_spy(monkeypatch, calls):
-    """``calls``, which records the rows of each projector batch, plus the
-    count of random generators built (``rng``) and the rows of each
-    ``_evaluate`` call that ``oracles._kappa_scan`` makes itself
-    (``evaluated``); the projector's own evaluations are not recorded."""
-    calls.update(rng=0, evaluated=[])
-    default_rng = np.random.default_rng
-    evaluate = AffineSOCInstance._evaluate
-
-    def counting_rng(*args, **kwargs):
-        calls["rng"] += 1
-        return default_rng(*args, **kwargs)
-
-    def evaluating(self, x):
-        if sys._getframe(1).f_code is oracles._kappa_scan.__code__:
-            calls["evaluated"].append(x.copy())
-        return evaluate(self, x)
-
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    monkeypatch.setattr(AffineSOCInstance, "_evaluate", evaluating)
-    return calls
-
-
 def _sampled_scan(monkeypatch, instance, xbar, seed):
     """The kappa scan's record at 48 samples with the ball test switched
     off, from a projector of its own."""
@@ -469,12 +405,12 @@ def _sampled_scan(monkeypatch, instance, xbar, seed):
 
 def _interior_scans():
     """(label, instance, xbar, seed): Thm4.4(i) draws as drawn, boosted along
-    e_1 at rapidities 1 to 3 and with (A, b) scaled by 1e-3 and 1e3, and the
-    identity at (2, 0, 0)."""
+    e_1 at rapidities 1, 2, 3 and 5 and with (A, b) scaled by 1e-3 and 1e3,
+    and the identity at (2, 0, 0)."""
     for m, n, seed in [(2, 1, 0), (3, 2, 1), (4, 3, 2), (6, 5, 3), (5, 6, 4)]:
         inst, xbar = random_instance(m, n, "Thm4.4(i)", seed)
         yield f"({m}, {n}, {seed})", inst, xbar, seed
-        for rapidity in (1.0, 2.0, 3.0):
+        for rapidity in (1.0, 2.0, 3.0, 5.0):
             boost = lorentz_boost(np.eye(m - 1)[0], rapidity)
             label = f"({m}, {n}, {seed}) boosted {rapidity:g}"
             yield label, transformed(inst, L=boost)[0], xbar, seed
@@ -502,11 +438,11 @@ def test_ball_test_changes_no_kappa_scan_record(monkeypatch, scan_spy):
             assert scan_spy["rng"] == 0 and scan_spy["rows"] == [], label
         else:
             assert scan_spy["rng"] == 1 and scan_spy["rows"], label
-    # The draws as drawn, scaled either way, and the identity all fire; the
-    # boosted draws fire only where the boost leaves margin enough.
+    # The draws as drawn, scaled either way, and the identity all fire, and
+    # so do the boosted draws: the test reads Lorentz invariants.
     plain = [label for label, *_ in _interior_scans() if "boosted" not in label]
     assert set(plain) <= set(fired)
-    assert len(fired) < len(list(_interior_scans()))
+    assert len(fired) == len(list(_interior_scans()))
 
 
 @pytest.mark.parametrize(
@@ -535,6 +471,40 @@ def test_ball_test_samples_an_interior_ball_that_crosses_the_boundary(scan_spy):
     assert scan_spy["rng"] == 1
     assert len(scan_spy["rows"][0]) == len(scan.radii) * scan.probe_count
     assert scan.discarded_feasible[0] < scan.sample_count + scan.probe_count
+
+
+@pytest.mark.parametrize(
+    "scale, top, fires",
+    [
+        (1.0, 0.05, False),
+        (1.0, 0.19, False),
+        (1.0, 0.2 + 2e-14, False),
+        (1.0, 0.2 + 2e-10, True),
+        (1e3, 0.2 + 2e-14, False),
+        (1e3, 0.2 + 2e-10, True),
+    ],
+)
+def test_ball_test_fires_only_where_the_whole_reach_lies_inside(
+    monkeypatch, scan_spy, scale, top, fires
+):
+    # g(x) = scale (top, x_1, 0) keeps x_1 in [-top, top] and x_2 free, and
+    # there the test's bound q(g(xbar + d)) >= scale^2 (top^2 - ||d||^2) is
+    # exact along x_1: it fires only where the whole reach 2 r_0 = 0.2 lies
+    # inside Omega by more than its rounding slack, which grows with the
+    # square of the data's scale.  At 0.05 the draws leave Omega; at 0.19
+    # they stay inside, but the reach does not, so the scan samples.  The
+    # record is the sampled one.
+    A = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    inst = AffineSOCInstance(A, scale * np.array([top, 0.0, 0.0]))
+    projector = FeasibleSetProjector(inst, np.zeros(2))
+    assert projector.analysis.location is ConeLocation.INTERIOR
+    assert oracles._ball_inside(projector, oracles._RADII) is fires
+    sampled = _sampled_scan(monkeypatch, inst, np.zeros(2), 0)
+    scan_spy.update(rng=0)
+    assert oracles._kappa_scan(projector, oracles._RADII, 48, 0) == sampled
+    assert scan_spy["rng"] == (not fires)
+    total = sampled.sample_count + sampled.probe_count
+    assert (sampled.discarded_feasible[0] < total) is (top < oracles._RADII[0])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
