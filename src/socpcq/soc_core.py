@@ -121,7 +121,8 @@ def as_cone_vector(y) -> np.ndarray:
 
 
 def reflected(y: np.ndarray) -> np.ndarray:
-    """The vector (-y0, yr); generates the normal ray on the boundary."""
+    """The vector (-y0, yr) = -J y, J = diag(1, -1, ..., -1); generates the
+    normal ray on the boundary.  On a matrix, -J times it."""
     out = np.array(y, dtype=float)
     out[0] = -out[0]
     return out
