@@ -31,6 +31,7 @@ from .soc_core import (
     _location,
     _norm,
     _reducible_rows,
+    reflected,
 )
 from .subspace_cone import SubspaceConeClass, _classify
 
@@ -160,7 +161,10 @@ class PointAnalysis:
     shape decision and the face-dimension scan all read this one record:
     ``geometry`` is the image geometry of A that ``instance.geometry()``
     memoizes, and ``grad_floor`` = tol * max(1, ||A||_F) is the norm below
-    which a gradient of phi, or a residual of A, counts as zero.
+    which a gradient of phi, or a residual of A, counts as zero.  Two
+    records are cached on first use: the rank-one split ``_split`` and the
+    Lorentz invariants ``_lorentz``, which the closed forms of both
+    oracles, ``oracles._ball_inside`` and ``oracles._proved_dim``, read.
     """
 
     instance: AffineSOCInstance
@@ -185,6 +189,18 @@ class PointAnalysis:
         A, y = self.instance.A, self.y
         a = (y @ A) / float(y @ y)
         return a, _norm(A - np.outer(y, a))
+
+    @cached_property
+    def _lorentz(self) -> tuple[float, float, np.ndarray]:
+        """(beta, ||w||, spectrum), computed once, with J = diag(1, -1, ...,
+        -1): beta = y^T J y, w = A^T J y and the ascending eigenvalues of
+        A^T ``reflected``(A) = -A^T J A.  None changes under boosts or
+        rotations of y_r, which keep J, and all scale by s^2 under
+        (A, b) -> s (A, b).  As reflected(v) = -J v, beta = -y^T reflected(y)
+        and ||w|| = ||A^T reflected(y)||."""
+        A, flip = self.instance.A, reflected(self.y)
+        spectrum = np.linalg.eigvalsh(A.T @ reflected(A))
+        return -float(self.y @ flip), _norm(flip @ A), spectrum
 
 
 def _grad_rows(

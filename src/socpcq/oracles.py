@@ -46,9 +46,13 @@ Key design points:
 * ``fcr_dim_scan`` samples a ball of radius rho = min(0.1, 0.1 ||g_r(xbar)||
   / max(1, sigma)), sigma = sigma_max(A), around a positive-boundary center,
   held to the magnitude rule of the kappa scan's reach by ``_check_reach``,
-  unless ``_proved_dim`` proves what every row reads.
-* Both closed forms read the center's ``PointAnalysis`` and A, never a
-  verdict, and hold their bounds to one rounding slack, ``_slack``.
+  unless ``_proved_dim`` proves what every row reads: d = 1 by a lower
+  bound on every row's gradient of phi from the same Lorentz invariants,
+  which holds in every frame of the cone, and d = 0 through the rank-one
+  split of A.
+* Both closed forms read the center's ``PointAnalysis``, its Lorentz
+  invariants ``_lorentz`` and A, never a verdict, and hold their bounds to
+  one rounding slack, ``_slack``.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * Every seeded entry point (both scans, the brute-force classifier, the
@@ -73,7 +77,7 @@ from .errors import DimensionError, GenerationError, NumericalFailureError
 from .families import TARGET_CASES, _draw, _least_sizes, random_instance
 from .projection import _EPS, FeasibleSetProjector
 from .soc_core import _SQUARE_LIMIT, ConeLocation, _count, _distance_rows, _margin_rows
-from .soc_core import _is_real, _norm, _row_norms, reflected
+from .soc_core import _is_real, _norm, _row_norms
 from .subspace_cone import SubspaceConeClass, SubspaceKind, classify_image_vs_cone
 
 __all__ = [
@@ -328,9 +332,11 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
     Only an interior reference xbar can pass: ``_location`` reads y, the
     computed g(xbar) of the projector's ``analysis``, as interior only where
     its computed margin y_0 - ||y_r|| is positive, so y_0 > 0.  With the
-    Lorentz form q(v) = v^T J v = v_0^2 - ||v_r||^2, beta = q(y),
-    w = A^T J y = -A^T ``reflected``(y), lambda_- = min(0, lambda_min(A^T J A))
-    and reach = ``_scan_reach(radii)``, the test is
+    Lorentz form q(v) = v^T J v = v_0^2 - ||v_r||^2, the analysis's
+    invariants ``PointAnalysis._lorentz`` beta = q(y), ||w|| with
+    w = A^T J y = -A^T ``reflected``(y), and the spectrum of -A^T J A, from
+    which lambda_- = min(0, lambda_min(A^T J A)), and with
+    reach = ``_scan_reach(radii)``, the test is
 
         beta - 2 ||w|| reach + lambda_- reach^2 > ``_slack``(B) max(1, B),
 
@@ -387,12 +393,10 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
     if analysis.location is not ConeLocation.INTERIOR:
         return False
     instance, reach = projector.instance, _scan_reach(radii)
-    A, y, flip = instance.A, analysis.y, reflected(analysis.y)
     bound = instance._image_bound(float(np.abs(analysis.x).max()) + reach)
-    # reflected(v) = -J v, so beta = -y^T flip, ||w|| = ||A^T flip|| and
+    beta, norm_w, spectrum = analysis._lorentz
     # -lambda_- = max(0, lambda_max(A^T reflected(A))).
-    lift = max(0.0, float(np.linalg.eigvalsh(A.T @ reflected(A))[-1]))
-    low = -float(y @ flip) - 2.0 * _norm(flip @ A) * reach - lift * reach * reach
+    low = beta - 2.0 * norm_w * reach - max(0.0, float(spectrum[-1])) * reach * reach
     return low > _slack(instance, bound) * max(1.0, bound)
 
 
@@ -574,7 +578,9 @@ def fcr_dim_scan(
     the magnitude rule raises ``DimensionError`` before any draw, by the
     rule of the kappa scan's reach (``_check_reach``).  Where
     ``_proved_dim`` proves the dimension d every row reads, the scan returns
-    dims {d} with ``samples`` + 1 rows and none discarded, without drawing.
+    dims {d} with ``samples`` + 1 rows and none discarded, without drawing:
+    d = 1 from the center's Lorentz invariants, by a bound that boosts and
+    rotations of y_r do not weaken, and d = 0 from its rank-one split.
     """
     samples, seed = _count(samples, "samples"), _count(seed, "seed", 0)
     analysis = analyze_point(instance, xbar)
@@ -614,42 +620,81 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
     With iota = sigma rho + E, the tests are
 
     * reducible: ||y_r|| - iota > tol max(1, ||y|| + iota);
-    * d = 1: ||grad phi(xbar)|| - 2 sigma iota / ||y_r|| > floor + S;
+    * d = 1, tried where ||grad phi(xbar)|| > floor + S: with the
+      analysis's Lorentz invariants (``PointAnalysis._lorentz``) beta = q(y),
+      ||w|| and mu = ||A^T J A||_2, the largest |eigenvalue| of its spectrum,
+
+          N = 2 (||w|| - mu rho - sigma E),
+          K = |beta| + 2 ||w|| rho + mu rho^2 + (2 ||y|| + 2 sigma rho + E) E,
+          (N - sqrt(2) sigma K / (||y|| - iota)) / (sqrt(2) (||y|| + iota))
+              > floor + S;
+
+      where ||grad phi(xbar)|| clears floor + S, d = 0 cannot pass (its
+      bound covers the gradient at y itself), so a failed d = 1 test
+      returns None;
     * d = 0: with the analysis's split A = y a^T + R
       (``PointAnalysis._split``), M = margin(y),
       D = (1 - ||a|| rho) ||y_r|| - ||R||_F rho - E > 0 and
       s = (||R||_F rho + E) / D,
       ||a|| (|M| + ||y_r|| s^2) + sqrt(2) ||R||_F < floor - S.
 
-    Let u = eps / 2 and gamma_k = k u / (1 - k u).  Assume the SVD puts
-    ||A||_2 within p eps ||A||_F of sigma, with p <= 8 (m + 1)(n + 1)
-    (LAPACK's bound is of order max(m, n)).  To first order in u:
+    beta, ||w|| and mu do not change under boosts or rotations of y_r, which
+    keep J, and scale by c^2 under (A, b) -> c (A, b).  sigma enters the
+    d = 1 test only with rho, which the scan's radius rule keeps at
+    sigma rho <= 0.1 ||y_r||, and with E, so no loss against 2 ||w|| grows
+    with a boost's stretch of A.  Let u = eps / 2 and
+    gamma_k = k u / (1 - k u).
+    Assume the SVD puts ||A||_2 within p eps ||A||_F of sigma, with
+    p <= 8 (m + 1)(n + 1) (LAPACK's bound is of order max(m, n)), and
+    eigvalsh each eigenvalue of its computed product P within p eps ||P||_2
+    (``_ball_inside`` assumes it of the largest).  To first order in u:
 
     1. Images.  A draw has ||d|| <= (1 + (n + 4) u) rho, the row
        fl(xbar + d) lies within sqrt(n) u T of xbar + d, and y and the
        row's image Y each carry at most gamma_{n+1} B of rounding (as in
-       ``_ball_inside``).  As ||A||_F rho <= B / sqrt(n),
+       ``_ball_inside``).  As ||A||_F rho <= B / sqrt(n), Y = y + A d' + e
+       with ||d'|| <= rho and ||e|| <= (3 n + 7) u B <= E / 4, and
        ||Y - y|| <= sigma rho + (3 n + 7 + 2 p) u B <= iota - 3 E / 4.
     2. Reducible.  So the computed ||Y_r|| is at least
        (1 - gamma_m)(||y_r|| - iota + 3 E / 4), and the computed ||Y|| at
        most (1 + gamma_m)(||y|| + iota), where ||y|| + iota <= 3 max(1, B).
        The margin 3 E / 4 covers the rounding of both norms and of the
        test, so ``_reducible_rows`` flags every row; and iota < ||y_r||.
-    3. d = 1.  For nonzero p and q, ||p/||p|| - q/||q|||| <= 2 ||p - q|| / ||q||,
-       so the exact unit vectors of Y_r and y_r differ by at most
-       2 iota / ||y_r|| < 2, and the computed ones lie within (m + 3) u of
-       them.  A computed A_0 - v^T A_r carries at most sqrt(2) gamma_m
-       ||A||_F of rounding, and ||A_r||_2 <= sigma + 2 p u ||A||_F.  So
-       every row's computed gradient lies within 2 sigma iota / ||y_r||
-       + (5 m + 6 + 4 p) u ||A||_F of the analysis's grad phi(xbar); its
+       On the positive boundary y_0 >= ||y_r|| - tol max(1, ||y||) > iota,
+       so Y_0 > 0 and psi = Y_0 + ||Y_r|| lies between ||Y|| >= ||y|| - iota
+       and sqrt(2) ||Y|| <= sqrt(2) (||y|| + iota), with 3 E / 4 to spare
+       for the computed ||y||; and iota < ||y|| / sqrt(2), so
+       ||y|| - iota > ||y|| / 4.
+    3. d = 1.  At any Y with Y_r != 0 and unit v = Y_r / ||Y_r||, the
+       exact gradient A_0 - v^T A_r of phi = Y_0 - ||Y_r|| = q(Y) / psi
+       satisfies psi (A_0 - v^T A_r) = 2 A^T J Y - phi (A_0 + v^T A_r),
+       and ||A_0 + v^T A_r|| <= sqrt(2) ||A||_2.  With Y = y + A d' + e,
+       A^T J Y = w + A^T J A d' + A^T J e and q(Y) = beta + 2 w^T d'
+       + d'^T A^T J A d' + 2 e^T J (y + A d') + q(e), so
+       ||2 A^T J Y|| >= N and |q(Y)| <= K at exact invariants, as
+       ||e|| <= E / 4 leaves room for sigma's rounding; by step 2 every
+       row's exact gradient has norm at least the test's left side, at
+       exact invariants.  The computed beta lies within m u ||y||^2 of
+       q(y), ||w|| within (m + n + 2) u ||A||_F ||y|| of its value, every
+       computed eigenvalue within m u ||A||_F^2 + 2 p u ||A||_2^2 of one of
+       -A^T J A (the product, then eigvalsh's backward error), so mu too,
+       and sigma within 2 p u ||A||_F of ||A||_2.  Where the test passes,
+       sqrt(2) sigma K / (||y|| - iota) < N <= 2 ||A||_2 ||y||; with
+       ||y|| - iota > ||y|| / 4, ||A||_2 rho <= iota < ||y|| / sqrt(2) and
+       ||A||_F <= sqrt(n) ||A||_2, they move the left side by at most
+       5 sqrt(2) (m + n + 2), 3 m sqrt(n) + 6 p, 4 m and 2 sqrt(2) p times
+       u ||A||_F.  The computed unit vectors lie within (m + 3) u of the
+       exact ones, a computed A_0 - v^T A_r carries at most sqrt(2) gamma_m
+       ||A||_F of rounding, and ||A_r||_2 <= sigma + 2 p u ||A||_F; its
        computed norm, at most 2 ||A||_F, and the test's own operations
-       lose (4 n + 8) u max(1, ||A||_F) more, below S with the rest.
+       lose (2 n + 45) u max(1, ||A||_F) more.  In all
+       (9 p + 3 m sqrt(n) + 15 m + 12 n + 60) u max(1, ||A||_F) < S.
     4. d = 0.  A = y a^T + R holds exactly for the computed
        a = fl(y^T A) / fl(y^T y), whose ||y|| ||a|| <= (1 + 3 gamma_m)
        ||A||_F <= 2 ||A||_F, so the computed ||R||_F is within
        (5 + 3 m n) u ||A||_F of the exact one.  By step 1, every row has
-       Y = t y + w with t = 1 + a^T d, where t ||y_r|| >= (1 - ||a|| rho)
-       ||y_r|| - 2 (n + 4) u B and ||w|| <= ||R||_F rho + (5 n + 20 + 3 m n)
+       Y = t y + z with t = 1 + a^T d, where t ||y_r|| >= (1 - ||a|| rho)
+       ||y_r|| - 2 (n + 4) u B and ||z|| <= ||R||_F rho + (5 n + 20 + 3 m n)
        u B <= ||R||_F rho + E / 2.  So ||Y_r|| >= D > 0, and the angle
        theta between Y_r and y_r has sin theta <= s and cos theta > 0.  At
        the exact unit vector v of Y_r,
@@ -662,18 +707,24 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
 
     The slacks also cover the higher-order terms while (m + 1)(n + 1) eps
     is small, and underflow, through max(1, .).  The test reads the
-    analysis (y, grad phi(xbar) and its split) and sigma, never an FCR
-    verdict.
+    analysis (y, grad phi(xbar), its Lorentz invariants and its split) and
+    sigma, never an FCR verdict.
     """
     instance, y = analysis.instance, analysis.y
     E = _slack(instance, bound)
     iota = sigma * radius + E
-    y0, norm_r = float(y[0]), _norm(y[1:])
-    if norm_r - iota <= instance.tol * max(1.0, math.hypot(y0, norm_r) + iota):
+    y0, norm_r, norm_y = float(y[0]), _norm(y[1:]), _norm(y)
+    if norm_r - iota <= instance.tol * max(1.0, norm_y + iota):
         return None
     floor, slack = analysis.grad_floor, _slack(instance, instance.norm_A())
-    if _norm(analysis.grad_phi) - 2.0 * sigma * iota / norm_r > floor + slack:
-        return 1
+    if _norm(analysis.grad_phi) > floor + slack:
+        beta, norm_w, spectrum = analysis._lorentz
+        mu = max(-float(spectrum[0]), float(spectrum[-1]))
+        # phi is the bound K / (||y|| - iota) on |phi| over the rows.
+        phi = abs(beta) + (2.0 * norm_w + mu * radius) * radius
+        phi = (phi + (2.0 * (norm_y + sigma * radius) + E) * E) / (norm_y - iota)
+        low = 2.0 * (norm_w - mu * radius - sigma * E) - math.sqrt(2.0) * sigma * phi
+        return 1 if low / (math.sqrt(2.0) * (norm_y + iota)) > floor + slack else None
     a, norm_R = analysis._split
     norm_a = _norm(a)
     room = (1.0 - norm_a * radius) * norm_r - norm_R * radius - E

@@ -18,7 +18,12 @@ calls (a ``DimScan`` or None, one per harness trial).  A fifth digest,
 classes of the kappa scans of the first 60 draws
 ``random_instance(2 + s % 5, 1 + s % 6, "Thm4.4(i)", s)``, boosted along
 e_1 at rapidities 1, 2, 3 and 5 and with (A, b) scaled by 1e-3 and 1e3,
-at seed s and the scan's default settings.
+at seed s and the scan's default settings.  A sixth, ``fcr-boosted``, does
+the same for the FCR oracle on the positive boundary: the reprs of the
+``fcr_dim_scan`` records (64 samples, seed s) of the first 40 draws each of
+Thm4.4(ii), Thm4.4(iii) and degenerate-boundary, ``random_instance(2 + s %
+5, 1 + s % 6, case, s)`` with m = 3 + s % 4 for degenerate-boundary, in the
+same six frames.
 The reports show that record only as ``fcr_consistent`` and
 ``fcr_agree``, so the oracle is wrapped in place, as the recording fixture
 of ``tests/test_oracles.py`` wraps it.  Both trees run the inputs of the
@@ -46,8 +51,8 @@ SEED = 11
 COUNTS = {"harness": 400, "cli-oneshot": 2400, "kappa-slater": 240}
 
 #: Run in a fresh interpreter with ``src/`` and ``bench/`` on the path:
-#: prints ``<workload> <sha256>`` per workload, then ``fcr-records <sha256>``
-#: and ``kappa-interior <sha256>``.
+#: prints ``<workload> <sha256>`` per workload, then ``fcr-records <sha256>``,
+#: ``kappa-interior <sha256>`` and ``fcr-boosted <sha256>``.
 DIGEST_CODE = """
 import hashlib, itertools, json, sys, tempfile
 from pathlib import Path
@@ -58,11 +63,19 @@ from socpcq.families import lorentz_boost, transformed
 from workloads import WORKLOADS
 
 records = []
-scan = oracles.fcr_dim_scan
+fcr_scan = oracles.fcr_dim_scan
 
 def recording(*args, **kwargs):
-    records.append(scan(*args, **kwargs))
+    records.append(fcr_scan(*args, **kwargs))
     return records[-1]
+
+# A draw boosted along e_1 at rapidities 1, 2, 3 and 5, then scaled.
+def frames(inst):
+    boosts = [
+        transformed(inst, L=lorentz_boost(np.eye(inst.m - 1)[0], rapidity))[0]
+        for rapidity in (1.0, 2.0, 3.0, 5.0)
+    ]
+    return boosts + [AffineSOCInstance(c * inst.A, c * inst.b) for c in (1e-3, 1e3)]
 
 oracles.fcr_dim_scan = recording
 
@@ -83,15 +96,18 @@ print("fcr-records", digest.hexdigest())
 digest = hashlib.sha256()
 for s in range(60):
     inst, xbar = oracles.random_instance(2 + s % 5, 1 + s % 6, "Thm4.4(i)", s)
-    frames = [
-        transformed(inst, L=lorentz_boost(np.eye(inst.m - 1)[0], rapidity))[0]
-        for rapidity in (1.0, 2.0, 3.0, 5.0)
-    ]
-    frames += [AffineSOCInstance(c * inst.A, c * inst.b) for c in (1e-3, 1e3)]
-    for frame in frames:
+    for frame in frames(inst):
         scan = oracles.mscq_kappa_scan(frame, xbar, seed=s)
         digest.update(repr((scan, classify_kappa_growth(scan))).encode())
 print("kappa-interior", digest.hexdigest())
+digest = hashlib.sha256()
+for case in ("Thm4.4(ii)", "Thm4.4(iii)", "degenerate-boundary"):
+    for s in range(40):
+        m = 3 + s % 4 if case == "degenerate-boundary" else 2 + s % 5
+        inst, xbar = oracles.random_instance(m, 1 + s % 6, case, s)
+        for frame in frames(inst):
+            digest.update(repr(fcr_scan(frame, xbar, samples=64, seed=s)).encode())
+print("fcr-boosted", digest.hexdigest())
 """
 
 

@@ -881,14 +881,14 @@ def _proved(instance, xbar):
 
 def _boundary_scans():
     """(label, instance, xbar, seed): Thm4.4(ii) and (iii) draws as drawn,
-    boosted along e_1 at rapidities 1 to 3 and with (A, b) scaled by 1e-3
-    and 1e3."""
+    boosted along e_1 at rapidities 1, 2, 3 and 5 and with (A, b) scaled by
+    1e-3 and 1e3."""
     for stratum in ("Thm4.4(ii)", "Thm4.4(iii)"):
         for m, n, seed in [(2, 1, 0), (3, 2, 1), (4, 3, 2), (6, 5, 3), (5, 6, 4)]:
             inst, xbar = random_instance(m, n, stratum, seed)
             label = f"{stratum} ({m}, {n}, {seed})"
             yield label, inst, xbar, seed
-            for rapidity in (1.0, 2.0, 3.0):
+            for rapidity in (1.0, 2.0, 3.0, 5.0):
                 boost = lorentz_boost(np.eye(m - 1)[0], rapidity)
                 boosted = transformed(inst, L=boost)[0]
                 yield f"{label} boosted {rapidity:g}", boosted, xbar, seed
@@ -913,31 +913,44 @@ def test_dim_scan_closed_form_changes_no_record(monkeypatch, scan_spy):
         assert scan_spy["rng"] == (dim is None), label
         if dim is not None:
             fired[label] = dim
-    # Every draw as drawn and scaled fires, (ii) with d = 1 and (iii) with
-    # d = 0; some boosted (ii) draws lose the Lipschitz bound and sample.
+    # Every case fires, (ii) with d = 1 and (iii) with d = 0: both bounds
+    # read the center's invariants, so a boost or a scale costs neither.
     for label, *_ in _boundary_scans():
-        if "boosted" not in label:
-            assert fired.get(label) == (0 if "Thm4.4(iii)" in label else 1), label
-    assert len(fired) < len(list(_boundary_scans()))
+        assert fired.get(label) == (0 if "Thm4.4(iii)" in label else 1), label
 
 
-def test_dim_scan_closed_form_samples_where_the_draws_decide(scan_spy):
+def test_dim_scan_closed_form_samples_where_the_draws_decide(monkeypatch, scan_spy):
     # A degenerate-boundary point reads {0, 1}, which only the draws show,
     # and so does HALFPLANE at (1, 0, 0).  The (ii) point g(x) = (1 + 10 x,
-    # 1 + 9 x, 0) at x = 0 has grad phi = 1 below the Lipschitz loss
-    # 2 sigma^2 rho / ||g_r|| = 0.2 sigma = 2.69: no bound proves its
-    # record, though the draws read {1}.
+    # 1 + 9 x, 0) at x = 0 has grad phi = 1, below the loss
+    # 2 sigma^2 rho / ||g_r|| = 0.2 sigma = 2.69 of a Lipschitz bound on
+    # grad phi, yet the Lorentz bound proves the record its draws give.
     steep = AffineSOCInstance(np.array([[10.0], [9.0], [0.0]]), np.array([1.0, 1.0, 0]))
     assert full_report(steep, np.zeros(1)).crcq.condition == "Thm4.4(ii)"
+    assert _proved(steep, np.zeros(1)) == 1
+    sampled = _sampled_dim_scan(monkeypatch, steep, np.zeros(1), 0)
+    assert (sampled.observed_dims, sampled.discarded) == ({1}, 0)
+    scan_spy.update(rng=0)
+    assert fcr_dim_scan(steep, np.zeros(1), samples=64, seed=0) == sampled
+    assert scan_spy["rng"] == 0
     # g(x) = (1.05e-9, 1.05e-9 - x, 0) at x = 0 has grad phi = 1, but the
     # ball of radius 1.05e-10 reaches images with ||g_r|| below tol, which
     # the scan discards.
     b_near = np.array([1.05e-9, 1.05e-9, 0.0])
     near = AffineSOCInstance(np.array([[0.0], [-1.0], [0.0]]), b_near)
+    # g(x) = (1 + (1 + c) x, 1 + x, a x) at x = 0, with c = 4e-9 and a = 4e-4,
+    # has grad phi = c, past floor + S, so the d = 1 test is tried; but
+    # grad phi(x) = c - a^2 x to first order falls through 0 inside the ball
+    # (rho = 0.1 / sqrt(2)), which the bound's term mu rho, with
+    # mu = ||A^T J A||_2 = a^2 - 2 c - c^2, sees.
+    A_cross = np.array([[1.0 + 4e-9], [1.0], [4e-4]])
+    cross = AffineSOCInstance(A_cross, np.array([1.0, 1.0, 0.0]))
+    crossing = analyze_point(cross, np.zeros(1))
+    assert np.linalg.norm(crossing.grad_phi) > 2.0 * crossing.grad_floor
     points = [
         (HALFPLANE, np.array([1.0, 0.0, 0.0]), {0, 1}),
-        (steep, np.zeros(1), {1}),
         (near, np.zeros(1), {1}),
+        (cross, np.zeros(1), {0, 1}),
     ]
     for m, n, seed in [(3, 1, 0), (3, 2, 1), (4, 3, 2), (6, 5, 3), (5, 6, 4)]:
         inst, xbar = random_instance(m, n, "degenerate-boundary", seed)
@@ -951,16 +964,40 @@ def test_dim_scan_closed_form_samples_where_the_draws_decide(scan_spy):
         assert (scan.discarded > 0) == (inst is near)
 
 
+def _steep_column(tol, spare):
+    """The column (2 + g, 2, 0) at which, with b = (1, 1, 0) and x = 0, the
+    d = 1 bound of ``oracles._proved_dim`` reads floor + spare S.
+
+    There y = (1, 1, 0), beta = 0, ||w|| = g, ||A^T J A||_2 = g (4 + g),
+    sigma = ||A||_F = sqrt(8) and rho = 0.1 / sigma, both up to terms of
+    order g, and grad phi = g everywhere, so the bound is
+    (kappa g - image) / psi_max up to terms of order g^2, where image holds
+    the terms of the image rounding E = 64 (m + 1)(n + 1) eps B, with
+    B = ||b|| + sigma rho."""
+    eps, sigma, norm_y = np.finfo(float).eps, np.sqrt(8.0), np.sqrt(2.0)
+    rho, slack = 0.1 / sigma, 64 * 4 * 2 * eps
+    E = slack * (norm_y + 0.1)
+    iota = sigma * rho + E
+    psi_max, psi_min = np.sqrt(2.0) * (norm_y + iota), norm_y - iota
+    kappa = 2.0 - 8.0 * rho - np.sqrt(2.0) * sigma * (2.0 + 4.0 * rho) * rho / psi_min
+    image = 2.0 * (norm_y + sigma * rho) + E
+    image = 2.0 * sigma * E + np.sqrt(2.0) * sigma * image * E / psi_min
+    g = ((tol + spare * slack) * sigma * psi_max + image) / kappa
+    return [2.0 + g, 2.0, 0.0]
+
+
 @pytest.mark.parametrize("case", ["reducible", "d = 1", "d = 0"])
 def test_dim_scan_closed_form_fires_only_with_its_slack_to_spare(case):
     # At x = 0 with m = 3, n = 1 and b = (c, c, 0), each test fires once
     # its quantity clears its bar by twice its slack, 64 (m + 1)(n + 1) eps
-    # (the image bound and ||A||_F are at most 1), and not by half of it;
-    # the draws read the same record either way.
+    # times max(1, B) or max(1, ||A||_F), and not by half of it; the draws
+    # read the same record either way.
     # * reducible: the column (0, -1, 0) has sigma = 1, rho = 0.1 c and
     #   grad phi = 1, and every image of the ball has ||g_r|| >= 0.9 c, which
     #   the test holds to tol;
-    # * d = 1: the column (s, 0, 0) has grad phi = s everywhere;
+    # * d = 1: the column (2 + g, 2, 0) has grad phi = g everywhere and a
+    #   bound whose every term, the image rounding's included, moves it by
+    #   more than half the slack (``_steep_column``);
     # * d = 0: the column (0.5, 0.5, r) has grad phi(xbar) = 0 and the
     #   vanishing bound sqrt(2) r, up to terms of order 1e-26.
     tol, slack = 1e-9, 64 * 4 * 2 * np.finfo(float).eps
@@ -970,7 +1007,7 @@ def test_dim_scan_closed_form_fires_only_with_its_slack_to_spare(case):
             c = (tol + spare * slack) / 0.9
             column = [0.0, -1.0, 0.0]
         elif case == "d = 1":
-            column = [tol + spare * slack, 0.0, 0.0]
+            column = _steep_column(tol, spare)
         else:
             column = [0.5, 0.5, (tol - spare * slack) / np.sqrt(2.0)]
         inst = AffineSOCInstance(np.array(column)[:, None], np.array([c, c, 0.0]))
