@@ -51,7 +51,9 @@ class AffineSOCInstance:
     A, b, every point and every image g(x) obey the magnitude rule of
     ``soc_core._check_magnitude``: finite, with a squared norm that does not
     overflow, else ``DimensionError``.  The data is treated as immutable:
-    ``geometry`` memoizes the spectral geometry of Im(A) on the instance.
+    ``geometry`` memoizes the spectral geometry of Im(A) on the instance,
+    and ``_lorentz_eigh`` the one eigendecomposition of A^T J A, which the
+    Slater projector and both oracle closed forms read.
     An instance compares by identity (``==`` is ``is``) and is hashable.
     """
 
@@ -104,6 +106,23 @@ class AffineSOCInstance:
     def norm_A(self) -> float:
         """||A||_F, computed with the instance."""
         return self._norm_A
+
+    @cached_property
+    def _lorentz_eigh(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(k, lam, Q), computed once, with M = A^T J A = 4^k Q diag(lam) Q^T,
+        J = diag(1, -1, ..., -1): one ``eigh`` of (s A)^T J (s A), s = 2^-k,
+        2^k the power of two just above ||A||_F, so no entry of the product
+        overflows at any scale of A, and an entry underflows only below
+        2^-1022 ||A||_F^2.  ``eigh`` commutes exactly with a power-of-two
+        scaling, so lam 4^(k - e) and Q are bit for bit the ``eigh`` of the
+        product at any other such scale 2^-e (the Slater projector's), and
+        lam 4^k is the spectrum of M wherever it is in range.  As ||A||_F^2
+        does not overflow, k <= 512, so 2.0**k never raises; a product with
+        it reads inf where it leaves the range."""
+        k = math.frexp(self._norm_A)[1]
+        A = np.ldexp(self.A, -k)
+        # -reflected(A) is J A.
+        return (k, *np.linalg.eigh(A.T @ -reflected(A)))
 
     def point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -163,8 +182,12 @@ class PointAnalysis:
     memoizes, and ``grad_floor`` = tol * max(1, ||A||_F) is the norm below
     which a gradient of phi, or a residual of A, counts as zero.  Two
     records are cached on first use: the rank-one split ``_split`` and the
-    Lorentz invariants ``_lorentz``, which the closed forms of both
-    oracles, ``oracles._ball_inside`` and ``oracles._proved_dim``, read.
+    point's Lorentz invariants ``_lorentz``, beta = q(y) and the one
+    w = A^T reflected(y) with its norm, which the H set's generator and
+    the closed forms of both oracles, ``oracles._ball_inside`` and
+    ``oracles._proved_dim``, read; those read the spectrum of A^T J A
+    from the instance's ``_lorentz_eigh``.  Neither record computes an
+    eigendecomposition.
     """
 
     instance: AffineSOCInstance
@@ -191,16 +214,20 @@ class PointAnalysis:
         return a, _norm(A - np.outer(y, a))
 
     @cached_property
-    def _lorentz(self) -> tuple[float, float, np.ndarray]:
-        """(beta, ||w||, spectrum), computed once, with J = diag(1, -1, ...,
-        -1): beta = y^T J y, w = A^T J y and the ascending eigenvalues of
-        A^T ``reflected``(A) = -A^T J A.  None changes under boosts or
-        rotations of y_r, which keep J, and all scale by s^2 under
-        (A, b) -> s (A, b).  As reflected(v) = -J v, beta = -y^T reflected(y)
-        and ||w|| = ||A^T reflected(y)||."""
+    def _lorentz(self) -> tuple[float, np.ndarray, float]:
+        """(beta, w, ||w||), computed once: beta = q(y) = y^T J y and
+        w = A^T ``reflected``(y) = -A^T J y, J = diag(1, -1, ..., -1), the
+        generator of the H set on the positive boundary.  beta and ||w|| do
+        not change under boosts or rotations of y_r, which keep J, and scale
+        by s^2 under (A, b) -> s (A, b).  ||w|| is taken on 2^-k w, k the
+        exponent of the instance's ``_lorentz_eigh`` (computed here without
+        its eigh), so its squares do not overflow, and the exact rescaling
+        reads inf only where ||w|| itself is out of range.  The
+        spectrum of A^T J A that the closed forms read with these lives on
+        the instance, in ``_lorentz_eigh``."""
         A, flip = self.instance.A, reflected(self.y)
-        spectrum = np.linalg.eigvalsh(A.T @ reflected(A))
-        return -float(self.y @ flip), _norm(flip @ A), spectrum
+        w, scale = A.T @ flip, 2.0 ** math.frexp(self.instance.norm_A())[1]
+        return -float(self.y @ flip), w, _norm(w / scale) * scale
 
 
 def _grad_rows(

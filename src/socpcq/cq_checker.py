@@ -51,7 +51,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .affine_instance import AffineSOCInstance, PointAnalysis, analyze_point
-from .soc_core import ConeLocation, _margin, _norm, reflected
+from .soc_core import ConeLocation, _margin, _norm
 from .subspace_cone import SubspaceKind
 
 __all__ = [
@@ -245,8 +245,7 @@ def _off_vertex(pa: PointAnalysis, rcq: Verdict) -> _Branch:
         label, h_set = "Thm3.2(ii)", HSetDescription(HSetKind.ZERO_ONLY)
     else:
         label = "Thm3.2(iii)"
-        generator = pa.instance.A.T @ reflected(pa.y)
-        h_set = HSetDescription(HSetKind.RAY_IMAGE, generator)
+        h_set = HSetDescription(HSetKind.RAY_IMAGE, pa._lorentz[1])
     if rcq.holds:
         fcr = _relabeled(rcq, label)
     else:

@@ -51,8 +51,10 @@ Key design points:
   which holds in every frame of the cone, and d = 0 through the rank-one
   split of A.
 * Both closed forms read the center's ``PointAnalysis``, its Lorentz
-  invariants ``_lorentz`` and A, never a verdict, and hold their bounds to
-  one rounding slack, ``_slack``.
+  invariants ``_lorentz``, the spectrum of A^T J A from the instance's one
+  ``eigh`` ``_lorentz_eigh`` and A, never a verdict, and hold their bounds
+  to one rounding slack, ``_slack``.  Where an invariant is out of
+  floating-point range, at the magnitude rule's edge, they decline.
 * Ratios are only formed at points with cone distance above an absolute
   floor of 1e-12 to keep the quotients numerically meaningful.
 * Every seeded entry point (both scans, the brute-force classifier, the
@@ -333,9 +335,10 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
     computed g(xbar) of the projector's ``analysis``, as interior only where
     its computed margin y_0 - ||y_r|| is positive, so y_0 > 0.  With the
     Lorentz form q(v) = v^T J v = v_0^2 - ||v_r||^2, the analysis's
-    invariants ``PointAnalysis._lorentz`` beta = q(y), ||w|| with
-    w = A^T J y = -A^T ``reflected``(y), and the spectrum of -A^T J A, from
-    which lambda_- = min(0, lambda_min(A^T J A)), and with
+    invariants ``PointAnalysis._lorentz`` beta = q(y) and ||w|| with
+    w = A^T ``reflected``(y) = -A^T J y, the instance's spectrum
+    ``_lorentz_eigh`` of A^T J A, from which
+    lambda_- = min(0, lambda_min(A^T J A)), and with
     reach = ``_scan_reach(radii)``, the test is
 
         beta - 2 ||w|| reach + lambda_- reach^2 > ``_slack``(B) max(1, B),
@@ -346,7 +349,7 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
     under (A, b) -> s (A, b); only the rounding slack sees the frame,
     through B.  The proof rests on the bits of y, never on a verdict label.
 
-    Exactly, q(y + A d) = beta + 2 w^T d + d^T A^T J A d
+    Exactly, q(y + A d) = beta - 2 w^T d + d^T A^T J A d
     >= beta - 2 ||w|| ||d|| + lambda_- ||d||^2.  Where this is positive on a
     ball of d, the image of the ball is a connected set that holds y, with
     y_0 > 0, and avoids the boundary of Q_m and of -Q_m, so it lies in
@@ -364,15 +367,19 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
        Y_0 >= fl(||Y_r||) holds once margin(Y) >= gamma_m ||Y||, while
        margin(Y) >= margin(y + A d) - 2 sqrt(2) gamma_{n+1} B;
     3. beta is one dot product of length m, within gamma_m B^2 of q(y); the
-       computed w is within gamma_m ||A||_F B of the exact one and its norm
-       within gamma_{n+1} of its value, and ||w|| <= ||A||_F B; each entry
-       of the computed product A^T ``reflected``(A) is within gamma_m of
-       the product of the columns' absolute values, so within
-       gamma_m ||A||_F^2 of -A^T J A in the 2-norm; assuming eigvalsh
-       returns the largest eigenvalue of that computed product P within
-       p eps ||P||_2 of the exact one, with p <= 8 (m + 1)(n + 1) (LAPACK's
-       bound is of order n), the computed -lambda_- is low by at most
-       (m + 2 p) u ||A||_F^2.  As
+       computed w is within gamma_m ||A||_F B of the exact one and its norm,
+       taken on 2^-k w (an exact scaling), within gamma_{n+1} of its value,
+       and ||w|| <= ||A||_F B; ``_lorentz_eigh`` takes the product on
+       2^-k A, 2^k just above ||A||_F, where each entry of the computed
+       (2^-k A)^T J (2^-k A) is within gamma_m of the product of the
+       columns' absolute values, so within gamma_m 4^-k ||A||_F^2 of the
+       exact product in the 2-norm; assuming eigh returns its smallest
+       eigenvalue within p eps ||P||_2 of the exact one for the computed
+       product P, with p <= 8 (m + 1)(n + 1) (LAPACK's bound is of order
+       n), and as the power-of-two scaling and its undoing by 4^k are
+       exact, the computed -lambda_- is low by at most (m + 2 p) u
+       ||A||_F^2, the bound of the unscaled product, with no underflow of
+       the product at small scales of A.  As
        ||A||_F reach <= B / sqrt(n), the computed left side is at most
        (4 m + 2 n + 2 p + 2) u B^2 above the exact one;
     4. the draws and the probes of feasible bases lie within
@@ -394,9 +401,11 @@ def _ball_inside(projector: FeasibleSetProjector, radii) -> bool:
         return False
     instance, reach = projector.instance, _scan_reach(radii)
     bound = instance._image_bound(float(np.abs(analysis.x).max()) + reach)
-    beta, norm_w, spectrum = analysis._lorentz
-    # -lambda_- = max(0, lambda_max(A^T reflected(A))).
-    low = beta - 2.0 * norm_w * reach - max(0.0, float(spectrum[-1])) * reach * reach
+    beta, _, norm_w = analysis._lorentz
+    k, lam, _ = instance._lorentz_eigh
+    # lambda_- = 4^k min(0, lam_min), as A^T J A = 4^k Q diag(lam) Q^T.
+    lam_minus = min(0.0, float(lam[0])) * 2.0**k * 2.0**k
+    low = beta - 2.0 * norm_w * reach + lam_minus * reach * reach
     return low > _slack(instance, bound) * max(1.0, bound)
 
 
@@ -621,8 +630,9 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
 
     * reducible: ||y_r|| - iota > tol max(1, ||y|| + iota);
     * d = 1, tried where ||grad phi(xbar)|| > floor + S: with the
-      analysis's Lorentz invariants (``PointAnalysis._lorentz``) beta = q(y),
-      ||w|| and mu = ||A^T J A||_2, the largest |eigenvalue| of its spectrum,
+      analysis's Lorentz invariants (``PointAnalysis._lorentz``) beta = q(y)
+      and ||w||, and mu = ||A^T J A||_2, the largest |eigenvalue| of the
+      instance's spectrum ``_lorentz_eigh``,
 
           N = 2 (||w|| - mu rho - sigma E),
           K = |beta| + 2 ||w|| rho + mu rho^2 + (2 ||y|| + 2 sigma rho + E) E,
@@ -646,8 +656,8 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
     gamma_k = k u / (1 - k u).
     Assume the SVD puts ||A||_2 within p eps ||A||_F of sigma, with
     p <= 8 (m + 1)(n + 1) (LAPACK's bound is of order max(m, n)), and
-    eigvalsh each eigenvalue of its computed product P within p eps ||P||_2
-    (``_ball_inside`` assumes it of the largest).  To first order in u:
+    eigh each eigenvalue of its computed product P within p eps ||P||_2
+    (``_ball_inside`` assumes it of the smallest).  To first order in u:
 
     1. Images.  A draw has ||d|| <= (1 + (n + 4) u) rho, the row
        fl(xbar + d) lies within sqrt(n) u T of xbar + d, and y and the
@@ -669,7 +679,7 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
        exact gradient A_0 - v^T A_r of phi = Y_0 - ||Y_r|| = q(Y) / psi
        satisfies psi (A_0 - v^T A_r) = 2 A^T J Y - phi (A_0 + v^T A_r),
        and ||A_0 + v^T A_r|| <= sqrt(2) ||A||_2.  With Y = y + A d' + e,
-       A^T J Y = w + A^T J A d' + A^T J e and q(Y) = beta + 2 w^T d'
+       A^T J Y = A^T J A d' + A^T J e - w and q(Y) = beta - 2 w^T d'
        + d'^T A^T J A d' + 2 e^T J (y + A d') + q(e), so
        ||2 A^T J Y|| >= N and |q(Y)| <= K at exact invariants, as
        ||e|| <= E / 4 leaves room for sigma's rounding; by step 2 every
@@ -677,7 +687,9 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
        exact invariants.  The computed beta lies within m u ||y||^2 of
        q(y), ||w|| within (m + n + 2) u ||A||_F ||y|| of its value, every
        computed eigenvalue within m u ||A||_F^2 + 2 p u ||A||_2^2 of one of
-       -A^T J A (the product, then eigvalsh's backward error), so mu too,
+       A^T J A (the product on 2^-k A, then eigh's backward error, both
+       undone exactly by 4^k, so with no underflow of the product at small
+       scales of A), so mu too,
        and sigma within 2 p u ||A||_F of ||A||_2.  Where the test passes,
        sqrt(2) sigma K / (||y|| - iota) < N <= 2 ||A||_2 ||y||; with
        ||y|| - iota > ||y|| / 4, ||A||_2 rho <= iota < ||y|| / sqrt(2) and
@@ -718,8 +730,12 @@ def _proved_dim(analysis, sigma: float, radius: float, bound: float) -> Optional
         return None
     floor, slack = analysis.grad_floor, _slack(instance, instance.norm_A())
     if _norm(analysis.grad_phi) > floor + slack:
-        beta, norm_w, spectrum = analysis._lorentz
-        mu = max(-float(spectrum[0]), float(spectrum[-1]))
+        beta, _, norm_w = analysis._lorentz
+        k, lam, _ = instance._lorentz_eigh
+        mu = max(float(lam[-1]), -float(lam[0])) * 2.0**k * 2.0**k
+        # At the magnitude rule's edge an invariant may not be representable.
+        if not 4.0 * (norm_w + mu) < math.inf:
+            return None
         # phi is the bound K / (||y|| - iota) on |phi| over the rows.
         phi = abs(beta) + (2.0 * norm_w + mu * radius) * radius
         phi = (phi + (2.0 * (norm_y + sigma * radius) + E) * E) / (norm_y - iota)

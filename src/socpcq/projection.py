@@ -74,8 +74,9 @@ M = A^T J A, c = A^T J b and beta = b^T J b.  The projection z of an
 infeasible x lands either on the vertex preimage {g = 0} or on a smooth
 boundary point, where the KKT conditions read z - x = t (Mz + c) with a
 multiplier t >= 0, i.e. (I - tM) z = x + tc, together with
-psi = g(z)^T J g(z) = 0 and g0(z) > 0.  One ``eigh`` M = Q diag(lam) Q^T
-at construction turns this into a scalar secular equation per row: with
+psi = g(z)^T J g(z) = 0 and g0(z) > 0.  One ``eigh`` M = Q diag(lam) Q^T,
+the instance's ``_lorentz_eigh`` rescaled to the scale s below, turns
+this into a scalar secular equation per row: with
 w = Q^T A^T J g(x),
 
     z(t) = x + t Q (w / (1 - t lam)),
@@ -85,7 +86,10 @@ w = Q^T A^T J g(x),
 All of this runs on (s A, s b), s the power of two that puts sigma_max(A)
 in [1/2, 1): Omega is the same, and w, which grows like ||A||^2 ||g(x)||,
 and t, like 1 / ||A||^2, stay in floating-point range at any scale of
-(A, b).
+(A, b).  The instance decomposes M once, at the power of two 2^-k just
+above ||A||_F; eigh commutes exactly with power-of-two scaling, so lam
+4^(k - e) and Q, with s = 2^-e, are bit for bit the ``eigh`` of the
+product on (s A, s b).
 
 By Sylvester's law of inertia M inherits at most one positive eigenvalue
 lam_+ from J, so psi has at most one pole 1/lam_+ on t > 0 and is strictly
@@ -257,8 +261,10 @@ class _SlaterData:
     # Im(A) and no row projects onto the vertex
     pinv_t: Optional[np.ndarray]
     vertex: Optional[tuple]
+    # M = (s A)^T J (s A) = Q diag(lam) Q^T, from the instance's one
+    # ``_lorentz_eigh`` rescaled by 4^(k - e)
     lam: np.ndarray          # eigenvalues of M, ascending; all but the last <= 0
-    Q: np.ndarray            # eigenvectors of M
+    Q: np.ndarray            # eigenvectors of M, the instance's own array
     AQ0: np.ndarray          # first row of A Q: g0 along z(t)
     pole: float              # 1 / lam_+ (inf without a positive eigenvalue)
     grid_t: np.ndarray       # secular grid: multipliers t ...
@@ -401,11 +407,14 @@ class FeasibleSetProjector:
         towards the best point of the image slice through the reference, and
         a slice without an interior point raises ``NumericalFailureError``.
 
-        The data is that of (s A, s b) (module docstring), s = 2^-k with
-        2^k the power of two just above sigma_max(A).  A power of two scales
+        The data is that of (s A, s b) (module docstring), s = 2^-e with
+        2^e the power of two just above sigma_max(A).  A power of two scales
         every value exactly, so the points and bounds of x-space come out
-        the same as on (A, b) wherever both are in range.  The vertex test
-        reads the instance's own b.
+        the same as on (A, b) wherever both are in range.  M's eigenvectors
+        Q and eigenvalues lam 4^(k - e) come from the instance's one
+        decomposition ``_lorentz_eigh`` at 2^-k, bit for bit the ``eigh``
+        of (s A)^T J (s A), since eigh commutes exactly with a power-of-two
+        scaling.  The vertex test reads the instance's own b.
         """
         geo = self.instance.geometry()
         ray = _recession_ray(self.instance)
@@ -426,11 +435,10 @@ class FeasibleSetProjector:
         P, b = geo._null_proj, self.instance.b
         vertex = float(P[0, 0]) < 0.5 and geo._in_image(b, self.instance.tol)
 
-        scale = math.ldexp(1.0, -math.frexp(float(geo.singular_values[0]))[1])
+        e = math.frexp(float(geo.singular_values[0]))[1]
+        k, lam, Q = self.instance._lorentz_eigh
+        scale, lam = math.ldexp(1.0, -e), np.ldexp(lam, 2 * (k - e))
         A, b = scale * self.instance.A, scale * b
-        JA = A.copy()
-        JA[1:] *= -1.0
-        lam, Q = np.linalg.eigh(A.T @ JA)
         # Inertia: only the top eigenvalue may be positive.  Positive values
         # further down, and a top value inside the tolerance band, are
         # rounding artifacts of zero eigenvalues.

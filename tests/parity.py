@@ -23,7 +23,16 @@ the same for the FCR oracle on the positive boundary: the reprs of the
 ``fcr_dim_scan`` records (64 samples, seed s) of the first 40 draws each of
 Thm4.4(ii), Thm4.4(iii) and degenerate-boundary, ``random_instance(2 + s %
 5, 1 + s % 6, case, s)`` with m = 3 + s % 4 for degenerate-boundary, in the
-same six frames.
+same six frames.  A seventh, ``slater-scaled``, reaches the scales where
+the Slater projector's power-of-two scaling could break: on the first 40
+draws each of Thm4.4(i), Thm4.4(ii) and Thm4.4(iv),
+``random_instance(2 + s % 5, 1 + s % 6, case, s)``, as drawn and boosted
+along e_1 at rapidity 2, each with (A, b) scaled by 1e-150, 1e-100,
+1e-30, 1e-6, 1, 1e6, 1e30, 1e100 and 1e150, the reprs (every float in
+full) of ``FeasibleSetProjector(instance, xbar)``'s ``project_batch`` on
+the six rows xbar + 10^j u_j (j = -3 ... 2, u_j the rows of a standard
+normal draw of ``default_rng(s)``) and of ``project`` on the row j = 0,
+or the type and text of the error raised.
 The reports show that record only as ``fcr_consistent`` and
 ``fcr_agree``, so the oracle is wrapped in place, as the recording fixture
 of ``tests/test_oracles.py`` wraps it.  Both trees run the inputs of the
@@ -52,13 +61,14 @@ COUNTS = {"harness": 400, "cli-oneshot": 2400, "kappa-slater": 240}
 
 #: Run in a fresh interpreter with ``src/`` and ``bench/`` on the path:
 #: prints ``<workload> <sha256>`` per workload, then ``fcr-records <sha256>``,
-#: ``kappa-interior <sha256>`` and ``fcr-boosted <sha256>``.
+#: ``kappa-interior <sha256>``, ``fcr-boosted <sha256>`` and
+#: ``slater-scaled <sha256>``.
 DIGEST_CODE = """
 import hashlib, itertools, json, sys, tempfile
 from pathlib import Path
 import numpy as np
 import socpcq
-from socpcq import AffineSOCInstance, classify_kappa_growth, oracles
+from socpcq import AffineSOCInstance, FeasibleSetProjector, classify_kappa_growth, oracles
 from socpcq.families import lorentz_boost, transformed
 from workloads import WORKLOADS
 
@@ -78,6 +88,7 @@ def frames(inst):
     return boosts + [AffineSOCInstance(c * inst.A, c * inst.b) for c in (1e-3, 1e3)]
 
 oracles.fcr_dim_scan = recording
+SLATER_SCALES = (1e-150, 1e-100, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e100, 1e150)
 
 src, seed, counts = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
 if Path(socpcq.__file__).resolve().parent != Path(src).resolve() / "socpcq":
@@ -108,6 +119,25 @@ for case in ("Thm4.4(ii)", "Thm4.4(iii)", "degenerate-boundary"):
         for frame in frames(inst):
             digest.update(repr(fcr_scan(frame, xbar, samples=64, seed=s)).encode())
 print("fcr-boosted", digest.hexdigest())
+# Bitwise reprs: floatmode "unique" prints every float so that it parses back.
+digest = hashlib.sha256()
+with np.printoptions(floatmode="unique"):
+    for case in ("Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)"):
+        for s in range(40):
+            inst, xbar = oracles.random_instance(2 + s % 5, 1 + s % 6, case, s)
+            U = np.random.default_rng(s).standard_normal((6, inst.n))
+            X = xbar + 10.0 ** np.arange(-3, 3)[:, None] * U
+            boosted = transformed(inst, L=lorentz_boost(np.eye(inst.m - 1)[0], 2.0))[0]
+            for frame in (inst, boosted):
+                for c in SLATER_SCALES:
+                    scaled = AffineSOCInstance(c * frame.A, c * frame.b)
+                    try:
+                        projector = FeasibleSetProjector(scaled, xbar)
+                        out = (projector.project_batch(X), projector.project(X[3]))
+                    except Exception as exc:
+                        out = (type(exc).__name__, str(exc))
+                    digest.update(repr(out).encode())
+print("slater-scaled", digest.hexdigest())
 """
 
 

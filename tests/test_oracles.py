@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import fields
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -1014,6 +1015,98 @@ def test_dim_scan_closed_form_fires_only_with_its_slack_to_spare(case):
         assert _proved(inst, np.zeros(1)) == (dim if fires else None)
         scan = fcr_dim_scan(inst, np.zeros(1), samples=64)
         assert (scan.observed_dims, scan.sample_count) == ({dim}, 65)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e100, 1e120, 1e140, 1e150])
+def test_closed_forms_fire_without_overflow_at_extreme_scales(scan_spy, scale):
+    # ||w|| ~ scale^2 is representable, but its squares are not: summed
+    # unscaled they overflowed (numpy's warning, an error here) to inf, and
+    # both closed forms declined.  Taken at the instance's power of two,
+    # ||w|| keeps both proofs, and neither scan builds a generator.
+    boundary, xbar_ii = random_instance(4, 3, "Thm4.4(ii)", 1)
+    interior, xbar_i = random_instance(4, 3, "Thm4.4(i)", 1)
+    at_one = mscq_kappa_scan(interior, xbar_i)
+    scan_spy.update(rng=0)
+    scaled = AffineSOCInstance(scale * boundary.A, scale * boundary.b)
+    dims = fcr_dim_scan(scaled, xbar_ii)
+    assert (dims.observed_dims, dims.sample_count, dims.discarded) == ({1}, 513, 0)
+    scaled = AffineSOCInstance(scale * interior.A, scale * interior.b)
+    assert mscq_kappa_scan(scaled, xbar_i) == at_one
+    assert scan_spy["rng"] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dim_closed_form_declines_where_its_invariants_leave_the_range():
+    # g(x) = (t + a x, t - a x) at x = 0 with a = 6e153 and t = 9e153: A and
+    # g(0) obey the magnitude rule, yet ||w|| = 2 a t = 1.08e308, and the
+    # d = 1 bound would compute inf - inf.  The closed form declines, with no
+    # warning.
+    a, t = 6e153, 9e153
+    inst = AffineSOCInstance(np.array([[a], [-a]]), np.array([t, t]))
+    analysis = analyze_point(inst, np.zeros(1))
+    assert analysis.location is ConeLocation.POSITIVE_BOUNDARY
+    assert analysis._lorentz[2] == 2.0 * a * t
+    sigma, radius = float(analysis.geometry.singular_values[0]), 0.05
+    bound = inst._image_bound(radius)
+    assert oracles._proved_dim(analysis, sigma, radius, bound) is None
+
+
+def test_h_set_generator_is_the_lorentz_w():
+    # The H set's generator on the positive boundary and the closed forms'
+    # w are one vector, A^T reflected(y), with its bits.
+    for case in ("Thm4.4(ii)", "Thm4.4(iii)", "degenerate-boundary"):
+        for m, n, seed in [(3, 1, 0), (4, 3, 1), (6, 6, 2)]:
+            inst, xbar = random_instance(m, n, case, seed)
+            report = full_report(inst, xbar)
+            y = report.point_analysis.y
+            generator = report.h_set.generator
+            assert generator is report.point_analysis._lorentz[1]
+            assert np.array_equal(generator, inst.A.T @ soc_core.reflected(y))
+            assert report.point_analysis._lorentz[2] == np.linalg.norm(generator)
+
+
+_EIGH_STRATA = ("Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)")
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Counts the calls of ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        solver = getattr(np.linalg, name)
+
+        def counting(*args, _solver=solver, _name=name, **kwargs):
+            counts[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("target", TARGET_CASES)
+def test_a_harness_trial_decomposes_a_t_j_a_at_most_once(eigen_calls, target):
+    # The draw and its report, the projector, the kappa scan and the FCR
+    # scan of a trial share the instance's one eigh of A^T J A: the Slater
+    # data, the ball test and the d = 1 bound all read it.  A trial that
+    # builds no Slater data and runs neither bound computes none.
+    m_lo, n_lo = families._least_sizes(target)
+    for seed in range(3):
+        eigen_calls.update(eigh=0, eigvalsh=0)
+        m, n = m_lo + 1 + seed, n_lo + seed
+        instance, _, report, _ = families._draw(m, n, target, seed)
+        projector = FeasibleSetProjector(instance, report.point_analysis)
+        oracles._kappa_scan(projector, oracles._RADII, 48, seed)
+        fcr_dim_scan(instance, report.point_analysis, samples=64, seed=seed)
+        expected = {"eigh": int(target in _EIGH_STRATA), "eigvalsh": 0}
+        assert eigen_calls == expected, (target, seed)
+
+
+def test_analyze_on_a_boundary_document_decomposes_nothing(eigen_calls, capsys):
+    fixture = files("socpcq").joinpath("fixtures", "boundary_degenerate.json")
+    assert main(["analyze", str(fixture), "xbar"]) == 0
+    assert "location: positive_boundary" in capsys.readouterr().out
+    assert eigen_calls == {"eigh": 0, "eigvalsh": 0}
 
 
 # -- brute-force subspace classification --------------------------------------

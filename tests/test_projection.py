@@ -9,6 +9,7 @@ are frozen here by hand.
 
 import functools
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +246,55 @@ def test_slater_projection_holds_at_extreme_scales(e):
     assert D[0] - L[0] <= gap
     assert abs(D[0] - D0[0]) <= gap
     assert np.linalg.norm(Z[0] - Z0[0]) <= gap
+
+
+def _slater_scale_eigh(instance):
+    """``eigh`` of (s A)^T J (s A), s = 2^-e with 2^e the power of two just
+    above sigma_max(A), computed as ``_build_slater`` once computed it on its
+    own: the reference that the instance's scaled record must reproduce."""
+    e = math.frexp(float(instance.geometry().singular_values[0]))[1]
+    A = math.ldexp(1.0, -e) * instance.A
+    JA = A.copy()
+    JA[1:] *= -1.0
+    return e, np.linalg.eigh(A.T @ JA)
+
+
+@pytest.mark.parametrize("stratum", TARGET_CASES)
+def test_slater_data_is_the_instance_eigh_rescaled_bit_for_bit(stratum):
+    # One eigh of A^T J A per instance, at 2^-k with 2^k just above ||A||_F,
+    # serves the Slater data at sigma_max's power of two 2^-e: eigh commutes
+    # exactly with power-of-two scaling, so lam 4^(k - e) and Q are the bits
+    # of an eigh taken at 2^-e, at any scale of (A, b) and in any frame.
+    slater = 0
+    for seed in range(3):
+        drawn, xbar = random_instance(3 + seed, 2 + seed, stratum, seed)
+        boosted = transformed(drawn, L=lorentz_boost(np.eye(drawn.m - 1)[0], 2.0))[0]
+        for frame in (drawn, boosted):
+            for c in (1e-150, 1e-6, 1.0, 1e6, 1e150):
+                inst = AffineSOCInstance(c * frame.A, c * frame.b)
+                e, (lam, Q) = _slater_scale_eigh(inst)
+                k, lam_k, Q_k = inst._lorentz_eigh
+                assert k == math.frexp(inst.norm_A())[1]
+                assert np.array_equal(np.ldexp(lam_k, 2 * (k - e)), lam)
+                assert np.array_equal(Q_k, Q)
+                try:
+                    proj = FeasibleSetProjector(inst, xbar)
+                except InfeasiblePointError:
+                    continue  # a scaled vertex draw can round off the cone
+                if proj.geometry.value != "slater":
+                    continue
+                sd = proj._slater
+                slater += 1
+                assert sd.scale == math.ldexp(1.0, -e)
+                assert np.array_equal(sd.Q, Q)
+                # The inertia clamp keeps every eigenvalue <= 0 and, where it
+                # reads a pole, the top one.
+                assert np.array_equal(sd.lam[:-1], np.minimum(lam[:-1], 0.0))
+                top = lam[-1] if np.isfinite(sd.pole) else min(lam[-1], 0.0)
+                assert sd.lam[-1] == top
+                if np.isfinite(sd.pole):
+                    assert sd.pole == 1.0 / lam[-1]
+    assert slater > 0 or stratum not in ("Thm4.4(i)", "Thm4.4(ii)", "Thm4.4(iv)")
 
 
 @pytest.mark.parametrize("s", [1e140, 1e145, 1e150])
